@@ -53,10 +53,24 @@ impl AppendBatch {
     }
 }
 
-/// What an [`AppendBatch`] actually touched — the dirty set the delta
-/// executor (`stage::execute_delta`) intersects with each stage's declared
-/// [`StageId::ctx_reads`](crate::stage::StageId::ctx_reads) to decide which
-/// stages can reuse their cached output.
+/// The parts of an [`AnalysisContext`] an append can invalidate
+/// independently — the unit of a stage's declared context reads
+/// ([`StageId::ctx_reads`](crate::stage::StageId::ctx_reads)) and of a
+/// [`ContextDelta`]'s dirty set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CtxIndex {
+    /// The raw fatal event stream and its per-code shards.
+    Events,
+    /// The observation window of the RAS log.
+    Span,
+    /// The job table and every index over it.
+    Jobs,
+}
+
+/// What an [`AppendBatch`] actually touched. The executor re-runs a stage
+/// when [`ContextDelta::dirty`] meets its declared
+/// [`StageId::ctx_reads`](crate::stage::StageId::ctx_reads); `dirty_codes`
+/// narrows the temporal/spatial re-run to the shards that grew.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContextDelta {
     /// Error codes whose per-code shard gained events (sorted, deduped).
@@ -70,6 +84,24 @@ pub struct ContextDelta {
     pub jobs_appended: usize,
     /// Did the observation window (time span) move?
     pub span_changed: bool,
+}
+
+impl ContextDelta {
+    /// The context indexes this delta invalidated. A job append shifts the
+    /// job table itself, so every index over it is new.
+    pub fn dirty(&self) -> Vec<CtxIndex> {
+        let mut dirty = Vec::new();
+        if self.events_appended > 0 {
+            dirty.push(CtxIndex::Events);
+        }
+        if self.span_changed {
+            dirty.push(CtxIndex::Span);
+        }
+        if self.jobs_appended > 0 {
+            dirty.push(CtxIndex::Jobs);
+        }
+        dirty
+    }
 }
 
 /// The owned, lifetime-free event-side half of an [`AnalysisContext`]: the
@@ -298,6 +330,22 @@ pub struct AnalysisContext<'a> {
     /// Interned job-dimension columns for the FDA lattice, built lazily on
     /// first use (only the `Fda` stage pays for them).
     fda_dims: OnceLock<JobDims>,
+    #[cfg(test)]
+    reads: ReadLog,
+}
+
+/// The [`CtxIndex`]es read through a context's accessors, as a bitmask —
+/// recorded in test builds only, so the stage-graph proptest can compare
+/// each stage's actual reads with its declared `ctx_reads`.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct ReadLog(std::sync::atomic::AtomicU8);
+
+#[cfg(test)]
+impl Clone for ReadLog {
+    fn clone(&self) -> ReadLog {
+        ReadLog::default()
+    }
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -363,7 +411,30 @@ impl<'a> AnalysisContext<'a> {
             end_order,
             span,
             fda_dims: OnceLock::new(),
+            #[cfg(test)]
+            reads: ReadLog::default(),
         }
+    }
+
+    /// Record a read of `index` (test builds only; free otherwise).
+    #[inline]
+    fn note(&self, index: CtxIndex) {
+        #[cfg(test)]
+        self.reads
+            .0
+            .fetch_or(1 << index as u8, std::sync::atomic::Ordering::Relaxed);
+        #[cfg(not(test))]
+        let _ = index;
+    }
+
+    /// Take (and clear) the indexes read since the last call.
+    #[cfg(test)]
+    pub(crate) fn take_observed_reads(&self) -> Vec<CtxIndex> {
+        let mask = self.reads.0.swap(0, std::sync::atomic::Ordering::Relaxed);
+        [CtxIndex::Events, CtxIndex::Span, CtxIndex::Jobs]
+            .into_iter()
+            .filter(|&i| mask & (1 << i as u8) != 0)
+            .collect()
     }
 
     /// A context with no RAS events — job-side indexes only. Convenient for
@@ -385,12 +456,14 @@ impl<'a> AnalysisContext<'a> {
 
     /// The raw fatal event stream, in time order.
     pub fn raw_events(&self) -> &[Event] {
+        self.note(CtxIndex::Events);
         &self.raw_events
     }
 
     /// Raw fatal events grouped by error code, shards sorted by code.
     /// Each shard borrows a slice of the single code-sorted buffer.
     pub fn code_shards(&self) -> Vec<(ErrCode, &[Event])> {
+        self.note(CtxIndex::Events);
         self.code_slices
             .iter()
             .filter_map(|(code, r)| self.code_events.get(r.clone()).map(|s| (*code, s)))
@@ -403,6 +476,7 @@ impl<'a> AnalysisContext<'a> {
     /// and memoized for the context's lifetime, so only the `Fda` stage
     /// pays the columnarization cost.
     pub fn fda_columns(&self) -> &JobDims {
+        self.note(CtxIndex::Jobs);
         self.fda_dims
             .get_or_init(|| JobDims::from_jobs(self.jobs.jobs()))
     }
@@ -410,6 +484,7 @@ impl<'a> AnalysisContext<'a> {
     /// The job at machine-wide termination rank `rank` (a position in the
     /// `(end_time, job_id)` permutation of the job table).
     pub(crate) fn job_by_end_rank(&self, rank: u32) -> Option<&'a JobRecord> {
+        self.note(CtxIndex::Jobs);
         self.end_order
             .get(rank as usize)
             .and_then(|&i| self.jobs.jobs().get(i as usize))
@@ -417,21 +492,25 @@ impl<'a> AnalysisContext<'a> {
 
     /// The observation window of the underlying RAS log, if known.
     pub fn span(&self) -> Option<(Timestamp, Timestamp)> {
+        self.note(CtxIndex::Span);
         self.span
     }
 
     /// All jobs, sorted by start time.
     pub fn job_records(&self) -> &'a [JobRecord] {
+        self.note(CtxIndex::Jobs);
         self.jobs.jobs()
     }
 
     /// Number of jobs.
     pub fn job_count(&self) -> usize {
+        self.note(CtxIndex::Jobs);
         self.jobs.len()
     }
 
     /// Look up a job by id — O(1), unlike [`JobLog::by_job_id`]'s scan.
     pub fn job(&self, job_id: u64) -> Option<&'a JobRecord> {
+        self.note(CtxIndex::Jobs);
         self.job_index
             .get(&job_id)
             .and_then(|&i| self.jobs.jobs().get(i as usize))
@@ -442,6 +521,7 @@ impl<'a> AnalysisContext<'a> {
     /// pointer offset: O(1) with no hashing. Returns `None` for a record
     /// that does not live in the slice.
     pub(crate) fn record_index(&self, j: &JobRecord) -> Option<usize> {
+        self.note(CtxIndex::Jobs);
         let base = self.jobs.jobs().as_ptr() as usize;
         let off = (std::ptr::from_ref(j) as usize).checked_sub(base)?;
         let size = std::mem::size_of::<JobRecord>();
@@ -451,27 +531,32 @@ impl<'a> AnalysisContext<'a> {
     /// Duration of the longest job in the log — the lookback bound for
     /// overlap scans on the start-sorted job table.
     pub(crate) fn max_job_duration(&self) -> Duration {
+        self.note(CtxIndex::Jobs);
         self.jobs.max_duration()
     }
 
     /// Jobs grouped by executable, groups sorted by [`ExecId`] and each
     /// group in submission (queue-time) order.
     pub fn exec_groups(&self) -> &[(ExecId, Vec<&'a JobRecord>)] {
+        self.note(CtxIndex::Jobs);
         &self.exec_groups
     }
 
     /// Number of distinct executables.
     pub fn distinct_execs(&self) -> usize {
+        self.note(CtxIndex::Jobs);
         self.exec_groups.len()
     }
 
     /// Jobs running at instant `t` on midplane `m`.
     pub fn running_at(&self, m: MidplaneId, t: Timestamp) -> Vec<&'a JobRecord> {
+        self.note(CtxIndex::Jobs);
         self.jobs.running_at(m, t)
     }
 
     /// Jobs on midplane `m` whose execution interval overlaps `[t0, t1)`.
     pub fn overlapping(&self, m: MidplaneId, t0: Timestamp, t1: Timestamp) -> Vec<&'a JobRecord> {
+        self.note(CtxIndex::Jobs);
         self.jobs.overlapping(m, t0, t1)
     }
 
@@ -484,22 +569,26 @@ impl<'a> AnalysisContext<'a> {
         t1: Timestamp,
         f: F,
     ) {
+        self.note(CtxIndex::Jobs);
         self.jobs.for_each_overlapping(m, t0, t1, f);
     }
 
     /// Jobs anywhere on the machine with `t0 <= end_time < t1`.
     pub fn ended_in_window(&self, t0: Timestamp, t1: Timestamp) -> Vec<&'a JobRecord> {
+        self.note(CtxIndex::Jobs);
         self.jobs.ended_in_window(t0, t1)
     }
 
     /// Busy seconds on midplane `m` (the Figure 4b workload series).
     pub fn midplane_busy_seconds(&self, m: MidplaneId) -> i64 {
+        self.note(CtxIndex::Jobs);
         self.jobs.midplane_busy_seconds(m)
     }
 
     /// Busy seconds on midplane `m` counting only jobs of at least
     /// `min_midplanes` midplanes (the Figure 4c wide-job series).
     pub fn midplane_busy_seconds_min_size(&self, m: MidplaneId, min_midplanes: u32) -> i64 {
+        self.note(CtxIndex::Jobs);
         self.jobs.midplane_busy_seconds_min_size(m, min_midplanes)
     }
 }

@@ -47,7 +47,7 @@ pub mod stage;
 pub mod stream;
 
 pub use analysis::{FdaAnalysis, FdaParams};
-pub use context::{AnalysisContext, AppendBatch, ContextDelta, EventStore};
+pub use context::{AnalysisContext, AppendBatch, ContextDelta, CtxIndex, EventStore};
 pub use event::Event;
 pub use load::{
     load_jobs, load_pair, load_ras, LoadError, LoadOptions, LoadedJobs, LoadedRas, LogFormat,

@@ -158,7 +158,9 @@ impl CoAnalysis {
     /// Contract: pure function of `ctx`, the configuration, and `set`;
     /// deterministic for a given input and independent of thread count.
     pub fn run_on(&self, ctx: &AnalysisContext<'_>, set: AnalysisSet) -> AnalysisProducts {
-        stage::execute(ctx, &self.config, set, None).into_products()
+        stage::execute(ctx, &self.config, set, None, None)
+            .0
+            .into_products()
     }
 
     /// [`CoAnalysis::run_on`] with a [`StageObserver`] notified around every
@@ -174,7 +176,9 @@ impl CoAnalysis {
         set: AnalysisSet,
         observer: &dyn StageObserver,
     ) -> AnalysisProducts {
-        stage::execute(ctx, &self.config, set, Some(observer)).into_products()
+        stage::execute(ctx, &self.config, set, None, Some(observer))
+            .0
+            .into_products()
     }
 }
 
@@ -269,12 +273,11 @@ impl DeltaSession {
         // than the event stream.
         let store = self.store.take().unwrap_or_default();
         let ctx = AnalysisContext::from_store(store, &self.jobs);
-        let (state, report) = stage::execute_delta(
+        let (state, report) = stage::execute(
             &ctx,
             &self.config,
             AnalysisSet::all(),
-            &mut self.cache,
-            delta,
+            Some((&mut self.cache, delta)),
             observer,
         );
         self.store = Some(ctx.into_store());

@@ -1,8 +1,9 @@
 //! Stage graph: named pipeline passes over a shared [`AnalysisContext`].
 //!
 //! Every pass of the paper's Figure-1 dataflow is a [`Stage`] with an
-//! explicit identity ([`StageId`]) and declared dependencies
-//! ([`StageId::deps`]). The executor ([`execute`]) walks the graph in
+//! explicit identity ([`StageId`]) and declared inputs: the products it
+//! reads ([`StageId::deps`]) and the context indexes it reads
+//! ([`StageId::ctx_reads`]). The executor ([`execute`]) walks the graph in
 //! dependency waves and runs independent stages of a wave concurrently —
 //! the per-code sharding of the temporal/spatial filters and the fan-out
 //! of the characterization passes go through the same fork-join point
@@ -10,6 +11,10 @@
 //! [`AnalysisSet`]; dependencies are closed over automatically, so asking
 //! for `Midplane` alone pulls in filtering, matching, and job-related
 //! filtering but skips the other characterization passes.
+//!
+//! The same wave loop serves one-shot runs and incremental folds: given the
+//! previous pass's [`StageCache`] and a [`ContextDelta`], it re-runs only
+//! the stages whose declared inputs changed and replays the rest.
 
 use crate::analysis::failure_stats::TableIv;
 use crate::analysis::{
@@ -19,7 +24,7 @@ use crate::analysis::{
 use crate::classify::{
     classify_impact, classify_root_cause_with_threads, ImpactSummary, RootCauseSummary,
 };
-use crate::context::{AnalysisContext, ContextDelta};
+use crate::context::{AnalysisContext, ContextDelta, CtxIndex};
 use crate::event::Event;
 use crate::filter::job_related::JobRelatedOutcome;
 use crate::filter::{CausalRule, FilterStats, JobRelatedFilter};
@@ -27,7 +32,6 @@ use crate::matching::Matching;
 use crate::pipeline::{CoAnalysisConfig, CoAnalysisResult};
 use joblog::JobRecord;
 use raslog::ErrCode;
-use std::sync::atomic::{AtomicU16, Ordering};
 
 /// Identity of one pipeline pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,59 +102,45 @@ impl StageId {
         }
     }
 
-    /// Direct dependencies: stages whose products this stage reads.
+    /// Direct dependencies: exactly the stages whose products this stage's
+    /// `run` reads. Listing every direct read (not just the transitive
+    /// reduction) is what lets the executor re-run a stage whenever any of
+    /// its inputs changed; the `stage.rs` proptest pins the list to the
+    /// reads the `PipelineState` accessors record.
     pub fn deps(self) -> &'static [StageId] {
+        use StageId as S;
         match self {
-            StageId::TemporalSpatial => &[],
-            StageId::Causal => &[StageId::TemporalSpatial],
-            StageId::Matching => &[StageId::Causal],
-            StageId::JobRelated | StageId::Impact | StageId::RootCause | StageId::Burst => {
-                &[StageId::Matching]
-            }
-            StageId::TableIv | StageId::Midplane | StageId::Propagation => &[StageId::JobRelated],
-            StageId::Interruption => &[StageId::RootCause],
-            StageId::Vulnerability => &[StageId::RootCause, StageId::Midplane],
-            StageId::Fda => &[StageId::Matching],
+            S::TemporalSpatial => &[],
+            S::Causal => &[S::TemporalSpatial],
+            S::Matching => &[S::Causal],
+            S::JobRelated | S::Impact | S::RootCause | S::Fda => &[S::Causal, S::Matching],
+            S::Burst => &[S::Matching],
+            S::TableIv => &[S::Causal, S::JobRelated],
+            S::Midplane => &[S::JobRelated],
+            S::Propagation => &[S::Causal, S::Matching, S::JobRelated],
+            S::Interruption => &[S::Causal, S::Matching, S::RootCause],
+            S::Vulnerability => &[S::Causal, S::Matching, S::RootCause, S::Midplane],
         }
     }
 
-    /// The [`AnalysisContext`] accessors this stage's `run` touches — the
-    /// runtime mirror of the `/// Reads: …; ctx{…}` contract line on each
-    /// stage impl (the `stage-deps` lint cross-checks both against the
-    /// code). [`execute_delta`] intersects these with the accessors an
-    /// [`ContextDelta`] dirtied to decide whether a cached output is still
-    /// valid, so an entry missing here would silently serve stale results —
-    /// which is exactly why the lint machine-checks the lists.
-    pub fn ctx_reads(self) -> &'static [&'static str] {
+    /// The [`AnalysisContext`] indexes this stage's `run` reads. The
+    /// executor re-runs a cached stage when one of them is in the
+    /// [`ContextDelta::dirty`] set; the same proptest pins the list to the
+    /// reads the context accessors record.
+    pub fn ctx_reads(self) -> &'static [CtxIndex] {
+        use StageId as S;
         match self {
-            StageId::TemporalSpatial => &["code_shards"],
-            StageId::Causal => &[],
-            StageId::Matching => &[
-                "job",
-                "job_by_end_rank",
-                "job_count",
-                "job_records",
-                "max_job_duration",
-            ],
-            StageId::JobRelated => &["job", "overlapping"],
-            StageId::Impact => &[],
-            StageId::RootCause => &["for_each_overlapping", "job"],
-            StageId::TableIv => &[],
-            StageId::Midplane => &["midplane_busy_seconds", "midplane_busy_seconds_min_size"],
-            StageId::Burst => &["distinct_execs", "exec_groups", "job", "job_count", "span"],
-            StageId::Interruption => &["job"],
-            StageId::Propagation => &["job"],
-            StageId::Vulnerability => &[
-                "distinct_execs",
-                "exec_groups",
-                "job",
-                "job_count",
-                "job_records",
-                "midplane_busy_seconds",
-                "midplane_busy_seconds_min_size",
-                "record_index",
-            ],
-            StageId::Fda => &["fda_columns"],
+            S::TemporalSpatial => &[CtxIndex::Events],
+            S::Causal | S::Impact | S::TableIv => &[],
+            S::Burst => &[CtxIndex::Span, CtxIndex::Jobs],
+            S::Matching
+            | S::JobRelated
+            | S::RootCause
+            | S::Midplane
+            | S::Interruption
+            | S::Propagation
+            | S::Vulnerability
+            | S::Fda => &[CtxIndex::Jobs],
         }
     }
 
@@ -230,6 +220,29 @@ impl AnalysisSet {
             .collect()
     }
 
+    /// The closure of this set grouped into dependency waves, in execution
+    /// order: each stage sits in the first wave after all of its
+    /// [`StageId::deps`], and the stages of one wave run concurrently.
+    pub(crate) fn waves(self) -> Vec<Vec<StageId>> {
+        let set = self.closure();
+        let mut done = AnalysisSet::empty();
+        let mut waves = Vec::new();
+        loop {
+            let ready: Vec<StageId> = set
+                .stages()
+                .into_iter()
+                .filter(|&id| !done.contains(id) && id.deps().iter().all(|&d| done.contains(d)))
+                .collect();
+            if ready.is_empty() {
+                return waves;
+            }
+            for &id in &ready {
+                done = done.with(id);
+            }
+            waves.push(ready);
+        }
+    }
+
     /// Number of member stages.
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
@@ -299,15 +312,16 @@ pub enum StageOutput {
 /// Stages read earlier products through the accessors; absent products
 /// (possible only if a stage is run without its dependencies, which the
 /// executor never does) degrade to empty defaults rather than panicking.
-/// Every accessor records the producing stage in `reads` — the runtime
-/// twin of the `stage-deps` lint, which statically cross-checks the same
-/// accessor calls against [`StageId::deps`]. Direct field access from a
-/// stage would bypass both; keep reads going through the accessors.
+/// In test builds every accessor records the producing stage in `reads`,
+/// and a proptest checks the recorded set equals [`StageId::deps`]. Direct
+/// field access from a stage would bypass that check; keep reads going
+/// through the accessors.
 #[derive(Debug, Default)]
 pub struct PipelineState {
-    /// Bitmask of producers whose products have been read (as
-    /// `StageId::bit` bits) since the last `take_observed_reads`.
-    reads: AtomicU16,
+    /// Producers whose products have been read (as `StageId::bit` bits)
+    /// since the last `take_observed_reads`.
+    #[cfg(test)]
+    reads: std::sync::atomic::AtomicU16,
     raw_fatal: usize,
     after_temporal: usize,
     after_spatial: Option<Vec<Event>>,
@@ -334,15 +348,21 @@ impl PipelineState {
         }
     }
 
-    /// Record that `producer`'s product was read.
+    /// Record that `producer`'s product was read (test builds only; free
+    /// otherwise).
+    #[inline]
     fn note_read(&self, producer: StageId) {
-        self.reads.fetch_or(producer.bit(), Ordering::Relaxed);
+        #[cfg(test)]
+        self.reads
+            .fetch_or(producer.bit(), std::sync::atomic::Ordering::Relaxed);
+        #[cfg(not(test))]
+        let _ = producer;
     }
 
-    /// Take (and clear) the bitmask of producers read since the last call.
+    /// Take (and clear) the producers read since the last call.
     #[cfg(test)]
-    fn take_observed_reads(&self) -> u16 {
-        self.reads.swap(0, Ordering::Relaxed)
+    fn take_observed_reads(&self) -> AnalysisSet {
+        AnalysisSet(self.reads.swap(0, std::sync::atomic::Ordering::Relaxed))
     }
 
     /// Events after temporal + spatial filtering (the causal input).
@@ -527,9 +547,10 @@ pub trait Stage: Sync {
 
     /// Run the pass.
     ///
-    /// Contract: reads only [`AnalysisContext`] indexes and products of
-    /// stages named in [`StageId::deps`]; returns the [`StageOutput`]
-    /// variant matching [`Stage::id`]; deterministic for a given input.
+    /// Contract: reads exactly the products of the stages named in
+    /// [`StageId::deps`] and the context indexes named in
+    /// [`StageId::ctx_reads`]; returns the [`StageOutput`] variant matching
+    /// [`Stage::id`]; deterministic for a given input.
     fn run(
         &self,
         ctx: &AnalysisContext<'_>,
@@ -540,8 +561,6 @@ pub trait Stage: Sync {
 
 /// Contract: dedups each error-code shard temporally then spatially (shards
 /// are independent by construction) and merges time-sorted.
-///
-/// Reads: state{}; ctx{code_shards}
 struct TemporalSpatialStage;
 
 impl Stage for TemporalSpatialStage {
@@ -555,33 +574,77 @@ impl Stage for TemporalSpatialStage {
         cfg: &CoAnalysisConfig,
         _state: &PipelineState,
     ) -> StageOutput {
-        // Both filters only ever merge events of the *same* code, so
-        // per-code sharding is exact; shards come pre-sorted by code from
-        // the context, so chunk→thread assignment is deterministic.
-        let shards = ctx.code_shards();
-        let results: Vec<(Vec<Event>, usize)> = fork_join(&shards, cfg.threads, &|(_, shard)| {
-            let t = cfg.temporal.apply(shard);
-            let n = t.len();
-            (cfg.spatial.apply(&t), n)
-        });
-        let mut after_temporal = 0usize;
-        let mut merged: Vec<Event> = Vec::new();
-        for (events, n) in results {
-            after_temporal += n;
-            merged.extend(events);
+        temporal_spatial(ctx, cfg, None)
+    }
+}
+
+/// One error code's temporal/spatial output: the code, its filtered
+/// events, and how many survived the temporal filter.
+type ShardOutput = (ErrCode, Vec<Event>, usize);
+
+/// Temporal then spatial dedup per error-code shard, merged time-sorted.
+///
+/// Both filters only ever merge events of the *same* code, so per-code
+/// sharding is exact; shards come pre-sorted by code from the context, so
+/// chunk→thread assignment is deterministic. With a shard cache (the
+/// previous pass's per-code outputs plus the codes whose shard grew since),
+/// only dirty or uncached codes are re-filtered and the cache is refreshed.
+/// A clean shard's events are byte-identical after an append (the
+/// `EventStore` merge never reorders an untouched shard), so its cached
+/// output is exact, and the merge below is the same either way.
+fn temporal_spatial(
+    ctx: &AnalysisContext<'_>,
+    cfg: &CoAnalysisConfig,
+    mut cache: Option<(&mut Vec<ShardOutput>, &[ErrCode])>,
+) -> StageOutput {
+    let shards = ctx.code_shards();
+    // Per shard, the cached output to reuse (`None` = filter it now).
+    let mut reuse: Vec<Option<ShardOutput>> = Vec::with_capacity(shards.len());
+    match cache.as_mut() {
+        Some((cached, dirty_codes)) => {
+            let mut old = std::mem::take(*cached).into_iter().peekable();
+            for &(code, _) in &shards {
+                while old.next_if(|o| o.0 < code).is_some() {}
+                let hit = old.next_if(|o| o.0 == code);
+                reuse.push(hit.filter(|_| dirty_codes.binary_search(&code).is_err()));
+            }
         }
-        merged.sort_by_key(|e| (e.time, e.first_recid));
-        StageOutput::TemporalSpatial {
-            after_spatial: merged,
-            after_temporal,
-        }
+        None => reuse.resize_with(shards.len(), || None),
+    }
+    let todo: Vec<(ErrCode, &[Event])> = shards
+        .iter()
+        .zip(&reuse)
+        .filter(|(_, r)| r.is_none())
+        .map(|(&shard, _)| shard)
+        .collect();
+    let mut fresh = fork_join(&todo, cfg.threads, &|&(code, shard)| {
+        let t = cfg.temporal.apply(shard);
+        (code, cfg.spatial.apply(&t), t.len())
+    })
+    .into_iter();
+    // Every `None` has exactly one fresh output, in shard order.
+    let outputs: Vec<ShardOutput> = reuse
+        .into_iter()
+        .filter_map(|r| r.or_else(|| fresh.next()))
+        .collect();
+    let mut after_temporal = 0usize;
+    let mut merged: Vec<Event> = Vec::new();
+    for (_, events, n) in &outputs {
+        after_temporal += n;
+        merged.extend_from_slice(events);
+    }
+    merged.sort_by_key(|e| (e.time, e.first_recid));
+    if let Some((cached, _)) = cache {
+        *cached = outputs;
+    }
+    StageOutput::TemporalSpatial {
+        after_spatial: merged,
+        after_temporal,
     }
 }
 
 /// Contract: learns cross-code rules over the whole post-spatial stream
 /// (global by design — rules connect different codes).
-///
-/// Reads: state{after_spatial}; ctx{}
 struct CausalStage;
 
 impl Stage for CausalStage {
@@ -603,8 +666,6 @@ impl Stage for CausalStage {
 
 /// Contract: matches the causally filtered stream against the job index;
 /// produces per-event cases and the job → event attribution.
-///
-/// Reads: state{events}; ctx{job, job_by_end_rank, job_count, job_records, max_job_duration}
 struct MatchingStage;
 
 impl Stage for MatchingStage {
@@ -627,8 +688,6 @@ impl Stage for MatchingStage {
 
 /// Contract: flags job-related redundancy over the matched stream; final
 /// events are a subsequence of the causal stage's output.
-///
-/// Reads: state{events, matching}; ctx{job, overlapping}
 struct JobRelatedStage;
 
 impl Stage for JobRelatedStage {
@@ -650,8 +709,6 @@ impl Stage for JobRelatedStage {
 
 /// Contract: classifies per-code interruption impact from the matching
 /// cases alone.
-///
-/// Reads: state{events, matching}; ctx{}
 struct ImpactStage;
 
 impl Stage for ImpactStage {
@@ -673,8 +730,6 @@ impl Stage for ImpactStage {
 
 /// Contract: classifies per-code root cause using the matching and the
 /// job index (executable-following vs. location-sticky evidence).
-///
-/// Reads: state{events, matching}; ctx{for_each_overlapping, job}
 struct RootCauseStage;
 
 impl Stage for RootCauseStage {
@@ -701,8 +756,6 @@ impl Stage for RootCauseStage {
 
 /// Contract: fits interarrival models before/after job-related filtering;
 /// `None` when a stream is too small to fit.
-///
-/// Reads: state{events, final_events}; ctx{}
 struct TableIvStage;
 
 impl Stage for TableIvStage {
@@ -723,8 +776,6 @@ impl Stage for TableIvStage {
 /// Contract: builds the per-midplane fatal/workload/wide-workload series
 /// from the fully filtered events (a chain at one broken midplane is one
 /// fault there, not ten).
-///
-/// Reads: state{final_events}; ctx{midplane_busy_seconds, midplane_busy_seconds_min_size}
 struct MidplaneStage;
 
 impl Stage for MidplaneStage {
@@ -748,8 +799,6 @@ impl Stage for MidplaneStage {
 
 /// Contract: analyzes interruption burstiness over the matched victims and
 /// the RAS time span.
-///
-/// Reads: state{matching}; ctx{distinct_execs, exec_groups, job, job_count, span}
 struct BurstStage;
 
 impl Stage for BurstStage {
@@ -780,8 +829,6 @@ impl Stage for BurstStage {
 
 /// Contract: splits interruption interarrivals by root cause and fits each
 /// stream.
-///
-/// Reads: state{events, matching, root_cause}; ctx{job}
 struct InterruptionStage;
 
 impl Stage for InterruptionStage {
@@ -810,8 +857,6 @@ impl Stage for InterruptionStage {
 
 /// Contract: measures spatial propagation from multi-victim events and
 /// temporal propagation from the job-related redundancy flags.
-///
-/// Reads: state{events, matching, redundant_flags}; ctx{job}
 struct PropagationStage;
 
 impl Stage for PropagationStage {
@@ -839,8 +884,6 @@ impl Stage for PropagationStage {
 
 /// Contract: runs the Section VI-D vulnerability study over the matched
 /// stream, the root-cause labels, and the midplane fatal counts.
-///
-/// Reads: state{events, matching, midplane, root_cause}; ctx{distinct_execs, exec_groups, job, job_count, job_records, midplane_busy_seconds, midplane_busy_seconds_min_size, record_index}
 struct VulnerabilityStage;
 
 impl Stage for VulnerabilityStage {
@@ -877,8 +920,6 @@ impl Stage for VulnerabilityStage {
 /// Dimensional Analysis) from the causally filtered events, the matching's
 /// job attribution, and the interned job-dimension columns; candidate
 /// counting is sharded but bit-identical at any thread count.
-///
-/// Reads: state{events, matching}; ctx{fda_columns}
 struct FdaStage;
 
 impl Stage for FdaStage {
@@ -937,52 +978,24 @@ fn stage(id: StageId) -> &'static dyn Stage {
     }
 }
 
-/// Execute the dependency closure of `set` over `ctx` in waves; stages in
-/// the same wave run concurrently (up to `cfg.threads`).
-pub(crate) fn execute(
-    ctx: &AnalysisContext<'_>,
-    cfg: &CoAnalysisConfig,
-    set: AnalysisSet,
+/// Run one stage, bracketed by the observer's callbacks.
+fn observed(
     observer: Option<&dyn StageObserver>,
-) -> PipelineState {
-    let set = set.closure();
-    let mut state = PipelineState::new(ctx.raw_events().len());
-    let mut done = AnalysisSet::empty();
-    loop {
-        let ready: Vec<StageId> = StageId::ALL
-            .iter()
-            .copied()
-            .filter(|&id| {
-                set.contains(id)
-                    && !done.contains(id)
-                    && id.deps().iter().all(|&d| done.contains(d))
-            })
-            .collect();
-        if ready.is_empty() {
-            break;
-        }
-        let outputs = fork_join(&ready, cfg.threads, &|&id| {
-            if let Some(o) = observer {
-                o.stage_started(id);
-            }
-            let out = stage(id).run(ctx, cfg, &state);
-            if let Some(o) = observer {
-                o.stage_finished(id);
-            }
-            out
-        });
-        for out in outputs {
-            state.install(out);
-        }
-        for &id in &ready {
-            done = done.with(id);
-        }
+    id: StageId,
+    run: impl FnOnce() -> StageOutput,
+) -> StageOutput {
+    if let Some(o) = observer {
+        o.stage_started(id);
     }
-    state
+    let out = run();
+    if let Some(o) = observer {
+        o.stage_finished(id);
+    }
+    out
 }
 
 /// Cached products of the previous pass over one evolving input, keyed by
-/// stage — the state that makes [`execute_delta`] incremental.
+/// stage — the state that makes an [`execute`] pass incremental.
 ///
 /// Valid for one `(log stream, CoAnalysisConfig)` pair: the cache stores no
 /// fingerprint of either, so callers (the `DeltaSession` driver) must keep
@@ -993,7 +1006,7 @@ pub(crate) fn execute(
 #[derive(Debug, Default)]
 pub struct StageCache {
     outputs: [Option<StageOutput>; 13],
-    ts_shards: Vec<(ErrCode, Vec<Event>, usize)>,
+    ts_shards: Vec<ShardOutput>,
 }
 
 impl StageCache {
@@ -1018,7 +1031,7 @@ impl StageCache {
     }
 }
 
-/// What a delta pass actually did, as stage sets.
+/// What an [`execute`] pass actually did, as stage sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaReport {
     /// Stages that re-executed (their inputs were dirty).
@@ -1028,205 +1041,81 @@ pub struct DeltaReport {
     pub changed: AnalysisSet,
 }
 
-/// The context accessors invalidated by `delta` — the dirty set matched
-/// against [`StageId::ctx_reads`]. RAS appends dirty the event stream and
-/// the per-code shards; job appends dirty every job-side accessor (the job
-/// table itself shifted, so every index over it is new).
-fn dirty_accessors(delta: &ContextDelta) -> Vec<&'static str> {
-    let mut dirty = Vec::new();
-    if delta.events_appended > 0 {
-        dirty.extend(["raw_events", "code_shards"]);
-    }
-    if delta.span_changed {
-        dirty.push("span");
-    }
-    if delta.jobs_appended > 0 {
-        dirty.extend([
-            "distinct_execs",
-            "ended_in_window",
-            "exec_groups",
-            "fda_columns",
-            "for_each_overlapping",
-            "job",
-            "job_by_end_rank",
-            "job_count",
-            "job_records",
-            "max_job_duration",
-            "midplane_busy_seconds",
-            "midplane_busy_seconds_min_size",
-            "overlapping",
-            "record_index",
-            "running_at",
-        ]);
-    }
-    dirty
-}
-
-/// [`execute`], incrementally: re-run only the stages whose declared inputs
-/// changed under `delta`, serving everything else from `cache`.
+/// Execute the dependency closure of `set` over `ctx` in waves; stages in
+/// the same wave run concurrently (up to `cfg.threads`).
 ///
-/// A stage is *dirty* when it has no cached output, when one of its
-/// [`StageId::ctx_reads`] accessors is in the delta's dirty set, or when an
-/// upstream dependency re-ran *and produced a different output* — equality
-/// with the cached value cuts propagation short (an append whose new events
-/// are all dedup'd away re-runs the filters and nothing downstream). Clean
-/// stages install their cached product unchanged.
+/// One-shot (`incremental` is `None`): every stage runs, and nothing is
+/// cloned into or compared against a cache. Incremental (`Some((cache,
+/// delta))`): a stage re-runs only when it has no cached output, when one
+/// of its [`StageId::ctx_reads`] is in [`ContextDelta::dirty`], or when one
+/// of its [`StageId::deps`] re-ran *and produced a different output* —
+/// equality with the cached value cuts propagation short (an append whose
+/// new events are all dedup'd away re-runs the filters and nothing
+/// downstream). Clean stages install their cached product unchanged.
 ///
-/// Contract: bit-identical to a full [`execute`] of `set` over the same
-/// (post-append) context — guaranteed by `EventStore::append_ras` keeping
-/// the indexes identical to a rebuild and every stage being a pure function
-/// of context + config + upstream products (the `determinism` lint family).
-pub(crate) fn execute_delta(
+/// Contract: an incremental pass is bit-identical to a one-shot pass of
+/// `set` over the same (post-append) context — guaranteed by
+/// `EventStore::append_ras` keeping the indexes identical to a rebuild,
+/// every stage being a pure function of context + config + the products it
+/// reads, and `deps`/`ctx_reads` naming every such read (pinned by the
+/// read-recording proptest below).
+pub(crate) fn execute(
     ctx: &AnalysisContext<'_>,
     cfg: &CoAnalysisConfig,
     set: AnalysisSet,
-    cache: &mut StageCache,
-    delta: &ContextDelta,
+    mut incremental: Option<(&mut StageCache, &ContextDelta)>,
     observer: Option<&dyn StageObserver>,
 ) -> (PipelineState, DeltaReport) {
-    let set = set.closure();
-    let dirty_ctx = dirty_accessors(delta);
+    let dirty_ctx = incremental
+        .as_ref()
+        .map_or_else(Vec::new, |(_, d)| d.dirty());
     let mut state = PipelineState::new(ctx.raw_events().len());
-    let mut done = AnalysisSet::empty();
     let mut reran = AnalysisSet::empty();
     let mut changed = AnalysisSet::empty();
-    loop {
-        let ready: Vec<StageId> = StageId::ALL
-            .iter()
-            .copied()
-            .filter(|&id| {
-                set.contains(id)
-                    && !done.contains(id)
-                    && id.deps().iter().all(|&d| done.contains(d))
-            })
-            .collect();
-        if ready.is_empty() {
-            break;
-        }
-        let mut dirty: Vec<StageId> = Vec::new();
-        for &id in &ready {
-            let is_dirty = cache.output(id).is_none()
-                || id.ctx_reads().iter().any(|r| dirty_ctx.contains(r))
+    for wave in set.waves() {
+        let mut dirty: Vec<StageId> = Vec::with_capacity(wave.len());
+        for id in wave {
+            let inputs_changed = id.ctx_reads().iter().any(|r| dirty_ctx.contains(r))
                 || id.deps().iter().any(|&d| changed.contains(d));
-            if is_dirty {
-                dirty.push(id);
-            } else if let Some(out) = cache.output(id) {
-                state.install(out.clone());
+            match incremental.as_ref().and_then(|(cache, _)| cache.output(id)) {
+                Some(out) if !inputs_changed => state.install(out.clone()),
+                _ => dirty.push(id),
             }
         }
         // The temporal/spatial stage goes through its per-shard cache
-        // (which needs `&mut cache`); everything else dirty in this wave
-        // fork-joins exactly like a full pass.
+        // (which needs `&mut`); everything else dirty in this wave
+        // fork-joins.
         let mut outputs: Vec<(StageId, StageOutput)> = Vec::with_capacity(dirty.len());
         if let Some(pos) = dirty.iter().position(|&id| id == StageId::TemporalSpatial) {
             dirty.remove(pos);
-            if let Some(o) = observer {
-                o.stage_started(StageId::TemporalSpatial);
-            }
-            let out = run_ts_delta(ctx, cfg, cache, &delta.dirty_codes);
-            if let Some(o) = observer {
-                o.stage_finished(StageId::TemporalSpatial);
-            }
+            let shards = incremental
+                .as_mut()
+                .map(|(cache, delta)| (&mut cache.ts_shards, delta.dirty_codes.as_slice()));
+            let out = observed(observer, StageId::TemporalSpatial, || {
+                temporal_spatial(ctx, cfg, shards)
+            });
             outputs.push((StageId::TemporalSpatial, out));
         }
         outputs.extend(fork_join(&dirty, cfg.threads, &|&id| {
-            if let Some(o) = observer {
-                o.stage_started(id);
-            }
-            let out = stage(id).run(ctx, cfg, &state);
-            if let Some(o) = observer {
-                o.stage_finished(id);
-            }
-            (id, out)
+            (
+                id,
+                observed(observer, id, || stage(id).run(ctx, cfg, &state)),
+            )
         }));
         for (id, out) in outputs {
             reran = reran.with(id);
-            if cache.output(id) != Some(&out) {
-                changed = changed.with(id);
-                cache.store(id, out.clone());
+            match incremental.as_mut() {
+                Some((cache, _)) if cache.output(id) == Some(&out) => {}
+                Some((cache, _)) => {
+                    changed = changed.with(id);
+                    cache.store(id, out.clone());
+                }
+                None => changed = changed.with(id),
             }
             state.install(out);
         }
-        for &id in &ready {
-            done = done.with(id);
-        }
     }
     (state, DeltaReport { reran, changed })
-}
-
-/// The temporal/spatial stage with sub-stage incrementality: re-filter only
-/// the shards in `dirty_codes` (plus any code missing from the cache), take
-/// every other shard's filtered output from the cache, and merge exactly as
-/// [`TemporalSpatialStage::run`] does — concatenate in code order, then one
-/// stable sort by `(time, first_recid)`. Clean shards' slices are
-/// byte-identical after an append (the `EventStore` merge never reorders an
-/// untouched shard), so their cached outputs are exact.
-fn run_ts_delta(
-    ctx: &AnalysisContext<'_>,
-    cfg: &CoAnalysisConfig,
-    cache: &mut StageCache,
-    dirty_codes: &[ErrCode],
-) -> StageOutput {
-    let shards = ctx.code_shards();
-    let todo: Vec<(ErrCode, &[Event])> = shards
-        .iter()
-        .filter(|(code, _)| {
-            dirty_codes.binary_search(code).is_ok()
-                || cache
-                    .ts_shards
-                    .binary_search_by_key(code, |(c, _, _)| *c)
-                    .is_err()
-        })
-        .copied()
-        .collect();
-    let fresh = fork_join(&todo, cfg.threads, &|(_, shard)| {
-        let t = cfg.temporal.apply(shard);
-        let n = t.len();
-        (cfg.spatial.apply(&t), n)
-    });
-    let mut fresh_iter = todo
-        .iter()
-        .zip(fresh)
-        .map(|(&(code, _), (events, n))| (code, events, n))
-        .peekable();
-    let mut old_iter = std::mem::take(&mut cache.ts_shards).into_iter().peekable();
-    let mut next_shards: Vec<(ErrCode, Vec<Event>, usize)> = Vec::with_capacity(shards.len());
-    for &(code, shard) in &shards {
-        while old_iter.peek().is_some_and(|o| o.0 < code) {
-            old_iter.next();
-        }
-        if fresh_iter.peek().is_some_and(|f| f.0 == code) {
-            if old_iter.peek().is_some_and(|o| o.0 == code) {
-                old_iter.next(); // superseded by the recompute
-            }
-            if let Some(entry) = fresh_iter.next() {
-                next_shards.push(entry);
-            }
-        } else if old_iter.peek().is_some_and(|o| o.0 == code) {
-            if let Some(entry) = old_iter.next() {
-                next_shards.push(entry);
-            }
-        } else {
-            // Unreachable when cache and context share a stream (every
-            // shard is recomputed or cached); degrade to computing inline
-            // rather than trusting that.
-            let t = cfg.temporal.apply(shard);
-            let n = t.len();
-            next_shards.push((code, cfg.spatial.apply(&t), n));
-        }
-    }
-    let mut after_temporal = 0usize;
-    let mut merged: Vec<Event> = Vec::new();
-    for (_, events, n) in &next_shards {
-        after_temporal += n;
-        merged.extend_from_slice(events);
-    }
-    merged.sort_by_key(|e| (e.time, e.first_recid));
-    cache.ts_shards = next_shards;
-    StageOutput::TemporalSpatial {
-        after_spatial: merged,
-        after_temporal,
-    }
 }
 
 /// The pipeline's one fork-join point: apply `f` to every item, splitting
@@ -1342,33 +1231,54 @@ mod tests {
         })
     }
 
+    #[test]
+    fn full_set_runs_in_six_waves() {
+        use StageId as S;
+        assert_eq!(
+            AnalysisSet::all().waves(),
+            vec![
+                vec![S::TemporalSpatial],
+                vec![S::Causal],
+                vec![S::Matching],
+                vec![S::JobRelated, S::Impact, S::RootCause, S::Burst, S::Fda],
+                vec![S::TableIv, S::Midplane, S::Interruption, S::Propagation],
+                vec![S::Vulnerability],
+            ]
+        );
+    }
+
     proptest::proptest! {
-        /// The dynamic twin of the `stage-deps` lint: run random stage
-        /// subsets sequentially and assert every product each stage
-        /// actually reads (recorded by the `PipelineState` accessors) lies
-        /// inside the transitive closure of its *declared* dependencies.
-        /// The lint proves this for the code as written; this proves it for
-        /// the code as executed, on real pipeline data.
+        /// Run random stage subsets sequentially on real pipeline data and
+        /// assert each stage reads *exactly* what it declares: the products
+        /// recorded by the `PipelineState` accessors equal
+        /// [`StageId::deps`], and the indexes recorded by the
+        /// `AnalysisContext` accessors equal [`StageId::ctx_reads`]. A
+        /// missing entry would let the executor serve a stale cached output
+        /// (or schedule a stage before its input exists); an extra entry
+        /// costs wave parallelism and needless re-runs.
         #[test]
-        fn observed_reads_stay_inside_declared_closure(mask in 0u16..(1 << 13)) {
+        fn observed_reads_equal_declared_reads(mask in 0u16..(1 << 13)) {
             let out = sim();
             let ctx = AnalysisContext::new(&out.ras, &out.jobs);
             let cfg = CoAnalysisConfig::default();
             let set = AnalysisSet(mask).closure();
             let mut state = PipelineState::new(ctx.raw_events().len());
             state.take_observed_reads();
+            ctx.take_observed_reads();
             for id in set.stages() {
                 let output = stage(id).run(&ctx, &cfg, &state);
-                let observed = state.take_observed_reads();
-                let allowed = AnalysisSet::of(id.deps()).closure();
-                for p in StageId::ALL {
-                    if observed & p.bit() != 0 {
-                        proptest::prop_assert!(
-                            allowed.contains(p),
-                            "{id:?} read the {p:?} product outside its declared closure"
-                        );
-                    }
-                }
+                proptest::prop_assert_eq!(
+                    state.take_observed_reads().stages(),
+                    AnalysisSet::of(id.deps()).stages(),
+                    "{:?} product reads",
+                    id
+                );
+                proptest::prop_assert_eq!(
+                    ctx.take_observed_reads(),
+                    id.ctx_reads().to_vec(),
+                    "{:?} context reads",
+                    id
+                );
                 state.install(output);
             }
         }

@@ -30,9 +30,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hashmodel;
 pub mod rules;
 pub mod source;
-pub mod stagegraph;
 pub mod syntax;
 pub mod workspace;
 

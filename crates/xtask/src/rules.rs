@@ -19,18 +19,17 @@
 //! | `snapshot-version` | `.bgpsnap` layout fingerprints track the record structs |
 //! | `dep-versions` | no duplicate major versions in `Cargo.lock` |
 //! | `allow-syntax` | every `xtask-allow` carries a justification |
-//! | `stage-deps` | `StageId::deps()` matches each stage's actual product reads, and `/// Reads:` doc lines stay true |
 //! | `parallel-determinism` | no hash-ordered iteration or FP reduction feeding kernel results; no unsanctioned thread spawns |
 //! | `serve-concurrency` | no Mutex guard held across blocking I/O in `crates/serve`; queues are bounded at construction |
 //! | `port-boundary` | raw `raslog`/`joblog` parser entry points stay inside the BG/P adapter |
 //! | `simd-fallback` | every SWAR/SIMD-documented scan keeps a `_scalar` twin referenced by equivalence tests |
 //!
-//! The last three are token-tree rules: they parse delimiter trees and call
-//! chains via [`crate::syntax`] and whole-workspace dataflow models via
-//! [`crate::stagegraph`], rather than matching single lines.
+//! `parallel-determinism` and `serve-concurrency` are token-tree rules: they
+//! parse delimiter trees and call chains via [`crate::syntax`] (plus the
+//! workspace [`crate::hashmodel`]), rather than matching single lines.
 
+use crate::hashmodel::{self, HashModel};
 use crate::source::SourceFile;
-use crate::stagegraph::{self, HashModel};
 use crate::syntax::{self, Syntax, Tree};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -108,10 +107,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "allow-syntax",
         summary: "xtask-allow suppressions carry a non-empty justification",
-    },
-    RuleInfo {
-        id: "stage-deps",
-        summary: "StageId::deps() declarations match the products each Stage::run actually reads (undeclared deps break wave execution; stale deps cost parallelism), and `/// Reads:` doc lines stay true",
     },
     RuleInfo {
         id: "parallel-determinism",
@@ -811,140 +806,6 @@ pub fn allow_syntax(file: &SourceFile) -> Vec<Finding> {
         .collect()
 }
 
-/// Canonical text of a stage's `Reads:` contract line: the `PipelineState`
-/// product accessors and `AnalysisContext` methods its `run` reaches, both
-/// sorted. The lint regenerates this text and compares it whitespace-free,
-/// so the doc can wrap freely.
-fn reads_doc_text(state: &BTreeSet<String>, ctx: &BTreeSet<String>) -> String {
-    let join = |s: &BTreeSet<String>| s.iter().cloned().collect::<Vec<_>>().join(", ");
-    format!("state{{{}}}; ctx{{{}}}", join(state), join(ctx))
-}
-
-/// Whitespace-free comparison key for doc-line checks.
-fn squash_ws(s: &str) -> String {
-    s.chars().filter(|c| !c.is_whitespace()).collect()
-}
-
-/// `stage-deps`: cross-check `StageId::deps()` against what every
-/// `impl Stage` actually reads.
-///
-/// An **undeclared** dependency is a correctness bug: the wave executor
-/// schedules a stage as soon as its *declared* dependencies finish, so a
-/// product read outside the declared transitive closure can observe an
-/// absent product and silently degrade to the empty default. A **stale**
-/// (over-declared) dependency is a performance bug: it serializes stages
-/// that could run in the same wave. Both directions are computed from the
-/// extracted [`stagegraph::StageGraphModel`]; `/// Reads:` doc lines on the
-/// stage structs are verified against the same model so the docs cannot
-/// drift from the code.
-pub fn stage_deps(
-    stage_file: &SourceFile,
-    context_file: &SourceFile,
-    core_files: &[&SourceFile],
-) -> Vec<Finding> {
-    let model = stagegraph::extract(stage_file, context_file, core_files);
-    let mut out = Vec::new();
-    let finding = |line: usize, message: String| Finding {
-        rule: "stage-deps",
-        path: stage_file.path.clone(),
-        line,
-        message,
-    };
-    for (line, message) in &model.problems {
-        out.push(finding(*line, message.clone()));
-    }
-    let implemented: BTreeSet<&String> = model
-        .impls
-        .iter()
-        .filter_map(|i| i.variant.as_ref())
-        .collect();
-    for v in &model.variants {
-        if !implemented.contains(v) {
-            out.push(finding(
-                0,
-                format!("no `impl Stage` found for StageId::{v}; every variant needs a pass"),
-            ));
-        }
-        if !model.declared.contains_key(v) {
-            out.push(finding(
-                0,
-                format!("`fn deps` has no arm for StageId::{v}; its dependencies are undeclared"),
-            ));
-        }
-    }
-    for imp in &model.impls {
-        let Some(variant) = &imp.variant else {
-            continue;
-        };
-        let declared = model.declared.get(variant).cloned().unwrap_or_default();
-        let reach = stagegraph::closure(&model.declared, &declared);
-        let mut producers: BTreeSet<String> = BTreeSet::new();
-        let mut state_set: BTreeSet<String> = BTreeSet::new();
-        for r in &imp.state_reads {
-            state_set.insert(r.accessor.clone());
-            match stagegraph::producer_of(&r.accessor) {
-                None => out.push(finding(
-                    r.line,
-                    format!(
-                        "unknown PipelineState accessor `{}`; extend \
-                         stagegraph::PRODUCT_ACCESSORS so the dependency check sees it",
-                        r.accessor
-                    ),
-                )),
-                Some(p) => {
-                    producers.insert(p.to_owned());
-                    if p != variant && !reach.contains(p) {
-                        out.push(finding(
-                            r.line,
-                            format!(
-                                "undeclared dependency: {} ({variant}) reads the {p} product \
-                                 via `state.{}()`, but StageId::deps() does not reach {p} — \
-                                 the wave executor may schedule {variant} before {p} and the \
-                                 read degrades to an empty default",
-                                imp.struct_name, r.accessor
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        for d in &declared {
-            let rest: Vec<String> = declared.iter().filter(|x| *x != d).cloned().collect();
-            let cover = stagegraph::closure(&model.declared, &rest);
-            if producers.iter().all(|p| cover.contains(p)) {
-                out.push(finding(
-                    imp.line,
-                    format!(
-                        "stale dependency: {variant} declares {d} but every product it reads \
-                         is already covered by {{{}}}; drop it to restore wave parallelism",
-                        rest.join(", ")
-                    ),
-                ));
-            }
-        }
-        let expected = reads_doc_text(&state_set, &imp.ctx_reads);
-        match doc_above(stage_file, imp.line, "Reads:") {
-            None => out.push(finding(
-                imp.line,
-                format!(
-                    "{} has no `/// Reads:` contract line; expected `/// Reads: {expected}`",
-                    imp.struct_name
-                ),
-            )),
-            Some(actual) if squash_ws(&actual) != squash_ws(&expected) => out.push(finding(
-                imp.line,
-                format!(
-                    "stale `/// Reads:` line on {}: expected `Reads: {expected}`, found \
-                     `Reads: {actual}`",
-                    imp.struct_name
-                ),
-            )),
-            Some(_) => {}
-        }
-    }
-    out
-}
-
 /// Iterator heads that expose a hash container's nondeterministic order.
 const HASH_ITER_METHODS: &[&str] = &[
     "iter",
@@ -1056,7 +917,7 @@ pub fn parallel_determinism(
         let mut hash_names: BTreeSet<String> = model.hash_fields.clone();
         if let Some(params) = f.params() {
             for (name, ty) in syntax::split_params(params) {
-                if stagegraph::is_hash_type(&ty) {
+                if hashmodel::is_hash_type(&ty) {
                     hash_names.insert(name);
                 }
             }
@@ -1064,7 +925,7 @@ pub fn parallel_determinism(
         let mut lets: Vec<syntax::LetBinding> = Vec::new();
         collect_lets(&body.trees, &mut lets);
         for b in &lets {
-            let hash_init = stagegraph::is_hash_type(&b.annotation)
+            let hash_init = hashmodel::is_hash_type(&b.annotation)
                 || b.init.contains("HashMap")
                 || b.init.contains("HashSet")
                 || b.init
@@ -1115,7 +976,7 @@ pub fn parallel_determinism(
                         .map(|b| b.annotation.as_str())
                         .unwrap_or(&fallback_annot);
                     let keyed = |t: &str| {
-                        stagegraph::is_hash_type(t)
+                        hashmodel::is_hash_type(t)
                             || t.contains("BTreeMap")
                             || t.contains("BTreeSet")
                     };
@@ -1814,161 +1675,6 @@ mod tests {
         assert!(allow_syntax(&f).is_empty());
     }
 
-    // -- stage-deps -------------------------------------------------------
-
-    /// A minimal stage file: three variants wired `Causal ← Matching ←
-    /// Burst`, with `deps` arms and `impl Stage` blocks shaped like the real
-    /// `crates/core/src/stage.rs`. The closure builds the file from parts so
-    /// each test can vary one aspect (a deps arm, a read, a doc line).
-    fn stage_fixture(burst_deps: &str, burst_read: &str, burst_doc: &str) -> SourceFile {
-        let src = format!(
-            "pub enum StageId {{ Causal = 0, Matching = 1, Burst = 2 }}\n\
-             impl StageId {{\n\
-                 pub fn deps(self) -> &'static [StageId] {{\n\
-                     match self {{\n\
-                         StageId::Causal => &[],\n\
-                         StageId::Matching => &[StageId::Causal],\n\
-                         StageId::Burst => {burst_deps},\n\
-                     }}\n\
-                 }}\n\
-             }}\n\
-             /// Reads: state{{}}; ctx{{}}\n\
-             pub struct CausalStage;\n\
-             impl Stage for CausalStage {{\n\
-                 fn id(&self) -> StageId {{ StageId::Causal }}\n\
-                 fn run(&self, ctx: &AnalysisContext<'_>, state: &mut PipelineState) {{}}\n\
-             }}\n\
-             /// Reads: state{{events}}; ctx{{}}\n\
-             pub struct MatchingStage;\n\
-             impl Stage for MatchingStage {{\n\
-                 fn id(&self) -> StageId {{ StageId::Matching }}\n\
-                 fn run(&self, ctx: &AnalysisContext<'_>, state: &mut PipelineState) {{\n\
-                     let e = state.events();\n\
-                 }}\n\
-             }}\n\
-             {burst_doc}\n\
-             pub struct BurstStage;\n\
-             impl Stage for BurstStage {{\n\
-                 fn id(&self) -> StageId {{ StageId::Burst }}\n\
-                 fn run(&self, ctx: &AnalysisContext<'_>, state: &mut PipelineState) {{\n\
-                     {burst_read}\n\
-                 }}\n\
-             }}\n"
-        );
-        SourceFile::parse("stage_fixture.rs", &src)
-    }
-
-    fn ctx_fixture() -> SourceFile {
-        file("impl<'a> AnalysisContext<'a> {\n    pub fn span(&self) -> u64 { 0 }\n}\n")
-    }
-
-    #[test]
-    fn stage_deps_is_quiet_on_a_consistent_graph() {
-        let stage = stage_fixture(
-            "&[StageId::Matching]",
-            "let m = state.matching();",
-            "/// Reads: state{matching}; ctx{}",
-        );
-        let ctx = ctx_fixture();
-        let found = stage_deps(&stage, &ctx, &[&stage]);
-        assert!(found.is_empty(), "unexpected findings: {found:?}");
-    }
-
-    #[test]
-    fn stage_deps_fires_on_undeclared_dependency() {
-        // Burst reads the Matching product but declares no deps at all.
-        let stage = stage_fixture(
-            "&[]",
-            "let m = state.matching();",
-            "/// Reads: state{matching}; ctx{}",
-        );
-        let ctx = ctx_fixture();
-        let found = stage_deps(&stage, &ctx, &[&stage]);
-        let hits: Vec<_> = found
-            .iter()
-            .filter(|f| f.message.contains("undeclared dependency"))
-            .collect();
-        assert_eq!(hits.len(), 1, "findings: {found:?}");
-        assert!(hits[0].message.contains("Matching"));
-        assert!(hits[0].message.contains("Burst"));
-    }
-
-    #[test]
-    fn stage_deps_fires_on_stale_over_declared_dependency() {
-        // Burst declares Causal on top of Matching, but Matching's closure
-        // already covers everything Burst reads.
-        let stage = stage_fixture(
-            "&[StageId::Causal, StageId::Matching]",
-            "let m = state.matching();",
-            "/// Reads: state{matching}; ctx{}",
-        );
-        let ctx = ctx_fixture();
-        let found = stage_deps(&stage, &ctx, &[&stage]);
-        let hits: Vec<_> = found
-            .iter()
-            .filter(|f| f.message.contains("stale dependency"))
-            .collect();
-        assert_eq!(hits.len(), 1, "findings: {found:?}");
-        assert!(hits[0].message.contains("Causal"));
-    }
-
-    #[test]
-    fn stage_deps_fires_on_missing_or_stale_reads_doc() {
-        let missing = stage_fixture(
-            "&[StageId::Matching]",
-            "let m = state.matching();",
-            "// not a doc line",
-        );
-        let ctx = ctx_fixture();
-        let found = stage_deps(&missing, &ctx, &[&missing]);
-        assert!(
-            found.iter().any(|f| f.message.contains("no `/// Reads:`")),
-            "findings: {found:?}"
-        );
-        let stale = stage_fixture(
-            "&[StageId::Matching]",
-            "let m = state.matching();",
-            "/// Reads: state{events}; ctx{}",
-        );
-        let found = stage_deps(&stale, &ctx, &[&stale]);
-        let hits: Vec<_> = found
-            .iter()
-            .filter(|f| f.message.contains("stale `/// Reads:`"))
-            .collect();
-        assert_eq!(hits.len(), 1, "findings: {found:?}");
-        assert!(hits[0].message.contains("state{matching}"));
-    }
-
-    #[test]
-    fn stage_deps_fires_on_unknown_accessor_and_missing_impl() {
-        let stage = stage_fixture(
-            "&[StageId::Matching]",
-            "let m = state.mystery_product();",
-            "/// Reads: state{mystery_product}; ctx{}",
-        );
-        let ctx = ctx_fixture();
-        let found = stage_deps(&stage, &ctx, &[&stage]);
-        assert!(
-            found
-                .iter()
-                .any(|f| f.message.contains("unknown PipelineState accessor")),
-            "findings: {found:?}"
-        );
-        // Drop the Burst impl entirely: its variant goes unimplemented.
-        let src = "pub enum StageId { Causal = 0 }\n\
-                   impl StageId {\n\
-                       pub fn deps(self) -> &'static [StageId] {\n\
-                           match self { StageId::Causal => &[] }\n\
-                       }\n\
-                   }\n";
-        let bare = SourceFile::parse("stage_fixture.rs", src);
-        let found = stage_deps(&bare, &ctx, &[&bare]);
-        assert!(
-            found.iter().any(|f| f.message.contains("no `impl Stage`")),
-            "findings: {found:?}"
-        );
-    }
-
     // -- parallel-determinism ---------------------------------------------
 
     #[test]
@@ -2010,7 +1716,7 @@ mod tests {
         // Locals bound from hash constructors and struct fields declared
         // hash-typed elsewhere both count as hash receivers.
         let decl = file("struct Index {\n    by_job: HashMap<u64, u64>,\n}\n");
-        let model = stagegraph::hash_model(&[&decl]);
+        let model = hashmodel::hash_model(&[&decl]);
         let f = file(
             "fn go(ix: &Index) -> Option<u64> {\n\
                  let local = HashMap::new();\n\
@@ -2125,17 +1831,6 @@ mod tests {
         SourceFile::parse(rel, &text)
     }
 
-    /// Every real source under `crates/core/src` — the interprocedural
-    /// ctx-read resolution needs the whole crate, not just stage.rs.
-    fn core_sources() -> Vec<SourceFile> {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        crate::workspace::library_sources(&root)
-            .expect("workspace sources")
-            .into_iter()
-            .filter(|f| f.path.starts_with("crates/core/src"))
-            .collect()
-    }
-
     /// `real(rel)` with `from` replaced by `to` (must occur exactly once).
     fn mutated(rel: &str, from: &str, to: &str) -> SourceFile {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -2150,72 +1845,12 @@ mod tests {
     }
 
     #[test]
-    fn seeded_dropped_stage_dep_is_detected() {
-        // Interruption's declared dependency becomes Causal: its reads of
-        // the matching and root-cause products are now undeclared, so the
-        // wave executor could schedule it one wave too early.
-        let stage = mutated(
-            "crates/core/src/stage.rs",
-            "StageId::Interruption => &[StageId::RootCause],",
-            "StageId::Interruption => &[StageId::Causal],",
-        );
-        let context = real("crates/core/src/context.rs");
-        let core = core_sources();
-        let mut files: Vec<&SourceFile> = core.iter().collect();
-        files.push(&stage);
-        let found = stage_deps(&stage, &context, &files);
-        let undeclared: Vec<_> = found
-            .iter()
-            .filter(|f| f.message.contains("undeclared dependency"))
-            .collect();
-        assert!(
-            undeclared.iter().any(|f| f.message.contains("RootCause")),
-            "findings: {found:?}"
-        );
-        assert!(
-            undeclared.iter().any(|f| f.message.contains("Matching")),
-            "findings: {found:?}"
-        );
-    }
-
-    #[test]
-    fn seeded_redundant_stage_dep_is_detected() {
-        let stage = mutated(
-            "crates/core/src/stage.rs",
-            "StageId::Vulnerability => &[StageId::RootCause, StageId::Midplane],",
-            "StageId::Vulnerability => &[StageId::RootCause, StageId::Midplane, StageId::Causal],",
-        );
-        let context = real("crates/core/src/context.rs");
-        let core = core_sources();
-        let mut files: Vec<&SourceFile> = core.iter().collect();
-        files.push(&stage);
-        let found = stage_deps(&stage, &context, &files);
-        let stale: Vec<_> = found
-            .iter()
-            .filter(|f| f.message.contains("stale dependency"))
-            .collect();
-        assert_eq!(stale.len(), 1, "findings: {found:?}");
-        assert!(stale[0].message.contains("Causal"));
-    }
-
-    #[test]
-    fn real_stage_graph_is_clean() {
-        let stage = real("crates/core/src/stage.rs");
-        let context = real("crates/core/src/context.rs");
-        let core = core_sources();
-        let mut files: Vec<&SourceFile> = core.iter().collect();
-        files.push(&stage);
-        let found = stage_deps(&stage, &context, &files);
-        assert!(found.is_empty(), "findings: {found:?}");
-    }
-
-    #[test]
     fn seeded_hash_order_reduction_is_detected() {
         // Drop the deterministic re-ordering of the app-error victims: the
         // collected Vec inherits HashMap iteration order.
         let rel = "crates/core/src/analysis/vulnerability.rs";
         let f = mutated(rel, "app_jobs.sort_unstable_by_key(|j| j.job_id);", "");
-        let model = stagegraph::hash_model(&[&f]);
+        let model = hashmodel::hash_model(&[&f]);
         let found = parallel_determinism(&f, &model, false);
         assert!(
             found
@@ -2225,7 +1860,7 @@ mod tests {
         );
         // The unmutated kernel is clean under the same model.
         let clean = real(rel);
-        let model = stagegraph::hash_model(&[&clean]);
+        let model = hashmodel::hash_model(&[&clean]);
         assert!(parallel_determinism(&clean, &model, false).is_empty());
     }
 

@@ -1,9 +1,9 @@
 //! Token-tree parsing layered on the [`SourceFile`] lexer.
 //!
 //! The line-lexical rules see one line at a time; the dataflow rules
-//! (`stage-deps`, `parallel-determinism`, `serve-concurrency`) need real
-//! structure: which tokens sit inside which braces, where an `impl` block's
-//! body starts and ends, what a method-call chain looks like. This module
+//! (`parallel-determinism`, `serve-concurrency`) need real structure: which
+//! tokens sit inside which braces, where a `fn` body starts and ends, what a
+//! method-call chain looks like. This module
 //! supplies exactly that — and nothing more. It is not a Rust parser: it
 //! builds delimiter trees (`{}`, `[]`, `()`) over the lexer's
 //! comment-stripped, string-blanked code, then pattern-matches `rustfmt`ed
@@ -14,8 +14,8 @@
 //! The public surface is deliberately small:
 //!
 //! * [`Syntax::parse`] — tokenize + build the delimiter tree;
-//! * [`Syntax::fns`] / [`Syntax::impls`] — item extraction (recursive
-//!   through inline `mod` blocks, skipping `#[cfg(test)]` regions);
+//! * [`Syntax::fns`] — `fn` item extraction (recursive through inline
+//!   `mod`/`impl` blocks, skipping `#[cfg(test)]` regions);
 //! * [`calls`] — every `recv.method(args)` / `path::fn(args)` call in a
 //!   body, with the receiver token when syntactically evident;
 //! * [`chains`] — method-call chains (`x.iter().map(..).collect::<T>()`)
@@ -102,18 +102,6 @@ impl FnDef<'_> {
         })
     }
 
-    /// The name of the first parameter whose type text contains `ty_needle`
-    /// (e.g. `"AnalysisContext"` matches `ctx: &AnalysisContext<'_>`).
-    pub fn param_named_by_type(&self, ty_needle: &str) -> Option<String> {
-        let params = self.params()?;
-        for (name, ty) in split_params(params) {
-            if ty.contains(ty_needle) {
-                return Some(name);
-            }
-        }
-        None
-    }
-
     /// Flattened text of the return type (tokens after `->`), or empty.
     pub fn return_type(&self) -> String {
         let mut out = String::new();
@@ -133,19 +121,6 @@ impl FnDef<'_> {
         }
         out
     }
-}
-
-/// An `impl` block: optional trait, self type, and body.
-#[derive(Debug)]
-pub struct ImplBlock<'a> {
-    /// Trait name when this is `impl Trait for Type` (last path segment).
-    pub trait_name: Option<String>,
-    /// Self type name (last path segment, generics stripped).
-    pub self_ty: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: usize,
-    /// The `{ ... }` body.
-    pub body: &'a Group,
 }
 
 /// One link of a method-call chain: `.name::<turbofish>(args)`.
@@ -172,13 +147,6 @@ pub struct Chain<'a> {
     pub line: usize,
     /// Links in call order.
     pub links: Vec<ChainLink<'a>>,
-}
-
-impl Chain<'_> {
-    /// True when any link's method name equals `name`.
-    pub fn has_method(&self, name: &str) -> bool {
-        self.links.iter().any(|l| l.method == name)
-    }
 }
 
 /// A `let` binding split out of a statement.
@@ -212,25 +180,12 @@ impl Syntax {
     pub fn fns(&self) -> Vec<FnDef<'_>> {
         fns_in(&self.trees)
     }
-
-    /// All `impl` blocks, recursively through inline `mod` bodies,
-    /// skipping `#[cfg(test)]` code.
-    pub fn impls(&self) -> Vec<ImplBlock<'_>> {
-        impls_in(&self.trees)
-    }
 }
 
 /// All `fn` items under `trees` (see [`Syntax::fns`]).
 pub fn fns_in(trees: &[Tree]) -> Vec<FnDef<'_>> {
     let mut out = Vec::new();
     collect_fns(trees, &mut out);
-    out
-}
-
-/// All `impl` blocks under `trees` (see [`Syntax::impls`]).
-pub fn impls_in(trees: &[Tree]) -> Vec<ImplBlock<'_>> {
-    let mut out = Vec::new();
-    collect_impls(trees, &mut out);
     out
 }
 
@@ -413,105 +368,6 @@ fn collect_fns<'a>(trees: &'a [Tree], out: &mut Vec<FnDef<'a>>) {
     }
 }
 
-/// Last path segment of the token run starting at `trees[i]`, skipping `&`,
-/// generics, and `::` separators; returns `(name, next index)`.
-fn path_tail(trees: &[Tree], mut i: usize) -> (String, usize) {
-    let mut name = String::new();
-    let mut angle = 0i32;
-    while let Some(tree) = trees.get(i) {
-        match tree {
-            Tree::Leaf(t) => match t.text.as_str() {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "::" | "&" | "'" => {}
-                "for" | "where" => break,
-                s if angle == 0
-                    && (s.chars().next().is_some_and(|c| c.is_ascii_alphanumeric())
-                        || s.starts_with('_')) =>
-                {
-                    name = s.to_owned();
-                }
-                _ if angle > 0 => {}
-                _ => break,
-            },
-            Tree::Group(_) => break,
-        }
-        i += 1;
-    }
-    (name, i)
-}
-
-fn collect_impls<'a>(trees: &'a [Tree], out: &mut Vec<ImplBlock<'a>>) {
-    let mut i = 0;
-    while i < trees.len() {
-        if leaf(trees, i) == "impl" && !leaf_in_test(trees, i) {
-            let line = match trees.get(i) {
-                Some(Tree::Leaf(t)) => t.line,
-                _ => 0,
-            };
-            // Skip generic params on the impl itself: `impl<'a> ...`.
-            let mut j = i + 1;
-            if leaf(trees, j) == "<" {
-                let mut depth = 0i32;
-                while j < trees.len() {
-                    match leaf(trees, j) {
-                        "<" => depth += 1,
-                        ">" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            let (first, after_first) = path_tail(trees, j);
-            let (trait_name, self_ty, mut k) = if leaf(trees, after_first) == "for" {
-                let (ty, after_ty) = path_tail(trees, after_first + 1);
-                (Some(first), ty, after_ty)
-            } else {
-                (None, first, after_first)
-            };
-            // Skip a `where` clause to the body.
-            let mut body = None;
-            while let Some(tree) = trees.get(k) {
-                match tree {
-                    Tree::Group(g) if g.delim == '{' => {
-                        body = Some(g);
-                        break;
-                    }
-                    Tree::Leaf(t) if t.text == ";" => break,
-                    _ => k += 1,
-                }
-            }
-            if let Some(b) = body {
-                if !self_ty.is_empty() {
-                    out.push(ImplBlock {
-                        trait_name,
-                        self_ty,
-                        line,
-                        body: b,
-                    });
-                }
-                collect_impls(&b.trees, out);
-                i = k + 1;
-                continue;
-            }
-            i = k + 1;
-            continue;
-        }
-        if let Some(Tree::Group(g)) = trees.get(i) {
-            if g.delim == '{' {
-                collect_impls(&g.trees, out);
-            }
-        }
-        i += 1;
-    }
-}
-
 /// Split a parameter group's trees into `(name, type-text)` pairs at
 /// top-level commas. `self` receivers yield `("self", "")`-style pairs.
 pub fn split_params(params: &Group) -> Vec<(String, String)> {
@@ -565,7 +421,7 @@ pub fn split_params(params: &Group) -> Vec<(String, String)> {
 
 /// A method or path call found by [`calls`].
 #[derive(Debug)]
-pub struct Call<'a> {
+pub struct Call {
     /// Callee name (method name, or last path segment for `path::fn(...)`).
     pub callee: String,
     /// For method calls, the token directly before the `.` (identifier or
@@ -577,26 +433,11 @@ pub struct Call<'a> {
     pub qualifier: String,
     /// 1-based line of the callee.
     pub line: usize,
-    /// The argument group.
-    pub args: &'a Group,
-}
-
-impl Call<'_> {
-    /// True when any leaf token anywhere in the argument group equals `name`.
-    pub fn passes_ident(&self, name: &str) -> bool {
-        fn walk(trees: &[Tree], name: &str) -> bool {
-            trees.iter().any(|t| match t {
-                Tree::Leaf(tok) => tok.text == name,
-                Tree::Group(g) => walk(&g.trees, name),
-            })
-        }
-        walk(&self.args.trees, name)
-    }
 }
 
 /// Every call in `trees`, recursively (including inside nested groups).
 /// Macros (`name!(...)`) are excluded — `text!` is not a call.
-pub fn calls<'a>(trees: &'a [Tree], out: &mut Vec<Call<'a>>) {
+pub fn calls(trees: &[Tree], out: &mut Vec<Call>) {
     for (i, t) in trees.iter().enumerate() {
         if let Tree::Group(g) = t {
             // A call is `ident (group)` where the ident isn't a macro name
@@ -630,7 +471,6 @@ pub fn calls<'a>(trees: &'a [Tree], out: &mut Vec<Call<'a>>) {
                             receiver,
                             qualifier,
                             line: name.line,
-                            args: g,
                         });
                     }
                 }
@@ -875,26 +715,13 @@ mod tests {
         let fns = s.fns();
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "run");
+        let params = split_params(fns[0].params().expect("parameter list"));
         assert_eq!(
-            fns[0].param_named_by_type("AnalysisContext"),
-            Some("ctx".to_owned())
+            params[1],
+            ("ctx".to_owned(), "&AnalysisContext<'_>".to_owned())
         );
         assert_eq!(fns[0].return_type(), "Vec<u8>");
         assert!(fns[0].body.is_some());
-    }
-
-    #[test]
-    fn impl_blocks_resolve_trait_and_self_type() {
-        let s = parse(
-            "impl Stage for BurstStage {\n fn run(&self) {} \n}\n\
-             impl<'a> AnalysisContext<'a> {\n fn job(&self) {} \n}\n",
-        );
-        let impls = s.impls();
-        assert_eq!(impls.len(), 2);
-        assert_eq!(impls[0].trait_name.as_deref(), Some("Stage"));
-        assert_eq!(impls[0].self_ty, "BurstStage");
-        assert_eq!(impls[1].trait_name, None);
-        assert_eq!(impls[1].self_ty, "AnalysisContext");
     }
 
     #[test]

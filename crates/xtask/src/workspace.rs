@@ -274,35 +274,11 @@ pub fn run_lint(root: &Path, only: Option<&BTreeSet<String>>) -> io::Result<(Vec
             .iter()
             .filter(|f| in_hash_model_scope(&f.path))
             .collect();
-        let model = crate::stagegraph::hash_model(&model_sources);
+        let model = crate::hashmodel::hash_model(&model_sources);
         for &(path, spawn_sanctioned) in KERNEL_SCOPE {
             if let Some(file) = sources.iter().find(|f| f.path == path) {
                 findings.extend(rules::parallel_determinism(file, &model, spawn_sanctioned));
             }
-        }
-    }
-
-    if enabled("stage-deps") {
-        let stage = sources
-            .iter()
-            .find(|f| f.path == "crates/core/src/stage.rs");
-        let context = sources
-            .iter()
-            .find(|f| f.path == "crates/core/src/context.rs");
-        match (stage, context) {
-            (Some(stage), Some(context)) => {
-                let core: Vec<&SourceFile> = sources
-                    .iter()
-                    .filter(|f| f.path.starts_with("crates/core/src"))
-                    .collect();
-                findings.extend(rules::stage_deps(stage, context, &core));
-            }
-            _ => findings.push(Finding {
-                rule: "stage-deps",
-                path: "crates/core/src/stage.rs".to_owned(),
-                line: 0,
-                message: "stage.rs / context.rs not found; stage graph unverifiable".to_owned(),
-            }),
         }
     }
 

@@ -184,6 +184,86 @@ fn job_only_batch_skips_the_filter_stack() {
     assert!(report.reran.contains(StageId::Matching));
 }
 
+/// The products of `delta` that differ from `full`, by field name.
+fn stale_products(delta: &CoAnalysisResult, full: &CoAnalysisResult) -> Vec<&'static str> {
+    let mut stale = Vec::new();
+    macro_rules! compare {
+        ($($field:ident),*) => {
+            $(if delta.$field != full.$field {
+                stale.push(stringify!($field));
+            })*
+        };
+    }
+    compare!(
+        events,
+        causal_rules,
+        matching,
+        job_redundant,
+        events_final,
+        filter_stats,
+        impact,
+        root_cause,
+        table_iv,
+        midplane,
+        burst,
+        interruption,
+        propagation,
+        vulnerability,
+        fda
+    );
+    stale
+}
+
+/// Live-daemon shape: the full job log up front, then the RAS log in 40
+/// equal time slices. Every fold — not just the last — must equal a
+/// one-shot run over the prefix, so a stage served from cache while one of
+/// its direct inputs changed shows up at the tick it happens.
+#[test]
+fn every_tick_of_a_time_split_matches_one_shot() {
+    const TICKS: i64 = 40;
+    let cfg = CoAnalysisConfig::default();
+    for seed in [1, 4, 5] {
+        let out = Simulation::new(SimConfig::small_test(seed))
+            .expect("valid config")
+            .run();
+        let records = out.ras.records();
+        let (Some(first), Some(last)) = (records.first(), records.last()) else {
+            panic!("simulation produced no records");
+        };
+        let t0 = first.event_time;
+        let span = (last.event_time - t0).as_secs() + 1;
+        let tick_of = |r: &RasRecord| ((r.event_time - t0).as_secs() * TICKS / span) as usize;
+        let mut slices: Vec<Vec<RasRecord>> = vec![Vec::new(); TICKS as usize];
+        for r in records {
+            slices[tick_of(r)].push(*r);
+        }
+
+        let mut prefix = slices[0].clone();
+        let (mut session, primed) =
+            DeltaSession::new(cfg, &RasLog::from_records(prefix.clone()), out.jobs.clone());
+        let oracle = |prefix: &[RasRecord]| {
+            CoAnalysis::with_config(cfg).run(&RasLog::from_records(prefix.to_vec()), &out.jobs)
+        };
+        let stale = stale_products(&primed, &oracle(&prefix));
+        assert!(
+            stale.is_empty(),
+            "seed {seed}: priming pass differs in {stale:?}"
+        );
+        for (tick, slice) in slices.into_iter().enumerate().skip(1) {
+            prefix.extend(slice.iter().cloned());
+            let (folded, _) = session.append(AppendBatch {
+                ras: slice,
+                jobs: Vec::new(),
+            });
+            let stale = stale_products(&folded, &oracle(&prefix));
+            assert!(
+                stale.is_empty(),
+                "seed {seed}: fold {tick} of {TICKS} served stale {stale:?}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Proptests: adversarial splits of a small synthetic stream.
 // ---------------------------------------------------------------------------
