@@ -379,12 +379,65 @@ impl Location {
     /// All midplanes this location *touches*: a midplane-scoped location
     /// touches its midplane; a rack-scoped location touches both midplanes of
     /// the rack (a failed bulk power module or clock card affects the whole
-    /// rack).
-    pub fn touched_midplanes(self) -> Vec<MidplaneId> {
-        match self.midplane() {
-            Some(m) => vec![m],
-            None => self.rack().midplanes().to_vec(),
+    /// rack). Returned by value — at most two midplanes, no allocation.
+    pub fn touched_midplanes(self) -> impl ExactSizeIterator<Item = MidplaneId> {
+        let (pair, n) = match self.midplane() {
+            Some(m) => ([m, m], 1),
+            None => (self.rack().midplanes(), 2),
+        };
+        pair.into_iter().take(n)
+    }
+
+    /// Fast path for [`Location::from_str`] over the canonical shapes that
+    /// [`Display`](fmt::Display) writes: `Rdd`, `Rdd-B`, `Rdd-K`, `Rdd-Md`,
+    /// `Rdd-Md-S`, `Rdd-Md-Id`, `Rdd-Md-Ld`, `Rdd-Md-Ndd` and
+    /// `Rdd-Md-Ndd-Jdd`, on raw bytes.
+    ///
+    /// Returns `Some` only where `from_str` returns the same location.
+    /// `None` means "not canonical, ask `from_str`", never "invalid": the
+    /// dashed `R-23` rack, padding, a one-digit `N7`, a three-digit `J031`
+    /// and out-of-range indices all decline here, and `from_str` decides.
+    pub fn parse_canonical(b: &[u8]) -> Option<Location> {
+        fn digit(b: u8) -> Option<u8> {
+            b.is_ascii_digit().then(|| b - b'0')
         }
+        let [b'R', row, col, tail @ ..] = b else {
+            return None;
+        };
+        let rack = RackId::new(digit(*row)?, digit(*col)?).ok()?;
+        let (midplane, tail) = match tail {
+            [] => return Some(Location::Rack(rack)),
+            b"-B" => return Some(Location::BulkPower(rack)),
+            b"-K" => return Some(Location::ClockCard(rack)),
+            [b'-', b'M', m, tail @ ..] => (MidplaneId::new(rack, digit(*m)?).ok()?, tail),
+            _ => return None,
+        };
+        let loc = match *tail {
+            [] => Location::Midplane(midplane),
+            [b'-', b'S'] => Location::ServiceCard(midplane),
+            [b'-', b'I', i] => {
+                let index = digit(i)?;
+                (index < topology::IO_NODES_PER_MIDPLANE)
+                    .then_some(Location::IoNode { midplane, index })?
+            }
+            [b'-', b'L', l] => {
+                let index = digit(l)?;
+                (index < topology::LINK_CARDS_PER_MIDPLANE)
+                    .then_some(Location::LinkCard { midplane, index })?
+            }
+            [b'-', b'N', c1, c0, ref node @ ..] => {
+                let nc = NodeCardId::new(midplane, digit(c1)? * 10 + digit(c0)?).ok()?;
+                match *node {
+                    [] => Location::NodeCard(nc),
+                    [b'-', b'J', j1, j0] => Location::ComputeNode(
+                        ComputeNodeId::new(nc, digit(j1)? * 10 + digit(j0)?).ok()?,
+                    ),
+                    _ => return None,
+                }
+            }
+            _ => return None,
+        };
+        Some(loc)
     }
 
     /// Does this location (as a region of hardware) contain `other`?
@@ -677,8 +730,41 @@ mod tests {
         assert_eq!(node.midplane(), Some(mp("R23-M1")));
         let bulk: Location = "R23-B".parse().unwrap();
         assert_eq!(bulk.midplane(), None);
-        assert_eq!(bulk.touched_midplanes(), vec![mp("R23-M0"), mp("R23-M1")]);
-        assert_eq!(node.touched_midplanes(), vec![mp("R23-M1")]);
+        let touched = |l: Location| l.touched_midplanes().collect::<Vec<_>>();
+        assert_eq!(touched(bulk), vec![mp("R23-M0"), mp("R23-M1")]);
+        assert_eq!(touched(node), vec![mp("R23-M1")]);
+        assert_eq!(bulk.touched_midplanes().len(), 2);
+    }
+
+    #[test]
+    fn canonical_fast_path_declines_what_it_cannot_vouch_for() {
+        for s in ["R23", "R23-B", "R23-K", "R23-M1", "R23-M1-S", "R23-M1-I7"] {
+            assert_eq!(Location::parse_canonical(s.as_bytes()), s.parse().ok());
+        }
+        for s in [
+            "R23-M1-L3",
+            "R23-M1-N15",
+            "R23-M1-N04-J31",
+            "R47-M0-N00-J00",
+        ] {
+            assert_eq!(Location::parse_canonical(s.as_bytes()), s.parse().ok());
+        }
+        for s in [
+            "R-23",            // dashed rack: from_str accepts it
+            "R-04-M0-S",       //
+            "R23-M1-N7",       // one-digit node card: from_str accepts it
+            "R23-M1-N04-J031", // three-digit slot: from_str accepts it
+            "R23-M01",         // two-digit midplane: from_str accepts it
+            " R23",            // padding
+            "R23-M1-I8",       // out of range: from_str reports it
+            "R23-M1-L4",
+            "R53-M0",
+            "R23-M1-N16",
+            "R23-M1-N04-J32",
+            "",
+        ] {
+            assert_eq!(Location::parse_canonical(s.as_bytes()), None, "{s:?}");
+        }
     }
 
     #[test]
@@ -740,6 +826,7 @@ mod tests {
             let s = loc.to_string();
             let back: Location = s.parse().unwrap();
             prop_assert_eq!(loc, back);
+            prop_assert_eq!(Location::parse_canonical(s.as_bytes()), Some(loc));
         }
 
         #[test]

@@ -151,7 +151,7 @@ impl Partition {
     /// rack-scoped locations (rack, bulk power, clock card) match if *either*
     /// midplane of the rack is in the partition.
     pub fn covers_location(self, loc: Location) -> bool {
-        loc.touched_midplanes().iter().any(|&m| self.contains(m))
+        loc.touched_midplanes().any(|m| self.contains(m))
     }
 
     /// Set union.

@@ -136,6 +136,46 @@ impl Timestamp {
         Ok(Timestamp::from_civil(year, month, day, hh, mm, ss))
     }
 
+    /// Fast path for [`Timestamp::parse`] over raw bytes: exactly
+    /// `YYYY-MM-DD-HH.MM.SS` in ASCII digits, optionally followed by `.` and
+    /// ASCII digits (the CMCS `.ffffff` suffix, ignored as `parse` ignores
+    /// it).
+    ///
+    /// Returns `Some` only where `parse` returns the same timestamp. `None`
+    /// means "ask `parse`", never "invalid": padding, signs, any other
+    /// suffix and out-of-range fields all decline here.
+    pub fn parse_canonical(b: &[u8]) -> Option<Timestamp> {
+        let (head, suffix) = b.split_at_checked(19)?;
+        if let [dot, frac @ ..] = suffix {
+            if *dot != b'.' || !frac.iter().all(u8::is_ascii_digit) {
+                return None;
+            }
+        }
+        let sep_ok = head[4] == b'-'
+            && head[7] == b'-'
+            && head[10] == b'-'
+            && head[13] == b'.'
+            && head[16] == b'.';
+        if !sep_ok {
+            return None;
+        }
+        let num = |range: std::ops::Range<usize>| {
+            head[range].iter().try_fold(0u32, |acc, &c| {
+                c.is_ascii_digit().then(|| acc * 10 + u32::from(c - b'0'))
+            })
+        };
+        let year = num(0..4)?;
+        let month = num(5..7)?;
+        let day = num(8..10)?;
+        let hh = num(11..13)?;
+        let mm = num(14..16)?;
+        let ss = num(17..19)?;
+        if !(1..=12).contains(&month) || !(1..=31).contains(&day) || hh > 23 || mm > 59 || ss > 60 {
+            return None;
+        }
+        Some(Timestamp::from_civil(year as i32, month, day, hh, mm, ss))
+    }
+
     /// Number of whole days between `self` and `origin` (can be negative).
     pub fn days_since(self, origin: Timestamp) -> i64 {
         (self.0 - origin.0).div_euclid(86_400)
@@ -308,6 +348,38 @@ mod tests {
             "2008-04-14-15.08.12x123",
         ] {
             assert!(Timestamp::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn canonical_fast_path_agrees_or_declines() {
+        for s in [
+            "2008-04-14-15.08.12",
+            "2008-04-14-15.08.12.285324",
+            "2008-04-14-15.08.12.",
+            "2008-12-31-23.59.60", // leap second
+            "0000-01-01-00.00.00",
+            "2009-02-31-00.00.00", // day not validated against the month
+        ] {
+            assert_eq!(
+                Timestamp::parse_canonical(s.as_bytes()),
+                Some(Timestamp::parse(s).unwrap()),
+                "{s:?}"
+            );
+        }
+        for s in [
+            " 2008-04-14-15.08.12", // padding: parse sees it trimmed
+            "2008-04-14-15.08.12 ",
+            "+008-04-14-15.08.12", // sign: parse accepts it
+            "2008-+4-14-15.08.12",
+            "-001-04-14-15.08.12",
+            "2008-04-14-15.08.12.28x", // non-digit suffix: parse ignores it
+            "2008-04-14-15.08.61",     // out of range: parse reports it
+            "2008-13-14-15.08.12",
+            "2008-04-14-15.08.1",
+            "2008-04-14-15.08.12x",
+        ] {
+            assert_eq!(Timestamp::parse_canonical(s.as_bytes()), None, "{s:?}");
         }
     }
 

@@ -6,9 +6,10 @@
 //! 1. resolve the input path through [`bgp_ports::resolve_input`] (only the
 //!    BG/Q adapter is multi-file);
 //! 2. read the whole file once;
-//! 3. for the BG/P format, if a snapshot directory is configured, try the
-//!    matching `.bgpsnap` (validated by format version and a content hash of
-//!    the source text) — a hit skips parsing entirely;
+//! 3. for the BG/P format, if a snapshot directory is configured, hash the
+//!    source text and try the matching `.bgpsnap` (validated by format
+//!    version and that content hash) — a hit skips parsing entirely; without
+//!    a snapshot directory nothing is hashed;
 //! 4. otherwise decode through the [`LogFormat`]'s source adapter — BG/P in
 //!    parallel on newline-aligned byte chunks, BG/Q and syslog line by line,
 //!    cassettes by replaying the recorded byte stream through their inner
@@ -175,31 +176,31 @@ fn load_bgp_generic<R>(
 ) -> Result<(Vec<R>, Vec<SourceDiagnostic>, SnapshotStatus), LoadError> {
     let data = read_file(path, opts.mmap)?;
     let data = data.bytes();
+    let threads = opts.effective_threads();
+    // The content hash exists only to validate and stamp the snapshot, so
+    // an uncached load never pays for it.
+    let Some(dir) = opts.snapshot_dir.as_deref() else {
+        let batch = parse(data, threads);
+        return Ok((batch.records, batch.diagnostics, SnapshotStatus::Disabled));
+    };
     let hash = content_hash_64(data);
-    let snap_path = opts.snapshot_dir.as_deref().map(|d| snapshot_file(d, path));
+    let snap_path = snapshot_file(dir, path);
     let mut stale_reason = None;
-    if let Some(sp) = &snap_path {
-        if let Ok(snap_bytes) = fs::read(sp) {
-            match decode(&snap_bytes, hash) {
-                Ok(records) => return Ok((records, Vec::new(), SnapshotStatus::Loaded)),
-                Err(e) => stale_reason = Some(e.to_string()),
-            }
+    if let Ok(snap_bytes) = fs::read(&snap_path) {
+        match decode(&snap_bytes, hash) {
+            Ok(records) => return Ok((records, Vec::new(), SnapshotStatus::Loaded)),
+            Err(e) => stale_reason = Some(e.to_string()),
         }
     }
-    let batch = parse(data, opts.effective_threads());
-    let status = match (&snap_path, opts.snapshot_dir.as_deref()) {
-        (Some(sp), Some(dir)) => {
-            let write =
-                fs::create_dir_all(dir).and_then(|()| fs::write(sp, encode(&batch.records, hash)));
-            match (write, stale_reason) {
-                (Ok(()), None) => SnapshotStatus::Written,
-                (Ok(()), Some(reason)) => SnapshotStatus::Rewritten { reason },
-                (Err(e), _) => SnapshotStatus::WriteFailed {
-                    reason: e.to_string(),
-                },
-            }
-        }
-        _ => SnapshotStatus::Disabled,
+    let batch = parse(data, threads);
+    let write =
+        fs::create_dir_all(dir).and_then(|()| fs::write(&snap_path, encode(&batch.records, hash)));
+    let status = match (write, stale_reason) {
+        (Ok(()), None) => SnapshotStatus::Written,
+        (Ok(()), Some(reason)) => SnapshotStatus::Rewritten { reason },
+        (Err(e), _) => SnapshotStatus::WriteFailed {
+            reason: e.to_string(),
+        },
     };
     Ok((batch.records, batch.diagnostics, status))
 }

@@ -22,7 +22,6 @@
 
 use crate::component::Component;
 use crate::severity::Severity;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -64,7 +63,24 @@ pub struct CodeInfo {
 #[derive(Debug)]
 pub struct Catalog {
     entries: Vec<CodeInfo>,
-    by_name: HashMap<&'static str, ErrCode>,
+    /// Open-addressed name table (linear probing, never more than a quarter
+    /// full): the slot of a name is [`name_slot`], an empty slot ends the
+    /// probe.
+    slots: Vec<Option<ErrCode>>,
+}
+
+/// log2 of the name table's slot count: 512 slots for the ~120 names.
+const SLOT_BITS: u32 = 9;
+
+/// Home slot of an ERRCODE token. The names share long prefixes
+/// (`_bgp_err_`, `syslog_`), so the hash mixes the length with the last
+/// eight bytes instead of reading the whole token.
+fn name_slot(name: &[u8]) -> usize {
+    let tail = &name[name.len().saturating_sub(8)..];
+    let mut word = [0u8; 8];
+    word[..tail.len()].copy_from_slice(tail);
+    let key = u64::from_le_bytes(word) ^ (name.len() as u64).rotate_right(8);
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOT_BITS)) as usize
 }
 
 /// `(name, component, subcomponent, severity, message template)` rows for
@@ -333,12 +349,15 @@ impl Catalog {
                     },
                 )
                 .collect();
-            let by_name = entries
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.name, ErrCode(i as u16)))
-                .collect();
-            Catalog { entries, by_name }
+            let mut slots = vec![None; 1 << SLOT_BITS];
+            for (i, e) in entries.iter().enumerate() {
+                let mut slot = name_slot(e.name.as_bytes());
+                while slots[slot].is_some() {
+                    slot = (slot + 1) % slots.len();
+                }
+                slots[slot] = Some(ErrCode(i as u16));
+            }
+            Catalog { entries, slots }
         })
     }
 
@@ -364,7 +383,20 @@ impl Catalog {
 
     /// Resolve a code by its ERRCODE token.
     pub fn lookup(&self, name: &str) -> Option<ErrCode> {
-        self.by_name.get(name).copied()
+        self.lookup_bytes(name.as_bytes())
+    }
+
+    /// Resolve a code by the exact bytes of its ERRCODE token (no trimming,
+    /// no UTF-8 validation: a padded or non-ASCII token is simply absent).
+    pub fn lookup_bytes(&self, name: &[u8]) -> Option<ErrCode> {
+        let mut slot = name_slot(name);
+        loop {
+            let code = self.slots[slot]?;
+            if self.info(code).name.as_bytes() == name {
+                return Some(code);
+            }
+            slot = (slot + 1) % self.slots.len();
+        }
     }
 
     /// Iterate over all codes.
@@ -408,6 +440,29 @@ mod tests {
         }
         assert_eq!(cat.lookup("no_such_code"), None);
         assert_eq!(seen.len(), cat.len());
+    }
+
+    #[test]
+    fn byte_lookup_is_exact() {
+        let cat = Catalog::standard();
+        for code in cat.codes() {
+            let name = cat.info(code).name;
+            assert_eq!(cat.lookup_bytes(name.as_bytes()), Some(code));
+            for near in [
+                format!(" {name}"),
+                format!("{name} "),
+                format!("{name}x"),
+                name[1..].to_owned(),
+                name[..name.len() - 1].to_owned(),
+                name.to_uppercase(),
+            ] {
+                if near != name {
+                    assert_eq!(cat.lookup_bytes(near.as_bytes()), None, "{near:?}");
+                }
+            }
+        }
+        assert_eq!(cat.lookup_bytes(b""), None);
+        assert_eq!(cat.lookup_bytes(b"\xff_bgp_err_kernel_panic"), None);
     }
 
     #[test]

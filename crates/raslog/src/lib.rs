@@ -13,9 +13,11 @@
 //!   error code is a [`ErrCode`] index into the shared [`Catalog`], and the
 //!   free-text MESSAGE is *not stored* — it is materialized from the
 //!   catalogue template only when writing.
-//! * [`RasLog`] keeps records sorted by time and maintains a per-midplane
-//!   posting list, so "events at location ℓ within window w" — the inner
-//!   loop of co-analysis matching — is a binary search plus a short scan.
+//! * [`RasLog`] keeps records sorted by `(event_time, recid)`, so a time
+//!   window is a binary search; it sorts only input that is out of order.
+//! * [`parse_line_bytes`] decodes each parsed field through a byte-level
+//!   fast path for its canonical form and falls back to the general parser
+//!   for anything else, with identical results.
 //! * [`ingest`] parses a whole in-memory log on newline-aligned byte chunks
 //!   across scoped threads, bit-identical to [`RasReader`]; [`snapshot`]
 //!   caches the parsed columns on disk (`.bgpsnap`) so re-runs skip parsing

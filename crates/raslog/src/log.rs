@@ -3,36 +3,28 @@
 use crate::catalog::ErrCode;
 use crate::record::RasRecord;
 use crate::severity::Severity;
-use bgp_model::{topology, MidplaneId, Timestamp};
+use bgp_model::Timestamp;
 use std::collections::HashMap;
 
-/// An immutable, time-sorted RAS log with a per-midplane index.
+/// An immutable, time-sorted RAS log.
 ///
-/// Sorted order is `(event_time, recid)`. The per-midplane posting lists map
-/// each (populated) midplane to the indices of records whose location touches
-/// it; rack-scoped records (bulk power, clock card) are posted under both
-/// midplanes of their rack. Posting lists inherit the global time order, so
-/// both global and per-midplane window queries are binary searches.
+/// Sorted order is `(event_time, recid)`, so global window queries are
+/// binary searches.
 #[derive(Debug, Clone, Default)]
 pub struct RasLog {
     records: Vec<RasRecord>,
-    by_midplane: Vec<Vec<u32>>,
 }
 
 impl RasLog {
-    /// Build a log from records (any order; they will be sorted).
+    /// Build a log from records (any order; they will be sorted, stably, by
+    /// `(event_time, recid)`). Input already in that order — what a log file
+    /// normally holds — is kept as is after one linear check.
     pub fn from_records(mut records: Vec<RasRecord>) -> RasLog {
-        records.sort_by_key(|r| (r.event_time, r.recid));
-        let mut by_midplane = vec![Vec::new(); usize::from(topology::NUM_MIDPLANES)];
-        for (i, r) in records.iter().enumerate() {
-            for m in r.location.touched_midplanes() {
-                by_midplane[m.index()].push(i as u32);
-            }
+        let key = |r: &RasRecord| (r.event_time, r.recid);
+        if !records.is_sorted_by_key(key) {
+            records.sort_by_key(key);
         }
-        RasLog {
-            records,
-            by_midplane,
-        }
+        RasLog { records }
     }
 
     /// All records in time order.
@@ -78,28 +70,6 @@ impl RasLog {
         let lo = self.records.partition_point(|r| r.event_time < t0);
         let hi = self.records.partition_point(|r| r.event_time < t1);
         &self.records[lo..hi]
-    }
-
-    /// Records touching midplane `m`, in time order.
-    pub fn at_midplane(&self, m: MidplaneId) -> impl Iterator<Item = &RasRecord> {
-        self.by_midplane[m.index()]
-            .iter()
-            .map(move |&i| &self.records[i as usize])
-    }
-
-    /// Records touching midplane `m` with `t0 <= event_time < t1`.
-    pub fn at_midplane_in_window(
-        &self,
-        m: MidplaneId,
-        t0: Timestamp,
-        t1: Timestamp,
-    ) -> impl Iterator<Item = &RasRecord> {
-        let posting = &self.by_midplane[m.index()];
-        let lo = posting.partition_point(|&i| self.records[i as usize].event_time < t0);
-        let hi = posting.partition_point(|&i| self.records[i as usize].event_time < t1);
-        posting[lo..hi]
-            .iter()
-            .map(move |&i| &self.records[i as usize])
     }
 
     /// Count of records per error code.
@@ -208,31 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn midplane_index_includes_rack_scoped() {
-        let log = sample_log();
-        let m0: MidplaneId = "R00-M0".parse().unwrap();
-        let m1: MidplaneId = "R00-M1".parse().unwrap();
-        // R00-M0 sees: midplane record, node record, and the rack-scoped bulk
-        // power record.
-        let at_m0: Vec<u64> = log.at_midplane(m0).map(|r| r.recid).collect();
-        assert_eq!(at_m0, vec![1, 2, 3]);
-        // R00-M1 sees the bulk power record and its own kernel panic.
-        let at_m1: Vec<u64> = log.at_midplane(m1).map(|r| r.recid).collect();
-        assert_eq!(at_m1, vec![2, 5]);
-    }
-
-    #[test]
-    fn midplane_window_query() {
-        let log = sample_log();
-        let m0: MidplaneId = "R00-M0".parse().unwrap();
-        let hits: Vec<u64> = log
-            .at_midplane_in_window(m0, Timestamp::from_unix(150), Timestamp::from_unix(350))
-            .map(|r| r.recid)
-            .collect();
-        assert_eq!(hits, vec![2, 3]);
-    }
-
-    #[test]
     fn severity_filters() {
         let log = sample_log();
         assert_eq!(log.fatal().count(), 4);
@@ -263,5 +208,66 @@ mod tests {
             rec(3, 200, "R00-M0", "_bgp_err_kernel_panic"),
         ]);
         assert_eq!(log.interarrival_secs(), vec![100.0]);
+    }
+
+    /// `records()` must be exactly the stable `(event_time, recid)` sort of
+    /// the input, whether or not `from_records` had to sort.
+    fn assert_sorted_like_reference(input: Vec<RasRecord>) {
+        let mut expected = input.clone();
+        expected.sort_by_key(|r| (r.event_time, r.recid));
+        assert_eq!(RasLog::from_records(input).records(), expected.as_slice());
+    }
+
+    /// Records whose `(event_time, recid)` keys repeat but whose locations
+    /// differ, so a reordering of equal keys would show.
+    fn tied_records(n: u64) -> Vec<RasRecord> {
+        let locs = ["R00-M0", "R00-M1", "R01-B", "R02-M0-N03-J04"];
+        (0..n)
+            .map(|i| {
+                rec(
+                    i / 3,
+                    (i / 5) as i64,
+                    locs[(i % 4) as usize],
+                    "_bgp_err_kernel_panic",
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_records_matches_a_stable_sort_on_every_input_order() {
+        let sorted = tied_records(60);
+        assert!(sorted.is_sorted_by_key(|r| (r.event_time, r.recid)));
+        let mut reversed = sorted.clone();
+        reversed.reverse();
+        let mut shuffled = sorted.clone();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for i in (1..shuffled.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let all_tied: Vec<RasRecord> = ["R00-M0", "R03-K", "R00-M1", "R01-M1-S"]
+            .iter()
+            .map(|loc| rec(7, 100, loc, "_bgp_err_kernel_panic"))
+            .collect();
+        for input in [sorted, reversed, shuffled, all_tied, Vec::new()] {
+            assert_sorted_like_reference(input);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_records_is_a_stable_sort(
+            keys in proptest::collection::vec((0i64..6, 0u64..6, 0usize..4), 0..40),
+        ) {
+            let locs = ["R00-M0", "R00-M1", "R01-B", "R02-M0-N03-J04"];
+            assert_sorted_like_reference(
+                keys.iter()
+                    .map(|&(t, id, l)| rec(id, t, locs[l], "_bgp_err_kernel_panic"))
+                    .collect(),
+            );
+        }
     }
 }

@@ -111,37 +111,50 @@ pub fn parse_line_bytes(line: &[u8]) -> Result<RasRecord, RasParseError> {
     if count != 9 {
         return Err(err(RasParseErrorKind::WrongFieldCount(count)));
     }
-    // Error payloads carry the raw (untrimmed) field, like the &str parser.
+    // Each field first tries a byte-level fast path for its canonical form;
+    // when that declines, the general parser (trim, UTF-8, `FromStr`)
+    // decides. A fast path answers only where the general parser gives the
+    // same value, so the general parser alone defines what a line means and
+    // supplies every error payload: the raw (untrimmed) field, like the
+    // &str parser.
     let lossy = |f: &[u8]| String::from_utf8_lossy(f).into_owned();
     fn text(f: &[u8]) -> Option<&str> {
         std::str::from_utf8(f).ok().map(str::trim)
     }
-    let recid: u64 = match text(fields[0]).and_then(|s| s.parse().ok()) {
-        Some(v) => v,
-        None => return Err(err(RasParseErrorKind::BadRecId(lossy(fields[0])))),
-    };
-    let errcode: ErrCode = match text(fields[4]).and_then(|s| Catalog::standard().lookup(s)) {
-        Some(c) => c,
-        None => return Err(err(RasParseErrorKind::UnknownErrCode(lossy(fields[4])))),
-    };
-    let severity: Severity = match text(fields[5]).and_then(|s| s.parse().ok()) {
-        Some(s) => s,
-        None => return Err(err(RasParseErrorKind::BadSeverity(lossy(fields[5])))),
-    };
-    let event_time: Timestamp = match text(fields[6]).and_then(|s| Timestamp::parse(s).ok()) {
-        Some(t) => t,
-        None => return Err(err(RasParseErrorKind::BadTimestamp(lossy(fields[6])))),
-    };
-    let location: Location = match text(fields[7]).and_then(|s| s.parse().ok()) {
-        Some(l) => l,
-        None => return Err(err(RasParseErrorKind::BadLocation(lossy(fields[7])))),
-    };
+    let catalog = Catalog::standard();
+    let recid = recid_digits(fields[0])
+        .or_else(|| text(fields[0])?.parse().ok())
+        .ok_or_else(|| err(RasParseErrorKind::BadRecId(lossy(fields[0]))))?;
+    let errcode: ErrCode = catalog
+        .lookup_bytes(fields[4])
+        .or_else(|| catalog.lookup(text(fields[4])?))
+        .ok_or_else(|| err(RasParseErrorKind::UnknownErrCode(lossy(fields[4]))))?;
+    let severity = Severity::from_token(fields[5])
+        .or_else(|| text(fields[5])?.parse().ok())
+        .ok_or_else(|| err(RasParseErrorKind::BadSeverity(lossy(fields[5]))))?;
+    let event_time = Timestamp::parse_canonical(fields[6])
+        .or_else(|| Timestamp::parse(text(fields[6])?).ok())
+        .ok_or_else(|| err(RasParseErrorKind::BadTimestamp(lossy(fields[6]))))?;
+    let location = Location::parse_canonical(fields[7])
+        .or_else(|| text(fields[7])?.parse().ok())
+        .ok_or_else(|| err(RasParseErrorKind::BadLocation(lossy(fields[7]))))?;
     Ok(RasRecord {
         recid,
         event_time,
         location,
         errcode,
         severity,
+    })
+}
+
+/// RECID fast path: 1–19 ASCII digits, which always fit a `u64`. Anything
+/// else (a sign, padding, 20 digits) is left to `str::parse`.
+fn recid_digits(f: &[u8]) -> Option<u64> {
+    if f.is_empty() || f.len() > 19 {
+        return None;
+    }
+    f.iter().try_fold(0u64, |acc, &c| {
+        c.is_ascii_digit().then(|| acc * 10 + u64::from(c - b'0'))
     })
 }
 
@@ -368,6 +381,314 @@ mod tests {
             let r = RasRecord::new(recid, Timestamp::from_unix(secs), loc, code);
             let parsed = parse_line(&format_record(&r)).unwrap();
             prop_assert_eq!(parsed, r);
+        }
+    }
+
+    /// The general path alone, as `parse_line_bytes` parsed every field
+    /// before the fast paths: `splitn(9, '|')`, then `str::parse::<u64>`,
+    /// a linear catalogue scan, the severity token table,
+    /// `Timestamp::parse` and `Location::from_str`, each on the trimmed
+    /// UTF-8 field. The fast paths must be invisible against it.
+    fn reference(line: &[u8]) -> Result<RasRecord, RasParseError> {
+        let err = |kind| RasParseError { line: 0, kind };
+        let fields: Vec<&[u8]> = line.splitn(9, |&b| b == b'|').collect();
+        if fields.len() != 9 {
+            return Err(err(RasParseErrorKind::WrongFieldCount(fields.len())));
+        }
+        let lossy = |f: &[u8]| String::from_utf8_lossy(f).into_owned();
+        fn text(f: &[u8]) -> Option<&str> {
+            std::str::from_utf8(f).ok().map(str::trim)
+        }
+        let cat = Catalog::standard();
+        let severity = |s: &str| match s {
+            "DEBUG" => Some(Severity::Debug),
+            "TRACE" => Some(Severity::Trace),
+            "INFO" => Some(Severity::Info),
+            "WARNING" | "WARN" => Some(Severity::Warning),
+            "ERROR" => Some(Severity::Error),
+            "FATAL" => Some(Severity::Fatal),
+            _ => None,
+        };
+        let Some(recid) = text(fields[0]).and_then(|s| s.parse::<u64>().ok()) else {
+            return Err(err(RasParseErrorKind::BadRecId(lossy(fields[0]))));
+        };
+        let Some(errcode) =
+            text(fields[4]).and_then(|s| cat.codes().find(|&c| cat.info(c).name == s))
+        else {
+            return Err(err(RasParseErrorKind::UnknownErrCode(lossy(fields[4]))));
+        };
+        let Some(severity) = text(fields[5]).and_then(severity) else {
+            return Err(err(RasParseErrorKind::BadSeverity(lossy(fields[5]))));
+        };
+        let Some(event_time) = text(fields[6]).and_then(|s| Timestamp::parse(s).ok()) else {
+            return Err(err(RasParseErrorKind::BadTimestamp(lossy(fields[6]))));
+        };
+        let Some(location) = text(fields[7]).and_then(|s| s.parse::<Location>().ok()) else {
+            return Err(err(RasParseErrorKind::BadLocation(lossy(fields[7]))));
+        };
+        Ok(RasRecord {
+            recid,
+            event_time,
+            location,
+            errcode,
+            severity,
+        })
+    }
+
+    fn assert_matches_reference(line: &[u8]) {
+        assert_eq!(
+            parse_line_bytes(line),
+            reference(line),
+            "line {:?}",
+            String::from_utf8_lossy(line)
+        );
+    }
+
+    /// The sample record's line with field `i` replaced by `value`.
+    fn with_field(i: usize, value: &str) -> Vec<u8> {
+        let good = format_record(&sample_record());
+        let mut fields: Vec<&str> = good.splitn(9, '|').collect();
+        fields[i] = value;
+        fields.join("|").into_bytes()
+    }
+
+    #[test]
+    fn fast_paths_match_the_reference_on_named_edge_cases() {
+        let (recid, errcode, severity, time, loc) = (0, 4, 5, 6, 7);
+        let cases: Vec<(&str, Vec<u8>, bool)> = vec![
+            ("canonical", with_field(recid, "42"), true),
+            ("leading +", with_field(recid, "+42"), true),
+            ("space-padded RECID", with_field(recid, " 42 "), true),
+            ("tab-padded RECID", with_field(recid, "\t42\t"), true),
+            (
+                "padded ERRCODE",
+                with_field(errcode, " _bgp_err_kernel_panic\t"),
+                true,
+            ),
+            ("padded SEVERITY", with_field(severity, "\tFATAL "), true),
+            (
+                "padded EVENT_TIME",
+                with_field(time, " 2009-03-01-12.30.00\t"),
+                true,
+            ),
+            (
+                "padded LOCATION",
+                with_field(loc, "\tR12-M1-N07-J03 "),
+                true,
+            ),
+            (
+                "NBSP-padded LOCATION",
+                with_field(loc, "\u{a0}R12-M1-N07-J03"),
+                true,
+            ),
+            ("non-ASCII in RECID", with_field(recid, "4é2"), false),
+            (
+                "non-ASCII in ERRCODE",
+                with_field(errcode, "_bgp_err_kernel_pänic"),
+                false,
+            ),
+            (
+                "non-ASCII in SEVERITY",
+                with_field(severity, "FATÅL"),
+                false,
+            ),
+            (
+                "non-ASCII suffix",
+                with_field(time, "2009-03-01-12.30.00.2é"),
+                true,
+            ),
+            (
+                "non-ASCII in LOCATION",
+                with_field(loc, "R12-M1-N07-J0é"),
+                false,
+            ),
+            (
+                "19-digit RECID",
+                with_field(recid, "9999999999999999999"),
+                true,
+            ),
+            (
+                "20-digit RECID, u64::MAX",
+                with_field(recid, "18446744073709551615"),
+                true,
+            ),
+            (
+                "20-digit RECID, overflow",
+                with_field(recid, "18446744073709551616"),
+                false,
+            ),
+            (
+                "20-digit RECID, leading zeros",
+                with_field(recid, "00000000000000000042"),
+                true,
+            ),
+            ("ss = 60", with_field(time, "2009-03-01-12.30.60"), true),
+            ("ss = 61", with_field(time, "2009-03-01-12.30.61"), false),
+            (
+                ".ffffff suffix",
+                with_field(time, "2009-03-01-12.30.00.285324"),
+                true,
+            ),
+            (
+                "signed month",
+                with_field(time, "2009-+3-01-12.30.00"),
+                true,
+            ),
+            ("dashed rack R-23", with_field(loc, "R-23-M1-N07-J03"), true),
+            ("one-digit N7", with_field(loc, "R23-M1-N7-J03"), true),
+            ("three-digit J031", with_field(loc, "R23-M1-N07-J031"), true),
+            ("WARN", with_field(severity, "WARN"), true),
+            (
+                "unknown code",
+                with_field(errcode, "_bgp_err_not_in_catalog"),
+                false,
+            ),
+            ("I/O node out of range", with_field(loc, "R23-M1-I8"), false),
+            (
+                "link card out of range",
+                with_field(loc, "R23-M1-L4"),
+                false,
+            ),
+        ];
+        for (name, line, ok) in cases {
+            assert_matches_reference(&line);
+            assert_eq!(parse_line_bytes(&line).is_ok(), ok, "{name}");
+        }
+        let mut bad_utf8 = with_field(loc, "R23-M1");
+        bad_utf8.splice(0..0, [0xff]);
+        assert_matches_reference(&bad_utf8);
+    }
+
+    /// Byte strings the proptests splice into lines: each class of byte the
+    /// fast paths treat specially (digits, separators, signs, ASCII and
+    /// Unicode whitespace, non-ASCII text, invalid UTF-8, location letters).
+    const SPLICE: &[&str] = &[
+        " ", "\t", "+", "-", ".", "|", "0", "1", "6", "9", "42", "R", "M", "N", "J", "I", "L", "S",
+        "B", "K", "é", "\u{a0}", "\u{3000}", "WARN", "FATAL", ".285324", "R-", "_",
+    ];
+
+    /// A small deterministic generator for the many mutants of one case.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+
+        fn splice(&mut self) -> &'static [u8] {
+            match self.below(SPLICE.len() + 1) {
+                i if i < SPLICE.len() => SPLICE[i].as_bytes(),
+                _ => b"\xff",
+            }
+        }
+    }
+
+    fn canonical_line(recid: u64, secs: i64, code: usize, loc: usize, frac: bool) -> Vec<u8> {
+        const LOCS: &[&str] = &[
+            "R00",
+            "R47-B",
+            "R31-K",
+            "R12-M1",
+            "R12-M0-S",
+            "R12-M1-I7",
+            "R12-M1-L3",
+            "R12-M1-N15",
+            "R12-M1-N07-J31",
+            "R40-M0-N00-J00",
+        ];
+        let r = RasRecord::new(
+            recid,
+            Timestamp::from_unix(secs),
+            LOCS[loc % LOCS.len()].parse().unwrap(),
+            ErrCode(code as u16),
+        );
+        let mut line = format_record(&r);
+        if frac {
+            let t = r.event_time.to_string();
+            line = line.replacen(&t, &format!("{t}.123456"), 1);
+        }
+        line.into_bytes()
+    }
+
+    proptest! {
+        #[test]
+        fn fast_paths_match_the_reference_on_mutated_lines(
+            recid in 0u64..u64::MAX,
+            secs in -1_000_000_000i64..4_000_000_000,
+            code in 0usize..Catalog::standard().len(),
+            loc in 0usize..10,
+            frac in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let base = canonical_line(recid, secs, code, loc, frac == 1);
+            assert_matches_reference(&base);
+            let fields: Vec<&[u8]> = base.splitn(9, |&b| b == b'|').collect();
+            let mut mix = Mix(seed);
+            for _ in 0..1000 {
+                let mut mutant: Vec<Vec<u8>> = fields.iter().map(|f| f.to_vec()).collect();
+                for _ in 0..=mix.below(3) {
+                    // Mostly the five parsed fields, where the fast paths are.
+                    let f = &mut mutant[[0, 4, 5, 6, 7, mix.below(9)][mix.below(6)]];
+                    let at = mix.below(f.len() + 1);
+                    match mix.below(4) {
+                        0 => {
+                            let s = mix.splice();
+                            f.splice(at..at, s.iter().copied());
+                        }
+                        1 if at < f.len() => {
+                            f.remove(at);
+                        }
+                        2 if at < f.len() => {
+                            let s = mix.splice();
+                            f.splice(at..at + 1, s.iter().copied());
+                        }
+                        _ if at < f.len() => f[at] = b'0' + mix.below(10) as u8,
+                        _ => {}
+                    }
+                }
+                assert_matches_reference(&mutant.join(&b'|'));
+            }
+        }
+
+        #[test]
+        fn fast_paths_match_the_reference_on_arbitrary_fields(
+            loc in 0usize..10,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Each field is the canonical one, a canonical one with a splice
+            // inside, or a run of splices, so every field (not just RECID)
+            // sees arbitrary input behind well-formed predecessors.
+            let base = canonical_line(42, 1_236_000_000, 14, loc, false);
+            let canonical: Vec<&[u8]> = base.splitn(9, |&b| b == b'|').collect();
+            let mut mix = Mix(seed);
+            for _ in 0..200 {
+                let mut line = Vec::new();
+                for (i, field) in canonical.iter().enumerate() {
+                    if i > 0 {
+                        line.push(b'|');
+                    }
+                    let start = line.len();
+                    match mix.below(3) {
+                        0 => line.extend_from_slice(field),
+                        1 => {
+                            line.extend_from_slice(field);
+                            let at = start + mix.below(field.len() + 1);
+                            let s = mix.splice();
+                            line.splice(at..at, s.iter().copied());
+                        }
+                        _ => {
+                            for _ in 0..mix.below(7) {
+                                line.extend_from_slice(mix.splice());
+                            }
+                        }
+                    }
+                }
+                assert_matches_reference(&line);
+            }
         }
     }
 }

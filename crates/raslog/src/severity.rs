@@ -50,6 +50,21 @@ impl Severity {
             Severity::Fatal => "FATAL",
         }
     }
+
+    /// The severity a log-file token names (`WARN` is accepted for
+    /// `WARNING`), matched on the exact bytes: no trimming, so a padded
+    /// token is `None`.
+    pub fn from_token(token: &[u8]) -> Option<Severity> {
+        Some(match token {
+            b"DEBUG" => Severity::Debug,
+            b"TRACE" => Severity::Trace,
+            b"INFO" => Severity::Info,
+            b"WARNING" | b"WARN" => Severity::Warning,
+            b"ERROR" => Severity::Error,
+            b"FATAL" => Severity::Fatal,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for Severity {
@@ -62,15 +77,7 @@ impl FromStr for Severity {
     type Err = UnknownSeverity;
 
     fn from_str(s: &str) -> Result<Severity, UnknownSeverity> {
-        Ok(match s {
-            "DEBUG" => Severity::Debug,
-            "TRACE" => Severity::Trace,
-            "INFO" => Severity::Info,
-            "WARNING" | "WARN" => Severity::Warning,
-            "ERROR" => Severity::Error,
-            "FATAL" => Severity::Fatal,
-            _ => return Err(UnknownSeverity(s.to_owned())),
-        })
+        Severity::from_token(s.as_bytes()).ok_or_else(|| UnknownSeverity(s.to_owned()))
     }
 }
 

@@ -24,12 +24,43 @@ fn chunk_counts() -> Vec<usize> {
     counts
 }
 
-/// Simulated site logs serialized to their native text formats, with
-/// deliberate damage: corrupted lines, blank lines, and a truncated final
-/// line, so the equivalence check covers the tolerant paths too.
-fn texts() -> &'static (String, String) {
-    static TEXTS: OnceLock<(String, String)> = OnceLock::new();
-    TEXTS.get_or_init(|| {
+/// Number of rewrite kinds [`ras_fallback`] knows.
+const RAS_FALLBACKS: usize = 5;
+
+/// Rewrite of a valid RAS line that the per-field fast paths of
+/// `parse_line_bytes` decline but its general parser accepts, meaning the
+/// same record: a padded RECID, a `+` sign, the dashed rack form,
+/// fractional seconds, or padded ERRCODE..LOCATION fields.
+fn ras_fallback(kind: usize, line: &str) -> String {
+    let mut f: Vec<String> = line.splitn(9, '|').map(str::to_owned).collect();
+    match kind {
+        0 => f[0] = format!("  {}\t", f[0]),
+        1 => f[0] = format!("+{}", f[0]),
+        2 => f[7] = f[7].replacen('R', "R-", 1),
+        3 => f[6].push_str(".285324"),
+        _ => {
+            for (i, pad) in [(4, " "), (5, "\t"), (6, " "), (7, "\t")] {
+                f[i] = format!("{pad}{}{pad}", f[i]);
+            }
+        }
+    }
+    f.join("|")
+}
+
+/// The simulated site: its RAS records, and both logs serialized to their
+/// native text formats with deliberate damage — corrupted lines, blank
+/// lines, a truncated final line and, in the RAS log, lines rewritten into
+/// the forms only the general field parsers accept — so the equivalence
+/// checks cover the tolerant paths and fast/general mixtures too.
+struct Fixture {
+    records: Vec<raslog::RasRecord>,
+    ras: String,
+    jobs: String,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
         let out = Simulation::new(SimConfig::small_test(23))
             .expect("valid config")
             .run();
@@ -37,7 +68,7 @@ fn texts() -> &'static (String, String) {
         raslog::write_log(&mut rbuf, out.ras.records()).unwrap();
         let mut jbuf = Vec::new();
         joblog::write_log(&mut jbuf, out.jobs.jobs()).unwrap();
-        let damage = |buf: Vec<u8>| {
+        let damage = |buf: Vec<u8>, rewrite: &dyn Fn(usize, &str) -> Option<String>| {
             let text = String::from_utf8(buf).unwrap();
             let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
             for (i, line) in lines.iter_mut().enumerate() {
@@ -45,7 +76,11 @@ fn texts() -> &'static (String, String) {
                     13 => *line = format!("CORRUPT{line}"),
                     41 => line.clear(),
                     67 => *line = format!("{line}\r"), // CRLF survivor
-                    _ => {}
+                    k => {
+                        if let Some(new) = rewrite(k, line) {
+                            *line = new;
+                        }
+                    }
                 }
             }
             let mut text = lines.join("\n");
@@ -53,8 +88,32 @@ fn texts() -> &'static (String, String) {
             text.truncate(text.len() - 20); // truncated final line
             text
         };
-        (damage(rbuf), damage(jbuf))
+        let ras = damage(rbuf, &|k, line| {
+            (k % 11 == 0).then(|| ras_fallback(k / 11 % RAS_FALLBACKS, line))
+        });
+        Fixture {
+            records: out.ras.records().to_vec(),
+            ras,
+            jobs: damage(jbuf, &|_, _| None),
+        }
     })
+}
+
+fn texts() -> (&'static String, &'static String) {
+    let f = fixture();
+    (&f.ras, &f.jobs)
+}
+
+#[test]
+fn ras_fallback_rewrites_parse_to_the_same_record() {
+    for r in fixture().records.iter().take(500) {
+        let line = raslog::format_record(r);
+        for kind in 0..RAS_FALLBACKS {
+            let rewritten = ras_fallback(kind, &line);
+            assert_ne!(rewritten, line);
+            assert_eq!(raslog::parse_line(&rewritten), Ok(*r), "{rewritten:?}");
+        }
+    }
 }
 
 #[test]
@@ -62,6 +121,18 @@ fn ras_parallel_ingest_matches_serial_reader_at_scale() {
     let (ras_text, _) = texts();
     let (serial_records, serial_errors) = RasReader::new(ras_text.as_bytes()).read_tolerant();
     assert!(!serial_records.is_empty());
+    // Every non-blank line is a record or an error, and the only errors are
+    // the corrupted lines (the truncation cuts into MESSAGE, which parses):
+    // no fallback rewrite was rejected.
+    let corrupted = ras_text
+        .lines()
+        .filter(|l| l.starts_with("CORRUPT"))
+        .count();
+    assert_eq!(serial_errors.len(), corrupted);
+    assert_eq!(
+        serial_records.len() + serial_errors.len(),
+        fixture().records.len() - ras_text.lines().filter(|l| l.is_empty()).count()
+    );
     assert!(!serial_errors.is_empty(), "damage produced no errors?");
     for threads in chunk_counts() {
         let (records, errors) = raslog::parse_log_bytes(ras_text.as_bytes(), threads);
@@ -140,14 +211,25 @@ fn snapshot_cycle_preserves_the_parsed_log_exactly() {
         ..LoadOptions::default()
     };
 
+    // An uncached load never hashes the text; a cached one hashes it to
+    // stamp and validate the snapshot. Both must hand back the same logs.
     let (base_ras, base_jobs) = load::load_pair(&ras_path, &job_path, &plain).unwrap();
     assert_eq!(base_ras.snapshot, SnapshotStatus::Disabled);
+    assert!(
+        !base_ras.parse_errors.is_empty(),
+        "damage produced no errors?"
+    );
 
     // First snapshot-enabled load parses and writes; second skips the parse.
-    let written = load::load_ras(&ras_path, &snap).unwrap();
+    let (written, written_jobs) = load::load_pair(&ras_path, &job_path, &snap).unwrap();
     assert_eq!(written.snapshot, SnapshotStatus::Written);
+    assert_eq!(written_jobs.snapshot, SnapshotStatus::Written);
+    assert_eq!(written.log.records(), base_ras.log.records());
+    assert_eq!(written.parse_errors, base_ras.parse_errors);
+    assert_eq!(written_jobs.log.jobs(), base_jobs.log.jobs());
     let (ras2, jobs2) = load::load_pair(&ras_path, &job_path, &snap).unwrap();
     assert_eq!(ras2.snapshot, SnapshotStatus::Loaded);
+    assert_eq!(jobs2.snapshot, SnapshotStatus::Loaded);
     assert_eq!(ras2.log.records(), base_ras.log.records());
     assert_eq!(jobs2.log.jobs(), base_jobs.log.jobs());
     // A snapshot load cannot reproduce parse errors — it stores records only.
