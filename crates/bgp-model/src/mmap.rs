@@ -15,8 +15,10 @@
 //!   so the view cannot outlive the mapping.
 //! * The caveat that cannot be engineered away: if another process
 //!   *truncates* the file while it is mapped, touching the vanished pages
-//!   raises `SIGBUS`. Log files here are append-only by convention; callers
-//!   that cannot guarantee that should pass `mmap: false` and take the
+//!   raises `SIGBUS`. Log files here are append-only by convention, and
+//!   `.bgpsnap` snapshots are only ever replaced by rename, never truncated.
+//!   For logs that may be truncated while being read, run `coctl --no-mmap`
+//!   (`LoadOptions { mmap: false, .. }` in the library) to take the
 //!   buffered-read path. See DESIGN.md §5h for the operational notes.
 
 #![allow(unsafe_code)] // sanctioned: the workspace's single mmap wrapper

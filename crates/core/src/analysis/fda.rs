@@ -36,9 +36,9 @@ use crate::event::Event;
 use crate::matching::Matching;
 use bgp_model::bytes::map_chunks_parallel;
 use bgp_model::intern::Interner;
-use joblog::JobRecord;
+use bgp_model::MidplaneId;
+use joblog::{ExecId, JobRecord, ProjectId, UserId};
 use raslog::ErrCode;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Number of lattice dimensions (errcode, midplane, user, project,
@@ -148,7 +148,7 @@ impl FdaParams {
 /// dimension, the sorted dictionaries behind the ids, display names per
 /// id, and a `job_id → row` index. Built once per [`AnalysisContext`]
 /// (lazily, on first use) beside the existing sorted shards.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobDims {
     /// Column per job dimension, `cols[d][row]` = interned id. Order:
     /// midplane, user, project, exec, size (lattice dims 1..6).
@@ -168,31 +168,16 @@ impl JobDims {
     pub fn from_jobs(jobs: &[JobRecord]) -> JobDims {
         let n = jobs.len();
         let mut raw: [Vec<u64>; NUM_JOB_DIMS] = std::array::from_fn(|_| Vec::with_capacity(n));
-        let mut labels: [BTreeMap<u64, String>; NUM_JOB_DIMS] =
-            std::array::from_fn(|_| BTreeMap::new());
         for j in jobs {
-            let mp = j.partition.midplanes().next();
-            let mp_key = mp.map_or(u64::MAX, |m| m.index() as u64);
-            raw[0].push(mp_key);
+            raw[0].push(
+                j.partition
+                    .first()
+                    .map_or(NO_MIDPLANE, |m| m.index() as u64),
+            );
             raw[1].push(u64::from(j.user.0));
             raw[2].push(u64::from(j.project.0));
             raw[3].push(u64::from(j.exec.0));
             raw[4].push(u64::from(j.size_midplanes()));
-            labels[0]
-                .entry(mp_key)
-                .or_insert_with(|| mp.map_or_else(|| "-".to_string(), |m| m.to_string()));
-            labels[1]
-                .entry(u64::from(j.user.0))
-                .or_insert_with(|| j.user.to_string());
-            labels[2]
-                .entry(u64::from(j.project.0))
-                .or_insert_with(|| j.project.to_string());
-            labels[3]
-                .entry(u64::from(j.exec.0))
-                .or_insert_with(|| j.exec.to_string());
-            labels[4]
-                .entry(u64::from(j.size_midplanes()))
-                .or_insert_with(|| j.size_midplanes().to_string());
         }
         let dicts: [Interner<u64>; NUM_JOB_DIMS] =
             std::array::from_fn(|d| Interner::from_values(raw[d].iter().copied()));
@@ -202,13 +187,9 @@ impl JobDims {
                 .map(|&k| dicts[d].id(k).unwrap_or(0))
                 .collect()
         });
-        let names: [Vec<String>; NUM_JOB_DIMS] = std::array::from_fn(|d| {
-            dicts[d]
-                .values()
-                .iter()
-                .map(|k| labels[d].get(k).cloned().unwrap_or_default())
-                .collect()
-        });
+        // One label per distinct value, formatted from the dictionary.
+        let names: [Vec<String>; NUM_JOB_DIMS] =
+            std::array::from_fn(|d| dicts[d].values().iter().map(|&k| job_label(d, k)).collect());
         let mut by_job_id: Vec<(u64, u32)> = jobs
             .iter()
             .enumerate()
@@ -253,6 +234,25 @@ impl JobDims {
             .get(d)
             .and_then(|names| names.get(id as usize))
             .map_or("", String::as_str)
+    }
+}
+
+/// The midplane key of a job with an empty partition (labelled `"-"`).
+const NO_MIDPLANE: u64 = u64::MAX;
+
+/// The display name of key `k` in job dimension `d`: the midplane, user,
+/// project or executable `Display` form, or the size as a number. Keys
+/// come from [`JobDims::from_jobs`], so the narrowing casts are lossless.
+fn job_label(d: usize, k: u64) -> String {
+    match d {
+        0 => u8::try_from(k)
+            .ok()
+            .and_then(|i| MidplaneId::from_index(i).ok())
+            .map_or_else(|| "-".to_owned(), |m| m.to_string()),
+        1 => UserId(k as u32).to_string(),
+        2 => ProjectId(k as u32).to_string(),
+        3 => ExecId(k as u32).to_string(),
+        _ => k.to_string(),
     }
 }
 
@@ -694,6 +694,132 @@ impl fmt::Display for FdaAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_model::{Partition, Timestamp};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The frozen label construction `from_jobs` replaced: one `BTreeMap`
+    /// of labels per dimension, filled per row. Kept as the oracle for
+    /// the dictionary-driven build.
+    fn reference_from_jobs(jobs: &[JobRecord]) -> JobDims {
+        let n = jobs.len();
+        let mut raw: [Vec<u64>; NUM_JOB_DIMS] = std::array::from_fn(|_| Vec::with_capacity(n));
+        let mut labels: [BTreeMap<u64, String>; NUM_JOB_DIMS] =
+            std::array::from_fn(|_| BTreeMap::new());
+        for j in jobs {
+            let mp = j.partition.midplanes().next();
+            let mp_key = mp.map_or(u64::MAX, |m| m.index() as u64);
+            raw[0].push(mp_key);
+            raw[1].push(u64::from(j.user.0));
+            raw[2].push(u64::from(j.project.0));
+            raw[3].push(u64::from(j.exec.0));
+            raw[4].push(u64::from(j.size_midplanes()));
+            labels[0]
+                .entry(mp_key)
+                .or_insert_with(|| mp.map_or_else(|| "-".to_string(), |m| m.to_string()));
+            labels[1]
+                .entry(u64::from(j.user.0))
+                .or_insert_with(|| j.user.to_string());
+            labels[2]
+                .entry(u64::from(j.project.0))
+                .or_insert_with(|| j.project.to_string());
+            labels[3]
+                .entry(u64::from(j.exec.0))
+                .or_insert_with(|| j.exec.to_string());
+            labels[4]
+                .entry(u64::from(j.size_midplanes()))
+                .or_insert_with(|| j.size_midplanes().to_string());
+        }
+        let dicts: [Interner<u64>; NUM_JOB_DIMS] =
+            std::array::from_fn(|d| Interner::from_values(raw[d].iter().copied()));
+        let cols: [Vec<u32>; NUM_JOB_DIMS] = std::array::from_fn(|d| {
+            raw[d]
+                .iter()
+                .map(|&k| dicts[d].id(k).unwrap_or(0))
+                .collect()
+        });
+        let names: [Vec<String>; NUM_JOB_DIMS] = std::array::from_fn(|d| {
+            dicts[d]
+                .values()
+                .iter()
+                .map(|k| labels[d].get(k).cloned().unwrap_or_default())
+                .collect()
+        });
+        let mut by_job_id: Vec<(u64, u32)> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| (j.job_id, i as u32))
+            .collect();
+        by_job_id.sort_unstable();
+        JobDims {
+            cols,
+            dicts,
+            names,
+            by_job_id,
+        }
+    }
+
+    fn assert_dims_match_reference(jobs: &[JobRecord]) {
+        let got = JobDims::from_jobs(jobs);
+        let want = reference_from_jobs(jobs);
+        for j in jobs {
+            assert_eq!(got.row_of(j.job_id), want.row_of(j.job_id));
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn job_dims_match_the_reference_on_a_simulated_log() {
+        let out = bgp_sim::Simulation::new(bgp_sim::SimConfig::small_test(7))
+            .unwrap()
+            .run();
+        assert!(!out.jobs.is_empty());
+        assert_dims_match_reference(out.jobs.jobs());
+    }
+
+    const FULL_MASK: u128 = (1u128 << bgp_model::topology::NUM_MIDPLANES) - 1;
+
+    prop_compose! {
+        // Small id universes so ids, sizes and anchors repeat. Mask shape
+        // 0 is the empty partition (the "-" label), 1 a few low midplanes,
+        // 2 the whole machine, 3 random bits; user 5 stands for u32::MAX.
+        fn arb_job()(
+            job_id in 0u64..40,
+            exec in 0u32..6,
+            user in 0u32..6,
+            project in 0u32..4,
+            shape in 0u8..4,
+            lo in 0u64..=u64::MAX,
+            hi in 0u64..=u64::MAX,
+        ) -> JobRecord {
+            let mask = match shape {
+                0 => 0,
+                1 => u128::from(lo % 8),
+                2 => FULL_MASK,
+                _ => (u128::from(hi) << 64 | u128::from(lo)) & FULL_MASK,
+            };
+            JobRecord {
+                job_id,
+                exec: ExecId(exec),
+                user: UserId(if user == 5 { u32::MAX } else { user }),
+                project: ProjectId(project),
+                queue_time: Timestamp::from_unix(0),
+                start_time: Timestamp::from_unix(1),
+                end_time: Timestamp::from_unix(2),
+                partition: Partition::from_mask(mask).unwrap(),
+                exit: joblog::ExitStatus::Completed,
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn job_dims_match_the_reference_on_arbitrary_jobs(
+            jobs in collection::vec(arb_job(), 0..60),
+        ) {
+            assert_dims_match_reference(&jobs);
+        }
+    }
 
     #[test]
     fn min_support_is_relative_with_floor() {

@@ -5,16 +5,20 @@
 //!
 //! 1. resolve the input path through [`bgp_ports::resolve_input`] (only the
 //!    BG/Q adapter is multi-file);
-//! 2. read the whole file once;
-//! 3. for the BG/P format, if a snapshot directory is configured, hash the
-//!    source text and try the matching `.bgpsnap` (validated by format
-//!    version and that content hash) — a hit skips parsing entirely; without
-//!    a snapshot directory nothing is hashed;
+//! 2. map the whole file read-only ([`LoadOptions::mmap`], on by default) or
+//!    read it into a buffer;
+//! 3. for the BG/P format, if a snapshot directory is configured, map the
+//!    matching `.bgpsnap` and validate it against the source: header and
+//!    format version first, then the source text's content hash — computed
+//!    on a second thread while the snapshot body decodes — then the body.
+//!    A hit skips parsing entirely; without a snapshot directory nothing is
+//!    hashed;
 //! 4. otherwise decode through the [`LogFormat`]'s source adapter — BG/P in
 //!    parallel on newline-aligned byte chunks, BG/Q and syslog line by line,
 //!    cassettes by replaying the recorded byte stream through their inner
 //!    format — and, if configured (BG/P only), write the snapshot for next
-//!    time.
+//!    time (to a temp file renamed over the old one, so concurrent readers
+//!    and live mappings never see a torn snapshot).
 //!
 //! [`LoadOptions::format`] selects the **RAS** source adapter. Job
 //! accounting is format-specific only for `bgq`, whose directory layout
@@ -29,17 +33,19 @@
 
 use bgp_model::bytes::content_hash_64;
 use bgp_model::mmap::MappedFile;
-use bgp_model::snapshot::SnapshotError;
+use bgp_model::snapshot::{SnapshotError, SnapshotHeader, SnapshotKind};
 use bgp_ports::SourceBatch;
 pub use bgp_ports::{LogFormat, SourceDiagnostic};
-use joblog::JobLog;
-use raslog::RasLog;
+use joblog::{JobLog, JobRecord};
+use raslog::{RasLog, RasRecord};
 use std::fmt;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How to load a log file.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LoadOptions {
     /// Worker threads for parallel parsing; `0` means one per available CPU.
     pub threads: usize,
@@ -52,11 +58,24 @@ pub struct LoadOptions {
     /// Memory-map the input instead of reading it into a buffer, so parsing
     /// runs zero-copy over the page cache (unix `mmap`, `PROT_READ`;
     /// silently falls back to a buffered read where mapping is
-    /// unavailable). Identical records either way. Do not combine with log
-    /// files that may be *truncated* concurrently — see
-    /// [`bgp_model::mmap::MappedFile`] for the `SIGBUS` caveat (append-only
-    /// growth is fine: the mapping is fixed at open length).
+    /// unavailable). On by default; identical records either way. Turn it
+    /// off (`coctl --no-mmap`) for log files that may be *truncated*
+    /// concurrently — see [`bgp_model::mmap::MappedFile`] for the `SIGBUS`
+    /// caveat (append-only growth is fine: the mapping is fixed at open
+    /// length). Snapshots are always mapped: the loader only ever replaces
+    /// them whole, never truncates them.
     pub mmap: bool,
+}
+
+impl Default for LoadOptions {
+    fn default() -> LoadOptions {
+        LoadOptions {
+            threads: 0,
+            snapshot_dir: None,
+            format: LogFormat::default(),
+            mmap: true,
+        }
+    }
 }
 
 impl LoadOptions {
@@ -166,13 +185,40 @@ fn read_file(path: &Path, mmap: bool) -> Result<MappedFile, LoadError> {
     })
 }
 
-/// The shared BG/P load skeleton; record-type specifics come in as closures.
+/// A snapshot body decoder (`None`: do not check the source hash).
+type DecodeSnapshot<R> = fn(&[u8], Option<u64>) -> Result<Vec<R>, SnapshotError>;
+
+/// The record-type specifics of one BG/P log: which snapshot it reads and
+/// writes, and how its text parses.
+struct BgpCodec<R> {
+    kind: SnapshotKind,
+    version: u32,
+    decode: DecodeSnapshot<R>,
+    parse: fn(&[u8], usize) -> SourceBatch<R>,
+    encode: fn(&[R], u64) -> Vec<u8>,
+}
+
+const RAS_CODEC: BgpCodec<RasRecord> = BgpCodec {
+    kind: SnapshotKind::Ras,
+    version: raslog::snapshot::FORMAT_VERSION,
+    decode: raslog::snapshot::decode_snapshot,
+    parse: bgp_ports::bgp::decode_ras,
+    encode: raslog::snapshot::encode_snapshot,
+};
+
+const JOB_CODEC: BgpCodec<JobRecord> = BgpCodec {
+    kind: SnapshotKind::Job,
+    version: joblog::snapshot::FORMAT_VERSION,
+    decode: joblog::snapshot::decode_snapshot,
+    parse: bgp_ports::bgp::decode_jobs,
+    encode: joblog::snapshot::encode_snapshot,
+};
+
+/// The shared BG/P load skeleton.
 fn load_bgp_generic<R>(
     path: &Path,
     opts: &LoadOptions,
-    decode: impl Fn(&[u8], u64) -> Result<Vec<R>, SnapshotError>,
-    parse: impl Fn(&[u8], usize) -> SourceBatch<R>,
-    encode: impl Fn(&[R], u64) -> Vec<u8>,
+    codec: &BgpCodec<R>,
 ) -> Result<(Vec<R>, Vec<SourceDiagnostic>, SnapshotStatus), LoadError> {
     let data = read_file(path, opts.mmap)?;
     let data = data.bytes();
@@ -180,21 +226,20 @@ fn load_bgp_generic<R>(
     // The content hash exists only to validate and stamp the snapshot, so
     // an uncached load never pays for it.
     let Some(dir) = opts.snapshot_dir.as_deref() else {
-        let batch = parse(data, threads);
+        let batch = (codec.parse)(data, threads);
         return Ok((batch.records, batch.diagnostics, SnapshotStatus::Disabled));
     };
-    let hash = content_hash_64(data);
     let snap_path = snapshot_file(dir, path);
-    let mut stale_reason = None;
-    if let Ok(snap_bytes) = fs::read(&snap_path) {
-        match decode(&snap_bytes, hash) {
-            Ok(records) => return Ok((records, Vec::new(), SnapshotStatus::Loaded)),
-            Err(e) => stale_reason = Some(e.to_string()),
-        }
-    }
-    let batch = parse(data, threads);
-    let write =
-        fs::create_dir_all(dir).and_then(|()| fs::write(&snap_path, encode(&batch.records, hash)));
+    let (hash, stale_reason) = match MappedFile::open(&snap_path) {
+        Err(_) => (content_hash_64(data), None),
+        Ok(snap) => match check_snapshot(codec, snap.bytes(), data) {
+            (_, Ok(records)) => return Ok((records, Vec::new(), SnapshotStatus::Loaded)),
+            (hash, Err(e)) => (hash, Some(e.to_string())),
+        },
+    };
+    let batch = (codec.parse)(data, threads);
+    let write = fs::create_dir_all(dir)
+        .and_then(|()| replace_file(&snap_path, &(codec.encode)(&batch.records, hash)));
     let status = match (write, stale_reason) {
         (Ok(()), None) => SnapshotStatus::Written,
         (Ok(()), Some(reason)) => SnapshotStatus::Rewritten { reason },
@@ -205,6 +250,57 @@ fn load_bgp_generic<R>(
     Ok((batch.records, batch.diagnostics, status))
 }
 
+/// Validate the snapshot bytes `snap` against the source text `source`,
+/// returning the source's content hash (a rewrite needs it) and the decoded
+/// records or the first failure.
+///
+/// The checks keep one fixed order — header (magic, kind, length), format
+/// version, source hash, body — whichever thread finishes first: the body
+/// decodes on this thread while the hash runs on a scoped second one, and a
+/// hash mismatch outranks any body error.
+fn check_snapshot<R>(
+    codec: &BgpCodec<R>,
+    snap: &[u8],
+    source: &[u8],
+) -> (u64, Result<Vec<R>, SnapshotError>) {
+    let header = SnapshotHeader::parse(snap, codec.kind)
+        .and_then(|h| h.validate(codec.version, None).map(|()| h));
+    let header = match header {
+        Ok(h) => h,
+        Err(e) => return (content_hash_64(source), Err(e)),
+    };
+    let (hash, body) = std::thread::scope(|scope| {
+        let hasher = scope.spawn(|| content_hash_64(source));
+        let body = (codec.decode)(snap, None);
+        match hasher.join() {
+            Ok(hash) => (hash, body),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    });
+    (hash, header.validate(codec.version, Some(hash)).and(body))
+}
+
+/// Replace `target` with `bytes` atomically: write a uniquely named temp
+/// file in the same directory, then `rename` it over the target. Readers —
+/// including live mappings of the old file — see the old snapshot or the
+/// new one, never a torn one. A failed write removes the temp file.
+fn replace_file(target: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = target
+        .file_name()
+        .map_or_else(|| "snapshot".into(), |n| n.to_string_lossy());
+    let tmp = target.with_file_name(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let result = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, target));
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
+}
+
 /// Load a RAS log through the format's source adapter ([`LoadOptions::format`]).
 ///
 /// The BG/P path keeps the parallel parse and the snapshot cache it always
@@ -213,13 +309,7 @@ fn load_bgp_generic<R>(
 /// cache; their snapshot status is always [`SnapshotStatus::Disabled`].
 pub fn load_ras(path: &Path, opts: &LoadOptions) -> Result<LoadedRas, LoadError> {
     if opts.format == LogFormat::Bgp {
-        let (records, parse_errors, snapshot) = load_bgp_generic(
-            path,
-            opts,
-            |b, h| raslog::snapshot::decode_snapshot(b, Some(h)),
-            bgp_ports::bgp::decode_ras,
-            raslog::snapshot::encode_snapshot,
-        )?;
+        let (records, parse_errors, snapshot) = load_bgp_generic(path, opts, &RAS_CODEC)?;
         return Ok(LoadedRas {
             log: RasLog::from_records(records),
             parse_errors,
@@ -260,13 +350,7 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
             snapshot: SnapshotStatus::Disabled,
         });
     }
-    let (jobs, parse_errors, snapshot) = load_bgp_generic(
-        path,
-        opts,
-        |b, h| joblog::snapshot::decode_snapshot(b, Some(h)),
-        bgp_ports::bgp::decode_jobs,
-        joblog::snapshot::encode_snapshot,
-    )?;
+    let (jobs, parse_errors, snapshot) = load_bgp_generic(path, opts, &JOB_CODEC)?;
     Ok(LoadedJobs {
         log: JobLog::from_jobs(jobs),
         parse_errors,
@@ -404,13 +488,99 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every way a snapshot can be unusable, with the exact reason the
+    /// reload reports. The checks run in a fixed order — header (magic,
+    /// kind, length), version, source hash, body — so a snapshot that is
+    /// both stale and truncated reports the hash, not the truncation.
     #[test]
-    fn mmap_load_is_identical_to_buffered_read() {
+    fn snapshot_rejection_reasons_are_pinned() {
+        fn patched(good: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
+            let mut bytes = good.to_vec();
+            bytes[at..at + with.len()].copy_from_slice(with);
+            bytes
+        }
+        const STALE: [u8; 8] = 0x0123_4567_89ab_cdef_u64.to_le_bytes();
+        const STALE_REASON: &str =
+            "source hash 0x0123456789abcdef does not match current source 0x9d099c2b1bd192e5";
+        for threads in [1, 0] {
+            let dir = tmpdir(&format!("reasons-{threads}"));
+            let (ras_path, jobs_path) = write_fixture(&dir);
+            let opts = LoadOptions {
+                threads,
+                snapshot_dir: Some(dir.join("snaps")),
+                ..LoadOptions::default()
+            };
+            let fresh = load_ras(&ras_path, &opts).unwrap();
+            assert_eq!(fresh.snapshot, SnapshotStatus::Written);
+            load_jobs(&jobs_path, &opts).unwrap();
+            let snap = dir.join("snaps").join("ras.log.bgpsnap");
+            let good = fs::read(&snap).unwrap();
+            let job_snap = fs::read(dir.join("snaps").join("jobs.log.bgpsnap")).unwrap();
+            let stale = patched(&good, 24, &STALE);
+            let cases: [(&str, Vec<u8>, &str); 8] = [
+                (
+                    "bad magic",
+                    patched(&good, 0, b"X"),
+                    "not a .bgpsnap file (bad magic)",
+                ),
+                (
+                    "wrong kind",
+                    job_snap,
+                    "wrong log kind tag 2 (expected RAS)",
+                ),
+                (
+                    "short header",
+                    good[..10].to_vec(),
+                    "truncated: need 32 bytes, have 10",
+                ),
+                (
+                    "old version",
+                    patched(&good, 12, &0u32.to_le_bytes()),
+                    "format version 0 (this build reads 1)",
+                ),
+                ("stale hash", stale.clone(), STALE_REASON),
+                (
+                    "stale hash, truncated body",
+                    stale[..stale.len() - 1].to_vec(),
+                    STALE_REASON,
+                ),
+                (
+                    "truncated body, good hash",
+                    good[..good.len() - 1].to_vec(),
+                    "truncated: need 23 bytes, have 22",
+                ),
+                (
+                    "corrupt body",
+                    patched(&good, 52, &u16::MAX.to_le_bytes()),
+                    "record 0 corrupt: errcode 65535 outside catalogue",
+                ),
+            ];
+            for (case, bytes, reason) in cases {
+                fs::write(&snap, bytes).unwrap();
+                let got = load_ras(&ras_path, &opts).unwrap();
+                assert_eq!(
+                    got.snapshot,
+                    SnapshotStatus::Rewritten {
+                        reason: reason.to_owned()
+                    },
+                    "{case} at threads {threads}"
+                );
+                assert_eq!(got.log.records(), fresh.log.records(), "{case}");
+                assert_eq!(got.parse_errors, fresh.parse_errors, "{case}");
+                assert_eq!(fs::read(&snap).unwrap(), good, "{case}: rewritten");
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn default_mapped_load_is_identical_to_buffered_read() {
         let dir = tmpdir("mmap");
         let (ras_path, jobs_path) = write_fixture(&dir);
-        let buffered = LoadOptions::default();
-        let mapped = LoadOptions {
-            mmap: true,
+        let mapped = LoadOptions::default();
+        assert!(mapped.mmap, "mapping is the default");
+        let buffered = LoadOptions {
+            mmap: false,
             ..LoadOptions::default()
         };
         let (ras_a, jobs_a) = load_pair(&ras_path, &jobs_path, &buffered).unwrap();
@@ -418,8 +588,104 @@ mod tests {
         assert_eq!(ras_a.log.records(), ras_b.log.records());
         assert_eq!(ras_a.parse_errors, ras_b.parse_errors);
         assert_eq!(jobs_a.log.jobs(), jobs_b.log.jobs());
+        // Through the snapshot cache too: a buffered load writes, a mapped
+        // load hits; then the other way round in a fresh directory.
+        for (tag, first, second) in [
+            ("b-then-m", &buffered, &mapped),
+            ("m-then-b", &mapped, &buffered),
+        ] {
+            let snaps = Some(dir.join(tag));
+            let first = LoadOptions {
+                snapshot_dir: snaps.clone(),
+                ..first.clone()
+            };
+            let second = LoadOptions {
+                snapshot_dir: snaps,
+                ..second.clone()
+            };
+            let (ras_w, jobs_w) = load_pair(&ras_path, &jobs_path, &first).unwrap();
+            assert_eq!(ras_w.snapshot, SnapshotStatus::Written, "{tag}");
+            assert_eq!(jobs_w.snapshot, SnapshotStatus::Written, "{tag}");
+            assert_eq!(ras_w.parse_errors, ras_a.parse_errors, "{tag}");
+            let (ras_l, jobs_l) = load_pair(&ras_path, &jobs_path, &second).unwrap();
+            assert_eq!(ras_l.snapshot, SnapshotStatus::Loaded, "{tag}");
+            assert_eq!(jobs_l.snapshot, SnapshotStatus::Loaded, "{tag}");
+            for ras in [&ras_w, &ras_l] {
+                assert_eq!(ras.log.records(), ras_a.log.records(), "{tag}");
+            }
+            for jobs in [&jobs_w, &jobs_l] {
+                assert_eq!(jobs.log.jobs(), jobs_a.log.jobs(), "{tag}");
+            }
+        }
         // Missing files error the same way through the mapped path.
         assert!(load_ras(&dir.join("nope.log"), &mapped).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_rewrite_replaces_the_file_atomically() {
+        let dir = tmpdir("atomic");
+        let (ras_path, _) = write_fixture(&dir);
+        let snaps = dir.join("snaps");
+        let opts = LoadOptions {
+            snapshot_dir: Some(snaps.clone()),
+            ..LoadOptions::default()
+        };
+        assert_eq!(
+            load_ras(&ras_path, &opts).unwrap().snapshot,
+            SnapshotStatus::Written
+        );
+        let snap = snaps.join("ras.log.bgpsnap");
+        let old = fs::read(&snap).unwrap();
+        let mapped = MappedFile::open(&snap).unwrap();
+        // Change the source so the next load rewrites the snapshot while
+        // the old one is still mapped.
+        let mut text = fs::read_to_string(&ras_path).unwrap();
+        text.push_str(&raslog::format_record(&ras_record()));
+        text.push('\n');
+        fs::write(&ras_path, text).unwrap();
+        let reloaded = load_ras(&ras_path, &opts).unwrap();
+        assert!(
+            matches!(&reloaded.snapshot, SnapshotStatus::Rewritten { reason } if reason.contains("hash")),
+            "got {:?}",
+            reloaded.snapshot
+        );
+        assert_ne!(fs::read(&snap).unwrap(), old, "snapshot was rewritten");
+        // The live mapping still reads the file it mapped, untorn.
+        assert_eq!(mapped.bytes(), old.as_slice());
+        drop(mapped);
+        let left: Vec<String> = fs::read_dir(&snaps)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(left, ["ras.log.bgpsnap"], "no temp files left behind");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_snapshot_write_reports_and_cleans_up() {
+        let dir = tmpdir("writefail");
+        let (ras_path, _) = write_fixture(&dir);
+        let snaps = dir.join("snaps");
+        // A directory squatting on the snapshot's name: the temp file writes
+        // but cannot be renamed over it.
+        fs::create_dir_all(snaps.join("ras.log.bgpsnap").join("occupied")).unwrap();
+        let opts = LoadOptions {
+            snapshot_dir: Some(snaps.clone()),
+            ..LoadOptions::default()
+        };
+        let loaded = load_ras(&ras_path, &opts).unwrap();
+        assert_eq!(loaded.log.len(), 1);
+        assert!(
+            matches!(loaded.snapshot, SnapshotStatus::WriteFailed { .. }),
+            "got {:?}",
+            loaded.snapshot
+        );
+        assert_eq!(
+            fs::read_dir(&snaps).unwrap().count(),
+            1,
+            "temp file removed"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

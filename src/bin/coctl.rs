@@ -15,8 +15,10 @@
 //!
 //! Log-reading subcommands also accept `--format {bgp,bgq,syslog,cassette}`
 //! to select the source adapter (default `bgp`); only the BG/P format is
-//! snapshot-cached. `--mmap` memory-maps inputs instead of buffering them
-//! (zero-copy over the page cache; silently falls back where unsupported).
+//! snapshot-cached. Inputs are memory-mapped by default (zero-copy over the
+//! page cache; silently falls back where unsupported); `--no-mmap` reads
+//! them into buffers instead, for logs that may be truncated while being
+//! read. `--mmap` is accepted and names the default.
 //!
 //! `analyze --append FILE` folds extra log files into an already-analyzed
 //! base through the incremental stage graph: only stages whose inputs
@@ -101,19 +103,21 @@ fn usage(err: &str) -> ExitCode {
          \n\
          usage:\n\
          \x20 coctl simulate [--days N] [--seed S] [--out DIR]\n\
-         \x20 coctl summary RAS.log [--snapshot DIR] [--format F]\n\
+         \x20 coctl summary RAS.log [--snapshot DIR] [--format F] [--no-mmap]\n\
          \x20 coctl analyze RAS.log JOBS.log [--snapshot DIR] [--format F] [--timings]\n\
-         \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--threads N] [--impact-out FILE] [--fda]\n\
+         \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--no-mmap] [--threads N] [--impact-out FILE] [--fda]\n\
          \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--append RAS2.log]... [--append-jobs JOBS2.log]...\n\
-         \x20 coctl filter RAS.log JOBS.log -o CLEAN.log [--snapshot DIR] [--format F]\n\
-         \x20 coctl outages RAS.log JOBS.log [--snapshot DIR] [--format F]\n\
+         \x20 coctl filter RAS.log JOBS.log -o CLEAN.log [--snapshot DIR] [--format F] [--no-mmap]\n\
+         \x20 coctl outages RAS.log JOBS.log [--snapshot DIR] [--format F] [--no-mmap]\n\
          \x20 coctl serve [--ingest ADDR] [--http ADDR] [--shards N] [--impact FILE] ...\n\
          \n\
          --format F selects the log source adapter: bgp (default), bgq,\n\
          syslog, or cassette (.bgpcas recording, replayed deterministically).\n\
          --snapshot DIR caches parsed logs as .bgpsnap files in DIR and\n\
          reuses them on re-runs (stale snapshots are re-parsed and rewritten).\n\
-         --mmap memory-maps input files instead of buffering them.\n\
+         Input files are memory-mapped (--mmap, the default); --no-mmap\n\
+         reads them into buffers instead — use it for logs that may be\n\
+         truncated while coctl reads them.\n\
          analyze --append folds each extra file into the base analysis\n\
          incrementally; the report matches a one-shot run over the\n\
          concatenation bit for bit. With --timings, per-stage wall clock\n\
@@ -130,15 +134,15 @@ fn usage(err: &str) -> ExitCode {
     }
 }
 
-/// Split the `--snapshot DIR`, `--format NAME`, and `--mmap` flags out of
-/// `args`, leaving the rest in order.
+/// Split the `--snapshot DIR`, `--format NAME`, and `--mmap`/`--no-mmap`
+/// flags out of `args`, leaving the rest in order.
 fn snapshot_opts(args: &[String]) -> Result<(Vec<String>, LoadOptions), CliError> {
     let mut rest = Vec::new();
     let mut opts = LoadOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--mmap" {
-            opts.mmap = true;
+        if a == "--mmap" || a == "--no-mmap" {
+            opts.mmap = a == "--mmap";
         } else if a == "--snapshot" {
             let dir = it
                 .next()

@@ -154,8 +154,9 @@ fn analyze_timings_and_impact_out() {
 fn analyze_append_is_byte_identical_to_one_shot() {
     // Split the shared site at a line boundary into "day 1" and "day 2",
     // then check `analyze BASE --append DAY2` prints byte-for-byte what a
-    // one-shot run over the whole logs prints. `--mmap` rides along so the
-    // zero-copy load path gets end-to-end coverage too.
+    // one-shot run over the whole logs prints. The one-shot run reads its
+    // inputs buffered (`--no-mmap`) and the folded run maps them (`--mmap`,
+    // the default spelled out), so the two load paths also meet here.
     let dir = site_logs();
     let split_dir = workdir("append-split");
     let split = |name: &str, frac_num: usize, frac_den: usize| -> (PathBuf, PathBuf) {
@@ -175,6 +176,7 @@ fn analyze_append_is_byte_identical_to_one_shot() {
         .arg("analyze")
         .arg(dir.join("ras.log"))
         .arg(dir.join("jobs.log"))
+        .arg("--no-mmap")
         .output()
         .unwrap();
     assert!(full.status.success());
