@@ -1,13 +1,12 @@
-//! Pre-optimization reference kernels, kept verbatim for benchmarking.
+//! Pre-optimization reference kernels, kept verbatim as test oracles.
 //!
 //! These are the analysis kernels as they stood before the sweep-line
 //! matcher and the parallel classification/ranking rewrites: the per-event
 //! machine-wide termination rescan, the hash-map-of-vectors rule grouping,
-//! and the per-job hash-lookup vulnerability passes. `--bench-json` runs
-//! them head-to-head against the optimized kernels on the same inputs so
-//! the committed `BENCH_PIPELINE.json` records a real speedup, not a
-//! guess — and the equivalence tests in `tests/parallel_kernels.rs` hold
-//! the optimized kernels to bit-identical output.
+//! the per-job hash-lookup vulnerability passes, and the row-major FDA
+//! miner. This file exists for `tests/baseline_equivalence.rs`, which runs
+//! the pipeline on simulated logs and requires each optimized kernel to
+//! reproduce its reference here bit for bit, at every thread count.
 
 use bgp_model::intern::Interner;
 use bgp_model::MidplaneId;

@@ -2,20 +2,19 @@
 //!
 //! ```text
 //! experiments [--seed N] [--small] [--json DIR] <subcommand>
-//! experiments --bench-json [--quick] [--threads N] [--out FILE]
 //!
 //! subcommands: table1 schema table4 table5 table6
-//!              fig3 fig4 fig5 fig6 fig7
-//!              observations scorecard all
+//!              fig3 fig4 fig5 fig6 fig7 fig7avg
+//!              observations codes scorecard prediction checkpoint
+//!              ablation sweep all
 //! ```
 //!
-//! `--bench-json` runs the pipeline benchmark (paper scale + 10×, or the
-//! 12-day preset with `--quick`) and writes `BENCH_PIPELINE.json`.
+//! This binary reproduces results only; `perfbench/` is the benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bgp_bench::{bench_pipeline, Experiments, Scale};
+use bgp_bench::{Experiments, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -24,10 +23,6 @@ fn main() -> ExitCode {
     let mut scale = Scale::Full;
     let mut json_dir: Option<PathBuf> = None;
     let mut command: Option<String> = None;
-    let mut bench_json = false;
-    let mut quick = false;
-    let mut threads = 4usize;
-    let mut out_path = PathBuf::from("BENCH_PIPELINE.json");
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -41,39 +36,11 @@ fn main() -> ExitCode {
                 Some(v) => json_dir = Some(PathBuf::from(v)),
                 None => return usage("--json needs a directory"),
             },
-            "--bench-json" => bench_json = true,
-            "--quick" => quick = true,
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => threads = v,
-                _ => return usage("--threads needs a count >= 1"),
-            },
-            "--out" => match args.next() {
-                Some(v) => out_path = PathBuf::from(v),
-                None => return usage("--out needs a file path"),
-            },
             "--help" | "-h" => return usage(""),
             other if command.is_none() && !other.starts_with('-') => {
                 command = Some(other.to_owned());
             }
             other => return usage(&format!("unrecognized argument {other:?}")),
-        }
-    }
-    if bench_json {
-        eprintln!(
-            "benchmarking pipeline ({} mode, {threads} threads, seed {seed})...",
-            if quick { "quick" } else { "paper + 10x + 100x" }
-        );
-        let t0 = std::time::Instant::now();
-        let report = bench_pipeline::run(quick, threads, seed);
-        match std::fs::write(&out_path, report.pretty()) {
-            Ok(()) => {
-                eprintln!("wrote {} in {:.1?}", out_path.display(), t0.elapsed());
-                return ExitCode::SUCCESS;
-            }
-            Err(err) => {
-                eprintln!("failed to write {}: {err}", out_path.display());
-                return ExitCode::FAILURE;
-            }
         }
     }
     let Some(command) = command else {
@@ -148,7 +115,6 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: experiments [--seed N] [--small] [--json DIR] <subcommand>\n\
-         \x20      experiments --bench-json [--quick] [--threads N] [--out FILE]\n\
          subcommands: table1 schema table4 table5 table6 fig3 fig4 fig5 fig6 fig7\n\
          \x20             fig7avg observations codes scorecard prediction checkpoint\n\
          \x20             ablation sweep all"

@@ -34,8 +34,10 @@ impl Experiments {
             Scale::Full => SimConfig::intrepid_2009(seed),
             Scale::Small => SimConfig::small_test(seed),
         };
-        // xtask-allow(no-panic): configs here are the crate's own presets; failing validation is a programmer error with no recovery in a report generator
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "configs here are the crate's own presets; failing validation is a programmer error with no recovery in a report generator"
+        )]
         let out = Simulation::new(cfg).expect("preset config is valid").run();
         let result = CoAnalysis::default().run(&out.ras, &out.jobs);
         Experiments { out, result }
@@ -420,8 +422,10 @@ impl Experiments {
                 Scale::Small => SimConfig::small_test(seed),
             };
             cfg.same_partition_prob = prob;
-            // xtask-allow(no-panic): preset config with one probability tweaked; still valid by construction
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "preset config with one probability tweaked; still valid by construction"
+            )]
             let out = Simulation::new(cfg).expect("preset config is valid").run();
             let interrupted_execs: std::collections::HashSet<_> = out
                 .truth
@@ -865,8 +869,10 @@ impl Experiments {
     pub fn ablation(&self) -> String {
         let mut cfg = self.out.config.clone();
         cfg.fault_aware_scheduler = true;
-        // xtask-allow(no-panic): rerun of a config that already validated, with one flag flipped
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "rerun of a config that already validated, with one flag flipped"
+        )]
         let aware = Simulation::new(cfg).expect("validated config").run();
         let blind = &self.out;
         let mut rows = vec![

@@ -2,7 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation from a
 //! simulated Intrepid (see `DESIGN.md` §3 for the experiment index), and
-//! hosts the Criterion performance benches.
+//! keeps the frozen pre-optimization kernels ([`baseline`]) that
+//! `tests/baseline_equivalence.rs` holds the optimized kernels to. Timing
+//! lives in `perfbench/`, not here.
 //!
 //! The heavy lifting lives in [`Experiments`]: it runs the simulator once,
 //! runs the co-analysis pipeline once, and each `table_*` / `fig_*` method
@@ -13,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod bench_pipeline;
 pub mod experiments;
 pub mod json;
 pub mod render;

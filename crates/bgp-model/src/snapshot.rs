@@ -167,7 +167,7 @@ impl SnapshotHeader {
     }
 
     /// Parse the header at the front of `bytes`, validating the magic and the
-    /// kind tag (but not version or hash — see [`SnapshotHeader::expect`]).
+    /// kind tag (but not version or hash — see [`SnapshotHeader::validate`]).
     pub fn parse(
         bytes: &[u8],
         expected_kind: SnapshotKind,

@@ -483,8 +483,10 @@ impl Simulation {
             }
             KillCause::AppError { code } => {
                 self.finalize_job(&job, self.now, ExitStatus::Failed(EXIT_APP_CRASH));
-                // xtask-allow(no-panic): a running job's partition is non-empty by scheduler construction; no fallback location would be truthful
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a running job's partition is non-empty by scheduler construction; no fallback location would be truthful"
+                )]
                 let epicenter = job.partition.first().expect("non-empty partition");
                 let id = self.new_fault(TrueFault {
                     id: ROOT_SELF,
@@ -519,8 +521,10 @@ impl Simulation {
                             if let Some(f) = self.truth.faults.iter_mut().find(|f| f.id == id) {
                                 f.interrupted_jobs.push(v.job_id);
                             }
-                            // xtask-allow(no-panic): same invariant — running jobs occupy a non-empty partition
-                            #[allow(clippy::expect_used)]
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "running jobs occupy a non-empty partition"
+                            )]
                             let vm = v.partition.first().expect("non-empty");
                             self.storm(code, vm, Some(v.partition));
                             self.maybe_resubmit(v.exec_idx);

@@ -9,10 +9,10 @@
 //! multiplicative gap in the code's sorted interarrival sample (a 1-D
 //! two-cluster split in log space), clamped to a configurable range.
 //!
-//! The ablation in `benches/filtering.rs` and the unit tests compare it to
-//! the fixed-threshold filter: on storm-structured data it achieves the
-//! same compression with far less risk of merging two *distinct* events of
-//! a slow code, because slow codes get tight thresholds automatically.
+//! The unit tests compare it to the fixed-threshold filter: on
+//! storm-structured data it achieves the same compression with far less
+//! risk of merging two *distinct* events of a slow code, because slow codes
+//! get tight thresholds automatically.
 
 use crate::event::Event;
 use crate::filter::TemporalFilter;

@@ -3,11 +3,11 @@
 //! Every pass of the paper's Figure-1 dataflow is a [`Stage`] with an
 //! explicit identity ([`StageId`]) and declared inputs: the products it
 //! reads ([`StageId::deps`]) and the context indexes it reads
-//! ([`StageId::ctx_reads`]). The executor ([`execute`]) walks the graph in
+//! ([`StageId::ctx_reads`]). The executor (`execute`) walks the graph in
 //! dependency waves and runs independent stages of a wave concurrently —
 //! the per-code sharding of the temporal/spatial filters and the fan-out
 //! of the characterization passes go through the same fork-join point
-//! ([`fork_join`]). Callers choose which passes to run with an
+//! (`fork_join`). Callers choose which passes to run with an
 //! [`AnalysisSet`]; dependencies are closed over automatically, so asking
 //! for `Midplane` alone pulls in filtering, matching, and job-related
 //! filtering but skips the other characterization passes.
@@ -995,7 +995,7 @@ fn observed(
 }
 
 /// Cached products of the previous pass over one evolving input, keyed by
-/// stage — the state that makes an [`execute`] pass incremental.
+/// stage — the state that makes an `execute` pass incremental.
 ///
 /// Valid for one `(log stream, CoAnalysisConfig)` pair: the cache stores no
 /// fingerprint of either, so callers (the `DeltaSession` driver) must keep
@@ -1031,7 +1031,7 @@ impl StageCache {
     }
 }
 
-/// What an [`execute`] pass actually did, as stage sets.
+/// What an `execute` pass actually did, as stage sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaReport {
     /// Stages that re-executed (their inputs were dirty).

@@ -5,7 +5,7 @@
 //! provides an incremental analyzer that:
 //!
 //! * deduplicates the FATAL stream online with the *same*
-//!   [`DedupWindow`](crate::filter::DedupWindow) rolling-window core the
+//!   [`DedupWindow`] rolling-window core the
 //!   batch `TemporalSpatial` stage instantiates (fed the same records in
 //!   the same order, it surfaces exactly the events the batch
 //!   temporal+spatial stack keeps — the equivalence is structural, and the

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `recid` | 8 | `u64` |
 //! | `event_time` | 8 | unix seconds, `i64` |
-//! | `location` | 4 | `[tag, a, b, c]` (see [`encode_location`]) |
+//! | `location` | 4 | `[tag, a, b, c]` (see `encode_location`) |
 //! | `errcode` | 2 | catalogue index, `u16` |
 //! | `severity` | 1 | [`Severity`] discriminant |
 //!

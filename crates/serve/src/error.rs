@@ -1,5 +1,6 @@
-//! Typed errors for the daemon. The serve crate passes the workspace
-//! no-panic lint: every failure path surfaces as a [`ServeError`].
+//! Typed errors for the daemon. The serve crate passes clippy's
+//! `unwrap_used`, `expect_used` and `panic` lints: every failure path
+//! surfaces as a [`ServeError`].
 
 use std::fmt;
 use std::io;

@@ -138,10 +138,11 @@ impl FullAnalysis {
 
     /// Queue one ingested record for the next fold.
     ///
-    /// Bounded-queue semantics match [`ShardPool::push`]
-    /// [`crate::shard::ShardPool::push`]: a full queue counts one
-    /// backpressure stall and then blocks. After [`FullAnalysis::close`]
-    /// the record is silently ignored — the daemon is draining.
+    /// Bounded-queue semantics match
+    /// [`ShardPool::push`](crate::shard::ShardPool::push): a full queue
+    /// counts one backpressure stall and then blocks. After
+    /// [`FullAnalysis::close`] the record is silently ignored — the daemon
+    /// is draining.
     pub fn offer(&self, rec: RasRecord, metrics: &ServeMetrics) {
         let sender = {
             let guard = self.sender.lock().unwrap_or_else(PoisonError::into_inner);

@@ -22,8 +22,8 @@
 //! * [`full`] — `--full-analysis`: the complete co-analysis report served
 //!   at `/analysis`, folded incrementally per ingest batch through a
 //!   [`DeltaSession`](coanalysis::DeltaSession);
-//! * [`recorder`] — `--record`: capturing live ingest chunks as a cassette;
-//! * [`replay`] — `--replay`: deterministic cassette playback through the
+//! * `recorder` — `--record`: capturing live ingest chunks as a cassette;
+//! * `replay` — `--replay`: deterministic cassette playback through the
 //!   ingest path, ending in a graceful one-shot drain;
 //! * [`server`] — assembly, two-phase graceful shutdown, final summary;
 //! * [`timing`] — [`StageTimer`], wiring the same metrics registry into the

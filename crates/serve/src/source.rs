@@ -2,7 +2,7 @@
 //!
 //! Both sources speak the same [`protocol`](crate::protocol): bytes in,
 //! framed lines out, each line classified and — if it parses — routed into
-//! the [`ShardPool`](crate::shard::ShardPool). Accept loops and connection
+//! the [`ShardPool`]. Accept loops and connection
 //! handlers are non-blocking pollers so a requested shutdown is observed
 //! within one poll interval; already-read bytes are always framed and
 //! pushed before a handler exits, which keeps shutdown lossless for data

@@ -5,7 +5,7 @@
 //! implements [`StageObserver`], reads `Instant` around each stage run, and
 //! publishes per-stage wall time into a [`Registry`] — the same registry
 //! kind the daemon serves at `/metrics`. `coctl analyze --timings` uses it
-//! through [`coanalysis::Pipeline::run_on_observed`].
+//! through [`coanalysis::CoAnalysis::run_on_observed`].
 
 use crate::metrics::{Registry, LATENCY_BUCKETS_NANOS};
 use coanalysis::{StageId, StageObserver};

@@ -11,7 +11,6 @@
 //! | id | enforces |
 //! |----|----------|
 //! | `determinism` | no ambient clocks/entropy in `core`/`stats` |
-//! | `no-panic` | no `unwrap`/`expect`/`panic!` in non-test library code |
 //! | `severity-wildcard` | `match` over `Severity` lists variants explicitly |
 //! | `errcode-catalog` | classify's ERRCODE strings exist in the catalog |
 //! | `crate-attrs` | crate roots forbid `unsafe_code`, warn `missing_docs` |
@@ -75,10 +74,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "determinism",
         summary: "deny ambient clocks and entropy (SystemTime::now, Instant::now, thread RNGs) in crates/core and crates/stats",
-    },
-    RuleInfo {
-        id: "no-panic",
-        summary: "deny unwrap()/expect()/panic! in non-test library code",
     },
     RuleInfo {
         id: "severity-wildcard",
@@ -196,39 +191,6 @@ pub fn port_boundary(file: &SourceFile) -> Vec<Finding> {
                     ),
                 });
                 break; // one finding per line, not one per overlapping pattern
-            }
-        }
-    }
-    out
-}
-
-/// Panic paths denied in library code.
-const PANIC_PATTERNS: &[(&str, &str)] = &[
-    (".unwrap()", "unwrap()"),
-    (".expect(", "expect()"),
-    ("panic!(", "panic!"),
-];
-
-/// `no-panic`: library code must return typed errors, not abort the process.
-/// Test code is exempt (the runner only feeds non-test lines would be wrong —
-/// the exemption is per line, handled here via `in_test`).
-pub fn no_panic(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (lineno, line) in file.numbered() {
-        if line.in_test {
-            continue;
-        }
-        for (pattern, what) in PANIC_PATTERNS {
-            if line.code.contains(pattern) {
-                out.push(Finding {
-                    rule: "no-panic",
-                    path: file.path.clone(),
-                    line: lineno,
-                    message: format!(
-                        "{what} in library code; return a typed error \
-                         (or justify with `xtask-allow(no-panic): <why>`)"
-                    ),
-                });
             }
         }
     }
@@ -1316,24 +1278,6 @@ mod tests {
         assert!(determinism(&test_only).is_empty());
     }
 
-    // -- no-panic ---------------------------------------------------------
-
-    #[test]
-    fn no_panic_fires_on_unwrap_expect_panic() {
-        let f = file("a.unwrap();\nb.expect(\"msg\");\npanic!(\"boom\");\n");
-        let rules: Vec<usize> = no_panic(&f).iter().map(|f| f.line).collect();
-        assert_eq!(rules, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn no_panic_is_quiet_in_tests_strings_and_comments() {
-        let f = file(
-            "#[cfg(test)]\nmod tests {\n x.unwrap();\n}\n\
-             let s = \"don't .unwrap() here\"; // .unwrap() in prose\n",
-        );
-        assert!(no_panic(&f).is_empty());
-    }
-
     // -- severity-wildcard ------------------------------------------------
 
     #[test]
@@ -1663,7 +1607,7 @@ mod tests {
 
     #[test]
     fn allow_syntax_fires_on_missing_justification() {
-        let f = file("x(); // xtask-allow(no-panic)\n");
+        let f = file("x(); // xtask-allow(determinism)\n");
         let found = allow_syntax(&f);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 1);
@@ -1671,7 +1615,7 @@ mod tests {
 
     #[test]
     fn allow_syntax_is_quiet_on_justified_use() {
-        let f = file("x(); // xtask-allow(no-panic): poisoned mutex is fatal by design\n");
+        let f = file("x(); // xtask-allow(determinism): the clock only labels a log line\n");
         assert!(allow_syntax(&f).is_empty());
     }
 
