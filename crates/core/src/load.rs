@@ -11,8 +11,8 @@
 //!    matching `.bgpsnap` and validate it against the source: header and
 //!    format version first, then the source text's content hash — computed
 //!    on a second thread while the snapshot body decodes — then the body.
-//!    A hit skips parsing entirely; without a snapshot directory nothing is
-//!    hashed;
+//!    A hit skips parsing entirely (the body decodes straight into what the
+//!    load keeps); without a snapshot directory nothing is hashed;
 //! 4. otherwise decode through the [`LogFormat`]'s source adapter — BG/P in
 //!    parallel on newline-aligned byte chunks, BG/Q and syslog line by line,
 //!    cassettes by replaying the recorded byte stream through their inner
@@ -30,6 +30,18 @@
 //! Every snapshot failure — stale hash, old format version, truncation,
 //! corruption — is recoverable: the loader falls back to re-parsing and
 //! rewrites the snapshot, reporting what happened in [`SnapshotStatus`].
+//!
+//! **What a load keeps.** The entry point decides, with no option to set:
+//! [`load_ras`] and [`load_jobs`] keep every record, and [`load_pair`], the
+//! co-analysis load, keeps only the RAS log's FATAL records — the stage
+//! graph reads nothing else — plus the whole log's span and parsed count.
+//! For BG/P the projection happens inside the chunk parser and the snapshot
+//! decoder, which still parse and validate every line and every record, so
+//! the other ~98 % of records are never built; the other adapters decode
+//! in full, then filter. Diagnostics, snapshot status and the snapshot
+//! file itself are the same whichever entry point loads: a cache miss
+//! parses in full and writes the full snapshot, so `coctl summary` and
+//! `coctl analyze` share one cache.
 
 use bgp_model::bytes::content_hash_64;
 use bgp_model::mmap::MappedFile;
@@ -37,7 +49,7 @@ use bgp_model::snapshot::{SnapshotError, SnapshotHeader, SnapshotKind};
 use bgp_ports::SourceBatch;
 pub use bgp_ports::{LogFormat, SourceDiagnostic};
 use joblog::{JobLog, JobRecord};
-use raslog::{RasLog, RasRecord};
+use raslog::{Projection, RasLog, RasRecord};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -126,8 +138,14 @@ impl fmt::Display for SnapshotStatus {
 /// A loaded RAS log with its parse diagnostics.
 #[derive(Debug)]
 pub struct LoadedRas {
-    /// The indexed log.
+    /// The indexed log: every record from [`load_ras`], only the FATAL
+    /// ones from [`load_pair`]. Either way [`RasLog::time_span`] is the
+    /// span of every record parsed.
     pub log: RasLog,
+    /// Records parsed (on a snapshot hit: stored in the snapshot), before
+    /// any projection — `log.len()` for a full load. The records projected
+    /// away number `parsed - log.len()`.
+    pub parsed: usize,
     /// Malformed lines skipped during decoding, plus any adapter notes
     /// (empty on a snapshot hit — snapshots only store records, and their
     /// line numbers are meaningless once the source text changes anyway).
@@ -185,61 +203,117 @@ fn read_file(path: &Path, mmap: bool) -> Result<MappedFile, LoadError> {
     })
 }
 
-/// A snapshot body decoder (`None`: do not check the source hash).
-type DecodeSnapshot<R> = fn(&[u8], Option<u64>) -> Result<Vec<R>, SnapshotError>;
-
 /// The record-type specifics of one BG/P log: which snapshot it reads and
-/// writes, and how its text parses.
-struct BgpCodec<R> {
-    kind: SnapshotKind,
-    version: u32,
-    decode: DecodeSnapshot<R>,
-    parse: fn(&[u8], usize) -> SourceBatch<R>,
-    encode: fn(&[R], u64) -> Vec<u8>,
+/// writes, how its text parses, and what a load keeps of its records.
+trait BgpCodec {
+    /// One parsed record.
+    type Record;
+    /// What a load hands back: the kept records, plus any tally of the rest.
+    type Kept;
+    /// The snapshot kind tag.
+    const KIND: SnapshotKind;
+    /// The snapshot format version this build reads and writes.
+    const VERSION: u32;
+    /// Parse source text, keeping what the load keeps.
+    fn parse(&self, text: &[u8], threads: usize) -> (Self::Kept, Vec<SourceDiagnostic>) {
+        let batch = Self::parse_all(text, threads);
+        (self.project(batch.records), batch.diagnostics)
+    }
+    /// Parse source text in full, for a snapshot write.
+    fn parse_all(text: &[u8], threads: usize) -> SourceBatch<Self::Record>;
+    /// Keep what the load keeps of a full parse.
+    fn project(&self, all: Vec<Self::Record>) -> Self::Kept;
+    /// Decode and validate a whole snapshot (its source hash is checked
+    /// separately), keeping what the load keeps.
+    fn decode(&self, snap: &[u8]) -> Result<Self::Kept, SnapshotError>;
+    /// Serialize a full parse, stamped with the source text's hash.
+    fn encode(all: &[Self::Record], source_hash: u64) -> Vec<u8>;
 }
 
-const RAS_CODEC: BgpCodec<RasRecord> = BgpCodec {
-    kind: SnapshotKind::Ras,
-    version: raslog::snapshot::FORMAT_VERSION,
-    decode: raslog::snapshot::decode_snapshot,
-    parse: bgp_ports::bgp::decode_ras,
-    encode: raslog::snapshot::encode_snapshot,
-};
+/// The RAS log, keeping the records its predicate accepts.
+struct RasCodec(fn(&RasRecord) -> bool);
 
-const JOB_CODEC: BgpCodec<JobRecord> = BgpCodec {
-    kind: SnapshotKind::Job,
-    version: joblog::snapshot::FORMAT_VERSION,
-    decode: joblog::snapshot::decode_snapshot,
-    parse: bgp_ports::bgp::decode_jobs,
-    encode: joblog::snapshot::encode_snapshot,
-};
+impl BgpCodec for RasCodec {
+    type Record = RasRecord;
+    type Kept = Projection;
+    const KIND: SnapshotKind = SnapshotKind::Ras;
+    const VERSION: u32 = raslog::snapshot::FORMAT_VERSION;
 
-/// The shared BG/P load skeleton.
-fn load_bgp_generic<R>(
+    fn parse(&self, text: &[u8], threads: usize) -> (Projection, Vec<SourceDiagnostic>) {
+        bgp_ports::bgp::decode_ras_where(text, threads, self.0)
+    }
+
+    fn parse_all(text: &[u8], threads: usize) -> SourceBatch<RasRecord> {
+        bgp_ports::bgp::decode_ras(text, threads)
+    }
+
+    fn project(&self, all: Vec<RasRecord>) -> Projection {
+        Projection::of(all, self.0)
+    }
+
+    fn decode(&self, snap: &[u8]) -> Result<Projection, SnapshotError> {
+        raslog::snapshot::decode_snapshot_where(snap, None, self.0)
+    }
+
+    fn encode(all: &[RasRecord], source_hash: u64) -> Vec<u8> {
+        raslog::snapshot::encode_snapshot(all, source_hash)
+    }
+}
+
+/// The job log, always loaded in full.
+struct JobCodec;
+
+impl BgpCodec for JobCodec {
+    type Record = JobRecord;
+    type Kept = Vec<JobRecord>;
+    const KIND: SnapshotKind = SnapshotKind::Job;
+    const VERSION: u32 = joblog::snapshot::FORMAT_VERSION;
+
+    fn parse_all(text: &[u8], threads: usize) -> SourceBatch<JobRecord> {
+        bgp_ports::bgp::decode_jobs(text, threads)
+    }
+
+    fn project(&self, all: Vec<JobRecord>) -> Vec<JobRecord> {
+        all
+    }
+
+    fn decode(&self, snap: &[u8]) -> Result<Vec<JobRecord>, SnapshotError> {
+        joblog::snapshot::decode_snapshot(snap, None)
+    }
+
+    fn encode(all: &[JobRecord], source_hash: u64) -> Vec<u8> {
+        joblog::snapshot::encode_snapshot(all, source_hash)
+    }
+}
+
+/// The shared BG/P load skeleton. Without a snapshot directory the text
+/// parses projected; a snapshot hit decodes projected; a miss parses in
+/// full, writes the full snapshot, then projects.
+fn load_bgp<C: BgpCodec>(
     path: &Path,
     opts: &LoadOptions,
-    codec: &BgpCodec<R>,
-) -> Result<(Vec<R>, Vec<SourceDiagnostic>, SnapshotStatus), LoadError> {
+    codec: &C,
+) -> Result<(C::Kept, Vec<SourceDiagnostic>, SnapshotStatus), LoadError> {
     let data = read_file(path, opts.mmap)?;
     let data = data.bytes();
     let threads = opts.effective_threads();
     // The content hash exists only to validate and stamp the snapshot, so
     // an uncached load never pays for it.
     let Some(dir) = opts.snapshot_dir.as_deref() else {
-        let batch = (codec.parse)(data, threads);
-        return Ok((batch.records, batch.diagnostics, SnapshotStatus::Disabled));
+        let (kept, diagnostics) = codec.parse(data, threads);
+        return Ok((kept, diagnostics, SnapshotStatus::Disabled));
     };
     let snap_path = snapshot_file(dir, path);
     let (hash, stale_reason) = match MappedFile::open(&snap_path) {
         Err(_) => (content_hash_64(data), None),
         Ok(snap) => match check_snapshot(codec, snap.bytes(), data) {
-            (_, Ok(records)) => return Ok((records, Vec::new(), SnapshotStatus::Loaded)),
+            (_, Ok(kept)) => return Ok((kept, Vec::new(), SnapshotStatus::Loaded)),
             (hash, Err(e)) => (hash, Some(e.to_string())),
         },
     };
-    let batch = (codec.parse)(data, threads);
+    let batch = C::parse_all(data, threads);
     let write = fs::create_dir_all(dir)
-        .and_then(|()| replace_file(&snap_path, &(codec.encode)(&batch.records, hash)));
+        .and_then(|()| replace_file(&snap_path, &C::encode(&batch.records, hash)));
     let status = match (write, stale_reason) {
         (Ok(()), None) => SnapshotStatus::Written,
         (Ok(()), Some(reason)) => SnapshotStatus::Rewritten { reason },
@@ -247,37 +321,37 @@ fn load_bgp_generic<R>(
             reason: e.to_string(),
         },
     };
-    Ok((batch.records, batch.diagnostics, status))
+    Ok((codec.project(batch.records), batch.diagnostics, status))
 }
 
 /// Validate the snapshot bytes `snap` against the source text `source`,
-/// returning the source's content hash (a rewrite needs it) and the decoded
-/// records or the first failure.
+/// returning the source's content hash (a rewrite needs it) and what the
+/// load keeps of the decoded records, or the first failure.
 ///
 /// The checks keep one fixed order — header (magic, kind, length), format
 /// version, source hash, body — whichever thread finishes first: the body
 /// decodes on this thread while the hash runs on a scoped second one, and a
 /// hash mismatch outranks any body error.
-fn check_snapshot<R>(
-    codec: &BgpCodec<R>,
+fn check_snapshot<C: BgpCodec>(
+    codec: &C,
     snap: &[u8],
     source: &[u8],
-) -> (u64, Result<Vec<R>, SnapshotError>) {
-    let header = SnapshotHeader::parse(snap, codec.kind)
-        .and_then(|h| h.validate(codec.version, None).map(|()| h));
+) -> (u64, Result<C::Kept, SnapshotError>) {
+    let header =
+        SnapshotHeader::parse(snap, C::KIND).and_then(|h| h.validate(C::VERSION, None).map(|()| h));
     let header = match header {
         Ok(h) => h,
         Err(e) => return (content_hash_64(source), Err(e)),
     };
     let (hash, body) = std::thread::scope(|scope| {
         let hasher = scope.spawn(|| content_hash_64(source));
-        let body = (codec.decode)(snap, None);
+        let body = codec.decode(snap);
         match hasher.join() {
             Ok(hash) => (hash, body),
             Err(payload) => std::panic::resume_unwind(payload),
         }
     });
-    (hash, header.validate(codec.version, Some(hash)).and(body))
+    (hash, header.validate(C::VERSION, Some(hash)).and(body))
 }
 
 /// Replace `target` with `bytes` atomically: write a uniquely named temp
@@ -301,36 +375,48 @@ fn replace_file(target: &Path, bytes: &[u8]) -> io::Result<()> {
     result
 }
 
-/// Load a RAS log through the format's source adapter ([`LoadOptions::format`]).
+/// Load a RAS log in full through the format's source adapter
+/// ([`LoadOptions::format`]).
 ///
 /// The BG/P path keeps the parallel parse and the snapshot cache it always
 /// had (now reached through the `bgp-ports` adapter — same records, same
 /// diagnostics, same bytes on disk). The other formats decode without a
 /// cache; their snapshot status is always [`SnapshotStatus::Disabled`].
 pub fn load_ras(path: &Path, opts: &LoadOptions) -> Result<LoadedRas, LoadError> {
-    if opts.format == LogFormat::Bgp {
-        let (records, parse_errors, snapshot) = load_bgp_generic(path, opts, &RAS_CODEC)?;
-        return Ok(LoadedRas {
-            log: RasLog::from_records(records),
-            parse_errors,
-            snapshot,
-        });
-    }
-    let resolved = bgp_ports::resolve_input(opts.format, path);
-    let data = read_file(&resolved.ras, opts.mmap)?;
-    let source = bgp_ports::ras_source(opts.format);
-    let batch = source
-        .decode_ras(data.bytes(), opts.effective_threads())
-        .map_err(|e| LoadError {
-            path: resolved.ras.clone(),
-            message: e.to_string(),
-        })?;
-    let mut parse_errors = resolved.notes;
-    parse_errors.extend(batch.diagnostics);
+    load_ras_where(path, opts, |_| true)
+}
+
+/// [`load_ras`], keeping only the records `keep` accepts in
+/// [`LoadedRas::log`]; the log still reports the whole input's span, and
+/// [`LoadedRas::parsed`] counts every record. The BG/P adapter projects as
+/// it parses or decodes; the others decode in full, then filter.
+fn load_ras_where(
+    path: &Path,
+    opts: &LoadOptions,
+    keep: fn(&RasRecord) -> bool,
+) -> Result<LoadedRas, LoadError> {
+    let (kept, parse_errors, snapshot) = if opts.format == LogFormat::Bgp {
+        load_bgp(path, opts, &RasCodec(keep))?
+    } else {
+        let resolved = bgp_ports::resolve_input(opts.format, path);
+        let data = read_file(&resolved.ras, opts.mmap)?;
+        let source = bgp_ports::ras_source(opts.format);
+        let batch = source
+            .decode_ras(data.bytes(), opts.effective_threads())
+            .map_err(|e| LoadError {
+                path: resolved.ras.clone(),
+                message: e.to_string(),
+            })?;
+        let mut parse_errors = resolved.notes;
+        parse_errors.extend(batch.diagnostics);
+        let kept = Projection::of(batch.records, keep);
+        (kept, parse_errors, SnapshotStatus::Disabled)
+    };
     Ok(LoadedRas {
-        log: RasLog::from_records(batch.records),
+        parsed: kept.parsed(),
+        log: kept.into_log(),
         parse_errors,
-        snapshot: SnapshotStatus::Disabled,
+        snapshot,
     })
 }
 
@@ -350,7 +436,7 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
             snapshot: SnapshotStatus::Disabled,
         });
     }
-    let (jobs, parse_errors, snapshot) = load_bgp_generic(path, opts, &JOB_CODEC)?;
+    let (jobs, parse_errors, snapshot) = load_bgp(path, opts, &JobCodec)?;
     Ok(LoadedJobs {
         log: JobLog::from_jobs(jobs),
         parse_errors,
@@ -358,15 +444,25 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
     })
 }
 
-/// Load both logs concurrently on two scoped threads — co-analysis always
-/// needs both, and neither depends on the other.
+/// The co-analysis load: both logs, concurrently on two scoped threads —
+/// co-analysis always needs both, and neither depends on the other.
+///
+/// The job log loads in full. The RAS log keeps only its FATAL records,
+/// the stage graph's whole input ([`crate::Event::from_fatal_records`]),
+/// while [`RasLog::time_span`] still reports the whole log's span (the
+/// burst window reads it) and [`LoadedRas::parsed`] counts every record.
+/// Every line is still parsed and every snapshot record validated, so the
+/// diagnostics and [`SnapshotStatus`] are exactly [`load_ras`]'s, and so is
+/// the co-analysis report; only the non-FATAL records are never built. The
+/// snapshot cache is shared with [`load_ras`]: a miss writes the full
+/// snapshot.
 pub fn load_pair(
     ras_path: &Path,
     jobs_path: &Path,
     opts: &LoadOptions,
 ) -> Result<(LoadedRas, LoadedJobs), LoadError> {
     std::thread::scope(|scope| {
-        let ras = scope.spawn(|| load_ras(ras_path, opts));
+        let ras = scope.spawn(|| load_ras_where(ras_path, opts, RasRecord::is_fatal));
         let jobs = scope.spawn(|| load_jobs(jobs_path, opts));
         let ras = match ras.join() {
             Ok(r) => r,
@@ -735,6 +831,79 @@ mod tests {
             .iter()
             .any(|d| d.message.contains("env.bgq")));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `load_pair` through `opts` keeps exactly the FATAL records of
+    /// `load_ras`, and everything else it reports is the full load's.
+    fn assert_projects(ras_path: &Path, jobs_path: &Path, opts: &LoadOptions) {
+        let full = load_ras(ras_path, opts).unwrap();
+        let (projected, _) = load_pair(ras_path, jobs_path, opts).unwrap();
+        let fatal: Vec<RasRecord> = full.log.fatal().copied().collect();
+        assert!(!fatal.is_empty() && fatal.len() < full.log.len());
+        assert_eq!(projected.log.records(), fatal.as_slice());
+        assert_eq!(projected.log.time_span(), full.log.time_span());
+        assert_eq!(projected.parsed, full.log.len());
+        assert_eq!(projected.parse_errors, full.parse_errors);
+        assert_eq!(projected.snapshot, full.snapshot);
+    }
+
+    /// The projection contract is the same for every format: the non-BG/P
+    /// adapters decode in full, then filter. Each log here ends on a
+    /// non-FATAL record, so a span taken from the kept records would show.
+    #[test]
+    fn every_format_projects_to_the_fatal_records() {
+        let dir = tmpdir("project-formats");
+        let (_, jobs_path) = write_fixture(&dir);
+        let mut info = ras_record();
+        info.recid = 2;
+        info.severity = raslog::Severity::Info;
+        info.event_time = bgp_model::Timestamp::from_unix(1_236_000_900);
+        let text = format!(
+            "{}\ngarbage\n{}\n",
+            raslog::format_record(&ras_record()),
+            raslog::format_record(&info)
+        );
+        let ras_path = dir.join("ras.log");
+        fs::write(&ras_path, &text).unwrap();
+        assert_projects(&ras_path, &jobs_path, &LoadOptions::default());
+
+        let mut rec = Recorder::new(LogFormat::Bgp, StreamKind::Ras).unwrap();
+        rec.push(1000, text.as_bytes());
+        let cas_path = dir.join("ras.bgpcas");
+        fs::write(&cas_path, rec.finish().encode()).unwrap();
+        let cassette = LoadOptions {
+            format: LogFormat::Cassette,
+            ..LoadOptions::default()
+        };
+        assert_projects(&cas_path, &jobs_path, &cassette);
+
+        let messages = dir.join("messages");
+        fs::write(
+            &messages,
+            b"<2>Mar  1 12:30:00 host a\nbroken\n<13>Mar  1 12:30:05 host b\n",
+        )
+        .unwrap();
+        let syslog = LoadOptions {
+            format: LogFormat::Syslog,
+            ..LoadOptions::default()
+        };
+        assert_projects(&messages, &jobs_path, &syslog);
+
+        let bgq = tmpdir("project-bgq");
+        fs::write(
+            bgq.join("ras.bgq"),
+            b"7,1236000000,FATAL,_bgp_err_kernel_panic,R00-M0\n\
+              8,1236000500,INFO,_bgp_err_kernel_panic,R00-M1\n",
+        )
+        .unwrap();
+        fs::write(bgq.join("jobs.bgq"), b"1,1,1,1,100,200,300,R00-M0,0\n").unwrap();
+        let bgq_opts = LoadOptions {
+            format: LogFormat::Bgq,
+            ..LoadOptions::default()
+        };
+        assert_projects(&bgq, &bgq, &bgq_opts);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&bgq);
     }
 
     #[test]

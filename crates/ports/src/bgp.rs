@@ -13,7 +13,7 @@
 
 use crate::{LineOutcome, LogFormat, SourceBatch, SourceDiagnostic, SourceError};
 use joblog::JobRecord;
-use raslog::RasRecord;
+use raslog::{Projection, RasRecord};
 
 /// The BG/P pipe-format adapter (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,6 +55,22 @@ pub fn decode_ras(data: &[u8], threads: usize) -> SourceBatch<RasRecord> {
         records,
         diagnostics: errors.into_iter().map(SourceDiagnostic::from).collect(),
     }
+}
+
+/// Decode a whole BG/P RAS log (parallel, tolerant), keeping only the
+/// records `keep` accepts — the projection and per-line errors of
+/// `raslog::ingest::parse_log_bytes_where`. The diagnostics are exactly
+/// [`decode_ras`]'s: every line is parsed whether or not it is kept.
+pub fn decode_ras_where(
+    data: &[u8],
+    threads: usize,
+    keep: impl Fn(&RasRecord) -> bool + Sync,
+) -> (Projection, Vec<SourceDiagnostic>) {
+    let (kept, errors) = raslog::ingest::parse_log_bytes_where(data, threads, keep);
+    (
+        kept,
+        errors.into_iter().map(SourceDiagnostic::from).collect(),
+    )
 }
 
 /// Decode a whole BG/P job accounting log (parallel, tolerant).
@@ -109,6 +125,32 @@ mod tests {
             assert_eq!(batch.records, direct);
             assert_eq!(batch.diagnostics.len(), errs.len());
             assert_eq!(batch.diagnostics[0].line, errs[0].line);
+        }
+    }
+
+    #[test]
+    fn projected_batch_keeps_the_diagnostics_of_the_full_batch() {
+        let mut warn = RasRecord::new(
+            9,
+            Timestamp::from_unix(1_236_000_500),
+            "R00-M0".parse().unwrap(),
+            Catalog::standard().lookup("_bgp_err_kernel_panic").unwrap(),
+        );
+        warn.severity = raslog::Severity::Warning;
+        let text = format!(
+            "{}\ngarbage\n{}\n\nmore garbage\n{}\n",
+            raslog::format_record(&warn),
+            line(1),
+            line(2)
+        );
+        for threads in [1, 4] {
+            let full = decode_ras(text.as_bytes(), threads);
+            let (kept, diagnostics) =
+                decode_ras_where(text.as_bytes(), threads, RasRecord::is_fatal);
+            assert_eq!(diagnostics, full.diagnostics);
+            assert_eq!(kept, Projection::of(full.records, RasRecord::is_fatal));
+            assert_eq!(kept.parsed(), 3);
+            assert_eq!(kept.into_log().len(), 2);
         }
     }
 

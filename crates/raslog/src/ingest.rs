@@ -21,23 +21,33 @@
 //! the streaming reader reports an I/O error — the only intentional
 //! divergence, since rejecting a record for bytes the parser never inspects
 //! helps nobody.
+//!
+//! ## Projection
+//!
+//! [`parse_log_bytes_where`] is the one chunk parser; it keeps only the
+//! records a predicate accepts and tallies the rest ([`Projection`]).
+//! [`parse_log_bytes`] is its keep-everything case. A projection changes
+//! which records are *built*, never which lines are parsed: the errors are
+//! the same either way.
 
+use crate::log::Projection;
 use crate::parse::{parse_line_bytes, RasParseError};
 use crate::record::RasRecord;
 use bgp_model::bytes::{find_byte, line_chunks, map_chunks_parallel};
 
 /// Per-chunk parse output, with chunk-local line numbers.
 struct ChunkOut {
-    records: Vec<RasRecord>,
+    kept: Projection,
     errors: Vec<RasParseError>,
     lines: u64,
 }
 
-fn parse_chunk(chunk: &[u8]) -> ChunkOut {
+fn parse_chunk(chunk: &[u8], keep: &impl Fn(&RasRecord) -> bool) -> ChunkOut {
     let mut out = ChunkOut {
         // Records vastly outnumber errors in real logs; size for ~90 bytes
-        // per line to keep reallocation off the hot path.
-        records: Vec::with_capacity(chunk.len() / 90 + 1),
+        // per line to keep reallocation off the hot path. A projection that
+        // keeps few records only touches the pages it fills.
+        kept: Projection::with_capacity(chunk.len() / 90 + 1),
         errors: Vec::new(),
         lines: 0,
     };
@@ -64,7 +74,7 @@ fn parse_chunk(chunk: &[u8]) -> ChunkOut {
             continue;
         }
         match parse_line_bytes(line) {
-            Ok(r) => out.records.push(r),
+            Ok(r) => out.kept.push(r, keep),
             Err(mut e) => {
                 e.line = out.lines;
                 out.errors.push(e);
@@ -75,16 +85,23 @@ fn parse_chunk(chunk: &[u8]) -> ChunkOut {
 }
 
 /// Parse a whole RAS log held in memory, tolerantly, on up to `threads`
-/// scoped worker threads (`0` and `1` both mean "parse inline").
+/// scoped worker threads (`0` and `1` both mean "parse inline"), keeping
+/// only the records `keep` accepts.
 ///
-/// Returns the records in input order and the malformed lines with their
-/// global 1-based line numbers — exactly what
-/// [`crate::RasReader::read_tolerant`] returns for the same bytes.
-pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<RasRecord>, Vec<RasParseError>) {
+/// Every line is parsed and validated whether or not its record is kept, so
+/// the errors — malformed lines with their global 1-based line numbers —
+/// are exactly those of [`parse_log_bytes`], and the projection's tally
+/// (`parsed`, `span`) covers every record that parsed. The kept records
+/// come in input order.
+pub fn parse_log_bytes_where(
+    data: &[u8],
+    threads: usize,
+    keep: impl Fn(&RasRecord) -> bool + Sync,
+) -> (Projection, Vec<RasParseError>) {
     let chunks = line_chunks(data, threads);
-    let parts = map_chunks_parallel(&chunks, |c| parse_chunk(c));
-    let total: usize = parts.iter().map(|p| p.records.len()).sum();
-    let mut records = Vec::with_capacity(total);
+    let parts = map_chunks_parallel(&chunks, |c| parse_chunk(c, &keep));
+    let total: usize = parts.iter().map(|p| p.kept.records.len()).sum();
+    let mut kept = Projection::with_capacity(total);
     let mut errors = Vec::new();
     let mut line_offset = 0u64;
     for part in parts {
@@ -92,10 +109,22 @@ pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<RasRecord>, Vec<RasP
             e.line += line_offset;
             errors.push(e);
         }
-        records.extend(part.records);
+        kept.append(part.kept);
         line_offset += part.lines;
     }
-    (records, errors)
+    (kept, errors)
+}
+
+/// Parse a whole RAS log held in memory, tolerantly, on up to `threads`
+/// scoped worker threads (`0` and `1` both mean "parse inline").
+///
+/// Returns the records in input order and the malformed lines with their
+/// global 1-based line numbers — exactly what
+/// [`crate::RasReader::read_tolerant`] returns for the same bytes. This is
+/// [`parse_log_bytes_where`] keeping every record.
+pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<RasRecord>, Vec<RasParseError>) {
+    let (kept, errors) = parse_log_bytes_where(data, threads, |_| true);
+    (kept.records, errors)
 }
 
 /// Strict variant of [`parse_log_bytes`]: fail on the first malformed line

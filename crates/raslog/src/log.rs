@@ -9,22 +9,35 @@ use std::collections::HashMap;
 /// An immutable, time-sorted RAS log.
 ///
 /// Sorted order is `(event_time, recid)`, so global window queries are
-/// binary searches.
+/// binary searches. The log also stores its observation span (see
+/// [`RasLog::time_span`]), which a log built from a [`Projection`] takes
+/// from the whole input the projection read.
 #[derive(Debug, Clone, Default)]
 pub struct RasLog {
     records: Vec<RasRecord>,
+    span: Option<(Timestamp, Timestamp)>,
+}
+
+/// Stably sort `records` by `(event_time, recid)`. Input already in that
+/// order — what a log file normally holds — is kept as is after one linear
+/// check.
+fn sort_by_time(records: &mut [RasRecord]) {
+    let key = |r: &RasRecord| (r.event_time, r.recid);
+    if !records.is_sorted_by_key(key) {
+        records.sort_by_key(key);
+    }
 }
 
 impl RasLog {
     /// Build a log from records (any order; they will be sorted, stably, by
-    /// `(event_time, recid)`). Input already in that order — what a log file
-    /// normally holds — is kept as is after one linear check.
+    /// `(event_time, recid)`). Its span is its first and last event times.
     pub fn from_records(mut records: Vec<RasRecord>) -> RasLog {
-        let key = |r: &RasRecord| (r.event_time, r.recid);
-        if !records.is_sorted_by_key(key) {
-            records.sort_by_key(key);
-        }
-        RasLog { records }
+        sort_by_time(&mut records);
+        let span = records
+            .first()
+            .zip(records.last())
+            .map(|(first, last)| (first.event_time, last.event_time));
+        RasLog { records, span }
     }
 
     /// All records in time order.
@@ -42,12 +55,17 @@ impl RasLog {
         self.records.is_empty()
     }
 
-    /// First and last event times, if non-empty.
+    /// The observation span: first and last event times of the log this
+    /// was built from, `None` if it had no records.
+    ///
+    /// For [`RasLog::from_records`] (and so [`RasLog::fatal_only`] and
+    /// [`RasLog::filtered`]) that is this log's own first and last record.
+    /// For a log built by [`Projection::into_log`] — what
+    /// `coanalysis::load_pair` returns — it is the span of every record
+    /// parsed, including the ones projected away, so it equals the full
+    /// log's `time_span()`.
     pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
-        Some((
-            self.records.first()?.event_time,
-            self.records.last()?.event_time,
-        ))
+        self.span
     }
 
     /// Records with the given severity.
@@ -108,6 +126,121 @@ impl RasLog {
     }
 }
 
+/// What a projected load keeps of a RAS log: the records a keep-predicate
+/// accepted, in input order, and a tally of every record read, kept or
+/// not — the count and the event-time span, which the kept records alone
+/// cannot give back.
+///
+/// The chunk parser ([`crate::ingest::parse_log_bytes_where`]) and the
+/// snapshot decoder ([`crate::snapshot::decode_snapshot_where`]) fill one;
+/// keeping every record is their full-load case.
+///
+/// The fields only change together — `parsed` counts at least the kept
+/// records, and the span covers them — so other crates read them through
+/// accessors.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Projection {
+    /// The kept records, in input order.
+    pub(crate) records: Vec<RasRecord>,
+    /// Records read, kept or not.
+    parsed: usize,
+    /// Earliest `event_time` over every record read (`MAX` before any).
+    earliest: Timestamp,
+    /// Latest `event_time` over every record read (`MIN` before any).
+    latest: Timestamp,
+}
+
+impl Default for Projection {
+    fn default() -> Projection {
+        Projection::with_capacity(0)
+    }
+}
+
+impl Projection {
+    /// An empty projection with room for `capacity` kept records.
+    pub(crate) fn with_capacity(capacity: usize) -> Projection {
+        Projection {
+            records: Vec::with_capacity(capacity),
+            parsed: 0,
+            earliest: Timestamp::from_unix(i64::MAX),
+            latest: Timestamp::from_unix(i64::MIN),
+        }
+    }
+
+    /// Count one record read at `t`.
+    #[inline]
+    fn tally(&mut self, t: Timestamp) {
+        self.parsed += 1;
+        self.earliest = self.earliest.min(t);
+        self.latest = self.latest.max(t);
+    }
+
+    /// Count records read at `times` without keeping any of them: for a
+    /// decoder that has every record's time up front, this pass is cheaper
+    /// than tallying inside its per-record loop.
+    pub(crate) fn tally_times(&mut self, times: impl IntoIterator<Item = Timestamp>) {
+        for t in times {
+            self.tally(t);
+        }
+    }
+
+    /// Tally one record read, and keep it if `keep` accepts it.
+    #[inline]
+    pub(crate) fn push(&mut self, record: RasRecord, keep: impl Fn(&RasRecord) -> bool) {
+        self.tally(record.event_time);
+        if keep(&record) {
+            self.records.push(record);
+        }
+    }
+
+    /// Project records that were read in full: tally them all, keep those
+    /// `keep` accepts.
+    pub fn of(mut records: Vec<RasRecord>, keep: impl Fn(&RasRecord) -> bool) -> Projection {
+        let mut kept = Projection::default();
+        kept.tally_times(records.iter().map(|r| r.event_time));
+        records.retain(|r| keep(r));
+        kept.records = records;
+        kept
+    }
+
+    /// Append a projection of the input that followed this one's.
+    pub(crate) fn append(&mut self, next: Projection) {
+        self.records.extend(next.records);
+        self.parsed += next.parsed;
+        self.earliest = self.earliest.min(next.earliest);
+        self.latest = self.latest.max(next.latest);
+    }
+
+    /// Records read, kept or not.
+    pub fn parsed(&self) -> usize {
+        self.parsed
+    }
+
+    /// Earliest and latest `event_time` over every record read, kept or
+    /// not; `None` if none was read.
+    fn span(&self) -> Option<(Timestamp, Timestamp)> {
+        (self.parsed > 0).then_some((self.earliest, self.latest))
+    }
+
+    /// Index the kept records as a log (sorted like
+    /// [`RasLog::from_records`]) that reports the whole input's span.
+    ///
+    /// A stable sort commutes with filtering, so the records come out in
+    /// the same order as in `RasLog::from_records(all)`.
+    pub fn into_log(self) -> RasLog {
+        let span = self.span();
+        let mut records = self.records;
+        sort_by_time(&mut records);
+        debug_assert!(
+            records
+                .iter()
+                .all(|r| span.is_some_and(|(lo, hi)| (lo..=hi).contains(&r.event_time))),
+            "a projection's span covers its records"
+        );
+        RasLog { records, span }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,6 +287,44 @@ mod tests {
         assert!(!log.is_empty());
         assert!(RasLog::default().is_empty());
         assert_eq!(RasLog::default().time_span(), None);
+    }
+
+    #[test]
+    fn projected_log_reports_the_whole_span() {
+        // The earliest and latest records are not FATAL.
+        let input = vec![
+            rec(6, 600, "R00-M0", "_bgp_warn_ecc_corrected"),
+            rec(3, 300, "R00-M0-N01-J05", "_bgp_err_kernel_panic"),
+            rec(1, 50, "R00-M0", "_bgp_warn_ecc_corrected"),
+            rec(2, 200, "R00-B", "BULK_POWER_FATAL"),
+        ];
+        let full = RasLog::from_records(input.clone());
+        let kept = Projection::of(input.clone(), RasRecord::is_fatal);
+        let mut pushed = Projection::default();
+        for r in &input {
+            pushed.push(*r, RasRecord::is_fatal);
+        }
+        assert_eq!(pushed, kept);
+        assert_eq!(kept.parsed, 4);
+        let log = kept.into_log();
+        assert_eq!(log.records(), full.fatal_only().records());
+        assert_eq!(log.time_span(), full.time_span());
+        assert_eq!(
+            log.time_span(),
+            Some((Timestamp::from_unix(50), Timestamp::from_unix(600)))
+        );
+        // Subsets built from records keep their own span.
+        assert_eq!(
+            full.fatal_only().time_span(),
+            Some((Timestamp::from_unix(200), Timestamp::from_unix(300)))
+        );
+        assert_eq!(log.fatal_only().time_span(), full.fatal_only().time_span());
+        // Appending projections of consecutive input is projecting it whole.
+        let mut halves = Projection::of(input[..2].to_vec(), RasRecord::is_fatal);
+        halves.append(Projection::of(input[2..].to_vec(), RasRecord::is_fatal));
+        assert_eq!(halves, Projection::of(input, RasRecord::is_fatal));
+        // Nothing read, nothing spanned.
+        assert_eq!(Projection::default().into_log().time_span(), None);
     }
 
     #[test]

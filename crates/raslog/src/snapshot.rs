@@ -14,9 +14,12 @@
 //! Decoding re-validates every record against the machine model and the
 //! catalogue, so a corrupt payload yields a typed
 //! [`SnapshotError::BadRecord`] instead of an impossible record entering
-//! analysis.
+//! analysis. [`decode_snapshot_where`] keeps only the records a predicate
+//! accepts but validates every one, so a snapshot is accepted or rejected
+//! the same way whatever the load keeps.
 
 use crate::catalog::{Catalog, ErrCode};
+use crate::log::Projection;
 use crate::record::RasRecord;
 use crate::severity::Severity;
 use bgp_model::snapshot::{Cursor, SnapshotError, SnapshotHeader, SnapshotKind, HEADER_LEN};
@@ -135,11 +138,25 @@ pub fn encode_snapshot(records: &[RasRecord], source_hash: u64) -> Vec<u8> {
 /// `expected_hash`, when given, is the content hash of the *current* source
 /// text; a snapshot written from different text is rejected with
 /// [`SnapshotError::HashMismatch`]. Every error is recoverable by re-parsing
-/// the source.
+/// the source. This is [`decode_snapshot_where`] keeping every record.
 pub fn decode_snapshot(
     bytes: &[u8],
     expected_hash: Option<u64>,
 ) -> Result<Vec<RasRecord>, SnapshotError> {
+    decode_snapshot_where(bytes, expected_hash, |_| true).map(|kept| kept.records)
+}
+
+/// Decode a `.bgpsnap` buffer, keeping only the records `keep` accepts.
+///
+/// Every record is still decoded and validated in order, kept or not, so a
+/// corrupt record rejects the snapshot with the same error as
+/// [`decode_snapshot`], and the projection's tally (`parsed`, `span`) covers
+/// every stored record.
+pub fn decode_snapshot_where(
+    bytes: &[u8],
+    expected_hash: Option<u64>,
+    keep: impl Fn(&RasRecord) -> bool,
+) -> Result<Projection, SnapshotError> {
     let header = SnapshotHeader::parse(bytes, SnapshotKind::Ras)?;
     header.validate(FORMAT_VERSION, expected_hash)?;
     if header.count > bytes.len() as u64 {
@@ -160,11 +177,14 @@ pub fn decode_snapshot(
     cur.finish()?;
 
     let catalog_len = Catalog::standard().len();
-    let mut records = Vec::with_capacity(n);
+    let time = |i| Timestamp::from_unix(le_u64(c_time, i) as i64);
+    // A projection that keeps few records only touches the pages it fills.
+    let mut kept = Projection::with_capacity(n);
+    kept.tally_times((0..n).map(time));
     for i in 0..n {
         let idx = i as u64;
         let recid = le_u64(c_recid, i);
-        let event_time = Timestamp::from_unix(le_u64(c_time, i) as i64);
+        let event_time = time(i);
         let mut loc = [0u8; 4];
         loc.copy_from_slice(&c_loc[i * 4..i * 4 + 4]);
         let location = decode_location(loc, idx)?;
@@ -182,15 +202,18 @@ pub fn decode_snapshot(
                     index: idx,
                     what: format!("severity byte {}", c_sev[i]),
                 })?;
-        records.push(RasRecord {
+        let record = RasRecord {
             recid,
             event_time,
             location,
             errcode: ErrCode(code),
             severity,
-        });
+        };
+        if keep(&record) {
+            kept.records.push(record);
+        }
     }
-    Ok(records)
+    Ok(kept)
 }
 
 fn le_u64(col: &[u8], i: usize) -> u64 {
@@ -287,6 +310,31 @@ mod tests {
             decode_snapshot(&n, Some(7)),
             Err(SnapshotError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn projected_decode_validates_every_record() {
+        let recs = records();
+        let n = recs.len();
+        let bytes = encode_snapshot(&recs, 7);
+        let kept = decode_snapshot_where(&bytes, Some(7), RasRecord::is_fatal).unwrap();
+        assert_eq!(kept, Projection::of(recs.clone(), RasRecord::is_fatal));
+        assert!(kept.records.len() < n);
+        // Corrupt a record the projection drops, in each validated column:
+        // the projected decode rejects it exactly like the full one.
+        let i = recs.iter().position(|r| !r.is_fatal()).unwrap();
+        for (at, byte) in [
+            (HEADER_LEN + n * 16 + i * 4, 99),
+            (HEADER_LEN + n * 20 + i * 2 + 1, 0xff),
+            (HEADER_LEN + n * 22 + i, 42),
+        ] {
+            let mut c = bytes.clone();
+            c[at] = byte;
+            let full = decode_snapshot(&c, Some(7)).unwrap_err();
+            let projected = decode_snapshot_where(&c, Some(7), RasRecord::is_fatal).unwrap_err();
+            assert!(matches!(full, SnapshotError::BadRecord { index, .. } if index == i as u64));
+            assert_eq!(projected, full);
+        }
     }
 
     proptest! {

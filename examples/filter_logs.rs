@@ -41,14 +41,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- read both back concurrently through the tolerant byte parsers,
-    //     caching the parsed form as .bgpsnap snapshots for re-runs ---
+    //     caching the parsed form as .bgpsnap snapshots for re-runs; the
+    //     co-analysis load keeps only the FATAL records it analyzes ---
     let opts = LoadOptions {
         snapshot_dir: Some(dir.join("snapshots")),
         ..LoadOptions::default()
     };
     let (loaded_ras, loaded_jobs) = load::load_pair(&ras_path, &job_path, &opts)?;
     println!(
-        "parsed back {} RAS records ({} bad lines, snapshot {}), {} jobs ({} bad lines, snapshot {})",
+        "parsed back {} RAS records, kept {} FATAL ({} bad lines, snapshot {}), \
+         {} jobs ({} bad lines, snapshot {})",
+        loaded_ras.parsed,
         loaded_ras.log.len(),
         loaded_ras.parse_errors.len(),
         loaded_ras.snapshot,
@@ -56,7 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         loaded_jobs.parse_errors.len(),
         loaded_jobs.snapshot
     );
-    assert_eq!(loaded_ras.log.len(), out.ras.len(), "lossless round trip");
+    assert_eq!(loaded_ras.parsed, out.ras.len(), "lossless round trip");
+    assert_eq!(loaded_ras.log.len(), out.ras.fatal().count());
     assert_eq!(loaded_jobs.log.len(), out.jobs.len());
 
     let ras = loaded_ras.log;

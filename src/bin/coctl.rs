@@ -181,7 +181,10 @@ fn load_ras(path: &str, opts: &LoadOptions) -> Result<RasLog, CliError> {
 }
 
 /// Load both logs concurrently (two scoped threads) — every co-analysis
-/// subcommand needs both, and neither depends on the other.
+/// subcommand needs both, and neither depends on the other. The RAS log
+/// comes back projected to its FATAL records (see [`load::load_pair`]), so
+/// "no parsable records" asks how many parsed, not how many were kept: a
+/// log without FATAL records is a valid, uneventful input.
 fn load_both(
     ras_path: &str,
     jobs_path: &str,
@@ -191,7 +194,7 @@ fn load_both(
         .map_err(|e| CliError::Io(e.to_string()))?;
     report_load(ras_path, "RAS", ras.parse_errors.len(), &ras.snapshot);
     report_load(jobs_path, "job", jobs.parse_errors.len(), &jobs.snapshot);
-    if ras.log.is_empty() {
+    if ras.parsed == 0 {
         return Err(CliError::Io(format!("{ras_path}: no parsable RAS records")));
     }
     if jobs.log.is_empty() {

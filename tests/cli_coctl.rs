@@ -86,23 +86,98 @@ fn coserved_help_and_bad_flags() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--queue-cap"));
 }
 
+/// The exact profile of the shared site (`simulate --days 15 --seed 5`):
+/// `summary` is a full load, so it counts every record, not just the FATAL
+/// ones the co-analysis load keeps.
+const SITE_PROFILE: &str = "32139 records over 15 days\n\
+                            severity: INFO=22223 WARNING=4087 ERROR=393 FATAL=5436\n";
+
 #[test]
 fn summary_profiles_the_ras_log() {
     let dir = site_logs();
-    let out = coctl()
-        .arg("summary")
+    let summary = |snapshot: Option<&PathBuf>| {
+        let mut cmd = coctl();
+        cmd.arg("summary").arg(dir.join("ras.log"));
+        if let Some(cache) = snapshot {
+            cmd.arg("--snapshot").arg(cache);
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let out = summary(None);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with(SITE_PROFILE), "{text}");
+    assert!(text.contains("top FATAL codes:"));
+
+    // A projected co-analysis load writes the snapshot cache; a full load
+    // reading it back still sees every record.
+    let cache = workdir("summary-after-analyze");
+    let analyze = coctl()
+        .arg("analyze")
         .arg(dir.join("ras.log"))
+        .arg(dir.join("jobs.log"))
+        .arg("--snapshot")
+        .arg(&cache)
         .output()
         .unwrap();
+    assert!(analyze.status.success());
+    assert!(String::from_utf8_lossy(&analyze.stderr).contains("ras.log: snapshot written"));
+    let cached = summary(Some(&cache));
+    assert!(String::from_utf8_lossy(&cached.stderr).contains("snapshot loaded"));
+    assert_eq!(cached.stdout, out.stdout);
+}
+
+#[test]
+fn analyze_on_a_log_without_fatal_records_prints_the_empty_funnel() {
+    let dir = site_logs();
+    let work = workdir("no-fatal");
+    let text = std::fs::read_to_string(dir.join("ras.log")).unwrap();
+    let quiet: String = text
+        .lines()
+        .filter(|l| !l.contains("|FATAL|"))
+        .flat_map(|l| [l, "\n"])
+        .collect();
     assert!(
-        out.status.success(),
+        quiet.lines().count() > 1000,
+        "the log keeps its other records"
+    );
+    let ras = work.join("ras.log");
+    std::fs::write(&ras, quiet).unwrap();
+    let out = coctl()
+        .arg("analyze")
+        .arg(&ras)
+        .arg(dir.join("jobs.log"))
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("records over"));
-    assert!(text.contains("FATAL"));
-    assert!(text.contains("top FATAL codes:"));
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        report.starts_with(
+            "filtering: 0 FATAL -> 0 events (-0.00%), job-related -> 0 (-0.00%)\n\
+             interruptions: 0 jobs (0 system / 0 application by cause)\n"
+        ),
+        "{report}"
+    );
+    // A log with no parsable record at all is still refused.
+    std::fs::write(&ras, "garbage\n\nmore garbage\n").unwrap();
+    let out = coctl()
+        .arg("analyze")
+        .arg(&ras)
+        .arg(dir.join("jobs.log"))
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no parsable RAS records"));
 }
 
 #[test]
@@ -223,6 +298,60 @@ fn analyze_append_is_byte_identical_to_one_shot() {
     );
     let err = String::from_utf8_lossy(&timed.stderr);
     assert!(err.contains("fold 1 stage timings:"), "{err}");
+}
+
+#[test]
+fn analyze_append_with_a_late_non_fatal_record_matches_one_shot() {
+    // The base pair loads projected to its FATAL records; the appended day
+    // loads in full and ends on a non-FATAL record a day past every other
+    // record, which moves the end of the observation window.
+    let dir = site_logs();
+    let work = workdir("append-late");
+    let text = std::fs::read_to_string(dir.join("ras.log")).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let cut = lines.len() * 7 / 10;
+    let last = lines.last().unwrap();
+    let last_fatal = lines.iter().rev().find(|l| l.contains("|FATAL|")).unwrap();
+    assert_ne!(last, last_fatal);
+    // `..|SEVERITY|YYYY-MM-DD-hh.mm.ss|..`: one day past the last record.
+    let mut late: Vec<String> = last.split('|').map(str::to_owned).collect();
+    late[0] = "999999".to_owned();
+    late[5] = "INFO".to_owned();
+    let day: u32 = late[6][8..10].parse().unwrap();
+    late[6].replace_range(8..10, &format!("{:02}", day + 1));
+    let late = late.join("|");
+    let day1 = work.join("day1-ras.log");
+    let day2 = work.join("day2-ras.log");
+    let whole = work.join("ras.log");
+    std::fs::write(&day1, lines[..cut].join("\n") + "\n").unwrap();
+    let tail = lines[cut..].join("\n") + "\n" + &late + "\n";
+    std::fs::write(&day2, &tail).unwrap();
+    std::fs::write(&whole, lines[..cut].join("\n") + "\n" + &tail).unwrap();
+
+    let one_shot = coctl()
+        .arg("analyze")
+        .arg(&whole)
+        .arg(dir.join("jobs.log"))
+        .output()
+        .unwrap();
+    assert!(one_shot.status.success());
+    let folded = coctl()
+        .arg("analyze")
+        .arg(&day1)
+        .arg(dir.join("jobs.log"))
+        .arg("--append")
+        .arg(&day2)
+        .output()
+        .unwrap();
+    assert!(
+        folded.status.success(),
+        "{}",
+        String::from_utf8_lossy(&folded.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&folded.stdout),
+        String::from_utf8_lossy(&one_shot.stdout)
+    );
 }
 
 #[test]

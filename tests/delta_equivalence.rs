@@ -9,10 +9,11 @@
 
 use bgp_coanalysis::bgp_sim::{SimConfig, Simulation};
 use bgp_coanalysis::coanalysis::{
-    AppendBatch, CoAnalysis, CoAnalysisConfig, CoAnalysisResult, DeltaSession, StageId,
+    load, AppendBatch, CoAnalysis, CoAnalysisConfig, CoAnalysisResult, DeltaSession, LoadOptions,
+    StageId,
 };
-use bgp_coanalysis::joblog::{ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
-use bgp_coanalysis::raslog::{Catalog, RasLog, RasRecord};
+use bgp_coanalysis::joblog::{self, ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
+use bgp_coanalysis::raslog::{self, Catalog, RasLog, RasRecord, Severity};
 use bgp_model::Timestamp;
 
 /// Full cold run over the concatenation — the oracle every delta run is
@@ -97,6 +98,67 @@ fn two_day_split_is_bit_identical_to_one_shot() {
     // A batch with both RAS and job rows dirties the whole graph's inputs.
     assert!(report.reran.contains(StageId::TemporalSpatial));
     assert!(report.reran.contains(StageId::Matching));
+}
+
+/// The loader path of `coctl analyze --append`: the base pair comes from
+/// `load_pair`, which keeps only the FATAL records, and each appended day
+/// from the full `load_ras`. Day 2 here ends on a non-FATAL record days
+/// after its last FATAL one, so the observation window (Figure 5's per-day
+/// series) reaches past every record the base projection kept: the fold
+/// must still equal a one-shot run over the concatenation.
+#[test]
+fn loaded_fold_keeps_the_span_of_projected_away_records() {
+    let cfg = CoAnalysisConfig::default();
+    let ((ras1, jobs1), (mut ras2, jobs2)) = split_sim(41, 0.7);
+    let mut late = *ras2.last().expect("tail day has records");
+    late.recid += 1;
+    late.severity = Severity::Info;
+    late.event_time += bgp_model::Duration::days(3);
+    ras2.push(late);
+
+    let dir = std::env::temp_dir().join(format!("delta-eq-load-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write_ras = |name: &str, records: &[RasRecord]| {
+        let path = dir.join(name);
+        raslog::write_log(&mut std::fs::File::create(&path).unwrap(), records).unwrap();
+        path
+    };
+    let write_jobs = |name: &str, jobs: &[JobRecord]| {
+        let path = dir.join(name);
+        joblog::write_log(&mut std::fs::File::create(&path).unwrap(), jobs).unwrap();
+        path
+    };
+    let all_ras: Vec<RasRecord> = ras1.iter().chain(&ras2).copied().collect();
+    let all_jobs: Vec<JobRecord> = jobs1.iter().chain(&jobs2).copied().collect();
+    let opts = LoadOptions::default();
+
+    let (base, base_jobs) = load::load_pair(
+        &write_ras("day1-ras.log", &ras1),
+        &write_jobs("day1-jobs.log", &jobs1),
+        &opts,
+    )
+    .unwrap();
+    let day2 = load::load_ras(&write_ras("day2-ras.log", &ras2), &opts).unwrap();
+    let (mut session, _) = DeltaSession::new(cfg, &base.log, base_jobs.log);
+    let (folded, _) = session.append(AppendBatch {
+        ras: day2.log.records().to_vec(),
+        jobs: jobs2,
+    });
+
+    let (all, all_job_log) = load::load_pair(
+        &write_ras("all-ras.log", &all_ras),
+        &write_jobs("all-jobs.log", &all_jobs),
+        &opts,
+    )
+    .unwrap();
+    let one_shot = CoAnalysis::with_config(cfg).run(&all.log, &all_job_log.log);
+    assert_results_identical(&folded, &one_shot);
+    assert_results_identical(&one_shot, &oracle(cfg, all_ras, all_jobs));
+    // The late record matters: a window that ends at the last FATAL record
+    // gives a shorter per-day series.
+    let fatal_window = CoAnalysis::with_config(cfg).run(&all.log.fatal_only(), &all_job_log.log);
+    assert!(fatal_window.burst.per_day.len() < one_shot.burst.per_day.len());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! Golden equivalence at realistic scale: the parallel byte-chunk ingest
 //! must be bit-identical to the serial streaming readers — same records in
 //! the same order, same errors with the same line numbers — for every chunk
-//! count; and `.bgpsnap` snapshots must hand back exactly the parsed log
-//! through the `coanalysis::load` layer.
+//! count; `.bgpsnap` snapshots must hand back exactly the parsed log
+//! through the `coanalysis::load` layer; and the co-analysis load
+//! (`load_pair`) must be exactly the FATAL projection of the full load in
+//! every snapshot-cache state.
 
 // Integration-test helpers follow the test-code panic policy: a broken
 // fixture should fail the test loudly, not thread Results around.
@@ -11,7 +13,9 @@
 use bgp_coanalysis::bgp_sim::{SimConfig, Simulation};
 use bgp_coanalysis::coanalysis::{load, LoadOptions, SnapshotStatus};
 use bgp_coanalysis::joblog::{self, JobReader};
-use bgp_coanalysis::raslog::{self, RasReader};
+use bgp_coanalysis::raslog::{self, RasReader, Severity};
+use bgp_model::Timestamp;
+use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -212,26 +216,335 @@ fn snapshot_cycle_preserves_the_parsed_log_exactly() {
     };
 
     // An uncached load never hashes the text; a cached one hashes it to
-    // stamp and validate the snapshot. Both must hand back the same logs.
-    let (base_ras, base_jobs) = load::load_pair(&ras_path, &job_path, &plain).unwrap();
+    // stamp and validate the snapshot. Both must hand back the same logs,
+    // every record of them: the full loads, not the co-analysis projection.
+    let base_ras = load::load_ras(&ras_path, &plain).unwrap();
+    let base_jobs = load::load_jobs(&job_path, &plain).unwrap();
     assert_eq!(base_ras.snapshot, SnapshotStatus::Disabled);
     assert!(
         !base_ras.parse_errors.is_empty(),
         "damage produced no errors?"
     );
+    assert_eq!(base_ras.parsed, base_ras.log.len());
+    let mut serial = RasReader::new(ras_text.as_bytes()).read_tolerant().0;
+    serial.sort_by_key(|r| (r.event_time, r.recid));
+    assert_eq!(base_ras.log.records(), serial.as_slice());
 
     // First snapshot-enabled load parses and writes; second skips the parse.
-    let (written, written_jobs) = load::load_pair(&ras_path, &job_path, &snap).unwrap();
+    let written = load::load_ras(&ras_path, &snap).unwrap();
+    let written_jobs = load::load_jobs(&job_path, &snap).unwrap();
     assert_eq!(written.snapshot, SnapshotStatus::Written);
     assert_eq!(written_jobs.snapshot, SnapshotStatus::Written);
     assert_eq!(written.log.records(), base_ras.log.records());
+    assert_eq!(written.log.time_span(), base_ras.log.time_span());
     assert_eq!(written.parse_errors, base_ras.parse_errors);
     assert_eq!(written_jobs.log.jobs(), base_jobs.log.jobs());
-    let (ras2, jobs2) = load::load_pair(&ras_path, &job_path, &snap).unwrap();
+    let ras2 = load::load_ras(&ras_path, &snap).unwrap();
+    let jobs2 = load::load_jobs(&job_path, &snap).unwrap();
     assert_eq!(ras2.snapshot, SnapshotStatus::Loaded);
     assert_eq!(jobs2.snapshot, SnapshotStatus::Loaded);
     assert_eq!(ras2.log.records(), base_ras.log.records());
+    assert_eq!(ras2.log.time_span(), base_ras.log.time_span());
+    assert_eq!(ras2.parsed, base_ras.parsed);
     assert_eq!(jobs2.log.jobs(), base_jobs.log.jobs());
     // A snapshot load cannot reproduce parse errors — it stores records only.
     assert!(ras2.parse_errors.is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// The co-analysis load is a projection of the full load.
+//
+// `load_pair` keeps only the FATAL records of the RAS log, yet every line is
+// still parsed and every snapshot record validated: its records must be the
+// full load's FATAL records in order, and its span, diagnostics, snapshot
+// status and parsed count must be the full load's, in every cache state.
+// ---------------------------------------------------------------------------
+
+/// Thread counts the projection oracle runs at.
+const PROJECTION_THREADS: [usize; 3] = [1, 2, 4];
+
+/// The state the snapshot cache is in before a load.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CacheState {
+    /// No snapshot directory.
+    Disabled,
+    /// A directory without a snapshot.
+    Miss,
+    /// A valid snapshot, written by a full load.
+    Hit,
+    /// A snapshot stamped with another source's hash.
+    StaleHash,
+    /// A snapshot whose first non-FATAL record has an errcode outside the
+    /// catalogue.
+    CorruptNonFatal,
+}
+
+const CACHE_STATES: [CacheState; 5] = [
+    CacheState::Disabled,
+    CacheState::Miss,
+    CacheState::Hit,
+    CacheState::StaleHash,
+    CacheState::CorruptNonFatal,
+];
+
+/// Byte offset of the errcode column in a RAS snapshot of `n` records
+/// (32-byte header, then the recid, time and location columns).
+fn errcode_column(n: usize) -> usize {
+    32 + n * (8 + 8 + 4)
+}
+
+/// Put a fresh cache directory under `dir` into `state` for `ras_path`,
+/// returning the load options and, for a corrupt snapshot, the reason the
+/// full decoder gives.
+fn prepare_cache(
+    dir: &std::path::Path,
+    ras_path: &std::path::Path,
+    state: CacheState,
+    threads: usize,
+) -> (LoadOptions, Option<String>) {
+    let _ = std::fs::remove_dir_all(dir);
+    let opts = LoadOptions {
+        threads,
+        snapshot_dir: (state != CacheState::Disabled).then(|| dir.to_owned()),
+        ..LoadOptions::default()
+    };
+    if matches!(state, CacheState::Disabled | CacheState::Miss) {
+        return (opts, None);
+    }
+    assert_eq!(
+        load::load_ras(ras_path, &opts).unwrap().snapshot,
+        SnapshotStatus::Written
+    );
+    let snap = load::snapshot_file(dir, ras_path);
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let reason = match state {
+        CacheState::StaleHash => {
+            bytes[24..32].copy_from_slice(&0x0123_4567_89ab_cdef_u64.to_le_bytes());
+            None
+        }
+        CacheState::CorruptNonFatal => {
+            // Snapshot order is parse order, not the log's time order.
+            let stored = raslog::snapshot::decode_snapshot(&bytes, None).unwrap();
+            stored.iter().position(|r| !r.is_fatal()).map(|i| {
+                let at = errcode_column(stored.len()) + i * 2;
+                bytes[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+                let reason = raslog::snapshot::decode_snapshot(&bytes, None)
+                    .unwrap_err()
+                    .to_string();
+                assert_eq!(
+                    reason,
+                    format!("record {i} corrupt: errcode 65535 outside catalogue")
+                );
+                reason
+            })
+        }
+        _ => None,
+    };
+    std::fs::write(&snap, bytes).unwrap();
+    (opts, reason)
+}
+
+/// Non-blank lines of `text`, counted the way the chunk parser frames them.
+fn nonblank_lines(text: &[u8]) -> usize {
+    text.split(|&b| b == b'\n')
+        .filter(|line| line.iter().any(|&b| b != b'\r'))
+        .count()
+}
+
+/// Load `text` in full and projected, each from its own cache directory in
+/// the same `state`, and check the projection law.
+fn assert_projection(
+    name: &str,
+    text: &[u8],
+    dir: &std::path::Path,
+    state: CacheState,
+    threads: usize,
+) {
+    let ras_path = dir.join("ras.log");
+    let job_path = dir.join("jobs.log");
+    std::fs::write(&ras_path, text).unwrap();
+    std::fs::write(&job_path, texts().1).unwrap();
+    let ctx = format!("{name}: {state:?} at {threads} threads");
+
+    let (full_opts, reason) = prepare_cache(&dir.join("full"), &ras_path, state, threads);
+    let (proj_opts, _) = prepare_cache(&dir.join("projected"), &ras_path, state, threads);
+    let full = load::load_ras(&ras_path, &full_opts).unwrap();
+    let (projected, _) = load::load_pair(&ras_path, &job_path, &proj_opts).unwrap();
+
+    let fatal: Vec<raslog::RasRecord> = full.log.fatal().copied().collect();
+    assert_eq!(projected.log.records(), fatal.as_slice(), "records: {ctx}");
+    assert_eq!(
+        projected.log.time_span(),
+        full.log.time_span(),
+        "span: {ctx}"
+    );
+    assert_eq!(
+        projected.parse_errors, full.parse_errors,
+        "diagnostics: {ctx}"
+    );
+    assert_eq!(projected.snapshot, full.snapshot, "snapshot status: {ctx}");
+    let expected_status = match (state, reason) {
+        (CacheState::Disabled, _) => SnapshotStatus::Disabled,
+        (CacheState::Miss, _) => SnapshotStatus::Written,
+        (CacheState::Hit, _) => SnapshotStatus::Loaded,
+        (_, Some(reason)) => SnapshotStatus::Rewritten { reason },
+        (CacheState::StaleHash, None) => SnapshotStatus::Rewritten {
+            reason: format!(
+                "source hash 0x0123456789abcdef does not match current source {:#018x}",
+                bgp_model::bytes::content_hash_64(text)
+            ),
+        },
+        // A log without non-FATAL records has none to corrupt: a hit.
+        (CacheState::CorruptNonFatal, None) => SnapshotStatus::Loaded,
+    };
+    assert_eq!(full.snapshot, expected_status, "{ctx}");
+
+    // Conservation: `parsed` counts every record before projection, so it
+    // is the full load's length, and the records projected away are
+    // exactly the non-FATAL ones.
+    assert_eq!(full.parsed, full.log.len(), "{ctx}");
+    assert_eq!(projected.parsed, full.log.len(), "{ctx}");
+    assert_eq!(
+        projected.parsed - projected.log.len(),
+        full.log.records().iter().filter(|r| !r.is_fatal()).count(),
+        "{ctx}"
+    );
+    // With the text parsed, every non-blank line is a record or a
+    // diagnostic: kept + projected away + diagnostics = lines.
+    if projected.snapshot != SnapshotStatus::Loaded {
+        assert_eq!(
+            projected.parsed + projected.parse_errors.len(),
+            nonblank_lines(text),
+            "{ctx}"
+        );
+    }
+    // The cache is shared: the projected load leaves the same full
+    // snapshot behind as the full load, so `coctl summary` can hit it.
+    if state != CacheState::Disabled {
+        let snap = |d: &str| std::fs::read(load::snapshot_file(&dir.join(d), &ras_path)).unwrap();
+        assert_eq!(snap("projected"), snap("full"), "snapshot bytes: {ctx}");
+    }
+}
+
+/// One RAS line: record `recid` at second `t` of the window, with the
+/// severity and one of four locations picked by index.
+fn ras_line(recid: u64, t: i64, severity: usize, loc: usize) -> String {
+    let locs = ["R00-M0", "R01-M1-N04-J12", "R02-B", "R03-M0-S"];
+    let mut r = raslog::RasRecord::new(
+        recid,
+        Timestamp::from_unix(1_236_000_000 + t),
+        locs[loc % locs.len()].parse().unwrap(),
+        raslog::Catalog::standard()
+            .lookup("_bgp_err_kernel_panic")
+            .unwrap(),
+    );
+    r.severity = Severity::ALL[severity % Severity::ALL.len()];
+    raslog::format_record(&r)
+}
+
+/// Hand-made logs for the projection's edge cases.
+fn projection_inputs() -> Vec<(&'static str, String)> {
+    let sev = |s: Severity| Severity::ALL.iter().position(|&x| x == s).unwrap();
+    let (fatal, info, warn) = (
+        sev(Severity::Fatal),
+        sev(Severity::Info),
+        sev(Severity::Warning),
+    );
+    let damaged = [
+        // Non-FATAL first line, but not the earliest record.
+        ras_line(1, 500, info, 0),
+        ras_line(2, 300, fatal, 1),
+        // Out of time order.
+        ras_line(9, 100, fatal, 2),
+        // The earliest record is not FATAL.
+        ras_line(3, 50, warn, 3),
+        String::new(),
+        // Timestamp ties, recids out of order, and one (time, recid) key
+        // repeated at two locations: the stable sort keeps input order.
+        ras_line(7, 300, fatal, 0),
+        ras_line(8, 300, warn, 1),
+        ras_line(6, 300, fatal, 2),
+        ras_line(6, 300, fatal, 3),
+        "garbage".to_owned(),
+        "1|2|3|not|a|record".to_owned(),
+        ras_line(4, 700, fatal, 0),
+        // Non-FATAL last line, and the latest record.
+        ras_line(5, 900, info, 1),
+    ];
+    let no_fatal = [
+        ras_line(1, 10, info, 0),
+        ras_line(2, 5, warn, 1),
+        "bad line".to_owned(),
+        ras_line(3, 20, info, 2),
+    ];
+    vec![
+        ("damaged", damaged.join("\n") + "\n"),
+        ("damaged, CRLF, no final newline", damaged.join("\r\n")),
+        ("no FATAL record", no_fatal.join("\n") + "\n"),
+        (
+            "only FATAL records",
+            [2, 6, 7].map(|i| damaged[i].clone()).join("\n"),
+        ),
+        ("empty", String::new()),
+    ]
+}
+
+#[test]
+fn load_pair_is_the_fatal_projection_of_the_full_load() {
+    let dir = workdir("projection");
+    for (name, text) in projection_inputs() {
+        for threads in PROJECTION_THREADS {
+            for state in CACHE_STATES {
+                assert_projection(name, text.as_bytes(), &dir, state, threads);
+            }
+        }
+    }
+}
+
+#[test]
+fn load_pair_projects_the_damaged_site_log() {
+    let dir = workdir("projection-site");
+    let text = texts().0.as_bytes();
+    for threads in PROJECTION_THREADS {
+        for state in CACHE_STATES {
+            assert_projection("site", text, &dir, state, threads);
+        }
+    }
+}
+
+/// One line of a random RAS log: mostly records over a narrow window (so
+/// times tie), some blank, CR-only or malformed.
+fn arb_ras_line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0u64..8, 0i64..6, 0usize..6, 0usize..4).prop_map(|(id, t, s, l)| ras_line(id, t, s, l)),
+        (0u64..8, 0i64..6, 0usize..6, 0usize..4).prop_map(|(id, t, s, l)| ras_line(id, t, s, l)),
+        (0u8..1).prop_map(|_| String::new()),
+        (0u8..1).prop_map(|_| "\r".to_owned()),
+        (0u8..1).prop_map(|_| "garbage|with|pipes".to_owned()),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn projection_law_over_random_logs(
+        lines in collection::vec(arb_ras_line(), 0..24),
+        crlf in 0u8..2,
+        final_newline in 0u8..2,
+        threads in 0usize..3,
+        state in 0usize..5,
+    ) {
+        let sep = if crlf == 1 { "\r\n" } else { "\n" };
+        let mut text = lines.join(sep);
+        if final_newline == 1 {
+            text.push_str(sep);
+        }
+        let dir = workdir("projection-prop");
+        assert_projection(
+            "random",
+            text.as_bytes(),
+            &dir,
+            CACHE_STATES[state],
+            PROJECTION_THREADS[threads],
+        );
+    }
 }
