@@ -5,7 +5,11 @@
 //! on scoped threads. The helpers here are the deterministic substrate for
 //! that: chunking that never splits a line, a fork-join map over chunks, and
 //! a content hash used by the `.bgpsnap` snapshot cache to detect stale
-//! snapshots.
+//! snapshots, with a slice hasher and a streaming file hasher.
+
+use std::fs::File;
+use std::io;
+use std::ops::Range;
 
 /// All lanes of a `u64` filled with one byte.
 const fn broadcast(b: u8) -> u64 {
@@ -134,28 +138,141 @@ pub fn fnv1a_64(data: &[u8]) -> u64 {
     hash
 }
 
-/// Stable 64-bit content hash of a (potentially large) byte buffer.
+/// The serial word-FNV checksum: FNV-1a-style mixing over little-endian
+/// 8-byte words (the tail zero-padded into a last word), one chain, with the
+/// length folded into the initial state.
 ///
-/// FNV-1a-style mixing over little-endian 8-byte words with the length folded
-/// into the initial state — roughly 8× faster than [`fnv1a_64`] on big
-/// buffers, which matters because the snapshot cache hashes the whole source
-/// log on every run to validate its snapshot. Not interchangeable with
-/// [`fnv1a_64`]; the snapshot format pins this exact function.
-pub fn content_hash_64(data: &[u8]) -> u64 {
+/// This is the frame checksum `.bgpcas` cassettes are stamped with; the
+/// cassette format pins this exact function. Not interchangeable with
+/// [`fnv1a_64`] or [`content_hash_64`].
+pub fn word_fnv_64(data: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET ^ (data.len() as u64).wrapping_mul(FNV_PRIME);
     let mut words = data.chunks_exact(8);
     for word in &mut words {
-        hash ^= u64::from_le_bytes(word.try_into().unwrap_or([0; 8]));
-        hash = hash.wrapping_mul(FNV_PRIME);
+        hash = fnv_step(hash, le_word(word));
     }
-    let rem = words.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        hash ^= u64::from_le_bytes(tail);
-        hash = hash.wrapping_mul(FNV_PRIME);
+    if !words.remainder().is_empty() {
+        hash = fnv_step(hash, le_word(words.remainder()));
     }
     hash
+}
+
+/// One word-FNV step: fold `word` into `hash`.
+#[inline(always)]
+fn fnv_step(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// Up to eight bytes as a little-endian word, zero-padded on the right.
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let n = bytes.len().min(8);
+    word[..n].copy_from_slice(&bytes[..n]);
+    u64::from_le_bytes(word)
+}
+
+/// Block size of [`content_hash_64`]: its input is cut into blocks of this
+/// many bytes (the last one shorter), and every hasher reads and hashes
+/// whole blocks.
+pub const HASH_BLOCK: usize = 1 << 20;
+
+/// Independent word-FNV chains per block.
+const LANES: usize = 4;
+
+/// The hash of one block: its little-endian words (the tail zero-padded
+/// into a last word) dealt round-robin to [`LANES`] word-FNV chains, each
+/// seeded with its lane number, then the lane values folded in lane order.
+/// The chains are independent, so their multiplies overlap in the
+/// pipeline.
+fn block_hash(block: &[u8]) -> u64 {
+    let mut lanes: [u64; LANES] = std::array::from_fn(|lane| FNV_OFFSET ^ lane as u64);
+    let mut rounds = block.chunks_exact(8 * LANES);
+    for round in &mut rounds {
+        for (lane, word) in lanes.iter_mut().zip(round.chunks_exact(8)) {
+            *lane = fnv_step(*lane, le_word(word));
+        }
+    }
+    for (lane, word) in lanes.iter_mut().zip(rounds.remainder().chunks(8)) {
+        *lane = fnv_step(*lane, le_word(word));
+    }
+    lanes.into_iter().fold(FNV_OFFSET, fnv_step)
+}
+
+/// Fold block hashes, in input order, into the hash of an input of `len`
+/// bytes.
+fn fold_blocks(len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
+    blocks
+        .into_iter()
+        .fold(FNV_OFFSET ^ len.wrapping_mul(FNV_PRIME), fnv_step)
+}
+
+/// Stable 64-bit content hash of a (potentially large) byte buffer: the
+/// stamp a `.bgpsnap` snapshot carries of the source text it was parsed
+/// from.
+///
+/// Definition: the input is cut into [`HASH_BLOCK`]-byte blocks (the last
+/// one shorter). Each block is hashed as four independent word-FNV lanes —
+/// its 8-byte little-endian words dealt round-robin, the tail zero-padded
+/// into a last word — and the lanes are folded in order. The block hashes
+/// are then folded in order, word-FNV style, from a state seeded with the
+/// total length. The value depends only on the bytes: this slice hasher and
+/// the file hasher [`content_hash_file`] agree at every thread count. Not
+/// interchangeable with [`fnv1a_64`] or [`word_fnv_64`].
+pub fn content_hash_64(data: &[u8]) -> u64 {
+    fold_blocks(data.len() as u64, data.chunks(HASH_BLOCK).map(block_hash))
+}
+
+/// [`content_hash_64`] of a file's bytes, read as a stream instead of
+/// mapped: the blocks are read with positioned reads (`pread`) into one
+/// [`HASH_BLOCK`] buffer per thread, their ranges split over `threads`
+/// (`0` is treated as 1) by [`map_chunks_parallel`], and the block hashes
+/// folded in order.
+///
+/// Exactly the length `fstat` reports when the call starts is read; a file
+/// that shrinks meanwhile yields an `UnexpectedEof` error, never a hash of
+/// fewer bytes. Non-unix targets read the blocks sequentially.
+pub fn content_hash_file(file: &File, threads: usize) -> io::Result<u64> {
+    let len = file.metadata()?.len();
+    let block = HASH_BLOCK as u64;
+    let blocks = len.div_ceil(block);
+    let threads = if cfg!(unix) { threads.max(1) as u64 } else { 1 };
+    let threads = threads.min(blocks).max(1);
+    let ranges: Vec<Range<u64>> = (0..threads)
+        .map(|t| blocks * t / threads..blocks * (t + 1) / threads)
+        .collect();
+    let parts = map_chunks_parallel(&ranges, |range| {
+        let mut buf = vec![0u8; len.min(block) as usize];
+        range
+            .clone()
+            .map(|b| {
+                let start = b * block;
+                let bytes = &mut buf[..(len - start).min(block) as usize];
+                read_at(file, bytes, start)?;
+                Ok(block_hash(bytes))
+            })
+            .collect::<io::Result<Vec<u64>>>()
+    });
+    let mut hashes = Vec::with_capacity(blocks as usize);
+    for part in parts {
+        hashes.extend(part?);
+    }
+    Ok(fold_blocks(len, hashes))
+}
+
+/// Fill `buf` from `file` at `offset`; a short read is an error.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Fill `buf` from `file` at `offset`; a short read is an error. Seeks the
+/// shared file cursor, so callers read from one thread.
+#[cfg(not(unix))]
+fn read_at(mut file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
 }
 
 #[cfg(test)]
@@ -300,6 +417,151 @@ mod tests {
         // Inline path.
         let out = map_chunks_parallel(&items[..1], |&i| i + 1);
         assert_eq!(out, vec![1]);
+    }
+
+    /// The [`content_hash_64`] definition, written plainly: blocks, then
+    /// words dealt to lanes by index, then the two folds.
+    fn reference_hash(data: &[u8]) -> u64 {
+        let mut hash = FNV_OFFSET ^ (data.len() as u64).wrapping_mul(FNV_PRIME);
+        for block in data.chunks(HASH_BLOCK) {
+            let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+            for (i, word) in block.chunks(8).enumerate() {
+                let mut padded = [0u8; 8];
+                padded[..word.len()].copy_from_slice(word);
+                let lane = &mut lanes[i % 4];
+                *lane ^= u64::from_le_bytes(padded);
+                *lane = lane.wrapping_mul(FNV_PRIME);
+            }
+            let mut block_hash = FNV_OFFSET;
+            for lane in lanes {
+                block_hash = (block_hash ^ lane).wrapping_mul(FNV_PRIME);
+            }
+            hash = (hash ^ block_hash).wrapping_mul(FNV_PRIME);
+        }
+        hash
+    }
+
+    /// `len` pseudo-random bytes (splitmix64 from `seed`).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// Hash `data` through the slice hasher, the reference, and the file
+    /// hasher at several thread counts; all must agree.
+    fn assert_hashers_agree(data: &[u8]) {
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let expected = reference_hash(data);
+        assert_eq!(content_hash_64(data), expected, "slice, len {}", data.len());
+        let path = std::env::temp_dir().join(format!(
+            "bgp-model-hash-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        std::fs::write(&path, data).unwrap();
+        let file = File::open(&path).unwrap();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                content_hash_file(&file, threads).unwrap(),
+                expected,
+                "file at {threads} threads, len {}",
+                data.len()
+            );
+        }
+        drop(file);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn hashers_agree_at_block_and_lane_edges() {
+        for len in [
+            0,
+            1,
+            7,
+            8,
+            31,
+            32,
+            33,
+            HASH_BLOCK - 1,
+            HASH_BLOCK,
+            HASH_BLOCK + 1,
+            3 * HASH_BLOCK + 5,
+        ] {
+            assert_hashers_agree(&noise(len, len as u64));
+        }
+    }
+
+    proptest! {
+        /// Random lengths, from a few bytes to a few blocks, with the
+        /// block edges well covered.
+        #[test]
+        fn prop_hashers_agree(
+            blocks in 0usize..3,
+            offset in 0usize..5000,
+            seed in 0u64..u64::MAX,
+        ) {
+            let len = (blocks * HASH_BLOCK + offset).saturating_sub(2500);
+            assert_hashers_agree(&noise(len, seed));
+        }
+    }
+
+    #[test]
+    fn hash_sees_lane_order_block_order_and_length() {
+        let data = noise(2 * HASH_BLOCK + 77, 7);
+        let base = content_hash_64(&data);
+        // Words 0 and 1 open lanes 0 and 1; words 5 and 10 sit mid-lane in
+        // lanes 1 and 2.
+        for (a, b) in [(0, 1), (5, 10), (3, 4)] {
+            let mut swapped = data.clone();
+            for k in 0..8 {
+                swapped.swap(a * 8 + k, b * 8 + k);
+            }
+            assert_ne!(swapped, data);
+            assert_ne!(content_hash_64(&swapped), base, "words {a} and {b}");
+        }
+        let mut blocks = data.clone();
+        let (first, rest) = blocks.split_at_mut(HASH_BLOCK);
+        first.swap_with_slice(&mut rest[..HASH_BLOCK]);
+        assert_ne!(content_hash_64(&blocks), base, "blocks swapped");
+        let mut longer = data.clone();
+        longer.push(0);
+        assert_ne!(content_hash_64(&longer), base, "zero byte appended");
+        assert_ne!(content_hash_64(&[0]), content_hash_64(&[]));
+        assert_ne!(
+            content_hash_64(&[0; HASH_BLOCK]),
+            content_hash_64(&[0; HASH_BLOCK + 8])
+        );
+    }
+
+    #[test]
+    fn cassette_checksum_is_the_old_serial_word_fnv() {
+        // A one-record RAS log text: `word_fnv_64` is the serial word-FNV
+        // that `content_hash_64` was before it became block-structured, and
+        // committed cassettes are stamped with it, so it must never change.
+        let text = b"1|KERN_0014|KERNEL|CNS|_bgp_err_kernel_panic|FATAL|2009-03-02-13.20.00|\
+                     R00-M0|Compute node kernel panic: unhandled machine check\ngarbage\n";
+        assert_eq!(word_fnv_64(text), 0x9d09_9c2b_1bd1_92e5);
+        assert_eq!(content_hash_64(text), 0xc1d5_317a_068c_12ec);
+        assert_eq!(word_fnv_64(b""), FNV_OFFSET);
+    }
+
+    #[test]
+    fn file_hasher_reports_io_errors() {
+        let path = std::env::temp_dir().join(format!("bgp-model-hash-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&path).unwrap();
+        // A directory opens but cannot be read: an error, not a hash.
+        let dir = File::open(&path).unwrap();
+        assert!(content_hash_file(&dir, 2).is_err());
+        let _ = std::fs::remove_dir_all(&path);
     }
 
     #[test]

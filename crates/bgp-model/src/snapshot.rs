@@ -1,7 +1,7 @@
 //! The shared `.bgpsnap` snapshot container: header, cursor, typed errors.
 //!
 //! A snapshot is a parsed log cached on disk so re-runs skip parsing
-//! entirely. The container layout is common to both logs; the per-record
+//! entirely. The container layout is common to every kind; the per-record
 //! column encodings live with the record types (`raslog::snapshot`,
 //! `joblog::snapshot`).
 //!
@@ -10,11 +10,17 @@
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0  | 8 | magic `b"BGPSNAP\0"` |
-//! | 8  | 1 | log kind (1 = RAS, 2 = job) |
+//! | 8  | 1 | kind (1 = RAS, 2 = job, 3 = the FATAL projection of a RAS log) |
 //! | 9  | 3 | reserved, zero |
 //! | 12 | 4 | format version (`u32`) |
 //! | 16 | 8 | record count (`u64`) |
 //! | 24 | 8 | content hash of the *source text* ([`crate::bytes::content_hash_64`]) |
+//!
+//! The hash covers every byte of the source text the records were parsed
+//! from — for a FATAL projection too, which stores only some of them — so
+//! any edit to the source, anywhere, makes the snapshot stale. A reader may
+//! compute it by mapping the source or by streaming it
+//! ([`crate::bytes::content_hash_file`]); both give the same value.
 //!
 //! The columnar record payload follows immediately; a snapshot never contains
 //! trailing bytes beyond its declared columns. Any mismatch — magic, kind,
@@ -37,6 +43,9 @@ pub enum SnapshotKind {
     Ras,
     /// A parsed job accounting log.
     Job,
+    /// The FATAL records of a parsed RAS log, plus the whole log's record
+    /// count and span.
+    RasFatal,
 }
 
 impl SnapshotKind {
@@ -44,6 +53,7 @@ impl SnapshotKind {
         match self {
             SnapshotKind::Ras => 1,
             SnapshotKind::Job => 2,
+            SnapshotKind::RasFatal => 3,
         }
     }
 
@@ -51,6 +61,7 @@ impl SnapshotKind {
         match tag {
             1 => Some(SnapshotKind::Ras),
             2 => Some(SnapshotKind::Job),
+            3 => Some(SnapshotKind::RasFatal),
             _ => None,
         }
     }
@@ -61,6 +72,7 @@ impl fmt::Display for SnapshotKind {
         match self {
             SnapshotKind::Ras => write!(f, "RAS"),
             SnapshotKind::Job => write!(f, "job"),
+            SnapshotKind::RasFatal => write!(f, "RAS FATAL"),
         }
     }
 }
@@ -101,6 +113,11 @@ pub enum SnapshotError {
         /// Hash of the current source text.
         expected: u64,
     },
+    /// A stored tally (counts or span beside the records) is inconsistent.
+    BadTally(
+        /// What was wrong with it.
+        String,
+    ),
     /// A record failed to decode (corrupt payload).
     BadRecord {
         /// Zero-based record index.
@@ -132,6 +149,7 @@ impl fmt::Display for SnapshotError {
                 f,
                 "source hash {found:#018x} does not match current source {expected:#018x}"
             ),
+            SnapshotError::BadTally(what) => write!(f, "tally corrupt: {what}"),
             SnapshotError::BadRecord { index, what } => {
                 write!(f, "record {index} corrupt: {what}")
             }
@@ -317,6 +335,10 @@ mod tests {
             SnapshotHeader::parse(&buf, SnapshotKind::Job),
             Err(SnapshotError::WrongKind { found: 1, .. })
         ));
+        assert!(matches!(
+            SnapshotHeader::parse(&buf, SnapshotKind::RasFatal),
+            Err(SnapshotError::WrongKind { found: 1, .. })
+        ));
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(matches!(
@@ -339,6 +361,7 @@ mod tests {
         for e in [
             SnapshotError::BadMagic,
             SnapshotError::TrailingBytes(7),
+            SnapshotError::BadTally("x".into()),
             SnapshotError::BadRecord {
                 index: 9,
                 what: "x".into(),
@@ -346,6 +369,16 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn kind_tags_round_trip() {
+        for kind in [SnapshotKind::Ras, SnapshotKind::Job, SnapshotKind::RasFatal] {
+            assert_eq!(SnapshotKind::from_tag(kind.tag()), Some(kind));
+        }
+        assert_eq!(SnapshotKind::RasFatal.tag(), 3);
+        assert_eq!(SnapshotKind::RasFatal.to_string(), "RAS FATAL");
+        assert_eq!(SnapshotKind::from_tag(4), None);
     }
 
     #[test]

@@ -321,11 +321,6 @@ pub struct AnalysisContext<'a> {
     code_slices: Vec<(ErrCode, Range<usize>)>,
     job_index: HashMap<u64, u32>,
     exec_groups: Vec<(ExecId, Vec<&'a JobRecord>)>,
-    /// Job indices sorted by `(end_time, job_id)` — the machine-wide
-    /// termination order. A position in this permutation is a *rank*;
-    /// because rank order is end-time order, a time-sorted event sweep can
-    /// walk it with monotone cursors.
-    end_order: Vec<u32>,
     span: Option<(Timestamp, Timestamp)>,
     /// Interned job-dimension columns for the FDA lattice, built lazily on
     /// first use (only the `Fda` stage pays for them).
@@ -366,9 +361,9 @@ impl<'a> AnalysisContext<'a> {
     }
 
     /// Build a context around a resident [`EventStore`], rebuilding only the
-    /// job-side indexes (job-id map, termination ranks, exec groups). The
-    /// event buffers move in without copying; [`AnalysisContext::into_store`]
-    /// moves them back out after a run.
+    /// job-side indexes (job-id map, exec groups; the termination ranks are
+    /// the job log's own). The event buffers move in without copying;
+    /// [`AnalysisContext::into_store`] moves them back out after a run.
     pub fn from_store(store: EventStore, jobs: &'a JobLog) -> AnalysisContext<'a> {
         let EventStore {
             raw_events,
@@ -381,15 +376,6 @@ impl<'a> AnalysisContext<'a> {
         for (i, j) in jobs.jobs().iter().enumerate() {
             job_index.insert(j.job_id, i as u32);
         }
-
-        // Termination index: rank = position in the machine-wide
-        // (end_time, job_id) order (identical to JobLog::ended_in_window's
-        // iteration order).
-        let mut end_order: Vec<u32> = (0..jobs.len() as u32).collect();
-        end_order.sort_by_key(|&i| {
-            let j = &jobs.jobs()[i as usize];
-            (j.end_time, j.job_id)
-        });
 
         let mut groups: HashMap<ExecId, Vec<&'a JobRecord>> = HashMap::new();
         for j in jobs.jobs() {
@@ -408,7 +394,6 @@ impl<'a> AnalysisContext<'a> {
             code_slices,
             job_index,
             exec_groups,
-            end_order,
             span,
             fda_dims: OnceLock::new(),
             #[cfg(test)]
@@ -481,11 +466,13 @@ impl<'a> AnalysisContext<'a> {
             .get_or_init(|| JobDims::from_jobs(self.jobs.jobs()))
     }
 
-    /// The job at machine-wide termination rank `rank` (a position in the
-    /// `(end_time, job_id)` permutation of the job table).
+    /// The job at machine-wide termination rank `rank` (a position in
+    /// [`JobLog::by_end_time`]). Rank order is end-time order, so a
+    /// time-sorted event sweep can walk it with monotone cursors.
     pub(crate) fn job_by_end_rank(&self, rank: u32) -> Option<&'a JobRecord> {
         self.note(CtxIndex::Jobs);
-        self.end_order
+        self.jobs
+            .by_end_time()
             .get(rank as usize)
             .and_then(|&i| self.jobs.jobs().get(i as usize))
     }

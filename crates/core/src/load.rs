@@ -5,20 +5,28 @@
 //!
 //! 1. resolve the input path through [`bgp_ports::resolve_input`] (only the
 //!    BG/Q adapter is multi-file);
-//! 2. map the whole file read-only ([`LoadOptions::mmap`], on by default) or
-//!    read it into a buffer;
-//! 3. for the BG/P format, if a snapshot directory is configured, map the
-//!    matching `.bgpsnap` and validate it against the source: header and
-//!    format version first, then the source text's content hash — computed
-//!    on a second thread while the snapshot body decodes — then the body.
-//!    A hit skips parsing entirely (the body decodes straight into what the
-//!    load keeps); without a snapshot directory nothing is hashed;
-//! 4. otherwise decode through the [`LogFormat`]'s source adapter — BG/P in
+//! 2. for the BG/P format, if a snapshot directory is configured, open the
+//!    source and validate the matching snapshot against it: header and
+//!    format version first, then the source text's content hash — streamed
+//!    from the file with positioned reads on every core
+//!    ([`bgp_model::bytes::content_hash_file`]) while the snapshot body
+//!    decodes, and computed at most once per load — then the body. The
+//!    lookup order is: for [`load_pair`], the FATAL snapshot
+//!    ([`fatal_snapshot_file`]); then the full snapshot ([`snapshot_file`]).
+//!    A hit skips parsing, and **a hit never maps the source**: it is read
+//!    once, as a stream, to hash it. Without a snapshot directory nothing is
+//!    hashed;
+//! 3. otherwise map the whole file read-only ([`LoadOptions::mmap`], on by
+//!    default) or read it into a buffer;
+//! 4. decode it through the [`LogFormat`]'s source adapter — BG/P in
 //!    parallel on newline-aligned byte chunks, BG/Q and syslog line by line,
 //!    cassettes by replaying the recorded byte stream through their inner
 //!    format — and, if configured (BG/P only), write the snapshot for next
-//!    time (to a temp file renamed over the old one, so concurrent readers
-//!    and live mappings never see a torn snapshot).
+//!    time, stamped with the content hash of the very bytes parsed (to a
+//!    temp file renamed over the old one, so concurrent readers and live
+//!    mappings never see a torn snapshot). [`load_pair`] then also writes
+//!    the FATAL snapshot from what it keeps; it does the same after a
+//!    full-snapshot hit.
 //!
 //! [`LoadOptions::format`] selects the **RAS** source adapter. Job
 //! accounting is format-specific only for `bgq`, whose directory layout
@@ -28,8 +36,11 @@
 //! still be decoded directly through `bgp_ports::cassette`.)
 //!
 //! Every snapshot failure — stale hash, old format version, truncation,
-//! corruption — is recoverable: the loader falls back to re-parsing and
-//! rewrites the snapshot, reporting what happened in [`SnapshotStatus`].
+//! corruption, a source that cannot be hashed — is recoverable: the loader
+//! falls back to re-parsing and rewrites the snapshot, reporting what
+//! happened in [`SnapshotStatus`]. A FATAL snapshot that fails falls back to
+//! the full snapshot silently, so the status is then exactly
+//! [`load_ras`]'s for the same cache.
 //!
 //! **What a load keeps.** The entry point decides, with no option to set:
 //! [`load_ras`] and [`load_jobs`] keep every record, and [`load_pair`], the
@@ -38,12 +49,13 @@
 //! For BG/P the projection happens inside the chunk parser and the snapshot
 //! decoder, which still parse and validate every line and every record, so
 //! the other ~98 % of records are never built; the other adapters decode
-//! in full, then filter. Diagnostics, snapshot status and the snapshot
-//! file itself are the same whichever entry point loads: a cache miss
-//! parses in full and writes the full snapshot, so `coctl summary` and
-//! `coctl analyze` share one cache.
+//! in full, then filter. Diagnostics and the full snapshot file are the same
+//! whichever entry point loads: a cache miss parses in full and writes the
+//! full snapshot, so `coctl summary` and `coctl analyze` share one cache.
+//! Only [`load_pair`] reads or writes the FATAL snapshot beside it (about
+//! 2 % of its size), which serves its warm hits.
 
-use bgp_model::bytes::content_hash_64;
+use bgp_model::bytes::{content_hash_64, content_hash_file};
 use bgp_model::mmap::MappedFile;
 use bgp_model::snapshot::{SnapshotError, SnapshotHeader, SnapshotKind};
 use bgp_ports::SourceBatch;
@@ -51,7 +63,7 @@ pub use bgp_ports::{LogFormat, SourceDiagnostic};
 use joblog::{JobLog, JobRecord};
 use raslog::{Projection, RasLog, RasRecord};
 use std::fmt;
-use std::fs;
+use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,12 +82,14 @@ pub struct LoadOptions {
     /// Memory-map the input instead of reading it into a buffer, so parsing
     /// runs zero-copy over the page cache (unix `mmap`, `PROT_READ`;
     /// silently falls back to a buffered read where mapping is
-    /// unavailable). On by default; identical records either way. Turn it
-    /// off (`coctl --no-mmap`) for log files that may be *truncated*
-    /// concurrently — see [`bgp_model::mmap::MappedFile`] for the `SIGBUS`
-    /// caveat (append-only growth is fine: the mapping is fixed at open
-    /// length). Snapshots are always mapped: the loader only ever replaces
-    /// them whole, never truncates them.
+    /// unavailable). On by default; identical records either way. It only
+    /// matters when the input is parsed: a snapshot hit never maps the
+    /// source, it streams it to hash it. Turn it off (`coctl --no-mmap`)
+    /// for log files that may be *truncated* concurrently while they are
+    /// parsed — see [`bgp_model::mmap::MappedFile`] for the `SIGBUS` caveat
+    /// (append-only growth is fine: the mapping is fixed at open length).
+    /// Snapshots are always mapped: the loader only ever replaces them
+    /// whole, never truncates them.
     pub mmap: bool,
 }
 
@@ -191,19 +205,33 @@ pub fn snapshot_file(dir: &Path, source: &Path) -> PathBuf {
     dir.join(format!("{name}.bgpsnap"))
 }
 
+/// The FATAL snapshot file for `source` inside `dir`, which only
+/// [`load_pair`] reads and writes: `<file-name>.bgpsnap.fatal`. Every
+/// [`snapshot_file`] name ends in `.bgpsnap`, so no source's full snapshot
+/// can share it.
+pub fn fatal_snapshot_file(dir: &Path, source: &Path) -> PathBuf {
+    let mut name = snapshot_file(dir, source).into_os_string();
+    name.push(".fatal");
+    name.into()
+}
+
+fn cannot_read(path: &Path, e: io::Error) -> LoadError {
+    LoadError {
+        path: path.to_owned(),
+        message: format!("cannot read: {e}"),
+    }
+}
+
 fn read_file(path: &Path, mmap: bool) -> Result<MappedFile, LoadError> {
     let result = if mmap {
         MappedFile::open(path)
     } else {
         MappedFile::read(path)
     };
-    result.map_err(|e| LoadError {
-        path: path.to_owned(),
-        message: format!("cannot read: {e}"),
-    })
+    result.map_err(|e| cannot_read(path, e))
 }
 
-/// The record-type specifics of one BG/P log: which snapshot it reads and
+/// The record-type specifics of one BG/P log: which snapshots it reads and
 /// writes, how its text parses, and what a load keeps of its records.
 trait BgpCodec {
     /// One parsed record.
@@ -224,14 +252,44 @@ trait BgpCodec {
     /// Keep what the load keeps of a full parse.
     fn project(&self, all: Vec<Self::Record>) -> Self::Kept;
     /// Decode and validate a whole snapshot (its source hash is checked
-    /// separately), keeping what the load keeps.
-    fn decode(&self, snap: &[u8]) -> Result<Self::Kept, SnapshotError>;
+    /// separately).
+    fn decode(snap: &[u8]) -> Result<Vec<Self::Record>, SnapshotError>;
     /// Serialize a full parse, stamped with the source text's hash.
     fn encode(all: &[Self::Record], source_hash: u64) -> Vec<u8>;
+    /// The snapshot of just what this load keeps, if it has one: looked up
+    /// before the full snapshot, and written from what the load keeps after
+    /// a full-snapshot hit or a parse.
+    fn kept_snapshot(&self) -> Option<KeptSnapshot<Self::Kept>> {
+        None
+    }
 }
 
-/// The RAS log, keeping the records its predicate accepts.
-struct RasCodec(fn(&RasRecord) -> bool);
+/// A snapshot of just what a load keeps: where it lives and its codec
+/// (stamped, like the full snapshot, with the whole source's hash).
+struct KeptSnapshot<K> {
+    file: fn(&Path, &Path) -> PathBuf,
+    kind: SnapshotKind,
+    decode: fn(&[u8]) -> Result<K, SnapshotError>,
+    encode: fn(&K, u64) -> Vec<u8>,
+}
+
+/// The RAS log: every record ([`load_ras`]), or only the FATAL ones plus
+/// the whole log's tally ([`load_pair`]), which have a snapshot of their
+/// own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RasCodec {
+    All,
+    Fatal,
+}
+
+impl RasCodec {
+    fn keep(self) -> fn(&RasRecord) -> bool {
+        match self {
+            RasCodec::All => |_| true,
+            RasCodec::Fatal => RasRecord::is_fatal,
+        }
+    }
+}
 
 impl BgpCodec for RasCodec {
     type Record = RasRecord;
@@ -240,7 +298,7 @@ impl BgpCodec for RasCodec {
     const VERSION: u32 = raslog::snapshot::FORMAT_VERSION;
 
     fn parse(&self, text: &[u8], threads: usize) -> (Projection, Vec<SourceDiagnostic>) {
-        bgp_ports::bgp::decode_ras_where(text, threads, self.0)
+        bgp_ports::bgp::decode_ras_where(text, threads, self.keep())
     }
 
     fn parse_all(text: &[u8], threads: usize) -> SourceBatch<RasRecord> {
@@ -248,15 +306,24 @@ impl BgpCodec for RasCodec {
     }
 
     fn project(&self, all: Vec<RasRecord>) -> Projection {
-        Projection::of(all, self.0)
+        Projection::of(all, self.keep())
     }
 
-    fn decode(&self, snap: &[u8]) -> Result<Projection, SnapshotError> {
-        raslog::snapshot::decode_snapshot_where(snap, None, self.0)
+    fn decode(snap: &[u8]) -> Result<Vec<RasRecord>, SnapshotError> {
+        raslog::snapshot::decode_snapshot(snap, None)
     }
 
     fn encode(all: &[RasRecord], source_hash: u64) -> Vec<u8> {
         raslog::snapshot::encode_snapshot(all, source_hash)
+    }
+
+    fn kept_snapshot(&self) -> Option<KeptSnapshot<Projection>> {
+        (*self == RasCodec::Fatal).then_some(KeptSnapshot {
+            file: fatal_snapshot_file,
+            kind: SnapshotKind::RasFatal,
+            decode: |snap| raslog::snapshot::decode_fatal_snapshot(snap, None),
+            encode: raslog::snapshot::encode_fatal_snapshot,
+        })
     }
 }
 
@@ -277,7 +344,7 @@ impl BgpCodec for JobCodec {
         all
     }
 
-    fn decode(&self, snap: &[u8]) -> Result<Vec<JobRecord>, SnapshotError> {
+    fn decode(snap: &[u8]) -> Result<Vec<JobRecord>, SnapshotError> {
         joblog::snapshot::decode_snapshot(snap, None)
     }
 
@@ -287,71 +354,145 @@ impl BgpCodec for JobCodec {
 }
 
 /// The shared BG/P load skeleton. Without a snapshot directory the text
-/// parses projected; a snapshot hit decodes projected; a miss parses in
-/// full, writes the full snapshot, then projects.
+/// parses projected. With one, the kept snapshot (if the load has one) and
+/// then the full snapshot are checked against the source, which is hashed
+/// at most once and never mapped; a full hit is projected. A miss parses
+/// the mapped text in full and writes the full snapshot, stamped with the
+/// hash of the bytes parsed, then projects. After a full hit or a parse the
+/// kept snapshot is written too.
 fn load_bgp<C: BgpCodec>(
     path: &Path,
     opts: &LoadOptions,
     codec: &C,
 ) -> Result<(C::Kept, Vec<SourceDiagnostic>, SnapshotStatus), LoadError> {
-    let data = read_file(path, opts.mmap)?;
-    let data = data.bytes();
     let threads = opts.effective_threads();
     // The content hash exists only to validate and stamp the snapshot, so
     // an uncached load never pays for it.
     let Some(dir) = opts.snapshot_dir.as_deref() else {
-        let (kept, diagnostics) = codec.parse(data, threads);
+        let data = read_file(path, opts.mmap)?;
+        let (kept, diagnostics) = codec.parse(data.bytes(), threads);
         return Ok((kept, diagnostics, SnapshotStatus::Disabled));
     };
-    let snap_path = snapshot_file(dir, path);
-    let (hash, stale_reason) = match MappedFile::open(&snap_path) {
-        Err(_) => (content_hash_64(data), None),
-        Ok(snap) => match check_snapshot(codec, snap.bytes(), data) {
-            (_, Ok(kept)) => return Ok((kept, Vec::new(), SnapshotStatus::Loaded)),
-            (hash, Err(e)) => (hash, Some(e.to_string())),
-        },
+    let mut source = Source {
+        file: File::open(path).map_err(|e| cannot_read(path, e))?,
+        threads,
+        hash: None,
     };
-    let batch = C::parse_all(data, threads);
-    let write = fs::create_dir_all(dir)
-        .and_then(|()| replace_file(&snap_path, &C::encode(&batch.records, hash)));
-    let status = match (write, stale_reason) {
+    let kept_snapshot = codec.kept_snapshot().map(|k| ((k.file)(dir, path), k));
+    if let Some((kept_path, k)) = &kept_snapshot {
+        if let Ok((kept, _)) = source.check(kept_path, k.kind, C::VERSION, k.decode) {
+            return Ok((kept, Vec::new(), SnapshotStatus::Loaded));
+        }
+    }
+    let snap_path = snapshot_file(dir, path);
+    let (kept, diagnostics, hash, mut status) =
+        match source.check(&snap_path, C::KIND, C::VERSION, C::decode) {
+            Ok((all, hash)) => (codec.project(all), Vec::new(), hash, SnapshotStatus::Loaded),
+            Err(stale_reason) => parse_and_snapshot(path, opts, codec, &snap_path, stale_reason)?,
+        };
+    if let Some((kept_path, k)) = kept_snapshot {
+        if let Err(e) = write_snapshot(&kept_path, &(k.encode)(&kept, hash)) {
+            if !matches!(status, SnapshotStatus::WriteFailed { .. }) {
+                status = SnapshotStatus::WriteFailed {
+                    reason: e.to_string(),
+                };
+            }
+        }
+    }
+    Ok((kept, diagnostics, status))
+}
+
+/// The miss path of [`load_bgp`]: map (or read) the source, parse it in
+/// full and write the full snapshot at `snap_path`, stamped with the hash
+/// of the very bytes parsed — returned with what the load keeps.
+/// `stale_reason` says why an existing snapshot was unusable.
+fn parse_and_snapshot<C: BgpCodec>(
+    path: &Path,
+    opts: &LoadOptions,
+    codec: &C,
+    snap_path: &Path,
+    stale_reason: Option<String>,
+) -> Result<(C::Kept, Vec<SourceDiagnostic>, u64, SnapshotStatus), LoadError> {
+    let data = read_file(path, opts.mmap)?;
+    let data = data.bytes();
+    let hash = content_hash_64(data);
+    let batch = C::parse_all(data, opts.effective_threads());
+    let status = match (
+        write_snapshot(snap_path, &C::encode(&batch.records, hash)),
+        stale_reason,
+    ) {
         (Ok(()), None) => SnapshotStatus::Written,
         (Ok(()), Some(reason)) => SnapshotStatus::Rewritten { reason },
         (Err(e), _) => SnapshotStatus::WriteFailed {
             reason: e.to_string(),
         },
     };
-    Ok((codec.project(batch.records), batch.diagnostics, status))
+    let kept = codec.project(batch.records);
+    Ok((kept, batch.diagnostics, hash, status))
 }
 
-/// Validate the snapshot bytes `snap` against the source text `source`,
-/// returning the source's content hash (a rewrite needs it) and what the
-/// load keeps of the decoded records, or the first failure.
-///
-/// The checks keep one fixed order — header (magic, kind, length), format
-/// version, source hash, body — whichever thread finishes first: the body
-/// decodes on this thread while the hash runs on a scoped second one, and a
-/// hash mismatch outranks any body error.
-fn check_snapshot<C: BgpCodec>(
-    codec: &C,
-    snap: &[u8],
-    source: &[u8],
-) -> (u64, Result<C::Kept, SnapshotError>) {
-    let header =
-        SnapshotHeader::parse(snap, C::KIND).and_then(|h| h.validate(C::VERSION, None).map(|()| h));
-    let header = match header {
-        Ok(h) => h,
-        Err(e) => return (content_hash_64(source), Err(e)),
-    };
-    let (hash, body) = std::thread::scope(|scope| {
-        let hasher = scope.spawn(|| content_hash_64(source));
-        let body = codec.decode(snap);
-        match hasher.join() {
-            Ok(hash) => (hash, body),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    });
-    (hash, header.validate(C::VERSION, Some(hash)).and(body))
+/// The source log of a cached load, open for hashing. Its content hash is
+/// streamed from the file ([`content_hash_file`]), never mapped, and
+/// computed at most once per load.
+struct Source {
+    file: File,
+    threads: usize,
+    /// The content hash, once computed, or why it could not be.
+    hash: Option<Result<u64, String>>,
+}
+
+impl Source {
+    /// Validate the snapshot at `snap_path` against the source, returning
+    /// what `decode` makes of its body and the source hash it matched.
+    /// `Err(None)` means there is no snapshot file; `Err(Some(reason))`
+    /// that it is unusable, including when the source cannot be hashed.
+    ///
+    /// The checks keep one fixed order — header (magic, kind, length),
+    /// format version, source hash, body — whichever thread finishes first:
+    /// the body decodes on this thread while the hash streams on others, and
+    /// a hash mismatch outranks any body error. A hash already computed is
+    /// compared before the body decodes.
+    fn check<T>(
+        &mut self,
+        snap_path: &Path,
+        kind: SnapshotKind,
+        version: u32,
+        decode: fn(&[u8]) -> Result<T, SnapshotError>,
+    ) -> Result<(T, u64), Option<String>> {
+        let snap = MappedFile::open(snap_path).map_err(|_| None)?;
+        let snap = snap.bytes();
+        let reject = |e: SnapshotError| Some(e.to_string());
+        let header = SnapshotHeader::parse(snap, kind).map_err(reject)?;
+        header.validate(version, None).map_err(reject)?;
+        let (hash, body) = match self.hash.clone() {
+            Some(hash) => (hash, None),
+            None => {
+                let (hash, body) = std::thread::scope(|scope| {
+                    let hasher = scope.spawn(|| content_hash_file(&self.file, self.threads));
+                    let body = decode(snap);
+                    match hasher.join() {
+                        Ok(hash) => (hash, body),
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
+                });
+                let hash = hash.map_err(|e| format!("cannot hash the source: {e}"));
+                self.hash = Some(hash.clone());
+                (hash, Some(body))
+            }
+        };
+        let hash = hash.map_err(Some)?;
+        header.validate(version, Some(hash)).map_err(reject)?;
+        let body = body.unwrap_or_else(|| decode(snap)).map_err(reject)?;
+        Ok((body, hash))
+    }
+}
+
+/// Write `bytes` as the snapshot at `target`, creating its directory.
+fn write_snapshot(target: &Path, bytes: &[u8]) -> io::Result<()> {
+    if let Some(dir) = target.parent() {
+        fs::create_dir_all(dir)?;
+    }
+    replace_file(target, bytes)
 }
 
 /// Replace `target` with `bytes` atomically: write a uniquely named temp
@@ -383,20 +524,16 @@ fn replace_file(target: &Path, bytes: &[u8]) -> io::Result<()> {
 /// diagnostics, same bytes on disk). The other formats decode without a
 /// cache; their snapshot status is always [`SnapshotStatus::Disabled`].
 pub fn load_ras(path: &Path, opts: &LoadOptions) -> Result<LoadedRas, LoadError> {
-    load_ras_where(path, opts, |_| true)
+    load_ras_as(path, opts, RasCodec::All)
 }
 
-/// [`load_ras`], keeping only the records `keep` accepts in
-/// [`LoadedRas::log`]; the log still reports the whole input's span, and
-/// [`LoadedRas::parsed`] counts every record. The BG/P adapter projects as
-/// it parses or decodes; the others decode in full, then filter.
-fn load_ras_where(
-    path: &Path,
-    opts: &LoadOptions,
-    keep: fn(&RasRecord) -> bool,
-) -> Result<LoadedRas, LoadError> {
+/// [`load_ras`], keeping in [`LoadedRas::log`] what `codec` keeps; the log
+/// still reports the whole input's span, and [`LoadedRas::parsed`] counts
+/// every record. The BG/P adapter projects as it parses; the others decode
+/// in full, then filter.
+fn load_ras_as(path: &Path, opts: &LoadOptions, codec: RasCodec) -> Result<LoadedRas, LoadError> {
     let (kept, parse_errors, snapshot) = if opts.format == LogFormat::Bgp {
-        load_bgp(path, opts, &RasCodec(keep))?
+        load_bgp(path, opts, &codec)?
     } else {
         let resolved = bgp_ports::resolve_input(opts.format, path);
         let data = read_file(&resolved.ras, opts.mmap)?;
@@ -409,7 +546,7 @@ fn load_ras_where(
             })?;
         let mut parse_errors = resolved.notes;
         parse_errors.extend(batch.diagnostics);
-        let kept = Projection::of(batch.records, keep);
+        let kept = codec.project(batch.records);
         (kept, parse_errors, SnapshotStatus::Disabled)
     };
     Ok(LoadedRas {
@@ -451,18 +588,24 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
 /// the stage graph's whole input ([`crate::Event::from_fatal_records`]),
 /// while [`RasLog::time_span`] still reports the whole log's span (the
 /// burst window reads it) and [`LoadedRas::parsed`] counts every record.
-/// Every line is still parsed and every snapshot record validated, so the
-/// diagnostics and [`SnapshotStatus`] are exactly [`load_ras`]'s, and so is
-/// the co-analysis report; only the non-FATAL records are never built. The
-/// snapshot cache is shared with [`load_ras`]: a miss writes the full
-/// snapshot.
+/// Every line is still parsed, so the diagnostics are exactly
+/// [`load_ras`]'s, and so is the co-analysis report; only the non-FATAL
+/// records are never built.
+///
+/// With a snapshot directory, the RAS side looks up the FATAL snapshot
+/// ([`fatal_snapshot_file`]) first: a hit validates and decodes only the
+/// stored projection, beside the streamed source hash. Otherwise it falls
+/// back to the full snapshot it shares with [`load_ras`] (a hit is
+/// projected) and then to a full parse that writes the full snapshot, with
+/// exactly [`load_ras`]'s [`SnapshotStatus`]; either way it then writes the
+/// FATAL snapshot (a failed write reports [`SnapshotStatus::WriteFailed`]).
 pub fn load_pair(
     ras_path: &Path,
     jobs_path: &Path,
     opts: &LoadOptions,
 ) -> Result<(LoadedRas, LoadedJobs), LoadError> {
     std::thread::scope(|scope| {
-        let ras = scope.spawn(|| load_ras_where(ras_path, opts, RasRecord::is_fatal));
+        let ras = scope.spawn(|| load_ras_as(ras_path, opts, RasCodec::Fatal));
         let jobs = scope.spawn(|| load_jobs(jobs_path, opts));
         let ras = match ras.join() {
             Ok(r) => r,
@@ -584,20 +727,22 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    fn patched(good: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
+        let mut bytes = good.to_vec();
+        bytes[at..at + with.len()].copy_from_slice(with);
+        bytes
+    }
+
+    const STALE: [u8; 8] = 0x0123_4567_89ab_cdef_u64.to_le_bytes();
+    const STALE_REASON: &str =
+        "source hash 0x0123456789abcdef does not match current source 0xc1d5317a068c12ec";
+
     /// Every way a snapshot can be unusable, with the exact reason the
     /// reload reports. The checks run in a fixed order — header (magic,
     /// kind, length), version, source hash, body — so a snapshot that is
     /// both stale and truncated reports the hash, not the truncation.
     #[test]
     fn snapshot_rejection_reasons_are_pinned() {
-        fn patched(good: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
-            let mut bytes = good.to_vec();
-            bytes[at..at + with.len()].copy_from_slice(with);
-            bytes
-        }
-        const STALE: [u8; 8] = 0x0123_4567_89ab_cdef_u64.to_le_bytes();
-        const STALE_REASON: &str =
-            "source hash 0x0123456789abcdef does not match current source 0x9d099c2b1bd192e5";
         for threads in [1, 0] {
             let dir = tmpdir(&format!("reasons-{threads}"));
             let (ras_path, jobs_path) = write_fixture(&dir);
@@ -613,7 +758,7 @@ mod tests {
             let good = fs::read(&snap).unwrap();
             let job_snap = fs::read(dir.join("snaps").join("jobs.log.bgpsnap")).unwrap();
             let stale = patched(&good, 24, &STALE);
-            let cases: [(&str, Vec<u8>, &str); 8] = [
+            let cases: [(&str, Vec<u8>, &str); 9] = [
                 (
                     "bad magic",
                     patched(&good, 0, b"X"),
@@ -632,7 +777,12 @@ mod tests {
                 (
                     "old version",
                     patched(&good, 12, &0u32.to_le_bytes()),
-                    "format version 0 (this build reads 1)",
+                    "format version 0 (this build reads 2)",
+                ),
+                (
+                    "old hash scheme",
+                    patched(&good, 12, &1u32.to_le_bytes()),
+                    "format version 1 (this build reads 2)",
                 ),
                 ("stale hash", stale.clone(), STALE_REASON),
                 (
@@ -664,6 +814,106 @@ mod tests {
                 assert_eq!(got.log.records(), fresh.log.records(), "{case}");
                 assert_eq!(got.parse_errors, fresh.parse_errors, "{case}");
                 assert_eq!(fs::read(&snap).unwrap(), good, "{case}: rewritten");
+            }
+            assert!(
+                !fatal_snapshot_file(&dir.join("snaps"), &ras_path).exists(),
+                "load_ras never writes the FATAL snapshot"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The same rejections of the FATAL snapshot: each reason is pinned at
+    /// the decoder, and the load falls back to the (good) full snapshot —
+    /// whose status wins — and rewrites the FATAL snapshot.
+    #[test]
+    fn fatal_snapshot_rejections_fall_back_to_the_full_snapshot() {
+        for threads in [1, 0] {
+            let dir = tmpdir(&format!("fatal-reasons-{threads}"));
+            let (ras_path, jobs_path) = write_fixture(&dir);
+            let snaps = dir.join("snaps");
+            let opts = LoadOptions {
+                threads,
+                snapshot_dir: Some(snaps.clone()),
+                ..LoadOptions::default()
+            };
+            let (fresh, _) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
+            assert_eq!(fresh.snapshot, SnapshotStatus::Written);
+            let fatal = fatal_snapshot_file(&snaps, &ras_path);
+            let good = fs::read(&fatal).unwrap();
+            let full = fs::read(snapshot_file(&snaps, &ras_path)).unwrap();
+            let (hit, _) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
+            assert_eq!(hit.snapshot, SnapshotStatus::Loaded);
+            assert_eq!(hit.log.records(), fresh.log.records());
+            let source_hash = content_hash_64(&fs::read(&ras_path).unwrap());
+            let stale = patched(&good, 24, &STALE);
+            let cases: [(&str, Vec<u8>, &str); 9] = [
+                (
+                    "bad magic",
+                    patched(&good, 0, b"X"),
+                    "not a .bgpsnap file (bad magic)",
+                ),
+                (
+                    "wrong kind",
+                    full.clone(),
+                    "wrong log kind tag 1 (expected RAS FATAL)",
+                ),
+                (
+                    "short header",
+                    good[..10].to_vec(),
+                    "truncated: need 32 bytes, have 10",
+                ),
+                (
+                    "old version",
+                    patched(&good, 12, &0u32.to_le_bytes()),
+                    "format version 0 (this build reads 2)",
+                ),
+                (
+                    "old hash scheme",
+                    patched(&good, 12, &1u32.to_le_bytes()),
+                    "format version 1 (this build reads 2)",
+                ),
+                ("stale hash", stale.clone(), STALE_REASON),
+                (
+                    "stale hash, truncated body",
+                    stale[..stale.len() - 1].to_vec(),
+                    STALE_REASON,
+                ),
+                (
+                    "truncated body, good hash",
+                    good[..good.len() - 1].to_vec(),
+                    "truncated: need 47 bytes, have 46",
+                ),
+                (
+                    "corrupt body",
+                    patched(&good, 76, &u16::MAX.to_le_bytes()),
+                    "record 0 corrupt: errcode 65535 outside catalogue",
+                ),
+            ];
+            for (case, bytes, reason) in cases {
+                assert_eq!(
+                    raslog::snapshot::decode_fatal_snapshot(&bytes, Some(source_hash))
+                        .unwrap_err()
+                        .to_string(),
+                    reason,
+                    "{case}"
+                );
+                fs::write(&fatal, bytes).unwrap();
+                let (got, _) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
+                assert_eq!(
+                    got.snapshot,
+                    SnapshotStatus::Loaded,
+                    "{case} at threads {threads}"
+                );
+                assert_eq!(got.log.records(), fresh.log.records(), "{case}");
+                assert_eq!(got.log.time_span(), fresh.log.time_span(), "{case}");
+                assert_eq!(got.parsed, fresh.parsed, "{case}");
+                assert_eq!(fs::read(&fatal).unwrap(), good, "{case}: rewritten");
+                assert_eq!(
+                    fs::read(snapshot_file(&snaps, &ras_path)).unwrap(),
+                    full,
+                    "{case}: full snapshot untouched"
+                );
             }
             let _ = fs::remove_dir_all(&dir);
         }
@@ -782,6 +1032,67 @@ mod tests {
             1,
             "temp file removed"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_fatal_snapshot_write_reports_and_keeps_the_full_snapshot() {
+        let dir = tmpdir("fatal-writefail");
+        let (ras_path, jobs_path) = write_fixture(&dir);
+        let snaps = dir.join("snaps");
+        fs::create_dir_all(fatal_snapshot_file(&snaps, &ras_path).join("occupied")).unwrap();
+        let opts = LoadOptions {
+            snapshot_dir: Some(snaps.clone()),
+            ..LoadOptions::default()
+        };
+        // A miss writes the full snapshot, then fails on the FATAL one; a
+        // full-snapshot hit then fails the same way.
+        for _ in 0..2 {
+            let (ras, jobs) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
+            assert_eq!(ras.log.len(), 1);
+            assert!(
+                matches!(ras.snapshot, SnapshotStatus::WriteFailed { .. }),
+                "got {:?}",
+                ras.snapshot
+            );
+            assert_ne!(jobs.snapshot, SnapshotStatus::Disabled);
+        }
+        assert_eq!(
+            load_ras(&ras_path, &opts).unwrap().snapshot,
+            SnapshotStatus::Loaded
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_source_that_cannot_be_hashed_is_a_miss() {
+        let dir = tmpdir("unhashable");
+        let (ras_path, _) = write_fixture(&dir);
+        let snaps = dir.join("snaps");
+        let opts = LoadOptions {
+            snapshot_dir: Some(snaps.clone()),
+            ..LoadOptions::default()
+        };
+        load_ras(&ras_path, &opts).unwrap();
+        // A directory opens but cannot be read.
+        let mut source = Source {
+            file: File::open(&dir).unwrap(),
+            threads: 2,
+            hash: None,
+        };
+        let snap = snapshot_file(&snaps, &ras_path);
+        let got = source.check(
+            &snap,
+            SnapshotKind::Ras,
+            RasCodec::VERSION,
+            RasCodec::decode,
+        );
+        assert!(
+            matches!(&got, Err(Some(reason)) if reason.starts_with("cannot hash the source")),
+            "got {got:?}"
+        );
+        // The failure is remembered: the source is hashed at most once.
+        assert!(matches!(source.hash, Some(Err(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 

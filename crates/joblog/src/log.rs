@@ -125,6 +125,13 @@ impl JobLog {
         &self.jobs
     }
 
+    /// The machine-wide termination order: indices into [`JobLog::jobs`]
+    /// sorted by `(end_time, job_id)`. A position in this permutation is a
+    /// job's termination *rank*; [`JobLog::append`] keeps it current.
+    pub fn by_end_time(&self) -> &[u32] {
+        &self.by_end_time
+    }
+
     /// Number of jobs.
     pub fn len(&self) -> usize {
         self.jobs.len()

@@ -26,7 +26,11 @@ use bgp_model::{Partition, Timestamp};
 
 /// On-disk format version. Bump whenever the record columns change shape —
 /// the `snapshot-version` xtask lint ties this to [`LAYOUT_FINGERPRINT`].
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2: the source-hash stamp is the block-structured
+/// [`bgp_model::bytes::content_hash_64`], so version-1 stamps mean
+/// something else.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fingerprint of the [`JobRecord`] field list (`bgp_model::bytes::fnv1a_64`
 /// over `name:type` pairs). `cargo xtask lint` recomputes this from

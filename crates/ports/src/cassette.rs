@@ -18,7 +18,7 @@
 //! | 10 | 2 | reserved, zero |
 //! | 12 | 4 | [`FORMAT_VERSION`] (`u32`) |
 //! | 16 | 8 | frame count (`u64`) |
-//! | 24 | 8 | content hash of the frames section |
+//! | 24 | 8 | [`word_fnv_64`] of the frames section |
 //!
 //! Each frame is `delta_nanos: u64 | len: u32 | len bytes`. `delta_nanos` is
 //! the gap since the *previous* frame (first frame: since recording start);
@@ -32,7 +32,7 @@
 //! [`CassetteFrame`] field list so layout drift cannot ship silently.
 
 use crate::{LogFormat, SourceBatch, SourceError};
-use bgp_model::bytes::content_hash_64;
+use bgp_model::bytes::word_fnv_64;
 use joblog::JobRecord;
 use raslog::RasRecord;
 use std::fmt;
@@ -247,7 +247,7 @@ impl Cassette {
         out.extend_from_slice(&[0u8; 2]);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.frames.len() as u64).to_le_bytes());
-        out.extend_from_slice(&content_hash_64(&frames).to_le_bytes());
+        out.extend_from_slice(&word_fnv_64(&frames).to_le_bytes());
         out.extend_from_slice(&frames);
         out
     }
@@ -286,7 +286,7 @@ impl Cassette {
         let count = u64::from_le_bytes(word(16));
         let declared_hash = u64::from_le_bytes(word(24));
         let frames_bytes = &bytes[HEADER_LEN..];
-        let actual_hash = content_hash_64(frames_bytes);
+        let actual_hash = word_fnv_64(frames_bytes);
         if declared_hash != actual_hash {
             return Err(CassetteError::HashMismatch {
                 found: declared_hash,
@@ -523,7 +523,7 @@ mod tests {
         // Truncated frame payload (hash recomputed so truncation is reached).
         let mut bad = good.clone();
         bad.truncate(good.len() - 3);
-        let h = content_hash_64(&bad[HEADER_LEN..]).to_le_bytes();
+        let h = word_fnv_64(&bad[HEADER_LEN..]).to_le_bytes();
         bad[24..32].copy_from_slice(&h);
         assert!(matches!(
             Cassette::decode(&bad).unwrap_err(),
@@ -532,7 +532,7 @@ mod tests {
         // Trailing garbage after the declared frames.
         let mut bad = good.clone();
         bad.extend_from_slice(b"zz");
-        let h = content_hash_64(&bad[HEADER_LEN..]).to_le_bytes();
+        let h = word_fnv_64(&bad[HEADER_LEN..]).to_le_bytes();
         bad[24..32].copy_from_slice(&h);
         assert_eq!(
             Cassette::decode(&bad).unwrap_err(),

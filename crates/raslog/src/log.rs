@@ -131,9 +131,9 @@ impl RasLog {
 /// not — the count and the event-time span, which the kept records alone
 /// cannot give back.
 ///
-/// The chunk parser ([`crate::ingest::parse_log_bytes_where`]) and the
-/// snapshot decoder ([`crate::snapshot::decode_snapshot_where`]) fill one;
-/// keeping every record is their full-load case.
+/// The chunk parser ([`crate::ingest::parse_log_bytes_where`]) fills one
+/// (keeping every record is its full-load case), and a FATAL snapshot
+/// ([`crate::snapshot::encode_fatal_snapshot`]) stores one.
 ///
 /// The fields only change together — `parsed` counts at least the kept
 /// records, and the span covers them — so other crates read them through
@@ -175,15 +175,6 @@ impl Projection {
         self.latest = self.latest.max(t);
     }
 
-    /// Count records read at `times` without keeping any of them: for a
-    /// decoder that has every record's time up front, this pass is cheaper
-    /// than tallying inside its per-record loop.
-    pub(crate) fn tally_times(&mut self, times: impl IntoIterator<Item = Timestamp>) {
-        for t in times {
-            self.tally(t);
-        }
-    }
-
     /// Tally one record read, and keep it if `keep` accepts it.
     #[inline]
     pub(crate) fn push(&mut self, record: RasRecord, keep: impl Fn(&RasRecord) -> bool) {
@@ -197,7 +188,9 @@ impl Projection {
     /// `keep` accepts.
     pub fn of(mut records: Vec<RasRecord>, keep: impl Fn(&RasRecord) -> bool) -> Projection {
         let mut kept = Projection::default();
-        kept.tally_times(records.iter().map(|r| r.event_time));
+        for r in &records {
+            kept.tally(r.event_time);
+        }
         records.retain(|r| keep(r));
         kept.records = records;
         kept
@@ -216,9 +209,30 @@ impl Projection {
         self.parsed
     }
 
+    /// A projection from its stored parts: the kept records, the records
+    /// read and their span (`None` exactly when none was read). The caller
+    /// has checked that `parsed` counts at least the kept records and that
+    /// the span covers them.
+    pub(crate) fn from_parts(
+        records: Vec<RasRecord>,
+        parsed: usize,
+        span: Option<(Timestamp, Timestamp)>,
+    ) -> Projection {
+        let (earliest, latest) = span.unwrap_or((
+            Timestamp::from_unix(i64::MAX),
+            Timestamp::from_unix(i64::MIN),
+        ));
+        Projection {
+            records,
+            parsed,
+            earliest,
+            latest,
+        }
+    }
+
     /// Earliest and latest `event_time` over every record read, kept or
     /// not; `None` if none was read.
-    fn span(&self) -> Option<(Timestamp, Timestamp)> {
+    pub(crate) fn span(&self) -> Option<(Timestamp, Timestamp)> {
         (self.parsed > 0).then_some((self.earliest, self.latest))
     }
 

@@ -14,9 +14,14 @@
 //! Decoding re-validates every record against the machine model and the
 //! catalogue, so a corrupt payload yields a typed
 //! [`SnapshotError::BadRecord`] instead of an impossible record entering
-//! analysis. [`decode_snapshot_where`] keeps only the records a predicate
-//! accepts but validates every one, so a snapshot is accepted or rejected
-//! the same way whatever the load keeps.
+//! analysis.
+//!
+//! A second kind, the FATAL snapshot ([`encode_fatal_snapshot`]), stores
+//! what the co-analysis load keeps of a log: a 24-byte tally of the whole
+//! log (records parsed, earliest and latest event time) between the header
+//! and the same five columns, holding only the FATAL records. It is about
+//! 2 % of the full snapshot, and its decode validates its records the same
+//! way.
 
 use crate::catalog::{Catalog, ErrCode};
 use crate::log::Projection;
@@ -27,7 +32,11 @@ use bgp_model::{topology, ComputeNodeId, Location, MidplaneId, NodeCardId, RackI
 
 /// On-disk format version. Bump whenever the record columns change shape —
 /// the `snapshot-version` xtask lint ties this to [`LAYOUT_FINGERPRINT`].
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2: the source-hash stamp is the block-structured
+/// [`bgp_model::bytes::content_hash_64`], so version-1 stamps mean
+/// something else.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fingerprint of the [`RasRecord`] field list (`bgp_model::bytes::fnv1a_64`
 /// over `name:type` pairs). `cargo xtask lint` recomputes this from
@@ -107,14 +116,114 @@ fn decode_location(b: [u8; 4], index: u64) -> Result<Location, SnapshotError> {
 /// Serialize parsed records (plus the hash of the source text they came
 /// from) into a complete `.bgpsnap` byte buffer.
 pub fn encode_snapshot(records: &[RasRecord], source_hash: u64) -> Vec<u8> {
-    let header = SnapshotHeader {
-        kind: SnapshotKind::Ras,
+    let mut out = Vec::with_capacity(HEADER_LEN + records.len() * BYTES_PER_RECORD);
+    header(SnapshotKind::Ras, records, source_hash).write_to(&mut out);
+    encode_columns(records, &mut out);
+    out
+}
+
+/// Decode a `.bgpsnap` buffer back into records.
+///
+/// `expected_hash`, when given, is the content hash of the *current* source
+/// text; a snapshot written from different text is rejected with
+/// [`SnapshotError::HashMismatch`]. Every error is recoverable by re-parsing
+/// the source.
+pub fn decode_snapshot(
+    bytes: &[u8],
+    expected_hash: Option<u64>,
+) -> Result<Vec<RasRecord>, SnapshotError> {
+    let n = open(bytes, SnapshotKind::Ras, expected_hash)?;
+    decode_columns(Cursor::new(&bytes[HEADER_LEN..]), n)
+}
+
+/// Bytes of the tally a FATAL snapshot stores after its header: records
+/// parsed, then the earliest and latest event time.
+const TALLY_LEN: usize = 8 + 8 + 8;
+
+/// Serialize the FATAL projection of a parsed RAS log (plus the hash of the
+/// source text it came from) into a complete FATAL snapshot: the header
+/// (kind [`SnapshotKind::RasFatal`], `count` = FATAL records), the tally of
+/// the whole log — records parsed, earliest and latest event time (`i64`
+/// unix seconds; `i64::MAX`, `i64::MIN` when nothing was parsed) — and the
+/// five record columns of the FATAL records, in log order.
+///
+/// `kept` must hold only FATAL records (what `Projection::of(_,
+/// RasRecord::is_fatal)` keeps); [`decode_fatal_snapshot`] rejects anything
+/// else.
+pub fn encode_fatal_snapshot(kept: &Projection, source_hash: u64) -> Vec<u8> {
+    let records = &kept.records;
+    let mut out = Vec::with_capacity(HEADER_LEN + TALLY_LEN + records.len() * BYTES_PER_RECORD);
+    header(SnapshotKind::RasFatal, records, source_hash).write_to(&mut out);
+    let (earliest, latest) = kept.span().map_or((i64::MAX, i64::MIN), |(lo, hi)| {
+        (lo.as_unix(), hi.as_unix())
+    });
+    out.extend_from_slice(&(kept.parsed() as u64).to_le_bytes());
+    out.extend_from_slice(&earliest.to_le_bytes());
+    out.extend_from_slice(&latest.to_le_bytes());
+    encode_columns(records, &mut out);
+    out
+}
+
+/// Decode a FATAL snapshot back into the projection it was written from.
+///
+/// Every stored record is validated exactly as [`decode_snapshot`] does,
+/// and the projection's own invariants too: every record is FATAL, the
+/// FATAL count is at most the records parsed, a span is stored exactly
+/// when some record was parsed, and it covers every stored record.
+/// `expected_hash` works as for [`decode_snapshot`].
+pub fn decode_fatal_snapshot(
+    bytes: &[u8],
+    expected_hash: Option<u64>,
+) -> Result<Projection, SnapshotError> {
+    let n = open(bytes, SnapshotKind::RasFatal, expected_hash)?;
+    let mut cur = Cursor::new(&bytes[HEADER_LEN..]);
+    let parsed = cur.u64()?;
+    let earliest = cur.u64()? as i64;
+    let latest = cur.u64()? as i64;
+    let records = decode_columns(cur, n)?;
+    let bad_tally = |what: String| Err(SnapshotError::BadTally(what));
+    if n as u64 > parsed {
+        return bad_tally(format!("{n} FATAL records but {parsed} parsed"));
+    }
+    let span = match (parsed, earliest, latest) {
+        (0, i64::MAX, i64::MIN) => None,
+        (0, _, _) => return bad_tally("a span stored for no records parsed".to_owned()),
+        (_, i64::MAX, i64::MIN) => return bad_tally(format!("no span for {parsed} records")),
+        (_, lo, hi) if lo > hi => return bad_tally(format!("span {lo}..{hi} is inverted")),
+        (_, lo, hi) => Some((Timestamp::from_unix(lo), Timestamp::from_unix(hi))),
+    };
+    for (i, r) in records.iter().enumerate() {
+        let bad = |what: String| SnapshotError::BadRecord {
+            index: i as u64,
+            what,
+        };
+        if !r.is_fatal() {
+            return Err(bad(format!("severity {} in a FATAL snapshot", r.severity)));
+        }
+        if !span.is_some_and(|(lo, hi)| (lo..=hi).contains(&r.event_time)) {
+            return Err(bad(format!(
+                "event time {} outside the stored span",
+                r.event_time.as_unix()
+            )));
+        }
+    }
+    let parsed = usize::try_from(parsed)
+        .map_err(|_| SnapshotError::BadTally(format!("{parsed} records parsed")))?;
+    Ok(Projection::from_parts(records, parsed, span))
+}
+
+/// The header of a snapshot of `kind` holding `records`.
+fn header(kind: SnapshotKind, records: &[RasRecord], source_hash: u64) -> SnapshotHeader {
+    SnapshotHeader {
+        kind,
         version: FORMAT_VERSION,
         count: records.len() as u64,
         source_hash,
-    };
-    let mut out = Vec::with_capacity(HEADER_LEN + records.len() * BYTES_PER_RECORD);
-    header.write_to(&mut out);
+    }
+}
+
+/// Append the five record columns of `records` to `out`.
+fn encode_columns(records: &[RasRecord], out: &mut Vec<u8>) {
     for r in records {
         out.extend_from_slice(&r.recid.to_le_bytes());
     }
@@ -130,34 +239,16 @@ pub fn encode_snapshot(records: &[RasRecord], source_hash: u64) -> Vec<u8> {
     for r in records {
         out.push(r.severity as u8);
     }
-    out
 }
 
-/// Decode a `.bgpsnap` buffer back into records.
-///
-/// `expected_hash`, when given, is the content hash of the *current* source
-/// text; a snapshot written from different text is rejected with
-/// [`SnapshotError::HashMismatch`]. Every error is recoverable by re-parsing
-/// the source. This is [`decode_snapshot_where`] keeping every record.
-pub fn decode_snapshot(
+/// Check a snapshot's header against `kind`, this build's version and
+/// (optionally) the current source hash, returning its record count.
+fn open(
     bytes: &[u8],
+    kind: SnapshotKind,
     expected_hash: Option<u64>,
-) -> Result<Vec<RasRecord>, SnapshotError> {
-    decode_snapshot_where(bytes, expected_hash, |_| true).map(|kept| kept.records)
-}
-
-/// Decode a `.bgpsnap` buffer, keeping only the records `keep` accepts.
-///
-/// Every record is still decoded and validated in order, kept or not, so a
-/// corrupt record rejects the snapshot with the same error as
-/// [`decode_snapshot`], and the projection's tally (`parsed`, `span`) covers
-/// every stored record.
-pub fn decode_snapshot_where(
-    bytes: &[u8],
-    expected_hash: Option<u64>,
-    keep: impl Fn(&RasRecord) -> bool,
-) -> Result<Projection, SnapshotError> {
-    let header = SnapshotHeader::parse(bytes, SnapshotKind::Ras)?;
+) -> Result<usize, SnapshotError> {
+    let header = SnapshotHeader::parse(bytes, kind)?;
     header.validate(FORMAT_VERSION, expected_hash)?;
     if header.count > bytes.len() as u64 {
         // Each record needs BYTES_PER_RECORD > 1 bytes, so this is already
@@ -167,8 +258,12 @@ pub fn decode_snapshot_where(
             have: bytes.len(),
         });
     }
-    let n = header.count as usize;
-    let mut cur = Cursor::new(&bytes[HEADER_LEN..]);
+    Ok(header.count as usize)
+}
+
+/// Decode and validate the `n` records' columns that end `cur`'s buffer.
+/// The layout (truncation, trailing bytes) is checked before any record.
+fn decode_columns(mut cur: Cursor<'_>, n: usize) -> Result<Vec<RasRecord>, SnapshotError> {
     let c_recid = cur.take(n * 8)?;
     let c_time = cur.take(n * 8)?;
     let c_loc = cur.take(n * 4)?;
@@ -177,14 +272,9 @@ pub fn decode_snapshot_where(
     cur.finish()?;
 
     let catalog_len = Catalog::standard().len();
-    let time = |i| Timestamp::from_unix(le_u64(c_time, i) as i64);
-    // A projection that keeps few records only touches the pages it fills.
-    let mut kept = Projection::with_capacity(n);
-    kept.tally_times((0..n).map(time));
+    let mut records = Vec::with_capacity(n);
     for i in 0..n {
         let idx = i as u64;
-        let recid = le_u64(c_recid, i);
-        let event_time = time(i);
         let mut loc = [0u8; 4];
         loc.copy_from_slice(&c_loc[i * 4..i * 4 + 4]);
         let location = decode_location(loc, idx)?;
@@ -202,18 +292,15 @@ pub fn decode_snapshot_where(
                     index: idx,
                     what: format!("severity byte {}", c_sev[i]),
                 })?;
-        let record = RasRecord {
-            recid,
-            event_time,
+        records.push(RasRecord {
+            recid: le_u64(c_recid, i),
+            event_time: Timestamp::from_unix(le_u64(c_time, i) as i64),
             location,
             errcode: ErrCode(code),
             severity,
-        };
-        if keep(&record) {
-            kept.records.push(record);
-        }
+        });
     }
-    Ok(kept)
+    Ok(records)
 }
 
 fn le_u64(col: &[u8], i: usize) -> u64 {
@@ -312,29 +399,138 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn projected_decode_validates_every_record() {
-        let recs = records();
-        let n = recs.len();
-        let bytes = encode_snapshot(&recs, 7);
-        let kept = decode_snapshot_where(&bytes, Some(7), RasRecord::is_fatal).unwrap();
-        assert_eq!(kept, Projection::of(recs.clone(), RasRecord::is_fatal));
-        assert!(kept.records.len() < n);
-        // Corrupt a record the projection drops, in each validated column:
-        // the projected decode rejects it exactly like the full one.
-        let i = recs.iter().position(|r| !r.is_fatal()).unwrap();
-        for (at, byte) in [
-            (HEADER_LEN + n * 16 + i * 4, 99),
-            (HEADER_LEN + n * 20 + i * 2 + 1, 0xff),
-            (HEADER_LEN + n * 22 + i, 42),
-        ] {
-            let mut c = bytes.clone();
-            c[at] = byte;
-            let full = decode_snapshot(&c, Some(7)).unwrap_err();
-            let projected = decode_snapshot_where(&c, Some(7), RasRecord::is_fatal).unwrap_err();
-            assert!(matches!(full, SnapshotError::BadRecord { index, .. } if index == i as u64));
-            assert_eq!(projected, full);
+    /// [`records`] with every other one made FATAL, so the FATAL records
+    /// are neither the first nor the last, nor the earliest or the latest.
+    fn mixed() -> Vec<RasRecord> {
+        let mut recs = records();
+        for (i, r) in recs.iter_mut().enumerate() {
+            if i % 2 == 1 {
+                r.severity = Severity::Fatal;
+            } else if r.severity == Severity::Fatal {
+                r.severity = Severity::Info;
+            }
         }
+        recs
+    }
+
+    #[test]
+    fn fatal_snapshot_round_trips_the_projection() {
+        let recs = mixed();
+        let kept = Projection::of(recs.clone(), RasRecord::is_fatal);
+        assert_eq!(kept.records.len(), 4);
+        let bytes = encode_fatal_snapshot(&kept, 7);
+        assert_eq!(
+            bytes.len(),
+            HEADER_LEN + TALLY_LEN + kept.records.len() * BYTES_PER_RECORD
+        );
+        assert_eq!(decode_fatal_snapshot(&bytes, Some(7)).unwrap(), kept);
+        assert_eq!(decode_fatal_snapshot(&bytes, None).unwrap(), kept);
+        // No FATAL record, and nothing parsed at all.
+        let none = Projection::of(records()[..5].to_vec(), RasRecord::is_fatal);
+        assert!(none.records.is_empty() && none.parsed() == 5);
+        let empty = Projection::default();
+        for p in [none, empty] {
+            let bytes = encode_fatal_snapshot(&p, 1);
+            assert_eq!(decode_fatal_snapshot(&bytes, Some(1)).unwrap(), p);
+        }
+        // The two kinds never stand in for each other.
+        let full = encode_snapshot(&recs, 7);
+        assert!(matches!(
+            decode_fatal_snapshot(&full, Some(7)),
+            Err(SnapshotError::WrongKind { found: 1, .. })
+        ));
+        assert!(matches!(
+            decode_snapshot(&bytes, Some(7)),
+            Err(SnapshotError::WrongKind { found: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn fatal_snapshot_rejections_are_typed() {
+        let kept = Projection::of(mixed(), RasRecord::is_fatal);
+        let n = kept.records.len();
+        let good = encode_fatal_snapshot(&kept, 7);
+        let patched = |at: usize, with: &[u8]| {
+            let mut bytes = good.clone();
+            bytes[at..at + with.len()].copy_from_slice(with);
+            decode_fatal_snapshot(&bytes, Some(7))
+                .unwrap_err()
+                .to_string()
+        };
+        let tally = HEADER_LEN;
+        let cols = HEADER_LEN + TALLY_LEN;
+        let cases = [
+            (
+                patched(12, &1u32.to_le_bytes()),
+                "format version 1 (this build reads 2)".to_owned(),
+            ),
+            (
+                decode_fatal_snapshot(&good, Some(8))
+                    .unwrap_err()
+                    .to_string(),
+                "source hash 0x0000000000000007 does not match current source \
+                 0x0000000000000008"
+                    .to_owned(),
+            ),
+            (
+                patched(tally, &3u64.to_le_bytes()),
+                "tally corrupt: 4 FATAL records but 3 parsed".to_owned(),
+            ),
+            (
+                patched(tally + 8, &i64::MAX.to_le_bytes()),
+                format!(
+                    "tally corrupt: span {}..{} is inverted",
+                    i64::MAX,
+                    1_236_000_008
+                ),
+            ),
+            (
+                patched(
+                    tally + 8,
+                    &[i64::MAX.to_le_bytes(), i64::MIN.to_le_bytes()].concat(),
+                ),
+                "tally corrupt: no span for 9 records".to_owned(),
+            ),
+            (
+                patched(tally + 16, &1_236_000_006i64.to_le_bytes()),
+                "record 3 corrupt: event time 1236000007 outside the stored span".to_owned(),
+            ),
+            (
+                patched(cols + n * 22 + 1, &[Severity::Warning as u8]),
+                "record 1 corrupt: severity WARNING in a FATAL snapshot".to_owned(),
+            ),
+            (
+                patched(cols + n * 20, &u16::MAX.to_le_bytes()),
+                "record 0 corrupt: errcode 65535 outside catalogue".to_owned(),
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
+        // Nothing parsed, yet a span stored.
+        let mut empty = encode_fatal_snapshot(&Projection::default(), 7);
+        empty[tally + 8..tally + 16].copy_from_slice(&0i64.to_le_bytes());
+        assert_eq!(
+            decode_fatal_snapshot(&empty, Some(7)).unwrap_err(),
+            SnapshotError::BadTally("a span stored for no records parsed".to_owned())
+        );
+        // Layout errors outrank record errors, as in the full decoder.
+        let mut both = good.clone();
+        both[cols + n * 20] = 0xff;
+        both[cols + n * 20 + 1] = 0xff;
+        both.push(0);
+        assert_eq!(
+            decode_fatal_snapshot(&both, Some(7)),
+            Err(SnapshotError::TrailingBytes(1))
+        );
+        assert!(matches!(
+            decode_fatal_snapshot(&good[..good.len() - 1], Some(7)),
+            Err(SnapshotError::Truncated { .. })
+        ));
+        assert!(matches!(
+            decode_fatal_snapshot(&good[..HEADER_LEN + 4], Some(7)),
+            Err(SnapshotError::Truncated { .. })
+        ));
     }
 
     proptest! {
@@ -348,6 +544,14 @@ mod tests {
                 }
             }
             let _ = decode_snapshot(&framed, Some(0));
+            let mut fatal =
+                encode_fatal_snapshot(&Projection::of(records(), RasRecord::is_fatal), 0);
+            for (i, b) in data.iter().enumerate() {
+                if let Some(slot) = fatal.get_mut(HEADER_LEN + i) {
+                    *slot = *b;
+                }
+            }
+            let _ = decode_fatal_snapshot(&fatal, Some(0));
         }
     }
 }

@@ -470,12 +470,15 @@ fn corrupt_snapshot_falls_back_to_reparsing() {
         "{}",
         String::from_utf8_lossy(&first.stderr)
     );
-    // Flip a payload byte in the RAS snapshot: the next run must detect the
-    // damage, re-parse the source, rewrite the cache, and still succeed.
-    let snap = cache.join("ras.log.bgpsnap");
-    let mut bytes = std::fs::read(&snap).unwrap();
-    *bytes.last_mut().unwrap() ^= 0xff;
-    std::fs::write(&snap, &bytes).unwrap();
+    // Flip a payload byte in both RAS snapshots — `analyze` reads the FATAL
+    // one first, then falls back to the full one: the next run must detect
+    // the damage, re-parse the source, rewrite the cache, and still succeed.
+    for name in ["ras.log.bgpsnap.fatal", "ras.log.bgpsnap"] {
+        let snap = cache.join(name);
+        let mut bytes = std::fs::read(&snap).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        std::fs::write(&snap, &bytes).unwrap();
+    }
     let second = run("analyze");
     assert!(
         second.status.success(),

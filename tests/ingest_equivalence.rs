@@ -258,6 +258,8 @@ fn snapshot_cycle_preserves_the_parsed_log_exactly() {
 // still parsed and every snapshot record validated: its records must be the
 // full load's FATAL records in order, and its span, diagnostics, snapshot
 // status and parsed count must be the full load's, in every cache state.
+// The FATAL snapshot `load_pair` writes beside the full one must give the
+// same records, span and parsed count when it serves a load.
 // ---------------------------------------------------------------------------
 
 /// Thread counts the projection oracle runs at.
@@ -277,6 +279,16 @@ enum CacheState {
     /// A snapshot whose first non-FATAL record has an errcode outside the
     /// catalogue.
     CorruptNonFatal,
+    /// Both snapshots, written by a `load_pair` miss.
+    FatalHit,
+    /// Only the FATAL snapshot: the full one deleted.
+    FatalOnly,
+    /// Both snapshots, the first FATAL record's errcode in the FATAL one
+    /// flipped outside the catalogue (a log without FATAL records has none
+    /// to corrupt: a hit).
+    FatalCorrupt,
+    /// Both snapshots, written before the source was edited.
+    FatalStale,
 }
 
 const CACHE_STATES: [CacheState; 5] = [
@@ -285,6 +297,15 @@ const CACHE_STATES: [CacheState; 5] = [
     CacheState::Hit,
     CacheState::StaleHash,
     CacheState::CorruptNonFatal,
+];
+
+/// The states of [`assert_fatal_snapshot`]: what `load_pair` does with the
+/// FATAL snapshot it writes.
+const FATAL_STATES: [CacheState; 4] = [
+    CacheState::FatalHit,
+    CacheState::FatalOnly,
+    CacheState::FatalCorrupt,
+    CacheState::FatalStale,
 ];
 
 /// Byte offset of the errcode column in a RAS snapshot of `n` records
@@ -396,8 +417,13 @@ fn assert_projection(
         },
         // A log without non-FATAL records has none to corrupt: a hit.
         (CacheState::CorruptNonFatal, None) => SnapshotStatus::Loaded,
+        (_, None) => unreachable!("{state:?} is not a full-snapshot state"),
     };
     assert_eq!(full.snapshot, expected_status, "{ctx}");
+    assert!(
+        !load::fatal_snapshot_file(&dir.join("full"), &ras_path).exists(),
+        "load_ras never writes the FATAL snapshot: {ctx}"
+    );
 
     // Conservation: `parsed` counts every record before projection, so it
     // is the full load's length, and the records projected away are
@@ -423,6 +449,110 @@ fn assert_projection(
     if state != CacheState::Disabled {
         let snap = |d: &str| std::fs::read(load::snapshot_file(&dir.join(d), &ras_path)).unwrap();
         assert_eq!(snap("projected"), snap("full"), "snapshot bytes: {ctx}");
+    }
+}
+
+/// Put both snapshots of `text` into `state` with a `load_pair` miss, load
+/// again, and check the result against the full load's FATAL projection
+/// and the files against what the state must leave behind.
+fn assert_fatal_snapshot(
+    name: &str,
+    text: &[u8],
+    dir: &std::path::Path,
+    state: CacheState,
+    threads: usize,
+) {
+    let ras_path = dir.join("ras.log");
+    let job_path = dir.join("jobs.log");
+    std::fs::write(&ras_path, text).unwrap();
+    std::fs::write(&job_path, texts().1).unwrap();
+    let ctx = format!("{name}: {state:?} at {threads} threads");
+    let parsed_opts = LoadOptions {
+        threads,
+        ..LoadOptions::default()
+    };
+    let full = load::load_ras(&ras_path, &parsed_opts).unwrap();
+    let fatal_records: Vec<raslog::RasRecord> = full.log.fatal().copied().collect();
+
+    let cache = dir.join("cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let opts = LoadOptions {
+        snapshot_dir: Some(cache.clone()),
+        ..parsed_opts
+    };
+    let earlier = [b"edited\n".as_slice(), text].concat();
+    if state == CacheState::FatalStale {
+        std::fs::write(&ras_path, &earlier).unwrap();
+    }
+    let (miss, _) = load::load_pair(&ras_path, &job_path, &opts).unwrap();
+    assert_eq!(miss.snapshot, SnapshotStatus::Written, "{ctx}");
+    std::fs::write(&ras_path, text).unwrap();
+    let fatal = load::fatal_snapshot_file(&cache, &ras_path);
+    let snap = load::snapshot_file(&cache, &ras_path);
+    let fatal_before = std::fs::read(&fatal).unwrap();
+    let snap_before = std::fs::read(&snap).unwrap();
+    match state {
+        CacheState::FatalOnly => std::fs::remove_file(&snap).unwrap(),
+        CacheState::FatalCorrupt if !fatal_records.is_empty() => {
+            // Header, tally, then the recid, time and location columns.
+            let at = 32 + 24 + fatal_records.len() * (8 + 8 + 4);
+            let mut bytes = fatal_before.clone();
+            bytes[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+            std::fs::write(&fatal, bytes).unwrap();
+        }
+        _ => {}
+    }
+
+    let (projected, _) = load::load_pair(&ras_path, &job_path, &opts).unwrap();
+    assert_eq!(
+        projected.log.records(),
+        fatal_records.as_slice(),
+        "records: {ctx}"
+    );
+    assert_eq!(
+        projected.log.time_span(),
+        full.log.time_span(),
+        "span: {ctx}"
+    );
+    assert_eq!(projected.parsed, full.parsed, "parsed: {ctx}");
+    let hash = bgp_model::bytes::content_hash_64(text);
+    if state == CacheState::FatalStale {
+        assert_eq!(
+            projected.snapshot,
+            SnapshotStatus::Rewritten {
+                reason: format!(
+                    "source hash {:#018x} does not match current source {hash:#018x}",
+                    bgp_model::bytes::content_hash_64(&earlier)
+                ),
+            },
+            "{ctx}"
+        );
+        assert_eq!(projected.parse_errors, full.parse_errors, "{ctx}");
+        // Both files rewritten, stamped with the current text's hash.
+        let rewritten = std::fs::read(&fatal).unwrap();
+        assert_ne!(rewritten, fatal_before, "{ctx}");
+        assert_ne!(std::fs::read(&snap).unwrap(), snap_before, "{ctx}");
+        let decoded = raslog::snapshot::decode_fatal_snapshot(&rewritten, Some(hash)).unwrap();
+        assert_eq!(decoded.parsed(), full.parsed, "{ctx}");
+        assert_eq!(
+            decoded.into_log().records(),
+            fatal_records.as_slice(),
+            "{ctx}"
+        );
+        let stored = std::fs::read(&snap).unwrap();
+        let stored = raslog::snapshot::decode_snapshot(&stored, Some(hash)).unwrap();
+        assert_eq!(stored.len(), full.parsed, "{ctx}");
+    } else {
+        assert_eq!(projected.snapshot, SnapshotStatus::Loaded, "{ctx}");
+        assert!(projected.parse_errors.is_empty(), "{ctx}");
+        // A corrupt FATAL snapshot is rewritten from the full one; every
+        // other file is left as it was.
+        assert_eq!(std::fs::read(&fatal).unwrap(), fatal_before, "{ctx}");
+        if state == CacheState::FatalOnly {
+            assert!(!snap.exists(), "{ctx}");
+        } else {
+            assert_eq!(std::fs::read(&snap).unwrap(), snap_before, "{ctx}");
+        }
     }
 }
 
@@ -508,6 +638,19 @@ fn load_pair_projects_the_damaged_site_log() {
     for threads in PROJECTION_THREADS {
         for state in CACHE_STATES {
             assert_projection("site", text, &dir, state, threads);
+        }
+    }
+}
+
+#[test]
+fn load_pair_serves_the_fatal_snapshot() {
+    let dir = workdir("fatal-snapshot");
+    let site = ("site", texts().0.clone());
+    for (name, text) in projection_inputs().into_iter().chain([site]) {
+        for threads in PROJECTION_THREADS {
+            for state in FATAL_STATES {
+                assert_fatal_snapshot(name, text.as_bytes(), &dir, state, threads);
+            }
         }
     }
 }
