@@ -12,7 +12,10 @@
 //!   test pins it);
 //! * optionally applies a per-code impact map learned from an earlier
 //!   offline run, so warnings skip the codes co-analysis has shown to be
-//!   harmless (Observation 1 in production).
+//!   harmless (Observation 1 in production);
+//! * bounds its own memory: every `EVICT_EVERY` records it drops rolling
+//!   state older than a horizon far beyond both windows, so a long-running
+//!   stream stays small without changing any decision.
 //!
 //! Causality and job-related filtering need hindsight (rule mining, "did a
 //! clean job run in between"), so the streaming stage intentionally stops at
@@ -23,14 +26,13 @@ use crate::filter::{DedupDecision, DedupWindow};
 use bgp_model::{Duration, Location, Timestamp};
 use raslog::{ErrCode, RasRecord, Severity};
 
+/// Evict rolling dedup state every this many records.
+const EVICT_EVERY: u64 = 8_192;
+
 /// One coherent snapshot of an [`OnlineAnalyzer`]'s counters.
 ///
-/// The daemon and the tests read a single snapshot instead of four separate
-/// getters, so the numbers are guaranteed to describe the same instant. The
-/// struct is also the unit of **shard merging**: a pool of analyzers sharded
-/// by error code sums its per-shard snapshots with [`StreamCounters::merge`]
-/// to recover the global stream totals (both dedup keys include the error
-/// code, so per-code sharding partitions the counter space exactly).
+/// The daemon and the tests read a single snapshot instead of separate
+/// getters, so the numbers are guaranteed to describe the same instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamCounters {
     /// Records consumed (any severity).
@@ -48,19 +50,6 @@ pub struct StreamCounters {
 }
 
 impl StreamCounters {
-    /// Sum two snapshots field-wise — the shard-merge operation.
-    #[must_use]
-    pub fn merge(self, other: StreamCounters) -> StreamCounters {
-        StreamCounters {
-            records_in: self.records_in + other.records_in,
-            fatal_in: self.fatal_in + other.fatal_in,
-            merged_temporal: self.merged_temporal + other.merged_temporal,
-            merged_spatial: self.merged_spatial + other.merged_spatial,
-            events_out: self.events_out + other.events_out,
-            warnings: self.warnings + other.warnings,
-        }
-    }
-
     /// Compression ratio over the fatal stream (0 when no fatals seen).
     pub fn compression(&self) -> f64 {
         if self.fatal_in == 0 {
@@ -118,6 +107,9 @@ pub struct OnlineAnalyzer {
     spatial: DedupWindow<ErrCode>,
     /// Optional per-code impact verdicts from an offline run.
     impact: Option<ImpactSummary>,
+    /// How far behind the newest record eviction may drop state: far beyond
+    /// both windows, so dropping it cannot change any dedup decision.
+    horizon: Duration,
     counters: StreamCounters,
 }
 
@@ -134,6 +126,7 @@ impl OnlineAnalyzer {
             temporal: DedupWindow::new(temporal),
             spatial: DedupWindow::new(spatial),
             impact: None,
+            horizon: Duration::seconds(temporal.as_secs().max(spatial.as_secs()) * 4 + 1),
             counters: StreamCounters::default(),
         }
     }
@@ -145,8 +138,17 @@ impl OnlineAnalyzer {
         self
     }
 
-    /// Process one record.
+    /// Process one record. Every `EVICT_EVERY`th record also evicts
+    /// rolling state older than the horizon.
     pub fn push(&mut self, r: &RasRecord) -> StreamDecision {
+        let decision = self.decide(r);
+        if self.counters.records_in.is_multiple_of(EVICT_EVERY) {
+            self.evict_before(r.event_time);
+        }
+        decision
+    }
+
+    fn decide(&mut self, r: &RasRecord) -> StreamDecision {
         self.counters.records_in += 1;
         if r.severity != Severity::Fatal {
             return StreamDecision::NotFatal;
@@ -185,16 +187,6 @@ impl OnlineAnalyzer {
         self.counters
     }
 
-    /// Records consumed so far.
-    pub fn records_in(&self) -> u64 {
-        self.counters.records_in
-    }
-
-    /// FATAL records consumed so far.
-    pub fn fatal_in(&self) -> u64 {
-        self.counters.fatal_in
-    }
-
     /// Independent events surfaced so far.
     pub fn events_out(&self) -> u64 {
         self.counters.events_out
@@ -205,15 +197,9 @@ impl OnlineAnalyzer {
         self.counters.warnings
     }
 
-    /// Running compression ratio over the fatal stream.
-    pub fn compression(&self) -> f64 {
-        self.counters.compression()
-    }
-
-    /// Drop rolling state older than `horizon` before `now` — call
-    /// periodically on a long-running stream to bound memory.
-    pub fn evict_before(&mut self, now: Timestamp, horizon: Duration) {
-        let cutoff = now - horizon;
+    /// Drop rolling state older than the horizon before `now`.
+    fn evict_before(&mut self, now: Timestamp) {
+        let cutoff = now - self.horizon;
         self.temporal.evict_before(cutoff);
         self.spatial.evict_before(cutoff);
     }
@@ -268,11 +254,8 @@ mod tests {
             a.push(&rec(5, 10_000, "R00-M0-N00-J00", "_bgp_err_kernel_panic")),
             StreamDecision::NewEvent { warn: true }
         );
-        assert_eq!(a.records_in(), 5);
-        assert_eq!(a.fatal_in(), 4);
         assert_eq!(a.events_out(), 2);
         assert_eq!(a.warnings(), 2);
-        assert!(a.compression() > 0.4);
         // The snapshot agrees with the getters and tracks the merges.
         let c = a.counters();
         assert_eq!(
@@ -287,33 +270,7 @@ mod tests {
             }
         );
         assert!(c.is_consistent());
-    }
-
-    #[test]
-    fn counters_merge_recovers_per_code_sharded_totals() {
-        // Shard by error code: the merged snapshot equals the single
-        // analyzer's because both dedup keys include the code.
-        let pool = ["_bgp_err_kernel_panic", "_bgp_err_ddr_controller"];
-        let records: Vec<RasRecord> = (0..60)
-            .map(|i| rec(i, i as i64 * 40, "R00-M0", pool[i as usize % 2]))
-            .collect();
-        let mut single = OnlineAnalyzer::new();
-        let mut shards = [OnlineAnalyzer::new(), OnlineAnalyzer::new()];
-        for r in &records {
-            single.push(r);
-            shards[r.errcode.index() % 2].push(r);
-        }
-        assert_ne!(
-            records[0].errcode.index() % 2,
-            records[1].errcode.index() % 2,
-            "fixture should actually split across shards"
-        );
-        let merged = shards[0].counters().merge(shards[1].counters());
-        assert_eq!(merged.fatal_in, single.counters().fatal_in);
-        assert_eq!(merged.events_out, single.counters().events_out);
-        assert_eq!(merged.merged_temporal, single.counters().merged_temporal);
-        assert_eq!(merged.merged_spatial, single.counters().merged_spatial);
-        assert!(merged.is_consistent());
+        assert!(c.compression() > 0.4);
     }
 
     #[test]
@@ -339,7 +296,8 @@ mod tests {
     #[test]
     fn equivalent_to_batch_temporal_spatial() {
         // Feed a whole simulated log through the online analyzer: the event
-        // count must equal the batch temporal→spatial stack's.
+        // count must equal the batch temporal→spatial stack's. The stream is
+        // long enough to evict twice, so the oracle covers eviction.
         let out = Simulation::new(SimConfig::small_test(21))
             .expect("valid config")
             .run();
@@ -347,10 +305,17 @@ mod tests {
         for r in out.ras.records() {
             online.push(r);
         }
+        let (start, end) = out.ras.time_span().expect("non-empty log");
+        assert!(
+            out.ras.len() as u64 > 2 * EVICT_EVERY,
+            "{} records",
+            out.ras.len()
+        );
+        assert!((end - start).as_secs() > 100 * online.horizon.as_secs());
         let raw = Event::from_fatal_records(&out.ras);
         let batch = SpatialFilter::default().apply(&TemporalFilter::default().apply(&raw));
         assert_eq!(online.events_out() as usize, batch.len());
-        assert_eq!(online.fatal_in() as usize, raw.len());
+        assert_eq!(online.counters().fatal_in as usize, raw.len());
     }
 
     proptest::proptest! {
@@ -394,23 +359,39 @@ mod tests {
 
     #[test]
     fn eviction_bounds_memory_without_changing_semantics_nearby() {
+        // 64 locations, one record each per 64 × 10 000 s: every location
+        // falls far behind the horizon between its own sightings.
+        let loc = |i: u64| format!("R{}{}-M{}-N00-J00", (i / 8) % 4, i % 8, (i / 32) % 2);
         let mut a = OnlineAnalyzer::new();
-        for i in 0..100 {
-            a.push(&rec(
-                i,
-                i as i64 * 10_000,
-                "R00-M0-N00-J00",
-                "_bgp_err_kernel_panic",
-            ));
+        for i in 0..EVICT_EVERY - 1 {
+            a.push(&rec(i, i as i64 * 10_000, &loc(i), "_bgp_err_kernel_panic"));
         }
+        assert_eq!(a.temporal.len(), 64, "no eviction before the tick");
+        // The tick: only the record just pushed is inside the horizon.
+        let last = EVICT_EVERY - 1;
+        let t = last as i64 * 10_000;
+        a.push(&rec(last, t, &loc(last), "_bgp_err_kernel_panic"));
         assert_eq!(a.temporal.len(), 1);
-        a.evict_before(Timestamp::from_unix(2_000_000), Duration::hours(1));
-        assert!(a.temporal.is_empty());
-        assert!(a.spatial.is_empty());
-        // Fresh records still processed normally after eviction.
+        assert_eq!(a.spatial.len(), 1);
+        // Decisions near the newest record are unchanged by the eviction...
+        assert_eq!(
+            a.push(&rec(last + 1, t + 60, &loc(last), "_bgp_err_kernel_panic")),
+            StreamDecision::MergedTemporal
+        );
+        assert_eq!(
+            a.push(&rec(last + 2, t + 120, &loc(0), "_bgp_err_kernel_panic")),
+            StreamDecision::MergedSpatial
+        );
+        // ...and fresh records are still processed normally.
         assert!(matches!(
-            a.push(&rec(999, 2_000_001, "R00-M0", "_bgp_err_kernel_panic")),
+            a.push(&rec(
+                last + 3,
+                t + 100_000,
+                &loc(0),
+                "_bgp_err_kernel_panic"
+            )),
             StreamDecision::NewEvent { .. }
         ));
+        assert!(a.counters().is_consistent());
     }
 }

@@ -21,9 +21,8 @@ pub struct ServeConfig {
     pub ingest_addr: String,
     /// HTTP front-end listen address. Port 0 picks a free port.
     pub http_addr: String,
-    /// Number of analyzer shards (records are routed by error code).
-    pub shards: usize,
-    /// Bounded per-shard queue capacity, in records.
+    /// Capacity of the bounded ingest queue in front of the analysis
+    /// worker, in records.
     pub queue_capacity: usize,
     /// Capacity of the recent-events ring served at `/events`.
     pub ring_capacity: usize,
@@ -71,7 +70,6 @@ impl Default for ServeConfig {
         ServeConfig {
             ingest_addr: "127.0.0.1:7070".to_owned(),
             http_addr: "127.0.0.1:7071".to_owned(),
-            shards: 2,
             queue_capacity: 4_096,
             ring_capacity: 256,
             max_line_bytes: 64 * 1024,
@@ -98,8 +96,7 @@ impl ServeConfig {
     /// ```text
     /// --ingest ADDR      TCP ingest listen address   (default 127.0.0.1:7070)
     /// --http ADDR        HTTP listen address         (default 127.0.0.1:7071)
-    /// --shards N         analyzer shards             (default 2)
-    /// --queue-cap N      per-shard queue capacity    (default 4096)
+    /// --queue-cap N      ingest queue capacity       (default 4096)
     /// --ring N           /events ring capacity       (default 256)
     /// --max-line BYTES   ingest line length limit    (default 65536)
     /// --impact FILE      offline impact verdicts
@@ -121,7 +118,6 @@ impl ServeConfig {
             match a.as_str() {
                 "--ingest" => cfg.ingest_addr = take(&mut it, "--ingest")?,
                 "--http" => cfg.http_addr = take(&mut it, "--http")?,
-                "--shards" => cfg.shards = take_parsed(&mut it, "--shards")?,
                 "--queue-cap" => cfg.queue_capacity = take_parsed(&mut it, "--queue-cap")?,
                 "--ring" => cfg.ring_capacity = take_parsed(&mut it, "--ring")?,
                 "--max-line" => cfg.max_line_bytes = take_parsed(&mut it, "--max-line")?,
@@ -158,9 +154,6 @@ impl ServeConfig {
 
     /// Reject inconsistent settings before any socket is bound.
     pub fn validate(&self) -> Result<(), ServeError> {
-        if self.shards == 0 {
-            return Err(ServeError::Config("--shards must be at least 1".into()));
-        }
         if self.queue_capacity == 0 {
             return Err(ServeError::Config("--queue-cap must be at least 1".into()));
         }
@@ -339,8 +332,6 @@ mod tests {
         let cfg = ServeConfig::from_args(&args(&[
             "--ingest",
             "127.0.0.1:0",
-            "--shards",
-            "4",
             "--queue-cap",
             "16",
             "--temporal-secs",
@@ -348,12 +339,11 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cfg.ingest_addr, "127.0.0.1:0");
-        assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.queue_capacity, 16);
         assert_eq!(cfg.temporal, Duration::seconds(60));
-        assert!(ServeConfig::from_args(&args(&["--shards", "0"])).is_err());
+        assert!(ServeConfig::from_args(&args(&["--queue-cap", "0"])).is_err());
         assert!(ServeConfig::from_args(&args(&["--bogus"])).is_err());
-        assert!(ServeConfig::from_args(&args(&["--shards"])).is_err());
+        assert!(ServeConfig::from_args(&args(&["--queue-cap"])).is_err());
     }
 
     #[test]

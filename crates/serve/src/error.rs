@@ -33,8 +33,8 @@ pub enum ServeError {
     Io(io::Error),
     /// A worker thread could not be spawned.
     Spawn(io::Error),
-    /// The shard pool was already closed when a record arrived.
-    PoolClosed,
+    /// The ingest queue was already closed when a record arrived.
+    QueueClosed,
 }
 
 impl fmt::Display for ServeError {
@@ -53,7 +53,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::Io(e) => write!(f, "I/O error: {e}"),
             ServeError::Spawn(e) => write!(f, "cannot spawn worker thread: {e}"),
-            ServeError::PoolClosed => write!(f, "shard pool is closed"),
+            ServeError::QueueClosed => write!(f, "ingest queue is closed"),
         }
     }
 }

@@ -12,7 +12,7 @@
 //! | `/healthz`  | `ok` (text)                                          |
 //! | `/metrics`  | Prometheus text exposition of the metrics registry   |
 //! | `/events`   | JSON array of the recent-events ring                 |
-//! | `/summary`  | JSON object of the merged stream counters            |
+//! | `/summary`  | JSON object of the stream counters                   |
 //! | `/analysis` | the full co-analysis report (with `--full-analysis`) |
 //! | `/shutdown` | requests graceful shutdown (GET or POST)             |
 //!
@@ -24,8 +24,8 @@ use crate::full::FullAnalysis;
 use crate::metrics::{Registry, ServeMetrics};
 use crate::ring::EventRing;
 use crate::server::Shutdown;
-use crate::shard::ShardPool;
 use crate::source::POLL_SLEEP;
+use crate::worker::Worker;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -40,7 +40,7 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 pub(crate) struct HttpState {
     pub registry: Arc<Registry>,
     pub ring: Arc<EventRing>,
-    pub pool: Arc<ShardPool>,
+    pub worker: Arc<Worker>,
     pub metrics: Arc<ServeMetrics>,
     pub shutdown: Arc<Shutdown>,
     pub full: Option<Arc<FullAnalysis>>,
@@ -76,15 +76,15 @@ impl Response {
     }
 }
 
-/// Render the `/summary` JSON from the merged shard counters plus the
+/// Render the `/summary` JSON from the published stream counters plus the
 /// ingest/HTTP side-channel counters.
 pub(crate) fn summary_json(state: &HttpState) -> String {
-    let c = state.pool.counters();
+    let c = state.worker.counters();
     let m = &state.metrics;
     format!(
         "{{\"records_in\":{},\"fatal_in\":{},\"merged_temporal\":{},\"merged_spatial\":{},\
          \"events_out\":{},\"warnings\":{},\"rejected_malformed\":{},\"rejected_oversized\":{},\
-         \"backpressure_stalls\":{},\"queue_depth\":{},\"shards\":{},\"ring_events\":{},\
+         \"backpressure_stalls\":{},\"queue_depth\":{},\"ring_events\":{},\
          \"ingest_connections\":{},\"http_requests\":{},\"draining\":{}}}",
         c.records_in,
         c.fatal_in,
@@ -96,7 +96,6 @@ pub(crate) fn summary_json(state: &HttpState) -> String {
         m.rejected_oversized.get(),
         m.backpressure_stalls.get(),
         m.queue_depth.get(),
-        state.pool.shards(),
         state.ring.total_pushed(),
         m.ingest_connections.get(),
         m.http_requests.get(),

@@ -3,19 +3,20 @@
 //! The batch pipeline in [`coanalysis`] answers "what happened in this
 //! log?"; this crate answers "what is happening right now?". A daemon
 //! ([`Server`]) ingests RAS records over a line-delimited TCP protocol
-//! and/or by tailing a log file, fans them out to N sharded
-//! [`OnlineAnalyzer`](coanalysis::stream::OnlineAnalyzer) workers (routed
-//! by error code, which keeps dedup semantics exactly equal to a single
-//! analyzer), and serves live results over a hand-rolled HTTP/1.1
-//! front-end: `/healthz`, `/metrics` (Prometheus text), `/events` (JSON
-//! ring of recent independent events), `/summary` (merged counters), and
-//! `/shutdown` (graceful drain).
+//! and/or by tailing a log file, queues them for one analysis worker that
+//! owns the daemon's single
+//! [`OnlineAnalyzer`](coanalysis::stream::OnlineAnalyzer) (and, with
+//! `--full-analysis`, its incremental fold), and serves live results over a
+//! hand-rolled HTTP/1.1 front-end: `/healthz`, `/metrics` (Prometheus
+//! text), `/events` (JSON ring of recent independent events), `/summary`
+//! (stream counters), and `/shutdown` (graceful drain).
 //!
 //! Module map:
 //!
 //! * [`protocol`] — newline framing with length limits, line classification;
 //! * [`source`] — the TCP ingest listener and the optional file tailer;
-//! * [`shard`] — the bounded-queue shard pool and its merge layer;
+//! * `worker` — the one bounded ingest queue and the analysis thread behind
+//!   it, which analyzes, folds and publishes once per batch;
 //! * [`ring`] — the recent-events ring served at `/events`;
 //! * [`metrics`] — counters/gauges/histograms + Prometheus rendering;
 //! * [`http`] — the minimal HTTP front-end;
@@ -47,9 +48,9 @@ pub(crate) mod recorder;
 pub(crate) mod replay;
 pub mod ring;
 pub mod server;
-pub mod shard;
 pub mod source;
 pub mod timing;
+pub(crate) mod worker;
 
 pub use config::{parse_impact, read_impact_file, write_impact, ServeConfig, IMPACT_HEADER};
 pub use error::ServeError;
@@ -58,5 +59,4 @@ pub use metrics::{Counter, Gauge, Histogram, Registry, ServeMetrics};
 pub use protocol::{classify_line, Frame, LineFramer};
 pub use ring::{EventEntry, EventRing};
 pub use server::{run, FinalSummary, Server, Shutdown};
-pub use shard::{ShardConfig, ShardPool};
 pub use timing::StageTimer;

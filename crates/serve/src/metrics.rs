@@ -282,10 +282,10 @@ impl Registry {
 }
 
 /// The daemon's standard metric set, registered once and shared by the
-/// ingest sources, the shard pool, and the HTTP front-end.
+/// ingest sources, the analysis worker, and the HTTP front-end.
 #[derive(Debug)]
 pub struct ServeMetrics {
-    /// Valid records routed to a shard.
+    /// Valid records analyzed.
     pub records_in: Arc<Counter>,
     /// FATAL records among them.
     pub fatal_in: Arc<Counter>,
@@ -301,9 +301,9 @@ pub struct ServeMetrics {
     pub rejected_malformed: Arc<Counter>,
     /// Ingest lines rejected: longer than the configured limit.
     pub rejected_oversized: Arc<Counter>,
-    /// Times a full shard queue stalled an ingest source (backpressure).
+    /// Times a full ingest queue stalled an ingest source (backpressure).
     pub backpressure_stalls: Arc<Counter>,
-    /// Records currently queued across all shards.
+    /// Records currently queued for the analysis worker.
     pub queue_depth: Arc<Gauge>,
     /// Ingest connections accepted.
     pub ingest_connections: Arc<Counter>,
@@ -337,9 +337,12 @@ impl ServeMetrics {
                 .counter("ingest_rejected_oversized_total", "over-limit ingest lines"),
             backpressure_stalls: registry.counter(
                 "ingest_backpressure_stalls_total",
-                "sends that blocked on a full shard queue",
+                "sends that blocked on a full ingest queue",
             ),
-            queue_depth: registry.gauge("shard_queue_depth", "records queued across shards"),
+            queue_depth: registry.gauge(
+                "shard_queue_depth",
+                "records queued for the analysis worker",
+            ),
             ingest_connections: registry
                 .counter("ingest_connections_total", "ingest connections accepted"),
             http_requests: registry.counter("http_requests_total", "HTTP requests served"),

@@ -26,7 +26,7 @@ use raslog::RasRecord;
 /// What one complete ingest line turned out to be.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// A parsed record, ready for the shard pool.
+    /// A parsed record, ready for the ingest queue.
     Record(Box<RasRecord>),
     /// A blank line or `#` comment — ignored, not an error.
     Skip,

@@ -2,7 +2,7 @@
 //!
 //! A `.bgpcas` cassette recorded from a live session is fed back through
 //! the exact ingest path — the same [`LineFramer`], the same line decoder,
-//! the same shard pool — one recorded chunk per `feed`, so chunk-boundary
+//! the same ingest queue — one recorded chunk per `feed`, so chunk-boundary
 //! edge cases (CRLF split across reads, framer resync inside an oversized
 //! line) reproduce bit-for-bit. Recorded inter-chunk gaps are metadata
 //! only: replay never sleeps and never reads a clock, which is what lets

@@ -1,6 +1,6 @@
 //! Bounded ring of recent independent events, served at `GET /events`.
 //!
-//! Shard workers append an entry for every `NewEvent` decision; the HTTP
+//! The analysis worker appends an entry for every `NewEvent` decision; the HTTP
 //! front-end snapshots the ring and renders it as JSON. The ring is a
 //! fixed-capacity deque behind a mutex — appends are O(1), a snapshot is a
 //! short lock plus a copy, and memory is bounded no matter how long the
@@ -23,8 +23,6 @@ pub struct EventEntry {
     pub code: String,
     /// Did the impact map say this deserves a warning?
     pub warn: bool,
-    /// Which shard surfaced it.
-    pub shard: usize,
 }
 
 /// The bounded ring itself.
@@ -91,13 +89,12 @@ impl EventRing {
             }
             out.push_str(&format!(
                 "{{\"recid\":{},\"time\":\"{}\",\"location\":\"{}\",\"code\":\"{}\",\
-                 \"warn\":{},\"shard\":{}}}",
+                 \"warn\":{}}}",
                 e.recid,
                 e.time,
                 json_escape(&e.location),
                 json_escape(&e.code),
-                e.warn,
-                e.shard
+                e.warn
             ));
         }
         out.push(']');
@@ -133,7 +130,6 @@ mod tests {
             location: "R00-M0".to_owned(),
             code: "_bgp_err_kernel_panic".to_owned(),
             warn: recid.is_multiple_of(2),
-            shard: 0,
         }
     }
 

@@ -2,23 +2,24 @@
 //!
 //! Shutdown is two-phase so results stay observable while the pipeline
 //! drains: phase one (the `/shutdown` endpoint or [`Server::shutdown`])
-//! stops the ingest sources and lets the shard pool drain every queued
-//! record; the HTTP front-end keeps answering during the drain so a client
-//! can watch `/summary` converge. Phase two, entered by [`Server::wait`]
-//! once the pool has drained, stops the front-end and yields the final
+//! stops the ingest sources; once they have joined, the ingest queue closes
+//! and the analysis worker drains, folds and publishes every queued record.
+//! The HTTP front-end keeps answering during the drain so a client can
+//! watch `/summary` converge. Phase two, entered by [`Server::wait`] once
+//! the worker has drained, stops the front-end and yields the final
 //! [`FinalSummary`].
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::full::FullAnalysis;
+use crate::full::{Fold, FullAnalysis};
 use crate::http::{spawn_http_listener, HttpState};
 use crate::metrics::{Registry, ServeMetrics};
 use crate::recorder::ChunkRecorder;
 use crate::ring::EventRing;
-use crate::shard::{ShardConfig, ShardPool};
 use crate::source::{spawn_ingest_listener, spawn_tailer, SourceCtx};
+use crate::worker::Worker;
 use bgp_ports::LineDecoder;
-use coanalysis::stream::StreamCounters;
+use coanalysis::stream::{OnlineAnalyzer, StreamCounters};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,15 +66,13 @@ impl Shutdown {
 /// What the daemon counted over its lifetime, reported after the drain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FinalSummary {
-    /// Merged per-shard stream counters.
+    /// The analysis worker's stream counters.
     pub counters: StreamCounters,
-    /// Shards the pool ran.
-    pub shards: usize,
     /// Unparsable ingest lines rejected.
     pub rejected_malformed: u64,
     /// Over-limit ingest lines rejected.
     pub rejected_oversized: u64,
-    /// Sends that blocked on a full shard queue.
+    /// Sends that blocked on a full ingest queue.
     pub backpressure_stalls: u64,
     /// Ingest connections accepted.
     pub ingest_connections: u64,
@@ -93,15 +92,15 @@ impl std::fmt::Display for FinalSummary {
         let c = &self.counters;
         writeln!(
             f,
-            "final: {} records in ({} fatal) -> {} events ({} warnings) across {} shards",
-            c.records_in, c.fatal_in, c.events_out, c.warnings, self.shards
+            "final: {} records in ({} fatal) -> {} events ({} warnings)",
+            c.records_in, c.fatal_in, c.events_out, c.warnings
         )?;
         writeln!(
             f,
-            "final: merged {} temporal + {} spatial (compression {:.2}x)",
+            "final: merged {} temporal + {} spatial (compression {:.2}%)",
             c.merged_temporal,
             c.merged_spatial,
-            c.compression()
+            100.0 * c.compression()
         )?;
         write!(
             f,
@@ -130,7 +129,7 @@ pub struct Server {
     ingest_addr: SocketAddr,
     http_addr: SocketAddr,
     shutdown: Arc<Shutdown>,
-    pool: Arc<ShardPool>,
+    worker: Arc<Worker>,
     metrics: Arc<ServeMetrics>,
     registry: Arc<Registry>,
     ring: Arc<EventRing>,
@@ -140,7 +139,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind both listeners, start the shard pool and all source threads.
+    /// Bind both listeners, start the analysis worker and all source threads.
     pub fn start(cfg: &ServeConfig) -> Result<Server, ServeError> {
         let ingest_listener =
             TcpListener::bind(&cfg.ingest_addr).map_err(|e| ServeError::Bind {
@@ -160,17 +159,6 @@ impl Server {
         let metrics = Arc::new(ServeMetrics::register(&registry));
         let ring = Arc::new(EventRing::new(cfg.ring_capacity));
         let shutdown = Arc::new(Shutdown::new());
-        let pool = Arc::new(ShardPool::start(
-            &ShardConfig {
-                shards: cfg.shards,
-                queue_capacity: cfg.queue_capacity,
-                temporal: cfg.temporal,
-                spatial: cfg.spatial,
-                impact: cfg.impact.clone(),
-            },
-            &metrics,
-            &ring,
-        )?);
 
         let decoder = LineDecoder::for_format(cfg.format).ok_or_else(|| {
             ServeError::Config(format!(
@@ -194,30 +182,37 @@ impl Server {
             .map(crate::replay::load_cassette)
             .transpose()?;
         // Likewise the job log: a bad --jobs file is a startup error.
-        let full = match (&cfg.full_analysis, &cfg.jobs) {
+        let fold = match (&cfg.full_analysis, &cfg.jobs) {
             (true, Some(jobs)) => {
                 let mut analysis_cfg = coanalysis::CoAnalysisConfig::default();
                 if let Some(n) = cfg.analysis_threads {
                     analysis_cfg.threads = n;
                 }
-                Some(Arc::new(FullAnalysis::start(
-                    analysis_cfg,
-                    jobs,
-                    cfg.queue_capacity,
-                )?))
+                Some(Fold::start(analysis_cfg, jobs)?)
             }
             _ => None,
         };
+        let full = fold.as_ref().map(|f| Arc::clone(f.published()));
+        let mut analyzer = OnlineAnalyzer::with_thresholds(cfg.temporal, cfg.spatial);
+        if let Some(impact) = &cfg.impact {
+            analyzer = analyzer.with_impact(impact.clone());
+        }
+        let worker = Arc::new(Worker::start(
+            analyzer,
+            fold,
+            cfg.queue_capacity,
+            &metrics,
+            &ring,
+        )?);
 
         let source_ctx = SourceCtx {
-            pool: Arc::clone(&pool),
+            worker: Arc::clone(&worker),
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
             max_line_bytes: cfg.max_line_bytes,
             read_timeout: cfg.read_timeout,
             decoder: Arc::new(decoder),
             recorder: record.as_ref().map(|(_, r)| Arc::clone(r)),
-            full: full.as_ref().map(Arc::clone),
         };
         let mut threads = Vec::new();
         threads.push(
@@ -241,7 +236,7 @@ impl Server {
                 HttpState {
                     registry: Arc::clone(&registry),
                     ring: Arc::clone(&ring),
-                    pool: Arc::clone(&pool),
+                    worker: Arc::clone(&worker),
                     metrics: Arc::clone(&metrics),
                     shutdown: Arc::clone(&shutdown),
                     full: full.as_ref().map(Arc::clone),
@@ -256,7 +251,7 @@ impl Server {
             ingest_addr,
             http_addr,
             shutdown,
-            pool,
+            worker,
             metrics,
             registry,
             ring,
@@ -286,12 +281,13 @@ impl Server {
         &self.ring
     }
 
-    /// Merged live counters (also served at `/summary`).
+    /// Live stream counters as of the last published batch (also served at
+    /// `/summary`).
     pub fn counters(&self) -> StreamCounters {
-        self.pool.counters()
+        self.worker.counters()
     }
 
-    /// The continuous-analysis worker, when `--full-analysis` is active.
+    /// The latest full report, when `--full-analysis` is active.
     pub fn full_analysis(&self) -> Option<&Arc<FullAnalysis>> {
         self.full.as_ref()
     }
@@ -318,8 +314,9 @@ impl Server {
             guard.drain(..).collect()
         };
         // The ingest listener and tailer observe phase one and join once
-        // their connections drain; the pool then drains its queues; only
-        // after that does phase two stop the HTTP thread.
+        // their connections drain; the worker then drains, folds and
+        // publishes the queue; only after that does phase two stop the HTTP
+        // thread.
         let mut http_threads = Vec::new();
         for t in threads {
             if t.thread().name() == Some("bgp-serve-http") {
@@ -328,14 +325,8 @@ impl Server {
             }
             let _ = t.join();
         }
-        self.pool.close();
-        self.pool.join();
-        // The sources have joined, so nothing offers records anymore: close
-        // the analysis queue and fold whatever is still buffered.
-        if let Some(full) = &self.full {
-            full.close();
-            full.join();
-        }
+        self.worker.close();
+        self.worker.join();
         self.shutdown.request_final();
         for t in http_threads {
             let _ = t.join();
@@ -356,8 +347,7 @@ impl Server {
             )
         });
         FinalSummary {
-            counters: self.pool.counters(),
-            shards: self.pool.shards(),
+            counters: self.worker.counters(),
             rejected_malformed: self.metrics.rejected_malformed.get(),
             rejected_oversized: self.metrics.rejected_oversized.get(),
             backpressure_stalls: self.metrics.backpressure_stalls.get(),
@@ -379,8 +369,7 @@ pub fn run(cfg: &ServeConfig, out: &mut impl std::io::Write) -> Result<FinalSumm
     writeln!(out, "bgp-serve: http   on {}", server.http_addr()).map_err(ServeError::Io)?;
     writeln!(
         out,
-        "bgp-serve: {} shards; GET /healthz /metrics /events /summary{} /shutdown",
-        cfg.shards,
+        "bgp-serve: GET /healthz /metrics /events /summary{} /shutdown",
         if cfg.full_analysis { " /analysis" } else { "" }
     )
     .map_err(ServeError::Io)?;
@@ -420,7 +409,6 @@ mod tests {
                 events_out: 3,
                 warnings: 1,
             },
-            shards: 4,
             rejected_malformed: 5,
             rejected_oversized: 6,
             backpressure_stalls: 7,
@@ -432,7 +420,7 @@ mod tests {
         };
         let text = summary.to_string();
         assert!(text.contains("10 records in (8 fatal) -> 3 events"));
-        assert!(text.contains("3 temporal + 2 spatial"));
+        assert!(text.contains("3 temporal + 2 spatial (compression 62.50%)"));
         assert!(text.contains("5 malformed / 6 oversized; 7 stalls"));
         assert!(!text.contains("recording"));
         let recorded = FinalSummary {

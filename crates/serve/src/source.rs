@@ -1,19 +1,18 @@
 //! Ingest sources: the TCP listener and the optional file tailer.
 //!
 //! Both sources speak the same [`protocol`](crate::protocol): bytes in,
-//! framed lines out, each line classified and — if it parses — routed into
-//! the [`ShardPool`]. Accept loops and connection
+//! framed lines out, each line classified and — if it parses — queued for
+//! the daemon's one analysis worker. Accept loops and connection
 //! handlers are non-blocking pollers so a requested shutdown is observed
 //! within one poll interval; already-read bytes are always framed and
 //! pushed before a handler exits, which keeps shutdown lossless for data
 //! the daemon has accepted.
 
-use crate::full::FullAnalysis;
 use crate::metrics::ServeMetrics;
 use crate::protocol::LineFramer;
 use crate::recorder::ChunkRecorder;
 use crate::server::Shutdown;
-use crate::shard::ShardPool;
+use crate::worker::Worker;
 use bgp_ports::{LineDecoder, LineOutcome};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -25,10 +24,10 @@ use std::time::Duration;
 /// How long accept loops sleep between polls.
 pub(crate) const POLL_SLEEP: Duration = Duration::from_millis(20);
 
-/// Everything a source needs to turn bytes into routed records.
+/// Everything a source needs to turn bytes into queued records.
 #[derive(Debug, Clone)]
 pub(crate) struct SourceCtx {
-    pub pool: Arc<ShardPool>,
+    pub worker: Arc<Worker>,
     pub metrics: Arc<ServeMetrics>,
     pub shutdown: Arc<Shutdown>,
     pub max_line_bytes: usize,
@@ -39,13 +38,10 @@ pub(crate) struct SourceCtx {
     pub decoder: Arc<LineDecoder>,
     /// When `--record` is active, every delivered chunk is observed here.
     pub recorder: Option<Arc<ChunkRecorder>>,
-    /// When `--full-analysis` is active, every parsed record also feeds the
-    /// continuous-analysis worker.
-    pub full: Option<Arc<FullAnalysis>>,
 }
 
 impl SourceCtx {
-    /// Decode one framed line and route it. Returns `false` once the pool
+    /// Decode one framed line and queue it. Returns `false` once the queue
     /// refuses records (daemon shutting down) — the source should stop.
     fn consume_line(&self, line: &[u8]) -> bool {
         match self.decoder.decode_line(line) {
@@ -54,17 +50,12 @@ impl SourceCtx {
                 self.metrics.rejected_malformed.inc();
                 true
             }
-            LineOutcome::Record(rec) => {
-                if let Some(full) = &self.full {
-                    full.offer(*rec, &self.metrics);
-                }
-                self.pool.push(*rec, &self.metrics).is_ok()
-            }
+            LineOutcome::Record(rec) => self.worker.push(*rec, &self.metrics).is_ok(),
         }
     }
 
     /// Feed one chunk through a framer, accounting oversized drops.
-    /// Returns `false` once the pool is closed.
+    /// Returns `false` once the queue is closed.
     pub(crate) fn consume_chunk(&self, framer: &mut LineFramer, chunk: &[u8]) -> bool {
         if let Some(rec) = &self.recorder {
             rec.observe(chunk);
@@ -172,7 +163,7 @@ pub(crate) fn spawn_ingest_listener(
         })
 }
 
-/// Tail a log file, feeding appended lines into the pool until shutdown.
+/// Tail a log file, feeding appended lines into the queue until shutdown.
 ///
 /// The file may not exist yet — the tailer waits for it. Reads always start
 /// at the beginning (the daemon wants the whole log, not just the suffix);
@@ -237,42 +228,30 @@ mod tests {
     use super::*;
     use crate::metrics::Registry;
     use crate::ring::EventRing;
-    use crate::shard::ShardConfig;
+    use coanalysis::stream::OnlineAnalyzer;
     use std::io::Write;
 
-    fn ctx(shards: usize) -> SourceCtx {
+    fn ctx() -> SourceCtx {
         let registry = Registry::new();
         let metrics = Arc::new(ServeMetrics::register(&registry));
         let ring = Arc::new(EventRing::new(16));
-        let pool = Arc::new(
-            ShardPool::start(
-                &ShardConfig {
-                    shards,
-                    queue_capacity: 64,
-                    temporal: bgp_model::Duration::minutes(5),
-                    spatial: bgp_model::Duration::minutes(5),
-                    impact: None,
-                },
-                &metrics,
-                &ring,
-            )
-            .expect("pool starts"),
+        let worker = Arc::new(
+            Worker::start(OnlineAnalyzer::new(), None, 64, &metrics, &ring).expect("worker starts"),
         );
         SourceCtx {
-            pool,
+            worker,
             metrics,
             shutdown: Arc::new(Shutdown::new()),
             max_line_bytes: 1024,
             read_timeout: Duration::from_millis(50),
             decoder: Arc::new(LineDecoder::Bgp),
             recorder: None,
-            full: None,
         }
     }
 
     #[test]
     fn tcp_ingest_parses_counts_and_drains() {
-        let ctx = ctx(2);
+        let ctx = ctx();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
         let handle = spawn_ingest_listener(listener, ctx.clone()).expect("spawn listener");
@@ -308,16 +287,16 @@ mod tests {
         }
         ctx.shutdown.request();
         handle.join().expect("listener joins");
-        ctx.pool.close();
-        ctx.pool.join();
-        assert_eq!(ctx.pool.counters().records_in, 51);
+        ctx.worker.close();
+        ctx.worker.join();
+        assert_eq!(ctx.worker.counters().records_in, 51);
         assert_eq!(ctx.metrics.rejected_malformed.get(), 1);
         assert_eq!(ctx.metrics.ingest_connections.get(), 1);
     }
 
     #[test]
     fn tailer_follows_appends_and_finishes_on_shutdown() {
-        let ctx = ctx(1);
+        let ctx = ctx();
         let dir = std::env::temp_dir().join(format!("bgp-serve-tail-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("tail.log");
@@ -345,9 +324,9 @@ mod tests {
         }
         ctx.shutdown.request();
         handle.join().expect("tailer joins");
-        ctx.pool.close();
-        ctx.pool.join();
-        assert_eq!(ctx.pool.counters().records_in, 10);
+        ctx.worker.close();
+        ctx.worker.join();
+        assert_eq!(ctx.worker.counters().records_in, 10);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }

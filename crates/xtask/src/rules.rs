@@ -1164,9 +1164,9 @@ fn scan_serve_block(
     active.truncate(entry);
 }
 
-/// `serve-concurrency`: the daemon's shards and HTTP endpoints share state
-/// behind mutexes, and its queues sit between a socket thread and the
-/// analyzers. Two structural rules keep that sound: a Mutex guard must
+/// `serve-concurrency`: the daemon's analysis worker and HTTP endpoints
+/// share state behind mutexes, and its ingest queue sits between the socket
+/// threads and the analyzer. Two structural rules keep that sound: a Mutex guard must
 /// never be held across a call that can block (socket I/O, channel
 /// `recv`/`send`, thread `join`) — that serializes unrelated readers and
 /// can deadlock shutdown — and every channel/queue must be bounded at its
@@ -1810,9 +1810,9 @@ mod tests {
 
     #[test]
     fn seeded_guard_across_blocking_call_is_detected() {
-        // `close` joins the workers while still holding the senders lock —
+        // `close` joins the worker while still holding the sender lock —
         // the exact shutdown deadlock shape the rule exists for.
-        let rel = "crates/serve/src/shard.rs";
+        let rel = "crates/serve/src/worker.rs";
         let f = mutated(
             rel,
             "*guard = None;",
@@ -1828,10 +1828,10 @@ mod tests {
 
     #[test]
     fn seeded_unbounded_channel_is_detected() {
-        let rel = "crates/serve/src/shard.rs";
+        let rel = "crates/serve/src/worker.rs";
         let f = mutated(
             rel,
-            "sync_channel::<RasRecord>(cfg.queue_capacity.max(1))",
+            "sync_channel::<RasRecord>(queue_capacity.max(1))",
             "channel()",
         );
         let found = serve_concurrency(&f);

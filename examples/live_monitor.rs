@@ -77,7 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ServeConfig {
         ingest_addr: "127.0.0.1:0".to_owned(),
         http_addr: "127.0.0.1:0".to_owned(),
-        shards: 4,
         impact: Some(impact.clone()),
         ..ServeConfig::default()
     };
@@ -126,7 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let summary = server.wait();
     println!("\n{summary}\n");
 
-    // --- cross-check against a single reference analyzer ---
+    // --- cross-check against a reference analyzer ---
     let mut naive = OnlineAnalyzer::new();
     let mut informed = OnlineAnalyzer::new().with_impact(impact);
     for r in &live {
@@ -137,10 +136,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(c.records_in, informed.counters().records_in);
     assert_eq!(c.events_out, informed.counters().events_out);
     assert_eq!(c.warnings, informed.counters().warnings);
-    println!(
-        "  daemon ({} shards) matches the single-analyzer reference exactly",
-        summary.shards
-    );
+    println!("  daemon matches the reference analyzer exactly");
     println!(
         "  -> the learned verdicts silence {} warning(s) on the live stream",
         naive.warnings() - informed.warnings()

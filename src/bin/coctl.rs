@@ -109,7 +109,7 @@ fn usage(err: &str) -> ExitCode {
          \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--append RAS2.log]... [--append-jobs JOBS2.log]...\n\
          \x20 coctl filter RAS.log JOBS.log -o CLEAN.log [--snapshot DIR] [--format F] [--no-mmap]\n\
          \x20 coctl outages RAS.log JOBS.log [--snapshot DIR] [--format F] [--no-mmap]\n\
-         \x20 coctl serve [--ingest ADDR] [--http ADDR] [--shards N] [--impact FILE] ...\n\
+         \x20 coctl serve [--ingest ADDR] [--http ADDR] [--impact FILE] ...\n\
          \n\
          --format F selects the log source adapter: bgp (default), bgq,\n\
          syslog, or cassette (.bgpcas recording, replayed deterministically).\n\

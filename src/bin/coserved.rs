@@ -1,12 +1,12 @@
 //! `coserved` — the standalone streaming co-analysis daemon.
 //!
 //! Binds a line-delimited TCP ingest socket and a minimal HTTP front-end,
-//! fans records out to sharded online analyzers, and serves live results:
+//! queues records for one online analyzer, and serves live results:
 //!
 //! ```text
-//! coserved --ingest 127.0.0.1:7070 --http 127.0.0.1:7071 --shards 4
+//! coserved --ingest 127.0.0.1:7070 --http 127.0.0.1:7071
 //! cat ras.log | nc 127.0.0.1 7070        # stream records in
-//! curl http://127.0.0.1:7071/summary     # watch the merged counters
+//! curl http://127.0.0.1:7071/summary     # watch the counters
 //! curl http://127.0.0.1:7071/shutdown    # drain and exit
 //! ```
 //!
@@ -26,8 +26,7 @@ fn usage() {
          usage: coserved [flags]\n\
          \x20 --ingest ADDR      TCP ingest listen address   (default 127.0.0.1:7070)\n\
          \x20 --http ADDR        HTTP listen address         (default 127.0.0.1:7071)\n\
-         \x20 --shards N         analyzer shards             (default 2)\n\
-         \x20 --queue-cap N      per-shard queue capacity    (default 4096)\n\
+         \x20 --queue-cap N      ingest queue capacity       (default 4096)\n\
          \x20 --ring N           /events ring capacity       (default 256)\n\
          \x20 --max-line BYTES   ingest line length limit    (default 65536)\n\
          \x20 --impact FILE      offline impact verdicts (coctl analyze --impact-out)\n\

@@ -69,9 +69,9 @@ fn serve_with_bad_flags_is_a_usage_error() {
     let out = coctl().args(["serve", "--bogus"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
-    let out = coctl().args(["serve", "--shards", "0"]).output().unwrap();
+    let out = coctl().args(["serve", "--ring", "0"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--ring"));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Integration tests of the `bgp-serve` daemon: real sockets on loopback,
-//! real HTTP scrapes, and the sharded-vs-single-analyzer equivalence that
+//! real HTTP scrapes, and the daemon-vs-reference-analyzer equivalence that
 //! makes the daemon's numbers trustworthy.
 
 // Integration-test helpers follow the test-code panic policy: a broken
@@ -10,17 +10,15 @@ use bgp_coanalysis::bgp_serve::{ServeConfig, Server};
 use bgp_coanalysis::bgp_sim::{SimConfig, Simulation};
 use bgp_coanalysis::coanalysis::stream::OnlineAnalyzer;
 use bgp_coanalysis::raslog::{format_record, Catalog, RasRecord};
-use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// A loopback config with ephemeral ports and the given shard count.
-fn loopback_cfg(shards: usize) -> ServeConfig {
+/// A loopback config with ephemeral ports.
+fn loopback_cfg() -> ServeConfig {
     ServeConfig {
         ingest_addr: "127.0.0.1:0".to_owned(),
         http_addr: "127.0.0.1:0".to_owned(),
-        shards,
         ..ServeConfig::default()
     }
 }
@@ -109,15 +107,14 @@ fn amplified_records(base: &[RasRecord], n: usize) -> Vec<RasRecord> {
 }
 
 #[test]
-fn smoke_100k_records_across_shards_reconcile_exactly() {
-    // The acceptance smoke test: >=100k simulated records over TCP through
-    // >=2 shards; /metrics totals must reconcile exactly with what was sent
-    // and with a single reference analyzer; graceful shutdown must drain
-    // without losing queued records.
+fn smoke_100k_records_reconcile_exactly() {
+    // The acceptance smoke test: >=100k simulated records over TCP; /metrics
+    // totals must reconcile exactly with what was sent and with a reference
+    // analyzer; graceful shutdown must drain without losing queued records.
     let records = amplified_records(&simulated_records(11), 100_000);
     assert!(records.len() >= 100_000);
 
-    let server = Server::start(&loopback_cfg(4)).expect("daemon starts");
+    let server = Server::start(&loopback_cfg()).expect("daemon starts");
     let http = server.http_addr();
     let (status, body) = http_get(http, "/healthz");
     assert!(status.contains("200"), "{status}");
@@ -154,7 +151,7 @@ fn smoke_100k_records_across_shards_reconcile_exactly() {
     assert_eq!(
         metric(&metrics, "events_out_total"),
         Some(want.events_out as i64),
-        "sharded daemon must surface exactly the reference event set"
+        "daemon must surface exactly the reference event set"
     );
     assert_eq!(metric(&metrics, "ingest_rejected_malformed_total"), Some(0));
     assert_eq!(metric(&metrics, "ingest_rejected_oversized_total"), Some(0));
@@ -162,7 +159,6 @@ fn smoke_100k_records_across_shards_reconcile_exactly() {
     let (_, summary) = http_get(http, "/summary");
     assert!(summary.contains(&format!("\"records_in\":{}", records.len())));
     assert!(summary.contains(&format!("\"events_out\":{}", want.events_out)));
-    assert!(summary.contains("\"shards\":4"));
 
     let (_, events) = http_get(http, "/events");
     assert!(events.starts_with('[') && events.ends_with(']'));
@@ -180,14 +176,13 @@ fn smoke_100k_records_across_shards_reconcile_exactly() {
     assert_eq!(summary.counters.events_out, want.events_out);
     assert_eq!(summary.counters.warnings, want.warnings);
     assert!(summary.counters.is_consistent());
-    assert_eq!(summary.shards, 4);
 }
 
 #[test]
 fn malformed_and_oversized_lines_are_rejected_not_fatal() {
     // Tight enough that the 4 KiB junk line trips it, roomy enough for a
     // real record line (about 170 bytes with its message template).
-    let mut cfg = loopback_cfg(2);
+    let mut cfg = loopback_cfg();
     cfg.max_line_bytes = 512;
     let server = Server::start(&cfg).expect("daemon starts");
     let code = Catalog::standard().lookup("_bgp_err_kernel_panic").unwrap();
@@ -223,7 +218,7 @@ fn malformed_and_oversized_lines_are_rejected_not_fatal() {
 
 #[test]
 fn backpressure_stalls_are_counted_and_lossless() {
-    let mut cfg = loopback_cfg(1);
+    let mut cfg = loopback_cfg();
     cfg.queue_capacity = 2; // tiny queue: the sender must outrun the worker
     let server = Server::start(&cfg).expect("daemon starts");
     let code = Catalog::standard()
@@ -257,7 +252,7 @@ fn backpressure_stalls_are_counted_and_lossless() {
 
 #[test]
 fn http_front_end_rejects_junk_and_unknown_routes() {
-    let server = Server::start(&loopback_cfg(2)).expect("daemon starts");
+    let server = Server::start(&loopback_cfg()).expect("daemon starts");
     let http = server.http_addr();
 
     let (status, _) = http_get(http, "/no-such-route");
@@ -307,7 +302,7 @@ fn full_analysis_route_serves_the_incremental_report() {
     w.flush().expect("flush jobs");
     drop(w);
 
-    let mut cfg = loopback_cfg(2);
+    let mut cfg = loopback_cfg();
     cfg.full_analysis = true;
     cfg.jobs = Some(jobs_path.clone());
     let server = Server::start(&cfg).expect("daemon starts");
@@ -319,18 +314,10 @@ fn full_analysis_route_serves_the_incremental_report() {
     drop(ingest);
     let want = out.ras.records().len() as u64;
     wait_records_in(&server, want);
-    // The analysis worker has its own bounded queue; wait until it has
-    // folded everything the pool has already counted.
+    // The worker folds a batch before it publishes the batch's counters, so
+    // the fold already covers every counted record.
     let full = server.full_analysis().expect("enabled").clone();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while full.snapshot().records < want {
-        assert!(
-            Instant::now() < deadline,
-            "analysis worker stuck at {}/{want}",
-            full.snapshot().records
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert_eq!(full.snapshot().records, want);
 
     let (status, body) = http_get(server.http_addr(), "/analysis");
     assert!(status.contains("200"), "{status}");
@@ -346,6 +333,8 @@ fn full_analysis_route_serves_the_incremental_report() {
     let (status, _) = http_get(server.http_addr(), "/shutdown");
     assert!(status.contains("200"), "{status}");
     let summary = server.wait();
+    // Conservation: every analyzed record was folded, and only those.
+    assert_eq!(full.snapshot().records, summary.counters.records_in);
     let analysis = summary.analysis.expect("--full-analysis reports its folds");
     assert!(
         analysis.contains(&format!("({want} records)")),
@@ -362,7 +351,7 @@ fn impact_file_arms_the_daemon_warnings() {
     let impact_text = "# bgp-impact v1\n_bgp_err_kernel_panic non-fatal\n";
     let impact =
         bgp_coanalysis::bgp_serve::parse_impact(impact_text, "inline").expect("valid impact");
-    let mut cfg = loopback_cfg(2);
+    let mut cfg = loopback_cfg();
     cfg.impact = Some(impact);
     let server = Server::start(&cfg).expect("daemon starts");
     let code = Catalog::standard().lookup("_bgp_err_kernel_panic").unwrap();
@@ -385,41 +374,4 @@ fn impact_file_arms_the_daemon_warnings() {
         summary.counters.warnings, 0,
         "non-fatal verdict must silence warnings"
     );
-}
-
-/// One simulated stream shared across all proptest cases (sims are costly).
-fn shared_stream() -> &'static Vec<RasRecord> {
-    use std::sync::OnceLock;
-    static RECORDS: OnceLock<Vec<RasRecord>> = OnceLock::new();
-    RECORDS.get_or_init(|| simulated_records(23))
-}
-
-proptest! {
-    /// The shard/merge invariant, pinned: for any ordered record stream,
-    /// routing by error code across any shard count and merging the
-    /// per-shard counters gives exactly the single-analyzer counters.
-    #[test]
-    fn sharded_streaming_equals_single_analyzer(
-        shards in 1usize..8,
-        start in 0usize..2_000,
-        take in 50usize..1_500,
-    ) {
-        let all = shared_stream();
-        let start = start.min(all.len().saturating_sub(1));
-        let records = &all[start..(start + take).min(all.len())];
-
-        let mut single = OnlineAnalyzer::new();
-        let mut per_shard: Vec<OnlineAnalyzer> =
-            (0..shards).map(|_| OnlineAnalyzer::new()).collect();
-        for r in records {
-            single.push(r);
-            per_shard[r.errcode.index() % shards].push(r);
-        }
-        let merged = per_shard
-            .iter()
-            .map(OnlineAnalyzer::counters)
-            .fold(Default::default(), bgp_coanalysis::coanalysis::StreamCounters::merge);
-        prop_assert_eq!(merged, single.counters());
-        prop_assert!(merged.is_consistent());
-    }
 }

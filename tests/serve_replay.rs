@@ -2,8 +2,9 @@
 //! daemon.
 //!
 //! These are the conversions of the TCP-only integration smoke tests: the
-//! same records flow through the same framer, decoder, and shard pool, but
-//! from a committed `.bgpcas` cassette instead of a live socket — so the
+//! same records flow through the same framer, decoder, and analysis
+//! worker, but from a committed `.bgpcas` cassette instead of a live socket
+//! — so the
 //! chunk boundaries are pinned byte-for-byte and every counter asserts
 //! exactly, with no sockets, no sleeps, and no timing slack.
 //!
@@ -36,11 +37,10 @@ fn fixture(name: &str) -> PathBuf {
 
 /// A loopback config with ephemeral ports (the sockets are bound but unused
 /// here — replay feeds the ingest path directly).
-fn loopback_cfg(shards: usize) -> ServeConfig {
+fn loopback_cfg() -> ServeConfig {
     ServeConfig {
         ingest_addr: "127.0.0.1:0".to_owned(),
         http_addr: "127.0.0.1:0".to_owned(),
-        shards,
         ..ServeConfig::default()
     }
 }
@@ -172,7 +172,7 @@ fn smoke_replayed_from_committed_cassette_reconciles_exactly() {
     // The deterministic conversion of the TCP smoke test: the committed
     // cassette drives the same ingest path, so every counter — not just the
     // eventually-consistent ones — asserts exactly, twice.
-    let mut cfg = loopback_cfg(3);
+    let mut cfg = loopback_cfg();
     cfg.replay = Some(fixture("serve_smoke.bgpcas"));
     let first = run_replay(&cfg);
     let second = run_replay(&cfg);
@@ -215,7 +215,6 @@ fn smoke_replayed_from_committed_cassette_reconciles_exactly() {
     assert_eq!(first.rejected_malformed, 1, "exactly the one garbage line");
     assert_eq!(first.rejected_oversized, 0);
     assert_eq!(first.ingest_connections, 0, "no socket was involved");
-    assert_eq!(first.shards, 3);
 }
 
 #[test]
@@ -232,7 +231,7 @@ fn crlf_split_across_recorded_chunks_is_not_dropped_at_the_limit() {
         .max()
         .expect("non-empty fixture");
 
-    let mut cfg = loopback_cfg(1);
+    let mut cfg = loopback_cfg();
     cfg.max_line_bytes = max; // every line is exactly at the limit
     cfg.replay = Some(fixture("crlf_boundary.bgpcas"));
     let summary = run_replay(&cfg);
@@ -261,7 +260,7 @@ fn recorded_live_session_replays_to_identical_counters() {
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let cas_path = dir.join("live.bgpcas");
 
-    let mut cfg = loopback_cfg(2);
+    let mut cfg = loopback_cfg();
     cfg.record = Some(cas_path.clone());
     let server = Server::start(&cfg).expect("daemon starts");
     let records = smoke_records();
@@ -284,7 +283,7 @@ fn recorded_live_session_replays_to_identical_counters() {
         .expect("--record reports its outcome");
     assert!(rec_note.starts_with("wrote"), "recording note: {rec_note}");
 
-    let mut replay_cfg = loopback_cfg(2);
+    let mut replay_cfg = loopback_cfg();
     replay_cfg.replay = Some(cas_path);
     let replayed = run_replay(&replay_cfg);
     assert_eq!(replayed.counters, live.counters);
