@@ -54,7 +54,5 @@ pub use load::{
     SnapshotStatus, SourceDiagnostic,
 };
 pub use pipeline::{CoAnalysis, CoAnalysisConfig, CoAnalysisResult, DeltaSession};
-pub use stage::{
-    AnalysisProducts, AnalysisSet, DeltaReport, Stage, StageCache, StageId, StageObserver,
-};
+pub use stage::{AnalysisProducts, AnalysisSet, DeltaReport, StageCache, StageId, StageObserver};
 pub use stream::StreamCounters;

@@ -1,10 +1,10 @@
 //! Stage graph: named pipeline passes over a shared [`AnalysisContext`].
 //!
-//! Every pass of the paper's Figure-1 dataflow is a [`Stage`] with an
-//! explicit identity ([`StageId`]) and declared inputs: the products it
-//! reads ([`StageId::deps`]) and the context indexes it reads
-//! ([`StageId::ctx_reads`]). The executor (`execute`) walks the graph in
-//! dependency waves and runs independent stages of a wave concurrently —
+//! Every pass of the paper's Figure-1 dataflow is a [`StageId`] variant
+//! with declared inputs: the products it reads ([`StageId::deps`]) and the
+//! context indexes it reads ([`StageId::ctx_reads`]). One `match` over the
+//! id (`run_stage`) runs any pass. The executor (`execute`) walks the graph
+//! in dependency waves and runs independent stages of a wave concurrently —
 //! the per-code sharding of the temporal/spatial filters and the fan-out
 //! of the characterization passes go through the same fork-join point
 //! (`fork_join`). Callers choose which passes to run with an
@@ -33,35 +33,77 @@ use crate::pipeline::{CoAnalysisConfig, CoAnalysisResult};
 use joblog::JobRecord;
 use raslog::ErrCode;
 
-/// Identity of one pipeline pass.
+/// Identity of one pipeline pass; `run_stage` holds each pass's body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum StageId {
     /// Temporal + spatial dedup, sharded per error code.
+    ///
+    /// Contract: dedups each error-code shard temporally then spatially
+    /// (shards are independent by construction) and merges time-sorted.
     TemporalSpatial = 0,
     /// Causal (cross-code) filtering.
+    ///
+    /// Contract: learns cross-code rules over the whole post-spatial stream
+    /// (global by design — rules connect different codes).
     Causal = 1,
     /// Event ↔ job matching.
+    ///
+    /// Contract: matches the causally filtered stream against the job
+    /// index; produces per-event cases and the job → event attribution.
     Matching = 2,
     /// Job-related redundancy filtering.
+    ///
+    /// Contract: flags job-related redundancy over the matched stream;
+    /// final events are a subsequence of the causal stage's output.
     JobRelated = 3,
     /// Impact classification (Section IV-A).
+    ///
+    /// Contract: classifies per-code interruption impact from the matching
+    /// cases alone.
     Impact = 4,
     /// Root-cause classification (Section IV-B).
+    ///
+    /// Contract: classifies per-code root cause using the matching and the
+    /// job index (executable-following vs. location-sticky evidence).
     RootCause = 5,
     /// Table IV interarrival fits.
+    ///
+    /// Contract: fits interarrival models before/after job-related
+    /// filtering; `None` when a stream is too small to fit.
     TableIv = 6,
     /// Figure 4 midplane profile.
+    ///
+    /// Contract: builds the per-midplane fatal/workload/wide-workload
+    /// series from the fully filtered events (a chain at one broken
+    /// midplane is one fault there, not ten).
     Midplane = 7,
     /// Figure 5 / Observation 6 burst analysis.
+    ///
+    /// Contract: analyzes interruption burstiness over the matched victims
+    /// and the RAS time span.
     Burst = 8,
     /// Table V / Figure 6 interruption statistics.
+    ///
+    /// Contract: splits interruption interarrivals by root cause and fits
+    /// each stream.
     Interruption = 9,
     /// Observation 8 propagation analysis.
+    ///
+    /// Contract: measures spatial propagation from multi-victim events and
+    /// temporal propagation from the job-related redundancy flags.
     Propagation = 10,
     /// Section VI-D vulnerability analysis.
+    ///
+    /// Contract: runs the Section VI-D vulnerability study over the matched
+    /// stream, the root-cause labels, and the midplane fatal counts.
     Vulnerability = 11,
     /// Fast Dimensional Analysis: frequent-itemset root-cause mining.
+    ///
+    /// Contract: mines ranked over-represented dimension combinations from
+    /// the causally filtered events, the matching's job attribution, and
+    /// the interned job-dimension columns; candidate counting is sharded
+    /// but bit-identical at any thread count.
     Fda = 12,
 }
 
@@ -267,7 +309,7 @@ impl Default for AnalysisSet {
 /// and cut dirty-propagation short when a re-run reproduces the cached
 /// value exactly.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StageOutput {
+pub(crate) enum StageOutput {
     /// Post-spatial events plus the post-temporal survivor count.
     TemporalSpatial {
         /// Merged, time-sorted events after temporal + spatial dedup.
@@ -307,7 +349,8 @@ pub enum StageOutput {
     Fda(FdaAnalysis),
 }
 
-/// Accumulated products while the graph executes.
+/// Accumulated products while the graph executes: the products a caller
+/// gets back, plus the filter stack's scratch values `filter_stats` needs.
 ///
 /// Stages read earlier products through the accessors; absent products
 /// (possible only if a stage is run without its dependencies, which the
@@ -317,7 +360,7 @@ pub enum StageOutput {
 /// field access from a stage would bypass that check; keep reads going
 /// through the accessors.
 #[derive(Debug, Default)]
-pub struct PipelineState {
+pub(crate) struct PipelineState {
     /// Producers whose products have been read (as `StageId::bit` bits)
     /// since the last `take_observed_reads`.
     #[cfg(test)]
@@ -325,19 +368,7 @@ pub struct PipelineState {
     raw_fatal: usize,
     after_temporal: usize,
     after_spatial: Option<Vec<Event>>,
-    events: Option<Vec<Event>>,
-    causal_rules: Option<Vec<CausalRule>>,
-    matching: Option<Matching>,
-    job_related: Option<JobRelatedOutcome>,
-    impact: Option<ImpactSummary>,
-    root_cause: Option<RootCauseSummary>,
-    table_iv: Option<Option<TableIv>>,
-    midplane: Option<MidplaneProfile>,
-    burst: Option<BurstAnalysis>,
-    interruption: Option<InterruptionStats>,
-    propagation: Option<PropagationAnalysis>,
-    vulnerability: Option<VulnerabilityAnalysis>,
-    fda: Option<FdaAnalysis>,
+    products: AnalysisProducts,
 }
 
 impl PipelineState {
@@ -374,46 +405,41 @@ impl PipelineState {
     /// Events after causal filtering (the matching/classification input).
     fn events(&self) -> &[Event] {
         self.note_read(StageId::Causal);
-        self.events.as_deref().unwrap_or(&[])
+        self.products.events.as_deref().unwrap_or(&[])
     }
 
     /// The event ↔ job matching.
     fn matching(&self) -> Option<&Matching> {
         self.note_read(StageId::Matching);
-        self.matching.as_ref()
+        self.products.matching.as_ref()
     }
 
     /// Events after job-related filtering (the characterization input).
     fn final_events(&self) -> &[Event] {
         self.note_read(StageId::JobRelated);
-        self.job_related
-            .as_ref()
-            .map(|o| o.events.as_slice())
-            .unwrap_or(&[])
+        self.products.events_final.as_deref().unwrap_or(&[])
     }
 
     /// Per-event redundancy flags from job-related filtering.
     fn redundant_flags(&self) -> &[bool] {
         self.note_read(StageId::JobRelated);
-        self.job_related
-            .as_ref()
-            .map(|o| o.redundant.as_slice())
-            .unwrap_or(&[])
+        self.products.job_redundant.as_deref().unwrap_or(&[])
     }
 
     /// The root-cause classification.
     fn root_cause(&self) -> Option<&RootCauseSummary> {
         self.note_read(StageId::RootCause);
-        self.root_cause.as_ref()
+        self.products.root_cause.as_ref()
     }
 
     /// The per-midplane fatal/workload profile.
     fn midplane(&self) -> Option<&MidplaneProfile> {
         self.note_read(StageId::Midplane);
-        self.midplane.as_ref()
+        self.products.midplane.as_ref()
     }
 
     fn install(&mut self, out: StageOutput) {
+        let p = &mut self.products;
         match out {
             StageOutput::TemporalSpatial {
                 after_spatial,
@@ -423,55 +449,39 @@ impl PipelineState {
                 self.after_spatial = Some(after_spatial);
             }
             StageOutput::Causal { events, rules } => {
-                self.events = Some(events);
-                self.causal_rules = Some(rules);
+                p.events = Some(events);
+                p.causal_rules = Some(rules);
             }
-            StageOutput::Matching(m) => self.matching = Some(m),
-            StageOutput::JobRelated(o) => self.job_related = Some(o),
-            StageOutput::Impact(i) => self.impact = Some(i),
-            StageOutput::RootCause(r) => self.root_cause = Some(r),
-            StageOutput::TableIv(t) => self.table_iv = Some(t),
-            StageOutput::Midplane(m) => self.midplane = Some(m),
-            StageOutput::Burst(b) => self.burst = Some(b),
-            StageOutput::Interruption(i) => self.interruption = Some(i),
-            StageOutput::Propagation(p) => self.propagation = Some(p),
-            StageOutput::Vulnerability(v) => self.vulnerability = Some(*v),
-            StageOutput::Fda(a) => self.fda = Some(a),
+            StageOutput::Matching(m) => p.matching = Some(m),
+            StageOutput::JobRelated(o) => {
+                p.job_redundant = Some(o.redundant);
+                p.events_final = Some(o.events);
+            }
+            StageOutput::Impact(i) => p.impact = Some(i),
+            StageOutput::RootCause(r) => p.root_cause = Some(r),
+            StageOutput::TableIv(t) => p.table_iv = Some(t),
+            StageOutput::Midplane(m) => p.midplane = Some(m),
+            StageOutput::Burst(b) => p.burst = Some(b),
+            StageOutput::Interruption(i) => p.interruption = Some(i),
+            StageOutput::Propagation(a) => p.propagation = Some(a),
+            StageOutput::Vulnerability(v) => p.vulnerability = Some(*v),
+            StageOutput::Fda(a) => p.fda = Some(a),
         }
     }
 
     pub(crate) fn into_products(self) -> AnalysisProducts {
-        let filter_stats = match (&self.after_spatial, &self.events, &self.job_related) {
-            (Some(s), Some(ev), Some(o)) => Some(FilterStats {
+        let mut p = self.products;
+        p.filter_stats = match (&self.after_spatial, &p.events, &p.events_final) {
+            (Some(s), Some(ev), Some(fin)) => Some(FilterStats {
                 raw_fatal: self.raw_fatal,
                 after_temporal: self.after_temporal,
                 after_spatial: s.len(),
                 after_causal: ev.len(),
-                after_job_related: o.events.len(),
+                after_job_related: fin.len(),
             }),
             _ => None,
         };
-        let (job_redundant, events_final) = match self.job_related {
-            Some(o) => (Some(o.redundant), Some(o.events)),
-            None => (None, None),
-        };
-        AnalysisProducts {
-            events: self.events,
-            causal_rules: self.causal_rules,
-            matching: self.matching,
-            job_redundant,
-            events_final,
-            filter_stats,
-            impact: self.impact,
-            root_cause: self.root_cause,
-            table_iv: self.table_iv,
-            midplane: self.midplane,
-            burst: self.burst,
-            interruption: self.interruption,
-            propagation: self.propagation,
-            vulnerability: self.vulnerability,
-            fda: self.fda,
-        }
+        p
     }
 }
 
@@ -538,43 +548,99 @@ impl AnalysisProducts {
     }
 }
 
-/// One pipeline pass: an identity plus a pure function from the shared
-/// context, the configuration, and earlier products to this stage's
-/// product.
-pub trait Stage: Sync {
-    /// Which stage this is.
-    fn id(&self) -> StageId;
-
-    /// Run the pass.
-    ///
-    /// Contract: reads exactly the products of the stages named in
-    /// [`StageId::deps`] and the context indexes named in
-    /// [`StageId::ctx_reads`]; returns the [`StageOutput`] variant matching
-    /// [`Stage::id`]; deterministic for a given input.
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput;
-}
-
-/// Contract: dedups each error-code shard temporally then spatially (shards
-/// are independent by construction) and merges time-sorted.
-struct TemporalSpatialStage;
-
-impl Stage for TemporalSpatialStage {
-    fn id(&self) -> StageId {
-        StageId::TemporalSpatial
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        _state: &PipelineState,
-    ) -> StageOutput {
-        temporal_spatial(ctx, cfg, None)
+/// Run one pass: a pure function from the shared context, the
+/// configuration, and earlier products to this stage's product.
+///
+/// Each arm reads exactly the products of the stages named in
+/// [`StageId::deps`] and the context indexes named in
+/// [`StageId::ctx_reads`], returns the [`StageOutput`] variant named like
+/// `id`, and is deterministic for a given input. The temporal/spatial arm
+/// filters every shard; the executor calls `temporal_spatial` itself when
+/// it has a per-shard cache.
+fn run_stage(
+    id: StageId,
+    ctx: &AnalysisContext<'_>,
+    cfg: &CoAnalysisConfig,
+    state: &PipelineState,
+) -> StageOutput {
+    let (no_matching, no_root_cause) = (Matching::default(), RootCauseSummary::default());
+    let matching = || state.matching().unwrap_or(&no_matching);
+    let root_cause = || state.root_cause().unwrap_or(&no_root_cause);
+    match id {
+        StageId::TemporalSpatial => temporal_spatial(ctx, cfg, None),
+        StageId::Causal => {
+            let (events, rules) = cfg.causal.filter(state.after_spatial());
+            StageOutput::Causal { events, rules }
+        }
+        StageId::Matching => StageOutput::Matching(cfg.matcher.run_with_threads(
+            state.events(),
+            ctx,
+            cfg.threads,
+        )),
+        StageId::JobRelated => {
+            StageOutput::JobRelated(JobRelatedFilter.apply(state.events(), matching(), ctx))
+        }
+        StageId::Impact => StageOutput::Impact(classify_impact(state.events(), matching())),
+        StageId::RootCause => StageOutput::RootCause(classify_root_cause_with_threads(
+            state.events(),
+            matching(),
+            ctx,
+            cfg.threads,
+        )),
+        StageId::TableIv => {
+            StageOutput::TableIv(TableIv::new(state.events(), state.final_events()).ok())
+        }
+        StageId::Midplane => StageOutput::Midplane(MidplaneProfile::new(
+            state.final_events(),
+            ctx,
+            cfg.wide_threshold,
+        )),
+        StageId::Burst => {
+            let matching = matching();
+            let mut victims: Vec<&JobRecord> = matching
+                .job_to_event
+                .keys()
+                .filter_map(|&id| ctx.job(id))
+                .collect();
+            victims.sort_by_key(|j| (j.end_time, j.job_id));
+            let window = ctx
+                .span()
+                .unwrap_or((bgp_model::Timestamp::EPOCH, bgp_model::Timestamp::EPOCH));
+            StageOutput::Burst(BurstAnalysis::new(&victims, ctx, window, cfg.quick_window))
+        }
+        StageId::Interruption => StageOutput::Interruption(InterruptionStats::new(
+            state.events(),
+            matching(),
+            root_cause(),
+            ctx,
+        )),
+        StageId::Propagation => StageOutput::Propagation(PropagationAnalysis::new(
+            state.events(),
+            matching(),
+            ctx,
+            state.redundant_flags(),
+        )),
+        StageId::Vulnerability => {
+            let fatal_counts = state
+                .midplane()
+                .map(|m| m.fatal_counts.as_slice())
+                .unwrap_or(&[]);
+            StageOutput::Vulnerability(Box::new(VulnerabilityAnalysis::new_with_threads(
+                state.events(),
+                matching(),
+                root_cause(),
+                ctx,
+                fatal_counts,
+                cfg.threads,
+            )))
+        }
+        StageId::Fda => StageOutput::Fda(FdaAnalysis::from_context(
+            state.events(),
+            matching(),
+            ctx,
+            &cfg.fda,
+            cfg.threads,
+        )),
     }
 }
 
@@ -643,308 +709,6 @@ fn temporal_spatial(
     }
 }
 
-/// Contract: learns cross-code rules over the whole post-spatial stream
-/// (global by design — rules connect different codes).
-struct CausalStage;
-
-impl Stage for CausalStage {
-    fn id(&self) -> StageId {
-        StageId::Causal
-    }
-
-    fn run(
-        &self,
-        _ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let input = state.after_spatial();
-        let (events, rules) = cfg.causal.filter(input);
-        StageOutput::Causal { events, rules }
-    }
-}
-
-/// Contract: matches the causally filtered stream against the job index;
-/// produces per-event cases and the job → event attribution.
-struct MatchingStage;
-
-impl Stage for MatchingStage {
-    fn id(&self) -> StageId {
-        StageId::Matching
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        StageOutput::Matching(
-            cfg.matcher
-                .run_with_threads(state.events(), ctx, cfg.threads),
-        )
-    }
-}
-
-/// Contract: flags job-related redundancy over the matched stream; final
-/// events are a subsequence of the causal stage's output.
-struct JobRelatedStage;
-
-impl Stage for JobRelatedStage {
-    fn id(&self) -> StageId {
-        StageId::JobRelated
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        _cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let binding = Matching::default();
-        let matching = state.matching().unwrap_or(&binding);
-        StageOutput::JobRelated(JobRelatedFilter.apply(state.events(), matching, ctx))
-    }
-}
-
-/// Contract: classifies per-code interruption impact from the matching
-/// cases alone.
-struct ImpactStage;
-
-impl Stage for ImpactStage {
-    fn id(&self) -> StageId {
-        StageId::Impact
-    }
-
-    fn run(
-        &self,
-        _ctx: &AnalysisContext<'_>,
-        _cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let binding = Matching::default();
-        let matching = state.matching().unwrap_or(&binding);
-        StageOutput::Impact(classify_impact(state.events(), matching))
-    }
-}
-
-/// Contract: classifies per-code root cause using the matching and the
-/// job index (executable-following vs. location-sticky evidence).
-struct RootCauseStage;
-
-impl Stage for RootCauseStage {
-    fn id(&self) -> StageId {
-        StageId::RootCause
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let binding = Matching::default();
-        let matching = state.matching().unwrap_or(&binding);
-        StageOutput::RootCause(classify_root_cause_with_threads(
-            state.events(),
-            matching,
-            ctx,
-            cfg.threads,
-        ))
-    }
-}
-
-/// Contract: fits interarrival models before/after job-related filtering;
-/// `None` when a stream is too small to fit.
-struct TableIvStage;
-
-impl Stage for TableIvStage {
-    fn id(&self) -> StageId {
-        StageId::TableIv
-    }
-
-    fn run(
-        &self,
-        _ctx: &AnalysisContext<'_>,
-        _cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        StageOutput::TableIv(TableIv::new(state.events(), state.final_events()).ok())
-    }
-}
-
-/// Contract: builds the per-midplane fatal/workload/wide-workload series
-/// from the fully filtered events (a chain at one broken midplane is one
-/// fault there, not ten).
-struct MidplaneStage;
-
-impl Stage for MidplaneStage {
-    fn id(&self) -> StageId {
-        StageId::Midplane
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        StageOutput::Midplane(MidplaneProfile::new(
-            state.final_events(),
-            ctx,
-            cfg.wide_threshold,
-        ))
-    }
-}
-
-/// Contract: analyzes interruption burstiness over the matched victims and
-/// the RAS time span.
-struct BurstStage;
-
-impl Stage for BurstStage {
-    fn id(&self) -> StageId {
-        StageId::Burst
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let binding = Matching::default();
-        let matching = state.matching().unwrap_or(&binding);
-        let mut victims: Vec<&JobRecord> = matching
-            .job_to_event
-            .keys()
-            .filter_map(|&id| ctx.job(id))
-            .collect();
-        victims.sort_by_key(|j| (j.end_time, j.job_id));
-        let window = ctx
-            .span()
-            .unwrap_or((bgp_model::Timestamp::EPOCH, bgp_model::Timestamp::EPOCH));
-        StageOutput::Burst(BurstAnalysis::new(&victims, ctx, window, cfg.quick_window))
-    }
-}
-
-/// Contract: splits interruption interarrivals by root cause and fits each
-/// stream.
-struct InterruptionStage;
-
-impl Stage for InterruptionStage {
-    fn id(&self) -> StageId {
-        StageId::Interruption
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        _cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let m_binding = Matching::default();
-        let matching = state.matching().unwrap_or(&m_binding);
-        let rc_binding = RootCauseSummary::default();
-        let root_cause = state.root_cause().unwrap_or(&rc_binding);
-        StageOutput::Interruption(InterruptionStats::new(
-            state.events(),
-            matching,
-            root_cause,
-            ctx,
-        ))
-    }
-}
-
-/// Contract: measures spatial propagation from multi-victim events and
-/// temporal propagation from the job-related redundancy flags.
-struct PropagationStage;
-
-impl Stage for PropagationStage {
-    fn id(&self) -> StageId {
-        StageId::Propagation
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        _cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let binding = Matching::default();
-        let matching = state.matching().unwrap_or(&binding);
-        let chain_flags = state.redundant_flags();
-        StageOutput::Propagation(PropagationAnalysis::new(
-            state.events(),
-            matching,
-            ctx,
-            chain_flags,
-        ))
-    }
-}
-
-/// Contract: runs the Section VI-D vulnerability study over the matched
-/// stream, the root-cause labels, and the midplane fatal counts.
-struct VulnerabilityStage;
-
-impl Stage for VulnerabilityStage {
-    fn id(&self) -> StageId {
-        StageId::Vulnerability
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let m_binding = Matching::default();
-        let matching = state.matching().unwrap_or(&m_binding);
-        let rc_binding = RootCauseSummary::default();
-        let root_cause = state.root_cause().unwrap_or(&rc_binding);
-        let fatal_counts = state
-            .midplane()
-            .map(|m| m.fatal_counts.as_slice())
-            .unwrap_or(&[]);
-        StageOutput::Vulnerability(Box::new(VulnerabilityAnalysis::new_with_threads(
-            state.events(),
-            matching,
-            root_cause,
-            ctx,
-            fatal_counts,
-            cfg.threads,
-        )))
-    }
-}
-
-/// Contract: mines ranked over-represented dimension combinations (Fast
-/// Dimensional Analysis) from the causally filtered events, the matching's
-/// job attribution, and the interned job-dimension columns; candidate
-/// counting is sharded but bit-identical at any thread count.
-struct FdaStage;
-
-impl Stage for FdaStage {
-    fn id(&self) -> StageId {
-        StageId::Fda
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cfg: &CoAnalysisConfig,
-        state: &PipelineState,
-    ) -> StageOutput {
-        let binding = Matching::default();
-        let matching = state.matching().unwrap_or(&binding);
-        StageOutput::Fda(FdaAnalysis::from_context(
-            state.events(),
-            matching,
-            ctx,
-            &cfg.fda,
-            cfg.threads,
-        ))
-    }
-}
-
 /// Observer of stage execution, called by the executor around every stage.
 ///
 /// The executor itself is clock-free (the `determinism` lint guarantee);
@@ -958,24 +722,6 @@ pub trait StageObserver: Sync {
     fn stage_started(&self, id: StageId);
     /// The stage finished on the same thread.
     fn stage_finished(&self, id: StageId);
-}
-
-fn stage(id: StageId) -> &'static dyn Stage {
-    match id {
-        StageId::TemporalSpatial => &TemporalSpatialStage,
-        StageId::Causal => &CausalStage,
-        StageId::Matching => &MatchingStage,
-        StageId::JobRelated => &JobRelatedStage,
-        StageId::Impact => &ImpactStage,
-        StageId::RootCause => &RootCauseStage,
-        StageId::TableIv => &TableIvStage,
-        StageId::Midplane => &MidplaneStage,
-        StageId::Burst => &BurstStage,
-        StageId::Interruption => &InterruptionStage,
-        StageId::Propagation => &PropagationStage,
-        StageId::Vulnerability => &VulnerabilityStage,
-        StageId::Fda => &FdaStage,
-    }
 }
 
 /// Run one stage, bracketed by the observer's callbacks.
@@ -1005,7 +751,7 @@ fn observed(
 /// touching 3 of 200 codes re-filters 3 shards and memcpys the rest.
 #[derive(Debug, Default)]
 pub struct StageCache {
-    outputs: [Option<StageOutput>; 13],
+    outputs: [Option<StageOutput>; StageId::ALL.len()],
     ts_shards: Vec<ShardOutput>,
 }
 
@@ -1099,7 +845,7 @@ pub(crate) fn execute(
         outputs.extend(fork_join(&dirty, cfg.threads, &|&id| {
             (
                 id,
-                observed(observer, id, || stage(id).run(ctx, cfg, &state)),
+                observed(observer, id, || run_stage(id, ctx, cfg, &state)),
             )
         }));
         for (id, out) in outputs {
@@ -1257,7 +1003,7 @@ mod tests {
         /// (or schedule a stage before its input exists); an extra entry
         /// costs wave parallelism and needless re-runs.
         #[test]
-        fn observed_reads_equal_declared_reads(mask in 0u16..(1 << 13)) {
+        fn observed_reads_equal_declared_reads(mask in 0u16..(1 << StageId::ALL.len())) {
             let out = sim();
             let ctx = AnalysisContext::new(&out.ras, &out.jobs);
             let cfg = CoAnalysisConfig::default();
@@ -1266,7 +1012,7 @@ mod tests {
             state.take_observed_reads();
             ctx.take_observed_reads();
             for id in set.stages() {
-                let output = stage(id).run(&ctx, &cfg, &state);
+                let output = run_stage(id, &ctx, &cfg, &state);
                 proptest::prop_assert_eq!(
                     state.take_observed_reads().stages(),
                     AnalysisSet::of(id.deps()).stages(),

@@ -54,16 +54,21 @@ impl AnalysisSnapshot {
 
 /// Format a result the way `coctl analyze --fda` prints it to stdout, so
 /// the served report can be diffed against an offline run of the same
-/// records. The dimensional root-cause (FDA) table rides along: the online
-/// report is exactly where "which user × executable × midplane combination
-/// is failing right now?" matters.
+/// records: [`render_summary`] plus the dimensional root-cause (FDA) table.
+/// The table rides along because the online report is exactly where "which
+/// user × executable × midplane combination is failing right now?" matters.
 pub fn render_report(r: &CoAnalysisResult) -> String {
+    format!("{}{}\n", render_summary(r), r.fda)
+}
+
+/// Format a result the way plain `coctl analyze` prints it: the filtering
+/// funnel, the interruption count, and the observations.
+pub fn render_summary(r: &CoAnalysisResult) -> String {
     let s = &r.filter_stats;
     format!(
         "filtering: {} FATAL -> {} events (-{:.2}%), job-related -> {} (-{:.2}%)\n\
          interruptions: {} jobs ({} system / {} application by cause)\n\
          \n\
-         {}\n\
          {}\n",
         s.raw_fatal,
         s.after_causal,
@@ -74,7 +79,6 @@ pub fn render_report(r: &CoAnalysisResult) -> String {
         r.interruption.system.count,
         r.interruption.application.count,
         r.observations(),
-        r.fda
     )
 }
 

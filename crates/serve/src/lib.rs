@@ -54,7 +54,7 @@ pub(crate) mod worker;
 
 pub use config::{parse_impact, read_impact_file, write_impact, ServeConfig, IMPACT_HEADER};
 pub use error::ServeError;
-pub use full::{render_report, AnalysisSnapshot, FullAnalysis};
+pub use full::{render_report, render_summary, AnalysisSnapshot, FullAnalysis};
 pub use metrics::{Counter, Gauge, Histogram, Registry, ServeMetrics};
 pub use protocol::{classify_line, Frame, LineFramer};
 pub use ring::{EventEntry, EventRing};

@@ -14,7 +14,7 @@
 //! | `severity-wildcard` | `match` over `Severity` lists variants explicitly |
 //! | `errcode-catalog` | classify's ERRCODE strings exist in the catalog |
 //! | `crate-attrs` | crate roots forbid `unsafe_code`, warn `missing_docs` |
-//! | `stage-contract` | public pipeline stages and `Stage` impls document their contract |
+//! | `stage-contract` | public pipeline stage fns and `StageId` variants document their contract |
 //! | `snapshot-version` | `.bgpsnap` layout fingerprints track the record structs |
 //! | `dep-versions` | no duplicate major versions in `Cargo.lock` |
 //! | `allow-syntax` | every `xtask-allow` carries a justification |
@@ -89,7 +89,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "stage-contract",
-        summary: "public pipeline stage entry points and `Stage` impls document their input/output contract (a `Contract:` doc line)",
+        summary: "public pipeline stage entry points and `StageId` variants document their input/output contract (a `Contract:` doc line)",
     },
     RuleInfo {
         id: "snapshot-version",
@@ -373,10 +373,7 @@ pub fn simd_fallback(file: &SourceFile) -> Vec<Finding> {
         else {
             continue;
         };
-        let name: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
+        let name = leading_ident(rest);
         if name.is_empty() {
             continue;
         }
@@ -472,38 +469,36 @@ const STAGE_FNS: &[&str] = &[
     "classify_root_cause",
 ];
 
-/// `stage-contract`: every public stage entry point — and every `Stage`
-/// trait implementation — must carry a doc line starting `Contract:`
-/// stating its input → output obligation (e.g. that filtering is monotone:
-/// output count ≤ input count). The paper's pipeline is a chain of such
-/// contracts; making them greppable text keeps them reviewable.
+/// `stage-contract`: every public stage entry point — and every variant of
+/// `pub enum StageId`, one per pipeline pass — must carry a doc line
+/// starting `Contract:` stating its input → output obligation (e.g. that
+/// filtering is monotone: output count ≤ input count). The paper's pipeline
+/// is a chain of such contracts; making them greppable text keeps them
+/// reviewable.
 pub fn stage_contract(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
+    let mut in_stage_ids = false;
     for (lineno, line) in file.numbered() {
         if line.in_test {
             continue;
         }
         let code = line.code.trim_start();
-        let subject = if let Some(rest) = code.strip_prefix("pub fn ") {
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
+        let subject = if in_stage_ids {
+            in_stage_ids = !code.starts_with('}');
+            let name = leading_ident(code);
+            if !name.starts_with(|c: char| c.is_ascii_uppercase()) {
+                continue;
+            }
+            format!("stage `StageId::{name}`")
+        } else if code.starts_with("pub enum StageId ") {
+            in_stage_ids = true;
+            continue;
+        } else if let Some(rest) = code.strip_prefix("pub fn ") {
+            let name = leading_ident(rest);
             if !STAGE_FNS.contains(&name.as_str()) {
                 continue;
             }
             format!("public stage entry point `{name}`")
-        } else if code.contains("impl Stage for ") {
-            // A `Stage` trait impl is a named pipeline pass; the contract
-            // doc sits on the struct declaration directly above it.
-            let name: String = code
-                .split("impl Stage for ")
-                .nth(1)
-                .unwrap_or("")
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            format!("stage implementation `{name}`")
         } else {
             continue;
         };
@@ -522,42 +517,32 @@ pub fn stage_contract(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// Walk upward from `lineno` (1-based) over attributes, doc comments, and
-/// — for `impl` blocks — the struct declaration the docs sit on, looking
-/// for a doc line starting `prefix`; returns the text after the prefix.
-fn doc_above(file: &SourceFile, lineno: usize, prefix: &str) -> Option<String> {
-    let mut idx = lineno - 1; // 0-based index of the subject line
-    while idx > 0 {
-        idx -= 1;
-        let above = file.lines.get(idx)?;
+/// The identifier `s` starts with (empty if none).
+fn leading_ident(s: &str) -> String {
+    s.chars()
+        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+        .collect()
+}
+
+/// True when a doc line starting `Contract:` sits above `lineno` (1-based),
+/// walking upward over doc comments, attributes, and blank lines.
+fn has_contract_above(file: &SourceFile, lineno: usize) -> bool {
+    for above in file.lines.iter().take(lineno - 1).rev() {
         // The lexer strips comments out of `code`: a `/// doc` line has
         // empty code and comment text beginning with `/`.
         let trimmed = above.code.trim();
         if trimmed.is_empty() && !above.comment.is_empty() {
-            if let Some(doc) = above.comment.strip_prefix('/') {
-                if let Some(rest) = doc.trim().strip_prefix(prefix) {
-                    return Some(rest.trim().to_owned());
-                }
+            let doc = above.comment.strip_prefix('/').unwrap_or("");
+            if doc.trim().starts_with("Contract:") {
+                return true;
             }
-        } else if trimmed.starts_with("#[")
-            || trimmed.ends_with(']')
-            || trimmed.is_empty()
-            || (trimmed.starts_with("struct ") || trimmed.starts_with("pub struct "))
-                && trimmed.ends_with(';')
-        {
-            // Attributes (possibly multi-line), blank separators, and the
-            // unit-struct declaration an `impl Stage for` sits beneath.
-            continue;
-        } else {
-            break;
+        } else if !(trimmed.starts_with("#[") || trimmed.ends_with(']') || trimmed.is_empty()) {
+            // Anything but attributes (possibly multi-line) and blank
+            // separators ends the item's doc block.
+            return false;
         }
     }
-    None
-}
-
-/// True when a `/// Contract:` doc line sits above `lineno`.
-fn has_contract_above(file: &SourceFile, lineno: usize) -> bool {
-    doc_above(file, lineno, "Contract:").is_some()
+    false
 }
 
 /// FNV-1a 64 over `bytes` — the same function `bgp_model::bytes::fnv1a_64`
@@ -1458,31 +1443,42 @@ mod tests {
     }
 
     #[test]
-    fn stage_contract_fires_on_undocumented_stage_impl() {
+    fn stage_contract_fires_on_undocumented_stage_variant() {
         let f = file(
-            "/// A pass.\n\
-             struct FooStage;\n\
+            "#[repr(u16)]\n\
+             pub enum StageId {\n\
+                 /// Contract: dedups each shard; output count <= input count.\n\
+                 Dedup = 0,\n\
+                 /// Matches events to jobs.\n\
+                 #[doc(alias = \"m\")]\n\
+                 Match = 1,\n\
+             }\n\
              \n\
-             impl Stage for FooStage {\n\
+             pub enum Other {\n\
+                 Undocumented,\n\
              }\n",
         );
         let found = stage_contract(&f);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("`FooStage`"));
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].message.contains("`StageId::Match`"));
+        assert_eq!(found[0].line, 7);
     }
 
     #[test]
-    fn stage_contract_accepts_documented_stage_impl() {
+    fn stage_contract_accepts_documented_stage_variants() {
         let f = file(
-            "/// Contract: dedups the shard; output count <= input count.\n\
-             struct FooStage;\n\
-             \n\
-             impl Stage for FooStage {\n\
+            "pub enum StageId {\n\
+                 /// Dedup pass.\n\
+                 ///\n\
+                 /// Contract: dedups each shard; output count <= input count.\n\
+                 Dedup = 0,\n\
+                 /// Contract: final events are a subsequence of the input.\n\
+                 Match = 1,\n\
              }\n",
         );
         assert!(
             stage_contract(&f).is_empty(),
-            "contract doc above the struct declaration covers the impl"
+            "a contract line in each variant's doc block covers it"
         );
     }
 

@@ -376,25 +376,12 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             path.display()
         );
     }
-    let s = &r.filter_stats;
-    println!(
-        "filtering: {} FATAL -> {} events (-{:.2}%), job-related -> {} (-{:.2}%)",
-        s.raw_fatal,
-        s.after_causal,
-        100.0 * s.ts_causal_compression(),
-        s.after_job_related,
-        100.0 * s.job_related_compression()
-    );
-    println!(
-        "interruptions: {} jobs ({} system / {} application by cause)\n",
-        r.matching.interrupted_jobs(),
-        r.interruption.system.count,
-        r.interruption.application.count
-    );
-    println!("{}", r.observations());
-    if fda {
-        println!("{}", r.fda);
-    }
+    let render = if fda {
+        bgp_serve::render_report
+    } else {
+        bgp_serve::render_summary
+    };
+    print!("{}", render(&r));
     Ok(())
 }
 

@@ -5,6 +5,8 @@
 // fixture should fail the test loudly, not thread Results around.
 #![allow(clippy::unwrap_used, clippy::expect_used, missing_docs)]
 
+use bgp_coanalysis::bgp_serve::render_report;
+use bgp_coanalysis::coanalysis::{load, CoAnalysis, LoadOptions, StageId};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -214,10 +216,29 @@ fn analyze_timings_and_impact_out() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    // The observed run produces the same report plus per-stage wall times.
-    assert!(text.contains("Obs 12"));
-    assert!(text.contains("stage timings:"));
-    assert!(text.contains("temporal-spatial"));
+    // A per-stage wall-time block naming every stage comes first...
+    let (block, rest) = text
+        .strip_prefix("stage timings:\n")
+        .and_then(|t| t.split_once("wrote "))
+        .expect("timings block, then the impact-out line");
+    let timed: Vec<&str> = block
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    let all: Vec<&str> = StageId::ALL.iter().map(|id| id.name()).collect();
+    assert_eq!(timed, all);
+    // ...then, past the impact-out line, the observed run prints exactly
+    // what an untimed run prints.
+    let (wrote, report) = rest.split_once('\n').unwrap();
+    assert!(wrote.contains("impact verdicts to"), "{wrote}");
+    let plain = coctl()
+        .arg("analyze")
+        .arg(dir.join("ras.log"))
+        .arg(dir.join("jobs.log"))
+        .output()
+        .unwrap();
+    assert!(plain.status.success());
+    assert_eq!(report, String::from_utf8_lossy(&plain.stdout));
     // The impact file round-trips through the serve-side parser.
     let written = std::fs::read_to_string(&impact).unwrap();
     assert!(written.starts_with("# bgp-impact v1"));
@@ -382,6 +403,30 @@ fn analyze_fda_appends_the_dimensional_table() {
     assert!(text.starts_with(plain_text.as_ref()), "--fda must append");
     assert!(!plain_text.contains("Dimensional root cause"));
     assert!(text.contains("Dimensional root cause (FDA)"), "{text}");
+}
+
+#[test]
+fn analyze_fda_prints_the_served_report() {
+    // `coctl analyze --fda` and the daemon's `/analysis` body share one
+    // formatter: stdout is exactly `render_report` of a library run on the
+    // same logs.
+    let dir = site_logs();
+    let out = coctl()
+        .arg("analyze")
+        .arg(dir.join("ras.log"))
+        .arg(dir.join("jobs.log"))
+        .arg("--fda")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let (ras, jobs) = load::load_pair(
+        &dir.join("ras.log"),
+        &dir.join("jobs.log"),
+        &LoadOptions::default(),
+    )
+    .unwrap();
+    let expected = render_report(&CoAnalysis::default().run(&ras.log, &jobs.log));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
 }
 
 #[test]

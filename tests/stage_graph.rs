@@ -6,8 +6,8 @@
 //! what the old hand-wired `CoAnalysis::run` computed. This test re-wires
 //! the legacy sequence by hand from the public stage building blocks and
 //! compares every `CoAnalysisResult` field on five simulation seeds; a
-//! proptest then checks that *any* of the 4096 stage subsets agrees with
-//! the full run on every product it emits.
+//! proptest then checks that *any* of the 8192 subsets of the 13 stages
+//! agrees with the full run on every product it emits.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, missing_docs)]
 
@@ -182,10 +182,10 @@ fn fixture() -> &'static (SimOutput, CoAnalysisResult) {
 }
 
 proptest! {
-    /// Any of the 8192 stage subsets agrees with the full run on every
+    /// Any of the 2^13 stage subsets agrees with the full run on every
     /// product it emits — and emits exactly the closure's products.
     #[test]
-    fn any_subset_agrees_with_full_run(bits in 0u16..8192) {
+    fn any_subset_agrees_with_full_run(bits in 0u16..(1 << StageId::ALL.len())) {
         let (out, full) = fixture();
         let set = AnalysisSet::of(
             &StageId::ALL
