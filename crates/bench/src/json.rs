@@ -103,21 +103,7 @@ fn indent(out: &mut String, depth: usize) {
 }
 
 fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    out.push_str(&format!("\"{}\"", bgp_model::json::Escaped(s)));
 }
 
 /// Conversion into a [`Json`] value.

@@ -11,9 +11,6 @@
 //! renders one deliverable as text (and optionally as JSON series for
 //! plotting).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod baseline;
 pub mod experiments;
 pub mod json;

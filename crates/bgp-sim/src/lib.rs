@@ -37,8 +37,6 @@
 //! assert!(out.ras.fatal().count() > 50);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 // `!(x > 0.0)` is the NaN-rejecting validation idiom (true for NaN where
 // `x <= 0.0` is not).
 #![allow(clippy::neg_cmp_op_on_partial_ord)]

@@ -30,9 +30,6 @@
 //! println!("{}", result.observations());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod analysis;
 pub mod classify;
 pub mod context;

@@ -711,7 +711,7 @@ fn temporal_spatial(
 
 /// Observer of stage execution, called by the executor around every stage.
 ///
-/// The executor itself is clock-free (the `determinism` lint guarantee);
+/// The executor itself is clock-free (clippy's `disallowed-methods` ban);
 /// callers that want wall-clock per stage — the metrics registry in
 /// `bgp-serve`, `coctl analyze --timings` — read their own clock inside
 /// these callbacks. Stages of one wave run concurrently, so callbacks must

@@ -15,9 +15,6 @@
 //!   executable, which underpins the paper's resubmission analysis
 //!   (Figure 7) and job-related filtering.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ingest;
 pub mod log;
 pub mod metrics;

@@ -24,7 +24,7 @@
 //! the gap since the *previous* frame (first frame: since recording start);
 //! the pure codec never reads a clock — recording timing is supplied by the
 //! caller (`bgp-serve`'s recorder holds the `Instant`), which keeps this
-//! whole module inside the determinism lint scope.
+//! whole module a pure function of its bytes.
 //!
 //! Any mismatch — magic, version, kind, hash, truncation, trailing garbage —
 //! yields a typed [`CassetteError`], mirroring the `.bgpsnap` contract. The
@@ -357,8 +357,7 @@ impl Cassette {
 }
 
 /// A pure cassette recorder: the caller supplies timing, so this type never
-/// reads a clock (keeping it inside the determinism lint scope; `bgp-serve`
-/// owns the `Instant` that feeds `delta_nanos`).
+/// reads a clock (`bgp-serve` owns the `Instant` that feeds `delta_nanos`).
 #[derive(Debug)]
 pub struct Recorder {
     cassette: Cassette,

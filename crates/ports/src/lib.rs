@@ -24,9 +24,6 @@
 //! lint scope. The only filesystem access here is [`resolve_input`], which
 //! maps a user-supplied path to the concrete file(s) a format reads.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bgp;
 pub mod bgq;
 pub mod cassette;

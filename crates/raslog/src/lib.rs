@@ -23,9 +23,6 @@
 //!   caches the parsed columns on disk (`.bgpsnap`) so re-runs skip parsing
 //!   entirely.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod catalog;
 pub mod component;
 pub mod ingest;

@@ -184,6 +184,10 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()
 fn handle_http_conn(mut stream: TcpStream, state: &HttpState) {
     let _ = stream.set_read_timeout(Some(state.read_timeout));
     let _ = stream.set_write_timeout(Some(state.write_timeout));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the request-latency metric measures wall time, never an analysis result"
+    )]
     let started = std::time::Instant::now();
     let head = match read_head(&mut stream) {
         Ok(h) => h,

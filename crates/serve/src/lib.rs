@@ -35,9 +35,6 @@
 //! Everything here is dependency-free by design: `std::net`, `std::sync`,
 //! and the workspace crates. No async runtime, no web framework.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod config;
 pub mod error;
 pub mod full;

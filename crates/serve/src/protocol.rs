@@ -17,8 +17,7 @@
 //!   poison the stream.
 //!
 //! The framer is a pure byte-in/frame-out state machine (no sockets, no
-//! clocks), which keeps it inside the determinism lint scope and makes the
-//! edge cases unit-testable.
+//! clocks), which makes it deterministic and its edge cases unit-testable.
 
 use bgp_ports::{LineDecoder, LineOutcome};
 use raslog::RasRecord;

@@ -9,8 +9,9 @@
 //!
 //! This is the one deliberately clock-reading half of the cassette story:
 //! the codec itself ([`bgp_ports::cassette`]) and the replayer
-//! ([`crate::replay`]) never touch a clock, so they sit inside the
-//! determinism lint scope while this module supplies the `delta_nanos`.
+//! ([`crate::replay`]) never touch a clock, while this module supplies the
+//! `delta_nanos` (its one `Instant::now` is an expected exception to the
+//! workspace's clippy clock ban).
 
 use bgp_ports::cassette::{CassetteError, Recorder, StreamKind};
 use bgp_ports::LogFormat;
@@ -43,6 +44,10 @@ impl ChunkRecorder {
 
     /// Append one delivered chunk, stamping the gap since the previous one.
     pub(crate) fn observe(&self, chunk: &[u8]) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a cassette records the real gaps between delivered chunks"
+        )]
         let now = Instant::now();
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let delta_nanos = state

@@ -6,8 +6,7 @@
 //! edge cases (CRLF split across reads, framer resync inside an oversized
 //! line) reproduce bit-for-bit. Recorded inter-chunk gaps are metadata
 //! only: replay never sleeps and never reads a clock, which is what lets
-//! this module sit inside the determinism lint scope and lets integration
-//! tests assert exact counters without sockets or timing slack.
+//! integration tests assert exact counters without sockets or timing slack.
 //!
 //! Once the cassette drains, the replayer requests a graceful shutdown:
 //! `coserved --replay FILE` is a deterministic one-shot batch run that

@@ -6,7 +6,7 @@
 //! short lock plus a copy, and memory is bounded no matter how long the
 //! daemon runs.
 
-use bgp_model::Timestamp;
+use bgp_model::{json, Timestamp};
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
@@ -92,31 +92,14 @@ impl EventRing {
                  \"warn\":{}}}",
                 e.recid,
                 e.time,
-                json_escape(&e.location),
-                json_escape(&e.code),
+                json::Escaped(&e.location),
+                json::Escaped(&e.code),
                 e.warn
             ));
         }
         out.push(']');
         out
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -161,6 +144,5 @@ mod tests {
         assert!(json.contains("\\\"code\\\\"));
         assert!(json.contains("\"recid\":1"));
         assert_eq!(EventRing::new(2).to_json(), "[]");
-        assert_eq!(json_escape("a\tb\u{1}"), "a\\tb\\u0001");
     }
 }

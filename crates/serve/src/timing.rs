@@ -1,7 +1,7 @@
 //! Wall-clock instrumentation for the batch pipeline.
 //!
-//! The core stage executor is deliberately clock-free (it lives inside the
-//! determinism lint scope), so timing happens here: [`StageTimer`]
+//! The core stage executor is deliberately clock-free (clippy bans ambient
+//! clocks workspace-wide), so timing happens here: [`StageTimer`]
 //! implements [`StageObserver`], reads `Instant` around each stage run, and
 //! publishes per-stage wall time into a [`Registry`] — the same registry
 //! kind the daemon serves at `/metrics`. `coctl analyze --timings` uses it
@@ -74,7 +74,12 @@ impl StageObserver for StageTimer<'_> {
     fn stage_started(&self, id: StageId) {
         let mut starts = self.starts.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(slot) = starts.get_mut(id as usize) {
-            *slot = Some(Instant::now());
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "stage timings report wall time beside the report, never in it"
+            )]
+            let now = Instant::now();
+            *slot = Some(now);
         }
     }
 

@@ -23,8 +23,6 @@
 //! * [`sample`] — seeded samplers (Weibull, exponential, log-normal, Zipf,
 //!   categorical, Poisson) used by the simulator.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 // `!(x > 0.0)` is the NaN-rejecting validation idiom used throughout this
 // crate: it is true for NaN where `x <= 0.0` is not.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]

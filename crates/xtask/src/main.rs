@@ -1,13 +1,9 @@
 //! CLI entry point for `cargo xtask`.
 //!
 //! Subcommands:
-//! * `lint [--only rule,rule] [--list] [--json]` — run the static-analysis
-//!   harness. `--json` emits one object per finding on stdout for tooling.
+//! * `lint [--only rule,rule] [--list]` — run the static-analysis harness.
 //!
 //! Exit codes: `0` clean, `1` findings reported, `2` usage or I/O error.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -15,55 +11,12 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo xtask lint [--only <rule>[,<rule>...]] [--list] [--json]\n\
+        "usage: cargo xtask lint [--only <rule>[,<rule>...]] [--list]\n\
          \n\
          Runs the workspace's domain lints. `--list` prints the rule catalog;\n\
-         `--only` restricts the run to the named rules; `--json` prints the\n\
-         findings as a JSON report instead of human-readable lines."
+         `--only` restricts the run to the named rules."
     );
     ExitCode::from(2)
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render the full lint report as a single JSON document.
-fn json_report(findings: &[xtask::rules::Finding], suppressed: usize) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            json_escape(f.rule),
-            json_escape(&f.path),
-            f.line,
-            json_escape(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!(
-        "],\n  \"count\": {},\n  \"suppressed\": {suppressed}\n}}",
-        findings.len()
-    ));
-    out
 }
 
 fn list_rules() {
@@ -81,15 +34,11 @@ fn main() -> ExitCode {
     }
 
     let mut only: Option<BTreeSet<String>> = None;
-    let mut json = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => {
                 list_rules();
                 return ExitCode::SUCCESS;
-            }
-            "--json" => {
-                json = true;
             }
             "--only" => {
                 let Some(names) = args.next() else {
@@ -134,23 +83,16 @@ fn main() -> ExitCode {
     };
 
     match xtask::workspace::run_lint(&root, only.as_ref()) {
-        Ok((findings, suppressed)) => {
-            if json {
-                println!("{}", json_report(&findings, suppressed));
-            } else {
-                for f in &findings {
-                    println!("{f}");
-                }
-                let status = if findings.is_empty() {
-                    "clean"
-                } else {
-                    "FAILED"
-                };
-                println!(
-                    "xtask lint: {status} — {} finding(s), {suppressed} suppressed by xtask-allow",
-                    findings.len()
-                );
+        Ok(findings) => {
+            for f in &findings {
+                println!("{f}");
             }
+            let status = if findings.is_empty() {
+                "clean"
+            } else {
+                "FAILED"
+            };
+            println!("xtask lint: {status} — {} finding(s)", findings.len());
             if findings.is_empty() {
                 ExitCode::SUCCESS
             } else {

@@ -3,21 +3,17 @@
 //! Each rule is a pure function from analyzed sources ([`SourceFile`]) to
 //! [`Finding`]s, so the unit tests can drive every rule with small in-memory
 //! fixtures. Scoping — which files each rule sees — is the runner's job
-//! (`crate::workspace`); suppression (`xtask-allow`) is applied there too, so
-//! rules report every violation they see.
+//! (`crate::workspace`). There is no suppression: a false positive is fixed
+//! in the rule or in the code.
 //!
-//! The rule catalog, with ids as used in `xtask-allow(<id>): <why>`:
+//! The rule catalog, with ids as used by `--only`:
 //!
 //! | id | enforces |
 //! |----|----------|
-//! | `determinism` | no ambient clocks/entropy in `core`/`stats` |
 //! | `severity-wildcard` | `match` over `Severity` lists variants explicitly |
 //! | `errcode-catalog` | classify's ERRCODE strings exist in the catalog |
-//! | `crate-attrs` | crate roots forbid `unsafe_code`, warn `missing_docs` |
 //! | `stage-contract` | public pipeline stage fns and `StageId` variants document their contract |
 //! | `snapshot-version` | `.bgpsnap` layout fingerprints track the record structs |
-//! | `dep-versions` | no duplicate major versions in `Cargo.lock` |
-//! | `allow-syntax` | every `xtask-allow` carries a justification |
 //! | `parallel-determinism` | no hash-ordered iteration or FP reduction feeding kernel results; no unsanctioned thread spawns |
 //! | `serve-concurrency` | no Mutex guard held across blocking I/O in `crates/serve`; queues are bounded at construction |
 //! | `port-boundary` | raw `raslog`/`joblog` parser entry points stay inside the BG/P adapter |
@@ -30,7 +26,7 @@
 use crate::hashmodel::{self, HashModel};
 use crate::source::SourceFile;
 use crate::syntax::{self, Syntax, Tree};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One lint violation.
@@ -63,7 +59,7 @@ impl fmt::Display for Finding {
 /// Static description of a rule, for `cargo xtask lint --list`.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Rule id as accepted by `--only` and `xtask-allow`.
+    /// Rule id as accepted by `--only`.
     pub id: &'static str,
     /// One-line summary of what the rule enforces.
     pub summary: &'static str,
@@ -71,10 +67,6 @@ pub struct RuleInfo {
 
 /// Every rule the harness knows, in reporting order.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "determinism",
-        summary: "deny ambient clocks and entropy (SystemTime::now, Instant::now, thread RNGs) in crates/core and crates/stats",
-    },
     RuleInfo {
         id: "severity-wildcard",
         summary: "matches over raslog::Severity must list variants explicitly (no `_` arm)",
@@ -84,24 +76,12 @@ pub const RULES: &[RuleInfo] = &[
         summary: "every ERRCODE string referenced by crates/core/src/classify must exist in crates/raslog/src/catalog.rs",
     },
     RuleInfo {
-        id: "crate-attrs",
-        summary: "crate roots carry #![forbid(unsafe_code)] and #![warn(missing_docs)]",
-    },
-    RuleInfo {
         id: "stage-contract",
         summary: "public pipeline stage entry points and `StageId` variants document their input/output contract (a `Contract:` doc line)",
     },
     RuleInfo {
         id: "snapshot-version",
         summary: "snapshot LAYOUT_FINGERPRINT matches the record struct's field list, so layout changes force a FORMAT_VERSION bump",
-    },
-    RuleInfo {
-        id: "dep-versions",
-        summary: "Cargo.lock carries no duplicate major versions of any dependency",
-    },
-    RuleInfo {
-        id: "allow-syntax",
-        summary: "xtask-allow suppressions carry a non-empty justification",
     },
     RuleInfo {
         id: "parallel-determinism",
@@ -120,43 +100,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "every function documented as a SWAR/SIMD scan has a `<name>_scalar` twin in the same file, and the twin is exercised by test code (the equivalence oracle)",
     },
 ];
-
-/// Ambient time / entropy sources that break pipeline reproducibility.
-const NONDETERMINISM: &[(&str, &str)] = &[
-    ("SystemTime::now", "ambient wall-clock read"),
-    ("Instant::now", "ambient monotonic-clock read"),
-    ("thread_rng", "thread-local RNG (unseeded)"),
-    ("rand::rng(", "ambient RNG constructor (unseeded)"),
-    ("from_entropy", "OS-entropy RNG seeding"),
-    ("from_os_rng", "OS-entropy RNG seeding"),
-];
-
-/// `determinism`: the analysis pipeline (`crates/core`) and the statistics
-/// substrate (`crates/stats`) must be pure functions of their inputs and
-/// explicit seeds — the paper's results are only reproducible if the same
-/// logs always produce the same tables.
-pub fn determinism(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (lineno, line) in file.numbered() {
-        if line.in_test {
-            continue;
-        }
-        for (pattern, what) in NONDETERMINISM {
-            if line.code.contains(pattern) {
-                out.push(Finding {
-                    rule: "determinism",
-                    path: file.path.clone(),
-                    line: lineno,
-                    message: format!(
-                        "{what} (`{pattern}`) in deterministic pipeline code; \
-                         thread an explicit seed or timestamp through the call graph"
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
 
 /// Raw parser entry points that only the BG/P adapter may name.
 const PORT_BOUNDARY_PATTERNS: &[&str] = &[
@@ -417,49 +360,6 @@ pub fn simd_fallback(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// Crate-root attributes every workspace crate must carry.
-const REQUIRED_ATTRS: &[&str] = &["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"];
-
-/// Crate roots allowed to downgrade `forbid(unsafe_code)` to `deny`: the
-/// machine-model crate hosts the workspace's single sanctioned `unsafe`
-/// module (`mmap`, the read-only file mapping), which opts back in with a
-/// scoped `#![allow(unsafe_code)]` and a written safety argument. `deny`
-/// still stops every *other* module in the crate; `forbid` would stop the
-/// opt-in too.
-const DENY_UNSAFE_ROOTS: &[&str] = &["crates/bgp-model/src/lib.rs"];
-
-/// `crate-attrs`: belt and braces with `[workspace.lints]` — the attributes
-/// keep the guarantees visible in the source and survive being compiled
-/// outside this workspace.
-pub fn crate_attrs(root: &SourceFile) -> Vec<Finding> {
-    let squashed: Vec<String> = root
-        .lines
-        .iter()
-        .map(|l| l.code.chars().filter(|c| !c.is_whitespace()).collect())
-        .collect();
-    REQUIRED_ATTRS
-        .iter()
-        .filter(|attr| {
-            let want: String = attr.chars().filter(|c| !c.is_whitespace()).collect();
-            if squashed.iter().any(|l| l.contains(&want)) {
-                return false;
-            }
-            // Allowlisted roots satisfy the unsafe_code requirement with
-            // `deny` instead of `forbid`.
-            let deny_ok = **attr == "#![forbid(unsafe_code)]"
-                && DENY_UNSAFE_ROOTS.contains(&root.path.as_str())
-                && squashed.iter().any(|l| l.contains("#![deny(unsafe_code)]"));
-            !deny_ok
-        })
-        .map(|attr| Finding {
-            rule: "crate-attrs",
-            path: root.path.clone(),
-            line: 0,
-            message: format!("crate root is missing `{attr}`"),
-        })
-        .collect()
-}
-
 /// Names of public entry points that constitute pipeline stages.
 const STAGE_FNS: &[&str] = &[
     "apply",
@@ -693,64 +593,6 @@ pub fn snapshot_version(
         });
     }
     out
-}
-
-/// `dep-versions`: parse `Cargo.lock` and flag any package name resolved at
-/// two different major versions (for `0.x` crates the minor is the
-/// compatibility axis, per Cargo semantics).
-pub fn dup_major_versions(lock_text: &str) -> Vec<Finding> {
-    let mut versions: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut name: Option<String> = None;
-    for raw in lock_text.lines() {
-        let line = raw.trim();
-        if line == "[[package]]" {
-            name = None;
-        } else if let Some(v) = line.strip_prefix("name = ") {
-            name = Some(v.trim_matches('"').to_owned());
-        } else if let Some(v) = line.strip_prefix("version = ") {
-            if let Some(n) = name.clone() {
-                let ver = v.trim_matches('"');
-                let mut parts = ver.split('.');
-                let major = parts.next().unwrap_or("0");
-                let minor = parts.next().unwrap_or("0");
-                let key = if major == "0" {
-                    format!("0.{minor}")
-                } else {
-                    major.to_owned()
-                };
-                versions.entry(n).or_default().insert(key);
-            }
-        }
-    }
-    versions
-        .into_iter()
-        .filter(|(_, majors)| majors.len() > 1)
-        .map(|(n, majors)| Finding {
-            rule: "dep-versions",
-            path: "Cargo.lock".to_owned(),
-            line: 0,
-            message: format!(
-                "dependency `{n}` resolves at {} incompatible versions ({}); \
-                 converge on one to keep builds lean and types unifiable",
-                majors.len(),
-                majors.into_iter().collect::<Vec<_>>().join(", ")
-            ),
-        })
-        .collect()
-}
-
-/// `allow-syntax`: a suppression without a justification is itself a finding;
-/// the whole point of `xtask-allow` is the recorded reason.
-pub fn allow_syntax(file: &SourceFile) -> Vec<Finding> {
-    file.numbered()
-        .filter(|(_, l)| l.malformed_allow)
-        .map(|(lineno, _)| Finding {
-            rule: "allow-syntax",
-            path: file.path.clone(),
-            line: lineno,
-            message: "malformed xtask-allow: use `xtask-allow(<rule>): <justification>`".to_owned(),
-        })
-        .collect()
 }
 
 /// Iterator heads that expose a hash container's nondeterministic order.
@@ -1243,26 +1085,6 @@ mod tests {
         assert!(port_boundary(&fmt).is_empty());
     }
 
-    // -- determinism ------------------------------------------------------
-
-    #[test]
-    fn determinism_fires_on_ambient_clock_and_rng() {
-        let f = file("let t = std::time::SystemTime::now();\nlet r = rand::rng();\n");
-        let found = determinism(&f);
-        assert_eq!(found.len(), 2);
-        assert_eq!(found[0].line, 1);
-        assert!(found[0].message.contains("wall-clock"));
-        assert_eq!(found[1].line, 2);
-    }
-
-    #[test]
-    fn determinism_is_quiet_on_seeded_code_and_test_code() {
-        let clean = file("let rng = SmallRng::seed_from_u64(seed);\n");
-        assert!(determinism(&clean).is_empty());
-        let test_only = file("#[cfg(test)]\nmod tests {\n let t = Instant::now();\n}\n");
-        assert!(determinism(&test_only).is_empty());
-    }
-
     // -- severity-wildcard ------------------------------------------------
 
     #[test]
@@ -1334,36 +1156,6 @@ mod tests {
         assert!(!looks_like_errcode("_bgp_ERR"));
         assert!(!looks_like_errcode("BULK_POWER_FATAL"));
         assert!(!looks_like_errcode("plain_ident"));
-    }
-
-    // -- crate-attrs ------------------------------------------------------
-
-    #[test]
-    fn crate_attrs_fires_per_missing_attribute() {
-        let f = file("#![forbid(unsafe_code)]\npub mod x;\n");
-        let found = crate_attrs(&f);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("missing_docs"));
-    }
-
-    #[test]
-    fn crate_attrs_is_quiet_when_both_present() {
-        let f = file("#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n");
-        assert!(crate_attrs(&f).is_empty());
-    }
-
-    #[test]
-    fn crate_attrs_accepts_deny_unsafe_on_allowlisted_roots_only() {
-        let src = "#![deny(unsafe_code)]\n#![warn(missing_docs)]\n";
-        let listed = SourceFile::parse("crates/bgp-model/src/lib.rs", src);
-        assert!(
-            crate_attrs(&listed).is_empty(),
-            "bgp-model's sanctioned mmap module needs the deny downgrade"
-        );
-        let unlisted = SourceFile::parse("crates/core/src/lib.rs", src);
-        let found = crate_attrs(&unlisted);
-        assert_eq!(found.len(), 1, "everyone else still needs forbid");
-        assert!(found[0].message.contains("forbid(unsafe_code)"));
     }
 
     // -- simd-fallback ----------------------------------------------------
@@ -1578,43 +1370,6 @@ mod tests {
         );
     }
 
-    // -- dep-versions -----------------------------------------------------
-
-    #[test]
-    fn dep_versions_fires_on_duplicate_major() {
-        let lock = "[[package]]\nname = \"syn\"\nversion = \"1.0.3\"\n\n\
-                    [[package]]\nname = \"syn\"\nversion = \"2.0.1\"\n";
-        let found = dup_major_versions(lock);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("`syn`"));
-    }
-
-    #[test]
-    fn dep_versions_treats_zero_x_minor_as_the_compat_axis() {
-        let two_minors = "[[package]]\nname = \"rand\"\nversion = \"0.8.5\"\n\n\
-                          [[package]]\nname = \"rand\"\nversion = \"0.9.0\"\n";
-        assert_eq!(dup_major_versions(two_minors).len(), 1);
-        let patch_only = "[[package]]\nname = \"rand\"\nversion = \"0.8.4\"\n\n\
-                          [[package]]\nname = \"rand\"\nversion = \"0.8.5\"\n";
-        assert!(dup_major_versions(patch_only).is_empty());
-    }
-
-    // -- allow-syntax -----------------------------------------------------
-
-    #[test]
-    fn allow_syntax_fires_on_missing_justification() {
-        let f = file("x(); // xtask-allow(determinism)\n");
-        let found = allow_syntax(&f);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].line, 1);
-    }
-
-    #[test]
-    fn allow_syntax_is_quiet_on_justified_use() {
-        let f = file("x(); // xtask-allow(determinism): the clock only labels a log line\n");
-        assert!(allow_syntax(&f).is_empty());
-    }
-
     // -- parallel-determinism ---------------------------------------------
 
     #[test]
@@ -1675,19 +1430,6 @@ mod tests {
         assert_eq!(found.len(), 1, "findings: {found:?}");
         assert!(found[0].message.contains("sanctioned"));
         assert!(parallel_determinism(&f, &HashModel::default(), true).is_empty());
-    }
-
-    #[test]
-    fn parallel_determinism_suppression_is_line_addressable() {
-        let f = file(
-            "fn kernel(m: &HashMap<u64, u64>) -> Option<u64> {\n\
-                 // xtask-allow(parallel-determinism): single-chunk path, order cannot vary\n\
-                 m.values().copied().next()\n\
-             }\n",
-        );
-        let found = parallel_determinism(&f, &HashModel::default(), true);
-        assert_eq!(found.len(), 1);
-        assert!(f.is_allowed("parallel-determinism", found[0].line));
     }
 
     // -- serve-concurrency ------------------------------------------------

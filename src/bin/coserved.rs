@@ -13,9 +13,6 @@
 //! `coctl serve` is an alias for this binary. Exit codes: 0 success,
 //! 1 usage error, 2 runtime failure.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use bgp_coanalysis::bgp_serve::{self, ServeConfig, ServeError};
 use std::process::ExitCode;
 

@@ -6,9 +6,6 @@
 //! See the [README](https://example.org/bgp-coanalysis) for a tour, and
 //! `DESIGN.md` for the system inventory.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use bgp_model;
 pub use bgp_ports;
 pub use bgp_serve;

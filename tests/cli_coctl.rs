@@ -251,8 +251,8 @@ fn analyze_append_is_byte_identical_to_one_shot() {
     // Split the shared site at a line boundary into "day 1" and "day 2",
     // then check `analyze BASE --append DAY2` prints byte-for-byte what a
     // one-shot run over the whole logs prints. The one-shot run reads its
-    // inputs buffered (`--no-mmap`) and the folded run maps them (`--mmap`,
-    // the default spelled out), so the two load paths also meet here.
+    // inputs buffered (`--no-mmap`) and the folded run maps them (the
+    // default), so the two load paths also meet here.
     let dir = site_logs();
     let split_dir = workdir("append-split");
     let split = |name: &str, frac_num: usize, frac_den: usize| -> (PathBuf, PathBuf) {
@@ -284,7 +284,6 @@ fn analyze_append_is_byte_identical_to_one_shot() {
         .arg(&ras2)
         .arg("--append-jobs")
         .arg(&jobs2)
-        .arg("--mmap")
         .output()
         .unwrap();
     assert!(

@@ -56,6 +56,10 @@ fn metric(body: &str, name: &str) -> Option<i64> {
 }
 
 /// Poll `/summary` until `records_in` reaches `want` (drain barrier).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test timeout bounds real waiting"
+)]
 fn wait_records_in(server: &Server, want: u64) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while server.counters().records_in < want {

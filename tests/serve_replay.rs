@@ -270,7 +270,15 @@ fn recorded_live_session_replays_to_identical_counters() {
     }
     writeln!(ingest, "not a record at all").expect("send garbage");
     drop(ingest);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test timeout bounds real waiting"
+    )]
     let deadline = Instant::now() + Duration::from_secs(60);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test timeout bounds real waiting"
+    )]
     while server.counters().records_in < records.len() as u64 {
         assert!(Instant::now() < deadline, "daemon stuck ingesting");
         std::thread::sleep(Duration::from_millis(10));
