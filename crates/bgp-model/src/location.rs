@@ -455,9 +455,21 @@ impl Location {
             Location::Midplane(m) => other.midplane() == Some(m),
             Location::NodeCard(nc) => match other {
                 Location::ComputeNode(cn) => cn.node_card() == nc,
-                _ => false,
+                Location::Rack(_)
+                | Location::Midplane(_)
+                | Location::NodeCard(_)
+                | Location::IoNode { .. }
+                | Location::LinkCard { .. }
+                | Location::ServiceCard(_)
+                | Location::BulkPower(_)
+                | Location::ClockCard(_) => false,
             },
-            _ => false,
+            Location::ComputeNode(_)
+            | Location::IoNode { .. }
+            | Location::LinkCard { .. }
+            | Location::ServiceCard(_)
+            | Location::BulkPower(_)
+            | Location::ClockCard(_) => false,
         }
     }
 

@@ -20,6 +20,33 @@ use bgp_stats::sample::{exponential, poisson};
 use rand::{Rng, RngExt};
 use raslog::{Catalog, Component, ErrCode, RasRecord};
 
+/// The non-FATAL CRC-retry code a link card's torus neighbour echoes.
+const LINK_ECHO_CODE: &str = "_bgp_err_link_crc_retry";
+
+/// The correctable-error precursor codes that crowd ahead of a failure.
+const ECC_CORRECTED_CODE: &str = "_bgp_warn_ecc_corrected";
+const SYMBOL_ERROR_CODE: &str = "_bgp_warn_single_symbol_error";
+
+/// The INFO codes of a partition boot before each job.
+const PARTITION_BOOT_CODE: &str = "_bgp_info_partition_boot";
+const BOOT_PROGRESS_CODE: &str = "_bgp_info_boot_progress";
+
+/// Ambient background codes with their relative rates.
+const AMBIENT_WEIGHTS: [(&str, f64); 12] = [
+    ("_bgp_warn_ecc_corrected", 30.0),
+    ("_bgp_warn_single_symbol_error", 12.0),
+    ("_bgp_warn_torus_retransmit", 10.0),
+    ("_bgp_warn_temp_high", 3.0),
+    ("_bgp_err_redundant_psu_loss", 0.5),
+    ("_bgp_err_link_crc_retry", 4.0),
+    ("_bgp_err_io_retry_exhausted", 1.0),
+    ("_bgp_warn_fan_speed", 2.0),
+    ("_bgp_info_env_poll", 8.0),
+    ("_bgp_err_spare_bit_steer", 0.5),
+    ("_bgp_info_recovery_progress", 1.0),
+    ("_bgp_info_job_start", 6.0),
+];
+
 /// Storm-shape parameters (taken from [`crate::SimConfig`]).
 #[derive(Debug, Clone, Copy)]
 pub struct StormShape {
@@ -57,7 +84,9 @@ pub fn detail_location<R: Rng>(rng: &mut R, m: MidplaneId, code: ErrCode) -> Loc
             Location::ComputeNode(node)
         }
         // Control-system codes report at midplane granularity.
-        _ => Location::Midplane(m),
+        Component::Application | Component::Mc | Component::Mmcs | Component::Baremetal => {
+            Location::Midplane(m)
+        }
     }
 }
 
@@ -83,7 +112,7 @@ pub fn emit_storm<R: Rng>(
     // CRC-retry records too.
     if Catalog::standard().info(code).subcomponent == "PALOMINO_L" {
         let neighbors = bgp_model::torus::midplane_neighbors(epicenter);
-        let echo = Catalog::standard().lookup("_bgp_err_link_crc_retry");
+        let echo = Catalog::standard().lookup(LINK_ECHO_CODE);
         if let (false, Some(echo)) = (neighbors.is_empty(), echo) {
             let other = neighbors[rng.random_range(0..neighbors.len())];
             let reduced = StormShape {
@@ -161,10 +190,10 @@ pub fn emit_precursors<R: Rng>(
     }
     let cat = Catalog::standard();
     let (Some(ecc), Some(symbol)) = (
-        cat.lookup("_bgp_warn_ecc_corrected"),
-        cat.lookup("_bgp_warn_single_symbol_error"),
+        cat.lookup(ECC_CORRECTED_CODE),
+        cat.lookup(SYMBOL_ERROR_CODE),
     ) else {
-        return; // catalog consistency is enforced by the errcode-catalog lint
+        return; // unreachable: `every_code_name_is_a_catalog_code` resolves both
     };
     let codes = [ecc, symbol];
     let n = (1 + poisson(rng, (mean_count - 1.0).max(0.0))) as usize;
@@ -200,10 +229,10 @@ pub fn emit_background<R: Rng>(
 ) {
     let cat = Catalog::standard();
     let (Some(boot_code), Some(progress_code)) = (
-        cat.lookup("_bgp_info_partition_boot"),
-        cat.lookup("_bgp_info_boot_progress"),
+        cat.lookup(PARTITION_BOOT_CODE),
+        cat.lookup(BOOT_PROGRESS_CODE),
     ) else {
-        return; // catalog consistency is enforced by the errcode-catalog lint
+        return; // unreachable: `every_code_name_is_a_catalog_code` resolves both
     };
     // Reboot-before-execution: every midplane of the partition boots and
     // reports, shortly before the job's start.
@@ -226,23 +255,9 @@ pub fn emit_background<R: Rng>(
     }
     // Ambient noise: correctable ECC, environmental polls, fan warnings...
     // Names zip with their weights so a missing catalog entry (impossible —
-    // the errcode-catalog lint checks these literals) drops the pair, never
-    // desynchronising code from weight.
-    let named_weights = [
-        ("_bgp_warn_ecc_corrected", 30.0),
-        ("_bgp_warn_single_symbol_error", 12.0),
-        ("_bgp_warn_torus_retransmit", 10.0),
-        ("_bgp_warn_temp_high", 3.0),
-        ("_bgp_err_redundant_psu_loss", 0.5),
-        ("_bgp_err_link_crc_retry", 4.0),
-        ("_bgp_err_io_retry_exhausted", 1.0),
-        ("_bgp_warn_fan_speed", 2.0),
-        ("_bgp_info_env_poll", 8.0),
-        ("_bgp_err_spare_bit_steer", 0.5),
-        ("_bgp_info_recovery_progress", 1.0),
-        ("_bgp_info_job_start", 6.0),
-    ];
-    let (ambient, weights): (Vec<ErrCode>, Vec<f64>) = named_weights
+    // `every_code_name_is_a_catalog_code` resolves every name) drops the
+    // pair, never desynchronising code from weight.
+    let (ambient, weights): (Vec<ErrCode>, Vec<f64>) = AMBIENT_WEIGHTS
         .iter()
         .filter_map(|&(n, w)| cat.lookup(n).map(|c| (c, w)))
         .unzip();
@@ -279,6 +294,27 @@ mod tests {
         StormShape {
             temporal_mean: 7.0,
             spatial_mean: 8.0,
+        }
+    }
+
+    #[test]
+    fn every_code_name_is_a_catalog_code() {
+        // The emitters skip a name the catalog lacks, so a typo here would
+        // silently thin the simulated log instead of failing.
+        let names = [
+            LINK_ECHO_CODE,
+            ECC_CORRECTED_CODE,
+            SYMBOL_ERROR_CODE,
+            PARTITION_BOOT_CODE,
+            BOOT_PROGRESS_CODE,
+        ]
+        .into_iter()
+        .chain(AMBIENT_WEIGHTS.iter().map(|&(n, _)| n));
+        for name in names {
+            assert!(
+                Catalog::standard().lookup(name).is_some(),
+                "emission names `{name}`, which is not in raslog's catalog"
+            );
         }
     }
 

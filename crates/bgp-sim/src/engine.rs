@@ -151,6 +151,10 @@ impl Simulation {
         let faults = FaultModel::standard();
         let workload = Workload::generate(&cfg, &faults, &mut rng);
         let buggy_now = workload.execs.iter().map(|e| e.buggy).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the simulated batch queue holds submitted executions of a workload generated up front, so the job count bounds it"
+        )]
         let mut sim = Simulation {
             now: cfg.start,
             scheduler: Scheduler::new(),
@@ -576,7 +580,9 @@ impl Simulation {
             ) as u8);
             match self.scheduler.slot(m) {
                 crate::scheduler::SlotState::Busy(job_id) => self.busy_fault_at(m, job_id),
-                _ => self.idle_fault_at(m),
+                crate::scheduler::SlotState::Free | crate::scheduler::SlotState::Maintenance => {
+                    self.idle_fault_at(m)
+                }
             }
         } else if self.rng.random::<f64>() < self.cfg.idle_fault_fraction {
             self.idle_root_fault();

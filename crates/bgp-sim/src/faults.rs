@@ -114,7 +114,7 @@ impl FaultModel {
         let cat = Catalog::standard();
         #[expect(
             clippy::panic,
-            reason = "every name in the static tables is proven to exist in the catalog by the errcode-catalog lint; dropping entries would desynchronise the parallel weight arrays"
+            reason = "the `every_table_name_is_a_catalog_code` unit test resolves every name in the static tables; dropping entries would desynchronise the parallel weight arrays"
         )]
         let resolve = |name: &str| {
             cat.lookup(name)
@@ -208,6 +208,23 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn every_table_name_is_a_catalog_code() {
+        let names = APP_ERROR_CODES
+            .iter()
+            .chain(&FS_PROPAGATING_CODES)
+            .chain(&TRANSIENT_CODES)
+            .chain(SYSTEM_BUSY_CODES.iter().map(|(n, _)| n))
+            .chain(&PERSISTENT_CAPABLE_CODES)
+            .chain(COMPANIONS.iter().flat_map(|(k, c)| [k, c]));
+        for name in names {
+            assert!(
+                Catalog::standard().lookup(name).is_some(),
+                "fault table names `{name}`, which is not in raslog's catalog"
+            );
+        }
+    }
 
     #[test]
     fn group_sizes_match_paper() {

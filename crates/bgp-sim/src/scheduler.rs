@@ -164,7 +164,7 @@ impl Scheduler {
         (0..NUM_MIDPLANES)
             .filter_map(|i| match self.slots[i as usize] {
                 SlotState::Busy(j) => Some((MidplaneId::from_index_wrapping(i), j)),
-                _ => None,
+                SlotState::Free | SlotState::Maintenance => None,
             })
             .collect()
     }

@@ -196,6 +196,9 @@ pub fn chain_guard(events: &[Event], matching: &Matching) -> (usize, usize) {
     (predictions + unfulfilled, hits)
 }
 
+/// The correctable-memory WARNING codes [`PrecursorPredictor`] counts.
+const PRECURSOR_CODES: [&str; 2] = ["_bgp_warn_ecc_corrected", "_bgp_warn_single_symbol_error"];
+
 /// A precursor-based *lead-time* predictor: correctable-memory WARNING
 /// records (ECC corrected, single-symbol) often accelerate for hours before
 /// the component dies. The predictor raises an alert for a midplane when at
@@ -271,11 +274,10 @@ impl PrecursorPredictor {
     ) -> PrecursorScore {
         use raslog::Severity;
         use std::collections::HashMap;
-        let warn_codes: Vec<raslog::ErrCode> =
-            ["_bgp_warn_ecc_corrected", "_bgp_warn_single_symbol_error"]
-                .iter()
-                .filter_map(|n| raslog::Catalog::standard().lookup(n))
-                .collect();
+        let warn_codes: Vec<raslog::ErrCode> = PRECURSOR_CODES
+            .iter()
+            .filter_map(|n| raslog::Catalog::standard().lookup(n))
+            .collect();
 
         // Per-midplane warning times.
         let mut warns: HashMap<u8, Vec<bgp_model::Timestamp>> = HashMap::new();
@@ -362,6 +364,15 @@ mod tests {
     use bgp_model::Timestamp;
     use joblog::{ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
     use raslog::Catalog;
+
+    #[test]
+    fn precursor_codes_are_catalog_codes() {
+        // `evaluate` skips a name the catalog lacks, so a typo would
+        // silently silence the predictor instead of failing.
+        for name in PRECURSOR_CODES {
+            assert!(Catalog::standard().lookup(name).is_some(), "{name}");
+        }
+    }
 
     fn ev(t: i64, loc: &str, name: &str) -> Event {
         Event::synthetic(

@@ -25,6 +25,10 @@ struct ChunkOut {
     lines: u64,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the chunk parser is the parser crate's own parallel driver of its line parser"
+)]
 fn parse_chunk(chunk: &[u8]) -> ChunkOut {
     let mut out = ChunkOut {
         // Accounting lines run ~70 bytes; presize to keep reallocation off
@@ -92,6 +96,10 @@ pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<JobRecord>, Vec<JobP
 
 /// Strict variant of [`parse_log_bytes`]: fail on the first malformed line
 /// (by global line number), like [`crate::JobReader::read_strict`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the strict variant is defined over the tolerant one beside it"
+)]
 pub fn parse_log_bytes_strict(
     data: &[u8],
     threads: usize,
@@ -104,6 +112,10 @@ pub fn parse_log_bytes_strict(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests of the parser crate drive its entry points directly"
+)]
 mod tests {
     use super::*;
     use crate::parse::JobReader;

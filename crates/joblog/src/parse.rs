@@ -60,6 +60,10 @@ fn parse_prefixed(token: &str, prefix: &str, suffix: &str) -> Option<u32> {
 }
 
 /// Parse one accounting line into a [`JobRecord`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the `&str` entry point is a thin wrapper over the byte parser it sits beside"
+)]
 pub fn parse_line(line: &str) -> Result<JobRecord, JobParseError> {
     parse_line_bytes(line.as_bytes())
 }
@@ -205,6 +209,10 @@ impl<R: BufRead> JobReader<R> {
 impl<R: BufRead> Iterator for JobReader<R> {
     type Item = Result<JobRecord, JobParseError>;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the streaming reader is the parser crate's serial entry point and parses each line it reads"
+    )]
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
             return None;
@@ -241,6 +249,10 @@ impl<R: BufRead> Iterator for JobReader<R> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests of the parser crate drive its entry points directly"
+)]
 mod tests {
     use super::*;
     use crate::write::format_record;

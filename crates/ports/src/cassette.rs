@@ -28,8 +28,9 @@
 //!
 //! Any mismatch — magic, version, kind, hash, truncation, trailing garbage —
 //! yields a typed [`CassetteError`], mirroring the `.bgpsnap` contract. The
-//! `snapshot-version` xtask rule pins [`LAYOUT_FINGERPRINT`] to the
-//! [`CassetteFrame`] field list so layout drift cannot ship silently.
+//! committed `tests/fixtures/*.bgpcas` cassettes pin the layout: a test
+//! decodes and re-encodes them and requires the same bytes, so layout drift
+//! cannot ship silently.
 
 use crate::{LogFormat, SourceBatch, SourceError};
 use bgp_model::bytes::word_fnv_64;
@@ -43,14 +44,9 @@ pub const MAGIC: [u8; 8] = *b"BGPCAS\0\0";
 /// Size of the fixed header in bytes.
 pub const HEADER_LEN: usize = 32;
 
-/// On-disk format version; readers refuse other versions. Bump together with
-/// [`LAYOUT_FINGERPRINT`] whenever [`CassetteFrame`] changes — the
-/// `snapshot-version` xtask lint ties them.
+/// On-disk format version; readers refuse other versions. Bump whenever the
+/// header or frame layout changes, and regenerate the committed cassettes.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// FNV-1a 64 fingerprint of the [`CassetteFrame`] field list; this
-/// constant and [`FORMAT_VERSION`] must be updated together.
-pub const LAYOUT_FINGERPRINT: u64 = 0x24e3_dfed_9f0f_da3f;
 
 /// One recorded chunk: the gap since the previous chunk plus its bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -14,15 +14,18 @@
 //! | `cassette`  | [`cassette`]   | `.bgpcas` recording of another source's byte stream + timing, replayed deterministically |
 //!
 //! The BG/P adapter is the **only** module allowed to call the
-//! `raslog`/`joblog` parsers directly — `cargo xtask lint` enforces that
-//! boundary (`port-boundary` rule), so every other consumer in the workspace
-//! goes through a port and new formats slot in without touching the engine.
+//! `raslog`/`joblog` parsers directly. Clippy enforces that boundary: the
+//! root `clippy.toml` lists the raw parser entry points under
+//! `disallowed-methods`, and each sanctioned call site carries an
+//! `#[expect(clippy::disallowed_methods, reason = …)]`. Every other consumer
+//! in the workspace goes through a port, so new formats slot in without
+//! touching the engine.
 //!
 //! Decoding is deliberately split from I/O: adapters consume byte slices and
 //! return [`SourceBatch`] values (records plus per-line diagnostics), which
-//! keeps every adapter — including cassette replay — inside the determinism
-//! lint scope. The only filesystem access here is [`resolve_input`], which
-//! maps a user-supplied path to the concrete file(s) a format reads.
+//! keeps every adapter — including cassette replay — a pure function of its
+//! bytes. The only filesystem access here is [`resolve_input`], which maps a
+//! user-supplied path to the concrete file(s) a format reads.
 
 pub mod bgp;
 pub mod bgq;
@@ -407,6 +410,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a raw parse error is the input of the conversion under test"
+    )]
     fn parse_error_conversion_strips_line_prefix() {
         let e = raslog::parse_line("a|b|c").unwrap_err();
         let d = SourceDiagnostic::from(e.clone());

@@ -354,7 +354,14 @@ mod tests {
         for host in ["a", "b", "login1", "很长的主机名"] {
             match host_location(host) {
                 Location::Midplane(mp) => assert!(mp.index() < 80),
-                other => panic!("expected midplane, got {other:?}"),
+                other @ (Location::Rack(_)
+                | Location::NodeCard(_)
+                | Location::ComputeNode(_)
+                | Location::IoNode { .. }
+                | Location::LinkCard { .. }
+                | Location::ServiceCard(_)
+                | Location::BulkPower(_)
+                | Location::ClockCard(_)) => panic!("expected midplane, got {other:?}"),
             }
         }
     }

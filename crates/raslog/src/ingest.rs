@@ -42,6 +42,10 @@ struct ChunkOut {
     lines: u64,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the chunk parser is the parser crate's own parallel driver of its line parser"
+)]
 fn parse_chunk(chunk: &[u8], keep: &impl Fn(&RasRecord) -> bool) -> ChunkOut {
     let mut out = ChunkOut {
         // Records vastly outnumber errors in real logs; size for ~90 bytes
@@ -122,6 +126,10 @@ pub fn parse_log_bytes_where(
 /// global 1-based line numbers — exactly what
 /// [`crate::RasReader::read_tolerant`] returns for the same bytes. This is
 /// [`parse_log_bytes_where`] keeping every record.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the keep-all case is defined over the projecting parser beside it"
+)]
 pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<RasRecord>, Vec<RasParseError>) {
     let (kept, errors) = parse_log_bytes_where(data, threads, |_| true);
     (kept.records, errors)
@@ -129,6 +137,10 @@ pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<RasRecord>, Vec<RasP
 
 /// Strict variant of [`parse_log_bytes`]: fail on the first malformed line
 /// (by global line number), like [`crate::RasReader::read_strict`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the strict variant is defined over the tolerant one beside it"
+)]
 pub fn parse_log_bytes_strict(
     data: &[u8],
     threads: usize,
@@ -141,6 +153,10 @@ pub fn parse_log_bytes_strict(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests of the parser crate drive its entry points directly"
+)]
 mod tests {
     use super::*;
     use crate::parse::RasReader;

@@ -69,6 +69,10 @@ impl std::error::Error for RasParseError {}
 /// presence but their *content* is taken from the catalogue (the ERRCODE is
 /// authoritative), so logs written by other tools with slightly different
 /// message text still parse.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the `&str` entry point is a thin wrapper over the byte parser it sits beside"
+)]
 pub fn parse_line(line: &str) -> Result<RasRecord, RasParseError> {
     parse_line_bytes(line.as_bytes())
 }
@@ -213,6 +217,10 @@ impl<R: BufRead> RasReader<R> {
 impl<R: BufRead> Iterator for RasReader<R> {
     type Item = Result<RasRecord, RasParseError>;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the streaming reader is the parser crate's serial entry point and parses each line it reads"
+    )]
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
             return None;
@@ -248,6 +256,10 @@ impl<R: BufRead> Iterator for RasReader<R> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests of the parser crate drive its entry points directly"
+)]
 mod tests {
     use super::*;
     use crate::write::format_record;

@@ -31,18 +31,12 @@ use bgp_model::snapshot::{Cursor, SnapshotError, SnapshotHeader, SnapshotKind, H
 use bgp_model::{topology, ComputeNodeId, Location, MidplaneId, NodeCardId, RackId, Timestamp};
 
 /// On-disk format version. Bump whenever the record columns change shape —
-/// the `snapshot-version` xtask lint ties this to [`LAYOUT_FINGERPRINT`].
+/// the golden-bytes test (`tests/snapshot_golden.rs`) fails until you do.
 ///
 /// Version 2: the source-hash stamp is the block-structured
 /// [`bgp_model::bytes::content_hash_64`], so version-1 stamps mean
 /// something else.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Fingerprint of the [`RasRecord`] field list (`bgp_model::bytes::fnv1a_64`
-/// over `name:type` pairs). `cargo xtask lint` recomputes this from
-/// `record.rs`; if it disagrees, the record layout changed and both this
-/// constant and [`FORMAT_VERSION`] must be updated together.
-pub const LAYOUT_FINGERPRINT: u64 = 0x37f1_fcf3_b1a3_e2e7;
 
 /// Bytes per record across all columns.
 const BYTES_PER_RECORD: usize = 8 + 8 + 4 + 2 + 1;

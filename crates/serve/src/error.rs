@@ -63,7 +63,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Bind { source, .. } => Some(source),
             ServeError::Io(e) | ServeError::Spawn(e) => Some(e),
-            _ => None,
+            ServeError::Config(_) | ServeError::Impact { .. } | ServeError::QueueClosed => None,
         }
     }
 }

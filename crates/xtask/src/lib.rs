@@ -1,24 +1,26 @@
 //! # `xtask` — the workspace's static-analysis harness
 //!
 //! Invoked as `cargo xtask lint` (the alias lives in `.cargo/config.toml`),
-//! this crate enforces the *domain* invariants that `rustc` and `clippy`
-//! cannot see:
+//! this crate enforces the three *domain* invariants that neither `rustc`,
+//! `clippy` nor an ordinary test can hold:
 //!
-//! * **Cross-crate consistency** — every ERRCODE the classifier mentions
-//!   must exist in `raslog`'s catalog; snapshot layout fingerprints track
-//!   the record structs.
-//! * **Totality over severities** — no wildcard `match` over `Severity`.
-//! * **Structure** — pipeline stages document their input/output contract;
-//!   raw parser entry points stay behind the BG/P adapter; every SWAR scan
-//!   keeps a tested scalar twin.
-//! * **Concurrency** — parallel kernels never let hash order reach a
-//!   result, and the serve daemon never holds a lock across blocking I/O.
+//! * **Structure** — pipeline stages document their input/output contract
+//!   (`stage-contract`).
+//! * **Concurrency** — parallel kernels never let hash order reach a result
+//!   (`parallel-determinism`), and the serve daemon never holds a lock
+//!   across blocking I/O (`serve-concurrency`).
 //!
-//! What the compiler can check, it checks instead: ambient clocks are
-//! clippy `disallowed-methods` (root `clippy.toml`), and `unsafe_code`,
-//! `missing_docs` and duplicate dependency versions are set in the
-//! `[lints]` tables of the manifests. A false positive in a rule here is
-//! fixed in the rule or in the code; there is no suppression comment.
+//! What the compiler can check, it checks instead. The root `clippy.toml`
+//! bans ambient clocks, the raw `raslog`/`joblog` parser entry points
+//! outside their sanctioned call sites, and unbounded queues
+//! (`disallowed-methods`). The `[lints]` tables of the manifests set
+//! `unsafe_code`, `missing_docs`, duplicate dependency versions and
+//! `wildcard_enum_match_arm`. What a test can check, a test checks: the
+//! snapshot and cassette layouts are golden bytes
+//! (`tests/snapshot_golden.rs`), and every code name the simulator and the
+//! predictor use resolves in the catalog (unit tests beside each table). A
+//! false positive in a rule here is fixed in the rule or in the code; there
+//! is no suppression comment.
 //!
 //! See `DESIGN.md` § "Static analysis & invariants" for the full catalog and
 //! the policy for adding rules.

@@ -21,7 +21,7 @@ fn usage() -> ExitCode {
 
 fn list_rules() {
     for rule in xtask::RULES {
-        println!("{:<18} {}", rule.id, rule.summary);
+        println!("{:<20} {}", rule.id, rule.summary);
     }
 }
 

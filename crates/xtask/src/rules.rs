@@ -10,14 +10,9 @@
 //!
 //! | id | enforces |
 //! |----|----------|
-//! | `severity-wildcard` | `match` over `Severity` lists variants explicitly |
-//! | `errcode-catalog` | classify's ERRCODE strings exist in the catalog |
 //! | `stage-contract` | public pipeline stage fns and `StageId` variants document their contract |
-//! | `snapshot-version` | `.bgpsnap` layout fingerprints track the record structs |
 //! | `parallel-determinism` | no hash-ordered iteration or FP reduction feeding kernel results; no unsanctioned thread spawns |
-//! | `serve-concurrency` | no Mutex guard held across blocking I/O in `crates/serve`; queues are bounded at construction |
-//! | `port-boundary` | raw `raslog`/`joblog` parser entry points stay inside the BG/P adapter |
-//! | `simd-fallback` | every SWAR/SIMD-documented scan keeps a `_scalar` twin referenced by equivalence tests |
+//! | `serve-concurrency` | no Mutex guard held across blocking I/O in `crates/serve` |
 //!
 //! `parallel-determinism` and `serve-concurrency` are token-tree rules: they
 //! parse delimiter trees and call chains via [`crate::syntax`] (plus the
@@ -36,7 +31,7 @@ pub struct Finding {
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub path: String,
-    /// 1-based line number (0 for file- or workspace-level findings).
+    /// 1-based line number.
     pub line: usize,
     /// Human-readable description of the violation.
     pub message: String,
@@ -44,15 +39,11 @@ pub struct Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}: [{}] {}", self.path, self.rule, self.message)
-        } else {
-            write!(
-                f,
-                "{}:{}: [{}] {}",
-                self.path, self.line, self.rule, self.message
-            )
-        }
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.rule, self.message
+        )
     }
 }
 
@@ -68,20 +59,8 @@ pub struct RuleInfo {
 /// Every rule the harness knows, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "severity-wildcard",
-        summary: "matches over raslog::Severity must list variants explicitly (no `_` arm)",
-    },
-    RuleInfo {
-        id: "errcode-catalog",
-        summary: "every ERRCODE string referenced by crates/core/src/classify must exist in crates/raslog/src/catalog.rs",
-    },
-    RuleInfo {
         id: "stage-contract",
         summary: "public pipeline stage entry points and `StageId` variants document their input/output contract (a `Contract:` doc line)",
-    },
-    RuleInfo {
-        id: "snapshot-version",
-        summary: "snapshot LAYOUT_FINGERPRINT matches the record struct's field list, so layout changes force a FORMAT_VERSION bump",
     },
     RuleInfo {
         id: "parallel-determinism",
@@ -89,276 +68,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "serve-concurrency",
-        summary: "crates/serve never holds a Mutex guard across blocking I/O and constructs only bounded channels/queues",
-    },
-    RuleInfo {
-        id: "port-boundary",
-        summary: "raw raslog/joblog parser entry points are called only from the BG/P adapter (crates/ports/src/bgp.rs); everything else goes through the bgp-ports source traits",
-    },
-    RuleInfo {
-        id: "simd-fallback",
-        summary: "every function documented as a SWAR/SIMD scan has a `<name>_scalar` twin in the same file, and the twin is exercised by test code (the equivalence oracle)",
+        summary: "crates/serve never holds a Mutex guard across blocking I/O",
     },
 ];
-
-/// Raw parser entry points that only the BG/P adapter may name.
-const PORT_BOUNDARY_PATTERNS: &[&str] = &[
-    "raslog::parse",
-    "joblog::parse",
-    "raslog::ingest",
-    "joblog::ingest",
-    "ingest::parse_log_bytes",
-];
-
-/// `port-boundary`: consumers reach log records through the `bgp-ports`
-/// source traits; naming a raw parser entry point directly bypasses the
-/// adapter layer and its per-source diagnostics. The parser crates
-/// themselves and `crates/ports/src/bgp.rs` — the one sanctioned adapter —
-/// are outside this rule's scope (see the caller).
-pub fn port_boundary(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (lineno, line) in file.numbered() {
-        if line.in_test {
-            continue;
-        }
-        for pattern in PORT_BOUNDARY_PATTERNS {
-            if line.code.contains(pattern) {
-                out.push(Finding {
-                    rule: "port-boundary",
-                    path: file.path.clone(),
-                    line: lineno,
-                    message: format!(
-                        "direct parser entry point (`{pattern}`) outside the BG/P \
-                         adapter; go through the `bgp_ports` source traits \
-                         (crates/ports/src/bgp.rs is the one sanctioned call site)"
-                    ),
-                });
-                break; // one finding per line, not one per overlapping pattern
-            }
-        }
-    }
-    out
-}
-
-/// `severity-wildcard`: a `match` over `raslog::Severity` with a `_` arm
-/// silently absorbs any future severity level; the catalog gained levels
-/// before and will again. Requires every variant listed.
-pub fn severity_wildcard(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    // Stack of open match blocks: (line of `match`, depth of its arms,
-    // saw a Severity:: pattern, saw a wildcard arm).
-    let mut depth: i64 = 0;
-    let mut matches: Vec<(usize, i64, bool, bool)> = Vec::new();
-    for (lineno, line) in file.numbered() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        // Arm inspection happens before brace bookkeeping so `Severity::X =>`
-        // patterns are attributed to the innermost open match.
-        if let Some((arm_line, arm_depth, saw_sev, saw_wild)) = matches.last_mut() {
-            let _ = arm_line;
-            if depth == *arm_depth + 1 {
-                if let Some(pat) = code.split_once("=>").map(|(p, _)| p.trim()) {
-                    if pat.contains("Severity::") {
-                        *saw_sev = true;
-                    }
-                    if pat == "_" || pat.ends_with("| _") || pat.starts_with("_ if") {
-                        *saw_wild = true;
-                    }
-                }
-            }
-        }
-        let opens_match = code.contains("match ") && code.trim_end().ends_with('{');
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    if opens_match && matches.last().map(|m| m.1) != Some(depth - 1) {
-                        // Attribute the first `{` on a `match ... {` line to
-                        // the match itself.
-                        matches.push((lineno, depth - 1, false, false));
-                    }
-                }
-                '}' => {
-                    depth -= 1;
-                    if let Some(&(mline, mdepth, saw_sev, saw_wild)) = matches.last() {
-                        if depth == mdepth {
-                            matches.pop();
-                            if saw_sev && saw_wild {
-                                out.push(Finding {
-                                    rule: "severity-wildcard",
-                                    path: file.path.clone(),
-                                    line: mline,
-                                    message: "match over Severity uses a wildcard arm; \
-                                              list every variant so new severity levels \
-                                              fail to compile instead of being absorbed"
-                                        .to_owned(),
-                                });
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
-/// True for strings shaped like Blue Gene/P error-code names: the lowercase
-/// `_bgp_*` family or upper-snake-case hardware codes (`BULK_POWER_FATAL`).
-fn looks_like_errcode(s: &str) -> bool {
-    // Every catalog code is `_bgp_` + lower_snake; subcomponent names are
-    // UPPER_SNAKE and deliberately not matched.
-    if let Some(rest) = s.strip_prefix("_bgp_") {
-        return !rest.is_empty()
-            && rest
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-    }
-    false
-}
-
-/// Extract the set of code names defined by `catalog.rs`: the first string
-/// of every `("name", C::Component, ...)` catalog entry.
-pub fn catalog_names(catalog: &SourceFile) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for (_, line) in catalog.numbered() {
-        // After string-blanking a catalog entry reads `("", C::Kernel, ...)`.
-        if line.code.contains("(\"\", C::") {
-            if let Some(first) = line.strings.first() {
-                names.insert(first.clone());
-            }
-        }
-    }
-    names
-}
-
-/// `errcode-catalog`: every ERRCODE-shaped string in the classify sources
-/// must name a code the catalog actually defines — classification decisions
-/// keyed on a typo would silently never fire. Test code is checked too: a
-/// test asserting on a phantom code is equally wrong.
-pub fn errcode_catalog(catalog: &SourceFile, classify: &[&SourceFile]) -> Vec<Finding> {
-    let names = catalog_names(catalog);
-    let mut out = Vec::new();
-    if names.is_empty() {
-        out.push(Finding {
-            rule: "errcode-catalog",
-            path: catalog.path.clone(),
-            line: 0,
-            message: "no catalog entries recognized; catalog.rs format changed?".to_owned(),
-        });
-        return out;
-    }
-    for file in classify {
-        for (lineno, line) in file.numbered() {
-            for s in &line.strings {
-                if looks_like_errcode(s) && !names.contains(s) {
-                    out.push(Finding {
-                        rule: "errcode-catalog",
-                        path: file.path.clone(),
-                        line: lineno,
-                        message: format!(
-                            "ERRCODE `{s}` is not defined in raslog's catalog \
-                             (crates/raslog/src/catalog.rs); classification keyed \
-                             on it can never fire"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// True when the contiguous doc block above `lineno` (1-based) advertises a
-/// word- or vector-parallel implementation ("SWAR" or "SIMD").
-fn doc_mentions_simd(file: &SourceFile, lineno: usize) -> bool {
-    let mut idx = lineno - 1; // 0-based index of the subject line
-    while idx > 0 {
-        idx -= 1;
-        let Some(above) = file.lines.get(idx) else {
-            return false;
-        };
-        let trimmed = above.code.trim();
-        if trimmed.is_empty() && !above.comment.is_empty() {
-            if above.comment.contains("SWAR") || above.comment.contains("SIMD") {
-                return true;
-            }
-        } else if trimmed.starts_with("#[") || trimmed.ends_with(']') || trimmed.is_empty() {
-            continue; // attributes (possibly multi-line) and blank separators
-        } else {
-            break;
-        }
-    }
-    false
-}
-
-/// `simd-fallback`: a function documented as a SWAR/SIMD scan is an
-/// optimization, and optimizations need oracles. Each one must keep a
-/// `<name>_scalar` twin in the same file — the byte-at-a-time reference it
-/// is benchmarked over and falls back to — and that twin must be named from
-/// test code, so the promised SWAR-vs-scalar equivalence is actually
-/// executed, not just documented.
-pub fn simd_fallback(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut defined: BTreeSet<String> = BTreeSet::new();
-    let mut scans: Vec<(usize, String)> = Vec::new();
-    for (lineno, line) in file.numbered() {
-        if line.in_test {
-            continue;
-        }
-        let code = line.code.trim_start();
-        let Some(rest) = code
-            .strip_prefix("pub fn ")
-            .or_else(|| code.strip_prefix("fn "))
-        else {
-            continue;
-        };
-        let name = leading_ident(rest);
-        if name.is_empty() {
-            continue;
-        }
-        defined.insert(name.clone());
-        // The scalar twins themselves mention SWAR in their docs (they state
-        // what they are the oracle *for*) but need no twin of their own.
-        if !name.ends_with("_scalar") && doc_mentions_simd(file, lineno) {
-            scans.push((lineno, name));
-        }
-    }
-    for (lineno, name) in scans {
-        let twin = format!("{name}_scalar");
-        if !defined.contains(&twin) {
-            out.push(Finding {
-                rule: "simd-fallback",
-                path: file.path.clone(),
-                line: lineno,
-                message: format!(
-                    "SWAR/SIMD scan `{name}` has no scalar twin `{twin}` in this \
-                     file; keep the byte-at-a-time reference as the fallback and \
-                     equivalence oracle"
-                ),
-            });
-        } else if !file
-            .lines
-            .iter()
-            .any(|l| l.in_test && l.code.contains(twin.as_str()))
-        {
-            out.push(Finding {
-                rule: "simd-fallback",
-                path: file.path.clone(),
-                line: lineno,
-                message: format!(
-                    "scalar twin `{twin}` of SWAR/SIMD scan `{name}` is never \
-                     referenced from test code; the documented equivalence is \
-                     unverified — add (or restore) the head-to-head test"
-                ),
-            });
-        }
-    }
-    out
-}
 
 /// Names of public entry points that constitute pipeline stages.
 const STAGE_FNS: &[&str] = &[
@@ -443,156 +155,6 @@ fn has_contract_above(file: &SourceFile, lineno: usize) -> bool {
         }
     }
     false
-}
-
-/// FNV-1a 64 over `bytes` — the same function `bgp_model::bytes::fnv1a_64`
-/// implements; duplicated here so the lint harness stays dependency-free.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
-}
-
-/// Extract `(name, type)` pairs of the `pub` fields of `pub struct
-/// <struct_name> { ... }` from a source file. Types are normalized
-/// whitespace-free so formatting churn never changes the fingerprint.
-pub fn record_fields(file: &SourceFile, struct_name: &str) -> Vec<(String, String)> {
-    let header = format!("pub struct {struct_name}");
-    let mut out = Vec::new();
-    let mut inside = false;
-    for (_, line) in file.numbered() {
-        let code = line.code.trim();
-        if !inside {
-            inside = code.starts_with(&header) && code.ends_with('{');
-            continue;
-        }
-        if code.starts_with('}') {
-            break;
-        }
-        if let Some(rest) = code.strip_prefix("pub ") {
-            if let Some((name, ty)) = rest.split_once(':') {
-                let name = name.trim();
-                let named_field =
-                    !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-                if named_field {
-                    let ty: String = ty
-                        .trim()
-                        .trim_end_matches(',')
-                        .chars()
-                        .filter(|c| !c.is_whitespace())
-                        .collect();
-                    out.push((name.to_owned(), ty));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Find `pub const <name>: <ty> = <int literal>;` in a source file and return
-/// `(line, value)`. Accepts decimal and `0x` hex with `_` separators.
-fn const_u64(file: &SourceFile, name: &str) -> Option<(usize, u64)> {
-    for (lineno, line) in file.numbered() {
-        let code = line.code.trim();
-        let Some(rest) = code.strip_prefix("pub const ") else {
-            continue;
-        };
-        let Some(rest) = rest.strip_prefix(name) else {
-            continue;
-        };
-        if !rest.starts_with(':') {
-            continue; // a longer const name sharing the prefix
-        }
-        let Some((_, value)) = rest.split_once('=') else {
-            continue;
-        };
-        let cleaned: String = value
-            .trim()
-            .trim_end_matches(';')
-            .chars()
-            .filter(|c| *c != '_')
-            .collect();
-        let parsed = match cleaned
-            .strip_prefix("0x")
-            .or_else(|| cleaned.strip_prefix("0X"))
-        {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => cleaned.parse().ok(),
-        };
-        if let Some(v) = parsed {
-            return Some((lineno, v));
-        }
-    }
-    None
-}
-
-/// `snapshot-version`: the `.bgpsnap` on-disk codec serializes the record
-/// struct field by field, so any change to the struct's field list is a
-/// layout change that stale snapshots on operators' disks will not survive.
-/// The snapshot module pins a `LAYOUT_FINGERPRINT` (FNV-1a 64 over the
-/// `name:type` field list); this rule recomputes it from `record.rs` and
-/// fails on drift — forcing whoever changes the record to update the
-/// fingerprint and bump `FORMAT_VERSION` in the same commit.
-pub fn snapshot_version(
-    record: &SourceFile,
-    struct_name: &str,
-    snapshot: &SourceFile,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let fields = record_fields(record, struct_name);
-    if fields.is_empty() {
-        out.push(Finding {
-            rule: "snapshot-version",
-            path: record.path.clone(),
-            line: 0,
-            message: format!(
-                "no fields recognized for `pub struct {struct_name}`; record.rs format changed?"
-            ),
-        });
-        return out;
-    }
-    let joined = fields
-        .iter()
-        .map(|(name, ty)| format!("{name}:{ty}"))
-        .collect::<Vec<_>>()
-        .join(";");
-    let computed = fnv1a_64(joined.as_bytes());
-    match const_u64(snapshot, "LAYOUT_FINGERPRINT") {
-        None => out.push(Finding {
-            rule: "snapshot-version",
-            path: snapshot.path.clone(),
-            line: 0,
-            message: format!(
-                "no `pub const LAYOUT_FINGERPRINT: u64 = ...;` found; the snapshot \
-                 codec for `{struct_name}` must pin its layout fingerprint"
-            ),
-        }),
-        Some((lineno, declared)) if declared != computed => out.push(Finding {
-            rule: "snapshot-version",
-            path: snapshot.path.clone(),
-            line: lineno,
-            message: format!(
-                "`{struct_name}` field list changed: computed fingerprint {computed:#018x} \
-                 != declared {declared:#018x}; the on-disk layout moved, so update \
-                 LAYOUT_FINGERPRINT and bump FORMAT_VERSION together"
-            ),
-        }),
-        Some(_) => {}
-    }
-    if const_u64(snapshot, "FORMAT_VERSION").is_none() {
-        out.push(Finding {
-            rule: "snapshot-version",
-            path: snapshot.path.clone(),
-            line: 0,
-            message: "no `pub const FORMAT_VERSION: u32 = ...;` found; snapshot readers \
-                      cannot reject incompatible files without a pinned version"
-                .to_owned(),
-        });
-    }
-    out
 }
 
 /// Iterator heads that expose a hash container's nondeterministic order.
@@ -992,50 +554,14 @@ fn scan_serve_block(
 }
 
 /// `serve-concurrency`: the daemon's analysis worker and HTTP endpoints
-/// share state behind mutexes, and its ingest queue sits between the socket
-/// threads and the analyzer. Two structural rules keep that sound: a Mutex guard must
-/// never be held across a call that can block (socket I/O, channel
-/// `recv`/`send`, thread `join`) — that serializes unrelated readers and
-/// can deadlock shutdown — and every channel/queue must be bounded at its
-/// construction site so a slow consumer applies back-pressure instead of
-/// growing the heap without bound.
+/// share state behind mutexes. A Mutex guard must never be held across a
+/// call that can block (socket I/O, channel `recv`/`send`, thread `join`):
+/// that serializes unrelated readers and can deadlock shutdown. (That its
+/// queues are bounded is clippy's job: the root `clippy.toml` bans
+/// `mpsc::channel` and `VecDeque::new`.)
 pub fn serve_concurrency(file: &SourceFile) -> Vec<Finding> {
     let syntax_tree = Syntax::parse(file);
     let mut out = Vec::new();
-    let not_test = |line: usize| {
-        !line
-            .checked_sub(1)
-            .and_then(|i| file.lines.get(i))
-            .is_some_and(|l| l.in_test)
-    };
-    let mut found = Vec::new();
-    syntax::calls(&syntax_tree.trees, &mut found);
-    for c in &found {
-        if !not_test(c.line) {
-            continue;
-        }
-        if c.callee == "channel" {
-            out.push(Finding {
-                rule: "serve-concurrency",
-                path: file.path.clone(),
-                line: c.line,
-                message: "unbounded `channel()`; use `sync_channel` with an explicit \
-                          capacity so producers back-pressure instead of buffering \
-                          without bound"
-                    .to_owned(),
-            });
-        }
-        if c.callee == "new" && c.qualifier == "VecDeque" {
-            out.push(Finding {
-                rule: "serve-concurrency",
-                path: file.path.clone(),
-                line: c.line,
-                message: "unbounded `VecDeque::new()`; use `with_capacity` plus explicit \
-                          eviction so queues stay bounded"
-                    .to_owned(),
-            });
-        }
-    }
     let guard_fns: BTreeSet<String> = syntax_tree
         .fns()
         .iter()
@@ -1057,159 +583,6 @@ mod tests {
 
     fn file(src: &str) -> SourceFile {
         SourceFile::parse("fixture.rs", src)
-    }
-
-    // -- port-boundary ----------------------------------------------------
-
-    #[test]
-    fn port_boundary_fires_once_per_line_on_raw_parser_calls() {
-        let f = file(
-            "let (r, e) = raslog::ingest::parse_log_bytes(data, threads);\n\
-             let j = joblog::parse_line(text)?;\n\
-             let ok = bgp_ports::bgp::decode_ras(data, threads);\n",
-        );
-        let found = port_boundary(&f);
-        assert_eq!(found.len(), 2, "{found:?}");
-        assert_eq!(found[0].line, 1, "overlapping patterns collapse to one");
-        assert_eq!(found[1].line, 2);
-        assert!(found[0].message.contains("bgp_ports"));
-    }
-
-    #[test]
-    fn port_boundary_is_quiet_on_test_code_and_formatting() {
-        let quiet =
-            file("#[cfg(test)]\nmod tests {\n    fn t() { raslog::parse_line(\"x\"); }\n}\n");
-        assert!(port_boundary(&quiet).is_empty());
-        // The format side of the codec is not a parser entry point.
-        let fmt = file("let s = raslog::format_record(&rec);\n");
-        assert!(port_boundary(&fmt).is_empty());
-    }
-
-    // -- severity-wildcard ------------------------------------------------
-
-    #[test]
-    fn severity_wildcard_fires_on_wildcard_arm() {
-        let f = file(
-            "match sev {\n\
-                 Severity::Fatal => 1,\n\
-                 _ => 0,\n\
-             }\n",
-        );
-        let found = severity_wildcard(&f);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].line, 1, "finding points at the match itself");
-    }
-
-    #[test]
-    fn severity_wildcard_is_quiet_when_exhaustive_or_unrelated() {
-        let exhaustive = file(
-            "match sev {\n\
-                 Severity::Fatal => 1,\n\
-                 Severity::Error | Severity::Warn => 2,\n\
-                 Severity::Info | Severity::Debug | Severity::Trace => 3,\n\
-             }\n",
-        );
-        assert!(severity_wildcard(&exhaustive).is_empty());
-        let unrelated = file("match n {\n 0 => a,\n _ => b,\n}\n");
-        assert!(severity_wildcard(&unrelated).is_empty());
-    }
-
-    // -- errcode-catalog --------------------------------------------------
-
-    fn catalog_fixture() -> SourceFile {
-        SourceFile::parse(
-            "crates/raslog/src/catalog.rs",
-            "(\"_bgp_err_ddr_single\", C::Kernel, S::Warn),\n\
-             (\"_bgp_err_torus_retrans\", C::Kernel, S::Error),\n",
-        )
-    }
-
-    #[test]
-    fn errcode_catalog_fires_on_unknown_code() {
-        let cat = catalog_fixture();
-        let classify = file("map(\"_bgp_err_ddr_single\");\nmap(\"_bgp_err_no_such\");\n");
-        let found = errcode_catalog(&cat, &[&classify]);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].line, 2);
-        assert!(found[0].message.contains("_bgp_err_no_such"));
-    }
-
-    #[test]
-    fn errcode_catalog_is_quiet_on_known_codes_and_non_codes() {
-        let cat = catalog_fixture();
-        let classify = file("map(\"_bgp_err_torus_retrans\");\nlabel(\"PALOMINO_N\");\n");
-        assert!(errcode_catalog(&cat, &[&classify]).is_empty());
-    }
-
-    #[test]
-    fn errcode_catalog_reports_empty_catalog_as_format_drift() {
-        let cat = file("// nothing shaped like an entry\n");
-        let found = errcode_catalog(&cat, &[]);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("format changed"));
-    }
-
-    #[test]
-    fn errcode_shapes() {
-        assert!(looks_like_errcode("_bgp_err_x"));
-        assert!(!looks_like_errcode("_bgp_"));
-        assert!(!looks_like_errcode("_bgp_ERR"));
-        assert!(!looks_like_errcode("BULK_POWER_FATAL"));
-        assert!(!looks_like_errcode("plain_ident"));
-    }
-
-    // -- simd-fallback ----------------------------------------------------
-
-    #[test]
-    fn simd_fallback_fires_when_scalar_twin_is_missing() {
-        let f = file(
-            "/// SWAR scan over the haystack.\n\
-             pub fn find_x(h: &[u8]) -> Option<usize> { None }\n",
-        );
-        let found = simd_fallback(&f);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("`find_x_scalar`"));
-        assert_eq!(found[0].line, 2);
-    }
-
-    #[test]
-    fn simd_fallback_fires_when_twin_is_untested() {
-        let f = file(
-            "/// SIMD delimiter scan.\n\
-             pub fn scan(h: &[u8]) -> usize { 0 }\n\
-             /// Scalar reference.\n\
-             pub fn scan_scalar(h: &[u8]) -> usize { 0 }\n",
-        );
-        let found = simd_fallback(&f);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("never referenced from test code"));
-    }
-
-    #[test]
-    fn simd_fallback_is_quiet_when_twin_is_tested() {
-        let f = file(
-            "/// SWAR scan, eight bytes per step.\n\
-             #[inline]\n\
-             pub fn scan(h: &[u8]) -> usize { 0 }\n\
-             /// Scalar reference; the SWAR scan must agree with it.\n\
-             pub fn scan_scalar(h: &[u8]) -> usize { 0 }\n\
-             #[cfg(test)]\n\
-             mod tests {\n\
-                 #[test]\n\
-                 fn agree() { assert_eq!(scan(b\"x\"), scan_scalar(b\"x\")); }\n\
-             }\n",
-        );
-        assert!(simd_fallback(&f).is_empty());
-    }
-
-    #[test]
-    fn simd_fallback_ignores_undocumented_and_plain_functions() {
-        let f = file(
-            "/// Splits lines. Nothing vectorized about it.\n\
-             pub fn line_split(h: &[u8]) -> usize { 0 }\n\
-             fn helper() {}\n",
-        );
-        assert!(simd_fallback(&f).is_empty());
     }
 
     // -- stage-contract ---------------------------------------------------
@@ -1271,102 +644,6 @@ mod tests {
         assert!(
             stage_contract(&f).is_empty(),
             "a contract line in each variant's doc block covers it"
-        );
-    }
-
-    // -- snapshot-version -------------------------------------------------
-
-    fn record_fixture() -> SourceFile {
-        SourceFile::parse(
-            "crates/raslog/src/record.rs",
-            "/// One record.\n\
-             pub struct RasRecord {\n\
-                 /// Sequence number.\n\
-                 pub recid: u64,\n\
-                 /// Where.\n\
-                 pub location: Location,\n\
-             }\n",
-        )
-    }
-
-    fn snapshot_fixture(fingerprint: u64) -> SourceFile {
-        SourceFile::parse(
-            "crates/raslog/src/snapshot.rs",
-            &format!(
-                "pub const FORMAT_VERSION: u32 = 1;\n\
-                 pub const LAYOUT_FINGERPRINT: u64 = {fingerprint:#018x};\n"
-            ),
-        )
-    }
-
-    #[test]
-    fn snapshot_version_is_quiet_when_fingerprint_matches() {
-        let expected = fnv1a_64(b"recid:u64;location:Location");
-        let found = snapshot_version(&record_fixture(), "RasRecord", &snapshot_fixture(expected));
-        assert!(found.is_empty(), "unexpected findings: {found:?}");
-    }
-
-    #[test]
-    fn snapshot_version_fires_on_layout_drift() {
-        let stale = fnv1a_64(b"recid:u64"); // as if `location` was added later
-        let found = snapshot_version(&record_fixture(), "RasRecord", &snapshot_fixture(stale));
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].line, 2, "finding points at LAYOUT_FINGERPRINT");
-        assert!(found[0].message.contains("bump FORMAT_VERSION"));
-    }
-
-    #[test]
-    fn snapshot_version_fires_on_missing_consts() {
-        let expected = fnv1a_64(b"recid:u64;location:Location");
-        let no_consts = file("pub fn unrelated() {}\n");
-        let found = snapshot_version(&record_fixture(), "RasRecord", &no_consts);
-        assert_eq!(found.len(), 2);
-        assert!(found[0].message.contains("LAYOUT_FINGERPRINT"));
-        assert!(found[1].message.contains("FORMAT_VERSION"));
-        let _ = expected;
-    }
-
-    #[test]
-    fn snapshot_version_reports_unrecognizable_struct() {
-        let empty = file("// no struct here\n");
-        let found = snapshot_version(&empty, "RasRecord", &snapshot_fixture(0));
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("format changed"));
-    }
-
-    #[test]
-    fn record_fields_normalize_types_and_skip_private() {
-        let f = file(
-            "pub struct R {\n\
-                 pub a: Vec< u8 >,\n\
-                 b: usize,\n\
-                 pub c: u64,\n\
-             }\n\
-             pub struct Other {\n\
-                 pub d: u8,\n\
-             }\n",
-        );
-        let fields = record_fields(&f, "R");
-        assert_eq!(
-            fields,
-            vec![
-                ("a".to_owned(), "Vec<u8>".to_owned()),
-                ("c".to_owned(), "u64".to_owned())
-            ]
-        );
-    }
-
-    #[test]
-    fn pinned_fingerprints_match_the_live_structs() {
-        // The constants shipped in raslog/joblog `snapshot.rs` were computed
-        // from these exact field lists; if this test fails the helper
-        // changed, not the structs.
-        assert_eq!(
-            fnv1a_64(
-                b"recid:u64;event_time:Timestamp;location:Location;\
-                  errcode:ErrCode;severity:Severity"
-            ),
-            0x37f1_fcf3_b1a3_e2e7u64
         );
     }
 
@@ -1562,39 +839,5 @@ mod tests {
             "findings: {found:?}"
         );
         assert!(serve_concurrency(&real(rel)).is_empty());
-    }
-
-    #[test]
-    fn seeded_unbounded_channel_is_detected() {
-        let rel = "crates/serve/src/worker.rs";
-        let f = mutated(
-            rel,
-            "sync_channel::<RasRecord>(queue_capacity.max(1))",
-            "channel()",
-        );
-        let found = serve_concurrency(&f);
-        assert_eq!(found.len(), 1, "findings: {found:?}");
-        assert!(found[0].message.contains("sync_channel"));
-    }
-
-    #[test]
-    fn serve_concurrency_fires_on_unbounded_queues() {
-        let f = file(
-            "fn build() {\n\
-                 let (tx, rx) = channel();\n\
-                 let q: VecDeque<u64> = VecDeque::new();\n\
-             }\n",
-        );
-        let found = serve_concurrency(&f);
-        assert_eq!(found.len(), 2, "findings: {found:?}");
-        assert!(found[0].message.contains("sync_channel"));
-        assert!(found[1].message.contains("with_capacity"));
-        let bounded = file(
-            "fn build() {\n\
-                 let (tx, rx) = sync_channel(64);\n\
-                 let q = VecDeque::with_capacity(64);\n\
-             }\n",
-        );
-        assert!(serve_concurrency(&bounded).is_empty());
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The domain lints don't need full parsing — they need to know, line by
 //! line, (a) what the code says once comments and string contents are out of
-//! the way, (b) which string literals appear, and (c) whether the line sits
-//! inside `#[cfg(test)]` code. [`SourceFile::parse`] computes all three in
-//! two passes: a character-level lexer that splits each line into
-//! code / strings / comment text, then a line-level pass that tracks brace
-//! depth to delimit `#[cfg(test)]` regions.
+//! the way, and (b) whether the line sits inside `#[cfg(test)]` code.
+//! [`SourceFile::parse`] computes both in two passes: a character-level
+//! lexer that splits each line into code and comment text, then a
+//! line-level pass that tracks brace depth to delimit `#[cfg(test)]`
+//! regions.
 //!
 //! The lexer understands line and (nested) block comments, plain and raw
 //! string literals, character literals, and lifetimes. It is deliberately
@@ -19,8 +19,6 @@ pub struct Line {
     /// The line with comments removed and string-literal contents blanked
     /// (quotes are kept, so `("x", C::A)` becomes `("", C::A)`).
     pub code: String,
-    /// String literals that *start* on this line, in order of appearance.
-    pub strings: Vec<String>,
     /// Comment text on this line (without the `//`, `/*`, `*/` markers).
     pub comment: String,
     /// True when the line is inside `#[cfg(test)]`-gated code.
@@ -63,13 +61,12 @@ impl SourceFile {
     }
 }
 
-/// Character-level pass: split every physical line into code, strings, and
-/// comment text.
+/// Character-level pass: split every physical line into code and comment
+/// text, blanking string-literal contents.
 fn lex(text: &str) -> Vec<Line> {
     let mut out: Vec<Line> = Vec::new();
     let mut line = Line::default();
     let mut state = LexState::Code;
-    let mut cur_string = String::new();
     let mut chars = text.chars().peekable();
 
     while let Some(c) = chars.next() {
@@ -81,13 +78,6 @@ fn lex(text: &str) -> Vec<Line> {
         if c == '\n' {
             if state == LexState::LineComment {
                 state = LexState::Code;
-            }
-            if state == LexState::Str {
-                // Plain string continuing across lines: keep collecting.
-                cur_string.push('\n');
-            }
-            if let LexState::RawStr(_) = state {
-                cur_string.push('\n');
             }
             out.push(std::mem::take(&mut line));
             continue;
@@ -107,7 +97,6 @@ fn lex(text: &str) -> Vec<Line> {
                 },
                 '"' => {
                     line.code.push('"');
-                    cur_string.clear();
                     state = LexState::Str;
                 }
                 'r' => {
@@ -124,7 +113,6 @@ fn lex(text: &str) -> Vec<Line> {
                         }
                         chars.next(); // the quote
                         line.code.push('"');
-                        cur_string.clear();
                         state = LexState::RawStr(hashes);
                     } else {
                         line.code.push('r');
@@ -178,18 +166,13 @@ fn lex(text: &str) -> Vec<Line> {
             },
             LexState::Str => match c {
                 '\\' => {
-                    if let Some(&esc) = chars.peek() {
-                        chars.next();
-                        cur_string.push('\\');
-                        cur_string.push(esc);
-                    }
+                    chars.next(); // the escaped character
                 }
                 '"' => {
                     line.code.push('"');
-                    line.strings.push(std::mem::take(&mut cur_string));
                     state = LexState::Code;
                 }
-                _ => cur_string.push(c),
+                _ => {}
             },
             LexState::RawStr(hashes) => {
                 if c == '"' {
@@ -205,13 +188,8 @@ fn lex(text: &str) -> Vec<Line> {
                             chars.next();
                         }
                         line.code.push('"');
-                        line.strings.push(std::mem::take(&mut cur_string));
                         state = LexState::Code;
-                    } else {
-                        cur_string.push('"');
                     }
-                } else {
-                    cur_string.push(c);
                 }
             }
         }
@@ -285,28 +263,25 @@ mod tests {
     }
 
     #[test]
-    fn string_contents_are_blanked_but_recorded() {
+    fn string_contents_are_blanked() {
         let f = SourceFile::parse("a.rs", r#"call("_bgp_err_x", "unwrap() inside");"#);
         assert_eq!(f.lines[0].code, r#"call("", "");"#);
-        assert_eq!(
-            f.lines[0].strings,
-            vec!["_bgp_err_x".to_owned(), "unwrap() inside".to_owned()]
-        );
     }
 
     #[test]
     fn raw_strings_and_escapes() {
         let f = SourceFile::parse("a.rs", "let s = r#\"a\"b\"#; let t = \"q\\\"w\";");
-        assert_eq!(f.lines[0].strings[0], "a\"b");
-        assert_eq!(f.lines[0].strings[1], "q\\\"w");
+        assert_eq!(f.lines[0].code, "let s = \"\"; let t = \"\";");
     }
 
     #[test]
     fn char_literals_and_lifetimes() {
         let f = SourceFile::parse("a.rs", "fn f<'a>(x: &'a str) { let c = '\"'; g(c); }");
         // The double-quote char literal must not open a string.
-        assert!(f.lines[0].code.contains("g(c)"));
-        assert!(f.lines[0].strings.is_empty());
+        assert_eq!(
+            f.lines[0].code,
+            "fn f<'a>(x: &'a str) { let c = ' '; g(c); }"
+        );
     }
 
     #[test]
@@ -342,8 +317,7 @@ mod tests {
     fn multi_hash_raw_strings() {
         // `r##"…"##` may contain `"#` without closing; only `"##` ends it.
         let f = SourceFile::parse("a.rs", "let s = r##\"has \"# inside\"##; done();\n");
-        assert_eq!(f.lines[0].strings[0], "has \"# inside");
-        assert!(f.lines[0].code.contains("done()"));
+        assert_eq!(f.lines[0].code, "let s = \"\"; done();");
         // A lone `r` identifier is not a raw-string opener.
         let g = SourceFile::parse("a.rs", "let r = r + 1;\n");
         assert_eq!(g.lines[0].code, "let r = r + 1;");
@@ -352,12 +326,9 @@ mod tests {
     #[test]
     fn byte_strings_and_byte_raw_strings() {
         let f = SourceFile::parse("a.rs", "let b = b\"bytes with .unwrap()\"; h();\n");
-        assert_eq!(f.lines[0].strings[0], "bytes with .unwrap()");
-        assert!(f.lines[0].code.contains("h()"));
-        assert!(!f.lines[0].code.contains("unwrap"));
+        assert_eq!(f.lines[0].code, "let b = b\"\"; h();");
         let g = SourceFile::parse("a.rs", "let b = br#\"raw \" bytes\"#; k();\n");
-        assert_eq!(g.lines[0].strings[0], "raw \" bytes");
-        assert!(g.lines[0].code.contains("k()"));
+        assert_eq!(g.lines[0].code, "let b = b\"\"; k();");
     }
 
     #[test]
@@ -375,8 +346,7 @@ mod tests {
     fn multiline_raw_string_blanks_every_line() {
         let f = SourceFile::parse("a.rs", "let s = r#\"line one\nline two\"#; tail();\n");
         // Code on the continuation line is only the closing quote + tail.
-        assert!(f.lines[0].code.contains("let s = \""));
-        assert!(f.lines[1].code.contains("tail()"));
-        assert_eq!(f.lines[1].strings[0], "line one\nline two");
+        assert_eq!(f.lines[0].code, "let s = \"");
+        assert_eq!(f.lines[1].code, "\"; tail();");
     }
 }

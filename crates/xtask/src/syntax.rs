@@ -98,7 +98,7 @@ impl FnDef<'_> {
     pub fn params(&self) -> Option<&Group> {
         self.sig.iter().find_map(|t| match t {
             Tree::Group(g) if g.delim == '(' => Some(g),
-            _ => None,
+            Tree::Leaf(_) | Tree::Group(_) => None,
         })
     }
 
@@ -338,7 +338,7 @@ fn collect_fns<'a>(trees: &'a [Tree], out: &mut Vec<FnDef<'a>>) {
                         break;
                     }
                     Tree::Leaf(t) if t.text == ";" => break,
-                    t => sig.push(t),
+                    t @ (Tree::Leaf(_) | Tree::Group(_)) => sig.push(t),
                 }
                 j += 1;
             }

@@ -98,28 +98,6 @@ pub fn library_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(out)
 }
 
-/// The `(record source, struct, snapshot codec)` triples the
-/// `snapshot-version` rule ties together.
-const SNAPSHOT_PAIRS: &[(&str, &str, &str)] = &[
-    (
-        "crates/raslog/src/record.rs",
-        "RasRecord",
-        "crates/raslog/src/snapshot.rs",
-    ),
-    (
-        "crates/joblog/src/record.rs",
-        "JobRecord",
-        "crates/joblog/src/snapshot.rs",
-    ),
-    // The cassette codec defines both the frame struct and its on-disk
-    // encoding in one module, so the pair points at the same file.
-    (
-        "crates/ports/src/cassette.rs",
-        "CassetteFrame",
-        "crates/ports/src/cassette.rs",
-    ),
-];
-
 /// Sources the `parallel-determinism` rule governs: the files defining the
 /// parallel kernels and their reduction paths, whose outputs the committed
 /// benchmark baseline compares bit-for-bit. The `bool` is whether thread
@@ -137,15 +115,6 @@ const KERNEL_SCOPE: &[(&str, bool)] = &[
 /// `parallel-determinism` model: the kernels' own crates.
 fn in_hash_model_scope(path: &str) -> bool {
     path.starts_with("crates/core/src") || path.starts_with("crates/bgp-model/src")
-}
-
-/// True for sources the `port-boundary` rule governs: everything except the
-/// parser crates themselves (which define the entry points) and the one
-/// sanctioned adapter module that wraps them.
-fn in_port_boundary_scope(path: &str) -> bool {
-    !(path.starts_with("crates/raslog/src")
-        || path.starts_with("crates/joblog/src")
-        || path == "crates/ports/src/bgp.rs")
 }
 
 /// True for sources the `stage-contract` rule governs: the pipeline stage
@@ -168,23 +137,11 @@ pub fn run_lint(root: &Path, only: Option<&BTreeSet<String>>) -> io::Result<Vec<
     let mut findings: Vec<Finding> = Vec::new();
 
     for file in &sources {
-        if enabled("severity-wildcard") {
-            findings.extend(rules::severity_wildcard(file));
-        }
         if enabled("stage-contract") && in_stage_scope(&file.path) {
             findings.extend(rules::stage_contract(file));
         }
         if enabled("serve-concurrency") && file.path.starts_with("crates/serve/src") {
             findings.extend(rules::serve_concurrency(file));
-        }
-        if enabled("port-boundary") && in_port_boundary_scope(&file.path) {
-            findings.extend(rules::port_boundary(file));
-        }
-        // Scoped by content, not path: it fires wherever a doc block
-        // advertises a SWAR/SIMD implementation. The lint harness is exempt —
-        // its docs *mention* SWAR (rules about scans) without implementing one.
-        if enabled("simd-fallback") && !file.path.starts_with("crates/xtask/src") {
-            findings.extend(rules::simd_fallback(file));
         }
     }
 
@@ -201,73 +158,6 @@ pub fn run_lint(root: &Path, only: Option<&BTreeSet<String>>) -> io::Result<Vec<
         }
     }
 
-    if enabled("errcode-catalog") {
-        let catalog = sources
-            .iter()
-            .find(|f| f.path == "crates/raslog/src/catalog.rs");
-        // The classifier keys decisions on code names, and the simulator
-        // emits records by name — both must agree with the catalog.
-        let classify: Vec<&SourceFile> = sources
-            .iter()
-            .filter(|f| {
-                f.path.starts_with("crates/core/src/classify/")
-                    || f.path.starts_with("crates/bgp-sim/src/")
-            })
-            .collect();
-        match catalog {
-            Some(cat) => findings.extend(rules::errcode_catalog(cat, &classify)),
-            None => findings.push(Finding {
-                rule: "errcode-catalog",
-                path: "crates/raslog/src/catalog.rs".to_owned(),
-                line: 0,
-                message: "catalog source not found".to_owned(),
-            }),
-        }
-    }
-
-    if enabled("snapshot-version") {
-        for &(record_path, struct_name, snap_path) in SNAPSHOT_PAIRS {
-            let record = sources.iter().find(|f| f.path == record_path);
-            let snap = sources.iter().find(|f| f.path == snap_path);
-            match (record, snap) {
-                (Some(r), Some(s)) => findings.extend(rules::snapshot_version(r, struct_name, s)),
-                _ => findings.push(Finding {
-                    rule: "snapshot-version",
-                    path: record_path.to_owned(),
-                    line: 0,
-                    message: format!(
-                        "expected sources `{record_path}` and `{snap_path}` not both found"
-                    ),
-                }),
-            }
-        }
-    }
-
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(findings)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn port_boundary_scope_exempts_only_the_parsers_and_the_adapter() {
-        for path in [
-            "crates/raslog/src/ingest.rs",
-            "crates/raslog/src/lib.rs",
-            "crates/joblog/src/ingest.rs",
-            "crates/ports/src/bgp.rs",
-        ] {
-            assert!(!in_port_boundary_scope(path), "{path} must be exempt");
-        }
-        for path in [
-            "crates/ports/src/syslog.rs",
-            "crates/core/src/load.rs",
-            "crates/serve/src/source.rs",
-            "src/bin/coctl.rs",
-        ] {
-            assert!(in_port_boundary_scope(path), "{path} must be governed");
-        }
-    }
 }

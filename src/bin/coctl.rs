@@ -451,7 +451,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let cfg = ServeConfig::from_args(args).map_err(|e| CliError::Usage(e.to_string()))?;
     bgp_serve::run(&cfg, &mut std::io::stdout()).map_err(|e| match e {
         ServeError::Config(_) => CliError::Usage(e.to_string()),
-        other => CliError::Io(other.to_string()),
+        other @ (ServeError::Bind { .. }
+        | ServeError::Impact { .. }
+        | ServeError::Io(_)
+        | ServeError::Spawn(_)
+        | ServeError::QueueClosed) => CliError::Io(other.to_string()),
     })?;
     Ok(())
 }

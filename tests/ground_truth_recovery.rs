@@ -64,7 +64,7 @@ fn root_cause_classification_is_mostly_correct() {
                 FaultNature::ApplicationError => RootCause::ApplicationError,
                 // Transients and system failures are both "the system's
                 // side" for root-cause purposes.
-                _ => RootCause::SystemFailure,
+                FaultNature::SystemFailure | FaultNature::Transient => RootCause::SystemFailure,
             };
             total += 1;
             if classified == expected {

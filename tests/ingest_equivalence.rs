@@ -109,6 +109,10 @@ fn texts() -> (&'static String, &'static String) {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the adapter-equivalence oracle compares against the raw parser"
+)]
 fn ras_fallback_rewrites_parse_to_the_same_record() {
     for r in fixture().records.iter().take(500) {
         let line = raslog::format_record(r);
@@ -121,6 +125,10 @@ fn ras_fallback_rewrites_parse_to_the_same_record() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the adapter-equivalence oracle compares against the raw parser"
+)]
 fn ras_parallel_ingest_matches_serial_reader_at_scale() {
     let (ras_text, _) = texts();
     let (serial_records, serial_errors) = RasReader::new(ras_text.as_bytes()).read_tolerant();
@@ -157,6 +165,10 @@ fn ras_parallel_ingest_matches_serial_reader_at_scale() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the adapter-equivalence oracle compares against the raw parser"
+)]
 fn job_parallel_ingest_matches_serial_reader_at_scale() {
     let (_, job_text) = texts();
     let (serial_jobs, serial_errors) = JobReader::new(job_text.as_bytes()).read_tolerant();
@@ -175,6 +187,10 @@ fn job_parallel_ingest_matches_serial_reader_at_scale() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the adapter-equivalence oracle compares against the raw parser"
+)]
 fn strict_parse_reports_the_first_error_like_the_serial_reader() {
     let (ras_text, job_text) = texts();
     let serial = RasReader::new(ras_text.as_bytes())
@@ -359,7 +375,13 @@ fn prepare_cache(
                 reason
             })
         }
-        _ => None,
+        CacheState::Disabled
+        | CacheState::Miss
+        | CacheState::Hit
+        | CacheState::FatalHit
+        | CacheState::FatalOnly
+        | CacheState::FatalCorrupt
+        | CacheState::FatalStale => None,
     };
     std::fs::write(&snap, bytes).unwrap();
     (opts, reason)
@@ -500,7 +522,14 @@ fn assert_fatal_snapshot(
             bytes[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
             std::fs::write(&fatal, bytes).unwrap();
         }
-        _ => {}
+        CacheState::Disabled
+        | CacheState::Miss
+        | CacheState::Hit
+        | CacheState::StaleHash
+        | CacheState::CorruptNonFatal
+        | CacheState::FatalHit
+        | CacheState::FatalCorrupt
+        | CacheState::FatalStale => {}
     }
 
     let (projected, _) = load::load_pair(&ras_path, &job_path, &opts).unwrap();
