@@ -25,7 +25,7 @@ use coanalysis::event::Event;
 use coanalysis::matching::{EventCase, EventMatch, Matcher, Matching};
 use joblog::{JobRecord, ProjectId, UserId};
 use raslog::ErrCode;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The pre-sweep matcher: per event, a machine-wide `ended_in_window`
 /// scan filtered by footprint overlap, and an `O(n²)` running-job dedup.
@@ -81,7 +81,7 @@ pub fn match_events(matcher: &Matcher, events: &[Event], ctx: &AnalysisContext<'
 
     // Keep only the best attribution per job, and drop victims that a
     // closer event claimed.
-    let job_to_event: HashMap<u64, usize> = best.into_iter().map(|(j, (i, _))| (j, i)).collect();
+    let job_to_event: BTreeMap<u64, usize> = best.into_iter().map(|(j, (i, _))| (j, i)).collect();
     for (i, m) in per_event.iter_mut().enumerate() {
         m.victims.retain(|j| job_to_event.get(j) == Some(&i));
         if m.victims.is_empty() && m.case == EventCase::Interrupted {

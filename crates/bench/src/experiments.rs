@@ -803,7 +803,7 @@ impl Experiments {
     pub fn checkpoint(&self) -> String {
         use coanalysis::analysis::checkpoint::standard_study;
         use coanalysis::classify::RootCause;
-        let causes: std::collections::HashMap<u64, RootCause> = self
+        let causes: std::collections::BTreeMap<u64, RootCause> = self
             .result
             .matching
             .job_to_event

@@ -94,6 +94,10 @@ pub fn line_chunks(data: &[u8], chunks: usize) -> Vec<&[u8]> {
 ///
 /// Single-chunk inputs run inline on the caller's thread. A panicking worker
 /// is re-raised on the caller, mirroring the stage-graph fork-join point.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the kernels' fork-join helper: one thread per chunk, results in input order"
+)]
 pub fn map_chunks_parallel<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

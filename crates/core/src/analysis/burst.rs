@@ -4,7 +4,7 @@
 use crate::context::AnalysisContext;
 use bgp_model::{Duration, Timestamp};
 use joblog::JobRecord;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Burst statistics over the interrupted-job population.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +46,7 @@ impl BurstAnalysis {
         }
 
         // Group interruptions per executable, in time order.
-        let mut per_exec: HashMap<joblog::ExecId, Vec<Timestamp>> = HashMap::new();
+        let mut per_exec: BTreeMap<joblog::ExecId, Vec<Timestamp>> = BTreeMap::new();
         for j in victims {
             per_exec.entry(j.exec).or_default().push(j.end_time);
         }
@@ -61,8 +61,7 @@ impl BurstAnalysis {
 
         // Longest consecutive-interruption run per executable: consecutive
         // submissions of the executable that all got interrupted.
-        let interrupted_ids: std::collections::HashSet<u64> =
-            victims.iter().map(|j| j.job_id).collect();
+        let interrupted_ids: BTreeSet<u64> = victims.iter().map(|j| j.job_id).collect();
         let mut max_run = 0usize;
         for (_, group) in ctx.exec_groups() {
             let mut run = 0usize;

@@ -25,7 +25,7 @@
 
 use crate::classify::root_cause::RootCause;
 use joblog::{ExecId, JobLog, JobRecord};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A checkpointing policy to replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,7 +84,7 @@ pub struct CheckpointStudy<'a> {
     /// The job log.
     pub jobs: &'a JobLog,
     /// job id → cause for interrupted jobs.
-    pub causes: &'a HashMap<u64, RootCause>,
+    pub causes: &'a BTreeMap<u64, RootCause>,
     /// Seconds one checkpoint takes (its cost in wall time × nodes).
     pub checkpoint_cost_secs: f64,
 }
@@ -95,7 +95,7 @@ impl CheckpointStudy<'_> {
         // Executables with any application-error interruption in the log —
         // the "history" the informed policy reacts to. (Offline stand-in
         // for the online history a scheduler would track.)
-        let app_history: HashSet<ExecId> = self
+        let app_history: BTreeSet<ExecId> = self
             .causes
             .iter()
             .filter(|&(_, &c)| c == RootCause::ApplicationError)
@@ -149,7 +149,7 @@ impl CheckpointStudy<'_> {
         &self,
         policy: CheckpointPolicy,
         job: &JobRecord,
-        app_history: &HashSet<ExecId>,
+        app_history: &BTreeSet<ExecId>,
     ) -> Plan {
         match policy {
             CheckpointPolicy::None => Plan::Never,
@@ -196,7 +196,7 @@ enum Plan {
 /// derived from the measured system MTTI.
 pub fn standard_study(
     jobs: &JobLog,
-    causes: &HashMap<u64, RootCause>,
+    causes: &BTreeMap<u64, RootCause>,
     mtti_secs: f64,
     checkpoint_cost_secs: f64,
     wide_threshold: u32,
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn no_checkpoint_loses_whole_runs() {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 10_000, 1), job(2, 2, 10_000, 1)]);
-        let mut causes = HashMap::new();
+        let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
         let study = CheckpointStudy {
             jobs: &jobs,
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn periodic_bounds_loss_but_pays_overhead() {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 10_000, 1), job(2, 2, 10_000, 1)]);
-        let mut causes = HashMap::new();
+        let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
         let study = CheckpointStudy {
             jobs: &jobs,
@@ -287,7 +287,7 @@ mod tests {
         // periodic pays overhead on all of them.
         let jobs: Vec<JobRecord> = (0..1000).map(|i| job(i, i as u32, 1_800, 1)).collect();
         let jobs = JobLog::from_jobs(jobs);
-        let causes = HashMap::new();
+        let causes = BTreeMap::new();
         let study = CheckpointStudy {
             jobs: &jobs,
             causes: &causes,
@@ -309,7 +309,7 @@ mod tests {
         // Exec 7 has an app-error interruption on job 1; job 2 (same exec,
         // long run) gets its first checkpoint only after the first hour.
         let jobs = JobLog::from_jobs(vec![job(1, 7, 600, 1), job(2, 7, 20_000, 1)]);
-        let mut causes = HashMap::new();
+        let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::ApplicationError);
         let study = CheckpointStudy {
             jobs: &jobs,
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn standard_study_produces_three_policies() {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 50_000, 64), job(2, 2, 400, 1)]);
-        let mut causes = HashMap::new();
+        let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
         let outcomes = standard_study(&jobs, &causes, 100_000.0, 300.0, 32);
         assert_eq!(outcomes.len(), 3);

@@ -10,7 +10,7 @@ use crate::context::AnalysisContext;
 use crate::event::Event;
 use crate::matching::Matching;
 use raslog::ErrCode;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Spatial/temporal propagation statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +20,7 @@ pub struct PropagationAnalysis {
     /// Total interrupting (case-1) events.
     pub interrupting_events: usize,
     /// The codes responsible for spatial propagation, with event counts.
-    pub spatial_codes: HashMap<ErrCode, usize>,
+    pub spatial_codes: BTreeMap<ErrCode, usize>,
     /// Events flagged as temporal (job-related) chains by the filter.
     pub temporal_chain_events: usize,
 }
@@ -38,7 +38,7 @@ impl PropagationAnalysis {
         assert_eq!(events.len(), matching.per_event.len());
         let mut spatial_events = 0usize;
         let mut interrupting_events = 0usize;
-        let mut spatial_codes: HashMap<ErrCode, usize> = HashMap::new();
+        let mut spatial_codes: BTreeMap<ErrCode, usize> = BTreeMap::new();
         for (e, m) in events.iter().zip(&matching.per_event) {
             if m.victims.is_empty() {
                 continue;

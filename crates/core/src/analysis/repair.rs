@@ -21,7 +21,7 @@ use crate::matching::Matching;
 use bgp_model::{MidplaneId, Timestamp};
 use joblog::JobLog;
 use raslog::ErrCode;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One reconstructed outage episode.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +67,7 @@ pub fn reconstruct_outages(
     assert_eq!(events.len(), matching.per_event.len());
     // Gather interrupting events per (code, midplane) in time order (events
     // are already time-sorted).
-    let mut streams: HashMap<(ErrCode, u8), Vec<(Timestamp, usize)>> = HashMap::new();
+    let mut streams: BTreeMap<(ErrCode, u8), Vec<(Timestamp, usize)>> = BTreeMap::new();
     for (e, m) in events.iter().zip(&matching.per_event) {
         if m.victims.is_empty() {
             continue;

@@ -17,7 +17,7 @@
 use crate::event::Event;
 use crate::matching::{EventCase, Matching};
 use raslog::ErrCode;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The per-code impact verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,7 +44,7 @@ impl CodeImpact {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImpactSummary {
     /// Verdict per error code (codes with at least one event).
-    pub per_code: HashMap<ErrCode, CodeImpact>,
+    pub per_code: BTreeMap<ErrCode, CodeImpact>,
     /// Post-filter events belonging to non-fatal codes — the "so-called
     /// fatal events that do not really impact user jobs".
     pub nonfatal_events: usize,
@@ -81,7 +81,7 @@ pub fn classify_impact(events: &[Event], matching: &Matching) -> ImpactSummary {
         idle: usize,
         survived: usize,
     }
-    let mut per_code_cases: HashMap<ErrCode, Cases> = HashMap::new();
+    let mut per_code_cases: BTreeMap<ErrCode, Cases> = BTreeMap::new();
     for (e, m) in events.iter().zip(&matching.per_event) {
         let c = per_code_cases.entry(e.errcode).or_default();
         match m.case {
@@ -90,7 +90,7 @@ pub fn classify_impact(events: &[Event], matching: &Matching) -> ImpactSummary {
             EventCase::NotInterrupted => c.survived += 1,
         }
     }
-    let per_code: HashMap<ErrCode, CodeImpact> = per_code_cases
+    let per_code: BTreeMap<ErrCode, CodeImpact> = per_code_cases
         .iter()
         .map(|(&code, c)| {
             let verdict = match (c.interrupted > 0, c.survived > 0) {

@@ -19,7 +19,7 @@ use crate::context::AnalysisContext;
 use crate::event::Event;
 use crate::matching::Matching;
 use raslog::ErrCode;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Below this many codes per thread the per-code loops run serially:
 /// spawning a worker costs more than classifying a handful of codes, and
@@ -53,7 +53,7 @@ pub enum RootCauseRule {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RootCauseSummary {
     /// Verdict and the rule that decided it, per code.
-    pub per_code: HashMap<ErrCode, (RootCause, RootCauseRule)>,
+    pub per_code: BTreeMap<ErrCode, (RootCause, RootCauseRule)>,
 }
 
 impl RootCauseSummary {
@@ -208,21 +208,14 @@ pub fn classify_root_cause_with_threads(
         // (too short, NaN, zero variance) are not centered at all, so
         // pairs involving them are skipped exactly where the `pearson`
         // errors used to be — the surviving correlations are bit-identical.
-        let centered: HashMap<ErrCode, Centered> = profiles
+        let centered: BTreeMap<ErrCode, Centered> = profiles
             .iter()
             .filter_map(|(&c, v)| center(v).map(|cen| (c, cen)))
             .collect();
-        let mut labeled: Vec<(ErrCode, RootCause)> = summary
+        let labeled_profiles: Vec<(RootCause, &Centered)> = summary
             .per_code
             .iter()
-            .map(|(&c, &(cause, _))| (c, cause))
-            .collect();
-        // Deterministic order so equal correlations always pick the same
-        // winner (HashMap iteration order must not leak into results).
-        labeled.sort_by_key(|&(c, _)| c);
-        let labeled_profiles: Vec<(RootCause, &Centered)> = labeled
-            .iter()
-            .filter_map(|&(other, cause)| centered.get(&other).map(|q| (cause, q)))
+            .filter_map(|(other, &(cause, _))| centered.get(other).map(|q| (cause, q)))
             .collect();
         let fallback_one = |code: ErrCode| {
             let mut best: Option<(f64, RootCause)> = None;
@@ -420,8 +413,8 @@ fn center(xs: &[f64]) -> Option<Centered> {
 /// The span bounds are computed over the whole stream (not `first`/`last`),
 /// so an unsorted stream cannot index a day outside the vectors; for the
 /// pipeline's time-sorted streams the result is unchanged.
-fn daily_profiles(events: &[Event]) -> HashMap<ErrCode, Vec<f64>> {
-    let mut out: HashMap<ErrCode, Vec<f64>> = HashMap::new();
+fn daily_profiles(events: &[Event]) -> BTreeMap<ErrCode, Vec<f64>> {
+    let mut out: BTreeMap<ErrCode, Vec<f64>> = BTreeMap::new();
     let Some(t0) = events.iter().map(|e| e.time).min() else {
         return out;
     };

@@ -10,7 +10,8 @@
 //!   `(ErrCode, Range)` slices into it, sorted by [`ErrCode`] so parallel
 //!   filtering has a deterministic shard → thread assignment without
 //!   duplicating every event;
-//! * a **job-id index** making job lookup O(1) instead of a linear scan;
+//! * a **job-id index** (row ids sorted by job id) making job lookup a
+//!   binary search instead of a linear scan;
 //! * **executable groups** (the paper's "distinct job" notion), sorted by
 //!   [`ExecId`] with each group in submission order;
 //! * a **per-midplane job-termination index** (end-time-sorted ranks) that
@@ -28,7 +29,6 @@ use crate::event::Event;
 use bgp_model::{Duration, MidplaneId, Timestamp};
 use joblog::{ExecId, JobLog, JobRecord};
 use raslog::{ErrCode, RasLog, RasRecord};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -319,7 +319,9 @@ pub struct AnalysisContext<'a> {
     /// per-code shards, so no event is ever stored twice.
     code_events: Vec<Event>,
     code_slices: Vec<(ErrCode, Range<usize>)>,
-    job_index: HashMap<u64, u32>,
+    /// `(job_id, row)` for every row of the job table, stably sorted by
+    /// job id, so a duplicated id's rows stay in table order.
+    job_index: Vec<(u64, u32)>,
     exec_groups: Vec<(ExecId, Vec<&'a JobRecord>)>,
     span: Option<(Timestamp, Timestamp)>,
     /// Interned job-dimension columns for the FDA lattice, built lazily on
@@ -372,20 +374,20 @@ impl<'a> AnalysisContext<'a> {
             span,
         } = store;
 
-        let mut job_index = HashMap::with_capacity(jobs.len());
-        for (i, j) in jobs.jobs().iter().enumerate() {
-            job_index.insert(j.job_id, i as u32);
-        }
+        let mut job_index: Vec<(u64, u32)> = jobs
+            .jobs()
+            .iter()
+            .enumerate()
+            .map(|(i, j)| (j.job_id, i as u32))
+            .collect();
+        job_index.sort_by_key(|&(id, _)| id);
 
-        let mut groups: HashMap<ExecId, Vec<&'a JobRecord>> = HashMap::new();
-        for j in jobs.jobs() {
-            groups.entry(j.exec).or_default().push(j);
-        }
-        let mut exec_groups: Vec<(ExecId, Vec<&'a JobRecord>)> = groups.into_iter().collect();
-        exec_groups.sort_by_key(|(exec, _)| *exec);
-        for (_, group) in &mut exec_groups {
-            group.sort_by_key(|j| (j.queue_time, j.job_id));
-        }
+        let mut by_exec: Vec<&'a JobRecord> = jobs.jobs().iter().collect();
+        by_exec.sort_by_key(|j| (j.exec, j.queue_time, j.job_id));
+        let exec_groups: Vec<(ExecId, Vec<&'a JobRecord>)> = by_exec
+            .chunk_by(|a, b| a.exec == b.exec)
+            .map(|group| (group[0].exec, group.to_vec()))
+            .collect();
 
         AnalysisContext {
             jobs,
@@ -495,12 +497,17 @@ impl<'a> AnalysisContext<'a> {
         self.jobs.len()
     }
 
-    /// Look up a job by id — O(1), unlike [`JobLog::by_job_id`]'s scan.
+    /// Look up a job by id — a binary search, unlike [`JobLog::by_job_id`]'s
+    /// scan. A duplicated id resolves to its *last* row in
+    /// [`AnalysisContext::job_records`], where `by_job_id` returns the first.
     pub fn job(&self, job_id: u64) -> Option<&'a JobRecord> {
         self.note(CtxIndex::Jobs);
-        self.job_index
-            .get(&job_id)
-            .and_then(|&i| self.jobs.jobs().get(i as usize))
+        let end = self.job_index.partition_point(|&(id, _)| id <= job_id);
+        let &(_, row) = self
+            .job_index
+            .get(end.checked_sub(1)?)
+            .filter(|&&(id, _)| id == job_id)?;
+        self.jobs.jobs().get(row as usize)
     }
 
     /// Index (into [`AnalysisContext::job_records`]) of a record borrowed
@@ -644,6 +651,38 @@ mod tests {
         assert!(ctx.job(42).is_none());
         assert_eq!(ctx.job_count(), 3);
         assert_eq!(ctx.job_records().len(), 3);
+    }
+
+    #[test]
+    fn duplicate_job_ids_resolve_to_the_last_row() {
+        // Job 5 appears twice, on different executables; job 8 twice with
+        // the same executable and queue time. `ctx.job` answers with the
+        // last row of the start-sorted table, `JobLog::by_job_id` with the
+        // first.
+        let jobs = JobLog::from_jobs(vec![
+            job(5, 1, 100, 500, "R00-M0"),
+            job(5, 2, 300, 900, "R00-M1"),
+            job(8, 3, 400, 600, "R01-M0"),
+            job(8, 3, 400, 700, "R01-M1"),
+            job(6, 3, 400, 800, "R02-M0"),
+        ]);
+        let ctx = AnalysisContext::for_jobs(&jobs);
+        let last = |id: u64| jobs.jobs().iter().rev().find(|j| j.job_id == id);
+        assert_eq!(ctx.job(5).map(|j| j.exec), Some(ExecId(2)));
+        assert_eq!(ctx.job(5), last(5));
+        assert_eq!(jobs.by_job_id(5).map(|j| j.exec), Some(ExecId(1)));
+        assert_eq!(ctx.job(8).map(|j| j.end_time.as_unix()), Some(700));
+        assert_eq!(jobs.by_job_id(8).map(|j| j.end_time.as_unix()), Some(600));
+        // Within a group, queue-time ties order by job id, and rows that
+        // tie on both keep their table order.
+        let groups = ctx.exec_groups();
+        assert_eq!(groups.len(), 3);
+        let exec3: Vec<(u64, i64)> = groups[2]
+            .1
+            .iter()
+            .map(|j| (j.job_id, j.end_time.as_unix()))
+            .collect();
+        assert_eq!(exec3, vec![(6, 800), (8, 600), (8, 700)]);
     }
 
     #[test]

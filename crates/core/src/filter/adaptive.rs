@@ -18,7 +18,7 @@ use crate::event::Event;
 use crate::filter::TemporalFilter;
 use bgp_model::Duration;
 use raslog::ErrCode;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Temporal filter with per-code thresholds learned from the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,12 +48,12 @@ impl AdaptiveTemporalFilter {
     /// and split at the largest jump in log-space between consecutive gap
     /// values; the threshold is the geometric mean of the two sides of the
     /// split. Codes with < 4 usable gaps fall back to `fallback`.
-    pub fn learn(&self, events: &[Event]) -> HashMap<ErrCode, Duration> {
+    pub fn learn(&self, events: &[Event]) -> BTreeMap<ErrCode, Duration> {
         // Per (code, location) gap samples — temporal filtering is a
         // same-location notion.
-        let mut last_seen: HashMap<(ErrCode, bgp_model::Location), bgp_model::Timestamp> =
-            HashMap::new();
-        let mut gaps: HashMap<ErrCode, Vec<f64>> = HashMap::new();
+        let mut last_seen: BTreeMap<(ErrCode, bgp_model::Location), bgp_model::Timestamp> =
+            BTreeMap::new();
+        let mut gaps: BTreeMap<ErrCode, Vec<f64>> = BTreeMap::new();
         for e in events {
             if let Some(prev) = last_seen.insert((e.errcode, e.location), e.time) {
                 let dt = (e.time - prev).as_secs();
@@ -103,8 +103,8 @@ impl AdaptiveTemporalFilter {
         let thresholds = self.learn(events);
         // Same rolling-window semantics as the fixed filter, but the window
         // length depends on the event's code.
-        let mut last: HashMap<(ErrCode, bgp_model::Location), (usize, bgp_model::Timestamp)> =
-            HashMap::new();
+        let mut last: BTreeMap<(ErrCode, bgp_model::Location), (usize, bgp_model::Timestamp)> =
+            BTreeMap::new();
         let mut out: Vec<Event> = Vec::new();
         for e in events {
             let threshold = thresholds.get(&e.errcode).copied().unwrap_or(self.fallback);

@@ -18,7 +18,7 @@
 use crate::event::Event;
 use bgp_model::Duration;
 use raslog::ErrCode;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A learned causal rule: `consequence` follows `cause`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,8 +57,8 @@ impl Default for CausalFilter {
 impl CausalFilter {
     /// Learn rules from a time-sorted event stream.
     pub fn learn(&self, events: &[Event]) -> Vec<CausalRule> {
-        let mut pair_counts: HashMap<(ErrCode, ErrCode), usize> = HashMap::new();
-        let mut cause_counts: HashMap<ErrCode, usize> = HashMap::new();
+        let mut pair_counts: BTreeMap<(ErrCode, ErrCode), usize> = BTreeMap::new();
+        let mut cause_counts: BTreeMap<ErrCode, usize> = BTreeMap::new();
         for e in events {
             *cause_counts.entry(e.errcode).or_insert(0) += 1;
         }
@@ -118,7 +118,7 @@ impl CausalFilter {
     /// Contract: input must be time-sorted; output is a subsequence of the
     /// input — only consequence events covered by a rule are dropped.
     pub fn apply(&self, events: &[Event], rules: &[CausalRule]) -> Vec<Event> {
-        let rule_set: std::collections::HashSet<(ErrCode, ErrCode)> =
+        let rule_set: BTreeSet<(ErrCode, ErrCode)> =
             rules.iter().map(|r| (r.cause, r.consequence)).collect();
         let mut absorbed_into: Vec<Option<usize>> = vec![None; events.len()];
         for (i, b) in events.iter().enumerate() {

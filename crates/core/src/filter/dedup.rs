@@ -11,8 +11,7 @@
 //! batch/stream equivalence structural rather than coincidental.
 
 use bgp_model::{Duration, Timestamp};
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// What to do with one observed record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,15 +32,15 @@ pub enum DedupDecision {
 #[derive(Debug, Clone)]
 pub struct DedupWindow<K> {
     threshold: Duration,
-    last: HashMap<K, (u32, Timestamp)>,
+    last: BTreeMap<K, (u32, Timestamp)>,
 }
 
-impl<K: Eq + Hash> DedupWindow<K> {
+impl<K: Ord> DedupWindow<K> {
     /// An empty window with the given merge threshold.
     pub fn new(threshold: Duration) -> DedupWindow<K> {
         DedupWindow {
             threshold,
-            last: HashMap::new(),
+            last: BTreeMap::new(),
         }
     }
 

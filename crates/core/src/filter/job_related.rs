@@ -23,7 +23,7 @@ use crate::event::Event;
 use crate::matching::Matching;
 use joblog::ExecId;
 use raslog::ErrCode;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Result of job-related filtering.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,9 +69,9 @@ impl JobRelatedFilter {
         let mut root: Vec<usize> = (0..events.len()).collect();
 
         // Rule 1: same (code, midplane) chains with no clean run between.
-        let mut last_at: HashMap<(ErrCode, u8), usize> = HashMap::new();
+        let mut last_at: BTreeMap<(ErrCode, u8), usize> = BTreeMap::new();
         // Rule 2: earliest interrupting event per (code, victim executable).
-        let mut seen_exec: HashMap<(ErrCode, ExecId), usize> = HashMap::new();
+        let mut seen_exec: BTreeMap<(ErrCode, ExecId), usize> = BTreeMap::new();
 
         for (i, e) in events.iter().enumerate() {
             let victims = &matching.per_event[i].victims;
@@ -126,14 +126,12 @@ impl JobRelatedFilter {
 
         // Merge redundant events into their roots.
         let mut events_out: Vec<Event> = Vec::with_capacity(events.len());
-        let mut out_index: HashMap<usize, usize> = HashMap::new();
+        let mut out_index: Vec<usize> = vec![usize::MAX; events.len()];
         for (i, e) in events.iter().enumerate() {
             if redundant[i] {
-                let r = root[i];
-                let tgt = out_index[&r];
-                events_out[tgt].absorb(e);
+                events_out[out_index[root[i]]].absorb(e);
             } else {
-                out_index.insert(i, events_out.len());
+                out_index[i] = events_out.len();
                 events_out.push(*e);
             }
         }

@@ -30,6 +30,10 @@
 //! println!("{}", result.observations());
 //! ```
 
+// No `HashMap`/`HashSet` here: every key order is fixed by construction
+// (see the root `clippy.toml`).
+#![deny(clippy::disallowed_types)]
+
 pub mod analysis;
 pub mod classify;
 pub mod context;

@@ -452,6 +452,10 @@ impl Source {
     /// the body decodes on this thread while the hash streams on others, and
     /// a hash mismatch outranks any body error. A hash already computed is
     /// compared before the body decodes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "overlaps the source hash with the snapshot decode; the checks keep one fixed order"
+    )]
     fn check<T>(
         &mut self,
         snap_path: &Path,
@@ -599,6 +603,10 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
 /// projected) and then to a full parse that writes the full snapshot, with
 /// exactly [`load_ras`]'s [`SnapshotStatus`]; either way it then writes the
 /// FATAL snapshot (a failed write reports [`SnapshotStatus::WriteFailed`]).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "loads the two independent logs side by side and joins both"
+)]
 pub fn load_pair(
     ras_path: &Path,
     jobs_path: &Path,

@@ -28,7 +28,7 @@ use crate::context::AnalysisContext;
 use crate::event::Event;
 use bgp_model::{Duration, Timestamp};
 use joblog::{JobLog, JobRecord};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The paper's three event-vs-jobs cases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,7 +59,7 @@ pub struct Matching {
     pub per_event: Vec<EventMatch>,
     /// job id → index of the event that interrupted it. A job ending near
     /// two events is attributed to the closest-in-time one.
-    pub job_to_event: HashMap<u64, usize>,
+    pub job_to_event: BTreeMap<u64, usize>,
 }
 
 /// The matcher.
@@ -236,7 +236,7 @@ impl Matcher {
         // Serial reduction: job id → (event index, |end − event time|),
         // best so far. Iterating in event order with a strict `<` on the
         // distance reproduces the serial tie-break (earlier event wins).
-        let mut best: HashMap<u64, (usize, i64)> = HashMap::new();
+        let mut best: BTreeMap<u64, (usize, i64)> = BTreeMap::new();
         for (i, (e, m)) in events.iter().zip(&per_event).enumerate() {
             for &job_id in &m.victims {
                 let Some(end) = ctx.job(job_id).map(|j| j.end_time) else {
@@ -254,7 +254,7 @@ impl Matcher {
 
         // Keep only the best attribution per job, and drop victims that a
         // closer event claimed.
-        let job_to_event: HashMap<u64, usize> =
+        let job_to_event: BTreeMap<u64, usize> =
             best.into_iter().map(|(j, (i, _))| (j, i)).collect();
         for (i, m) in per_event.iter_mut().enumerate() {
             m.victims.retain(|j| job_to_event.get(j) == Some(&i));

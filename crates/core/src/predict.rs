@@ -170,11 +170,11 @@ pub fn evaluate_policies(
 /// This is the quantity a fault-aware scheduler (Section VII) could have
 /// saved.
 pub fn chain_guard(events: &[Event], matching: &Matching) -> (usize, usize) {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     // For each (code, midplane), walk interrupting events in time order;
     // after the first, each subsequent one within the same unbroken chain
     // is a correct prediction.
-    let mut seen: HashMap<(raslog::ErrCode, u8), usize> = HashMap::new();
+    let mut seen: BTreeMap<(raslog::ErrCode, u8), usize> = BTreeMap::new();
     let mut predictions = 0usize;
     let mut hits = 0usize;
     for (e, m) in events.iter().zip(&matching.per_event) {
@@ -273,14 +273,14 @@ impl PrecursorPredictor {
         matching: &Matching,
     ) -> PrecursorScore {
         use raslog::Severity;
-        use std::collections::HashMap;
+        use std::collections::{BTreeMap, BTreeSet};
         let warn_codes: Vec<raslog::ErrCode> = PRECURSOR_CODES
             .iter()
             .filter_map(|n| raslog::Catalog::standard().lookup(n))
             .collect();
 
         // Per-midplane warning times.
-        let mut warns: HashMap<u8, Vec<bgp_model::Timestamp>> = HashMap::new();
+        let mut warns: BTreeMap<u8, Vec<bgp_model::Timestamp>> = BTreeMap::new();
         for r in ras.records() {
             if r.severity == Severity::Warning && warn_codes.contains(&r.errcode) {
                 for m in r.location.touched_midplanes() {
@@ -291,7 +291,7 @@ impl PrecursorPredictor {
 
         // Alerts: sliding-window threshold crossings with a cooldown of one
         // horizon (one alert per episode).
-        let mut alerts: HashMap<u8, Vec<bgp_model::Timestamp>> = HashMap::new();
+        let mut alerts: BTreeMap<u8, Vec<bgp_model::Timestamp>> = BTreeMap::new();
         for (&mp, times) in &warns {
             let mut lo = 0usize;
             let mut last_alert: Option<bgp_model::Timestamp> = None;
@@ -309,7 +309,7 @@ impl PrecursorPredictor {
         }
 
         // Interrupting events per midplane.
-        let mut targets: HashMap<u8, Vec<bgp_model::Timestamp>> = HashMap::new();
+        let mut targets: BTreeMap<u8, Vec<bgp_model::Timestamp>> = BTreeMap::new();
         let mut interrupting_events = 0usize;
         for (e, m) in events.iter().zip(&matching.per_event) {
             if m.case == EventCase::Interrupted {
@@ -325,7 +325,7 @@ impl PrecursorPredictor {
         let mut hits = 0usize;
         let mut total_alerts = 0usize;
         let mut leads: Vec<i64> = Vec::new();
-        let mut predicted: std::collections::HashSet<(u8, i64)> = std::collections::HashSet::new();
+        let mut predicted: BTreeSet<(u8, i64)> = BTreeSet::new();
         for (&mp, alert_times) in &alerts {
             total_alerts += alert_times.len();
             let Some(event_times) = targets.get(&mp) else {
@@ -426,7 +426,7 @@ mod tests {
         let (events, matching, impact) = scenario();
         let scores = evaluate_policies(&events, &matching, &impact);
         assert_eq!(scores.len(), 3);
-        let by_name: std::collections::HashMap<&str, &PolicyScore> =
+        let by_name: std::collections::BTreeMap<&str, &PolicyScore> =
             scores.iter().map(|s| (s.policy.name(), s)).collect();
         let sev = by_name["severity-only"];
         let imp = by_name["impact-filtered"];

@@ -870,6 +870,10 @@ pub(crate) fn execute(
 /// Results come back in item order regardless of thread count, and a panic
 /// in any worker is re-raised on the calling thread with its original
 /// payload.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pipeline's fork-join helper: fixed chunk -> thread assignment, results in item order"
+)]
 pub(crate) fn fork_join<T, R, F>(items: &[T], threads: usize, f: &F) -> Vec<R>
 where
     T: Sync,

@@ -1,20 +1,21 @@
 //! # `xtask` — the workspace's static-analysis harness
 //!
 //! Invoked as `cargo xtask lint` (the alias lives in `.cargo/config.toml`),
-//! this crate enforces the three *domain* invariants that neither `rustc`,
+//! this crate enforces the two *domain* invariants that neither `rustc`,
 //! `clippy` nor an ordinary test can hold:
 //!
 //! * **Structure** — pipeline stages document their input/output contract
 //!   (`stage-contract`).
-//! * **Concurrency** — parallel kernels never let hash order reach a result
-//!   (`parallel-determinism`), and the serve daemon never holds a lock
-//!   across blocking I/O (`serve-concurrency`).
+//! * **Concurrency** — the serve daemon never holds a lock across blocking
+//!   I/O (`serve-concurrency`).
 //!
 //! What the compiler can check, it checks instead. The root `clippy.toml`
 //! bans ambient clocks, the raw `raslog`/`joblog` parser entry points
-//! outside their sanctioned call sites, and unbounded queues
-//! (`disallowed-methods`). The `[lints]` tables of the manifests set
-//! `unsafe_code`, `missing_docs`, duplicate dependency versions and
+//! outside their sanctioned call sites, unbounded queues and threads forked
+//! outside the two fork-join helpers (`disallowed-methods`), and hash
+//! containers in `coanalysis`, whose key order must be fixed by
+//! construction (`disallowed-types`). The `[lints]` tables of the manifests
+//! set `unsafe_code`, `missing_docs`, duplicate dependency versions and
 //! `wildcard_enum_match_arm`. What a test can check, a test checks: the
 //! snapshot and cassette layouts are golden bytes
 //! (`tests/snapshot_golden.rs`), and every code name the simulator and the
@@ -25,7 +26,6 @@
 //! See `DESIGN.md` § "Static analysis & invariants" for the full catalog and
 //! the policy for adding rules.
 
-pub mod hashmodel;
 pub mod rules;
 pub mod source;
 pub mod syntax;

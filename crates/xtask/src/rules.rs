@@ -11,14 +11,11 @@
 //! | id | enforces |
 //! |----|----------|
 //! | `stage-contract` | public pipeline stage fns and `StageId` variants document their contract |
-//! | `parallel-determinism` | no hash-ordered iteration or FP reduction feeding kernel results; no unsanctioned thread spawns |
 //! | `serve-concurrency` | no Mutex guard held across blocking I/O in `crates/serve` |
 //!
-//! `parallel-determinism` and `serve-concurrency` are token-tree rules: they
-//! parse delimiter trees and call chains via [`crate::syntax`] (plus the
-//! workspace [`crate::hashmodel`]), rather than matching single lines.
+//! `serve-concurrency` is a token-tree rule: it parses delimiter trees and
+//! `let` bindings via [`crate::syntax`], rather than matching single lines.
 
-use crate::hashmodel::{self, HashModel};
 use crate::source::SourceFile;
 use crate::syntax::{self, Syntax, Tree};
 use std::collections::BTreeSet;
@@ -61,10 +58,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "stage-contract",
         summary: "public pipeline stage entry points and `StageId` variants document their input/output contract (a `Contract:` doc line)",
-    },
-    RuleInfo {
-        id: "parallel-determinism",
-        summary: "parallel kernels never let HashMap/HashSet iteration order or FP accumulation order reach results, and spawn threads only via the sanctioned scope helpers",
     },
     RuleInfo {
         id: "serve-concurrency",
@@ -155,252 +148,6 @@ fn has_contract_above(file: &SourceFile, lineno: usize) -> bool {
         }
     }
     false
-}
-
-/// Iterator heads that expose a hash container's nondeterministic order.
-const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-];
-
-/// Chain sinks whose value depends on iteration order.
-const ORDER_SINKS: &[&str] = &[
-    "fold",
-    "reduce",
-    "max_by",
-    "max_by_key",
-    "min_by",
-    "min_by_key",
-    "find",
-    "find_map",
-    "position",
-    "last",
-    "next",
-    "for_each",
-    "scan",
-];
-
-/// Chain sinks that are order-insensitive regardless of element type.
-const COMMUTATIVE_SINKS: &[&str] = &["count", "any", "all"];
-
-/// Integer types whose `sum()`/`product()` is order-insensitive.
-const INT_TYPES: &[&str] = &[
-    "i8", "i16", "i32", "i64", "i128", "isize", "u8", "u16", "u32", "u64", "u128", "usize",
-];
-
-/// Collect every `let` binding under `trees`, recursively through nested
-/// blocks and closure bodies.
-fn collect_lets(trees: &[Tree], out: &mut Vec<syntax::LetBinding>) {
-    for stmt in syntax::statements(trees) {
-        // A statement can carry several `let`s: block statements need no
-        // semicolon, so `if … {…} let s = …;` parses as one statement.
-        // Try every top-level `let`; non-binding positions (`if let`)
-        // simply fail to parse.
-        for (i, t) in stmt.iter().enumerate() {
-            if matches!(t, Tree::Leaf(tok) if tok.text == "let") {
-                let tail = stmt.get(i..).unwrap_or_default();
-                if let Some(b) = syntax::LetBinding::from_statement(tail) {
-                    out.push(b);
-                }
-            }
-        }
-    }
-    for t in trees {
-        if let Tree::Group(g) = t {
-            collect_lets(&g.trees, out);
-        }
-    }
-}
-
-/// `parallel-determinism`: the kernels' bit-identity guarantee (every
-/// `matches_baseline` flag in the committed benchmark baseline) holds only
-/// if `HashMap`/`HashSet` iteration order and floating-point accumulation
-/// order never reach results. Hash containers are fine as *keyed stores*;
-/// iterating one is fine when the traversal is order-insensitive (counts),
-/// re-keyed (collected back into a map), or explicitly re-ordered (sorted
-/// after collection). Everything else is a finding. Thread creation outside
-/// the sanctioned scope helpers (`fork_join`, `map_chunks_parallel`) is
-/// denied in the same scope, since ad-hoc threads bypass the deterministic
-/// chunk → thread assignment.
-pub fn parallel_determinism(
-    file: &SourceFile,
-    model: &HashModel,
-    spawn_sanctioned: bool,
-) -> Vec<Finding> {
-    let syntax_tree = Syntax::parse(file);
-    let mut out = Vec::new();
-    let not_test = |line: usize| {
-        !line
-            .checked_sub(1)
-            .and_then(|i| file.lines.get(i))
-            .is_some_and(|l| l.in_test)
-    };
-    if !spawn_sanctioned {
-        let mut found = Vec::new();
-        syntax::calls(&syntax_tree.trees, &mut found);
-        for c in &found {
-            let is_spawn = c.callee == "spawn" || (c.callee == "scope" && c.qualifier == "thread");
-            if is_spawn && not_test(c.line) {
-                out.push(Finding {
-                    rule: "parallel-determinism",
-                    path: file.path.clone(),
-                    line: c.line,
-                    message: "thread creation outside the sanctioned scope helpers \
-                              (`fork_join` / `map_chunks_parallel`); route parallelism \
-                              through them so chunking and result order stay deterministic"
-                        .to_owned(),
-                });
-            }
-        }
-    }
-    for f in syntax_tree.fns() {
-        let Some(body) = f.body else { continue };
-        // Names bound to hash containers in this body's scope: struct
-        // fields (global by name), hash-typed parameters, and locals whose
-        // annotation, constructor, or initializing call is hash-typed.
-        let mut hash_names: BTreeSet<String> = model.hash_fields.clone();
-        if let Some(params) = f.params() {
-            for (name, ty) in syntax::split_params(params) {
-                if hashmodel::is_hash_type(&ty) {
-                    hash_names.insert(name);
-                }
-            }
-        }
-        let mut lets: Vec<syntax::LetBinding> = Vec::new();
-        collect_lets(&body.trees, &mut lets);
-        for b in &lets {
-            let hash_init = hashmodel::is_hash_type(&b.annotation)
-                || b.init.contains("HashMap")
-                || b.init.contains("HashSet")
-                || b.init
-                    .split_whitespace()
-                    .any(|t| model.hash_fns.contains(t));
-            if hash_init {
-                hash_names.insert(b.name.clone());
-            }
-        }
-        let mut chains: Vec<syntax::Chain<'_>> = Vec::new();
-        syntax::chains(&body.trees, &mut chains);
-        for chain in &chains {
-            if !hash_names.contains(&chain.receiver) || !not_test(chain.line) {
-                continue;
-            }
-            let Some(first) = chain.links.first() else {
-                continue;
-            };
-            if !HASH_ITER_METHODS.contains(&first.method.as_str()) {
-                continue;
-            }
-            // The let binding (if any) this chain initializes, for
-            // annotation and sorted-later checks. The receiver opens the
-            // initializer, so it sits on the initializer's first line;
-            // matching by line keeps `let a = m.iter()…` from resolving to
-            // some earlier binding that merely mentions `m`.
-            let binding = lets.iter().find(|b| {
-                b.init_line == chain.line && b.init.split_whitespace().any(|t| t == chain.receiver)
-            });
-            // A chain with no binding is usually a tail expression or
-            // return value: the enclosing fn's return type annotates it.
-            let fallback_annot = if binding.is_none() {
-                f.return_type()
-            } else {
-                String::new()
-            };
-            let sorted_later = |name: &str| {
-                chains.iter().any(|c| {
-                    c.receiver == name && c.links.iter().any(|l| l.method.starts_with("sort"))
-                })
-            };
-            let mut message: Option<(usize, String)> = None;
-            for link in chain.links.get(1..).unwrap_or_default() {
-                let m = link.method.as_str();
-                if m == "collect" {
-                    let fish = &link.turbofish;
-                    let annot = binding
-                        .map(|b| b.annotation.as_str())
-                        .unwrap_or(&fallback_annot);
-                    let keyed = |t: &str| {
-                        hashmodel::is_hash_type(t)
-                            || t.contains("BTreeMap")
-                            || t.contains("BTreeSet")
-                    };
-                    if keyed(fish) || (fish.is_empty() && keyed(annot)) {
-                        break; // re-keyed or ordered container: order restored
-                    }
-                    if binding.is_some_and(|b| sorted_later(&b.name)) {
-                        break; // collected then deterministically sorted
-                    }
-                    message = Some((
-                        link.line,
-                        format!(
-                            "hash-ordered iteration of `{}` is collected into an \
-                             order-sensitive container and never sorted; sort the result \
-                             or collect into a keyed/ordered container",
-                            chain.receiver
-                        ),
-                    ));
-                    break;
-                }
-                if m == "sum" || m == "product" {
-                    let fish = &link.turbofish;
-                    let annot = binding
-                        .map(|b| b.annotation.as_str())
-                        .unwrap_or(&fallback_annot);
-                    let ty = if fish.is_empty() { annot } else { fish };
-                    if INT_TYPES.contains(&ty) {
-                        break; // integer accumulation commutes exactly
-                    }
-                    let what = if ty.starts_with('f') {
-                        "floating-point accumulation order varies with hash order"
-                    } else {
-                        "element type not visible; floats would accumulate in hash order"
-                    };
-                    message = Some((
-                        link.line,
-                        format!(
-                            "`{m}()` over hash-ordered iteration of `{}`: {what}; \
-                             iterate a sorted view or accumulate integers",
-                            chain.receiver
-                        ),
-                    ));
-                    break;
-                }
-                if ORDER_SINKS.contains(&m) {
-                    message = Some((
-                        link.line,
-                        format!(
-                            "`{m}` consumes hash-ordered iteration of `{}`; its result \
-                             depends on HashMap/HashSet iteration order — iterate a \
-                             sorted view instead",
-                            chain.receiver
-                        ),
-                    ));
-                    break;
-                }
-                if COMMUTATIVE_SINKS.contains(&m) {
-                    break; // order-insensitive sink
-                }
-                // Anything else (map/filter/copied/...) transforms the
-                // stream; keep scanning for the sink.
-            }
-            if let Some((line, message)) = message {
-                out.push(Finding {
-                    rule: "parallel-determinism",
-                    path: file.path.clone(),
-                    line,
-                    message,
-                });
-            }
-        }
-    }
-    out
 }
 
 /// Method calls that block on I/O, channels, timers, or other threads.
@@ -647,68 +394,6 @@ mod tests {
         );
     }
 
-    // -- parallel-determinism ---------------------------------------------
-
-    #[test]
-    fn parallel_determinism_fires_on_order_sensitive_hash_iteration() {
-        let f = file(
-            "fn kernel(m: &HashMap<u64, u64>) -> u64 {\n\
-                 let first = m.keys().copied().next();\n\
-                 let v: Vec<u64> = m.values().copied().collect();\n\
-                 let s: f64 = m.values().map(|v| *v as f64).sum();\n\
-                 0\n\
-             }\n",
-        );
-        let found = parallel_determinism(&f, &HashModel::default(), true);
-        assert_eq!(found.len(), 3, "findings: {found:?}");
-        assert!(found.iter().any(|x| x.message.contains("`next`")));
-        assert!(found.iter().any(|x| x.message.contains("never sorted")));
-        assert!(found.iter().any(|x| x.message.contains("floating-point")));
-    }
-
-    #[test]
-    fn parallel_determinism_is_quiet_on_restored_order() {
-        let f = file(
-            "fn kernel(m: &HashMap<u64, u64>, s: &HashSet<u64>) -> u64 {\n\
-                 let rekeyed: HashMap<u64, u64> = m.iter().map(|(k, v)| (*k, *v)).collect();\n\
-                 let fish = m.iter().map(|(k, v)| (*k, *v)).collect::<BTreeMap<u64, u64>>();\n\
-                 let mut sorted: Vec<u64> = s.iter().copied().collect();\n\
-                 sorted.sort_unstable();\n\
-                 let n = s.iter().filter(|x| **x > 0).count();\n\
-                 let total: u64 = m.values().sum();\n\
-                 n as u64 + total\n\
-             }\n",
-        );
-        let found = parallel_determinism(&f, &HashModel::default(), true);
-        assert!(found.is_empty(), "unexpected findings: {found:?}");
-    }
-
-    #[test]
-    fn parallel_determinism_tracks_hash_bindings_and_fields() {
-        // Locals bound from hash constructors and struct fields declared
-        // hash-typed elsewhere both count as hash receivers.
-        let decl = file("struct Index {\n    by_job: HashMap<u64, u64>,\n}\n");
-        let model = hashmodel::hash_model(&[&decl]);
-        let f = file(
-            "fn go(ix: &Index) -> Option<u64> {\n\
-                 let local = HashMap::new();\n\
-                 let a = local.keys().last();\n\
-                 by_job.values().copied().find(|v| *v > 0)\n\
-             }\n",
-        );
-        let found = parallel_determinism(&f, &model, true);
-        assert_eq!(found.len(), 2, "findings: {found:?}");
-    }
-
-    #[test]
-    fn parallel_determinism_fires_on_unsanctioned_spawn() {
-        let f = file("fn go() {\n    std::thread::spawn(move || work());\n}\n");
-        let found = parallel_determinism(&f, &HashModel::default(), false);
-        assert_eq!(found.len(), 1, "findings: {found:?}");
-        assert!(found[0].message.contains("sanctioned"));
-        assert!(parallel_determinism(&f, &HashModel::default(), true).is_empty());
-    }
-
     // -- serve-concurrency ------------------------------------------------
 
     #[test]
@@ -801,26 +486,6 @@ mod tests {
             "mutation anchor `{from}` in {rel}"
         );
         SourceFile::parse(rel, &text.replace(from, to))
-    }
-
-    #[test]
-    fn seeded_hash_order_reduction_is_detected() {
-        // Drop the deterministic re-ordering of the app-error victims: the
-        // collected Vec inherits HashMap iteration order.
-        let rel = "crates/core/src/analysis/vulnerability.rs";
-        let f = mutated(rel, "app_jobs.sort_unstable_by_key(|j| j.job_id);", "");
-        let model = hashmodel::hash_model(&[&f]);
-        let found = parallel_determinism(&f, &model, false);
-        assert!(
-            found
-                .iter()
-                .any(|x| x.message.contains("never sorted") && x.message.contains("causes")),
-            "findings: {found:?}"
-        );
-        // The unmutated kernel is clean under the same model.
-        let clean = real(rel);
-        let model = hashmodel::hash_model(&[&clean]);
-        assert!(parallel_determinism(&clean, &model, false).is_empty());
     }
 
     #[test]

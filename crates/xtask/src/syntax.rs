@@ -1,11 +1,10 @@
 //! Token-tree parsing layered on the [`SourceFile`] lexer.
 //!
-//! The line-lexical rules see one line at a time; the dataflow rules
-//! (`parallel-determinism`, `serve-concurrency`) need real structure: which
-//! tokens sit inside which braces, where a `fn` body starts and ends, what a
-//! method-call chain looks like. This module
-//! supplies exactly that — and nothing more. It is not a Rust parser: it
-//! builds delimiter trees (`{}`, `[]`, `()`) over the lexer's
+//! The line-lexical rules see one line at a time; the dataflow rule
+//! (`serve-concurrency`) needs real structure: which tokens sit inside which
+//! braces, where a `fn` body starts and ends, what a `let` binds. This
+//! module supplies exactly that — and nothing more. It is not a Rust parser:
+//! it builds delimiter trees (`{}`, `[]`, `()`) over the lexer's
 //! comment-stripped, string-blanked code, then pattern-matches `rustfmt`ed
 //! item shapes on top. On formatted code the extraction is exact; on
 //! pathological code it degrades to "no items found", which downstream
@@ -16,10 +15,6 @@
 //! * [`Syntax::parse`] — tokenize + build the delimiter tree;
 //! * [`Syntax::fns`] — `fn` item extraction (recursive through inline
 //!   `mod`/`impl` blocks, skipping `#[cfg(test)]` regions);
-//! * [`calls`] — every `recv.method(args)` / `path::fn(args)` call in a
-//!   body, with the receiver token when syntactically evident;
-//! * [`chains`] — method-call chains (`x.iter().map(..).collect::<T>()`)
-//!   flattened into [`ChainLink`]s with turbofish text preserved;
 //! * [`statements`] — split a block's trees at `;` for `let`-binding
 //!   analysis ([`LetBinding::from_statement`]).
 
@@ -84,8 +79,6 @@ pub struct Syntax {
 pub struct FnDef<'a> {
     /// Function name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Signature nodes between the name and the body: the parameter-list
     /// group first, then any return-type tokens.
     pub sig: Vec<&'a Tree>,
@@ -94,14 +87,6 @@ pub struct FnDef<'a> {
 }
 
 impl FnDef<'_> {
-    /// The parameter-list `( ... )` group, when present.
-    pub fn params(&self) -> Option<&Group> {
-        self.sig.iter().find_map(|t| match t {
-            Tree::Group(g) if g.delim == '(' => Some(g),
-            Tree::Leaf(_) | Tree::Group(_) => None,
-        })
-    }
-
     /// Flattened text of the return type (tokens after `->`), or empty.
     pub fn return_type(&self) -> String {
         let mut out = String::new();
@@ -121,32 +106,6 @@ impl FnDef<'_> {
         }
         out
     }
-}
-
-/// One link of a method-call chain: `.name::<turbofish>(args)`.
-#[derive(Debug, Clone)]
-pub struct ChainLink<'a> {
-    /// Method name.
-    pub method: String,
-    /// 1-based line of the method name.
-    pub line: usize,
-    /// Turbofish text (`Vec<_>` for `::<Vec<_>>`), empty when absent.
-    pub turbofish: String,
-    /// The argument group.
-    pub args: &'a Group,
-}
-
-/// A method-call chain rooted at a receiver token.
-#[derive(Debug)]
-pub struct Chain<'a> {
-    /// The receiver: the identifier (or field name) the chain hangs off.
-    /// `self.counts.iter()` roots at `counts`; `foo().bar()` has receiver
-    /// `"()"` (a call result).
-    pub receiver: String,
-    /// 1-based line of the receiver.
-    pub line: usize,
-    /// Links in call order.
-    pub links: Vec<ChainLink<'a>>,
 }
 
 /// A `let` binding split out of a statement.
@@ -178,15 +137,10 @@ impl Syntax {
     /// All `fn` items, recursively through inline `mod`/`impl` bodies,
     /// skipping `#[cfg(test)]` code.
     pub fn fns(&self) -> Vec<FnDef<'_>> {
-        fns_in(&self.trees)
+        let mut out = Vec::new();
+        collect_fns(&self.trees, &mut out);
+        out
     }
-}
-
-/// All `fn` items under `trees` (see [`Syntax::fns`]).
-pub fn fns_in(trees: &[Tree]) -> Vec<FnDef<'_>> {
-    let mut out = Vec::new();
-    collect_fns(trees, &mut out);
-    out
 }
 
 /// Split `file`'s code channel into tokens. String literals were blanked by
@@ -322,10 +276,6 @@ fn collect_fns<'a>(trees: &'a [Tree], out: &mut Vec<FnDef<'a>>) {
     while i < trees.len() {
         if leaf(trees, i) == "fn" && !leaf_in_test(trees, i) {
             let name = leaf(trees, i + 1).to_owned();
-            let line = match trees.get(i) {
-                Some(Tree::Leaf(t)) => t.line,
-                _ => 0,
-            };
             // Signature runs from after the name to the body `{...}` or a
             // terminating `;` (trait method declaration).
             let mut j = i + 2;
@@ -343,12 +293,7 @@ fn collect_fns<'a>(trees: &'a [Tree], out: &mut Vec<FnDef<'a>>) {
                 j += 1;
             }
             if !name.is_empty() {
-                out.push(FnDef {
-                    name,
-                    line,
-                    sig,
-                    body,
-                });
+                out.push(FnDef { name, sig, body });
             }
             // Recurse into the body for nested fns.
             if let Some(b) = body {
@@ -362,228 +307,6 @@ fn collect_fns<'a>(trees: &'a [Tree], out: &mut Vec<FnDef<'a>>) {
         if let Some(Tree::Group(g)) = trees.get(i) {
             if g.delim == '{' {
                 collect_fns(&g.trees, out);
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Split a parameter group's trees into `(name, type-text)` pairs at
-/// top-level commas. `self` receivers yield `("self", "")`-style pairs.
-pub fn split_params(params: &Group) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut name = String::new();
-    let mut ty = String::new();
-    let mut in_ty = false;
-    let mut angle = 0i32;
-    for t in &params.trees {
-        match t {
-            Tree::Leaf(tok) => match tok.text.as_str() {
-                "," if angle == 0 => {
-                    if !name.is_empty() {
-                        out.push((std::mem::take(&mut name), std::mem::take(&mut ty)));
-                    }
-                    in_ty = false;
-                }
-                ":" if !in_ty => in_ty = true,
-                "<" => {
-                    angle += 1;
-                    if in_ty {
-                        ty.push('<');
-                    }
-                }
-                ">" => {
-                    angle -= 1;
-                    if in_ty {
-                        ty.push('>');
-                    }
-                }
-                s if in_ty => ty.push_str(s),
-                s if s
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_alphabetic() || c == '_') =>
-                {
-                    // `mut x` / `self`: the last bare ident before `:` wins.
-                    name = s.to_owned();
-                }
-                _ => {}
-            },
-            Tree::Group(_) if in_ty => ty.push_str("()"),
-            Tree::Group(_) => {}
-        }
-    }
-    if !name.is_empty() {
-        out.push((name, ty));
-    }
-    out
-}
-
-/// A method or path call found by [`calls`].
-#[derive(Debug)]
-pub struct Call {
-    /// Callee name (method name, or last path segment for `path::fn(...)`).
-    pub callee: String,
-    /// For method calls, the token directly before the `.` (identifier or
-    /// field name); `"()"` when the receiver is a call/group result; empty
-    /// for path calls.
-    pub receiver: String,
-    /// For qualified calls (`Type::new(...)`), the path segment before the
-    /// final `::`; empty otherwise.
-    pub qualifier: String,
-    /// 1-based line of the callee.
-    pub line: usize,
-}
-
-/// Every call in `trees`, recursively (including inside nested groups).
-/// Macros (`name!(...)`) are excluded — `text!` is not a call.
-pub fn calls(trees: &[Tree], out: &mut Vec<Call>) {
-    for (i, t) in trees.iter().enumerate() {
-        if let Tree::Group(g) = t {
-            // A call is `ident (group)` where the ident isn't a macro name
-            // (`ident !`) or a definition keyword.
-            if g.delim == '(' && i >= 1 {
-                if let Some(Tree::Leaf(name)) = trees.get(i - 1) {
-                    let is_ident = name.kind == TokenKind::Ident
-                        && !name.text.chars().next().is_some_and(|c| c.is_ascii_digit());
-                    let prev = if i >= 2 { leaf(trees, i - 2) } else { "" };
-                    let is_macro = prev == "!";
-                    let is_def = prev == "fn";
-                    if is_ident && !is_macro && !is_def {
-                        let before = |k: usize| {
-                            if i >= k {
-                                match trees.get(i - k) {
-                                    Some(Tree::Leaf(r)) => r.text.clone(),
-                                    Some(Tree::Group(_)) => "()".to_owned(),
-                                    None => String::new(),
-                                }
-                            } else {
-                                String::new()
-                            }
-                        };
-                        let (receiver, qualifier) = match prev {
-                            "." => (before(3), String::new()),
-                            "::" => (String::new(), before(3)),
-                            _ => (String::new(), String::new()),
-                        };
-                        out.push(Call {
-                            callee: name.text.clone(),
-                            receiver,
-                            qualifier,
-                            line: name.line,
-                        });
-                    }
-                }
-            }
-            calls(&g.trees, out);
-        }
-    }
-}
-
-/// Every method-call chain in `trees`, recursively. A chain starts at an
-/// identifier (possibly a field access tail: `self.a.b` roots at `b`) and
-/// follows `.method::<T>(args)` links. Chains of length zero (bare idents)
-/// are not reported.
-pub fn chains<'a>(trees: &'a [Tree], out: &mut Vec<Chain<'a>>) {
-    let mut i = 0;
-    while i < trees.len() {
-        // Recurse into groups first so nested chains (closure bodies,
-        // call arguments) are found too.
-        if let Some(Tree::Group(g)) = trees.get(i) {
-            chains(&g.trees, out);
-            i += 1;
-            continue;
-        }
-        if let Some(Tree::Leaf(tok)) = trees.get(i) {
-            if tok.kind == TokenKind::Ident && leaf(trees, i + 1) == "." {
-                // Walk the field-access prefix: a (.ident)* run without
-                // parens; the chain roots at the last such ident.
-                let mut root = tok.text.clone();
-                let root_line = tok.line;
-                let mut j = i;
-                loop {
-                    let is_dot = leaf(trees, j + 1) == ".";
-                    let next_ident = matches!(trees.get(j + 2), Some(Tree::Leaf(t)) if t.kind == TokenKind::Ident);
-                    let then_call = matches!(trees.get(j + 3), Some(Tree::Group(g)) if g.delim == '(')
-                        || leaf(trees, j + 3) == "::";
-                    if is_dot && next_ident && !then_call {
-                        // plain field access: advance the root
-                        if let Some(Tree::Leaf(t)) = trees.get(j + 2) {
-                            root = t.text.clone();
-                        }
-                        j += 2;
-                    } else {
-                        break;
-                    }
-                }
-                // Now parse call links from j.
-                let mut links = Vec::new();
-                let mut k = j;
-                loop {
-                    if leaf(trees, k + 1) != "." {
-                        break;
-                    }
-                    let Some(Tree::Leaf(m)) = trees.get(k + 2) else {
-                        break;
-                    };
-                    if m.kind != TokenKind::Ident {
-                        break;
-                    }
-                    let mut fish = String::new();
-                    let mut a = k + 3;
-                    if leaf(trees, a) == "::" && leaf(trees, a + 1) == "<" {
-                        let mut depth = 0i32;
-                        let mut b = a + 1;
-                        while let Some(tree) = trees.get(b) {
-                            match tree {
-                                Tree::Leaf(t) if t.text == "<" => {
-                                    depth += 1;
-                                    if depth > 1 {
-                                        fish.push('<');
-                                    }
-                                }
-                                Tree::Leaf(t) if t.text == ">" => {
-                                    depth -= 1;
-                                    if depth == 0 {
-                                        b += 1;
-                                        break;
-                                    }
-                                    fish.push('>');
-                                }
-                                Tree::Leaf(t) => fish.push_str(&t.text),
-                                Tree::Group(_) => fish.push_str("()"),
-                            }
-                            b += 1;
-                        }
-                        a = b;
-                    }
-                    let Some(Tree::Group(g)) = trees.get(a) else {
-                        // `.field` access mid-chain (e.g. `x.iter().len`):
-                        // stop the chain here.
-                        break;
-                    };
-                    if g.delim != '(' {
-                        break;
-                    }
-                    links.push(ChainLink {
-                        method: m.text.clone(),
-                        line: m.line,
-                        turbofish: fish,
-                        args: g,
-                    });
-                    // After the `(args)` group at index `a`, the next link's
-                    // dot sits at `a + 1` — which the loop reads as `k + 1`.
-                    k = a;
-                }
-                if !links.is_empty() {
-                    out.push(Chain {
-                        receiver: root,
-                        line: root_line,
-                        links,
-                    });
-                    i = k + 1;
-                    continue;
-                }
             }
         }
         i += 1;
@@ -710,16 +433,11 @@ mod tests {
     }
 
     #[test]
-    fn fns_are_extracted_with_params_and_return() {
+    fn fns_are_extracted_with_return_type() {
         let s = parse("pub fn run(&self, ctx: &AnalysisContext<'_>, n: usize) -> Vec<u8> { x }\n");
         let fns = s.fns();
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "run");
-        let params = split_params(fns[0].params().expect("parameter list"));
-        assert_eq!(
-            params[1],
-            ("ctx".to_owned(), "&AnalysisContext<'_>".to_owned())
-        );
         assert_eq!(fns[0].return_type(), "Vec<u8>");
         assert!(fns[0].body.is_some());
     }
@@ -735,47 +453,6 @@ mod tests {
         );
         let names: Vec<_> = s.fns().iter().map(|f| f.name.clone()).collect();
         assert_eq!(names, vec!["lib".to_owned()]);
-    }
-
-    #[test]
-    fn calls_capture_receiver_and_skip_macros() {
-        let s = parse("fn f() { let x = state.matching(); g(y); println!(\"no\"); }\n");
-        let mut out = Vec::new();
-        calls(&s.trees, &mut out);
-        let summary: Vec<_> = out
-            .iter()
-            .map(|c| (c.receiver.clone(), c.callee.clone()))
-            .collect();
-        assert!(summary.contains(&("state".to_owned(), "matching".to_owned())));
-        assert!(summary.contains(&(String::new(), "g".to_owned())));
-        assert!(!summary.iter().any(|(_, c)| c == "println"));
-    }
-
-    #[test]
-    fn chains_root_at_last_field_and_keep_turbofish() {
-        let s = parse("fn f() { let v = self.best.keys().copied().collect::<Vec<u32>>(); }\n");
-        let mut out = Vec::new();
-        chains(&s.trees, &mut out);
-        let chain = out
-            .iter()
-            .find(|c| c.receiver == "best")
-            .expect("chain rooted at the field name");
-        let methods: Vec<_> = chain.links.iter().map(|l| l.method.clone()).collect();
-        assert_eq!(methods, vec!["keys", "copied", "collect"]);
-        assert_eq!(chain.links[2].turbofish, "Vec<u32>");
-    }
-
-    #[test]
-    fn chains_inside_closures_are_found() {
-        let s = parse("fn f() { run(|chunk| { acc.iter().sum::<f64>() }); }\n");
-        let mut out = Vec::new();
-        chains(&s.trees, &mut out);
-        let chain = out
-            .iter()
-            .find(|c| c.receiver == "acc")
-            .expect("closure chain");
-        assert_eq!(chain.links[1].method, "sum");
-        assert_eq!(chain.links[1].turbofish, "f64");
     }
 
     #[test]

@@ -98,25 +98,6 @@ pub fn library_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(out)
 }
 
-/// Sources the `parallel-determinism` rule governs: the files defining the
-/// parallel kernels and their reduction paths, whose outputs the committed
-/// benchmark baseline compares bit-for-bit. The `bool` is whether thread
-/// creation is sanctioned there (the file *defines* a scope helper).
-const KERNEL_SCOPE: &[(&str, bool)] = &[
-    ("crates/core/src/stage.rs", true), // defines fork_join
-    ("crates/core/src/matching.rs", false),
-    ("crates/core/src/classify/root_cause.rs", false),
-    ("crates/core/src/analysis/vulnerability.rs", false),
-    ("crates/core/src/analysis/fda.rs", false),
-    ("crates/bgp-model/src/bytes.rs", true), // defines map_chunks_parallel
-];
-
-/// Sources contributing hash-typed struct fields to the
-/// `parallel-determinism` model: the kernels' own crates.
-fn in_hash_model_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src") || path.starts_with("crates/bgp-model/src")
-}
-
 /// True for sources the `stage-contract` rule governs: the pipeline stage
 /// modules of the core crate.
 fn in_stage_scope(path: &str) -> bool {
@@ -142,19 +123,6 @@ pub fn run_lint(root: &Path, only: Option<&BTreeSet<String>>) -> io::Result<Vec<
         }
         if enabled("serve-concurrency") && file.path.starts_with("crates/serve/src") {
             findings.extend(rules::serve_concurrency(file));
-        }
-    }
-
-    if enabled("parallel-determinism") {
-        let model_sources: Vec<&SourceFile> = sources
-            .iter()
-            .filter(|f| in_hash_model_scope(&f.path))
-            .collect();
-        let model = crate::hashmodel::hash_model(&model_sources);
-        for &(path, spawn_sanctioned) in KERNEL_SCOPE {
-            if let Some(file) = sources.iter().find(|f| f.path == path) {
-                findings.extend(rules::parallel_determinism(file, &model, spawn_sanctioned));
-            }
         }
     }
 

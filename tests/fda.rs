@@ -22,7 +22,7 @@ use bgp_coanalysis::coanalysis::Event;
 use bgp_coanalysis::joblog::{ExecId, ExitStatus, JobRecord, ProjectId, UserId};
 use bgp_coanalysis::raslog::{Catalog, ErrCode};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn job(job_id: u64, user: u32, project: u32, exec: u32, mp: u8, width: u32) -> JobRecord {
     JobRecord {
@@ -78,7 +78,7 @@ fn fixture(jobs: &[JobRecord], victims_per_event: &[(usize, Vec<u64>)]) -> (Vec<
         events,
         Matching {
             per_event,
-            job_to_event: HashMap::new(),
+            job_to_event: BTreeMap::new(),
         },
     )
 }

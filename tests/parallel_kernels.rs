@@ -18,7 +18,7 @@ use bgp_coanalysis::coanalysis::{AnalysisContext, Event};
 use bgp_coanalysis::joblog::{ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
 use bgp_coanalysis::raslog::{Catalog, ErrCode};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Thread counts exercised against the single-threaded golden run.
 const THREADS: [usize; 3] = [2, 7, 16];
@@ -189,7 +189,7 @@ fn oracle(events: &[Event], jobs: &JobLog, matcher: &Matcher) -> Matching {
             }
         }
     }
-    let job_to_event: HashMap<u64, usize> = best.into_iter().map(|(j, (i, _))| (j, i)).collect();
+    let job_to_event: BTreeMap<u64, usize> = best.into_iter().map(|(j, (i, _))| (j, i)).collect();
     let per_event = events
         .iter()
         .enumerate()

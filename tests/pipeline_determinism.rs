@@ -152,3 +152,53 @@ fn report_is_invariant_to_line_order() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn every_interrupted_job_is_attributed_exactly_once() {
+    // The attribution law: `job_to_event` and the per-event victim lists
+    // are two views of one relation. Each attributed job is a victim of
+    // exactly the event it maps to, no victim is unattributed, and the
+    // interruption statistics count each such job once.
+    for seed in [62, 63] {
+        let out = Simulation::new(SimConfig::small_test(seed))
+            .expect("valid config")
+            .run();
+        for threads in [1, 4] {
+            let cfg = CoAnalysisConfig {
+                threads,
+                ..CoAnalysisConfig::default()
+            };
+            let r = CoAnalysis::with_config(cfg).run(&out.ras, &out.jobs);
+            let m = &r.matching;
+            assert!(
+                !m.job_to_event.is_empty(),
+                "seed {seed}: no interruptions, the law would be vacuous"
+            );
+            for (&job_id, &idx) in &m.job_to_event {
+                let holders: Vec<usize> = m
+                    .per_event
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.victims.contains(&job_id))
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(
+                    holders,
+                    vec![idx],
+                    "seed {seed}, {threads} threads: job {job_id}"
+                );
+            }
+            let victims: usize = m.per_event.iter().map(|e| e.victims.len()).sum();
+            assert_eq!(
+                victims,
+                m.job_to_event.len(),
+                "seed {seed}, {threads} threads"
+            );
+            assert_eq!(
+                r.interruption.total(),
+                m.job_to_event.len(),
+                "seed {seed}, {threads} threads"
+            );
+        }
+    }
+}

@@ -59,7 +59,7 @@ fn precursor_predictor_gives_positive_lead_time() {
 #[test]
 fn informed_checkpointing_beats_naive_policies() {
     let (out, r) = run();
-    let causes: std::collections::HashMap<u64, RootCause> = r
+    let causes: std::collections::BTreeMap<u64, RootCause> = r
         .matching
         .job_to_event
         .iter()
