@@ -3,29 +3,30 @@
 //! These are the analysis kernels as they stood before the sweep-line
 //! matcher and the parallel classification/ranking rewrites: the per-event
 //! machine-wide termination rescan, the hash-map-of-vectors rule grouping,
-//! the per-job hash-lookup vulnerability passes, and the row-major FDA
-//! miner. This file exists for `tests/baseline_equivalence.rs`, which runs
+//! the per-job hash-lookup vulnerability passes, the row-major FDA
+//! miner, and the burst analysis's per-row id-set probe. This file exists for `tests/baseline_equivalence.rs`, which runs
 //! the pipeline on simulated logs and requires each optimized kernel to
 //! reproduce its reference here bit for bit, at every thread count.
 
 use bgp_model::intern::Interner;
-use bgp_model::MidplaneId;
+use bgp_model::{Duration, MidplaneId, Timestamp};
 use bgp_stats::hist::{bucket_index, TABLE_VI_TIME_EDGES};
 use bgp_stats::infogain::{rank_features, FeatureColumn, FeatureScore};
 use bgp_stats::pearson::pearson;
 use coanalysis::analysis::fda::{
-    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, JobDims, NUM_DIMS, NUM_JOB_DIMS,
+    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, NUM_DIMS, NUM_JOB_DIMS,
 };
 use coanalysis::analysis::vulnerability::{
     ResubmissionStats, SizeLengthTable, VulnerabilityAnalysis, SIZE_ROWS,
 };
+use coanalysis::analysis::BurstAnalysis;
 use coanalysis::classify::root_cause::{RootCause, RootCauseRule, RootCauseSummary};
 use coanalysis::context::AnalysisContext;
 use coanalysis::event::Event;
 use coanalysis::matching::{EventCase, EventMatch, Matcher, Matching};
 use joblog::{JobRecord, ProjectId, UserId};
 use raslog::ErrCode;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// The pre-sweep matcher: per event, a machine-wide `ended_in_window`
 /// scan filtered by footprint overlap, and an `O(n²)` running-job dedup.
@@ -380,13 +381,13 @@ fn build_resubmission(
 ) -> ResubmissionStats {
     let mut system = [(0u32, 0u32); 3];
     let mut application = [(0u32, 0u32); 3];
-    for (_, group) in ctx.exec_groups() {
+    for group in ctx.exec_groups().iter() {
         for (cat, counts) in [
             (RootCause::SystemFailure, &mut system),
             (RootCause::ApplicationError, &mut application),
         ] {
             let mut run = 0usize;
-            for j in group {
+            for j in group_records(ctx, group) {
                 let interrupted = causes.get(&j.job_id) == Some(&cat);
                 if (1..=3).contains(&run) {
                     counts[run - 1].0 += 1;
@@ -520,10 +521,11 @@ fn rank(
 pub fn fda(
     events: &[Event],
     matching: &Matching,
-    dims: &JobDims,
+    ctx: &AnalysisContext<'_>,
     params: &FdaParams,
 ) -> FdaAnalysis {
     type Item = (u8, u32);
+    let dims = ctx.fda_columns();
     let n = dims.rows();
 
     // Errcode column: same join as the optimized kernel (victims are
@@ -532,7 +534,7 @@ pub fn fda(
     for (i, em) in matching.per_event.iter().enumerate() {
         let code = events.get(i).map_or(0, |e| e.errcode.0);
         for &job_id in &em.victims {
-            if let Some(row) = dims.row_of(job_id) {
+            if let Some(row) = ctx.job_row(job_id) {
                 attributed.push((row, code));
             }
         }
@@ -656,7 +658,7 @@ pub fn fda(
                             None => "-".to_string(),
                         }
                     } else {
-                        dims.job_name(d as usize - 1, id).to_string()
+                        dims.job_name(d as usize - 1, id)
                     },
                 })
                 .collect(),
@@ -711,9 +713,9 @@ fn fda_candidates(frequent: &[Vec<(u8, u32)>]) -> Vec<Vec<(u8, u32)>> {
 fn history_uncovered(ctx: &AnalysisContext<'_>, causes: &HashMap<u64, RootCause>, k: usize) -> f64 {
     let mut covered = 0usize;
     let mut total = 0usize;
-    for (_, group) in ctx.exec_groups() {
+    for group in ctx.exec_groups().iter() {
         let mut run = 0usize;
-        for j in group {
+        for j in group_records(ctx, group) {
             let interrupted = causes.contains_key(&j.job_id);
             if interrupted {
                 total += 1;
@@ -730,5 +732,79 @@ fn history_uncovered(ctx: &AnalysisContext<'_>, causes: &HashMap<u64, RootCause>
         0.0
     } else {
         1.0 - covered as f64 / total as f64
+    }
+}
+
+/// The records of one executable group, in group (submission) order.
+fn group_records<'a>(
+    ctx: &AnalysisContext<'a>,
+    group: &'a [u32],
+) -> impl Iterator<Item = &'a JobRecord> + 'a {
+    let records = ctx.job_records();
+    group
+        .iter()
+        .filter_map(move |&row| records.get(row as usize))
+}
+
+/// The pre-mark burst analysis: the victims' ids in a `BTreeSet`, probed
+/// once per job row on the executable walk.
+pub fn burst(
+    victims: &[&JobRecord],
+    ctx: &AnalysisContext<'_>,
+    window: (Timestamp, Timestamp),
+    quick_window: Duration,
+) -> BurstAnalysis {
+    let days = ((window.1 - window.0).as_secs() / 86_400).max(1) as usize;
+    let mut per_day = vec![0u32; days];
+    for j in victims {
+        let d = j.end_time.days_since(window.0);
+        if (0..days as i64).contains(&d) {
+            per_day[d as usize] += 1;
+        }
+    }
+
+    let mut per_exec: BTreeMap<joblog::ExecId, Vec<Timestamp>> = BTreeMap::new();
+    for j in victims {
+        per_exec.entry(j.exec).or_default().push(j.end_time);
+    }
+    let mut quick = 0usize;
+    for times in per_exec.values_mut() {
+        times.sort();
+        quick += times
+            .windows(2)
+            .filter(|w| w[1] - w[0] <= quick_window)
+            .count();
+    }
+
+    let interrupted_ids: BTreeSet<u64> = victims.iter().map(|j| j.job_id).collect();
+    let mut max_run = 0usize;
+    for group in ctx.exec_groups().iter() {
+        let mut run = 0usize;
+        for j in group_records(ctx, group) {
+            if interrupted_ids.contains(&j.job_id) {
+                run += 1;
+                max_run = max_run.max(run);
+            } else {
+                run = 0;
+            }
+        }
+    }
+
+    let interrupted_execs = per_exec.len();
+    BurstAnalysis {
+        per_day,
+        interrupted_job_fraction: if ctx.job_count() == 0 {
+            0.0
+        } else {
+            victims.len() as f64 / ctx.job_count() as f64
+        },
+        interrupted_exec_fraction: if ctx.distinct_execs() == 0 {
+            0.0
+        } else {
+            interrupted_execs as f64 / ctx.distinct_execs() as f64
+        },
+        quick_reinterruptions: quick,
+        quick_window_secs: quick_window.as_secs(),
+        max_consecutive_one_exec: max_run,
     }
 }

@@ -1,8 +1,9 @@
 //! Optimized kernel ≡ frozen pre-optimization kernel.
 //!
-//! The sweep-line matcher, the parallel root-cause classifier, the parallel
-//! vulnerability ranking and the column-sharded FDA miner each replaced a
-//! simpler kernel that is kept verbatim in `bgp_bench::baseline`. These
+//! The sweep-line matcher, the parallel root-cause classifier, the
+//! contingency-count vulnerability ranking, the column-sharded FDA miner
+//! and the row-mark burst walk each replaced a simpler kernel that is kept
+//! verbatim in `bgp_bench::baseline`. These
 //! tests run the whole pipeline on simulated logs, then feed each kernel
 //! pair the pipeline's own intermediate products and require bit-for-bit
 //! equal output, for several simulation seeds and thread counts.
@@ -12,12 +13,13 @@
 #![allow(clippy::expect_used, missing_docs)]
 
 use bgp_bench::baseline;
-use bgp_model::Duration;
+use bgp_model::{Duration, Partition, Timestamp};
 use bgp_sim::{SimConfig, SimOutput, Simulation};
-use coanalysis::analysis::VulnerabilityAnalysis;
+use coanalysis::analysis::{BurstAnalysis, VulnerabilityAnalysis};
 use coanalysis::classify::classify_root_cause_with_threads;
 use coanalysis::matching::Matcher;
 use coanalysis::{AnalysisContext, AnalysisSet, CoAnalysis, CoAnalysisConfig, FdaAnalysis};
+use joblog::{ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
 
 /// Thread counts the optimized kernels run at.
 const THREADS: [usize; 2] = [1, 4];
@@ -78,25 +80,71 @@ fn check_kernels(out: &SimOutput, threads: usize, label: &str) {
 
     let fatal_counts = r.midplane.fatal_counts.as_slice();
     assert_eq!(
-        VulnerabilityAnalysis::new_with_threads(
-            events,
-            &matching,
-            &root_cause,
-            &ctx,
-            fatal_counts,
-            threads,
-        ),
+        VulnerabilityAnalysis::new(events, &matching, &root_cause, &ctx, fatal_counts),
         baseline::vulnerability(events, &matching, &root_cause, &ctx, fatal_counts),
         "{label}: vulnerability ranking diverged from its baseline"
     );
 
-    let dims = ctx.fda_columns();
     let params = pipeline.config.fda;
     assert_eq!(
-        FdaAnalysis::compute(events, &matching, dims, &params, threads),
-        baseline::fda(events, &matching, dims, &params),
+        FdaAnalysis::compute(events, &matching, &ctx, &params, threads),
+        baseline::fda(events, &matching, &ctx, &params),
         "{label}: FDA diverged from its baseline"
     );
+
+    let victims = matching.interrupted_records(&ctx);
+    let window = ctx.span().expect("a simulated log has a span");
+    let quick = pipeline.config.quick_window;
+    let burst = BurstAnalysis::new(&victims, &ctx, window, quick);
+    assert_eq!(
+        burst,
+        baseline::burst(&victims, &ctx, window, quick),
+        "{label}: burst analysis diverged from its baseline"
+    );
+    assert_eq!(r.burst, burst, "{label}: the Burst stage diverged");
+}
+
+/// A hand-built log where the id and submission orders disagree with the
+/// table (start-time) order: ids repeat within and across executables, and
+/// queue times interleave across executables and tie within one.
+#[test]
+fn burst_matches_baseline_on_duplicated_ids_and_interleaved_queue_times() {
+    let job = |job_id: u64, exec: u32, queued: i64, start: i64| JobRecord {
+        job_id,
+        exec: ExecId(exec),
+        user: UserId(exec % 3),
+        project: ProjectId(exec % 2),
+        queue_time: Timestamp::from_unix(queued),
+        start_time: Timestamp::from_unix(start),
+        end_time: Timestamp::from_unix(start + 500),
+        partition: Partition::contiguous(0, 1).expect("valid partition"),
+        exit: ExitStatus::Completed,
+    };
+    let mut rows = Vec::new();
+    for i in 0..48u64 {
+        let exec = (i % 4) as u32;
+        // Queue order runs backwards against start order, with ties.
+        rows.push(job(
+            i % 17,
+            exec,
+            10_000 - 100 * (i / 2) as i64,
+            1_000 * i as i64,
+        ));
+    }
+    let jobs = JobLog::from_jobs(rows);
+    let ctx = AnalysisContext::for_jobs(&jobs);
+    let window = (Timestamp::from_unix(0), Timestamp::from_unix(3 * 86_400));
+    let quick = Duration::seconds(5_000);
+    for victim_ids in [vec![], vec![3], vec![0, 3, 4, 16], (0..17).collect()] {
+        let mut victims: Vec<&JobRecord> =
+            victim_ids.iter().filter_map(|&id| ctx.job(id)).collect();
+        victims.sort_by_key(|j| (j.end_time, j.job_id));
+        assert_eq!(
+            BurstAnalysis::new(&victims, &ctx, window, quick),
+            baseline::burst(&victims, &ctx, window, quick),
+            "victims {victim_ids:?}"
+        );
+    }
 }
 
 /// Simulate the small-test preset at `seed` and check every kernel pair at

@@ -55,9 +55,52 @@ impl<T: Ord + Copy> Interner<T> {
     }
 }
 
+impl Interner<u64> {
+    /// Intern a whole column at once: the dictionary of its distinct keys
+    /// and each key's id, as [`Interner::from_values`] then [`Interner::id`]
+    /// per key would give. Keys no larger than the column's length (or
+    /// 2^16) are ranked directly through a presence table over `0..=max`;
+    /// larger ones fall back to the sort and one binary search per key.
+    pub fn from_column(keys: &[u64]) -> (Interner<u64>, Vec<u32>) {
+        let max = keys.iter().copied().max().unwrap_or(0);
+        if max >= (keys.len() as u64).max(1 << 16) {
+            let dict = Interner::from_values(keys.iter().copied());
+            let ids = keys.iter().map(|&k| dict.id(k).unwrap_or(0)).collect();
+            return (dict, ids);
+        }
+        // `rank[k]`: first 1 where key `k` occurs, then its id.
+        let mut rank = vec![0u32; max as usize + 1];
+        for &k in keys {
+            rank[k as usize] = 1;
+        }
+        let mut values = Vec::new();
+        for (k, r) in rank.iter_mut().enumerate() {
+            if *r != 0 {
+                *r = values.len() as u32;
+                values.push(k as u64);
+            }
+        }
+        let ids = keys.iter().map(|&k| rank[k as usize]).collect();
+        (Interner { values }, ids)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_column_matches_per_key_lookups() {
+        let small: Vec<u64> = (0..500u64).map(|i| (i * 7919) % 97).collect();
+        let large: Vec<u64> = (0..500u64).map(|i| (i * 7919) % 97 * (1 << 40)).collect();
+        for keys in [small, large, vec![3], Vec::new()] {
+            let (dict, ids) = Interner::from_column(&keys);
+            let want = Interner::from_values(keys.iter().copied());
+            assert_eq!(dict, want);
+            let want_ids: Vec<u32> = keys.iter().map(|&k| want.id(k).unwrap()).collect();
+            assert_eq!(ids, want_ids);
+        }
+    }
 
     #[test]
     fn ids_are_sorted_ranks() {

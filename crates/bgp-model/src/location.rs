@@ -489,6 +489,37 @@ impl Location {
             Location::ComputeNode(_) => 3,
         }
     }
+
+    /// A `u32` naming this location: the variant in the top byte, the
+    /// hardware indices below it, so distinct locations give distinct keys.
+    /// One integer compare instead of the derived [`Ord`]'s walk over the
+    /// variant and its fields — for maps keyed by location identity. The
+    /// key order is not the `Ord` order.
+    pub fn packed(self) -> u32 {
+        let card = |nc: NodeCardId| {
+            nc.midplane().index() as u32 * u32::from(topology::NODE_CARDS_PER_MIDPLANE)
+                + u32::from(nc.card())
+        };
+        // I/O nodes and link cards both index below `IO_NODES_PER_MIDPLANE`.
+        let port = |m: MidplaneId, index: u8| {
+            m.index() as u32 * u32::from(topology::IO_NODES_PER_MIDPLANE) + u32::from(index)
+        };
+        let (variant, index) = match self {
+            Location::Rack(r) => (0, r.index() as u32),
+            Location::Midplane(m) => (1, m.index() as u32),
+            Location::NodeCard(nc) => (2, card(nc)),
+            Location::ComputeNode(cn) => (
+                3,
+                card(cn.node_card()) * u32::from(topology::NODES_PER_NODE_CARD) + u32::from(cn.j()),
+            ),
+            Location::IoNode { midplane, index } => (4, port(midplane, index)),
+            Location::LinkCard { midplane, index } => (5, port(midplane, index)),
+            Location::ServiceCard(m) => (6, m.index() as u32),
+            Location::BulkPower(r) => (7, r.index() as u32),
+            Location::ClockCard(r) => (8, r.index() as u32),
+        };
+        variant << 24 | index
+    }
 }
 
 impl fmt::Display for Location {
@@ -659,6 +690,39 @@ mod tests {
             MidplaneId::all().count(),
             usize::from(topology::NUM_MIDPLANES)
         );
+    }
+
+    #[test]
+    fn packed_keys_are_distinct() {
+        let mut all = Vec::new();
+        for r in 0..topology::NUM_RACKS {
+            let r = RackId::from_index(r).unwrap();
+            all.extend([
+                Location::Rack(r),
+                Location::BulkPower(r),
+                Location::ClockCard(r),
+            ]);
+        }
+        for m in MidplaneId::all() {
+            all.extend([Location::Midplane(m), Location::ServiceCard(m)]);
+            for index in 0..topology::IO_NODES_PER_MIDPLANE {
+                all.push(Location::IoNode { midplane: m, index });
+            }
+            for index in 0..topology::LINK_CARDS_PER_MIDPLANE {
+                all.push(Location::LinkCard { midplane: m, index });
+            }
+            for c in 0..topology::NODE_CARDS_PER_MIDPLANE {
+                let nc = NodeCardId::new(m, c).unwrap();
+                all.push(Location::NodeCard(nc));
+                for j in 0..topology::NODES_PER_NODE_CARD {
+                    all.push(Location::ComputeNode(ComputeNodeId::new(nc, j).unwrap()));
+                }
+            }
+        }
+        let mut keys: Vec<u32> = all.iter().map(|l| l.packed()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), all.len());
     }
 
     #[test]

@@ -177,10 +177,14 @@ impl Partition {
 
     /// Iterate over the midplanes of the partition in index order.
     pub fn midplanes(self) -> impl Iterator<Item = MidplaneId> {
-        let mask = self.mask;
-        (0..NUM_MIDPLANES)
-            .filter(move |i| mask & (1u128 << i) != 0)
-            .filter_map(|i| MidplaneId::from_index(i).ok())
+        // Visit the set bits only: most partitions hold a few of the 80.
+        let mut mask = self.mask;
+        std::iter::from_fn(move || {
+            // Lowest set bit; an empty mask gives 128, which is no midplane.
+            let i = mask.trailing_zeros() as u8;
+            mask &= mask.wrapping_sub(1);
+            MidplaneId::from_index(i).ok()
+        })
     }
 
     /// The lowest-index midplane, if any. This is the partition's "anchor"
@@ -400,6 +404,16 @@ mod tests {
         let idxs: Vec<usize> = p.midplanes().map(|m| m.index()).collect();
         assert_eq!(idxs, vec![6, 7, 8, 9]);
         assert_eq!(Partition::empty().first(), None);
+        assert_eq!(Partition::empty().midplanes().count(), 0);
+        let full: Vec<usize> = Partition::from_mask((1u128 << 80) - 1)
+            .unwrap()
+            .midplanes()
+            .map(|m| m.index())
+            .collect();
+        assert_eq!(full, (0..80).collect::<Vec<_>>());
+        let ends = Partition::from_mask(1 | 1u128 << 79).unwrap();
+        let idxs: Vec<usize> = ends.midplanes().map(|m| m.index()).collect();
+        assert_eq!(idxs, vec![0, 79]);
     }
 
     fn arb_partition() -> impl Strategy<Value = Partition> {
@@ -409,6 +423,12 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn midplanes_are_the_contained_ones(p in arb_partition()) {
+            let want: Vec<MidplaneId> = MidplaneId::all().filter(|&m| p.contains(m)).collect();
+            prop_assert_eq!(p.midplanes().collect::<Vec<_>>(), want);
+        }
+
         #[test]
         fn display_parse_round_trip(p in arb_partition()) {
             let s = p.to_string();

@@ -4,7 +4,7 @@
 use crate::context::AnalysisContext;
 use bgp_model::{Duration, Timestamp};
 use joblog::JobRecord;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Burst statistics over the interrupted-job population.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,13 +60,15 @@ impl BurstAnalysis {
         }
 
         // Longest consecutive-interruption run per executable: consecutive
-        // submissions of the executable that all got interrupted.
-        let interrupted_ids: BTreeSet<u64> = victims.iter().map(|j| j.job_id).collect();
+        // submissions of the executable that all got interrupted. Every row
+        // carrying a victim's id counts as interrupted.
+        let interrupted_ids: BTreeMap<u64, ()> = victims.iter().map(|j| (j.job_id, ())).collect();
+        let interrupted = ctx.row_marks(&interrupted_ids);
         let mut max_run = 0usize;
-        for (_, group) in ctx.exec_groups() {
+        for group in ctx.exec_groups().iter() {
             let mut run = 0usize;
-            for j in group {
-                if interrupted_ids.contains(&j.job_id) {
+            for &row in group {
+                if interrupted.get(row as usize).is_some_and(Option::is_some) {
                     run += 1;
                     max_run = max_run.max(run);
                 } else {

@@ -1,7 +1,7 @@
 //! Checkpoint-policy evaluation — the paper's Section VII checkpointing
 //! recommendations, made quantitative.
 //!
-//! Given the job log and the interruption attribution, replay each job
+//! Given the indexed job log and the interruption attribution, replay each job
 //! under a checkpoint policy and account for:
 //!
 //! * **lost work**: node-seconds of computation destroyed by an
@@ -24,7 +24,8 @@
 //!   worthless); wide jobs checkpoint periodically at the Young interval.
 
 use crate::classify::root_cause::RootCause;
-use joblog::{ExecId, JobLog, JobRecord};
+use crate::context::AnalysisContext;
+use joblog::{ExecId, JobRecord};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A checkpointing policy to replay.
@@ -81,8 +82,9 @@ impl CheckpointOutcome {
 
 /// Inputs for the replay.
 pub struct CheckpointStudy<'a> {
-    /// The job log.
-    pub jobs: &'a JobLog,
+    /// The indexed job log; interrupted job ids resolve through its
+    /// job-id index.
+    pub ctx: &'a AnalysisContext<'a>,
     /// job id → cause for interrupted jobs.
     pub causes: &'a BTreeMap<u64, RootCause>,
     /// Seconds one checkpoint takes (its cost in wall time × nodes).
@@ -99,16 +101,17 @@ impl CheckpointStudy<'_> {
             .causes
             .iter()
             .filter(|&(_, &c)| c == RootCause::ApplicationError)
-            .filter_map(|(&id, _)| self.jobs.by_job_id(id).map(|j| j.exec))
+            .filter_map(|(&id, _)| self.ctx.job(id).map(|j| j.exec))
             .collect();
+        let interrupted_rows = self.ctx.row_marks(self.causes);
 
         let mut lost = 0.0f64;
         let mut overhead = 0.0f64;
         let mut jobs_checkpointing = 0usize;
-        for job in self.jobs.jobs() {
+        for (job, mark) in self.ctx.job_records().iter().zip(&interrupted_rows) {
             let elapsed = job.runtime().as_secs() as f64;
             let nodes = f64::from(job.size_midplanes()) * 512.0;
-            let interrupted = self.causes.contains_key(&job.job_id);
+            let interrupted = mark.is_some();
             let plan = self.plan_for(policy, job, &app_history);
             match plan {
                 Plan::Never => {
@@ -195,7 +198,7 @@ enum Plan {
 /// Evaluate the three canonical policies with a Young-style interval
 /// derived from the measured system MTTI.
 pub fn standard_study(
-    jobs: &JobLog,
+    ctx: &AnalysisContext<'_>,
     causes: &BTreeMap<u64, RootCause>,
     mtti_secs: f64,
     checkpoint_cost_secs: f64,
@@ -204,7 +207,7 @@ pub fn standard_study(
     // Young's first-order optimal interval: sqrt(2 · cost · MTTI).
     let young = (2.0 * checkpoint_cost_secs * mtti_secs).sqrt().max(60.0) as i64;
     let study = CheckpointStudy {
-        jobs,
+        ctx,
         causes,
         checkpoint_cost_secs,
     };
@@ -225,7 +228,7 @@ pub fn standard_study(
 mod tests {
     use super::*;
     use bgp_model::Timestamp;
-    use joblog::{ExitStatus, ProjectId, UserId};
+    use joblog::{ExitStatus, JobLog, ProjectId, UserId};
 
     fn job(job_id: u64, exec: u32, runtime: i64, midplanes: u32) -> JobRecord {
         let start = job_id as i64 * 1_000_000;
@@ -247,8 +250,9 @@ mod tests {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 10_000, 1), job(2, 2, 10_000, 1)]);
         let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
+        let ctx = AnalysisContext::for_jobs(&jobs);
         let study = CheckpointStudy {
-            jobs: &jobs,
+            ctx: &ctx,
             causes: &causes,
             checkpoint_cost_secs: 300.0,
         };
@@ -263,8 +267,9 @@ mod tests {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 10_000, 1), job(2, 2, 10_000, 1)]);
         let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
+        let ctx = AnalysisContext::for_jobs(&jobs);
         let study = CheckpointStudy {
-            jobs: &jobs,
+            ctx: &ctx,
             causes: &causes,
             checkpoint_cost_secs: 300.0,
         };
@@ -288,8 +293,9 @@ mod tests {
         let jobs: Vec<JobRecord> = (0..1000).map(|i| job(i, i as u32, 1_800, 1)).collect();
         let jobs = JobLog::from_jobs(jobs);
         let causes = BTreeMap::new();
+        let ctx = AnalysisContext::for_jobs(&jobs);
         let study = CheckpointStudy {
-            jobs: &jobs,
+            ctx: &ctx,
             causes: &causes,
             checkpoint_cost_secs: 300.0,
         };
@@ -311,8 +317,9 @@ mod tests {
         let jobs = JobLog::from_jobs(vec![job(1, 7, 600, 1), job(2, 7, 20_000, 1)]);
         let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::ApplicationError);
+        let ctx = AnalysisContext::for_jobs(&jobs);
         let study = CheckpointStudy {
-            jobs: &jobs,
+            ctx: &ctx,
             causes: &causes,
             checkpoint_cost_secs: 100.0,
         };
@@ -332,7 +339,8 @@ mod tests {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 50_000, 64), job(2, 2, 400, 1)]);
         let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
-        let outcomes = standard_study(&jobs, &causes, 100_000.0, 300.0, 32);
+        let ctx = AnalysisContext::for_jobs(&jobs);
+        let outcomes = standard_study(&ctx, &causes, 100_000.0, 300.0, 32);
         assert_eq!(outcomes.len(), 3);
         // The interrupted job is wide: both checkpointing policies should
         // beat running naked.

@@ -22,7 +22,8 @@
 //!    in candidate order. Support counts are exact integers, so the
 //!    reduction is bit-identical at any thread count.
 //! 3. **Prune + rank**: frequent itemsets (fatal support ≥ a relative
-//!    minimum) get a total-support count via postings-list intersection,
+//!    minimum) get a total-support count via postings-list intersection
+//!    (fatal support is counted the same way, over the fatal rows' lists),
 //!    a lift, and a final serial ranking by (lift desc, fatal support
 //!    desc, items lex asc).
 //!
@@ -145,9 +146,10 @@ impl FdaParams {
 }
 
 /// The interned job-side columns: one dense-`u32` column per job
-/// dimension, the sorted dictionaries behind the ids, display names per
-/// id, and a `job_id → row` index. Built once per [`AnalysisContext`]
-/// (lazily, on first use) beside the existing sorted shards.
+/// dimension and the sorted dictionaries behind the ids (a display name is
+/// formatted from the dictionary only when asked for). Built once per [`AnalysisContext`] (lazily, on first use) beside the
+/// existing sorted shards; rows are the context's job-table rows, so a job
+/// id resolves to its row through [`AnalysisContext::job_row`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobDims {
     /// Column per job dimension, `cols[d][row]` = interned id. Order:
@@ -156,65 +158,35 @@ pub struct JobDims {
     /// Sorted dictionaries; `dicts[d].len()` is the id universe of
     /// column `d`.
     dicts: [Interner<u64>; NUM_JOB_DIMS],
-    /// Display name per id, `names[d][id]`.
-    names: [Vec<String>; NUM_JOB_DIMS],
-    /// `(job_id, row)` sorted by job id.
-    by_job_id: Vec<(u64, u32)>,
 }
 
 impl JobDims {
     /// Intern the job table into columnar form. Rows are table order
     /// (one row per job record).
     pub fn from_jobs(jobs: &[JobRecord]) -> JobDims {
-        let n = jobs.len();
-        let mut raw: [Vec<u64>; NUM_JOB_DIMS] = std::array::from_fn(|_| Vec::with_capacity(n));
-        for j in jobs {
-            raw[0].push(
+        let keys: [fn(&JobRecord) -> u64; NUM_JOB_DIMS] = [
+            |j| {
                 j.partition
                     .first()
-                    .map_or(NO_MIDPLANE, |m| m.index() as u64),
-            );
-            raw[1].push(u64::from(j.user.0));
-            raw[2].push(u64::from(j.project.0));
-            raw[3].push(u64::from(j.exec.0));
-            raw[4].push(u64::from(j.size_midplanes()));
-        }
-        let dicts: [Interner<u64>; NUM_JOB_DIMS] =
-            std::array::from_fn(|d| Interner::from_values(raw[d].iter().copied()));
-        let cols: [Vec<u32>; NUM_JOB_DIMS] = std::array::from_fn(|d| {
-            raw[d]
-                .iter()
-                .map(|&k| dicts[d].id(k).unwrap_or(0))
-                .collect()
+                    .map_or(NO_MIDPLANE, |m| m.index() as u64)
+            },
+            |j| u64::from(j.user.0),
+            |j| u64::from(j.project.0),
+            |j| u64::from(j.exec.0),
+            |j| u64::from(j.size_midplanes()),
+        ];
+        let interned: [(Interner<u64>, Vec<u32>); NUM_JOB_DIMS] = std::array::from_fn(|d| {
+            let column: Vec<u64> = jobs.iter().map(keys[d]).collect();
+            Interner::from_column(&column)
         });
-        // One label per distinct value, formatted from the dictionary.
-        let names: [Vec<String>; NUM_JOB_DIMS] =
-            std::array::from_fn(|d| dicts[d].values().iter().map(|&k| job_label(d, k)).collect());
-        let mut by_job_id: Vec<(u64, u32)> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.job_id, i as u32))
-            .collect();
-        by_job_id.sort_unstable();
-        JobDims {
-            cols,
-            dicts,
-            names,
-            by_job_id,
-        }
+        let [a, b, c, e, f] = interned;
+        let (dicts, cols) = ([a.0, b.0, c.0, e.0, f.0], [a.1, b.1, c.1, e.1, f.1]);
+        JobDims { cols, dicts }
     }
 
     /// Number of rows (jobs).
     pub fn rows(&self) -> usize {
-        self.by_job_id.len()
-    }
-
-    /// The row of `job_id`, if present.
-    pub fn row_of(&self, job_id: u64) -> Option<u32> {
-        self.by_job_id
-            .binary_search_by_key(&job_id, |&(id, _)| id)
-            .ok()
-            .and_then(|i| self.by_job_id.get(i).map(|&(_, row)| row))
+        self.cols[0].len()
     }
 
     /// The interned column of job dimension `d` (0 = midplane, 1 = user,
@@ -229,16 +201,17 @@ impl JobDims {
     }
 
     /// Display name of `id` in job dimension `d` ("" when out of range).
-    pub fn job_name(&self, d: usize, id: u32) -> &str {
-        self.names
+    pub fn job_name(&self, d: usize, id: u32) -> String {
+        self.dicts
             .get(d)
-            .and_then(|names| names.get(id as usize))
-            .map_or("", String::as_str)
+            .and_then(|dict| dict.value(id))
+            .map_or_else(String::new, |k| job_label(d, k))
     }
 }
 
-/// The midplane key of a job with an empty partition (labelled `"-"`).
-const NO_MIDPLANE: u64 = u64::MAX;
+/// The midplane key of a job with an empty partition (labelled `"-"`):
+/// one past the last midplane index, so it sorts after every midplane.
+const NO_MIDPLANE: u64 = bgp_model::topology::NUM_MIDPLANES as u64;
 
 /// The display name of key `k` in job dimension `d`: the midplane, user,
 /// project or executable `Display` form, or the size as a number. Keys
@@ -320,17 +293,20 @@ impl Table<'_> {
 }
 
 /// Compressed postings: for each id of one column, the ascending list of
-/// rows carrying it. Built with counting sort, so list order is row order.
+/// the chosen rows carrying it. Built with counting sort, so list order is
+/// row order.
 struct Postings {
     starts: Vec<u32>,
     rows: Vec<u32>,
 }
 
 impl Postings {
-    fn build(col: &[u32], n_ids: usize) -> Postings {
+    /// The postings of `col` over `rows` (ascending row numbers).
+    fn build(col: &[u32], n_ids: usize, rows: impl Iterator<Item = u32> + Clone) -> Postings {
+        let id_of = |row: u32| col.get(row as usize).map(|&id| id as usize);
         let mut counts = vec![0u32; n_ids + 1];
-        for &id in col {
-            if let Some(c) = counts.get_mut(id as usize + 1) {
+        for id in rows.clone().filter_map(id_of) {
+            if let Some(c) = counts.get_mut(id + 1) {
                 *c += 1;
             }
         }
@@ -338,17 +314,20 @@ impl Postings {
             counts[i] += counts[i - 1];
         }
         let starts = counts.clone();
-        let mut rows = vec![0u32; col.len()];
+        let mut listed = vec![0u32; counts.last().copied().unwrap_or(0) as usize];
         let mut cursor = starts.clone();
-        for (row, &id) in col.iter().enumerate() {
-            if let Some(pos) = cursor.get_mut(id as usize) {
-                if let Some(slot) = rows.get_mut(*pos as usize) {
-                    *slot = row as u32;
+        for row in rows {
+            if let Some(pos) = id_of(row).and_then(|id| cursor.get_mut(id)) {
+                if let Some(slot) = listed.get_mut(*pos as usize) {
+                    *slot = row;
                 }
                 *pos += 1;
             }
         }
-        Postings { starts, rows }
+        Postings {
+            starts,
+            rows: listed,
+        }
     }
 
     fn list(&self, id: u32) -> &[u32] {
@@ -361,16 +340,18 @@ impl Postings {
 impl FdaAnalysis {
     /// Mine the lattice. `events` and `matching` supply the errcode
     /// column and the fatal-row set (a job is fatal iff the matching
-    /// attributed it to an event); `dims` is the interned job table from
-    /// [`AnalysisContext::fda_columns`]. Results are bit-identical for
-    /// every `threads >= 1`.
+    /// attributed it to an event, and its row is the one
+    /// [`AnalysisContext::job_row`] resolves); the job columns are the
+    /// context's [`AnalysisContext::fda_columns`]. Results are
+    /// bit-identical for every `threads >= 1`.
     pub fn compute(
         events: &[Event],
         matching: &Matching,
-        dims: &JobDims,
+        ctx: &AnalysisContext<'_>,
         params: &FdaParams,
         threads: usize,
     ) -> FdaAnalysis {
+        let dims = ctx.fda_columns();
         let n = dims.rows();
         // Errcode column: id 0 = "no interruption", ids 1.. = rank in the
         // sorted dictionary of attributed codes (+1). Victim lists are
@@ -379,7 +360,7 @@ impl FdaAnalysis {
         for (i, em) in matching.per_event.iter().enumerate() {
             let code = events.get(i).map_or(0, |e| e.errcode.0);
             for &job_id in &em.victims {
-                if let Some(row) = dims.row_of(job_id) {
+                if let Some(row) = ctx.job_row(job_id) {
                     attributed.push((row, code));
                 }
             }
@@ -429,8 +410,19 @@ impl FdaAnalysis {
             return analysis;
         }
 
+        // Per column, the postings over every row (total support) and over
+        // the fatal rows only (fatal support).
         let postings: Vec<Postings> = (0..NUM_DIMS)
-            .map(|d| Postings::build(table.cols[d], table.sizes[d]))
+            .map(|d| Postings::build(table.cols[d], table.sizes[d], 0..n as u32))
+            .collect();
+        let fatal_postings: Vec<Postings> = (0..NUM_DIMS)
+            .map(|d| {
+                Postings::build(
+                    table.cols[d],
+                    table.sizes[d],
+                    table.fatal_rows.iter().copied(),
+                )
+            })
             .collect();
 
         // Level 1: fatal support per item from one deterministic pass
@@ -464,7 +456,7 @@ impl FdaAnalysis {
         let mut level = 1;
         loop {
             // Total support + lift for this level's frequent sets.
-            let totals = count_total(&table, &postings, &frequent, threads);
+            let totals = count_support(&table, &postings, &frequent, threads);
             for ((items, &fatal), total) in frequent.iter().zip(&supports).zip(totals) {
                 let lift =
                     (f64::from(fatal) * n as f64) / (f64::from(total.max(1)) * n_fatal as f64);
@@ -480,7 +472,7 @@ impl FdaAnalysis {
             if candidates.is_empty() {
                 break;
             }
-            let counts = count_fatal(&table, &candidates, threads);
+            let counts = count_support(&table, &fatal_postings, &candidates, threads);
             let mut next_frequent = Vec::new();
             let mut next_supports = Vec::new();
             for (items, c) in candidates.into_iter().zip(counts) {
@@ -516,18 +508,6 @@ impl FdaAnalysis {
             .collect();
         analysis
     }
-
-    /// Convenience wrapper used by the stage: resolve the interned
-    /// columns from the context and mine.
-    pub fn from_context(
-        events: &[Event],
-        matching: &Matching,
-        ctx: &AnalysisContext<'_>,
-        params: &FdaParams,
-        threads: usize,
-    ) -> FdaAnalysis {
-        FdaAnalysis::compute(events, matching, ctx.fda_columns(), params, threads)
-    }
 }
 
 /// Display name for one item.
@@ -538,11 +518,7 @@ fn item_name(dims: &JobDims, errdict: &Interner<u16>, d: u8, id: u32) -> String 
             None => "-".to_string(),
         };
     }
-    dims.names
-        .get(d as usize - 1)
-        .and_then(|names| names.get(id as usize))
-        .cloned()
-        .unwrap_or_default()
+    dims.job_name(d as usize - 1, id)
 }
 
 /// Apriori join + downward closure: from the lex-sorted frequent
@@ -592,31 +568,14 @@ fn gen_candidates(frequent: &[Vec<Item>]) -> Vec<Vec<Item>> {
     out
 }
 
-/// Fatal-support counts, one per candidate, in candidate order. The
-/// parallel path pre-chunks candidates into ≤ `threads` contiguous
-/// shards, counts each shard on its own thread into a fixed-order
-/// vector, and concatenates serially — bit-identical to the serial path.
-fn count_fatal(table: &Table<'_>, candidates: &[Vec<Item>], threads: usize) -> Vec<u32> {
-    shard_map(
-        candidates,
-        threads,
-        table.fatal_rows.len() as u64,
-        |items| {
-            let mut c = 0u32;
-            for &row in table.fatal_rows {
-                if table.matches(row, items) {
-                    c += 1;
-                }
-            }
-            c
-        },
-    )
-}
-
-/// Total-support counts via postings intersection: walk the shortest
-/// posting list among the itemset's items and verify the rest against
-/// the columns. Sharded the same way as [`count_fatal`].
-fn count_total(
+/// Support counts, one per itemset, in itemset order, via postings
+/// intersection: walk the shortest posting list among the itemset's items
+/// and verify the rest against the columns. With the fatal rows' postings
+/// this is the fatal support, with every row's the total support. The
+/// parallel path pre-chunks itemsets into ≤ `threads` contiguous shards,
+/// counts each shard on its own thread into a fixed-order vector, and
+/// concatenates serially — bit-identical to the serial path.
+fn count_support(
     table: &Table<'_>,
     postings: &[Postings],
     itemsets: &[Vec<Item>],
@@ -698,17 +657,18 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// The frozen label construction `from_jobs` replaced: one `BTreeMap`
-    /// of labels per dimension, filled per row. Kept as the oracle for
-    /// the dictionary-driven build.
-    fn reference_from_jobs(jobs: &[JobRecord]) -> JobDims {
+    /// The frozen construction `from_jobs` replaced: one `BTreeMap` of
+    /// labels per dimension, filled per row, and ids by sort plus binary
+    /// search. Kept as the oracle for the direct-rank build and the
+    /// on-demand labels; `names[d][id]` is the label of id `id`.
+    fn reference_from_jobs(jobs: &[JobRecord]) -> (JobDims, [Vec<String>; NUM_JOB_DIMS]) {
         let n = jobs.len();
         let mut raw: [Vec<u64>; NUM_JOB_DIMS] = std::array::from_fn(|_| Vec::with_capacity(n));
         let mut labels: [BTreeMap<u64, String>; NUM_JOB_DIMS] =
             std::array::from_fn(|_| BTreeMap::new());
         for j in jobs {
             let mp = j.partition.midplanes().next();
-            let mp_key = mp.map_or(u64::MAX, |m| m.index() as u64);
+            let mp_key = mp.map_or(NO_MIDPLANE, |m| m.index() as u64);
             raw[0].push(mp_key);
             raw[1].push(u64::from(j.user.0));
             raw[2].push(u64::from(j.project.0));
@@ -745,27 +705,19 @@ mod tests {
                 .map(|k| labels[d].get(k).cloned().unwrap_or_default())
                 .collect()
         });
-        let mut by_job_id: Vec<(u64, u32)> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.job_id, i as u32))
-            .collect();
-        by_job_id.sort_unstable();
-        JobDims {
-            cols,
-            dicts,
-            names,
-            by_job_id,
-        }
+        (JobDims { cols, dicts }, names)
     }
 
     fn assert_dims_match_reference(jobs: &[JobRecord]) {
         let got = JobDims::from_jobs(jobs);
-        let want = reference_from_jobs(jobs);
-        for j in jobs {
-            assert_eq!(got.row_of(j.job_id), want.row_of(j.job_id));
-        }
+        let (want, names) = reference_from_jobs(jobs);
         assert_eq!(got, want);
+        for (d, names) in names.iter().enumerate() {
+            for (id, name) in names.iter().enumerate() {
+                assert_eq!(&got.job_name(d, id as u32), name);
+            }
+            assert_eq!(got.job_name(d, names.len() as u32), "");
+        }
     }
 
     #[test]
@@ -833,11 +785,16 @@ mod tests {
     #[test]
     fn postings_lists_are_row_sorted() {
         let col = vec![1u32, 0, 1, 2, 0, 1];
-        let p = Postings::build(&col, 3);
+        let p = Postings::build(&col, 3, 0..6);
         assert_eq!(p.list(0), &[1, 4]);
         assert_eq!(p.list(1), &[0, 2, 5]);
         assert_eq!(p.list(2), &[3]);
         assert_eq!(p.list(3), &[] as &[u32]);
+        // Over a subset of the rows, each list keeps only those rows.
+        let p = Postings::build(&col, 3, [0, 3, 5].into_iter());
+        assert_eq!(p.list(0), &[] as &[u32]);
+        assert_eq!(p.list(1), &[0, 5]);
+        assert_eq!(p.list(2), &[3]);
     }
 
     #[test]

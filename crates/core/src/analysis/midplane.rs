@@ -38,16 +38,10 @@ impl MidplaneProfile {
         for e in events {
             fatal_counts[e.midplane().index()] += 1;
         }
-        let mut workload_secs = vec![0i64; n];
-        let mut wide_workload_secs = vec![0i64; n];
-        for m in MidplaneId::all() {
-            workload_secs[m.index()] = ctx.midplane_busy_seconds(m);
-            wide_workload_secs[m.index()] = ctx.midplane_busy_seconds_min_size(m, wide_threshold);
-        }
         MidplaneProfile {
             fatal_counts,
-            workload_secs,
-            wide_workload_secs,
+            workload_secs: ctx.midplane_busy_series(0),
+            wide_workload_secs: ctx.midplane_busy_series(wide_threshold),
             wide_threshold,
         }
     }

@@ -11,24 +11,29 @@
 //!   filtering has a deterministic shard → thread assignment without
 //!   duplicating every event;
 //! * a **job-id index** (row ids sorted by job id) making job lookup a
-//!   binary search instead of a linear scan;
-//! * **executable groups** (the paper's "distinct job" notion), sorted by
-//!   [`ExecId`] with each group in submission order;
+//!   binary search instead of a linear scan, and turning an id-keyed map
+//!   into per-row marks in one merge ([`AnalysisContext::row_marks`]);
+//! * **executable groups** (the paper's "distinct job" notion): one vector
+//!   of job-table rows sorted by executable, then submission order, cut by
+//!   group offsets ([`ExecGroups`]). Built on first read, so a context whose
+//!   stages never walk them (a delta fold that only re-filters) never pays;
 //! * a **per-midplane job-termination index** (end-time-sorted ranks) that
 //!   the matching sweep walks with monotone cursors instead of re-scanning
 //!   a machine-wide termination window per event;
 //! * the RAS log's **time span**, for burst-rate denominators.
 //!
 //! Occupancy and termination queries (`running_at`, `overlapping`,
-//! `ended_in_window`, busy-seconds series) delegate to the [`JobLog`]'s own
+//! `ended_in_window`) delegate to the [`JobLog`]'s own
 //! interval indexes, which are already built once at log construction; the
 //! context re-exposes them so stages depend on one type only.
 
 use crate::analysis::fda::JobDims;
 use crate::event::Event;
+use bgp_model::intern::Interner;
 use bgp_model::{Duration, MidplaneId, Timestamp};
-use joblog::{ExecId, JobLog, JobRecord};
+use joblog::{JobLog, JobRecord};
 use raslog::{ErrCode, RasLog, RasRecord};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -253,21 +258,37 @@ impl EventStore {
     }
 }
 
-/// Stably sort `events` by code and carve the buffer into per-code slices.
+/// Stably sort `events` by code and carve the buffer into per-code slices:
+/// a counting sort on [`ErrCode::index`], so each code's events keep their
+/// input (time) order.
 fn index_by_code(events: &[Event]) -> (Vec<Event>, Vec<(ErrCode, Range<usize>)>) {
-    let mut code_events = events.to_vec();
-    code_events.sort_by_key(|e| e.errcode);
-    let mut code_slices: Vec<(ErrCode, Range<usize>)> = Vec::new();
-    let mut start = 0usize;
-    for (i, e) in code_events.iter().enumerate() {
-        if e.errcode != code_events[start].errcode {
-            code_slices.push((code_events[start].errcode, start..i));
-            start = i;
-        }
-        if i + 1 == code_events.len() {
-            code_slices.push((e.errcode, start..i + 1));
-        }
+    let codes = events
+        .iter()
+        .map(|e| e.errcode.index() + 1)
+        .max()
+        .unwrap_or(0);
+    // `ends[c + 1]` counts code `c`; after the prefix sum `ends[c]` is where
+    // code `c` starts and `ends[c + 1]` where it ends.
+    let mut ends = vec![0usize; codes + 1];
+    for e in events {
+        ends[e.errcode.index() + 1] += 1;
     }
+    for c in 1..ends.len() {
+        ends[c] += ends[c - 1];
+    }
+    let mut cursor = ends.clone();
+    let mut code_events = events.to_vec();
+    for e in events {
+        let at = &mut cursor[e.errcode.index()];
+        code_events[*at] = *e;
+        *at += 1;
+    }
+    let code_slices = ends
+        .windows(2)
+        .enumerate()
+        .filter(|(_, w)| w[0] < w[1])
+        .map(|(c, w)| (ErrCode(c as u16), w[0]..w[1]))
+        .collect();
     (code_events, code_slices)
 }
 
@@ -305,6 +326,69 @@ fn merge_sorted_events(base: &mut Vec<Event>, batch: &[Event]) {
     base.extend_from_slice(batch.get(j..).unwrap_or(&[]));
 }
 
+/// Job-table rows grouped by executable (the paper's "distinct job"):
+/// every row once, sorted by `(exec, queue_time, job_id)` with ties in table
+/// order, and one offset per group into that vector.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ExecGroups {
+    rows: Vec<u32>,
+    /// `starts[g]..starts[g + 1]` are group `g`'s rows.
+    starts: Vec<u32>,
+}
+
+impl ExecGroups {
+    /// Group the rows of `jobs`.
+    pub fn from_jobs(jobs: &[JobRecord]) -> ExecGroups {
+        // Rows by executable: a counting sort on the executables' dense
+        // ids, stable, so each group starts out in table order. (About 4x
+        // faster at paper scale than one sort of all rows by the full key.)
+        let execs: Vec<u64> = jobs.iter().map(|j| u64::from(j.exec.0)).collect();
+        let (dict, ids) = Interner::from_column(&execs);
+        let mut starts = vec![0u32; dict.len() + 1];
+        for &id in &ids {
+            starts[id as usize + 1] += 1;
+        }
+        for g in 1..starts.len() {
+            starts[g] += starts[g - 1];
+        }
+        let mut cursor = starts.clone();
+        let mut rows = vec![0u32; jobs.len()];
+        for (row, &id) in ids.iter().enumerate() {
+            let at = &mut cursor[id as usize];
+            rows[*at as usize] = row as u32;
+            *at += 1;
+        }
+        // Then each group into submission order. Table (start-time) order
+        // is nearly that already, and the sort is stable, so rows that tie
+        // on queue time and job id keep table order.
+        let submitted = |&row: &u32| jobs.get(row as usize).map(|j| (j.queue_time, j.job_id));
+        for w in starts.windows(2) {
+            if let Some(group) = rows.get_mut(w[0] as usize..w[1] as usize) {
+                group.sort_by_key(submitted);
+            }
+        }
+        ExecGroups { rows, starts }
+    }
+
+    /// Number of groups (distinct executables).
+    pub fn len(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// True when there are no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The groups in executable order, each a slice of job-table rows in
+    /// submission order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.starts
+            .windows(2)
+            .map(|w| self.rows.get(w[0] as usize..w[1] as usize).unwrap_or(&[]))
+    }
+}
+
 /// Immutable per-run indexes shared by every stage of the pipeline.
 ///
 /// Borrowing (rather than owning) the [`JobLog`] keeps construction cheap
@@ -319,10 +403,11 @@ pub struct AnalysisContext<'a> {
     /// per-code shards, so no event is ever stored twice.
     code_events: Vec<Event>,
     code_slices: Vec<(ErrCode, Range<usize>)>,
-    /// `(job_id, row)` for every row of the job table, stably sorted by
-    /// job id, so a duplicated id's rows stay in table order.
+    /// `(job_id, row)` for every row of the job table, sorted by job id,
+    /// so a duplicated id's rows stay in table order.
     job_index: Vec<(u64, u32)>,
-    exec_groups: Vec<(ExecId, Vec<&'a JobRecord>)>,
+    /// Job-table rows grouped by executable, built on first read.
+    exec_groups: OnceLock<ExecGroups>,
     span: Option<(Timestamp, Timestamp)>,
     /// Interned job-dimension columns for the FDA lattice, built lazily on
     /// first use (only the `Fda` stage pays for them).
@@ -374,20 +459,15 @@ impl<'a> AnalysisContext<'a> {
             span,
         } = store;
 
+        // Rows are distinct, so the unstable sort of `(id, row)` pairs is
+        // the stable sort by id.
         let mut job_index: Vec<(u64, u32)> = jobs
             .jobs()
             .iter()
             .enumerate()
             .map(|(i, j)| (j.job_id, i as u32))
             .collect();
-        job_index.sort_by_key(|&(id, _)| id);
-
-        let mut by_exec: Vec<&'a JobRecord> = jobs.jobs().iter().collect();
-        by_exec.sort_by_key(|j| (j.exec, j.queue_time, j.job_id));
-        let exec_groups: Vec<(ExecId, Vec<&'a JobRecord>)> = by_exec
-            .chunk_by(|a, b| a.exec == b.exec)
-            .map(|group| (group[0].exec, group.to_vec()))
-            .collect();
+        job_index.sort_unstable();
 
         AnalysisContext {
             jobs,
@@ -395,7 +475,7 @@ impl<'a> AnalysisContext<'a> {
             code_events,
             code_slices,
             job_index,
-            exec_groups,
+            exec_groups: OnceLock::new(),
             span,
             fda_dims: OnceLock::new(),
             #[cfg(test)]
@@ -500,26 +580,46 @@ impl<'a> AnalysisContext<'a> {
     /// Look up a job by id — a binary search, unlike [`JobLog::by_job_id`]'s
     /// scan. A duplicated id resolves to its *last* row in
     /// [`AnalysisContext::job_records`], where `by_job_id` returns the first.
+    /// Every stage resolves ids by this one rule.
     pub fn job(&self, job_id: u64) -> Option<&'a JobRecord> {
+        let row = self.job_row(job_id)?;
+        self.jobs.jobs().get(row as usize)
+    }
+
+    /// The row (in [`AnalysisContext::job_records`]) of `job_id` — the row
+    /// [`AnalysisContext::job`] returns.
+    pub fn job_row(&self, job_id: u64) -> Option<u32> {
         self.note(CtxIndex::Jobs);
         let end = self.job_index.partition_point(|&(id, _)| id <= job_id);
         let &(_, row) = self
             .job_index
             .get(end.checked_sub(1)?)
             .filter(|&&(id, _)| id == job_id)?;
-        self.jobs.jobs().get(row as usize)
+        Some(row)
     }
 
-    /// Index (into [`AnalysisContext::job_records`]) of a record borrowed
-    /// *from that slice* — e.g. via [`AnalysisContext::exec_groups`] — by
-    /// pointer offset: O(1) with no hashing. Returns `None` for a record
-    /// that does not live in the slice.
-    pub(crate) fn record_index(&self, j: &JobRecord) -> Option<usize> {
+    /// Per row of [`AnalysisContext::job_records`], the value `by_id` holds
+    /// for the row's job id, or `None`.
+    ///
+    /// One merge of the map's ids (ascending by construction) against the
+    /// job-id index marks *every* row that carries a listed id, duplicated
+    /// ids included — what a per-row probe of the map would answer.
+    pub fn row_marks<T: Copy>(&self, by_id: &BTreeMap<u64, T>) -> Vec<Option<T>> {
         self.note(CtxIndex::Jobs);
-        let base = self.jobs.jobs().as_ptr() as usize;
-        let off = (std::ptr::from_ref(j) as usize).checked_sub(base)?;
-        let size = std::mem::size_of::<JobRecord>();
-        (off % size == 0 && off / size < self.jobs.len()).then(|| off / size)
+        let mut marks = vec![None; self.jobs.len()];
+        let mut rest = self.job_index.as_slice();
+        for (&job_id, &value) in by_id {
+            rest = rest
+                .get(rest.partition_point(|&(id, _)| id < job_id)..)
+                .unwrap_or(&[]);
+            let n = rest.partition_point(|&(id, _)| id == job_id);
+            for &(_, row) in rest.get(..n).unwrap_or(&[]) {
+                if let Some(mark) = marks.get_mut(row as usize) {
+                    *mark = Some(value);
+                }
+            }
+        }
+        marks
     }
 
     /// Duration of the longest job in the log — the lookback bound for
@@ -529,17 +629,25 @@ impl<'a> AnalysisContext<'a> {
         self.jobs.max_duration()
     }
 
-    /// Jobs grouped by executable, groups sorted by [`ExecId`] and each
-    /// group in submission (queue-time) order.
-    pub fn exec_groups(&self) -> &[(ExecId, Vec<&'a JobRecord>)] {
+    /// Job-table rows grouped by executable, groups sorted by
+    /// [`ExecId`](joblog::ExecId) and each group in submission (queue-time)
+    /// order. Built on first call and kept for the context's lifetime.
+    pub fn exec_groups(&self) -> &ExecGroups {
         self.note(CtxIndex::Jobs);
-        &self.exec_groups
+        self.exec_groups
+            .get_or_init(|| ExecGroups::from_jobs(self.jobs.jobs()))
+    }
+
+    /// Busy seconds per midplane from the jobs of at least `min_midplanes`
+    /// midplanes ([`JobLog::midplane_busy_series`]).
+    pub fn midplane_busy_series(&self, min_midplanes: u32) -> Vec<i64> {
+        self.note(CtxIndex::Jobs);
+        self.jobs.midplane_busy_series(min_midplanes)
     }
 
     /// Number of distinct executables.
     pub fn distinct_execs(&self) -> usize {
-        self.note(CtxIndex::Jobs);
-        self.exec_groups.len()
+        self.exec_groups().len()
     }
 
     /// Jobs running at instant `t` on midplane `m`.
@@ -572,25 +680,12 @@ impl<'a> AnalysisContext<'a> {
         self.note(CtxIndex::Jobs);
         self.jobs.ended_in_window(t0, t1)
     }
-
-    /// Busy seconds on midplane `m` (the Figure 4b workload series).
-    pub fn midplane_busy_seconds(&self, m: MidplaneId) -> i64 {
-        self.note(CtxIndex::Jobs);
-        self.jobs.midplane_busy_seconds(m)
-    }
-
-    /// Busy seconds on midplane `m` counting only jobs of at least
-    /// `min_midplanes` midplanes (the Figure 4c wide-job series).
-    pub fn midplane_busy_seconds_min_size(&self, m: MidplaneId, min_midplanes: u32) -> i64 {
-        self.note(CtxIndex::Jobs);
-        self.jobs.midplane_busy_seconds_min_size(m, min_midplanes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joblog::{ExitStatus, ProjectId, UserId};
+    use joblog::{ExecId, ExitStatus, ProjectId, UserId};
     use raslog::{Catalog, RasRecord};
 
     fn job(job_id: u64, exec: u32, start: i64, end: i64, part: &str) -> JobRecord {
@@ -675,14 +770,29 @@ mod tests {
         assert_eq!(jobs.by_job_id(8).map(|j| j.end_time.as_unix()), Some(600));
         // Within a group, queue-time ties order by job id, and rows that
         // tie on both keep their table order.
-        let groups = ctx.exec_groups();
+        let groups: Vec<&[u32]> = ctx.exec_groups().iter().collect();
         assert_eq!(groups.len(), 3);
         let exec3: Vec<(u64, i64)> = groups[2]
-            .1
             .iter()
-            .map(|j| (j.job_id, j.end_time.as_unix()))
+            .map(|&row| {
+                let j = &jobs.jobs()[row as usize];
+                (j.job_id, j.end_time.as_unix())
+            })
             .collect();
         assert_eq!(exec3, vec![(6, 800), (8, 600), (8, 700)]);
+        // A mark lands on every row of a duplicated id; `job_row` is the
+        // last of them.
+        let marks = ctx.row_marks(&BTreeMap::from([(8, 'b'), (5u64, 'a')]));
+        let marked: Vec<(u64, char)> = jobs
+            .jobs()
+            .iter()
+            .zip(&marks)
+            .filter_map(|(j, m)| m.map(|m| (j.job_id, m)))
+            .collect();
+        assert_eq!(marked, vec![(5, 'a'), (5, 'a'), (8, 'b'), (8, 'b')]);
+        let row_of_6 = jobs.jobs().iter().position(|j| j.job_id == 6);
+        assert_eq!(ctx.job_row(5), Some(1));
+        assert_eq!(ctx.job_row(6).map(|r| r as usize), row_of_6);
     }
 
     #[test]
@@ -693,37 +803,54 @@ mod tests {
             job(3, 5, 200, 900, "R00-M1"),
         ]);
         let ctx = AnalysisContext::for_jobs(&jobs);
-        let groups = ctx.exec_groups();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, ExecId(5));
-        assert_eq!(groups[1].0, ExecId(10));
+        let groups: Vec<Vec<(ExecId, u64)>> = ctx
+            .exec_groups()
+            .iter()
+            .map(|g| {
+                g.iter()
+                    .map(|&row| {
+                        (
+                            jobs.jobs()[row as usize].exec,
+                            jobs.jobs()[row as usize].job_id,
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
         assert_eq!(
-            groups[1].1.iter().map(|j| j.job_id).collect::<Vec<_>>(),
-            vec![1, 2]
+            groups,
+            vec![vec![(ExecId(5), 3)], vec![(ExecId(10), 1), (ExecId(10), 2)]]
         );
         assert_eq!(ctx.distinct_execs(), 2);
+        assert!(AnalysisContext::for_jobs(&JobLog::default())
+            .exec_groups()
+            .is_empty());
     }
 
     #[test]
-    fn record_index_round_trips_for_borrowed_records() {
-        let jobs = JobLog::from_jobs(vec![
-            job(7, 1, 100, 500, "R00-M0"),
-            job(3, 1, 600, 700, "R00-M1"),
-        ]);
-        let ctx = AnalysisContext::for_jobs(&jobs);
-        for (i, j) in ctx.job_records().iter().enumerate() {
-            assert_eq!(ctx.record_index(j), Some(i));
+    fn exec_groups_equal_a_stable_sort_of_the_records() {
+        // Negative and tied queue times, duplicated ids, `u32::MAX` execs.
+        let mut rows = Vec::new();
+        for i in 0..60u64 {
+            let mut j = job(
+                i % 7,
+                [0, 3, u32::MAX][i as usize % 3],
+                10 * i as i64,
+                900,
+                "R00-M0",
+            );
+            j.queue_time = Timestamp::from_unix([-5, 0, 40][i as usize % 3] - (i % 2) as i64);
+            rows.push(j);
         }
-        for (_, group) in ctx.exec_groups() {
-            for j in group {
-                let i = ctx
-                    .record_index(j)
-                    .expect("exec_groups borrows from job_records");
-                assert_eq!(ctx.job_records()[i].job_id, j.job_id);
-            }
-        }
-        let outside = job(9, 2, 0, 1, "R01-M0");
-        assert_eq!(ctx.record_index(&outside), None);
+        let jobs = JobLog::from_jobs(rows);
+        let mut want: Vec<u32> = (0..jobs.len() as u32).collect();
+        want.sort_by_key(|&r| {
+            let j = &jobs.jobs()[r as usize];
+            (j.exec, j.queue_time, j.job_id)
+        });
+        let groups = ExecGroups::from_jobs(jobs.jobs());
+        assert_eq!(groups.iter().flatten().copied().collect::<Vec<_>>(), want);
+        assert_eq!(groups.len(), 3);
     }
 
     /// Build a store by appending `tail` onto `head` and assert every
@@ -828,7 +955,5 @@ mod tests {
                 .len(),
             1
         );
-        assert_eq!(ctx.midplane_busy_seconds(m0), 400);
-        assert_eq!(ctx.midplane_busy_seconds_min_size(m0, 4), 0);
     }
 }

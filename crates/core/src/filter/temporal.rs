@@ -52,11 +52,13 @@ impl TemporalFilter {
     /// input keeping the first event of each same-location burst per code.
     pub fn apply(&self, events: &[Event]) -> Vec<Event> {
         debug_assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
-        // Shared rolling-window core, keyed by (code, exact location).
+        // Shared rolling-window core, keyed by (code, exact location) packed
+        // into one integer: the window only asks whether two keys are equal.
+        let key = |e: &Event| u64::from(e.errcode.0) << 32 | u64::from(e.location.packed());
         let mut window = DedupWindow::new(self.threshold);
         let mut out: Vec<Event> = Vec::new();
         for e in events {
-            match window.observe((e.errcode, e.location), e.time, out.len() as u32) {
+            match window.observe(key(e), e.time, out.len() as u32) {
                 DedupDecision::Merged(slot) => out[slot as usize].absorb(e),
                 DedupDecision::Fresh => out.push(*e),
             }

@@ -27,7 +27,7 @@
 use crate::context::AnalysisContext;
 use crate::event::Event;
 use bgp_model::{Duration, Timestamp};
-use joblog::{JobLog, JobRecord};
+use joblog::JobRecord;
 use std::collections::BTreeMap;
 
 /// The paper's three event-vs-jobs cases.
@@ -400,12 +400,13 @@ impl Matching {
         c
     }
 
-    /// The interrupted [`JobRecord`]s, resolved against the job log.
-    pub fn interrupted_records<'a>(&self, jobs: &'a JobLog) -> Vec<&'a JobRecord> {
+    /// The interrupted [`JobRecord`]s, resolved through the context's job-id
+    /// index ([`AnalysisContext::job`]), in `(end_time, job_id)` order.
+    pub fn interrupted_records<'a>(&self, ctx: &AnalysisContext<'a>) -> Vec<&'a JobRecord> {
         let mut out: Vec<&JobRecord> = self
             .job_to_event
             .keys()
-            .filter_map(|&id| jobs.by_job_id(id))
+            .filter_map(|&id| ctx.job(id))
             .collect();
         out.sort_by_key(|j| (j.end_time, j.job_id));
         out
@@ -416,7 +417,7 @@ impl Matching {
 mod tests {
     use super::*;
     use bgp_model::Timestamp;
-    use joblog::{ExecId, ExitStatus, ProjectId, UserId};
+    use joblog::{ExecId, ExitStatus, JobLog, ProjectId, UserId};
     use raslog::Catalog;
 
     fn ev(t: i64, loc: &str, name: &str) -> Event {
@@ -461,7 +462,10 @@ mod tests {
         assert_eq!(m.per_event[0].case, EventCase::Interrupted);
         assert_eq!(m.job_to_event[&1], 0);
         assert_eq!(m.interrupted_jobs(), 1);
-        assert_eq!(m.interrupted_records(&jobs)[0].job_id, 1);
+        assert_eq!(
+            m.interrupted_records(&AnalysisContext::for_jobs(&jobs))[0].job_id,
+            1
+        );
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //! Every pass of the paper's Figure-1 dataflow is a [`StageId`] variant
 //! with declared inputs: the products it reads ([`StageId::deps`]) and the
 //! context indexes it reads ([`StageId::ctx_reads`]). One `match` over the
-//! id (`run_stage`) runs any pass. The executor (`execute`) walks the graph
-//! in dependency waves and runs independent stages of a wave concurrently —
-//! the per-code sharding of the temporal/spatial filters and the fan-out
-//! of the characterization passes go through the same fork-join point
+//! id (`run_stage`) runs any pass. The executor (`execute`) is ready-driven:
+//! `cfg.threads` workers each take the next stage whose dependencies have
+//! all finished (longest remaining path first, ties by id), and every
+//! product lands in its stage's write-once slot, so a slow stage holds back
+//! only the stages that read it. The workers and the per-code chunks of the
+//! temporal/spatial filters go through the same fork-join point
 //! (`fork_join`). Callers choose which passes to run with an
 //! [`AnalysisSet`]; dependencies are closed over automatically, so asking
 //! for `Midplane` alone pulls in filtering, matching, and job-related
 //! filtering but skips the other characterization passes.
 //!
-//! The same wave loop serves one-shot runs and incremental folds: given the
+//! The same executor serves one-shot runs and incremental folds: given the
 //! previous pass's [`StageCache`] and a [`ContextDelta`], it re-runs only
 //! the stages whose declared inputs changed and replays the rest.
 
@@ -30,8 +32,8 @@ use crate::filter::job_related::JobRelatedOutcome;
 use crate::filter::{CausalRule, FilterStats, JobRelatedFilter};
 use crate::matching::Matching;
 use crate::pipeline::{CoAnalysisConfig, CoAnalysisResult};
-use joblog::JobRecord;
 use raslog::ErrCode;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Identity of one pipeline pass; `run_stage` holds each pass's body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -262,29 +264,6 @@ impl AnalysisSet {
             .collect()
     }
 
-    /// The closure of this set grouped into dependency waves, in execution
-    /// order: each stage sits in the first wave after all of its
-    /// [`StageId::deps`], and the stages of one wave run concurrently.
-    pub(crate) fn waves(self) -> Vec<Vec<StageId>> {
-        let set = self.closure();
-        let mut done = AnalysisSet::empty();
-        let mut waves = Vec::new();
-        loop {
-            let ready: Vec<StageId> = set
-                .stages()
-                .into_iter()
-                .filter(|&id| !done.contains(id) && id.deps().iter().all(|&d| done.contains(d)))
-                .collect();
-            if ready.is_empty() {
-                return waves;
-            }
-            for &id in &ready {
-                done = done.with(id);
-            }
-            waves.push(ready);
-        }
-    }
-
     /// Number of member stages.
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
@@ -349,15 +328,16 @@ pub(crate) enum StageOutput {
     Fda(FdaAnalysis),
 }
 
-/// Accumulated products while the graph executes: the products a caller
-/// gets back, plus the filter stack's scratch values `filter_stats` needs.
+/// Products while the graph executes: one write-once slot per stage, so a
+/// running stage reads finished products while other stages install
+/// theirs.
 ///
 /// Stages read earlier products through the accessors; absent products
 /// (possible only if a stage is run without its dependencies, which the
 /// executor never does) degrade to empty defaults rather than panicking.
 /// In test builds every accessor records the producing stage in `reads`,
 /// and a proptest checks the recorded set equals [`StageId::deps`]. Direct
-/// field access from a stage would bypass that check; keep reads going
+/// slot access from a stage would bypass that check; keep reads going
 /// through the accessors.
 #[derive(Debug, Default)]
 pub(crate) struct PipelineState {
@@ -366,9 +346,7 @@ pub(crate) struct PipelineState {
     #[cfg(test)]
     reads: std::sync::atomic::AtomicU16,
     raw_fatal: usize,
-    after_temporal: usize,
-    after_spatial: Option<Vec<Event>>,
-    products: AnalysisProducts,
+    slots: [OnceLock<StageOutput>; StageId::ALL.len()],
 }
 
 impl PipelineState {
@@ -396,86 +374,118 @@ impl PipelineState {
         AnalysisSet(self.reads.swap(0, std::sync::atomic::Ordering::Relaxed))
     }
 
+    /// `producer`'s product, if it has been installed.
+    fn product(&self, producer: StageId) -> Option<&StageOutput> {
+        self.note_read(producer);
+        self.slots.get(producer as usize).and_then(OnceLock::get)
+    }
+
     /// Events after temporal + spatial filtering (the causal input).
     fn after_spatial(&self) -> &[Event] {
-        self.note_read(StageId::TemporalSpatial);
-        self.after_spatial.as_deref().unwrap_or(&[])
+        let Some(StageOutput::TemporalSpatial { after_spatial, .. }) =
+            self.product(StageId::TemporalSpatial)
+        else {
+            return &[];
+        };
+        after_spatial
     }
 
     /// Events after causal filtering (the matching/classification input).
     fn events(&self) -> &[Event] {
-        self.note_read(StageId::Causal);
-        self.products.events.as_deref().unwrap_or(&[])
+        let Some(StageOutput::Causal { events, .. }) = self.product(StageId::Causal) else {
+            return &[];
+        };
+        events
     }
 
     /// The event ↔ job matching.
     fn matching(&self) -> Option<&Matching> {
-        self.note_read(StageId::Matching);
-        self.products.matching.as_ref()
+        let Some(StageOutput::Matching(m)) = self.product(StageId::Matching) else {
+            return None;
+        };
+        Some(m)
+    }
+
+    /// The job-related filter outcome (final events + redundancy flags).
+    fn job_related(&self) -> Option<&JobRelatedOutcome> {
+        let Some(StageOutput::JobRelated(o)) = self.product(StageId::JobRelated) else {
+            return None;
+        };
+        Some(o)
     }
 
     /// Events after job-related filtering (the characterization input).
     fn final_events(&self) -> &[Event] {
-        self.note_read(StageId::JobRelated);
-        self.products.events_final.as_deref().unwrap_or(&[])
+        self.job_related().map_or(&[], |o| o.events.as_slice())
     }
 
     /// Per-event redundancy flags from job-related filtering.
     fn redundant_flags(&self) -> &[bool] {
-        self.note_read(StageId::JobRelated);
-        self.products.job_redundant.as_deref().unwrap_or(&[])
+        self.job_related().map_or(&[], |o| o.redundant.as_slice())
     }
 
     /// The root-cause classification.
     fn root_cause(&self) -> Option<&RootCauseSummary> {
-        self.note_read(StageId::RootCause);
-        self.products.root_cause.as_ref()
+        let Some(StageOutput::RootCause(r)) = self.product(StageId::RootCause) else {
+            return None;
+        };
+        Some(r)
     }
 
     /// The per-midplane fatal/workload profile.
     fn midplane(&self) -> Option<&MidplaneProfile> {
-        self.note_read(StageId::Midplane);
-        self.products.midplane.as_ref()
+        let Some(StageOutput::Midplane(m)) = self.product(StageId::Midplane) else {
+            return None;
+        };
+        Some(m)
     }
 
-    fn install(&mut self, out: StageOutput) {
-        let p = &mut self.products;
-        match out {
-            StageOutput::TemporalSpatial {
-                after_spatial,
-                after_temporal,
-            } => {
-                self.after_temporal = after_temporal;
-                self.after_spatial = Some(after_spatial);
-            }
-            StageOutput::Causal { events, rules } => {
-                p.events = Some(events);
-                p.causal_rules = Some(rules);
-            }
-            StageOutput::Matching(m) => p.matching = Some(m),
-            StageOutput::JobRelated(o) => {
-                p.job_redundant = Some(o.redundant);
-                p.events_final = Some(o.events);
-            }
-            StageOutput::Impact(i) => p.impact = Some(i),
-            StageOutput::RootCause(r) => p.root_cause = Some(r),
-            StageOutput::TableIv(t) => p.table_iv = Some(t),
-            StageOutput::Midplane(m) => p.midplane = Some(m),
-            StageOutput::Burst(b) => p.burst = Some(b),
-            StageOutput::Interruption(i) => p.interruption = Some(i),
-            StageOutput::Propagation(a) => p.propagation = Some(a),
-            StageOutput::Vulnerability(v) => p.vulnerability = Some(*v),
-            StageOutput::Fda(a) => p.fda = Some(a),
+    /// Fill `id`'s slot. Each slot is written once per pass; the executor
+    /// never runs a stage twice.
+    fn install(&self, id: StageId, out: StageOutput) {
+        if let Some(slot) = self.slots.get(id as usize) {
+            let _ = slot.set(out);
         }
     }
 
     pub(crate) fn into_products(self) -> AnalysisProducts {
-        let mut p = self.products;
-        p.filter_stats = match (&self.after_spatial, &p.events, &p.events_final) {
+        let mut p = AnalysisProducts::default();
+        let mut after_temporal = 0;
+        let mut after_spatial = None;
+        for out in self.slots.into_iter().filter_map(OnceLock::into_inner) {
+            match out {
+                StageOutput::TemporalSpatial {
+                    after_spatial: events,
+                    after_temporal: n,
+                } => {
+                    after_temporal = n;
+                    after_spatial = Some(events.len());
+                }
+                StageOutput::Causal { events, rules } => {
+                    p.events = Some(events);
+                    p.causal_rules = Some(rules);
+                }
+                StageOutput::Matching(m) => p.matching = Some(m),
+                StageOutput::JobRelated(o) => {
+                    p.job_redundant = Some(o.redundant);
+                    p.events_final = Some(o.events);
+                }
+                StageOutput::Impact(i) => p.impact = Some(i),
+                StageOutput::RootCause(r) => p.root_cause = Some(r),
+                StageOutput::TableIv(t) => p.table_iv = Some(t),
+                StageOutput::Midplane(m) => p.midplane = Some(m),
+                StageOutput::Burst(b) => p.burst = Some(b),
+                StageOutput::Interruption(i) => p.interruption = Some(i),
+                StageOutput::Propagation(a) => p.propagation = Some(a),
+                StageOutput::Vulnerability(v) => p.vulnerability = Some(*v),
+                StageOutput::Fda(a) => p.fda = Some(a),
+            }
+        }
+        p.filter_stats = match (after_spatial, &p.events, &p.events_final) {
             (Some(s), Some(ev), Some(fin)) => Some(FilterStats {
                 raw_fatal: self.raw_fatal,
-                after_temporal: self.after_temporal,
-                after_spatial: s.len(),
+                after_temporal,
+                after_spatial: s,
                 after_causal: ev.len(),
                 after_job_related: fin.len(),
             }),
@@ -596,13 +606,7 @@ fn run_stage(
             cfg.wide_threshold,
         )),
         StageId::Burst => {
-            let matching = matching();
-            let mut victims: Vec<&JobRecord> = matching
-                .job_to_event
-                .keys()
-                .filter_map(|&id| ctx.job(id))
-                .collect();
-            victims.sort_by_key(|j| (j.end_time, j.job_id));
+            let victims = matching().interrupted_records(ctx);
             let window = ctx
                 .span()
                 .unwrap_or((bgp_model::Timestamp::EPOCH, bgp_model::Timestamp::EPOCH));
@@ -625,16 +629,15 @@ fn run_stage(
                 .midplane()
                 .map(|m| m.fatal_counts.as_slice())
                 .unwrap_or(&[]);
-            StageOutput::Vulnerability(Box::new(VulnerabilityAnalysis::new_with_threads(
+            StageOutput::Vulnerability(Box::new(VulnerabilityAnalysis::new(
                 state.events(),
                 matching(),
                 root_cause(),
                 ctx,
                 fatal_counts,
-                cfg.threads,
             )))
         }
-        StageId::Fda => StageOutput::Fda(FdaAnalysis::from_context(
+        StageId::Fda => StageOutput::Fda(FdaAnalysis::compute(
             state.events(),
             matching(),
             ctx,
@@ -683,11 +686,25 @@ fn temporal_spatial(
         .filter(|(_, r)| r.is_none())
         .map(|(&shard, _)| shard)
         .collect();
-    let mut fresh = fork_join(&todo, cfg.threads, &|&(code, shard)| {
-        let t = cfg.temporal.apply(shard);
-        (code, cfg.spatial.apply(&t), t.len())
+    // Shard sizes are skewed (one storm code can hold most events), so the
+    // threads get contiguous chunks of about equal event count, not of
+    // equal shard count.
+    let sizes: Vec<usize> = todo.iter().map(|(_, shard)| shard.len()).collect();
+    let chunks: Vec<&[(ErrCode, &[Event])]> = balanced_runs(&sizes, cfg.threads)
+        .into_iter()
+        .filter_map(|run| todo.get(run))
+        .collect();
+    let mut fresh = fork_join(&chunks, cfg.threads, &|chunk| {
+        chunk
+            .iter()
+            .map(|&(code, shard)| {
+                let t = cfg.temporal.apply(shard);
+                (code, cfg.spatial.apply(&t), t.len())
+            })
+            .collect::<Vec<ShardOutput>>()
     })
-    .into_iter();
+    .into_iter()
+    .flatten();
     // Every `None` has exactly one fresh output, in shard order.
     let outputs: Vec<ShardOutput> = reuse
         .into_iter()
@@ -709,12 +726,40 @@ fn temporal_spatial(
     }
 }
 
+/// Cut `weights` into at most `parts` contiguous runs of about equal total
+/// weight. A run ends where its prefix sum reaches the next `1/parts` of
+/// the total, on whichever side of the crossing item lands closer.
+fn balanced_runs(weights: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
+    let total: usize = weights.iter().sum();
+    let mut runs = Vec::with_capacity(parts);
+    let (mut start, mut acc) = (0usize, 0usize);
+    for (i, &w) in weights.iter().enumerate() {
+        // Distance of a prefix sum from the next cut, scaled by `parts`.
+        let target = total * (runs.len() + 1);
+        let off = |sum: usize| (sum * parts).abs_diff(target);
+        if runs.len() + 1 < parts && (acc + w) * parts >= target {
+            if start < i && off(acc) < off(acc + w) {
+                runs.push(start..i);
+                start = i;
+            } else {
+                runs.push(start..i + 1);
+                start = i + 1;
+            }
+        }
+        acc += w;
+    }
+    if start < weights.len() {
+        runs.push(start..weights.len());
+    }
+    runs
+}
+
 /// Observer of stage execution, called by the executor around every stage.
 ///
 /// The executor itself is clock-free (clippy's `disallowed-methods` ban);
 /// callers that want wall-clock per stage — the metrics registry in
 /// `bgp-serve`, `coctl analyze --timings` — read their own clock inside
-/// these callbacks. Stages of one wave run concurrently, so callbacks must
+/// these callbacks. Independent stages run concurrently, so callbacks must
 /// tolerate interleaving across stages (they are never interleaved for one
 /// stage: started and finished bracket the run on the same thread).
 pub trait StageObserver: Sync {
@@ -756,10 +801,6 @@ pub struct StageCache {
 }
 
 impl StageCache {
-    fn output(&self, id: StageId) -> Option<&StageOutput> {
-        self.outputs.get(id as usize).and_then(Option::as_ref)
-    }
-
     fn store(&mut self, id: StageId, out: StageOutput) {
         if let Some(slot) = self.outputs.get_mut(id as usize) {
             *slot = Some(out);
@@ -787,17 +828,25 @@ pub struct DeltaReport {
     pub changed: AnalysisSet,
 }
 
-/// Execute the dependency closure of `set` over `ctx` in waves; stages in
-/// the same wave run concurrently (up to `cfg.threads`).
+/// Execute the dependency closure of `set` over `ctx` on `cfg.threads`
+/// workers.
+///
+/// A worker starts a stage as soon as every one of its [`StageId::deps`]
+/// has finished, taking the ready stage with the longest remaining
+/// dependency path first (ties by [`StageId`]). Each product goes into its
+/// stage's write-once slot, so stages that do not depend on each other
+/// overlap freely. The order changes only the timing: every stage is a
+/// pure function of its inputs.
 ///
 /// One-shot (`incremental` is `None`): every stage runs, and nothing is
 /// cloned into or compared against a cache. Incremental (`Some((cache,
-/// delta))`): a stage re-runs only when it has no cached output, when one
-/// of its [`StageId::ctx_reads`] is in [`ContextDelta::dirty`], or when one
-/// of its [`StageId::deps`] re-ran *and produced a different output* —
-/// equality with the cached value cuts propagation short (an append whose
-/// new events are all dedup'd away re-runs the filters and nothing
-/// downstream). Clean stages install their cached product unchanged.
+/// delta))`): when a stage becomes ready it re-runs only if it has no
+/// cached output, one of its [`StageId::ctx_reads`] is in
+/// [`ContextDelta::dirty`], or one of its [`StageId::deps`] re-ran *and
+/// produced a different output* — equality with the cached value cuts
+/// propagation short (an append whose new events are all dedup'd away
+/// re-runs the filters and nothing downstream). A clean stage installs its
+/// cached product unchanged.
 ///
 /// Contract: an incremental pass is bit-identical to a one-shot pass of
 /// `set` over the same (post-append) context — guaranteed by
@@ -809,59 +858,218 @@ pub(crate) fn execute(
     ctx: &AnalysisContext<'_>,
     cfg: &CoAnalysisConfig,
     set: AnalysisSet,
-    mut incremental: Option<(&mut StageCache, &ContextDelta)>,
+    incremental: Option<(&mut StageCache, &ContextDelta)>,
     observer: Option<&dyn StageObserver>,
 ) -> (PipelineState, DeltaReport) {
-    let dirty_ctx = incremental
-        .as_ref()
-        .map_or_else(Vec::new, |(_, d)| d.dirty());
-    let mut state = PipelineState::new(ctx.raw_events().len());
-    let mut reran = AnalysisSet::empty();
-    let mut changed = AnalysisSet::empty();
-    for wave in set.waves() {
-        let mut dirty: Vec<StageId> = Vec::with_capacity(wave.len());
-        for id in wave {
-            let inputs_changed = id.ctx_reads().iter().any(|r| dirty_ctx.contains(r))
-                || id.deps().iter().any(|&d| changed.contains(d));
-            match incremental.as_ref().and_then(|(cache, _)| cache.output(id)) {
-                Some(out) if !inputs_changed => state.install(out.clone()),
-                _ => dirty.push(id),
-            }
-        }
-        // The temporal/spatial stage goes through its per-shard cache
-        // (which needs `&mut`); everything else dirty in this wave
-        // fork-joins.
-        let mut outputs: Vec<(StageId, StageOutput)> = Vec::with_capacity(dirty.len());
-        if let Some(pos) = dirty.iter().position(|&id| id == StageId::TemporalSpatial) {
-            dirty.remove(pos);
-            let shards = incremental
-                .as_mut()
-                .map(|(cache, delta)| (&mut cache.ts_shards, delta.dirty_codes.as_slice()));
-            let out = observed(observer, StageId::TemporalSpatial, || {
-                temporal_spatial(ctx, cfg, shards)
-            });
-            outputs.push((StageId::TemporalSpatial, out));
-        }
-        outputs.extend(fork_join(&dirty, cfg.threads, &|&id| {
-            (
-                id,
-                observed(observer, id, || run_stage(id, ctx, cfg, &state)),
-            )
-        }));
-        for (id, out) in outputs {
-            reran = reran.with(id);
-            match incremental.as_mut() {
-                Some((cache, _)) if cache.output(id) == Some(&out) => {}
-                Some((cache, _)) => {
-                    changed = changed.with(id);
-                    cache.store(id, out.clone());
+    let set = set.closure();
+    let (cache, delta) = incremental.unzip();
+    let keep_outputs = cache.is_some();
+    let dirty_ctx = delta.map_or_else(Vec::new, ContextDelta::dirty);
+    let dirty_codes = delta.map_or(&[][..], |d| d.dirty_codes.as_slice());
+    let state = PipelineState::new(ctx.raw_events().len());
+    let schedule = Schedule {
+        board: Mutex::new(Board {
+            todo: set,
+            done: AnalysisSet::empty(),
+            reran: AnalysisSet::empty(),
+            changed: AnalysisSet::empty(),
+            failed: false,
+            cache,
+        }),
+        finished: Condvar::new(),
+        priority: ready_priority(set),
+        dirty_ctx,
+    };
+    let workers: Vec<usize> = (0..cfg.threads.clamp(1, set.len().max(1))).collect();
+    fork_join(&workers, workers.len(), &|_| {
+        let _guard = PanicGuard(&schedule);
+        while let Some(task) = schedule.next() {
+            match task {
+                Task::Replay(id, out) => {
+                    state.install(id, out.clone());
+                    schedule.finish(id, false, false, Some(out));
                 }
-                None => changed = changed.with(id),
+                Task::Run {
+                    id,
+                    cached,
+                    ts_shards,
+                } => {
+                    let out = observed(observer, id, || match ts_shards {
+                        Some(mut shards) => {
+                            let out = temporal_spatial(ctx, cfg, Some((&mut shards, dirty_codes)));
+                            schedule.board().cache_shards(shards);
+                            out
+                        }
+                        None => run_stage(id, ctx, cfg, &state),
+                    });
+                    let changed = cached.as_ref() != Some(&out);
+                    // An incremental pass leaves the newest product cached.
+                    let keep = match cached {
+                        Some(old) if !changed => Some(old),
+                        _ => keep_outputs.then(|| out.clone()),
+                    };
+                    state.install(id, out);
+                    schedule.finish(id, true, changed, keep);
+                }
             }
-            state.install(out);
+        }
+    });
+    let board = schedule
+        .board
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let report = DeltaReport {
+        reran: board.reran,
+        changed: board.changed,
+    };
+    (state, report)
+}
+
+/// Per stage, the length (in stages) of the longest dependency path from it
+/// to a sink of `set`, itself included — the ready order's first key.
+fn ready_priority(set: AnalysisSet) -> [usize; StageId::ALL.len()] {
+    let mut path = [0usize; StageId::ALL.len()];
+    // `ALL` is topological, so walking it backwards sees every dependent
+    // before the stages it depends on.
+    for id in StageId::ALL.into_iter().rev() {
+        if set.contains(id) {
+            path[id as usize] = 1 + StageId::ALL
+                .into_iter()
+                .filter(|&s| set.contains(s) && s.deps().contains(&id))
+                .map(|s| path[s as usize])
+                .max()
+                .unwrap_or(0);
         }
     }
-    (state, DeltaReport { reran, changed })
+    path
+}
+
+/// The executor's shared state: which stages are left, done, re-run and
+/// changed, and the previous pass's cache while an incremental pass holds
+/// it.
+struct Board<'c> {
+    /// Stages not yet started.
+    todo: AnalysisSet,
+    /// Stages whose product is installed.
+    done: AnalysisSet,
+    reran: AnalysisSet,
+    changed: AnalysisSet,
+    /// A worker panicked: the others stop taking stages.
+    failed: bool,
+    cache: Option<&'c mut StageCache>,
+}
+
+impl Board<'_> {
+    /// Return the temporal/spatial stage's per-shard cache.
+    fn cache_shards(&mut self, shards: Vec<ShardOutput>) {
+        if let Some(cache) = self.cache.as_mut() {
+            cache.ts_shards = shards;
+        }
+    }
+}
+
+/// One stage handed to a worker.
+enum Task {
+    /// Install the cached product of a clean stage.
+    Replay(StageId, StageOutput),
+    /// Run the stage. `cached` is the previous pass's product to compare
+    /// against; `ts_shards` the per-shard cache when the stage is the
+    /// temporal/spatial one of an incremental pass.
+    Run {
+        id: StageId,
+        cached: Option<StageOutput>,
+        ts_shards: Option<Vec<ShardOutput>>,
+    },
+}
+
+/// The [`Board`] behind its lock, the signal that a stage finished, and
+/// what the ready rule reads.
+struct Schedule<'c> {
+    board: Mutex<Board<'c>>,
+    finished: Condvar,
+    priority: [usize; StageId::ALL.len()],
+    dirty_ctx: Vec<CtxIndex>,
+}
+
+impl<'c> Schedule<'c> {
+    fn board(&self) -> MutexGuard<'_, Board<'c>> {
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block until a stage is ready and hand it out, or return `None` once
+    /// every stage has started (or a worker failed).
+    fn next(&self) -> Option<Task> {
+        let mut board = self.board();
+        loop {
+            if board.failed || board.todo.is_empty() {
+                return None;
+            }
+            let done = board.done;
+            let ready = board
+                .todo
+                .stages()
+                .into_iter()
+                .filter(|id| id.deps().iter().all(|&d| done.contains(d)))
+                .max_by_key(|&id| (self.priority[id as usize], std::cmp::Reverse(id as u16)));
+            if let Some(id) = ready {
+                board.todo = AnalysisSet(board.todo.0 & !id.bit());
+                let dirty = id.ctx_reads().iter().any(|r| self.dirty_ctx.contains(r))
+                    || id.deps().iter().any(|&d| board.changed.contains(d));
+                let Some(cache) = board.cache.as_deref_mut() else {
+                    return Some(Task::Run {
+                        id,
+                        cached: None,
+                        ts_shards: None,
+                    });
+                };
+                let cached = cache.outputs.get_mut(id as usize).and_then(Option::take);
+                return Some(match cached {
+                    Some(out) if !dirty => Task::Replay(id, out),
+                    cached => Task::Run {
+                        id,
+                        cached,
+                        ts_shards: (id == StageId::TemporalSpatial)
+                            .then(|| std::mem::take(&mut cache.ts_shards)),
+                    },
+                });
+            }
+            board = self
+                .finished
+                .wait(board)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Record that `id` finished (`out` goes back into the cache, if any)
+    /// and wake the workers waiting for a ready stage.
+    fn finish(&self, id: StageId, ran: bool, changed: bool, out: Option<StageOutput>) {
+        let mut board = self.board();
+        board.done = board.done.with(id);
+        if ran {
+            board.reran = board.reran.with(id);
+        }
+        if changed {
+            board.changed = board.changed.with(id);
+        }
+        if let (Some(cache), Some(out)) = (board.cache.as_deref_mut(), out) {
+            cache.store(id, out);
+        }
+        drop(board);
+        self.finished.notify_all();
+    }
+}
+
+/// Stops the other workers when a stage panics: they would otherwise wait
+/// forever for its product. `fork_join` then re-raises the panic.
+struct PanicGuard<'s, 'c>(&'s Schedule<'c>);
+
+impl Drop for PanicGuard<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.board().failed = true;
+            self.0.finished.notify_all();
+        }
+    }
 }
 
 /// The pipeline's one fork-join point: apply `f` to every item, splitting
@@ -905,6 +1113,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn deps_are_topological() {
@@ -981,19 +1190,135 @@ mod tests {
         })
     }
 
+    /// Records every started/finished callback in call order.
+    #[derive(Default)]
+    struct Calls(Mutex<Vec<(StageId, bool)>>);
+
+    impl StageObserver for Calls {
+        fn stage_started(&self, id: StageId) {
+            self.0.lock().unwrap().push((id, false));
+        }
+        fn stage_finished(&self, id: StageId) {
+            self.0.lock().unwrap().push((id, true));
+        }
+    }
+
+    fn run_observed(threads: usize, set: AnalysisSet) -> Vec<(StageId, bool)> {
+        let out = sim();
+        let ctx = AnalysisContext::new(&out.ras, &out.jobs);
+        let cfg = CoAnalysisConfig {
+            threads,
+            ..CoAnalysisConfig::default()
+        };
+        let calls = Calls::default();
+        execute(&ctx, &cfg, set, None, Some(&calls));
+        calls.0.into_inner().unwrap()
+    }
+
+    // The ready order replaced the six dependency waves (each stage in the
+    // first wave after all of its deps, with a barrier between waves): a
+    // stage now starts as soon as its own deps finish, so one slow stage no
+    // longer holds back the stages that do not read it.
     #[test]
-    fn full_set_runs_in_six_waves() {
+    fn one_worker_runs_the_ready_order() {
         use StageId as S;
+        // Longest remaining path first (TemporalSpatial 6 … Matching 4,
+        // JobRelated 3, RootCause and Midplane 2, the leaves 1), ties by id.
+        let started: Vec<StageId> = run_observed(1, AnalysisSet::all())
+            .into_iter()
+            .filter_map(|(id, finished)| (!finished).then_some(id))
+            .collect();
         assert_eq!(
-            AnalysisSet::all().waves(),
+            started,
             vec![
-                vec![S::TemporalSpatial],
-                vec![S::Causal],
-                vec![S::Matching],
-                vec![S::JobRelated, S::Impact, S::RootCause, S::Burst, S::Fda],
-                vec![S::TableIv, S::Midplane, S::Interruption, S::Propagation],
-                vec![S::Vulnerability],
+                S::TemporalSpatial,
+                S::Causal,
+                S::Matching,
+                S::JobRelated,
+                S::RootCause,
+                S::Midplane,
+                S::Impact,
+                S::TableIv,
+                S::Burst,
+                S::Interruption,
+                S::Propagation,
+                S::Vulnerability,
+                S::Fda,
             ]
+        );
+        let priority = ready_priority(AnalysisSet::all());
+        assert_eq!(priority[S::TemporalSpatial as usize], 6);
+        assert_eq!(priority[S::Midplane as usize], 2);
+        // Within a smaller set the paths are counted inside it.
+        assert_eq!(
+            ready_priority(AnalysisSet::of(&[S::Burst]).closure())[S::TemporalSpatial as usize],
+            4
+        );
+    }
+
+    #[test]
+    fn a_stage_starts_only_after_its_deps_finish() {
+        for threads in [2, 4] {
+            for set in [
+                AnalysisSet::all(),
+                AnalysisSet::of(&[StageId::Vulnerability, StageId::Impact]),
+            ] {
+                let calls = run_observed(threads, set);
+                let at = |call: (StageId, bool)| calls.iter().position(|&c| c == call);
+                assert_eq!(calls.len(), 2 * set.closure().len());
+                for id in set.closure().stages() {
+                    let start = at((id, false)).expect("every stage starts");
+                    assert!(
+                        at((id, true)) > Some(start),
+                        "{id:?} finishes after it starts"
+                    );
+                    for &d in id.deps() {
+                        assert!(
+                            at((d, true)) < Some(start),
+                            "{id:?} started before {d:?} finished"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_stage_stops_every_worker() {
+        struct Boom;
+        impl StageObserver for Boom {
+            fn stage_started(&self, id: StageId) {
+                assert_ne!(id, StageId::Matching, "boom");
+            }
+            fn stage_finished(&self, _: StageId) {}
+        }
+        let out = sim();
+        let ctx = AnalysisContext::new(&out.ras, &out.jobs);
+        let cfg = CoAnalysisConfig {
+            threads: 3,
+            ..CoAnalysisConfig::default()
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(&ctx, &cfg, AnalysisSet::all(), None, Some(&Boom))
+        }));
+        assert!(run.is_err());
+    }
+
+    #[test]
+    fn balanced_runs_split_by_weight() {
+        assert_eq!(balanced_runs(&[1, 1, 1, 1], 2), vec![0..2, 2..4]);
+        // The cut lands on whichever side of a heavy item is closer to
+        // the middle.
+        assert_eq!(balanced_runs(&[2, 40, 3, 2], 2), vec![0..2, 2..4]);
+        assert_eq!(balanced_runs(&[10, 40, 3], 2), vec![0..1, 1..3]);
+        assert_eq!(balanced_runs(&[40, 3, 2], 2), vec![0..1, 1..3]);
+        assert_eq!(balanced_runs(&[5, 5, 5], 1), vec![0..3]);
+        assert_eq!(balanced_runs(&[], 2), Vec::<std::ops::Range<usize>>::new());
+        let runs = balanced_runs(&[3; 10], 3);
+        assert_eq!(runs.len(), 3);
+        assert_eq!(
+            runs.into_iter().flatten().collect::<Vec<_>>(),
+            (0..10).collect::<Vec<_>>()
         );
     }
 
@@ -1005,14 +1330,14 @@ mod tests {
         /// `AnalysisContext` accessors equal [`StageId::ctx_reads`]. A
         /// missing entry would let the executor serve a stale cached output
         /// (or schedule a stage before its input exists); an extra entry
-        /// costs wave parallelism and needless re-runs.
+        /// costs parallelism and needless re-runs.
         #[test]
         fn observed_reads_equal_declared_reads(mask in 0u16..(1 << StageId::ALL.len())) {
             let out = sim();
             let ctx = AnalysisContext::new(&out.ras, &out.jobs);
             let cfg = CoAnalysisConfig::default();
             let set = AnalysisSet(mask).closure();
-            let mut state = PipelineState::new(ctx.raw_events().len());
+            let state = PipelineState::new(ctx.raw_events().len());
             state.take_observed_reads();
             ctx.take_observed_reads();
             for id in set.stages() {
@@ -1029,7 +1354,7 @@ mod tests {
                     "{:?} context reads",
                     id
                 );
-                state.install(output);
+                state.install(id, output);
             }
         }
     }

@@ -242,25 +242,22 @@ impl JobLog {
         self.by_exec().values().filter(|g| g.len() > 1).count()
     }
 
-    /// Busy seconds on midplane `m` (sum of runtimes of jobs touching it) —
-    /// the "workload" series of Figure 4b.
-    pub fn midplane_busy_seconds(&self, m: MidplaneId) -> i64 {
-        self.by_midplane[m.index()]
-            .iter()
-            .map(|&i| self.jobs[i as usize].runtime().as_secs())
-            .sum()
-    }
-
-    /// Busy seconds on midplane `m` counting only jobs of at least
-    /// `min_midplanes` midplanes — the "wide-job workload" series of
-    /// Figure 4c.
-    pub fn midplane_busy_seconds_min_size(&self, m: MidplaneId, min_midplanes: u32) -> i64 {
-        self.by_midplane[m.index()]
-            .iter()
-            .map(|&i| &self.jobs[i as usize])
-            .filter(|j| j.size_midplanes() >= min_midplanes)
-            .map(|j| j.runtime().as_secs())
-            .sum()
+    /// Busy seconds per midplane (indexed by [`MidplaneId::index`]) from the
+    /// jobs of at least `min_midplanes` midplanes: one pass over the table,
+    /// each job's runtime going to every midplane of its partition. At `0`
+    /// it is the "workload" series of Figure 4b, at the wide-job threshold
+    /// the "wide-job workload" series of Figure 4c.
+    pub fn midplane_busy_series(&self, min_midplanes: u32) -> Vec<i64> {
+        let mut busy = vec![0i64; usize::from(topology::NUM_MIDPLANES)];
+        for j in self.jobs.iter() {
+            if j.size_midplanes() >= min_midplanes {
+                let secs = j.runtime().as_secs();
+                for m in j.partition.midplanes() {
+                    busy[m.index()] += secs;
+                }
+            }
+        }
+        busy
     }
 
     /// A new log with only the jobs satisfying `pred`.
@@ -268,7 +265,9 @@ impl JobLog {
         JobLog::from_jobs(self.jobs.iter().filter(|j| pred(j)).copied().collect())
     }
 
-    /// Look up a job by id (linear scan; not on any hot path).
+    /// Look up a job by id: the first row carrying it (linear scan; not on
+    /// any hot path). The co-analysis resolves ids through its context's
+    /// job-id index instead, where a duplicated id means its *last* row.
     pub fn by_job_id(&self, job_id: u64) -> Option<&JobRecord> {
         self.jobs.iter().find(|j| j.job_id == job_id)
     }
@@ -352,12 +351,26 @@ mod tests {
     fn busy_seconds() {
         let log = sample();
         let m0: MidplaneId = "R00-M0".parse().unwrap();
-        assert_eq!(log.midplane_busy_seconds(m0), 400 + 100);
         let m20: MidplaneId = "R10-M0".parse().unwrap();
-        assert_eq!(log.midplane_busy_seconds(m20), 4950);
+        let all = log.midplane_busy_series(0);
+        assert_eq!(all[m0.index()], 400 + 100);
+        assert_eq!(all[m20.index()], 4950);
         // Only the 4-midplane job counts at min size 4.
-        assert_eq!(log.midplane_busy_seconds_min_size(m20, 4), 4950);
-        assert_eq!(log.midplane_busy_seconds_min_size(m0, 4), 0);
+        let wide = log.midplane_busy_series(4);
+        assert_eq!(wide[m20.index()], 4950);
+        assert_eq!(wide[m0.index()], 0);
+        // Every midplane's sum equals its postings' runtimes.
+        for (m, postings) in log.by_midplane.iter().enumerate() {
+            let secs = |min: u32| -> i64 {
+                postings
+                    .iter()
+                    .map(|&i| &log.jobs[i as usize])
+                    .filter(|j| j.size_midplanes() >= min)
+                    .map(|j| j.runtime().as_secs())
+                    .sum()
+            };
+            assert_eq!((all[m], wide[m]), (secs(0), secs(4)));
+        }
     }
 
     #[test]

@@ -49,19 +49,6 @@ pub struct FeatureScore {
     pub gain_ratio: f64,
 }
 
-/// Reusable count buffers for [`evaluate_feature_with_scratch`] — lets a
-/// caller ranking many features amortize the contingency-table allocations
-/// instead of paying a fresh `Vec<Vec<usize>>` per feature.
-#[derive(Debug, Clone, Default)]
-pub struct GainScratch {
-    /// Flattened joint counts: `joint[v * num_classes + l]`.
-    joint: Vec<usize>,
-    /// Marginal counts per feature value.
-    per_value: Vec<usize>,
-    /// Marginal counts per class.
-    label_counts: Vec<usize>,
-}
-
 /// Evaluate a categorical feature against categorical labels.
 ///
 /// `feature[i]` is the feature value (0-based category id) of observation
@@ -72,63 +59,55 @@ pub fn evaluate_feature(
     labels: &[usize],
     num_classes: usize,
 ) -> Result<FeatureScore, StatsError> {
-    evaluate_feature_with_scratch(
-        feature,
-        num_feature_values,
-        labels,
-        num_classes,
-        &mut GainScratch::default(),
-    )
-}
-
-/// [`evaluate_feature`] with caller-owned count buffers.
-///
-/// Numerically identical to [`evaluate_feature`] — the scratch only changes
-/// where the counts live, never the order they are accumulated or summed in.
-pub fn evaluate_feature_with_scratch(
-    feature: &[usize],
-    num_feature_values: usize,
-    labels: &[usize],
-    num_classes: usize,
-    scratch: &mut GainScratch,
-) -> Result<FeatureScore, StatsError> {
     if feature.len() != labels.len() {
         return Err(StatsError::NotEnoughData {
             needed: feature.len(),
             got: labels.len(),
         });
     }
-    if feature.is_empty() {
-        return Err(StatsError::NotEnoughData { needed: 1, got: 0 });
-    }
-    let n = feature.len() as f64;
-
     // Joint counts: per feature value, per class (flattened row-major).
-    scratch.joint.clear();
-    scratch.joint.resize(num_feature_values * num_classes, 0);
-    scratch.per_value.clear();
-    scratch.per_value.resize(num_feature_values, 0);
-    scratch.label_counts.clear();
-    scratch.label_counts.resize(num_classes, 0);
+    let mut joint = vec![0usize; num_feature_values * num_classes];
     for (&f, &l) in feature.iter().zip(labels) {
         assert!(f < num_feature_values, "feature value {f} out of range");
         assert!(l < num_classes, "label {l} out of range");
-        scratch.joint[f * num_classes + l] += 1;
-        scratch.per_value[f] += 1;
-        scratch.label_counts[l] += 1;
+        joint[f * num_classes + l] += 1;
     }
+    score_joint_counts(&joint, num_classes)
+}
 
-    let h_labels = entropy_from_counts(&scratch.label_counts);
+/// Score a feature from its contingency table: `joint[v * num_classes +
+/// l]` observations have feature value `v` and class `l`. A caller that
+/// counts several features in one pass over its rows scores each table
+/// here, with the same result as [`evaluate_feature`] on the columns.
+/// Errors when the table counts no observation.
+pub fn score_joint_counts(joint: &[usize], num_classes: usize) -> Result<FeatureScore, StatsError> {
+    let per_value: Vec<usize> = joint
+        .chunks(num_classes.max(1))
+        .map(|counts| counts.iter().sum())
+        .collect();
+    let mut label_counts = vec![0usize; num_classes];
+    for counts in joint.chunks(num_classes.max(1)) {
+        for (total, &c) in label_counts.iter_mut().zip(counts) {
+            *total += c;
+        }
+    }
+    let total: usize = per_value.iter().sum();
+    if total == 0 {
+        return Err(StatsError::NotEnoughData { needed: 1, got: 0 });
+    }
+    let n = total as f64;
+
+    let h_labels = entropy_from_counts(&label_counts);
     let mut h_cond = 0.0;
-    for (v, counts) in scratch.joint.chunks(num_classes).enumerate() {
-        if scratch.per_value[v] == 0 {
+    for (counts, &in_value) in joint.chunks(num_classes.max(1)).zip(&per_value) {
+        if in_value == 0 {
             continue;
         }
-        let w = scratch.per_value[v] as f64 / n;
+        let w = in_value as f64 / n;
         h_cond += w * entropy_from_counts(counts);
     }
     let gain = (h_labels - h_cond).max(0.0);
-    let split_info = entropy_from_counts(&scratch.per_value);
+    let split_info = entropy_from_counts(&per_value);
     let gain_ratio = if split_info > 0.0 {
         gain / split_info
     } else {
@@ -247,19 +226,22 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_bit_identical() {
+    fn joint_counts_score_like_the_columns() {
         let labels = [0, 1, 0, 1, 1, 0, 0, 1, 1];
         let feats: [(&[usize], usize); 3] = [
             (&[0, 0, 1, 1, 2, 2, 0, 1, 2], 3),
             (&[0, 1, 0, 1, 1, 0, 0, 1, 1], 2),
             (&[4, 3, 2, 1, 0, 1, 2, 3, 4], 5),
         ];
-        let mut scratch = GainScratch::default();
         for (f, card) in feats {
-            let fresh = evaluate_feature(f, card, &labels, 2).unwrap();
-            let reused = evaluate_feature_with_scratch(f, card, &labels, 2, &mut scratch).unwrap();
-            assert_eq!(fresh, reused);
+            let mut joint = vec![0; card * 2];
+            for (&v, &l) in f.iter().zip(&labels) {
+                joint[v * 2 + l] += 1;
+            }
+            let columns = evaluate_feature(f, card, &labels, 2).unwrap();
+            assert_eq!(score_joint_counts(&joint, 2).unwrap(), columns);
         }
+        assert!(score_joint_counts(&[0, 0, 0, 0], 2).is_err());
     }
 
     #[test]

@@ -14,12 +14,12 @@
 
 use bgp_coanalysis::bgp_model::{Location, Partition, Timestamp};
 use bgp_coanalysis::coanalysis::analysis::fda::{
-    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, JobDims, MIN_PARALLEL_WORK, NUM_DIMS,
+    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, MIN_PARALLEL_WORK, NUM_DIMS,
     NUM_JOB_DIMS,
 };
 use bgp_coanalysis::coanalysis::matching::{EventCase, EventMatch, Matching};
-use bgp_coanalysis::coanalysis::Event;
-use bgp_coanalysis::joblog::{ExecId, ExitStatus, JobRecord, ProjectId, UserId};
+use bgp_coanalysis::coanalysis::{AnalysisContext, Event};
+use bgp_coanalysis::joblog::{ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
 use bgp_coanalysis::raslog::{Catalog, ErrCode};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -95,15 +95,16 @@ type MinedRow = (Vec<RawItem>, u32, u32, f64);
 fn brute_force(
     events: &[Event],
     matching: &Matching,
-    dims: &JobDims,
+    ctx: &AnalysisContext<'_>,
     params: &FdaParams,
 ) -> FdaAnalysis {
+    let dims = ctx.fda_columns();
     let n = dims.rows();
     let mut attributed: Vec<(u32, u16)> = Vec::new();
     for (i, em) in matching.per_event.iter().enumerate() {
         let code = events[i].errcode.0;
         for &job_id in &em.victims {
-            if let Some(row) = dims.row_of(job_id) {
+            if let Some(row) = ctx.job_row(job_id) {
                 attributed.push((row, code));
             }
         }
@@ -188,7 +189,7 @@ fn brute_force(
                     value: if d == 0 {
                         ErrCode(key as u16).to_string()
                     } else {
-                        dims.job_name(d as usize - 1, key as u32).to_string()
+                        dims.job_name(d as usize - 1, key as u32)
                     },
                 })
                 .collect(),
@@ -228,7 +229,8 @@ fn large_fixture() -> (Vec<JobRecord>, Vec<Event>, Matching) {
 #[test]
 fn parallel_mining_is_thread_invariant_above_the_gate() {
     let (jobs, events, matching) = large_fixture();
-    let dims = JobDims::from_jobs(&jobs);
+    let log = JobLog::from_jobs(jobs.clone());
+    let ctx = AnalysisContext::for_jobs(&log);
     let params = FdaParams {
         min_support_frac: 0.0,
         min_support_floor: 1,
@@ -243,41 +245,43 @@ fn parallel_mining_is_thread_invariant_above_the_gate() {
         singletons * singletons / 2 * n_fatal > MIN_PARALLEL_WORK,
         "fixture too small for the parallel path"
     );
-    let serial = FdaAnalysis::compute(&events, &matching, &dims, &params, 1);
+    let serial = FdaAnalysis::compute(&events, &matching, &ctx, &params, 1);
     assert!(
         serial.ranked.len() > 100,
         "expected a dense lattice, got {} itemsets",
         serial.ranked.len()
     );
     for threads in [2, 7, 16] {
-        let parallel = FdaAnalysis::compute(&events, &matching, &dims, &params, threads);
+        let parallel = FdaAnalysis::compute(&events, &matching, &ctx, &params, threads);
         assert_eq!(serial, parallel, "threads={threads} diverged");
     }
     // And the whole thing agrees with the brute-force oracle.
-    assert_eq!(serial, brute_force(&events, &matching, &dims, &params));
+    assert_eq!(serial, brute_force(&events, &matching, &ctx, &params));
 }
 
 #[test]
 fn empty_table_and_no_fatal_rows_are_well_formed() {
     let params = FdaParams::default();
     // No jobs at all.
-    let dims = JobDims::from_jobs(&[]);
-    let r = FdaAnalysis::compute(&[], &Matching::default(), &dims, &params, 4);
+    let log = JobLog::default();
+    let ctx = AnalysisContext::for_jobs(&log);
+    let r = FdaAnalysis::compute(&[], &Matching::default(), &ctx, &params, 4);
     assert_eq!(r.n_jobs, 0);
     assert_eq!(r.n_fatal, 0);
     assert!(r.ranked.is_empty());
     assert!(r.to_string().contains("0 over-represented"));
     // Jobs but no interruptions: nothing is over-represented.
     let jobs: Vec<JobRecord> = (0..10).map(|i| job(i, 0, 0, 0, 0, 1)).collect();
-    let dims = JobDims::from_jobs(&jobs);
+    let log = JobLog::from_jobs(jobs.clone());
+    let ctx = AnalysisContext::for_jobs(&log);
     let (events, matching) = fixture(&jobs, &[(0, Vec::new())]);
-    let r = FdaAnalysis::compute(&events, &matching, &dims, &params, 4);
+    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params, 4);
     assert_eq!(r.n_jobs, 10);
     assert_eq!(r.n_fatal, 0);
     assert!(r.ranked.is_empty());
     // Victims referencing unknown job ids are ignored, not miscounted.
     let (events, matching) = fixture(&jobs, &[(0, vec![999_999])]);
-    let r = FdaAnalysis::compute(&events, &matching, &dims, &params, 4);
+    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params, 4);
     assert_eq!(r.n_fatal, 0);
 }
 
@@ -286,9 +290,14 @@ fn single_dimension_table_mines_only_singletons() {
     // Every job dim constant: the only discriminating dimension is the
     // error code, and max_level 1 caps the lattice at singletons anyway.
     let jobs: Vec<JobRecord> = (0..20).map(|i| job(i, 1, 1, 1, 0, 1)).collect();
-    let dims = JobDims::from_jobs(&jobs);
+    let log = JobLog::from_jobs(jobs.clone());
+    let ctx = AnalysisContext::for_jobs(&log);
     for d in 0..NUM_JOB_DIMS {
-        assert_eq!(dims.job_dict_len(d), 1, "dim {d} should be constant");
+        assert_eq!(
+            ctx.fda_columns().job_dict_len(d),
+            1,
+            "dim {d} should be constant"
+        );
     }
     let (events, matching) = fixture(&jobs, &[(0, vec![0, 1, 2]), (1, vec![3, 4])]);
     let params = FdaParams {
@@ -297,7 +306,7 @@ fn single_dimension_table_mines_only_singletons() {
         min_lift: 0.0,
         max_level: 1,
     };
-    let r = FdaAnalysis::compute(&events, &matching, &dims, &params, 4);
+    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params, 4);
     assert_eq!(r.n_fatal, 5);
     assert!(r.ranked.iter().all(|s| s.items.len() == 1));
     // The constant job dims have lift exactly 1 (5/5 over 20/20); the two
@@ -309,7 +318,7 @@ fn single_dimension_table_mines_only_singletons() {
         .collect();
     assert_eq!(code_sets.len(), 2);
     assert!(code_sets.iter().all(|s| s.total_support == s.fatal_support));
-    assert_eq!(r, brute_force(&events, &matching, &dims, &params));
+    assert_eq!(r, brute_force(&events, &matching, &ctx, &params));
 }
 
 /// Strategy for one random small table plus miner params. The min-lift
@@ -349,7 +358,8 @@ proptest! {
             .enumerate()
             .map(|(i, &(u, p, e, m, w))| job(i as u64, u, p, e, m, w))
             .collect();
-        let dims = JobDims::from_jobs(&jobs);
+        let log = JobLog::from_jobs(jobs.clone());
+        let ctx = AnalysisContext::for_jobs(&log);
         let (events, matching) = fixture(&jobs, &victims);
         let params = FdaParams {
             min_support_frac: 0.0,
@@ -357,9 +367,9 @@ proptest! {
             min_lift,
             max_level,
         };
-        let oracle = brute_force(&events, &matching, &dims, &params);
+        let oracle = brute_force(&events, &matching, &ctx, &params);
         for threads in [1usize, 4] {
-            let mined = FdaAnalysis::compute(&events, &matching, &dims, &params, threads);
+            let mined = FdaAnalysis::compute(&events, &matching, &ctx, &params, threads);
             prop_assert_eq!(&mined, &oracle, "threads={}", threads);
         }
     }

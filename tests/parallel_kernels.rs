@@ -1,8 +1,9 @@
 //! Golden equivalence of the parallel analysis kernels.
 //!
-//! The matching sweep, root-cause classification, and vulnerability ranking
-//! all take a `threads` knob whose contract is *bit-identical output at any
-//! thread count*. These tests pin that contract two ways:
+//! The matching sweep and root-cause classification take a `threads` knob
+//! whose contract is *bit-identical output at any thread count*; the
+//! vulnerability ranking, run on their outputs, must then agree too. These
+//! tests pin that contract two ways:
 //!
 //! * a large synthetic fleet (above every serial-fallback size gate, so the
 //!   sharded paths genuinely run) compared across threads ∈ {1, 2, 7, 16};
@@ -119,7 +120,7 @@ fn kernels_bit_identical_across_thread_counts() {
     let m1 = Matcher::default().run_with_threads(&events, &ctx, 1);
     assert_eq!(m1, Matcher::default().run(&events, &ctx));
     let rc1 = classify_root_cause_with_threads(&events, &m1, &ctx, 1);
-    let v1 = VulnerabilityAnalysis::new_with_threads(&events, &m1, &rc1, &ctx, &counts, 1);
+    let v1 = VulnerabilityAnalysis::new(&events, &m1, &rc1, &ctx, &counts);
 
     // The fleet must actually produce interesting output, or "equal" proves
     // nothing.
@@ -134,7 +135,7 @@ fn kernels_bit_identical_across_thread_counts() {
         assert_eq!(m1, mt, "matching diverged at {t} threads");
         let rct = classify_root_cause_with_threads(&events, &mt, &ctx, t);
         assert_eq!(rc1, rct, "root cause diverged at {t} threads");
-        let vt = VulnerabilityAnalysis::new_with_threads(&events, &mt, &rct, &ctx, &counts, t);
+        let vt = VulnerabilityAnalysis::new(&events, &mt, &rct, &ctx, &counts);
         assert_eq!(v1, vt, "vulnerability diverged at {t} threads");
     }
 }
@@ -285,14 +286,14 @@ proptest! {
         let counts = fatal_counts(&events);
         let m1 = Matcher::default().run_with_threads(&events, &ctx, 1);
         let rc1 = classify_root_cause_with_threads(&events, &m1, &ctx, 1);
-        let v1 = VulnerabilityAnalysis::new_with_threads(&events, &m1, &rc1, &ctx, &counts, 1);
+        let v1 = VulnerabilityAnalysis::new(&events, &m1, &rc1, &ctx, &counts);
         for t in THREADS {
             let mt = Matcher::default().run_with_threads(&events, &ctx, t);
             prop_assert_eq!(&m1, &mt);
             let rct = classify_root_cause_with_threads(&events, &mt, &ctx, t);
             prop_assert_eq!(&rc1, &rct);
             let vt =
-                VulnerabilityAnalysis::new_with_threads(&events, &mt, &rct, &ctx, &counts, t);
+                VulnerabilityAnalysis::new(&events, &mt, &rct, &ctx, &counts);
             prop_assert_eq!(&v1, &vt);
         }
     }

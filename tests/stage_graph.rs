@@ -66,7 +66,7 @@ fn legacy_run(out: &SimOutput, cfg: &CoAnalysisConfig) -> CoAnalysisResult {
 
     let table_iv = TableIv::new(&events, &outcome.events).ok();
     let midplane = MidplaneProfile::new(&outcome.events, &ctx, cfg.wide_threshold);
-    let victims = matching.interrupted_records(&out.jobs);
+    let victims = matching.interrupted_records(&ctx);
     let window = out.ras.time_span().unwrap_or((
         bgp_coanalysis::bgp_model::Timestamp::EPOCH,
         bgp_coanalysis::bgp_model::Timestamp::EPOCH,
@@ -83,7 +83,7 @@ fn legacy_run(out: &SimOutput, cfg: &CoAnalysisConfig) -> CoAnalysisResult {
     );
     // Sequential FDA mine — the graph runs it at cfg.threads, so this
     // comparison doubles as a thread-count-invariance check.
-    let fda = FdaAnalysis::compute(&events, &matching, ctx.fda_columns(), &cfg.fda, 1);
+    let fda = FdaAnalysis::compute(&events, &matching, &ctx, &cfg.fda, 1);
 
     CoAnalysisResult {
         events,
