@@ -1,11 +1,14 @@
 //! Byte-level helpers shared by the log ingestion layer.
 //!
-//! Both log crates parse the same way: a whole file is read into memory once,
-//! split into newline-aligned chunks, and the chunks are parsed concurrently
-//! on scoped threads. The helpers here are the deterministic substrate for
-//! that: chunking that never splits a line, a fork-join map over chunks, and
-//! a content hash used by the `.bgpsnap` snapshot cache to detect stale
-//! snapshots, with a slice hasher and a streaming file hasher.
+//! Both log crates parse the same way: newline-aligned runs of whole lines
+//! are parsed concurrently, one accumulator per worker, and the workers'
+//! outputs fold in input order. The helpers here are the deterministic
+//! substrate for that: chunking that never splits a line and a fork-join map
+//! over chunks (for text already in memory), a streaming line reader that
+//! feeds the same chunk parsers from a file through fixed per-worker windows
+//! ([`stream_lines`]), a field splitter, and a content hash used by the
+//! `.bgpsnap` snapshot cache to detect stale snapshots, with a slice hasher
+//! and a streaming file hasher.
 
 use std::fs::File;
 use std::io;
@@ -52,6 +55,59 @@ pub fn find_byte(needle: u8, hay: &[u8]) -> Option<usize> {
 /// benchmark kernel times the word-parallel scan over.
 pub fn find_byte_scalar(needle: u8, hay: &[u8]) -> Option<usize> {
     hay.iter().position(|&b| b == needle)
+}
+
+/// Low seven bits of every byte lane.
+const SWAR_LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// Split `line` into at most `N` fields at `sep`, exactly like
+/// `line.splitn(N, |&b| b == sep)`: the first `N - 1` separators cut, and
+/// the last field keeps the rest of the line, separators included. Returns
+/// the fields (unused slots empty) and how many there are.
+///
+/// SWAR scan: each little-endian word is XORed with the broadcast separator,
+/// and the exact zero-byte mask `!(((x & 0x7f…) + 0x7f…) | x) & 0x80…` flags
+/// every lane that matched (unlike [`find_byte`]'s test, no borrow can flag
+/// a lane falsely), so one word yields all of its separators, popped lowest
+/// first. The tail shorter than a word is scanned byte by byte.
+pub fn splitn_byte<'a, const N: usize>(sep: u8, line: &'a [u8]) -> ([&'a [u8]; N], usize) {
+    let mut fields: [&'a [u8]; N] = [&[]; N];
+    let mut count = 0usize;
+    let mut start = 0usize;
+    let mut cut = |at: usize, fields: &mut [&'a [u8]; N]| {
+        fields[count] = &line[start..at];
+        count += 1;
+        start = at + 1;
+        count + 1 == N
+    };
+    let spread = broadcast(sep);
+    let mut words = line.chunks_exact(8);
+    let mut base = 0usize;
+    let mut full = N <= 1;
+    'words: for word in &mut words {
+        let x = le_word(word) ^ spread;
+        let mut hits = !(((x & SWAR_LOW7) + SWAR_LOW7) | x) & SWAR_HI;
+        while hits != 0 && !full {
+            full = cut(base + (hits.trailing_zeros() / 8) as usize, &mut fields);
+            hits &= hits - 1;
+        }
+        if full {
+            break 'words;
+        }
+        base += 8;
+    }
+    if !full {
+        for (i, &b) in words.remainder().iter().enumerate() {
+            if b == sep && cut(base + i, &mut fields) {
+                break;
+            }
+        }
+    }
+    if let Some(last) = fields.get_mut(count) {
+        *last = &line[start..];
+        count += 1;
+    }
+    (fields, count)
 }
 
 /// Split `data` into at most `chunks` pieces whose boundaries fall just
@@ -177,8 +233,8 @@ fn le_word(bytes: &[u8]) -> u64 {
 }
 
 /// Block size of [`content_hash_64`]: its input is cut into blocks of this
-/// many bytes (the last one shorter), and every hasher reads and hashes
-/// whole blocks.
+/// many bytes (the last one shorter). The file readers split a file between
+/// their workers on block boundaries and read it one block at a time.
 pub const HASH_BLOCK: usize = 1 << 20;
 
 /// Independent word-FNV chains per block.
@@ -221,47 +277,280 @@ fn fold_blocks(len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
 /// into a last word — and the lanes are folded in order. The block hashes
 /// are then folded in order, word-FNV style, from a state seeded with the
 /// total length. The value depends only on the bytes: this slice hasher and
-/// the file hasher [`content_hash_file`] agree at every thread count. Not
-/// interchangeable with [`fnv1a_64`] or [`word_fnv_64`].
+/// the file readers [`content_hash_file`] and [`stream_lines`] agree at
+/// every thread count. Not interchangeable with [`fnv1a_64`] or
+/// [`word_fnv_64`].
 pub fn content_hash_64(data: &[u8]) -> u64 {
     fold_blocks(data.len() as u64, data.chunks(HASH_BLOCK).map(block_hash))
 }
 
-/// [`content_hash_64`] of a file's bytes, read as a stream instead of
-/// mapped: the blocks are read with positioned reads (`pread`) into one
-/// [`HASH_BLOCK`] buffer per thread, their ranges split over `threads`
-/// (`0` is treated as 1) by [`map_chunks_parallel`], and the block hashes
-/// folded in order.
-///
-/// Exactly the length `fstat` reports when the call starts is read; a file
-/// that shrinks meanwhile yields an `UnexpectedEof` error, never a hash of
-/// fewer bytes. Non-unix targets read the blocks sequentially.
+/// [`content_hash_64`] of a file's bytes, read as a stream: the reader of
+/// [`stream_lines`] with no line parser, so each worker only reads and
+/// hashes its blocks. Anything but a regular file is an `InvalidInput`
+/// error: hashing a pipe would consume the bytes a parse needs.
 pub fn content_hash_file(file: &File, threads: usize) -> io::Result<u64> {
-    let len = file.metadata()?.len();
-    let block = HASH_BLOCK as u64;
-    let blocks = len.div_ceil(block);
-    let threads = if cfg!(unix) { threads.max(1) as u64 } else { 1 };
-    let threads = threads.min(blocks).max(1);
-    let ranges: Vec<Range<u64>> = (0..threads)
-        .map(|t| blocks * t / threads..blocks * (t + 1) / threads)
-        .collect();
-    let parts = map_chunks_parallel(&ranges, |range| {
-        let mut buf = vec![0u8; len.min(block) as usize];
-        range
-            .clone()
-            .map(|b| {
-                let start = b * block;
-                let bytes = &mut buf[..(len - start).min(block) as usize];
-                read_at(file, bytes, start)?;
-                Ok(block_hash(bytes))
-            })
-            .collect::<io::Result<Vec<u64>>>()
-    });
-    let mut hashes = Vec::with_capacity(blocks as usize);
-    for part in parts {
-        hashes.extend(part?);
+    if !file.metadata()?.is_file() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "not a regular file, so hashing it would consume it",
+        ));
     }
-    Ok(fold_blocks(len, hashes))
+    let (_, hash) = stream::<()>(file, HASH_BLOCK as u64, threads, true, None)?;
+    Ok(hash.unwrap_or_default())
+}
+
+/// The line parser a worker of [`stream`] feeds: `new` makes its
+/// accumulator from the byte length of the worker's range, and `feed` hands
+/// it a run of whole lines.
+struct Lines<'a, A> {
+    new: &'a (dyn Fn(u64) -> A + Sync),
+    feed: &'a (dyn Fn(&mut A, &[u8]) + Sync),
+}
+
+/// Stream a file's lines to a chunk parser through fixed per-worker
+/// windows, hashing the same bytes on the way if `hash` is set.
+///
+/// A regular file's length is taken once, at the start, and split into
+/// [`HASH_BLOCK`] blocks; each of up to `threads` workers (`0` counts as
+/// one) owns a contiguous run of them. A worker reads its blocks one at a
+/// time with positioned reads (`pread`) into one reused buffer — a block
+/// plus the partial line carried into it — and owns the lines that *start*
+/// in its range: it skips the tail of a line the previous range started,
+/// carries a partial line from one window into the next, and reads past its
+/// range end to finish the line that straddles it. It calls `new` once,
+/// with its range's byte length, and `feed` with every run of whole lines
+/// in order: each run ends just after a `\n`, except that the file's last
+/// line may have none. So the runs of all workers concatenate to the file,
+/// and the lines they hold are exactly those [`line_chunks`] would give; a
+/// chunk parser that numbers its lines from 1 and folds its workers'
+/// outputs in order gives every line its global number.
+///
+/// Anything else — a pipe, a terminal — has no length to split and no
+/// offsets to read at, so one worker reads it to its end through the same
+/// window with plain reads, calling `new` with 0.
+///
+/// Returns the accumulators in file order and, if `hash` is set, the
+/// [`content_hash_64`] of the bytes read. A regular file that shrinks
+/// during the call yields an `UnexpectedEof` error, never a short parse or
+/// the hash of fewer bytes; bytes appended meanwhile are not read.
+/// Non-unix targets read with one worker.
+pub fn stream_lines<A: Send>(
+    file: &File,
+    threads: usize,
+    hash: bool,
+    new: impl Fn(u64) -> A + Sync,
+    feed: impl Fn(&mut A, &[u8]) + Sync,
+) -> io::Result<(Vec<A>, Option<u64>)> {
+    let lines = Lines {
+        new: &new,
+        feed: &feed,
+    };
+    stream(file, HASH_BLOCK as u64, threads, hash, Some(&lines))
+}
+
+/// [`stream_lines`] with blocks of `block` bytes (the tests use a few), and
+/// with no parser at all for a hash.
+fn stream<A: Send>(
+    file: &File,
+    block: u64,
+    threads: usize,
+    hash: bool,
+    lines: Option<&Lines<'_, A>>,
+) -> io::Result<(Vec<A>, Option<u64>)> {
+    let meta = file.metadata()?;
+    let len = meta.is_file().then_some(meta.len());
+    stream_from(file, len, block, threads, hash, lines)
+}
+
+/// [`stream`] of a file of length `len`, or of a stream read to its end if
+/// `len` is `None`.
+fn stream_from<A: Send>(
+    file: &File,
+    len: Option<u64>,
+    block: u64,
+    threads: usize,
+    hash: bool,
+    lines: Option<&Lines<'_, A>>,
+) -> io::Result<(Vec<A>, Option<u64>)> {
+    let ranges: Vec<Range<u64>> = match len {
+        Some(len) => {
+            let blocks = len.div_ceil(block);
+            let threads = if cfg!(unix) { threads.max(1) as u64 } else { 1 };
+            let threads = threads.min(blocks).max(1);
+            let at = |t: u64| (blocks * t / threads * block).min(len);
+            (0..threads).map(|t| at(t)..at(t + 1)).collect()
+        }
+        // One worker, whose range is the whole stream.
+        None => std::iter::once(0..u64::MAX).collect(),
+    };
+    let worker = Worker {
+        file,
+        len,
+        block,
+        hash,
+    };
+    let parts = map_chunks_parallel(&ranges, |range| worker.run(range.clone(), lines));
+    let mut accs = Vec::with_capacity(parts.len());
+    let mut hashes = Vec::new();
+    let mut total = 0;
+    for part in parts {
+        let (acc, block_hashes, read) = part?;
+        accs.extend(acc);
+        hashes.extend(block_hashes);
+        total += read;
+    }
+    Ok((accs, hash.then(|| fold_blocks(total, hashes))))
+}
+
+/// What every worker of one [`stream`] call shares.
+struct Worker<'a> {
+    file: &'a File,
+    /// The file length taken at the start, or `None` for a stream that one
+    /// worker reads to its end.
+    len: Option<u64>,
+    /// Bytes per block, per read and per hash block.
+    block: u64,
+    hash: bool,
+}
+
+impl Worker<'_> {
+    /// Read the bytes `range` of the file (block-aligned): hash them if
+    /// asked, and feed the lines that start in them to `lines`. Returns the
+    /// accumulator, the hash of each block, in order, and how many bytes of
+    /// the range were read.
+    fn run<A>(
+        &self,
+        range: Range<u64>,
+        lines: Option<&Lines<'_, A>>,
+    ) -> io::Result<(Option<A>, Vec<u64>, u64)> {
+        let Range { start, end } = range;
+        let mut hashes = Vec::new();
+        let bytes = self.len.map_or(0, |_| end - start);
+        let mut parser = lines.map(|lines| (lines, (lines.new)(bytes)));
+        // A line belongs to the worker whose range holds its first byte, so
+        // skip to just after the first `\n` at or after `start - 1`.
+        let mut skipping = false;
+        if parser.is_some() && start > 0 {
+            let mut before = [0u8];
+            self.read_at(&mut before, start - 1)?;
+            skipping = before != [b'\n'];
+        }
+        let mut buf = Vec::new();
+        // `buf[..carry]` holds a partial line (no `\n`) from earlier reads.
+        let mut carry = 0usize;
+        let mut pos = start;
+        while pos < end {
+            // Each read is a whole block (the last one may be shorter), so
+            // the hashes are those of `content_hash_64`'s blocks.
+            let n = self.fill(&mut buf, carry, pos, end)?;
+            if n == 0 {
+                // The end of a stream.
+                break;
+            }
+            let filled = carry + n;
+            let fresh = &buf[carry..filled];
+            if self.hash {
+                hashes.push(block_hash(fresh));
+            }
+            pos += n as u64;
+            let Some((lines, acc)) = &mut parser else {
+                continue;
+            };
+            let mut from = 0;
+            if skipping {
+                match find_byte(b'\n', fresh) {
+                    Some(i) => {
+                        from = i + 1;
+                        skipping = false;
+                    }
+                    None => continue,
+                }
+            }
+            // Only the fresh bytes can hold a `\n`; the carry has none.
+            let scan = carry.max(from);
+            let cut = match buf[scan..filled].iter().rposition(|&b| b == b'\n') {
+                Some(i) => {
+                    let cut = scan + i + 1;
+                    (lines.feed)(acc, &buf[from..cut]);
+                    cut
+                }
+                None => from,
+            };
+            buf.copy_within(cut..filled, 0);
+            carry = filled - cut;
+        }
+        let read = pos - start;
+        if let Some((lines, acc)) = &mut parser {
+            if carry > 0 {
+                // Finish the line that straddles the range end; at the end
+                // of the file or stream it is the last line, with no `\n`.
+                let until = self.len.unwrap_or(pos);
+                while pos < until {
+                    let n = self.fill(&mut buf, carry, pos, until)?;
+                    pos += n as u64;
+                    if let Some(i) = find_byte(b'\n', &buf[carry..carry + n]) {
+                        carry += i + 1;
+                        break;
+                    }
+                    carry += n;
+                }
+                (lines.feed)(acc, &buf[..carry]);
+            }
+        }
+        Ok((parser.map(|(_, acc)| acc), hashes, read))
+    }
+
+    /// Read the file from `pos` into `buf` after its first `at` bytes: up to
+    /// one block, and not past `until`. Returns how many bytes were read,
+    /// which only a stream's last reads make fewer.
+    fn fill(&self, buf: &mut Vec<u8>, at: usize, pos: u64, until: u64) -> io::Result<usize> {
+        let n = usize::try_from((until - pos).min(self.block)).unwrap_or(usize::MAX);
+        if buf.len() < at + n {
+            // Exactly: the buffer is one block plus the carried line.
+            buf.reserve_exact(at + n - buf.len());
+            buf.resize(at + n, 0);
+        }
+        let window = &mut buf[at..at + n];
+        if self.len.is_none() {
+            return read_full(self.file, window);
+        }
+        self.read_at(window, pos)?;
+        Ok(n)
+    }
+
+    /// Fill `buf` from the file at `offset`; a file shorter than the length
+    /// taken at the start is an error.
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        read_at(self.file, buf, offset).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                io::Error::new(
+                    e.kind(),
+                    format!(
+                        "the file shrank below the {} bytes it had when the read began",
+                        self.len.unwrap_or_default()
+                    ),
+                )
+            } else {
+                e
+            }
+        })
+    }
+}
+
+/// Read from the file's cursor until `buf` is full or the file ends.
+/// Returns how many bytes were read.
+fn read_full(mut file: &File, buf: &mut [u8]) -> io::Result<usize> {
+    use io::Read;
+    let mut got = 0;
+    while got < buf.len() {
+        match file.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
 }
 
 /// Fill `buf` from `file` at `offset`; a short read is an error.
@@ -426,8 +715,14 @@ mod tests {
     /// The [`content_hash_64`] definition, written plainly: blocks, then
     /// words dealt to lanes by index, then the two folds.
     fn reference_hash(data: &[u8]) -> u64 {
+        reference_hash_in(data, HASH_BLOCK)
+    }
+
+    /// [`reference_hash`] with blocks of `block` bytes: the hash the reader
+    /// computes at a test geometry.
+    fn reference_hash_in(data: &[u8], block: usize) -> u64 {
         let mut hash = FNV_OFFSET ^ (data.len() as u64).wrapping_mul(FNV_PRIME);
-        for block in data.chunks(HASH_BLOCK) {
+        for block in data.chunks(block) {
             let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
             for (i, word) in block.chunks(8).enumerate() {
                 let mut padded = [0u8; 8];
@@ -460,19 +755,25 @@ mod tests {
         out
     }
 
-    /// Hash `data` through the slice hasher, the reference, and the file
-    /// hasher at several thread counts; all must agree.
-    fn assert_hashers_agree(data: &[u8]) {
+    /// A fresh temp file holding `data`, open for reading, and its path.
+    fn temp_file(data: &[u8]) -> (std::path::PathBuf, File) {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let expected = reference_hash(data);
-        assert_eq!(content_hash_64(data), expected, "slice, len {}", data.len());
         let path = std::env::temp_dir().join(format!(
-            "bgp-model-hash-{}-{}",
+            "bgp-model-bytes-{}-{}",
             std::process::id(),
             SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         std::fs::write(&path, data).unwrap();
         let file = File::open(&path).unwrap();
+        (path, file)
+    }
+
+    /// Hash `data` through the slice hasher, the reference, and the file
+    /// hasher at several thread counts; all must agree.
+    fn assert_hashers_agree(data: &[u8]) {
+        let expected = reference_hash(data);
+        assert_eq!(content_hash_64(data), expected, "slice, len {}", data.len());
+        let (path, file) = temp_file(data);
         for threads in [1, 2, 3, 8] {
             assert_eq!(
                 content_hash_file(&file, threads).unwrap(),
@@ -562,10 +863,55 @@ mod tests {
     fn file_hasher_reports_io_errors() {
         let path = std::env::temp_dir().join(format!("bgp-model-hash-dir-{}", std::process::id()));
         std::fs::create_dir_all(&path).unwrap();
-        // A directory opens but cannot be read: an error, not a hash.
+        // A directory opens but cannot be read: an error, not a hash, and
+        // not an empty parse either.
         let dir = File::open(&path).unwrap();
         assert!(content_hash_file(&dir, 2).is_err());
+        assert!(stream_lines(&dir, 2, true, |_| (), |(), _| ()).is_err());
         let _ = std::fs::remove_dir_all(&path);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_pipe_streams_on_one_worker_and_is_never_hashed_alone() {
+        use std::process::{Command, Stdio};
+        // Lines longer than a block and no final newline, through a real
+        // pipe: `cat` copies a file to the pipe this test reads.
+        let mut data = Vec::new();
+        for i in 0..50_000 {
+            data.extend_from_slice(format!("{i}|a line\r\n").as_bytes());
+        }
+        data.extend(std::iter::repeat_n(b'y', HASH_BLOCK + 7));
+        data.extend_from_slice(b"\nlast");
+        let (path, _) = temp_file(&data);
+        let pipe = || {
+            let mut cat = Command::new("cat")
+                .arg(&path)
+                .stdout(Stdio::piped())
+                .spawn()
+                .unwrap();
+            let out = File::from(std::os::fd::OwnedFd::from(cat.stdout.take().unwrap()));
+            (cat, out)
+        };
+        let (mut cat, out) = pipe();
+        let (parts, hash) = stream_lines(
+            &out,
+            4,
+            true,
+            |n| (n, 0usize),
+            |(_, m), run| *m += run.len(),
+        )
+        .unwrap();
+        assert_eq!(parts, vec![(0, data.len())]);
+        assert_eq!(hash, Some(content_hash_64(&data)));
+        assert!(cat.wait().unwrap().success());
+        // Hashing a pipe would consume it, so the hasher refuses.
+        let (mut cat, out) = pipe();
+        let err = content_hash_file(&out, 2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        drop(out);
+        let _ = cat.wait();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -581,5 +927,185 @@ mod tests {
         // from a shorter one.
         assert_ne!(content_hash_64(&[0u8; 8]), content_hash_64(&[0u8; 16]));
         assert_ne!(content_hash_64(&[0u8; 7]), content_hash_64(&[0u8; 8]));
+    }
+
+    /// The lines one reader worker was fed: the runs, in order.
+    type Fed = Vec<Vec<u8>>;
+
+    /// Stream `data` from a file in blocks of `block` bytes on `threads`
+    /// workers, with a parser that records every run it is fed, and check
+    /// the reader's contract: the runs concatenate to the file, every run
+    /// but the file's last ends just after a `\n` (so each worker's lines
+    /// are whole and the workers' outputs fold into global line numbers),
+    /// and the hash is the reference hash at that block size.
+    ///
+    /// The same file read as a stream of unknown length (the path a pipe
+    /// takes: one worker, plain reads) must meet the same contract.
+    fn assert_streams(data: &[u8], block: u64, threads: usize) {
+        let (path, file) = temp_file(data);
+        let lines = Lines {
+            new: &|_| Fed::new(),
+            feed: &|fed: &mut Fed, run: &[u8]| fed.push(run.to_vec()),
+        };
+        let want = Some(reference_hash_in(data, block as usize));
+        let check = |parts: Vec<Fed>, hash: Option<u64>, at: &str| {
+            let runs: Vec<&[u8]> = parts.iter().flatten().map(Vec::as_slice).collect();
+            assert_eq!(runs.concat(), data, "{at}");
+            for (i, run) in runs.iter().enumerate() {
+                assert!(!run.is_empty(), "{at}: empty run");
+                if i + 1 < runs.len() {
+                    assert_eq!(run.last(), Some(&b'\n'), "{at}: run {i} splits a line");
+                }
+            }
+            assert_eq!(hash, want, "{at}");
+        };
+        let at = format!("block {block} at {threads} threads, len {}", data.len());
+        let (parts, hash) = stream(&file, block, threads, true, Some(&lines)).unwrap();
+        check(parts, hash, &at);
+        let (none, hash_only) = stream::<()>(&file, block, threads, true, None).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(hash_only, want, "{at}: hash without a parser");
+        let cursor = File::open(&path).unwrap();
+        let (parts, hash) = stream_from(&cursor, None, block, threads, true, Some(&lines)).unwrap();
+        assert_eq!(parts.len(), 1, "{at}: a stream is read by one worker");
+        check(parts, hash, &format!("{at}, as a stream"));
+        drop(file);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// One line of log-shaped text for the reader proptest: a record-like
+    /// line, a blank or CR-only line, a CRLF line, invalid UTF-8, or a line
+    /// long enough to span many windows and several workers' ranges.
+    fn arb_reader_line() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            (0usize..90).prop_map(|n| b"1|KERN|x|".iter().copied().cycle().take(n).collect()),
+            (0u8..1).prop_map(|_| Vec::new()),
+            (0u8..1).prop_map(|_| b"\r".to_vec()),
+            (0u8..1).prop_map(|_| b"\r\r\r".to_vec()),
+            (0usize..40).prop_map(|n| {
+                let mut line = vec![b'a'; n];
+                line.push(b'\r');
+                line
+            }),
+            (0u8..1).prop_map(|_| b"msg \xff\xfe|\xc3".to_vec()),
+            (100usize..400).prop_map(|n| vec![b'L'; n]),
+        ]
+    }
+
+    proptest! {
+        /// The reader feeds whole lines and hashes every byte at every
+        /// block (read window) size from one byte up, on 1 to 8 workers,
+        /// with and without a final newline.
+        #[test]
+        fn prop_stream_feeds_whole_lines_and_hashes(
+            lines in collection::vec(arb_reader_line(), 0..30),
+            final_newline in 0u8..2,
+            block in 1u64..200,
+            threads in 1usize..9,
+        ) {
+            let mut data = lines.join(&b'\n');
+            if final_newline == 1 {
+                data.push(b'\n');
+            }
+            assert_streams(&data, block, threads);
+        }
+    }
+
+    #[test]
+    fn stream_at_the_real_block_size_spans_blocks_and_workers() {
+        // Short lines, then one line longer than two blocks (so it spans
+        // several workers' ranges and many windows), then short lines with
+        // no final newline.
+        let mut data = Vec::new();
+        for i in 0..20_000 {
+            data.extend_from_slice(format!("{i}|short line\n").as_bytes());
+        }
+        data.extend(std::iter::repeat_n(b'x', 2 * HASH_BLOCK + 12_345));
+        data.push(b'\n');
+        for i in 0..20_000 {
+            data.extend_from_slice(format!("{i}|tail\r\n").as_bytes());
+        }
+        data.extend_from_slice(b"last");
+        for threads in [1, 2, 3, 5, 8] {
+            assert_streams(&data, HASH_BLOCK as u64, threads);
+        }
+        assert_eq!(reference_hash(&data), content_hash_64(&data));
+        let (path, file) = temp_file(&data);
+        let (parts, hash) =
+            stream_lines(&file, 4, true, |_| 0usize, |n, run| *n += run.len()).unwrap();
+        assert_eq!(parts.iter().sum::<usize>(), data.len());
+        assert_eq!(hash, Some(content_hash_64(&data)));
+        let (_, hash) = stream_lines(&file, 4, false, |_| (), |(), _| ()).unwrap();
+        assert_eq!(hash, None, "no hash unless asked");
+        drop(file);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_file_that_shrinks_during_the_stream_is_an_error() {
+        let data = noise(3 * HASH_BLOCK + 10, 3);
+        for threads in [1, 4] {
+            let (path, file) = temp_file(&data);
+            // The length is taken before any worker starts; each worker then
+            // finds the file cut to one block.
+            let shrink = || {
+                let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                f.set_len(HASH_BLOCK as u64).unwrap();
+            };
+            let err = stream_lines(&file, threads, true, |_| shrink(), |(), _| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{threads}");
+            assert!(err.to_string().contains("shrank"), "{err}");
+            drop(file);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn splitter_matches_splitn_on_named_cases() {
+        let cases: [&[u8]; 9] = [
+            b"",
+            b"|",
+            b"a|b|c",
+            b"||||||||",
+            b"|||||||||||",
+            b"1|KERN_0014|KERNEL|CNS|_bgp_err_kernel_panic|FATAL|2009|R00-M0|msg | more",
+            "é|κλμ|\u{10348}|x|y|z|w|v|ü|end".as_bytes(),
+            b"no pipes at all in this line",
+            b"abcdefg|abcdefg|",
+        ];
+        for line in cases {
+            let want: Vec<&[u8]> = line.splitn(9, |&b| b == b'|').collect();
+            let (fields, count) = splitn_byte::<9>(b'|', line);
+            assert_eq!(&fields[..count], want.as_slice(), "{line:?}");
+            assert!(fields[count..].iter().all(|f| f.is_empty()));
+        }
+        assert_eq!(splitn_byte::<1>(b'|', b"a|b"), ([&b"a|b"[..]], 1));
+    }
+
+    proptest! {
+        /// The SWAR splitter is `splitn(9, '|')`: pipes at every offset of
+        /// a word (the prefix shifts them), multi-byte UTF-8 around them,
+        /// and lines with fewer than eight pipes.
+        #[test]
+        fn prop_splitter_matches_splitn(
+            data in collection::vec((0usize..9).prop_map(log_byte), 0..120),
+            prefix in 0usize..8,
+        ) {
+            let mut line = vec![b'p'; prefix];
+            line.extend_from_slice(&data);
+            let want: Vec<&[u8]> = line.splitn(9, |&b| b == b'|').collect();
+            let (fields, count) = splitn_byte::<9>(b'|', &line);
+            prop_assert_eq!(&fields[..count], want.as_slice());
+        }
+
+        /// Dense pipes: every byte a pipe or one byte of a UTF-8 scalar.
+        #[test]
+        fn prop_splitter_matches_splitn_on_dense_pipes(
+            data in collection::vec((0usize..3).prop_map(|i| [b'|', 0xc3, 0xa9][i]), 0..40),
+        ) {
+            let want: Vec<&[u8]> = data.splitn(9, |&b| b == b'|').collect();
+            let (fields, count) = splitn_byte::<9>(b'|', &data);
+            prop_assert_eq!(&fields[..count], want.as_slice());
+        }
     }
 }

@@ -1,9 +1,13 @@
-//! Read-only memory-mapped file input.
+//! Read-only memory-mapped file input, for `.bgpsnap` snapshots.
 //!
-//! [`MappedFile`] hands the loaders a `&[u8]` view of a log file without
-//! copying it through a heap buffer: on unix it maps the file `PROT_READ` /
-//! `MAP_PRIVATE` so parsing runs straight over the page cache; everywhere
-//! else (and whenever mapping fails) it falls back to an ordinary read.
+//! [`MappedFile`] hands the snapshot loader a `&[u8]` view of a snapshot
+//! without copying it through a heap buffer: on unix [`MappedFile::open`]
+//! maps the file `PROT_READ` / `MAP_PRIVATE` so decoding runs straight over
+//! the page cache; everywhere else (and whenever mapping fails) it falls back
+//! to an ordinary read. [`MappedFile::read`] always reads into a buffer; the
+//! BG/Q, syslog and cassette adapters take their input that way. Source logs
+//! in the BG/P format are never mapped: they are streamed through fixed
+//! per-worker windows ([`crate::bytes::stream_lines`]).
 //!
 //! This is the one module in the workspace allowed to use `unsafe`: the
 //! crate root denies `unsafe_code` and every other module inherits that.
@@ -14,12 +18,11 @@
 //! * The returned slice borrows the [`MappedFile`], whose `Drop` unmaps,
 //!   so the view cannot outlive the mapping.
 //! * The caveat that cannot be engineered away: if another process
-//!   *truncates* the file while it is mapped, touching the vanished pages
-//!   raises `SIGBUS`. Log files here are append-only by convention, and
-//!   `.bgpsnap` snapshots are only ever replaced by rename, never truncated.
-//!   For logs that may be truncated while being read, run `coctl --no-mmap`
-//!   (`LoadOptions { mmap: false, .. }` in the library) to take the
-//!   buffered-read path. See DESIGN.md §5h for the operational notes.
+//!   *truncates* a file while it is mapped, touching the vanished pages
+//!   raises `SIGBUS`. That is why only snapshots are mapped: the loader
+//!   only ever replaces a `.bgpsnap` file by renaming a new one over it,
+//!   never truncates it, and a rename leaves a live mapping on the old
+//!   file intact. See DESIGN.md §5h for the operational notes.
 
 #![allow(unsafe_code)] // sanctioned: the workspace's single mmap wrapper
 
@@ -27,7 +30,7 @@ use std::fs::File;
 use std::io;
 use std::path::Path;
 
-/// A log file's bytes, either memory-mapped (unix) or read into a buffer.
+/// A file's bytes, either memory-mapped (unix) or read into a buffer.
 #[derive(Debug)]
 pub struct MappedFile {
     inner: Inner,
@@ -43,7 +46,8 @@ enum Inner {
 impl MappedFile {
     /// Map `path` read-only, falling back to a buffered read when mapping
     /// is unavailable (non-unix targets, zero-length files, exotic
-    /// filesystems that refuse `mmap`).
+    /// filesystems that refuse `mmap`). Only for files that are replaced,
+    /// never truncated, while mapped: the `.bgpsnap` snapshots.
     pub fn open(path: &Path) -> io::Result<MappedFile> {
         #[cfg(unix)]
         {
@@ -59,7 +63,7 @@ impl MappedFile {
         Self::read(path)
     }
 
-    /// Read `path` into an owned buffer (the non-mmap mode).
+    /// Read `path` into an owned buffer.
     pub fn read(path: &Path) -> io::Result<MappedFile> {
         Ok(MappedFile {
             inner: Inner::Owned(std::fs::read(path)?),

@@ -11,7 +11,7 @@
 //! matching tests millions of (event, job) pairs for location overlap.
 
 use crate::error::ModelError;
-use crate::location::{Location, MidplaneId};
+use crate::location::{Location, MidplaneId, RackId};
 use crate::topology::NUM_MIDPLANES;
 use std::fmt;
 use std::str::FromStr;
@@ -261,6 +261,38 @@ impl fmt::Display for Partition {
     }
 }
 
+impl Partition {
+    /// Byte-level fast path for the two forms a job log writes most: a
+    /// single midplane `Rxx-My` and a whole-rack range `Rxx-Ryy`.
+    ///
+    /// Returns `Some` only where `from_str` returns the same partition.
+    /// `None` means "not canonical, ask `from_str`", never "invalid":
+    /// padding, lists, the dashed `R-23` rack, a reversed range and
+    /// out-of-range racks all decline here, and `from_str` decides.
+    pub fn parse_canonical(b: &[u8]) -> Option<Partition> {
+        fn rack(row: u8, col: u8) -> Option<RackId> {
+            if !(row.is_ascii_digit() && col.is_ascii_digit()) {
+                return None;
+            }
+            RackId::new(row - b'0', col - b'0').ok()
+        }
+        match *b {
+            [b'R', _, _, b'-', b'M', _] => {
+                let Location::Midplane(m) = Location::parse_canonical(b)? else {
+                    return None;
+                };
+                Some(Partition::single(m))
+            }
+            [b'R', r0, c0, b'-', b'R', r1, c1] => {
+                let (lo, hi) = (rack(r0, c0)?, rack(r1, c1)?);
+                let count = hi.index().checked_sub(lo.index())? + 1;
+                Partition::contiguous((lo.index() * 2) as u8, (count * 2) as u32).ok()
+            }
+            _ => None,
+        }
+    }
+}
+
 impl FromStr for Partition {
     type Err = ModelError;
 
@@ -285,8 +317,8 @@ impl FromStr for Partition {
         // Try a rack range `Rxy-Rzw`.
         if let Some((a, b)) = s.split_once('-') {
             if b.starts_with('R') {
-                let lo: crate::location::RackId = a.parse()?;
-                let hi: crate::location::RackId = b.parse()?;
+                let lo: RackId = a.parse()?;
+                let hi: RackId = b.parse()?;
                 if hi.index() < lo.index() {
                     return Err(err("rack range is reversed"));
                 }
@@ -386,6 +418,37 @@ mod tests {
         let p: Partition = "<empty>".parse().unwrap();
         assert!(p.is_empty());
         assert!("R11-R10".parse::<Partition>().is_err());
+    }
+
+    #[test]
+    fn canonical_fast_path_agrees_with_from_str() {
+        let mut forms = vec![
+            "R11-R10".to_owned(),
+            "R10-R11 ".to_owned(),
+            "R-10-M1".to_owned(),
+            "R1a-R11".to_owned(),
+            "R10-M2".to_owned(),
+            "R50-R51".to_owned(),
+            "R00-M0,R00-M1".to_owned(),
+            "R10".to_owned(),
+        ];
+        for row in 0..6 {
+            for col in 0..9 {
+                forms.push(format!("R{row}{col}-M0"));
+                forms.push(format!("R{row}{col}-M1"));
+                forms.push(format!("R00-R{row}{col}"));
+                forms.push(format!("R{row}{col}-R47"));
+            }
+        }
+        for form in forms {
+            let general = form.parse::<Partition>().ok();
+            if let Some(fast) = Partition::parse_canonical(form.as_bytes()) {
+                assert_eq!(Some(fast), general, "{form}");
+            }
+        }
+        assert!(Partition::parse_canonical(b"R10-R11").is_some());
+        assert!(Partition::parse_canonical(b"R23-M1").is_some());
+        assert!(Partition::parse_canonical(b"R11-R10").is_none());
     }
 
     #[test]

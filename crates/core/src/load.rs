@@ -13,20 +13,27 @@
 //!    decodes, and computed at most once per load — then the body. The
 //!    lookup order is: for [`load_pair`], the FATAL snapshot
 //!    ([`fatal_snapshot_file`]); then the full snapshot ([`snapshot_file`]).
-//!    A hit skips parsing, and **a hit never maps the source**: it is read
-//!    once, as a stream, to hash it. Without a snapshot directory nothing is
-//!    hashed;
-//! 3. otherwise map the whole file read-only ([`LoadOptions::mmap`], on by
-//!    default) or read it into a buffer;
-//! 4. decode it through the [`LogFormat`]'s source adapter — BG/P in
-//!    parallel on newline-aligned byte chunks, BG/Q and syslog line by line,
-//!    cassettes by replaying the recorded byte stream through their inner
-//!    format — and, if configured (BG/P only), write the snapshot for next
-//!    time, stamped with the content hash of the very bytes parsed (to a
-//!    temp file renamed over the old one, so concurrent readers and live
+//!    A hit skips parsing; the source is read once, to hash it. Without a
+//!    snapshot directory nothing is hashed. A source that is not a regular
+//!    file (a pipe) is never hashed on its own, which would consume it: its
+//!    snapshots count as unusable, and it is hashed as it is parsed;
+//! 3. otherwise decode the source through the [`LogFormat`]'s source
+//!    adapter. A BG/P source is **streamed, never held whole**: each worker
+//!    reads its share of the file through one fixed window with positioned
+//!    reads and parses the whole lines in it
+//!    ([`bgp_model::bytes::stream_lines`]), so a load that keeps 2 % of the
+//!    records does not hold 100 % of the bytes. A cache miss hashes the
+//!    same windows in the same pass and writes the snapshot for next time,
+//!    stamped with the content hash of the very bytes parsed (to a temp
+//!    file renamed over the old one, so concurrent readers and live
 //!    mappings never see a torn snapshot). [`load_pair`] then also writes
 //!    the FATAL snapshot from what it keeps; it does the same after a
-//!    full-snapshot hit.
+//!    full-snapshot hit. The source's length is taken once, at the start:
+//!    a source that shrinks during the load is a [`LoadError`], and bytes
+//!    appended meanwhile are left for the next load. A pipe has no length
+//!    to take: one worker reads it to its end. BG/Q and syslog read
+//!    the file into a buffer and decode it line by line; cassettes replay
+//!    the recorded byte stream through their inner format.
 //!
 //! [`LoadOptions::format`] selects the **RAS** source adapter. Job
 //! accounting is format-specific only for `bgq`, whose directory layout
@@ -55,7 +62,7 @@
 //! Only [`load_pair`] reads or writes the FATAL snapshot beside it (about
 //! 2 % of its size), which serves its warm hits.
 
-use bgp_model::bytes::{content_hash_64, content_hash_file};
+use bgp_model::bytes::content_hash_file;
 use bgp_model::mmap::MappedFile;
 use bgp_model::snapshot::{SnapshotError, SnapshotHeader, SnapshotKind};
 use bgp_ports::SourceBatch;
@@ -68,8 +75,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How to load a log file.
-#[derive(Debug, Clone)]
+/// How to load a log file. The default uses every CPU, no snapshot cache
+/// and the BG/P format.
+#[derive(Debug, Clone, Default)]
 pub struct LoadOptions {
     /// Worker threads for parallel parsing; `0` means one per available CPU.
     pub threads: usize,
@@ -79,29 +87,6 @@ pub struct LoadOptions {
     pub snapshot_dir: Option<PathBuf>,
     /// Which source adapter decodes the RAS input (default: BG/P pipes).
     pub format: LogFormat,
-    /// Memory-map the input instead of reading it into a buffer, so parsing
-    /// runs zero-copy over the page cache (unix `mmap`, `PROT_READ`;
-    /// silently falls back to a buffered read where mapping is
-    /// unavailable). On by default; identical records either way. It only
-    /// matters when the input is parsed: a snapshot hit never maps the
-    /// source, it streams it to hash it. Turn it off (`coctl --no-mmap`)
-    /// for log files that may be *truncated* concurrently while they are
-    /// parsed — see [`bgp_model::mmap::MappedFile`] for the `SIGBUS` caveat
-    /// (append-only growth is fine: the mapping is fixed at open length).
-    /// Snapshots are always mapped: the loader only ever replaces them
-    /// whole, never truncates them.
-    pub mmap: bool,
-}
-
-impl Default for LoadOptions {
-    fn default() -> LoadOptions {
-        LoadOptions {
-            threads: 0,
-            snapshot_dir: None,
-            format: LogFormat::default(),
-            mmap: true,
-        }
-    }
 }
 
 impl LoadOptions {
@@ -222,13 +207,9 @@ fn cannot_read(path: &Path, e: io::Error) -> LoadError {
     }
 }
 
-fn read_file(path: &Path, mmap: bool) -> Result<MappedFile, LoadError> {
-    let result = if mmap {
-        MappedFile::open(path)
-    } else {
-        MappedFile::read(path)
-    };
-    result.map_err(|e| cannot_read(path, e))
+/// Read a whole non-BG/P source into a buffer.
+fn read_file(path: &Path) -> Result<MappedFile, LoadError> {
+    MappedFile::read(path).map_err(|e| cannot_read(path, e))
 }
 
 /// The record-type specifics of one BG/P log: which snapshots it reads and
@@ -242,13 +223,22 @@ trait BgpCodec {
     const KIND: SnapshotKind;
     /// The snapshot format version this build reads and writes.
     const VERSION: u32;
-    /// Parse source text, keeping what the load keeps.
-    fn parse(&self, text: &[u8], threads: usize) -> (Self::Kept, Vec<SourceDiagnostic>) {
-        let batch = Self::parse_all(text, threads);
-        (self.project(batch.records), batch.diagnostics)
+    /// Parse the source file, keeping what the load keeps.
+    fn parse(
+        &self,
+        file: &File,
+        threads: usize,
+    ) -> io::Result<(Self::Kept, Vec<SourceDiagnostic>)> {
+        let (batch, _) = Self::parse_all(file, threads, false)?;
+        Ok((self.project(batch.records), batch.diagnostics))
     }
-    /// Parse source text in full, for a snapshot write.
-    fn parse_all(text: &[u8], threads: usize) -> SourceBatch<Self::Record>;
+    /// Parse the source file in full, for a snapshot write, with the
+    /// content hash of the bytes parsed if `hash` is set.
+    fn parse_all(
+        file: &File,
+        threads: usize,
+        hash: bool,
+    ) -> io::Result<(SourceBatch<Self::Record>, Option<u64>)>;
     /// Keep what the load keeps of a full parse.
     fn project(&self, all: Vec<Self::Record>) -> Self::Kept;
     /// Decode and validate a whole snapshot (its source hash is checked
@@ -297,12 +287,20 @@ impl BgpCodec for RasCodec {
     const KIND: SnapshotKind = SnapshotKind::Ras;
     const VERSION: u32 = raslog::snapshot::FORMAT_VERSION;
 
-    fn parse(&self, text: &[u8], threads: usize) -> (Projection, Vec<SourceDiagnostic>) {
-        bgp_ports::bgp::decode_ras_where(text, threads, self.keep())
+    fn parse(
+        &self,
+        file: &File,
+        threads: usize,
+    ) -> io::Result<(Projection, Vec<SourceDiagnostic>)> {
+        bgp_ports::bgp::decode_ras_file_where(file, threads, self.keep())
     }
 
-    fn parse_all(text: &[u8], threads: usize) -> SourceBatch<RasRecord> {
-        bgp_ports::bgp::decode_ras(text, threads)
+    fn parse_all(
+        file: &File,
+        threads: usize,
+        hash: bool,
+    ) -> io::Result<(SourceBatch<RasRecord>, Option<u64>)> {
+        bgp_ports::bgp::decode_ras_file(file, threads, hash)
     }
 
     fn project(&self, all: Vec<RasRecord>) -> Projection {
@@ -336,8 +334,12 @@ impl BgpCodec for JobCodec {
     const KIND: SnapshotKind = SnapshotKind::Job;
     const VERSION: u32 = joblog::snapshot::FORMAT_VERSION;
 
-    fn parse_all(text: &[u8], threads: usize) -> SourceBatch<JobRecord> {
-        bgp_ports::bgp::decode_jobs(text, threads)
+    fn parse_all(
+        file: &File,
+        threads: usize,
+        hash: bool,
+    ) -> io::Result<(SourceBatch<JobRecord>, Option<u64>)> {
+        bgp_ports::bgp::decode_jobs_file(file, threads, hash)
     }
 
     fn project(&self, all: Vec<JobRecord>) -> Vec<JobRecord> {
@@ -353,28 +355,31 @@ impl BgpCodec for JobCodec {
     }
 }
 
-/// The shared BG/P load skeleton. Without a snapshot directory the text
-/// parses projected. With one, the kept snapshot (if the load has one) and
-/// then the full snapshot are checked against the source, which is hashed
-/// at most once and never mapped; a full hit is projected. A miss parses
-/// the mapped text in full and writes the full snapshot, stamped with the
-/// hash of the bytes parsed, then projects. After a full hit or a parse the
-/// kept snapshot is written too.
+/// The shared BG/P load skeleton. The source is opened once and only ever
+/// streamed. Without a snapshot directory it parses projected. With one,
+/// the kept snapshot (if the load has one) and then the full snapshot are
+/// checked against the source, which is hashed at most once; a full hit is
+/// projected. A miss parses the source in full, hashing the same windows,
+/// and writes the full snapshot, stamped with the hash of the bytes parsed,
+/// then projects. After a full hit or a parse the kept snapshot is written
+/// too.
 fn load_bgp<C: BgpCodec>(
     path: &Path,
     opts: &LoadOptions,
     codec: &C,
 ) -> Result<(C::Kept, Vec<SourceDiagnostic>, SnapshotStatus), LoadError> {
     let threads = opts.effective_threads();
+    let file = File::open(path).map_err(|e| cannot_read(path, e))?;
     // The content hash exists only to validate and stamp the snapshot, so
     // an uncached load never pays for it.
     let Some(dir) = opts.snapshot_dir.as_deref() else {
-        let data = read_file(path, opts.mmap)?;
-        let (kept, diagnostics) = codec.parse(data.bytes(), threads);
+        let (kept, diagnostics) = codec
+            .parse(&file, threads)
+            .map_err(|e| cannot_read(path, e))?;
         return Ok((kept, diagnostics, SnapshotStatus::Disabled));
     };
     let mut source = Source {
-        file: File::open(path).map_err(|e| cannot_read(path, e))?,
+        file,
         threads,
         hash: None,
     };
@@ -388,7 +393,9 @@ fn load_bgp<C: BgpCodec>(
     let (kept, diagnostics, hash, mut status) =
         match source.check(&snap_path, C::KIND, C::VERSION, C::decode) {
             Ok((all, hash)) => (codec.project(all), Vec::new(), hash, SnapshotStatus::Loaded),
-            Err(stale_reason) => parse_and_snapshot(path, opts, codec, &snap_path, stale_reason)?,
+            Err(stale_reason) => {
+                parse_and_snapshot(path, &source, codec, &snap_path, stale_reason)?
+            }
         };
     if let Some((kept_path, k)) = kept_snapshot {
         if let Err(e) = write_snapshot(&kept_path, &(k.encode)(&kept, hash)) {
@@ -402,21 +409,22 @@ fn load_bgp<C: BgpCodec>(
     Ok((kept, diagnostics, status))
 }
 
-/// The miss path of [`load_bgp`]: map (or read) the source, parse it in
-/// full and write the full snapshot at `snap_path`, stamped with the hash
-/// of the very bytes parsed — returned with what the load keeps.
-/// `stale_reason` says why an existing snapshot was unusable.
+/// The miss path of [`load_bgp`]: parse the source in full, hashing the
+/// same windows in the same pass, and write the full snapshot at
+/// `snap_path`, stamped with the hash of the very bytes parsed — returned
+/// with what the load keeps. `stale_reason` says why an existing snapshot
+/// was unusable.
 fn parse_and_snapshot<C: BgpCodec>(
     path: &Path,
-    opts: &LoadOptions,
+    source: &Source,
     codec: &C,
     snap_path: &Path,
     stale_reason: Option<String>,
 ) -> Result<(C::Kept, Vec<SourceDiagnostic>, u64, SnapshotStatus), LoadError> {
-    let data = read_file(path, opts.mmap)?;
-    let data = data.bytes();
-    let hash = content_hash_64(data);
-    let batch = C::parse_all(data, opts.effective_threads());
+    let (batch, hash) =
+        C::parse_all(&source.file, source.threads, true).map_err(|e| cannot_read(path, e))?;
+    // `parse_all` returns a hash whenever it is asked for one.
+    let hash = hash.unwrap_or_default();
     let status = match (
         write_snapshot(snap_path, &C::encode(&batch.records, hash)),
         stale_reason,
@@ -431,9 +439,10 @@ fn parse_and_snapshot<C: BgpCodec>(
     Ok((kept, batch.diagnostics, hash, status))
 }
 
-/// The source log of a cached load, open for hashing. Its content hash is
-/// streamed from the file ([`content_hash_file`]), never mapped, and
-/// computed at most once per load.
+/// The source log of a cached load, open for hashing and, on a miss,
+/// parsing. The snapshot checks stream its content hash from the file
+/// ([`content_hash_file`]) at most once per load; a miss hashes again in
+/// its parse pass, so the stamp is of the very bytes parsed.
 struct Source {
     file: File,
     threads: usize,
@@ -540,7 +549,7 @@ fn load_ras_as(path: &Path, opts: &LoadOptions, codec: RasCodec) -> Result<Loade
         load_bgp(path, opts, &codec)?
     } else {
         let resolved = bgp_ports::resolve_input(opts.format, path);
-        let data = read_file(&resolved.ras, opts.mmap)?;
+        let data = read_file(&resolved.ras)?;
         let source = bgp_ports::ras_source(opts.format);
         let batch = source
             .decode_ras(data.bytes(), opts.effective_threads())
@@ -569,7 +578,7 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
     if opts.format == LogFormat::Bgq {
         let resolved = bgp_ports::resolve_input(LogFormat::Bgq, path);
         let jobs_path = resolved.jobs.as_deref().unwrap_or(path);
-        let data = read_file(jobs_path, opts.mmap)?;
+        let data = read_file(jobs_path)?;
         let batch = bgp_ports::bgq::decode_jobs(data.bytes());
         return Ok(LoadedJobs {
             log: JobLog::from_jobs(batch.records),
@@ -853,7 +862,7 @@ mod tests {
             let (hit, _) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
             assert_eq!(hit.snapshot, SnapshotStatus::Loaded);
             assert_eq!(hit.log.records(), fresh.log.records());
-            let source_hash = content_hash_64(&fs::read(&ras_path).unwrap());
+            let source_hash = bgp_model::bytes::content_hash_64(&fs::read(&ras_path).unwrap());
             let stale = patched(&good, 24, &STALE);
             let cases: [(&str, Vec<u8>, &str); 9] = [
                 (
@@ -927,52 +936,72 @@ mod tests {
         }
     }
 
+    /// Every BG/P path streams the source — uncached (parse), a cache
+    /// miss (parse and hash in one pass) and a hit (hash only) — and all
+    /// three give the same logs; the miss stamps the snapshot with the
+    /// hash of the bytes on disk.
     #[test]
-    fn default_mapped_load_is_identical_to_buffered_read() {
-        let dir = tmpdir("mmap");
+    fn streamed_load_paths_agree() {
+        let dir = tmpdir("streamed");
         let (ras_path, jobs_path) = write_fixture(&dir);
-        let mapped = LoadOptions::default();
-        assert!(mapped.mmap, "mapping is the default");
-        let buffered = LoadOptions {
-            mmap: false,
-            ..LoadOptions::default()
-        };
-        let (ras_a, jobs_a) = load_pair(&ras_path, &jobs_path, &buffered).unwrap();
-        let (ras_b, jobs_b) = load_pair(&ras_path, &jobs_path, &mapped).unwrap();
-        assert_eq!(ras_a.log.records(), ras_b.log.records());
-        assert_eq!(ras_a.parse_errors, ras_b.parse_errors);
-        assert_eq!(jobs_a.log.jobs(), jobs_b.log.jobs());
-        // Through the snapshot cache too: a buffered load writes, a mapped
-        // load hits; then the other way round in a fresh directory.
-        for (tag, first, second) in [
-            ("b-then-m", &buffered, &mapped),
-            ("m-then-b", &mapped, &buffered),
-        ] {
-            let snaps = Some(dir.join(tag));
-            let first = LoadOptions {
-                snapshot_dir: snaps.clone(),
-                ..first.clone()
+        for threads in [1, 3] {
+            let plain = LoadOptions {
+                threads,
+                ..LoadOptions::default()
             };
-            let second = LoadOptions {
-                snapshot_dir: snaps,
-                ..second.clone()
+            let cached = LoadOptions {
+                snapshot_dir: Some(dir.join(format!("snaps-{threads}"))),
+                ..plain.clone()
             };
-            let (ras_w, jobs_w) = load_pair(&ras_path, &jobs_path, &first).unwrap();
-            assert_eq!(ras_w.snapshot, SnapshotStatus::Written, "{tag}");
-            assert_eq!(jobs_w.snapshot, SnapshotStatus::Written, "{tag}");
-            assert_eq!(ras_w.parse_errors, ras_a.parse_errors, "{tag}");
-            let (ras_l, jobs_l) = load_pair(&ras_path, &jobs_path, &second).unwrap();
-            assert_eq!(ras_l.snapshot, SnapshotStatus::Loaded, "{tag}");
-            assert_eq!(jobs_l.snapshot, SnapshotStatus::Loaded, "{tag}");
+            let (ras_u, jobs_u) = load_pair(&ras_path, &jobs_path, &plain).unwrap();
+            let (ras_w, jobs_w) = load_pair(&ras_path, &jobs_path, &cached).unwrap();
+            let (ras_l, jobs_l) = load_pair(&ras_path, &jobs_path, &cached).unwrap();
+            assert_eq!(ras_w.snapshot, SnapshotStatus::Written);
+            assert_eq!(jobs_w.snapshot, SnapshotStatus::Written);
+            assert_eq!(ras_l.snapshot, SnapshotStatus::Loaded);
+            assert_eq!(jobs_l.snapshot, SnapshotStatus::Loaded);
+            assert_eq!(ras_w.parse_errors, ras_u.parse_errors);
             for ras in [&ras_w, &ras_l] {
-                assert_eq!(ras.log.records(), ras_a.log.records(), "{tag}");
+                assert_eq!(ras.log.records(), ras_u.log.records());
+                assert_eq!(ras.log.time_span(), ras_u.log.time_span());
+                assert_eq!(ras.parsed, ras_u.parsed);
             }
             for jobs in [&jobs_w, &jobs_l] {
-                assert_eq!(jobs.log.jobs(), jobs_a.log.jobs(), "{tag}");
+                assert_eq!(jobs.log.jobs(), jobs_u.log.jobs());
             }
+            let snap = fs::read(snapshot_file(
+                cached.snapshot_dir.as_deref().unwrap(),
+                &ras_path,
+            ))
+            .unwrap();
+            let stamp = bgp_model::bytes::content_hash_64(&fs::read(&ras_path).unwrap());
+            assert_eq!(
+                snap[24..32],
+                stamp.to_le_bytes(),
+                "stamped with the source hash"
+            );
         }
-        // Missing files error the same way through the mapped path.
-        assert!(load_ras(&dir.join("nope.log"), &mapped).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A source the reader cannot read is a load error on every BG/P path,
+    /// never an empty log: a directory opens but is not a file to stream.
+    #[test]
+    fn an_unreadable_source_is_a_load_error() {
+        let dir = tmpdir("unreadable");
+        let (_, jobs_path) = write_fixture(&dir);
+        let not_a_file = dir.join("a-directory.log");
+        fs::create_dir_all(&not_a_file).unwrap();
+        let cached = LoadOptions {
+            snapshot_dir: Some(dir.join("snaps")),
+            ..LoadOptions::default()
+        };
+        for opts in [&LoadOptions::default(), &cached] {
+            let err = load_ras(&not_a_file, opts).unwrap_err();
+            assert!(err.message.starts_with("cannot read"), "{err}");
+            assert!(load_jobs(&not_a_file, opts).is_err());
+            assert!(load_pair(&not_a_file, &jobs_path, opts).is_err());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,9 +1,12 @@
-//! Parallel, zero-copy ingestion of job accounting text.
+//! Parallel ingestion of job accounting text.
 //!
-//! Mirrors `raslog::ingest`: the whole log is held in memory once, split
-//! into newline-aligned byte chunks ([`bgp_model::bytes::line_chunks`]), and
-//! parsed on scoped threads with the allocation-free byte parser
-//! ([`crate::parse::parse_line_bytes`]).
+//! Mirrors `raslog::ingest`: newline-aligned runs of whole lines — from a
+//! buffer in memory split by [`bgp_model::bytes::line_chunks`]
+//! ([`parse_log_bytes`]), or from a file streamed through fixed per-worker
+//! windows by [`bgp_model::bytes::stream_lines`] ([`parse_log_file`]) — are
+//! parsed on scoped threads by one chunk parser over the allocation-free
+//! byte parser ([`crate::parse::parse_line_bytes`]), and the workers'
+//! outputs fold in input order.
 //!
 //! ## Equivalence contract
 //!
@@ -12,73 +15,76 @@
 //! same errors with the same global 1-based line numbers (blank lines are
 //! counted but skipped, trailing `\r` runs are trimmed, text after the last
 //! newline counts as a final line). The integration tests pin this
-//! record-for-record and error-for-error.
+//! record-for-record and error-for-error. A file parsed with
+//! [`parse_log_file`] gives exactly what its bytes give [`parse_log_bytes`].
 
 use crate::parse::{parse_line_bytes, JobParseError};
 use crate::record::JobRecord;
-use bgp_model::bytes::{find_byte, line_chunks, map_chunks_parallel};
+use bgp_model::bytes::{find_byte, line_chunks, map_chunks_parallel, stream_lines};
+use std::fs::File;
+use std::io;
 
-/// Per-chunk parse output, with chunk-local line numbers.
-struct ChunkOut {
+/// One worker's parse output, with line numbers local to the worker.
+struct Chunk {
     jobs: Vec<JobRecord>,
     errors: Vec<JobParseError>,
     lines: u64,
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the chunk parser is the parser crate's own parallel driver of its line parser"
-)]
-fn parse_chunk(chunk: &[u8]) -> ChunkOut {
-    let mut out = ChunkOut {
-        // Accounting lines run ~70 bytes; presize to keep reallocation off
-        // the hot path.
-        jobs: Vec::with_capacity(chunk.len() / 70 + 1),
-        errors: Vec::new(),
-        lines: 0,
-    };
-    let mut rest = chunk;
-    while !rest.is_empty() {
-        let line = match find_byte(b'\n', rest) {
-            Some(i) => {
-                let line = &rest[..i];
-                rest = &rest[i + 1..];
-                line
-            }
-            None => {
-                let line = rest;
-                rest = &rest[rest.len()..];
-                line
-            }
-        };
-        out.lines += 1;
-        let mut line = line;
-        while let [head @ .., b'\r'] = line {
-            line = head;
+impl Chunk {
+    /// An empty accumulator for a run of `bytes` bytes of text.
+    fn new(bytes: u64) -> Chunk {
+        Chunk {
+            // Accounting lines run ~70 bytes; presize to keep reallocation
+            // off the hot path.
+            jobs: Vec::with_capacity(usize::try_from(bytes / 70).unwrap_or(0) + 1),
+            errors: Vec::new(),
+            lines: 0,
         }
-        if line.is_empty() {
-            continue;
-        }
-        match parse_line_bytes(line) {
-            Ok(j) => out.jobs.push(j),
-            Err(mut e) => {
-                e.line = out.lines;
-                out.errors.push(e);
+    }
+
+    /// Parse the lines of `text`, numbering them on from the lines already
+    /// parsed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the chunk parser is the parser crate's own parallel driver of its line parser"
+    )]
+    fn feed(&mut self, text: &[u8]) {
+        let mut rest = text;
+        while !rest.is_empty() {
+            let line = match find_byte(b'\n', rest) {
+                Some(i) => {
+                    let line = &rest[..i];
+                    rest = &rest[i + 1..];
+                    line
+                }
+                None => {
+                    let line = rest;
+                    rest = &rest[rest.len()..];
+                    line
+                }
+            };
+            self.lines += 1;
+            let mut line = line;
+            while let [head @ .., b'\r'] = line {
+                line = head;
+            }
+            if line.is_empty() {
+                continue;
+            }
+            match parse_line_bytes(line) {
+                Ok(j) => self.jobs.push(j),
+                Err(mut e) => {
+                    e.line = self.lines;
+                    self.errors.push(e);
+                }
             }
         }
     }
-    out
 }
 
-/// Parse a whole job log held in memory, tolerantly, on up to `threads`
-/// scoped worker threads (`0` and `1` both mean "parse inline").
-///
-/// Returns the jobs in input order and the malformed lines with their global
-/// 1-based line numbers — exactly what
-/// [`crate::JobReader::read_tolerant`] returns for the same bytes.
-pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<JobRecord>, Vec<JobParseError>) {
-    let chunks = line_chunks(data, threads);
-    let parts = map_chunks_parallel(&chunks, |c| parse_chunk(c));
+/// Fold the workers' outputs, in input order, into global line numbers.
+fn fold(parts: Vec<Chunk>) -> (Vec<JobRecord>, Vec<JobParseError>) {
     let total: usize = parts.iter().map(|p| p.jobs.len()).sum();
     let mut jobs = Vec::with_capacity(total);
     let mut errors = Vec::new();
@@ -92,6 +98,40 @@ pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<JobRecord>, Vec<JobP
         line_offset += part.lines;
     }
     (jobs, errors)
+}
+
+/// Parse a whole job log held in memory, tolerantly, on up to `threads`
+/// scoped worker threads (`0` and `1` both mean "parse inline").
+///
+/// Returns the jobs in input order and the malformed lines with their global
+/// 1-based line numbers — exactly what
+/// [`crate::JobReader::read_tolerant`] returns for the same bytes.
+pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<JobRecord>, Vec<JobParseError>) {
+    let chunks = line_chunks(data, threads);
+    fold(map_chunks_parallel(&chunks, |text| {
+        let mut chunk = Chunk::new(text.len() as u64);
+        chunk.feed(text);
+        chunk
+    }))
+}
+
+/// [`parse_log_bytes`] over a file's bytes, streamed through fixed
+/// per-worker windows ([`stream_lines`]) instead of held in memory, and
+/// with their content hash if `hash` is set
+/// ([`bgp_model::bytes::content_hash_64`] of the bytes parsed, computed in
+/// the same pass).
+///
+/// The jobs and errors are exactly what the file's bytes give
+/// [`parse_log_bytes`]. A read failure — including a file that shrinks
+/// during the parse — is an error, never a short parse.
+pub fn parse_log_file(
+    file: &File,
+    threads: usize,
+    hash: bool,
+) -> io::Result<(Vec<JobRecord>, Vec<JobParseError>, Option<u64>)> {
+    let (parts, hash) = stream_lines(file, threads, hash, Chunk::new, Chunk::feed)?;
+    let (jobs, errors) = fold(parts);
+    Ok((jobs, errors, hash))
 }
 
 /// Strict variant of [`parse_log_bytes`]: fail on the first malformed line
@@ -207,6 +247,79 @@ mod tests {
                 text.push_str(sep);
             }
             assert_equivalent(text.as_bytes(), threads);
+        }
+    }
+
+    /// The file parse of `text` equals the in-memory parse, hashes its
+    /// bytes, and accounts for every line: lines = jobs + diagnostics +
+    /// blank lines.
+    fn assert_file_parse_equivalent(text: &[u8], threads: usize) {
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "joblog-ingest-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        std::fs::write(&path, text).unwrap();
+        let file = File::open(&path).unwrap();
+        let (want, want_errs) = parse_log_bytes(text, threads);
+        for hash in [false, true] {
+            let (jobs, errs, got_hash) = parse_log_file(&file, threads, hash).unwrap();
+            assert_eq!(jobs, want, "threads={threads}");
+            assert_eq!(errs, want_errs, "threads={threads}");
+            assert_eq!(
+                got_hash,
+                hash.then(|| bgp_model::bytes::content_hash_64(text))
+            );
+        }
+        let mut lines: Vec<&[u8]> = text.split(|&b| b == b'\n').collect();
+        if text.last().is_none_or(|&b| b == b'\n') {
+            lines.pop();
+        }
+        let blank = lines
+            .iter()
+            .filter(|l| l.iter().all(|&b| b == b'\r'))
+            .count();
+        assert_eq!(
+            want.len() + want_errs.len() + blank,
+            lines.len(),
+            "line accounting"
+        );
+        drop(file);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    proptest! {
+        #[test]
+        fn file_parse_matches_memory_parse(
+            lines in collection::vec(arb_line(), 0..30),
+            crlf in 0u8..2,
+            final_newline in 0u8..2,
+            threads in 1usize..9,
+        ) {
+            let sep = if crlf == 1 { "\r\n" } else { "\n" };
+            let mut text = lines.join(sep);
+            if final_newline == 1 && !text.is_empty() {
+                text.push_str(sep);
+            }
+            assert_file_parse_equivalent(text.as_bytes(), threads);
+        }
+    }
+
+    #[test]
+    fn file_parse_spans_workers_and_blocks() {
+        let mut text = Vec::new();
+        let mut i = 0;
+        while text.len() < 2 * bgp_model::bytes::HASH_BLOCK + 5000 {
+            text.extend_from_slice(format_record(&job(i)).as_bytes());
+            text.extend_from_slice(if i % 3 == 0 { b"\r\n" } else { b"\n" });
+            if i % 997 == 0 {
+                text.extend_from_slice(b"junk|line\n\n");
+            }
+            i += 1;
+        }
+        for threads in [1, 2, 3, 8] {
+            assert_file_parse_equivalent(&text, threads);
         }
     }
 }

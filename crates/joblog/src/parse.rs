@@ -77,58 +77,45 @@ pub fn parse_line(line: &str) -> Result<JobRecord, JobParseError> {
 /// with invalid UTF-8 reports the same error as an unparseable value, with a
 /// lossy payload.
 pub fn parse_line_bytes(line: &[u8]) -> Result<JobRecord, JobParseError> {
-    // Unlike RAS MESSAGE, no field may contain '|': unlimited `split('|')`
-    // semantics, counting every separator.
-    let mut fields: [&[u8]; 9] = [b""; 9];
-    let mut count = 0usize;
-    let mut rest = line;
-    loop {
-        match bgp_model::bytes::find_byte(b'|', rest) {
-            Some(i) => {
-                if count < 9 {
-                    fields[count] = &rest[..i];
-                }
-                count += 1;
-                rest = &rest[i + 1..];
-            }
-            None => {
-                if count < 9 {
-                    fields[count] = rest;
-                }
-                count += 1;
-                break;
-            }
-        }
+    // Unlike RAS MESSAGE, no field may contain '|': `split('|')` semantics,
+    // counting every separator. A ninth field holding more separators only
+    // happens on the error path, so the rest are counted only there.
+    let (fields, mut count) = bgp_model::bytes::splitn_byte::<9>(b'|', line);
+    if count == 9 {
+        count += fields[8].iter().filter(|&&b| b == b'|').count();
     }
     if count != 9 {
         return Err(format_err(format!("expected 9 fields, found {count}")));
     }
+    // Each field first tries a byte-level fast path for its canonical form
+    // (the form `format_record` writes); when that declines, the general
+    // parser (trim, UTF-8, `FromStr`) decides. A fast path answers only
+    // where the general parser gives the same value, so the general parser
+    // alone defines what a line means and supplies every error message.
     fn text(f: &[u8]) -> Option<&str> {
         std::str::from_utf8(f).ok().map(str::trim)
     }
-    let job_id: u64 = text(fields[0])
-        .and_then(|s| s.parse().ok())
+    let job_id: u64 = digits(fields[0], 19)
+        .or_else(|| text(fields[0])?.parse().ok())
         .ok_or_else(|| field_err_bytes("JOBID", fields[0]))?;
-    let exec = ExecId(
-        text(fields[1])
-            .and_then(|s| parse_prefixed(s, "app", ".exe"))
-            .ok_or_else(|| field_err_bytes("EXEC", fields[1]))?,
-    );
-    let user = UserId(
-        text(fields[2])
-            .and_then(|s| parse_prefixed(s, "user", ""))
-            .ok_or_else(|| field_err_bytes("USER", fields[2]))?,
-    );
-    let project = ProjectId(
-        text(fields[3])
-            .and_then(|s| parse_prefixed(s, "proj", ""))
-            .ok_or_else(|| field_err_bytes("PROJECT", fields[3]))?,
-    );
+    let id = |f: &[u8], prefix: &str, suffix: &str, what| {
+        prefixed_digits(f, prefix.as_bytes(), suffix.as_bytes())
+            .or_else(|| parse_prefixed(text(f)?, prefix, suffix))
+            .ok_or_else(|| field_err_bytes(what, f))
+    };
+    let exec = ExecId(id(fields[1], "app", ".exe", "EXEC")?);
+    let user = UserId(id(fields[2], "user", "", "USER")?);
+    let project = ProjectId(id(fields[3], "proj", "", "PROJECT")?);
     // Unix-second fields; accept a fractional tail (Cobalt writes floats).
     let unix = |f: &[u8], what| -> Result<Timestamp, JobParseError> {
-        text(f)
-            .and_then(|s| s.split('.').next())
-            .and_then(|whole| whole.parse::<i64>().ok())
+        digits(f, 18)
+            .and_then(|secs| i64::try_from(secs).ok())
+            .or_else(|| {
+                text(f)?
+                    .split('.')
+                    .next()
+                    .and_then(|whole| whole.parse::<i64>().ok())
+            })
             .map(Timestamp::from_unix)
             .ok_or_else(|| field_err_bytes(what, f))
     };
@@ -143,17 +130,24 @@ pub fn parse_line_bytes(line: &[u8]) -> Result<JobRecord, JobParseError> {
             end_time.as_unix()
         )));
     }
-    let partition: Partition = text(fields[7])
-        .and_then(|s| s.parse().ok())
+    let partition: Partition = Partition::parse_canonical(fields[7])
+        .or_else(|| text(fields[7])?.parse().ok())
         .ok_or_else(|| field_err_bytes("LOCATION", fields[7]))?;
-    let exit = match text(fields[8]) {
-        Some("cancelled") => ExitStatus::Cancelled,
-        Some("0") => ExitStatus::Completed,
-        other => ExitStatus::Failed(
-            other
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| field_err_bytes("EXIT", fields[8]))?,
-        ),
+    let exit = match fields[8] {
+        b"0" => ExitStatus::Completed,
+        b"cancelled" => ExitStatus::Cancelled,
+        f => match digits(f, 4).and_then(|code| u16::try_from(code).ok()) {
+            Some(code) => ExitStatus::Failed(code),
+            None => match text(f) {
+                Some("cancelled") => ExitStatus::Cancelled,
+                Some("0") => ExitStatus::Completed,
+                other => ExitStatus::Failed(
+                    other
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| field_err_bytes("EXIT", f))?,
+                ),
+            },
+        },
     };
     Ok(JobRecord {
         job_id,
@@ -166,6 +160,24 @@ pub fn parse_line_bytes(line: &[u8]) -> Result<JobRecord, JobParseError> {
         partition,
         exit,
     })
+}
+
+/// Digits fast path: 1 to `max` ASCII digits, which always fit the field's
+/// type for the `max` each caller passes. Anything else (a sign, padding, a
+/// fractional tail, more digits) is left to the general parser.
+fn digits(f: &[u8], max: usize) -> Option<u64> {
+    if f.is_empty() || f.len() > max {
+        return None;
+    }
+    f.iter().try_fold(0u64, |acc, &c| {
+        c.is_ascii_digit().then(|| acc * 10 + u64::from(c - b'0'))
+    })
+}
+
+/// Id fast path: `prefix`, 1 to 9 digits (always a `u32`), `suffix`.
+fn prefixed_digits(f: &[u8], prefix: &[u8], suffix: &[u8]) -> Option<u32> {
+    let n = digits(f.strip_prefix(prefix)?.strip_suffix(suffix)?, 9)?;
+    u32::try_from(n).ok()
 }
 
 /// Streaming reader: yields one `Result` per non-empty line.
@@ -374,6 +386,255 @@ mod tests {
                 exit: if exit_code == 0 { ExitStatus::Completed } else { ExitStatus::Failed(exit_code) },
             };
             prop_assert_eq!(parse_line(&crate::write::format_record(&j)).unwrap(), j);
+        }
+    }
+
+    /// The general path alone, as `parse_line_bytes` parsed every field
+    /// before the fast paths: `split('|')`, then `str::parse` on each
+    /// trimmed UTF-8 field. The fast paths must be invisible against it.
+    fn reference(line: &[u8]) -> Result<JobRecord, JobParseError> {
+        let fields: Vec<&[u8]> = line.split(|&b| b == b'|').collect();
+        if fields.len() != 9 {
+            return Err(format_err(format!(
+                "expected 9 fields, found {}",
+                fields.len()
+            )));
+        }
+        fn text(f: &[u8]) -> Option<&str> {
+            std::str::from_utf8(f).ok().map(str::trim)
+        }
+        let job_id: u64 = text(fields[0])
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| field_err_bytes("JOBID", fields[0]))?;
+        let exec = ExecId(
+            text(fields[1])
+                .and_then(|s| parse_prefixed(s, "app", ".exe"))
+                .ok_or_else(|| field_err_bytes("EXEC", fields[1]))?,
+        );
+        let user = UserId(
+            text(fields[2])
+                .and_then(|s| parse_prefixed(s, "user", ""))
+                .ok_or_else(|| field_err_bytes("USER", fields[2]))?,
+        );
+        let project = ProjectId(
+            text(fields[3])
+                .and_then(|s| parse_prefixed(s, "proj", ""))
+                .ok_or_else(|| field_err_bytes("PROJECT", fields[3]))?,
+        );
+        let unix = |f: &[u8], what| -> Result<Timestamp, JobParseError> {
+            text(f)
+                .and_then(|s| s.split('.').next())
+                .and_then(|whole| whole.parse::<i64>().ok())
+                .map(Timestamp::from_unix)
+                .ok_or_else(|| field_err_bytes(what, f))
+        };
+        let queue_time = unix(fields[4], "QUEUE_TIME")?;
+        let start_time = unix(fields[5], "START_TIME")?;
+        let end_time = unix(fields[6], "END_TIME")?;
+        if end_time < start_time || start_time < queue_time {
+            return Err(format_err(format!(
+                "non-monotone times: queue {} start {} end {}",
+                queue_time.as_unix(),
+                start_time.as_unix(),
+                end_time.as_unix()
+            )));
+        }
+        let partition: Partition = text(fields[7])
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| field_err_bytes("LOCATION", fields[7]))?;
+        let exit = match text(fields[8]) {
+            Some("cancelled") => ExitStatus::Cancelled,
+            Some("0") => ExitStatus::Completed,
+            other => ExitStatus::Failed(
+                other
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| field_err_bytes("EXIT", fields[8]))?,
+            ),
+        };
+        Ok(JobRecord {
+            job_id,
+            exec,
+            user,
+            project,
+            queue_time,
+            start_time,
+            end_time,
+            partition,
+            exit,
+        })
+    }
+
+    fn assert_matches_reference(line: &[u8]) {
+        assert_eq!(
+            parse_line_bytes(line),
+            reference(line),
+            "line {:?}",
+            String::from_utf8_lossy(line)
+        );
+    }
+
+    /// Byte strings the proptest splices into lines: each class of byte the
+    /// fast paths treat specially (digits, separators, signs, dots, ASCII
+    /// and Unicode whitespace, non-ASCII text, invalid UTF-8, the id
+    /// prefixes and suffix, partition letters, exit words).
+    const SPLICE: &[&str] = &[
+        " ",
+        "\t",
+        "+",
+        "-",
+        ".",
+        "|",
+        ",",
+        "0",
+        "1",
+        "7",
+        "9",
+        "42",
+        "R",
+        "M",
+        "app",
+        ".exe",
+        "user",
+        "proj",
+        "é",
+        "\u{a0}",
+        "cancelled",
+        "99999",
+        "R-",
+        ".5",
+    ];
+
+    /// A small deterministic generator for the many mutants of one case.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+
+        fn splice(&mut self) -> &'static [u8] {
+            match self.below(SPLICE.len() + 1) {
+                i if i < SPLICE.len() => SPLICE[i].as_bytes(),
+                _ => b"\xff",
+            }
+        }
+    }
+
+    #[test]
+    fn fast_paths_match_the_reference_on_named_edge_cases() {
+        let good = format_record(&job());
+        let with = |i: usize, value: &str| -> Vec<u8> {
+            let mut fields: Vec<&str> = good.split('|').collect();
+            fields[i] = value;
+            fields.join("|").into_bytes()
+        };
+        let cases: Vec<(Vec<u8>, bool)> = vec![
+            (good.clone().into_bytes(), true),
+            (with(0, "+8935"), true),
+            (with(0, " 8935 "), true),
+            (with(0, "9999999999999999999"), true),
+            (with(0, "18446744073709551615"), true),
+            (with(0, "18446744073709551616"), false),
+            (with(1, "app.exe"), false),
+            (with(1, "app+3.exe"), true),
+            (with(1, "app4294967295.exe"), true),
+            (with(1, "app4294967296.exe"), false),
+            (with(2, " user001"), true),
+            (with(3, "proj"), false),
+            (with(4, "100.7"), true),
+            (with(4, "-100"), true),
+            (with(6, "999999999999999999"), true),
+            (with(7, "R10-M1"), true),
+            (with(7, "R11-R10"), false),
+            (with(7, "R-10-M1"), true),
+            (with(7, "R10-M0,R10-M1"), true),
+            (with(7, "R50-R51"), false),
+            (with(8, "00"), true),
+            (with(8, " 0"), true),
+            (with(8, "cancelled "), true),
+            (with(8, "65535"), true),
+            (with(8, "65536"), false),
+            (with(8, "+7"), true),
+            (format!("{good}|extra|pipes").into_bytes(), false),
+            (b"1|2|3".to_vec(), false),
+        ];
+        for (line, ok) in cases {
+            assert_matches_reference(&line);
+            assert_eq!(
+                parse_line_bytes(&line).is_ok(),
+                ok,
+                "{}",
+                String::from_utf8_lossy(&line)
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn fast_paths_match_the_reference_on_mutated_lines(
+            job_id in 0u64..u64::MAX,
+            exec in 0u32..u32::MAX,
+            user in 0u32..100_000,
+            t0 in -1_000_000_000i64..4_000_000_000,
+            wait in 0i64..100_000,
+            start_mp in 0u8..72,
+            size in 0usize..4,
+            exit in 0u16..300,
+            seed in 0u64..u64::MAX,
+        ) {
+            let partition = match size {
+                0 => Partition::contiguous(start_mp, 1),
+                1 => Partition::contiguous(start_mp & !1, 2),
+                2 => Partition::contiguous(start_mp & !1, 8),
+                _ => Partition::contiguous(start_mp, 3),
+            }
+            .unwrap();
+            let j = JobRecord {
+                job_id,
+                exec: ExecId(exec),
+                user: UserId(user),
+                project: ProjectId(user / 3),
+                queue_time: Timestamp::from_unix(t0),
+                start_time: Timestamp::from_unix(t0 + wait),
+                end_time: Timestamp::from_unix(t0 + 2 * wait),
+                partition,
+                exit: match exit {
+                    0 => ExitStatus::Completed,
+                    1 => ExitStatus::Cancelled,
+                    n => ExitStatus::Failed(n),
+                },
+            };
+            let base = format_record(&j).into_bytes();
+            assert_matches_reference(&base);
+            let fields: Vec<&[u8]> = base.split(|&b| b == b'|').collect();
+            let mut mix = Mix(seed);
+            for _ in 0..500 {
+                let mut mutant: Vec<Vec<u8>> = fields.iter().map(|f| f.to_vec()).collect();
+                for _ in 0..=mix.below(3) {
+                    let f = &mut mutant[mix.below(9)];
+                    let at = mix.below(f.len() + 1);
+                    match mix.below(4) {
+                        0 => {
+                            let s = mix.splice();
+                            f.splice(at..at, s.iter().copied());
+                        }
+                        1 if at < f.len() => {
+                            f.remove(at);
+                        }
+                        2 if at < f.len() => {
+                            let s = mix.splice();
+                            f.splice(at..at + 1, s.iter().copied());
+                        }
+                        _ if at < f.len() => f[at] = b'0' + mix.below(10) as u8,
+                        _ => {}
+                    }
+                }
+                assert_matches_reference(&mutant.join(&b'|'));
+            }
         }
     }
 }

@@ -8,15 +8,17 @@
 //! clippy machine-enforce the seam.
 //!
 //! This module is the **only** sanctioned call site of the `raslog`/`joblog`
-//! `parse_line*` and `ingest::parse_log_bytes*` entry points outside the
-//! parser crates themselves. The root `clippy.toml` bans them by resolved
-//! path (`disallowed-methods`, so a re-export or a `use … as` alias is
-//! caught too), and each function below carries an `#[expect]` saying why
-//! it may call them.
+//! `parse_line*`, `ingest::parse_log_bytes*` and `ingest::parse_log_file*`
+//! entry points outside the parser crates themselves. The root
+//! `clippy.toml` bans them by resolved path (`disallowed-methods`, so a
+//! re-export or a `use … as` alias is caught too), and each function below
+//! carries an `#[expect]` saying why it may call them.
 
 use crate::{LineOutcome, LogFormat, SourceBatch, SourceDiagnostic, SourceError};
 use joblog::JobRecord;
 use raslog::{Projection, RasRecord};
+use std::fs::File;
+use std::io;
 
 /// The BG/P pipe-format adapter (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -64,26 +66,6 @@ pub fn decode_ras(data: &[u8], threads: usize) -> SourceBatch<RasRecord> {
     }
 }
 
-/// Decode a whole BG/P RAS log (parallel, tolerant), keeping only the
-/// records `keep` accepts — the projection and per-line errors of
-/// `raslog::ingest::parse_log_bytes_where`. The diagnostics are exactly
-/// [`decode_ras`]'s: every line is parsed whether or not it is kept.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the BG/P adapter is the one sanctioned caller of the raw parser entry points"
-)]
-pub fn decode_ras_where(
-    data: &[u8],
-    threads: usize,
-    keep: impl Fn(&RasRecord) -> bool + Sync,
-) -> (Projection, Vec<SourceDiagnostic>) {
-    let (kept, errors) = raslog::ingest::parse_log_bytes_where(data, threads, keep);
-    (
-        kept,
-        errors.into_iter().map(SourceDiagnostic::from).collect(),
-    )
-}
-
 /// Decode a whole BG/P job accounting log (parallel, tolerant).
 #[expect(
     clippy::disallowed_methods,
@@ -95,6 +77,74 @@ pub fn decode_jobs(data: &[u8], threads: usize) -> SourceBatch<JobRecord> {
         records,
         diagnostics: errors.into_iter().map(SourceDiagnostic::from).collect(),
     }
+}
+
+/// Decode a BG/P RAS log file (parallel, tolerant), streamed through fixed
+/// per-worker windows, keeping only the records `keep` accepts — the
+/// projection and per-line errors of `raslog::ingest::parse_log_file_where`.
+/// The diagnostics are exactly [`decode_ras_file`]'s: every line is parsed
+/// whether or not it is kept.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the BG/P adapter is the one sanctioned caller of the raw parser entry points"
+)]
+pub fn decode_ras_file_where(
+    file: &File,
+    threads: usize,
+    keep: impl Fn(&RasRecord) -> bool + Sync,
+) -> io::Result<(Projection, Vec<SourceDiagnostic>)> {
+    let (kept, errors, _) = raslog::ingest::parse_log_file_where(file, threads, false, keep)?;
+    Ok((
+        kept,
+        errors.into_iter().map(SourceDiagnostic::from).collect(),
+    ))
+}
+
+/// Decode a whole BG/P RAS log file (parallel, tolerant), streamed through
+/// fixed per-worker windows: exactly what [`decode_ras`] gives the file's
+/// bytes, with their content hash if `hash` is set (computed in the same
+/// pass).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the BG/P adapter is the one sanctioned caller of the raw parser entry points"
+)]
+pub fn decode_ras_file(
+    file: &File,
+    threads: usize,
+    hash: bool,
+) -> io::Result<(SourceBatch<RasRecord>, Option<u64>)> {
+    let (records, errors, hash) = raslog::ingest::parse_log_file(file, threads, hash)?;
+    let diagnostics = errors.into_iter().map(SourceDiagnostic::from).collect();
+    Ok((
+        SourceBatch {
+            records,
+            diagnostics,
+        },
+        hash,
+    ))
+}
+
+/// Decode a whole BG/P job accounting file (parallel, tolerant), streamed
+/// through fixed per-worker windows: exactly what [`decode_jobs`] gives the
+/// file's bytes, with their content hash if `hash` is set.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the BG/P adapter is the one sanctioned caller of the raw parser entry points"
+)]
+pub fn decode_jobs_file(
+    file: &File,
+    threads: usize,
+    hash: bool,
+) -> io::Result<(SourceBatch<JobRecord>, Option<u64>)> {
+    let (records, errors, hash) = joblog::ingest::parse_log_file(file, threads, hash)?;
+    let diagnostics = errors.into_iter().map(SourceDiagnostic::from).collect();
+    Ok((
+        SourceBatch {
+            records,
+            diagnostics,
+        },
+        hash,
+    ))
 }
 
 /// Classify one complete BG/P line (without its `\n`), exactly as the serve
@@ -166,15 +216,20 @@ mod tests {
             line(1),
             line(2)
         );
+        let path = std::env::temp_dir().join(format!("ports-bgp-projected-{}", std::process::id()));
+        std::fs::write(&path, &text).unwrap();
+        let file = File::open(&path).unwrap();
         for threads in [1, 4] {
             let full = decode_ras(text.as_bytes(), threads);
             let (kept, diagnostics) =
-                decode_ras_where(text.as_bytes(), threads, RasRecord::is_fatal);
+                decode_ras_file_where(&file, threads, RasRecord::is_fatal).unwrap();
             assert_eq!(diagnostics, full.diagnostics);
             assert_eq!(kept, Projection::of(full.records, RasRecord::is_fatal));
             assert_eq!(kept.parsed(), 3);
             assert_eq!(kept.into_log().len(), 2);
         }
+        drop(file);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

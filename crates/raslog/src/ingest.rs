@@ -1,13 +1,17 @@
-//! Parallel, zero-copy ingestion of RAS log text.
+//! Parallel ingestion of RAS log text.
 //!
 //! The streaming [`crate::RasReader`] pays one `read_line` (with UTF-8
 //! validation and a `String` copy) per record. At paper scale — two million
 //! records — that serial front door dominates end-to-end latency now that the
-//! analysis stages run concurrently. This module takes the whole log as one
-//! in-memory byte buffer, splits it into newline-aligned chunks
-//! ([`bgp_model::bytes::line_chunks`]), and parses the chunks on scoped
-//! threads with the allocation-free byte parser
-//! ([`crate::parse::parse_line_bytes`]).
+//! analysis stages run concurrently. This module parses newline-aligned runs
+//! of whole lines on scoped threads with the allocation-free byte parser
+//! ([`crate::parse::parse_line_bytes`]), one accumulator per worker, and
+//! folds the workers' outputs in input order. The runs come either from a
+//! byte buffer already in memory, split by
+//! [`bgp_model::bytes::line_chunks`] ([`parse_log_bytes_where`]), or from a
+//! file streamed through fixed per-worker windows by
+//! [`bgp_model::bytes::stream_lines`] ([`parse_log_file_where`]), which can
+//! hash the same bytes on the way. Either way one chunk parser parses them.
 //!
 //! ## Equivalence contract
 //!
@@ -20,72 +24,100 @@
 //! parsed fields* (e.g. binary garbage in MESSAGE) still parses here, whereas
 //! the streaming reader reports an I/O error — the only intentional
 //! divergence, since rejecting a record for bytes the parser never inspects
-//! helps nobody.
+//! helps nobody. A file parsed with [`parse_log_file_where`] gives exactly
+//! what its bytes give [`parse_log_bytes_where`].
 //!
 //! ## Projection
 //!
-//! [`parse_log_bytes_where`] is the one chunk parser; it keeps only the
-//! records a predicate accepts and tallies the rest ([`Projection`]).
-//! [`parse_log_bytes`] is its keep-everything case. A projection changes
-//! which records are *built*, never which lines are parsed: the errors are
-//! the same either way.
+//! [`parse_log_bytes_where`] and [`parse_log_file_where`] keep only the
+//! records a predicate accepts and tally the rest ([`Projection`]);
+//! [`parse_log_bytes`] and [`parse_log_file`] are their keep-everything
+//! cases. A projection changes which records are *built*, never which lines
+//! are parsed: the errors are the same either way.
 
 use crate::log::Projection;
 use crate::parse::{parse_line_bytes, RasParseError};
 use crate::record::RasRecord;
-use bgp_model::bytes::{find_byte, line_chunks, map_chunks_parallel};
+use bgp_model::bytes::{find_byte, line_chunks, map_chunks_parallel, stream_lines};
+use std::fs::File;
+use std::io;
 
-/// Per-chunk parse output, with chunk-local line numbers.
-struct ChunkOut {
+/// One worker's parse output, with line numbers local to the worker.
+struct Chunk {
     kept: Projection,
     errors: Vec<RasParseError>,
     lines: u64,
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the chunk parser is the parser crate's own parallel driver of its line parser"
-)]
-fn parse_chunk(chunk: &[u8], keep: &impl Fn(&RasRecord) -> bool) -> ChunkOut {
-    let mut out = ChunkOut {
-        // Records vastly outnumber errors in real logs; size for ~90 bytes
-        // per line to keep reallocation off the hot path. A projection that
-        // keeps few records only touches the pages it fills.
-        kept: Projection::with_capacity(chunk.len() / 90 + 1),
-        errors: Vec::new(),
-        lines: 0,
-    };
-    let mut rest = chunk;
-    while !rest.is_empty() {
-        let line = match find_byte(b'\n', rest) {
-            Some(i) => {
-                let line = &rest[..i];
-                rest = &rest[i + 1..];
-                line
-            }
-            None => {
-                let line = rest;
-                rest = &rest[rest.len()..];
-                line
-            }
-        };
-        out.lines += 1;
-        let mut line = line;
-        while let [head @ .., b'\r'] = line {
-            line = head;
+impl Chunk {
+    /// An empty accumulator for a run of `bytes` bytes of text.
+    fn new(bytes: u64) -> Chunk {
+        Chunk {
+            // Records vastly outnumber errors in real logs; size for ~90
+            // bytes per line to keep reallocation off the hot path. A
+            // projection that keeps few records only touches the pages it
+            // fills.
+            kept: Projection::with_capacity(usize::try_from(bytes / 90).unwrap_or(0) + 1),
+            errors: Vec::new(),
+            lines: 0,
         }
-        if line.is_empty() {
-            continue;
-        }
-        match parse_line_bytes(line) {
-            Ok(r) => out.kept.push(r, keep),
-            Err(mut e) => {
-                e.line = out.lines;
-                out.errors.push(e);
+    }
+
+    /// Parse the lines of `text`, numbering them on from the lines already
+    /// parsed, and keep the records `keep` accepts.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the chunk parser is the parser crate's own parallel driver of its line parser"
+    )]
+    fn feed(&mut self, text: &[u8], keep: &impl Fn(&RasRecord) -> bool) {
+        let mut rest = text;
+        while !rest.is_empty() {
+            let line = match find_byte(b'\n', rest) {
+                Some(i) => {
+                    let line = &rest[..i];
+                    rest = &rest[i + 1..];
+                    line
+                }
+                None => {
+                    let line = rest;
+                    rest = &rest[rest.len()..];
+                    line
+                }
+            };
+            self.lines += 1;
+            let mut line = line;
+            while let [head @ .., b'\r'] = line {
+                line = head;
+            }
+            if line.is_empty() {
+                continue;
+            }
+            match parse_line_bytes(line) {
+                Ok(r) => self.kept.push(r, keep),
+                Err(mut e) => {
+                    e.line = self.lines;
+                    self.errors.push(e);
+                }
             }
         }
     }
-    out
+}
+
+/// Fold the workers' outputs, in input order, into global line numbers.
+fn fold(parts: Vec<Chunk>) -> (Projection, Vec<RasParseError>) {
+    let total: usize = parts.iter().map(|p| p.kept.records.len()).sum();
+    let mut kept = Projection::with_capacity(total);
+    let mut errors = Vec::new();
+    let mut line_offset = 0u64;
+    for part in parts {
+        for mut e in part.errors {
+            e.line += line_offset;
+            errors.push(e);
+        }
+        kept.append(part.kept);
+        line_offset += part.lines;
+    }
+    (kept, errors)
 }
 
 /// Parse a whole RAS log held in memory, tolerantly, on up to `threads`
@@ -103,20 +135,47 @@ pub fn parse_log_bytes_where(
     keep: impl Fn(&RasRecord) -> bool + Sync,
 ) -> (Projection, Vec<RasParseError>) {
     let chunks = line_chunks(data, threads);
-    let parts = map_chunks_parallel(&chunks, |c| parse_chunk(c, &keep));
-    let total: usize = parts.iter().map(|p| p.kept.records.len()).sum();
-    let mut kept = Projection::with_capacity(total);
-    let mut errors = Vec::new();
-    let mut line_offset = 0u64;
-    for part in parts {
-        for mut e in part.errors {
-            e.line += line_offset;
-            errors.push(e);
-        }
-        kept.append(part.kept);
-        line_offset += part.lines;
-    }
-    (kept, errors)
+    fold(map_chunks_parallel(&chunks, |text| {
+        let mut chunk = Chunk::new(text.len() as u64);
+        chunk.feed(text, &keep);
+        chunk
+    }))
+}
+
+/// [`parse_log_bytes_where`] over a file's bytes, streamed through fixed
+/// per-worker windows ([`stream_lines`]) instead of held in memory, and
+/// with their content hash if `hash` is set
+/// ([`bgp_model::bytes::content_hash_64`] of the bytes parsed, computed in
+/// the same pass).
+///
+/// The records, errors and tally are exactly what the file's bytes give
+/// [`parse_log_bytes_where`]. A read failure — including a file that
+/// shrinks during the parse — is an error, never a short parse.
+pub fn parse_log_file_where(
+    file: &File,
+    threads: usize,
+    hash: bool,
+    keep: impl Fn(&RasRecord) -> bool + Sync,
+) -> io::Result<(Projection, Vec<RasParseError>, Option<u64>)> {
+    let (parts, hash) = stream_lines(file, threads, hash, Chunk::new, |chunk, text| {
+        chunk.feed(text, &keep);
+    })?;
+    let (kept, errors) = fold(parts);
+    Ok((kept, errors, hash))
+}
+
+/// [`parse_log_file_where`] keeping every record, like [`parse_log_bytes`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the keep-all case is defined over the projecting parser beside it"
+)]
+pub fn parse_log_file(
+    file: &File,
+    threads: usize,
+    hash: bool,
+) -> io::Result<(Vec<RasRecord>, Vec<RasParseError>, Option<u64>)> {
+    let (kept, errors, hash) = parse_log_file_where(file, threads, hash, |_| true)?;
+    Ok((kept.records, errors, hash))
 }
 
 /// Parse a whole RAS log held in memory, tolerantly, on up to `threads`
@@ -265,6 +324,140 @@ mod tests {
                 text.push_str(sep);
             }
             assert_equivalent(text.as_bytes(), threads);
+        }
+    }
+
+    /// `text` in a fresh temp file, open for reading, and its path.
+    fn temp_file(text: &[u8]) -> (std::path::PathBuf, File) {
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "raslog-ingest-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        std::fs::write(&path, text).unwrap();
+        let file = File::open(&path).unwrap();
+        (path, file)
+    }
+
+    /// Lines in `text` (text after the last `\n` counts as one) and how
+    /// many of them are blank once trailing `\r`s are trimmed.
+    fn line_counts(text: &[u8]) -> (usize, usize) {
+        let mut lines: Vec<&[u8]> = text.split(|&b| b == b'\n').collect();
+        if text.last().is_none_or(|&b| b == b'\n') {
+            lines.pop();
+        }
+        let blank = lines
+            .iter()
+            .filter(|l| l.iter().all(|&b| b == b'\r'))
+            .count();
+        (lines.len(), blank)
+    }
+
+    /// The file parse of `text` equals the in-memory parse (records, errors
+    /// with their global line numbers, tally), hashes its bytes, and
+    /// accounts for every line: lines = records + diagnostics + blank lines.
+    fn assert_file_parse_equivalent(text: &[u8], threads: usize) {
+        let (path, file) = temp_file(text);
+        let fatal = RasRecord::is_fatal;
+        let (want, want_errs) = parse_log_bytes_where(text, threads, fatal);
+        for hash in [false, true] {
+            let (kept, errs, got_hash) = parse_log_file_where(&file, threads, hash, fatal).unwrap();
+            assert_eq!(kept, want, "threads={threads}");
+            assert_eq!(errs, want_errs, "threads={threads}");
+            assert_eq!(
+                got_hash,
+                hash.then(|| bgp_model::bytes::content_hash_64(text))
+            );
+        }
+        let (all, errs, _) = parse_log_file(&file, threads, false).unwrap();
+        assert_eq!(all, parse_log_bytes(text, threads).0);
+        let (lines, blank) = line_counts(text);
+        assert_eq!(want.parsed() + errs.len() + blank, lines, "line accounting");
+        assert_eq!(want.parsed(), all.len());
+        drop(file);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    proptest! {
+        #[test]
+        fn file_parse_matches_memory_parse(
+            lines in collection::vec(arb_line(), 0..40),
+            crlf in 0u8..2,
+            final_newline in 0u8..2,
+            binary in 0u8..2,
+            threads in 1usize..9,
+        ) {
+            let sep: &[u8] = if crlf == 1 { b"\r\n" } else { b"\n" };
+            let mut lines: Vec<Vec<u8>> = lines.into_iter().map(String::into_bytes).collect();
+            if binary == 1 {
+                // Invalid UTF-8 in MESSAGE: parsed here, never validated.
+                lines.push(format!("{}|", format_record(&record(7))).into_bytes());
+                if let Some(last) = lines.last_mut() {
+                    last.extend_from_slice(b"\xff\xfe \xc3");
+                }
+            }
+            let mut text = lines.join(sep);
+            if final_newline == 1 && !text.is_empty() {
+                text.extend_from_slice(sep);
+            }
+            assert_file_parse_equivalent(&text, threads);
+        }
+
+        /// One accumulator fed any split of its text into runs of whole
+        /// lines — what the file reader's windows hand it — parses it like
+        /// one feed.
+        #[test]
+        fn chunk_parse_is_split_invariant(
+            lines in collection::vec(arb_line(), 0..30),
+            cuts in collection::vec(0usize..30, 0..8),
+        ) {
+            let text = lines.join("\n");
+            let mut whole = Chunk::new(0);
+            whole.feed(text.as_bytes(), &RasRecord::is_fatal);
+            let mut starts: Vec<usize> = std::iter::once(0)
+                .chain(text.match_indices('\n').map(|(i, _)| i + 1))
+                .collect();
+            starts.retain(|&s| s < text.len());
+            let mut at: Vec<usize> = cuts.iter().filter_map(|&c| starts.get(c).copied()).collect();
+            at.sort_unstable();
+            at.dedup();
+            let mut split = Chunk::new(0);
+            let mut from = 0;
+            for cut in at.into_iter().chain([text.len()]) {
+                split.feed(&text.as_bytes()[from..cut], &RasRecord::is_fatal);
+                from = cut;
+            }
+            prop_assert_eq!(split.kept, whole.kept);
+            prop_assert_eq!(split.errors, whole.errors);
+            prop_assert_eq!(split.lines, whole.lines);
+        }
+    }
+
+    #[test]
+    fn file_parse_spans_workers_and_blocks() {
+        // Two million bytes of records, then a garbage line longer than a
+        // hash block (it spans the boundary of two workers' ranges), then
+        // more records with CRLF endings and no final newline.
+        let mut text = Vec::new();
+        let mut i = 0;
+        while text.len() < 2 * bgp_model::bytes::HASH_BLOCK {
+            text.extend_from_slice(format_record(&record(i)).as_bytes());
+            text.push(b'\n');
+            if i % 1000 == 0 {
+                text.extend_from_slice(b"\n\r\r\ngarbage\n");
+            }
+            i += 1;
+        }
+        text.extend(std::iter::repeat_n(b'x', bgp_model::bytes::HASH_BLOCK + 99));
+        text.push(b'\n');
+        for j in 0..5000 {
+            text.extend_from_slice(format_record(&record(j)).as_bytes());
+            text.extend_from_slice(b"\r\n");
+        }
+        text.extend_from_slice(b"truncated|final");
+        for threads in [1, 2, 3, 4, 8] {
+            assert_file_parse_equivalent(&text, threads);
         }
     }
 }

@@ -90,28 +90,7 @@ pub fn parse_line_bytes(line: &[u8]) -> Result<RasRecord, RasParseError> {
     let err = |kind| RasParseError { line: 0, kind };
     // MESSAGE may itself contain '|'; limit the split to 9 parts
     // (`splitn(9, '|')` semantics, without materializing a Vec).
-    let mut fields: [&[u8]; 9] = [b""; 9];
-    let mut count = 0usize;
-    let mut rest = line;
-    loop {
-        if count == 8 {
-            fields[8] = rest;
-            count = 9;
-            break;
-        }
-        match bgp_model::bytes::find_byte(b'|', rest) {
-            Some(i) => {
-                fields[count] = &rest[..i];
-                rest = &rest[i + 1..];
-                count += 1;
-            }
-            None => {
-                fields[count] = rest;
-                count += 1;
-                break;
-            }
-        }
-    }
+    let (fields, count) = bgp_model::bytes::splitn_byte::<9>(b'|', line);
     if count != 9 {
         return Err(err(RasParseErrorKind::WrongFieldCount(count)));
     }

@@ -15,10 +15,10 @@
 //!
 //! Log-reading subcommands also accept `--format {bgp,bgq,syslog,cassette}`
 //! to select the source adapter (default `bgp`); only the BG/P format is
-//! snapshot-cached. Inputs are memory-mapped by default (zero-copy over the
-//! page cache; silently falls back where unsupported); `--no-mmap` reads
-//! them into buffers instead, for logs that may be truncated while being
-//! read.
+//! snapshot-cached. BG/P inputs are streamed: each worker reads its share
+//! of the file through one fixed window, so memory does not grow with the
+//! log; a pipe is read on one worker. A log that shrinks while it is read
+//! is an I/O error.
 //!
 //! `analyze --append FILE` folds extra log files into an already-analyzed
 //! base through the incremental stage graph: only stages whose inputs
@@ -100,21 +100,21 @@ fn usage(err: &str) -> ExitCode {
          \n\
          usage:\n\
          \x20 coctl simulate [--days N] [--seed S] [--out DIR]\n\
-         \x20 coctl summary RAS.log [--snapshot DIR] [--format F] [--no-mmap]\n\
+         \x20 coctl summary RAS.log [--snapshot DIR] [--format F]\n\
          \x20 coctl analyze RAS.log JOBS.log [--snapshot DIR] [--format F] [--timings]\n\
-         \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--no-mmap] [--threads N] [--impact-out FILE] [--fda]\n\
+         \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--threads N] [--impact-out FILE] [--fda]\n\
          \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--append RAS2.log]... [--append-jobs JOBS2.log]...\n\
-         \x20 coctl filter RAS.log JOBS.log -o CLEAN.log [--snapshot DIR] [--format F] [--no-mmap]\n\
-         \x20 coctl outages RAS.log JOBS.log [--snapshot DIR] [--format F] [--no-mmap]\n\
+         \x20 coctl filter RAS.log JOBS.log -o CLEAN.log [--snapshot DIR] [--format F]\n\
+         \x20 coctl outages RAS.log JOBS.log [--snapshot DIR] [--format F]\n\
          \x20 coctl serve [--ingest ADDR] [--http ADDR] [--impact FILE] ...\n\
          \n\
          --format F selects the log source adapter: bgp (default), bgq,\n\
          syslog, or cassette (.bgpcas recording, replayed deterministically).\n\
          --snapshot DIR caches parsed logs as .bgpsnap files in DIR and\n\
          reuses them on re-runs (stale snapshots are re-parsed and rewritten).\n\
-         Input files are memory-mapped by default; --no-mmap\n\
-         reads them into buffers instead — use it for logs that may be\n\
-         truncated while coctl reads them.\n\
+         BG/P input files are streamed through a fixed window per worker,\n\
+         so memory does not grow with the log (a pipe is read on one\n\
+         worker); a log that shrinks while coctl reads it is an I/O error.\n\
          analyze --append folds each extra file into the base analysis\n\
          incrementally; the report matches a one-shot run over the\n\
          concatenation bit for bit. With --timings, per-stage wall clock\n\
@@ -131,16 +131,14 @@ fn usage(err: &str) -> ExitCode {
     }
 }
 
-/// Split the `--snapshot DIR`, `--format NAME`, and `--no-mmap` flags out
-/// of `args`, leaving the rest in order.
+/// Split the `--snapshot DIR` and `--format NAME` flags out of `args`,
+/// leaving the rest in order.
 fn snapshot_opts(args: &[String]) -> Result<(Vec<String>, LoadOptions), CliError> {
     let mut rest = Vec::new();
     let mut opts = LoadOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--no-mmap" {
-            opts.mmap = false;
-        } else if a == "--snapshot" {
+        if a == "--snapshot" {
             let dir = it
                 .next()
                 .ok_or_else(|| CliError::Usage("--snapshot needs a directory".into()))?;

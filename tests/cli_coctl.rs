@@ -134,6 +134,65 @@ fn summary_profiles_the_ras_log() {
     assert_eq!(cached.stdout, out.stdout);
 }
 
+/// `coctl SUB ARGS...` with `/dev/stdin` fed from a pipe that `cat`s `log`.
+#[cfg(unix)]
+fn coctl_on_a_pipe(log: &std::path::Path, args: &[&std::ffi::OsStr]) -> std::process::Output {
+    let mut cat = Command::new("cat")
+        .arg(log)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let out = coctl()
+        .args(args)
+        .stdin(cat.stdout.take().unwrap())
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(cat.wait().unwrap().success());
+    out
+}
+
+#[cfg(unix)]
+#[test]
+fn a_piped_log_reports_like_the_file() {
+    // A pipe has no length to split and no offsets to read at: one worker
+    // reads it to its end. With a snapshot directory it cannot be hashed
+    // before it is parsed, so it is hashed as it is parsed and its snapshot
+    // is rewritten, never loaded.
+    let dir = site_logs();
+    let ras = dir.join("ras.log");
+    let jobs = dir.join("jobs.log");
+    let cache = workdir("piped");
+    let stdin = std::ffi::OsStr::new("/dev/stdin");
+    let flag = std::ffi::OsStr::new("--snapshot");
+    let sub = |name: &'static str| std::ffi::OsStr::new(name);
+    for (name, extra) in [("summary", None), ("analyze", Some(jobs.as_os_str()))] {
+        let mut file_args = vec![ras.as_os_str()];
+        let mut pipe_args = vec![sub(name), stdin];
+        file_args.extend(extra);
+        pipe_args.extend(extra);
+        let from_file = coctl().arg(name).args(&file_args).output().unwrap();
+        assert!(from_file.status.success());
+        assert_eq!(
+            coctl_on_a_pipe(&ras, &pipe_args).stdout,
+            from_file.stdout,
+            "{name}"
+        );
+        pipe_args.extend([flag, cache.as_os_str()]);
+        for _ in 0..2 {
+            let cached = coctl_on_a_pipe(&ras, &pipe_args);
+            let notes = String::from_utf8_lossy(&cached.stderr);
+            assert!(!notes.contains("stdin: snapshot loaded"), "{name}: {notes}");
+            assert_eq!(cached.stdout, from_file.stdout, "{name} --snapshot");
+        }
+    }
+    assert!(cache.join("stdin.bgpsnap").exists());
+}
+
 #[test]
 fn analyze_on_a_log_without_fatal_records_prints_the_empty_funnel() {
     let dir = site_logs();
@@ -250,9 +309,7 @@ fn analyze_timings_and_impact_out() {
 fn analyze_append_is_byte_identical_to_one_shot() {
     // Split the shared site at a line boundary into "day 1" and "day 2",
     // then check `analyze BASE --append DAY2` prints byte-for-byte what a
-    // one-shot run over the whole logs prints. The one-shot run reads its
-    // inputs buffered (`--no-mmap`) and the folded run maps them (the
-    // default), so the two load paths also meet here.
+    // one-shot run over the whole logs prints.
     let dir = site_logs();
     let split_dir = workdir("append-split");
     let split = |name: &str, frac_num: usize, frac_den: usize| -> (PathBuf, PathBuf) {
@@ -272,7 +329,6 @@ fn analyze_append_is_byte_identical_to_one_shot() {
         .arg("analyze")
         .arg(dir.join("ras.log"))
         .arg(dir.join("jobs.log"))
-        .arg("--no-mmap")
         .output()
         .unwrap();
     assert!(full.status.success());
