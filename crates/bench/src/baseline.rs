@@ -1,12 +1,13 @@
 //! Pre-optimization reference kernels, kept verbatim as test oracles.
 //!
 //! These are the analysis kernels as they stood before the sweep-line
-//! matcher and the parallel classification/ranking rewrites: the per-event
+//! matcher and the classification/ranking rewrites: the per-event
 //! machine-wide termination rescan, the hash-map-of-vectors rule grouping,
-//! the per-job hash-lookup vulnerability passes, the row-major FDA
-//! miner, and the burst analysis's per-row id-set probe. This file exists for `tests/baseline_equivalence.rs`, which runs
-//! the pipeline on simulated logs and requires each optimized kernel to
-//! reproduce its reference here bit for bit, at every thread count.
+//! the per-job hash-lookup vulnerability passes, the row-major FDA miner,
+//! and the burst analysis's per-row id-set probe. This file exists for
+//! `tests/baseline_equivalence.rs`, which runs the pipeline on simulated
+//! logs at several executor thread counts and requires each optimized
+//! kernel to reproduce its reference here bit for bit.
 
 use bgp_model::intern::Interner;
 use bgp_model::{Duration, MidplaneId, Timestamp};
@@ -514,8 +515,8 @@ fn rank(
 
 /// The naive row-major FDA miner: per lattice level, one pass over *every*
 /// job row enumerating each row's item subsets and probing a candidate
-/// hash map — no interleaved column scans, no postings lists, no sharding.
-/// Bit-identical output to the sharded [`FdaAnalysis::compute`] kernel
+/// hash map — no interleaved column scans, no postings lists.
+/// Bit-identical output to the postings-list [`FdaAnalysis::compute`] kernel
 /// (same candidate generation, support thresholds, lift arithmetic, and
 /// ranking), which is exactly what `matches_baseline` asserts.
 pub fn fda(

@@ -1,12 +1,12 @@
 //! Optimized kernel ≡ frozen pre-optimization kernel.
 //!
-//! The sweep-line matcher, the parallel root-cause classifier, the
-//! contingency-count vulnerability ranking, the column-sharded FDA miner
+//! The sweep-line matcher, the sort-grouped root-cause classifier, the
+//! contingency-count vulnerability ranking, the postings-list FDA miner
 //! and the row-mark burst walk each replaced a simpler kernel that is kept
-//! verbatim in `bgp_bench::baseline`. These
-//! tests run the whole pipeline on simulated logs, then feed each kernel
-//! pair the pipeline's own intermediate products and require bit-for-bit
-//! equal output, for several simulation seeds and thread counts.
+//! verbatim in `bgp_bench::baseline`. These tests run the whole pipeline
+//! on simulated logs at several seeds and executor thread counts, then feed
+//! each kernel pair the pipeline's own intermediate products and require
+//! bit-for-bit equal output.
 
 // Integration-test helpers follow the test-code panic policy: a broken
 // fixture should fail the test loudly, not thread Results around.
@@ -16,12 +16,12 @@ use bgp_bench::baseline;
 use bgp_model::{Duration, Partition, Timestamp};
 use bgp_sim::{SimConfig, SimOutput, Simulation};
 use coanalysis::analysis::{BurstAnalysis, VulnerabilityAnalysis};
-use coanalysis::classify::classify_root_cause_with_threads;
+use coanalysis::classify::classify_root_cause;
 use coanalysis::matching::Matcher;
 use coanalysis::{AnalysisContext, AnalysisSet, CoAnalysis, CoAnalysisConfig, FdaAnalysis};
 use joblog::{ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
 
-/// Thread counts the optimized kernels run at.
+/// Thread counts the pipeline runs at.
 const THREADS: [usize; 2] = [1, 4];
 
 /// The matcher is also checked at every window from 1 s to this.
@@ -46,7 +46,7 @@ fn check_kernels(out: &SimOutput, threads: usize, label: &str) {
     assert!(!events.is_empty(), "{label}: no filtered events");
 
     let matcher = pipeline.config.matcher;
-    let matching = matcher.run_with_threads(events, &ctx, threads);
+    let matching = matcher.run(events, &ctx);
     assert_eq!(
         matching,
         baseline::match_events(&matcher, events, &ctx),
@@ -56,6 +56,7 @@ fn check_kernels(out: &SimOutput, threads: usize, label: &str) {
         matching.interrupted_jobs() > 0,
         "{label}: no matched interruptions"
     );
+    assert_eq!(r.matching, matching, "{label}: the Matching stage diverged");
     // Job ends rarely sit exactly on the default window's edges, so sweep
     // the window until some land on an event's `t - w` (included) or
     // `t + w` (excluded).
@@ -65,17 +66,21 @@ fn check_kernels(out: &SimOutput, threads: usize, label: &str) {
             ..matcher
         };
         assert_eq!(
-            m.run_with_threads(events, &ctx, threads),
+            m.run(events, &ctx),
             baseline::match_events(&m, events, &ctx),
             "{label}: matching with a {secs} s window diverged from its baseline"
         );
     }
 
-    let root_cause = classify_root_cause_with_threads(events, &matching, &ctx, threads);
+    let root_cause = classify_root_cause(events, &matching, &ctx);
     assert_eq!(
         root_cause,
         baseline::classify_root_cause(events, &matching, &ctx),
         "{label}: root-cause classification diverged from its baseline"
+    );
+    assert_eq!(
+        r.root_cause, root_cause,
+        "{label}: the RootCause stage diverged"
     );
 
     let fatal_counts = r.midplane.fatal_counts.as_slice();
@@ -86,11 +91,13 @@ fn check_kernels(out: &SimOutput, threads: usize, label: &str) {
     );
 
     let params = pipeline.config.fda;
+    let fda = FdaAnalysis::compute(events, &matching, &ctx, &params);
     assert_eq!(
-        FdaAnalysis::compute(events, &matching, &ctx, &params, threads),
+        fda,
         baseline::fda(events, &matching, &ctx, &params),
         "{label}: FDA diverged from its baseline"
     );
+    assert_eq!(r.fda, fda, "{label}: the Fda stage diverged");
 
     let victims = matching.interrupted_records(&ctx);
     let window = ctx.span().expect("a simulated log has a span");

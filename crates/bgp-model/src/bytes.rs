@@ -146,13 +146,14 @@ pub fn line_chunks(data: &[u8], chunks: usize) -> Vec<&[u8]> {
 }
 
 /// Apply `f` to every chunk on its own scoped thread and collect the results
-/// in input order.
+/// in input order: the workspace's one fork-join helper, used by the
+/// parsers, the streaming line reader and the stage executor.
 ///
 /// Single-chunk inputs run inline on the caller's thread. A panicking worker
-/// is re-raised on the caller, mirroring the stage-graph fork-join point.
+/// is re-raised on the caller with its original payload.
 #[expect(
     clippy::disallowed_methods,
-    reason = "the kernels' fork-join helper: one thread per chunk, results in input order"
+    reason = "the workspace's fork-join helper: one thread per chunk, results in input order"
 )]
 pub fn map_chunks_parallel<T, R, F>(items: &[T], f: F) -> Vec<R>
 where

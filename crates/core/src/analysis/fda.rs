@@ -1,4 +1,4 @@
-//! Fast Dimensional Analysis (FDA): sharded frequent-itemset mining over
+//! Fast Dimensional Analysis (FDA): frequent-itemset mining over
 //! the interned (errcode, midplane, user, project, executable, job-size)
 //! lattice — the multidimensional root-cause kernel of ROADMAP item 3,
 //! after the Facebook FDA approach (arXiv 1911.01225).
@@ -14,28 +14,22 @@
 //!    is value order, so every loop over ids is a deterministic loop over
 //!    values — no hash-iteration order can leak into results.
 //! 2. **Mine** the lattice Apriori-style, level by level. Candidate
-//!    itemsets at each level are generated serially (join + downward
-//!    closure over the previous frequent level), *counted* in parallel —
-//!    candidates are pre-chunked into ≤ `threads` contiguous shards and
-//!    dispatched via `map_chunks_parallel`, each shard filling a
-//!    fixed-order support vector — then merged by a serial concatenation
-//!    in candidate order. Support counts are exact integers, so the
-//!    reduction is bit-identical at any thread count.
+//!    itemsets at each level are generated (join + downward closure over
+//!    the previous frequent level), then counted into a support vector in
+//!    candidate order.
 //! 3. **Prune + rank**: frequent itemsets (fatal support ≥ a relative
 //!    minimum) get a total-support count via postings-list intersection
 //!    (fatal support is counted the same way, over the fatal rows' lists),
-//!    a lift, and a final serial ranking by (lift desc, fatal support
-//!    desc, items lex asc).
+//!    a lift, and a final ranking by (lift desc, fatal support desc,
+//!    items lex asc).
 //!
-//! The same serial-fallback size gate as the other kernels applies: below
-//! [`MIN_PARALLEL_WORK`] candidate-row pairs (or at `threads <= 1`) the
-//! count runs inline, and the parallel path produces byte-identical
-//! output above it.
+//! The kernel is serial: it mines the few hundred interruptions the
+//! filters leave, and the stage executor already runs it beside the other
+//! stages on its workers.
 
 use crate::context::AnalysisContext;
 use crate::event::Event;
 use crate::matching::Matching;
-use bgp_model::bytes::map_chunks_parallel;
 use bgp_model::intern::Interner;
 use bgp_model::MidplaneId;
 use joblog::{ExecId, JobRecord, ProjectId, UserId};
@@ -49,10 +43,6 @@ pub const NUM_DIMS: usize = 6;
 /// Number of *job-side* dimensions (everything but errcode, which joins
 /// in from the matched event stream).
 pub const NUM_JOB_DIMS: usize = NUM_DIMS - 1;
-
-/// Minimum candidate×row work (per counting pass) before the sharded
-/// parallel path engages; below this the serial fallback runs inline.
-pub const MIN_PARALLEL_WORK: u64 = 1 << 16;
 
 /// How many ranked itemsets the `Display` report section prints.
 const REPORT_TOP: usize = 15;
@@ -342,14 +332,12 @@ impl FdaAnalysis {
     /// column and the fatal-row set (a job is fatal iff the matching
     /// attributed it to an event, and its row is the one
     /// [`AnalysisContext::job_row`] resolves); the job columns are the
-    /// context's [`AnalysisContext::fda_columns`]. Results are
-    /// bit-identical for every `threads >= 1`.
+    /// context's [`AnalysisContext::fda_columns`].
     pub fn compute(
         events: &[Event],
         matching: &Matching,
         ctx: &AnalysisContext<'_>,
         params: &FdaParams,
-        threads: usize,
     ) -> FdaAnalysis {
         let dims = ctx.fda_columns();
         let n = dims.rows();
@@ -456,7 +444,7 @@ impl FdaAnalysis {
         let mut level = 1;
         loop {
             // Total support + lift for this level's frequent sets.
-            let totals = count_support(&table, &postings, &frequent, threads);
+            let totals = count_support(&table, &postings, &frequent);
             for ((items, &fatal), total) in frequent.iter().zip(&supports).zip(totals) {
                 let lift =
                     (f64::from(fatal) * n as f64) / (f64::from(total.max(1)) * n_fatal as f64);
@@ -472,7 +460,7 @@ impl FdaAnalysis {
             if candidates.is_empty() {
                 break;
             }
-            let counts = count_support(&table, &fatal_postings, &candidates, threads);
+            let counts = count_support(&table, &fatal_postings, &candidates);
             let mut next_frequent = Vec::new();
             let mut next_supports = Vec::new();
             for (items, c) in candidates.into_iter().zip(counts) {
@@ -485,7 +473,7 @@ impl FdaAnalysis {
             supports = next_supports;
         }
 
-        // Serial final ranking: lift desc, fatal support desc, items asc.
+        // Final ranking: lift desc, fatal support desc, items asc.
         mined.sort_by(|a, b| {
             b.3.total_cmp(&a.3)
                 .then_with(|| b.1.cmp(&a.1))
@@ -571,49 +559,25 @@ fn gen_candidates(frequent: &[Vec<Item>]) -> Vec<Vec<Item>> {
 /// Support counts, one per itemset, in itemset order, via postings
 /// intersection: walk the shortest posting list among the itemset's items
 /// and verify the rest against the columns. With the fatal rows' postings
-/// this is the fatal support, with every row's the total support. The
-/// parallel path pre-chunks itemsets into ≤ `threads` contiguous shards,
-/// counts each shard on its own thread into a fixed-order vector, and
-/// concatenates serially — bit-identical to the serial path.
-fn count_support(
-    table: &Table<'_>,
-    postings: &[Postings],
-    itemsets: &[Vec<Item>],
-    threads: usize,
-) -> Vec<u32> {
-    shard_map(itemsets, threads, 64, |items| {
-        let shortest = items
-            .iter()
-            .min_by_key(|&&(d, id)| postings.get(d as usize).map_or(0, |p| p.list(id).len()));
-        let Some(&(d, id)) = shortest else { return 0 };
-        let list = postings.get(d as usize).map_or(&[][..], |p| p.list(id));
-        let mut c = 0u32;
-        for &row in list {
-            if table.matches(row, items) {
-                c += 1;
+/// this is the fatal support, with every row's the total support.
+fn count_support(table: &Table<'_>, postings: &[Postings], itemsets: &[Vec<Item>]) -> Vec<u32> {
+    itemsets
+        .iter()
+        .map(|items| {
+            let shortest = items
+                .iter()
+                .min_by_key(|&&(d, id)| postings.get(d as usize).map_or(0, |p| p.list(id).len()));
+            let Some(&(d, id)) = shortest else { return 0 };
+            let list = postings.get(d as usize).map_or(&[][..], |p| p.list(id));
+            let mut c = 0u32;
+            for &row in list {
+                if table.matches(row, items) {
+                    c += 1;
+                }
             }
-        }
-        c
-    })
-}
-
-/// Map `f` over `items` in order, sharding across ≤ `threads` contiguous
-/// chunks when the work (`items × work_per_item`) clears the size gate.
-/// Output order never depends on the thread count.
-fn shard_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    work_per_item: u64,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let work = items.len() as u64 * work_per_item.max(1);
-    if threads <= 1 || items.len() < threads || work < MIN_PARALLEL_WORK {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let chunks: Vec<&[T]> = items.chunks(chunk.max(1)).collect();
-    let nested = map_chunks_parallel(&chunks, |c| c.iter().map(&f).collect::<Vec<R>>());
-    nested.into_iter().flatten().collect()
+            c
+        })
+        .collect()
 }
 
 impl fmt::Display for FdaAnalysis {
@@ -827,14 +791,5 @@ mod tests {
     fn same_dimension_items_never_join() {
         let f1: Vec<Vec<Item>> = vec![vec![(1, 0)], vec![(1, 1)]];
         assert_eq!(gen_candidates(&f1), Vec::<Vec<Item>>::new());
-    }
-
-    #[test]
-    fn shard_map_matches_serial_above_gate() {
-        let items: Vec<u64> = (0..100_000).collect();
-        let serial = shard_map(&items, 1, 1, |&x| x * 3 + 1);
-        for t in [2, 7, 16] {
-            assert_eq!(shard_map(&items, t, 1, |&x| x * 3 + 1), serial);
-        }
     }
 }

@@ -108,7 +108,7 @@ mod tests {
             min_lift: 0.0,
             max_level: 1,
         };
-        let fda = FdaAnalysis::compute(&events, &matching, &ctx, &params, 1);
+        let fda = FdaAnalysis::compute(&events, &matching, &ctx, &params);
         assert_eq!(fda.n_fatal, 1);
         let execs: Vec<&str> = fda
             .ranked

@@ -5,6 +5,4 @@ pub mod interruption_related;
 pub mod root_cause;
 
 pub use interruption_related::{classify_impact, CodeImpact, ImpactSummary};
-pub use root_cause::{
-    classify_root_cause, classify_root_cause_with_threads, RootCause, RootCauseSummary,
-};
+pub use root_cause::{classify_root_cause, RootCause, RootCauseSummary};

@@ -21,12 +21,6 @@ use crate::matching::Matching;
 use raslog::ErrCode;
 use std::collections::BTreeMap;
 
-/// Below this many codes per thread the per-code loops run serially:
-/// spawning a worker costs more than classifying a handful of codes, and
-/// the output is bit-identical either way (sharding is a pure performance
-/// policy).
-const MIN_CODES_PER_THREAD: usize = 32;
-
 /// The root-cause verdict for a code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RootCause {
@@ -86,6 +80,10 @@ impl RootCauseSummary {
     }
 }
 
+/// One interruption attributed to a code: (midplane index, executable,
+/// event time).
+type Hit = (u8, joblog::ExecId, bgp_model::Timestamp);
+
 /// Classify every code in the event stream (the `RootCause` stage).
 ///
 /// Daily occurrence profiles for the correlation fallback are built from
@@ -97,29 +95,6 @@ pub fn classify_root_cause(
     events: &[Event],
     matching: &Matching,
     ctx: &AnalysisContext<'_>,
-) -> RootCauseSummary {
-    classify_root_cause_with_threads(events, matching, ctx, 1)
-}
-
-/// One interruption attributed to a code: (midplane index, executable,
-/// event time).
-type Hit = (u8, joblog::ExecId, bgp_model::Timestamp);
-
-/// A code paired with its slice of the code-sorted hit list.
-type CodeHits<'a> = (ErrCode, &'a [(ErrCode, Hit)]);
-
-/// [`classify_root_cause`] with the per-code rule loops sharded over up to
-/// `threads` chunks of the code-sorted evidence list.
-///
-/// Contract: bit-identical to the single-threaded classification at every
-/// thread count — each code's verdict is a pure function of its own
-/// evidence (rules 1–3) or of the rule-1–3 labeled set (rule 4), so
-/// sharding codes across threads cannot change any verdict.
-pub fn classify_root_cause_with_threads(
-    events: &[Event],
-    matching: &Matching,
-    ctx: &AnalysisContext<'_>,
-    threads: usize,
 ) -> RootCauseSummary {
     assert_eq!(events.len(), matching.per_event.len());
     let mut summary = RootCauseSummary::default();
@@ -147,8 +122,9 @@ pub fn classify_root_cause_with_threads(
     }
     hits.sort_by_key(|&(code, _)| code); // stable: keeps event order per code
 
-    // Pair each code with its hit slice (codes and hits are both sorted).
-    let mut per_code_hits: Vec<CodeHits<'_>> = Vec::with_capacity(codes.len());
+    // Rules 1–3 per code over its slice of the hit list (codes and hits
+    // are both sorted), one grouping scratch reused across codes.
+    let mut scratch = RuleScratch::default();
     let mut lo = 0usize;
     for &code in &codes {
         let start = lo
@@ -159,42 +135,15 @@ pub fn classify_root_cause_with_threads(
             + hits
                 .get(start..)
                 .map_or(0, |rest| rest.partition_point(|&(c, _)| c <= code));
-        per_code_hits.push((code, hits.get(start..end).unwrap_or(&[])));
+        let code_hits = hits.get(start..end).unwrap_or(&[]);
+        if let Some(v) = classify_one(code_hits, matching, ctx, &mut scratch) {
+            summary.per_code.insert(code, v);
+        }
         lo = end;
     }
 
-    // Rules 1–3, sharded over contiguous chunks of the code-sorted list;
-    // every chunk reuses its own grouping scratch across codes.
-    let verdicts: Vec<Option<(RootCause, RootCauseRule)>> =
-        if threads <= 1 || per_code_hits.len() < threads.saturating_mul(MIN_CODES_PER_THREAD) {
-            let mut scratch = RuleScratch::default();
-            per_code_hits
-                .iter()
-                .map(|&(_, h)| classify_one(h, matching, ctx, &mut scratch))
-                .collect()
-        } else {
-            let size = per_code_hits.len().div_ceil(threads).max(1);
-            let chunks: Vec<&[CodeHits<'_>]> = per_code_hits.chunks(size).collect();
-            bgp_model::bytes::map_chunks_parallel(&chunks, |chunk| {
-                let mut scratch = RuleScratch::default();
-                chunk
-                    .iter()
-                    .map(|&(_, h)| classify_one(h, matching, ctx, &mut scratch))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-    for (&code, verdict) in codes.iter().zip(&verdicts) {
-        if let Some(v) = verdict {
-            summary.per_code.insert(code, *v);
-        }
-    }
-
     // Rule 4: Pearson fallback over daily occurrence profiles. Each
-    // unlabeled code's decision reads only the rule-1–3 labeled set, so
-    // the per-code loop shards exactly.
+    // unlabeled code's decision reads only the rule-1–3 labeled set.
     let unlabeled: Vec<ErrCode> = codes
         .iter()
         .filter(|c| !summary.per_code.contains_key(c))
@@ -217,7 +166,7 @@ pub fn classify_root_cause_with_threads(
             .iter()
             .filter_map(|(other, &(cause, _))| centered.get(other).map(|q| (cause, q)))
             .collect();
-        let fallback_one = |code: ErrCode| {
+        for code in unlabeled {
             let mut best: Option<(f64, RootCause)> = None;
             if let Some(p) = centered.get(&code) {
                 for &(cause, q) in &labeled_profiles {
@@ -234,22 +183,7 @@ pub fn classify_root_cause_with_threads(
             // With no usable correlation, fall back to the pessimistic
             // default: treat it as a system failure (an administrator can
             // act on that; blaming a user needs positive evidence).
-            best.map_or(RootCause::SystemFailure, |(_, c)| c)
-        };
-        let causes: Vec<RootCause> =
-            if threads <= 1 || unlabeled.len() < threads.saturating_mul(MIN_CODES_PER_THREAD) {
-                unlabeled.iter().map(|&c| fallback_one(c)).collect()
-            } else {
-                let size = unlabeled.len().div_ceil(threads).max(1);
-                let chunks: Vec<&[ErrCode]> = unlabeled.chunks(size).collect();
-                bgp_model::bytes::map_chunks_parallel(&chunks, |chunk| {
-                    chunk.iter().map(|&c| fallback_one(c)).collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            };
-        for (&code, &cause) in unlabeled.iter().zip(&causes) {
+            let cause = best.map_or(RootCause::SystemFailure, |(_, c)| c);
             summary
                 .per_code
                 .insert(code, (cause, RootCauseRule::CorrelationFallback));
@@ -259,7 +193,7 @@ pub fn classify_root_cause_with_threads(
 }
 
 /// Reusable grouping buffers for the rule-2/rule-3 scans — one allocation
-/// per chunk instead of two hash maps of vectors per code.
+/// per classification instead of two hash maps of vectors per code.
 #[derive(Default)]
 struct RuleScratch {
     /// Hits keyed for rule 2: sorted by (midplane, time).

@@ -17,12 +17,9 @@
 //! interval index per event. Partitions are bitmasks, so restricting
 //! either machine-wide structure to an event's footprint costs one mask
 //! intersection per candidate — Blue Gene/P partitions are exclusive, so
-//! the active set never exceeds one job per midplane.
-//! [`Matcher::run_with_threads`] shards the sweep over contiguous
-//! event chunks (each chunk re-anchors its cursors by binary search, so the
-//! per-event results are independent of chunk boundaries) and then runs the
-//! best-attribution-per-job reduction serially — output is bit-identical to
-//! the single-threaded kernel at any thread count.
+//! the active set never exceeds one job per midplane. The sweep is serial:
+//! it sees the few hundred events the filters leave, and the stage
+//! executor already runs it beside the other stages on its workers.
 
 use crate::context::AnalysisContext;
 use crate::event::Event;
@@ -88,11 +85,6 @@ impl Default for Matcher {
     }
 }
 
-/// Below this many events per thread the sweep runs serially: spawning a
-/// worker costs more than sweeping a small chunk, and the output is
-/// bit-identical either way (sharding is a pure performance policy).
-const MIN_EVENTS_PER_THREAD: usize = 2048;
-
 /// When the sweep time jumps far enough that more than this many pending
 /// ranks would be replayed to advance the termination cursor
 /// incrementally, re-anchor it by binary search instead. Sparse event
@@ -106,7 +98,7 @@ const TERM_REANCHOR_GAP: usize = 64;
 /// so the break-even gap is larger than the termination cursor's.
 const OCC_REANCHOR_GAP: usize = 512;
 
-/// Per-chunk sweep state: a machine-wide occupancy active set and a
+/// Sweep state: a machine-wide occupancy active set and a
 /// machine-wide termination-window cursor, plus reusable scratch, so the
 /// per-event loop allocates nothing but each event's `victims` vector.
 ///
@@ -204,38 +196,11 @@ impl Matcher {
     /// Contract: returns `per_event` exactly parallel to `events` (same
     /// length, same order); every match points at a job in `ctx`.
     pub fn run(&self, events: &[Event], ctx: &AnalysisContext<'_>) -> Matching {
-        self.run_with_threads(events, ctx, 1)
-    }
+        let mut per_event = self.sweep(events, ctx);
 
-    /// [`Matcher::run`] with the per-event sweep sharded over up to
-    /// `threads` contiguous event chunks.
-    ///
-    /// Contract: bit-identical to `run` on the same input for every thread
-    /// count — each chunk re-anchors its termination cursors by binary
-    /// search (per-event results never depend on chunk boundaries), and the
-    /// best-attribution-per-job pass runs as a serial reduction over the
-    /// merged per-event results.
-    pub fn run_with_threads(
-        &self,
-        events: &[Event],
-        ctx: &AnalysisContext<'_>,
-        threads: usize,
-    ) -> Matching {
-        let serial = threads <= 1 || events.len() < threads.saturating_mul(MIN_EVENTS_PER_THREAD);
-        let mut per_event = if serial {
-            self.sweep_chunk(events, ctx)
-        } else {
-            let chunk = events.len().div_ceil(threads);
-            let chunks: Vec<&[Event]> = events.chunks(chunk).collect();
-            bgp_model::bytes::map_chunks_parallel(&chunks, |c| self.sweep_chunk(c, ctx))
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-
-        // Serial reduction: job id → (event index, |end − event time|),
-        // best so far. Iterating in event order with a strict `<` on the
-        // distance reproduces the serial tie-break (earlier event wins).
+        // Job id → (event index, |end − event time|), best so far.
+        // Iterating in event order with a strict `<` on the distance makes
+        // the earlier event win a tie.
         let mut best: BTreeMap<u64, (usize, i64)> = BTreeMap::new();
         for (i, (e, m)) in events.iter().zip(&per_event).enumerate() {
             for &job_id in &m.victims {
@@ -272,10 +237,10 @@ impl Matcher {
         }
     }
 
-    /// The per-event sweep over one contiguous, time-sorted event chunk.
-    /// Victims here are *pre-reduction*: every job ending in the window on
-    /// the footprint (exit-filtered), before best-attribution pruning.
-    fn sweep_chunk(&self, events: &[Event], ctx: &AnalysisContext<'_>) -> Vec<EventMatch> {
+    /// The per-event sweep over the time-sorted event stream. Victims here
+    /// are *pre-reduction*: every job ending in the window on the footprint
+    /// (exit-filtered), before best-attribution pruning.
+    fn sweep(&self, events: &[Event], ctx: &AnalysisContext<'_>) -> Vec<EventMatch> {
         let mut state = SweepState::new();
         let records = ctx.job_records();
         let max_duration = ctx.max_job_duration();

@@ -3,14 +3,14 @@
 //! `RAS log ─→ temporal ─→ spatial ─→ causal ─→ (match with job log)
 //! ─→ job-related filter ─→ classification ─→ characterization`.
 //!
-//! [`CoAnalysis::run`] is a thin driver: it builds one
-//! [`AnalysisContext`] (the shared index
-//! layer) and hands the full [`AnalysisSet`] to the stage-graph executor in
-//! [`crate::stage`], which starts each stage as soon as its dependencies
-//! have finished, runs independent stages concurrently, and shards the
-//! temporal/spatial filters per error code through the same fork-join
-//! point. Use [`CoAnalysis::run_selected`] to run only the stages you need,
-//! and [`CoAnalysisConfig::sequential`] to force the single-threaded path
+//! [`CoAnalysis::run`] is a thin driver: it builds one [`AnalysisContext`]
+//! (the shared index layer) and hands the full [`AnalysisSet`] to the
+//! stage-graph executor in [`crate::stage`], which starts each stage as
+//! soon as its dependencies have finished and runs independent stages
+//! concurrently. Every stage body is serial except the temporal/spatial
+//! filters, which shard their error codes across the workers. Use
+//! [`CoAnalysis::run_selected`] to run only the stages you need, and
+//! [`CoAnalysisConfig::sequential`] to force the single-threaded path
 //! (`perfbench` times each stage both ways: `stage.*_ms` inside the
 //! concurrent run, whose wall clock is `stage.wave_ms`, and
 //! `stage.*_seq_ms` alone).
@@ -46,10 +46,10 @@ pub struct CoAnalysisConfig {
     pub wide_threshold: u32,
     /// Window for "re-interrupted quickly" (Observation 6; paper: 1000 s).
     pub quick_window: Duration,
-    /// Number of worker threads for the stage executor and the sharded
-    /// stages (filters, matching, root-cause classification, FDA mining);
-    /// 1 = fully sequential. Every stage is bit-identical at any thread
-    /// count.
+    /// Number of stage-executor workers, which run independent stages side
+    /// by side; also the number of per-code chunks the temporal/spatial
+    /// filters split into. 1 = fully sequential. Every stage is
+    /// bit-identical at any thread count.
     pub threads: usize,
     /// Fast Dimensional Analysis (frequent-itemset mining) parameters.
     pub fda: FdaParams,

@@ -7,12 +7,16 @@
 //! `cfg.threads` workers each take the next stage whose dependencies have
 //! all finished (longest remaining path first, ties by id), and every
 //! product lands in its stage's write-once slot, so a slow stage holds back
-//! only the stages that read it. The workers and the per-code chunks of the
-//! temporal/spatial filters go through the same fork-join point
-//! (`fork_join`). Callers choose which passes to run with an
-//! [`AnalysisSet`]; dependencies are closed over automatically, so asking
-//! for `Midplane` alone pulls in filtering, matching, and job-related
-//! filtering but skips the other characterization passes.
+//! only the stages that read it. The executor is the one place the graph
+//! decides parallelism: every stage body is serial except the
+//! temporal/spatial filters. They are the graph's root, so while they run
+//! every other worker is idle, and they split their per-code shards
+//! across `cfg.threads` chunks instead. The workers and those chunks both
+//! fork through `bgp_model::bytes::map_chunks_parallel`. Callers choose
+//! which passes to run with an [`AnalysisSet`]; dependencies are closed
+//! over automatically, so asking for `Midplane` alone pulls in filtering,
+//! matching, and job-related filtering but skips the other
+//! characterization passes.
 //!
 //! The same executor serves one-shot runs and incremental folds: given the
 //! previous pass's [`StageCache`] and a [`ContextDelta`], it re-runs only
@@ -23,15 +27,14 @@ use crate::analysis::{
     BurstAnalysis, FdaAnalysis, InterruptionStats, MidplaneProfile, PropagationAnalysis,
     VulnerabilityAnalysis,
 };
-use crate::classify::{
-    classify_impact, classify_root_cause_with_threads, ImpactSummary, RootCauseSummary,
-};
+use crate::classify::{classify_impact, classify_root_cause, ImpactSummary, RootCauseSummary};
 use crate::context::{AnalysisContext, ContextDelta, CtxIndex};
 use crate::event::Event;
 use crate::filter::job_related::JobRelatedOutcome;
 use crate::filter::{CausalRule, FilterStats, JobRelatedFilter};
 use crate::matching::Matching;
 use crate::pipeline::{CoAnalysisConfig, CoAnalysisResult};
+use bgp_model::bytes::map_chunks_parallel;
 use raslog::ErrCode;
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -104,8 +107,7 @@ pub enum StageId {
     ///
     /// Contract: mines ranked over-represented dimension combinations from
     /// the causally filtered events, the matching's job attribution, and
-    /// the interned job-dimension columns; candidate counting is sharded
-    /// but bit-identical at any thread count.
+    /// the interned job-dimension columns.
     Fda = 12,
 }
 
@@ -582,21 +584,14 @@ fn run_stage(
             let (events, rules) = cfg.causal.filter(state.after_spatial());
             StageOutput::Causal { events, rules }
         }
-        StageId::Matching => StageOutput::Matching(cfg.matcher.run_with_threads(
-            state.events(),
-            ctx,
-            cfg.threads,
-        )),
+        StageId::Matching => StageOutput::Matching(cfg.matcher.run(state.events(), ctx)),
         StageId::JobRelated => {
             StageOutput::JobRelated(JobRelatedFilter.apply(state.events(), matching(), ctx))
         }
         StageId::Impact => StageOutput::Impact(classify_impact(state.events(), matching())),
-        StageId::RootCause => StageOutput::RootCause(classify_root_cause_with_threads(
-            state.events(),
-            matching(),
-            ctx,
-            cfg.threads,
-        )),
+        StageId::RootCause => {
+            StageOutput::RootCause(classify_root_cause(state.events(), matching(), ctx))
+        }
         StageId::TableIv => {
             StageOutput::TableIv(TableIv::new(state.events(), state.final_events()).ok())
         }
@@ -642,7 +637,6 @@ fn run_stage(
             matching(),
             ctx,
             &cfg.fda,
-            cfg.threads,
         )),
     }
 }
@@ -694,7 +688,7 @@ fn temporal_spatial(
         .into_iter()
         .filter_map(|run| todo.get(run))
         .collect();
-    let mut fresh = fork_join(&chunks, cfg.threads, &|chunk| {
+    let mut fresh = map_chunks_parallel(&chunks, |chunk| {
         chunk
             .iter()
             .map(|&(code, shard)| {
@@ -881,7 +875,7 @@ pub(crate) fn execute(
         dirty_ctx,
     };
     let workers: Vec<usize> = (0..cfg.threads.clamp(1, set.len().max(1))).collect();
-    fork_join(&workers, workers.len(), &|_| {
+    map_chunks_parallel(&workers, |_| {
         let _guard = PanicGuard(&schedule);
         while let Some(task) = schedule.next() {
             match task {
@@ -1060,7 +1054,7 @@ impl<'c> Schedule<'c> {
 }
 
 /// Stops the other workers when a stage panics: they would otherwise wait
-/// forever for its product. `fork_join` then re-raises the panic.
+/// forever for its product. `map_chunks_parallel` then re-raises the panic.
 struct PanicGuard<'s, 'c>(&'s Schedule<'c>);
 
 impl Drop for PanicGuard<'_, '_> {
@@ -1070,44 +1064,6 @@ impl Drop for PanicGuard<'_, '_> {
             self.0.finished.notify_all();
         }
     }
-}
-
-/// The pipeline's one fork-join point: apply `f` to every item, splitting
-/// the slice into up to `threads` contiguous chunks on scoped threads.
-///
-/// Results come back in item order regardless of thread count, and a panic
-/// in any worker is re-raised on the calling thread with its original
-/// payload.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the pipeline's fork-join helper: fixed chunk -> thread assignment, results in item order"
-)]
-pub(crate) fn fork_join<T, R, F>(items: &[T], threads: usize, f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => results.push(part),
-                // Re-raise the worker's panic on the calling thread so the
-                // failure keeps its original message.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    results.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -1168,16 +1124,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), StageId::ALL.len());
-    }
-
-    #[test]
-    fn fork_join_preserves_order() {
-        let items: Vec<u32> = (0..100).collect();
-        let seq = fork_join(&items, 1, &|&x| x * 2);
-        let par = fork_join(&items, 7, &|&x| x * 2);
-        assert_eq!(seq, par);
-        assert_eq!(seq[0], 0);
-        assert_eq!(seq[99], 198);
     }
 
     /// One small simulated site, shared across proptest cases.

@@ -119,6 +119,7 @@ fn usage(err: &str) -> ExitCode {
          incrementally; the report matches a one-shot run over the\n\
          concatenation bit for bit. With --timings, per-stage wall clock\n\
          goes to stderr for each fold (only dirty stages appear).\n\
+         --threads N sizes the stage executor; loading uses every CPU.\n\
          analyze --fda appends the dimensional root-cause table: frequent\n\
          (errcode, midplane, user, project, executable, size) combinations\n\
          ranked by lift over the interruption base rate.\n\

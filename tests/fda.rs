@@ -1,9 +1,9 @@
 //! Cross-validation of the FDA lattice miner: a brute-force lattice
-//! enumerator (no Apriori, no interning tricks, no sharding) must agree
+//! enumerator (no Apriori, no interning tricks) must agree
 //! with [`FdaAnalysis::compute`] exactly — same supports, same lifts,
-//! same ranking — on random small tables; thread counts 1/2/7/16 must
-//! agree bit-for-bit on a table large enough to clear the parallel size
-//! gate; and the empty/degenerate tables must come back well-formed.
+//! same ranking — on random small tables and on one dense lattice of
+//! hundreds of itemsets; and the empty/degenerate tables must come back
+//! well-formed.
 //!
 //! Support monotonicity makes the brute force exact: an itemset has
 //! fatal support ≥ the minimum iff all its subsets do, so "every itemset
@@ -14,8 +14,7 @@
 
 use bgp_coanalysis::bgp_model::{Location, Partition, Timestamp};
 use bgp_coanalysis::coanalysis::analysis::fda::{
-    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, MIN_PARALLEL_WORK, NUM_DIMS,
-    NUM_JOB_DIMS,
+    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, NUM_DIMS, NUM_JOB_DIMS,
 };
 use bgp_coanalysis::coanalysis::matching::{EventCase, EventMatch, Matching};
 use bgp_coanalysis::coanalysis::{AnalysisContext, Event};
@@ -201,9 +200,8 @@ fn brute_force(
     analysis
 }
 
-/// A deterministic table big enough that level-2 counting clears the
-/// parallel size gate at 16 threads: ~37 frequent singletons fan out to
-/// hundreds of cross-dimension pair candidates over 1200 fatal rows.
+/// A deterministic table with a dense lattice: ~37 frequent singletons fan
+/// out to hundreds of cross-dimension pair candidates over 1200 fatal rows.
 fn large_fixture() -> (Vec<JobRecord>, Vec<Event>, Matching) {
     let n = 3_000u64;
     let jobs: Vec<JobRecord> = (0..n)
@@ -227,7 +225,7 @@ fn large_fixture() -> (Vec<JobRecord>, Vec<Event>, Matching) {
 }
 
 #[test]
-fn parallel_mining_is_thread_invariant_above_the_gate() {
+fn dense_lattice_matches_brute_force() {
     let (jobs, events, matching) = large_fixture();
     let log = JobLog::from_jobs(jobs.clone());
     let ctx = AnalysisContext::for_jobs(&log);
@@ -237,26 +235,13 @@ fn parallel_mining_is_thread_invariant_above_the_gate() {
         min_lift: 0.0,
         max_level: 3,
     };
-    // The level-2 candidate set must actually clear the gate, otherwise
-    // this test silently degrades to serial-vs-serial.
-    let n_fatal = 1_200u64;
-    let singletons: u64 = 3 + 8 + 7 + 5 + 11 + 3; // code, mp, user, project, exec, size
+    let mined = FdaAnalysis::compute(&events, &matching, &ctx, &params);
     assert!(
-        singletons * singletons / 2 * n_fatal > MIN_PARALLEL_WORK,
-        "fixture too small for the parallel path"
-    );
-    let serial = FdaAnalysis::compute(&events, &matching, &ctx, &params, 1);
-    assert!(
-        serial.ranked.len() > 100,
+        mined.ranked.len() > 100,
         "expected a dense lattice, got {} itemsets",
-        serial.ranked.len()
+        mined.ranked.len()
     );
-    for threads in [2, 7, 16] {
-        let parallel = FdaAnalysis::compute(&events, &matching, &ctx, &params, threads);
-        assert_eq!(serial, parallel, "threads={threads} diverged");
-    }
-    // And the whole thing agrees with the brute-force oracle.
-    assert_eq!(serial, brute_force(&events, &matching, &ctx, &params));
+    assert_eq!(mined, brute_force(&events, &matching, &ctx, &params));
 }
 
 #[test]
@@ -265,7 +250,7 @@ fn empty_table_and_no_fatal_rows_are_well_formed() {
     // No jobs at all.
     let log = JobLog::default();
     let ctx = AnalysisContext::for_jobs(&log);
-    let r = FdaAnalysis::compute(&[], &Matching::default(), &ctx, &params, 4);
+    let r = FdaAnalysis::compute(&[], &Matching::default(), &ctx, &params);
     assert_eq!(r.n_jobs, 0);
     assert_eq!(r.n_fatal, 0);
     assert!(r.ranked.is_empty());
@@ -275,13 +260,13 @@ fn empty_table_and_no_fatal_rows_are_well_formed() {
     let log = JobLog::from_jobs(jobs.clone());
     let ctx = AnalysisContext::for_jobs(&log);
     let (events, matching) = fixture(&jobs, &[(0, Vec::new())]);
-    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params, 4);
+    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params);
     assert_eq!(r.n_jobs, 10);
     assert_eq!(r.n_fatal, 0);
     assert!(r.ranked.is_empty());
     // Victims referencing unknown job ids are ignored, not miscounted.
     let (events, matching) = fixture(&jobs, &[(0, vec![999_999])]);
-    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params, 4);
+    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params);
     assert_eq!(r.n_fatal, 0);
 }
 
@@ -306,7 +291,7 @@ fn single_dimension_table_mines_only_singletons() {
         min_lift: 0.0,
         max_level: 1,
     };
-    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params, 4);
+    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params);
     assert_eq!(r.n_fatal, 5);
     assert!(r.ranked.iter().all(|s| s.items.len() == 1));
     // The constant job dims have lift exactly 1 (5/5 over 20/20); the two
@@ -346,9 +331,8 @@ fn table_strategy() -> impl Strategy<
 const LIFTS: [f64; 3] = [0.0, 1.0, 2.0];
 
 proptest! {
-    /// The sharded Apriori miner and the exhaustive enumerator agree on
-    /// support, lift, and ranking — exactly — for random small tables,
-    /// at a serial and a parallel thread count.
+    /// The Apriori miner and the exhaustive enumerator agree on support,
+    /// lift, and ranking — exactly — for random small tables.
     #[test]
     fn miner_matches_brute_force(input in table_strategy()) {
         let (specs, victims, floor, lift_idx, max_level) = input;
@@ -367,10 +351,7 @@ proptest! {
             min_lift,
             max_level,
         };
-        let oracle = brute_force(&events, &matching, &ctx, &params);
-        for threads in [1usize, 4] {
-            let mined = FdaAnalysis::compute(&events, &matching, &ctx, &params, threads);
-            prop_assert_eq!(&mined, &oracle, "threads={}", threads);
-        }
+        let mined = FdaAnalysis::compute(&events, &matching, &ctx, &params);
+        prop_assert_eq!(mined, brute_force(&events, &matching, &ctx, &params));
     }
 }

@@ -1,21 +1,23 @@
-//! Golden equivalence of the parallel analysis kernels.
+//! Golden equivalence of the pipeline across thread counts.
 //!
-//! The matching sweep and root-cause classification take a `threads` knob
-//! whose contract is *bit-identical output at any thread count*; the
-//! vulnerability ranking, run on their outputs, must then agree too. These
-//! tests pin that contract two ways:
+//! `CoAnalysisConfig::threads` sizes the stage executor, which runs
+//! independent stages side by side, and the number of per-code chunks the
+//! temporal/spatial filters split into; every other stage body is serial.
+//! Its contract is *bit-identical products at any thread count*. These
+//! tests pin it two ways:
 //!
-//! * a large synthetic fleet (above every serial-fallback size gate, so the
-//!   sharded paths genuinely run) compared across threads ∈ {1, 2, 7, 16};
-//! * a property test that checks the matcher against a brute-force oracle
-//!   on small random — including unsorted — event/job streams, and checks
-//!   every kernel's thread-count invariance on the same streams.
+//! * a large synthetic fleet (many codes, so the temporal/spatial stage
+//!   really splits into one chunk per thread) run through the whole stage
+//!   graph at threads ∈ {1, 2, 7, 16};
+//! * property tests that check the matcher against a brute-force oracle on
+//!   small random — including unsorted — event/job streams, and the whole
+//!   stage graph's thread-count invariance on the same streams.
 
 use bgp_coanalysis::bgp_model::{Location, MidplaneId, Partition, Timestamp};
-use bgp_coanalysis::coanalysis::analysis::VulnerabilityAnalysis;
-use bgp_coanalysis::coanalysis::classify::classify_root_cause_with_threads;
 use bgp_coanalysis::coanalysis::matching::{EventCase, Matcher, Matching};
-use bgp_coanalysis::coanalysis::{AnalysisContext, Event};
+use bgp_coanalysis::coanalysis::{
+    AnalysisContext, AnalysisProducts, AnalysisSet, CoAnalysis, CoAnalysisConfig, Event,
+};
 use bgp_coanalysis::joblog::{ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
 use bgp_coanalysis::raslog::{Catalog, ErrCode};
 use proptest::prelude::*;
@@ -51,9 +53,9 @@ fn job(job_id: u64, start: i64, end: i64, part: Partition, failed: bool) -> JobR
     }
 }
 
-/// A synthetic fleet big enough to clear the kernels' serial-fallback size
-/// gates: ≥ 16 × 2048 events (the matcher shards at 16 threads) and ≥ 4096
-/// job records (the vulnerability category split goes parallel).
+/// A synthetic fleet: events spread over every catalog code, so the
+/// temporal/spatial stage has many code shards to split across threads,
+/// against enough jobs that matching attributes thousands of them.
 fn synth_fleet(n_events: usize, n_jobs: usize, seed: u64) -> (Vec<Event>, JobLog) {
     let mut rng = seed;
     let codes: Vec<ErrCode> = Catalog::standard().codes().collect();
@@ -99,44 +101,42 @@ fn synth_fleet(n_events: usize, n_jobs: usize, seed: u64) -> (Vec<Event>, JobLog
     (events, JobLog::from_jobs(jobs))
 }
 
-/// Per-midplane fatal counts (the vulnerability analysis's unreliable-
-/// location input), derived deterministically from the event stream.
-fn fatal_counts(events: &[Event]) -> Vec<u32> {
-    let mut counts = vec![0u32; 80];
-    for e in events {
-        for m in e.footprint.midplanes() {
-            counts[m.index()] += 1;
-        }
-    }
-    counts
+/// Every stage's product for `events` over `jobs`, run by the stage
+/// executor on `threads` workers. The filters take a time-sorted stream,
+/// as a RAS log yields it, so the events are sorted first.
+fn products(events: &[Event], jobs: &JobLog, threads: usize) -> AnalysisProducts {
+    let mut events = events.to_vec();
+    events.sort_by_key(|e| (e.time, e.first_recid));
+    let span = events
+        .first()
+        .zip(events.last())
+        .map(|(a, b)| (a.time, b.time));
+    let ctx = AnalysisContext::from_events(events, span, jobs);
+    CoAnalysis::with_config(CoAnalysisConfig {
+        threads,
+        ..CoAnalysisConfig::default()
+    })
+    .run_on(&ctx, AnalysisSet::all())
 }
 
 #[test]
 fn kernels_bit_identical_across_thread_counts() {
     let (events, jobs) = synth_fleet(36_000, 6_000, 0xC0FFEE);
-    let ctx = AnalysisContext::from_events(events.clone(), None, &jobs);
-    let counts = fatal_counts(&events);
-
-    let m1 = Matcher::default().run_with_threads(&events, &ctx, 1);
-    assert_eq!(m1, Matcher::default().run(&events, &ctx));
-    let rc1 = classify_root_cause_with_threads(&events, &m1, &ctx, 1);
-    let v1 = VulnerabilityAnalysis::new(&events, &m1, &rc1, &ctx, &counts);
+    let p1 = products(&events, &jobs, 1);
 
     // The fleet must actually produce interesting output, or "equal" proves
     // nothing.
+    let m1 = p1.matching.as_ref().expect("the full set runs matching");
     assert!(m1.interrupted_jobs() > 0);
     assert!(m1
         .per_event
         .iter()
         .any(|m| m.case == EventCase::Interrupted));
+    let rc1 = p1.root_cause.as_ref().expect("the full set classifies");
+    assert!(rc1.per_code.len() > 16, "too few codes to split per thread");
 
     for t in THREADS {
-        let mt = Matcher::default().run_with_threads(&events, &ctx, t);
-        assert_eq!(m1, mt, "matching diverged at {t} threads");
-        let rct = classify_root_cause_with_threads(&events, &mt, &ctx, t);
-        assert_eq!(rc1, rct, "root cause diverged at {t} threads");
-        let vt = VulnerabilityAnalysis::new(&events, &mt, &rct, &ctx, &counts);
-        assert_eq!(v1, vt, "vulnerability diverged at {t} threads");
+        assert_eq!(p1, products(&events, &jobs, t), "diverged at {t} threads");
     }
 }
 
@@ -282,19 +282,6 @@ proptest! {
         events in arb_events(),
     ) {
         let jobs = JobLog::from_jobs(jobs);
-        let ctx = AnalysisContext::from_events(events.clone(), None, &jobs);
-        let counts = fatal_counts(&events);
-        let m1 = Matcher::default().run_with_threads(&events, &ctx, 1);
-        let rc1 = classify_root_cause_with_threads(&events, &m1, &ctx, 1);
-        let v1 = VulnerabilityAnalysis::new(&events, &m1, &rc1, &ctx, &counts);
-        for t in THREADS {
-            let mt = Matcher::default().run_with_threads(&events, &ctx, t);
-            prop_assert_eq!(&m1, &mt);
-            let rct = classify_root_cause_with_threads(&events, &mt, &ctx, t);
-            prop_assert_eq!(&rc1, &rct);
-            let vt =
-                VulnerabilityAnalysis::new(&events, &mt, &rct, &ctx, &counts);
-            prop_assert_eq!(&v1, &vt);
-        }
+        prop_assert_eq!(products(&events, &jobs, 1), products(&events, &jobs, 4));
     }
 }

@@ -81,9 +81,7 @@ fn legacy_run(out: &SimOutput, cfg: &CoAnalysisConfig) -> CoAnalysisResult {
         &ctx,
         &midplane.fatal_counts,
     );
-    // Sequential FDA mine — the graph runs it at cfg.threads, so this
-    // comparison doubles as a thread-count-invariance check.
-    let fda = FdaAnalysis::compute(&events, &matching, &ctx, &cfg.fda, 1);
+    let fda = FdaAnalysis::compute(&events, &matching, &ctx, &cfg.fda);
 
     CoAnalysisResult {
         events,
