@@ -132,9 +132,18 @@ impl EventStore {
         EventStore::from_events(Event::from_fatal_records(ras), ras.time_span())
     }
 
-    /// Index an already-extracted event stream. `span` is the observation
-    /// window of the underlying log (not just the fatal subset).
-    pub fn from_events(raw_events: Vec<Event>, span: Option<(Timestamp, Timestamp)>) -> EventStore {
+    /// Index an already-extracted event stream, in any order: it is sorted
+    /// stably by `(time, first_recid)`, which a stream extracted from a
+    /// [`RasLog`] already is, so that pays one linear check. `span` is the
+    /// observation window of the underlying log (not just the fatal subset).
+    pub fn from_events(
+        mut raw_events: Vec<Event>,
+        span: Option<(Timestamp, Timestamp)>,
+    ) -> EventStore {
+        let key = |e: &Event| (e.time, e.first_recid);
+        if !raw_events.is_sorted_by_key(key) {
+            raw_events.sort_by_key(key);
+        }
         // One code-sorted copy of the stream; the stable sort keeps each
         // code's events in time order, matching what per-code accumulation
         // used to produce. Slices (not per-code Vecs) mean the events are
@@ -437,8 +446,9 @@ impl<'a> AnalysisContext<'a> {
         AnalysisContext::from_events(Event::from_fatal_records(ras), ras.time_span(), jobs)
     }
 
-    /// Build a context from an already-extracted event stream. `span` is the
-    /// observation window of the underlying log (not just the fatal subset).
+    /// Build a context from an already-extracted event stream, in any order
+    /// (see [`EventStore::from_events`]). `span` is the observation window
+    /// of the underlying log (not just the fatal subset).
     pub fn from_events(
         raw_events: Vec<Event>,
         span: Option<(Timestamp, Timestamp)>,

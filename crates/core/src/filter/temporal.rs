@@ -51,7 +51,6 @@ impl TemporalFilter {
     /// Contract: input must be time-sorted; output is a subsequence of the
     /// input keeping the first event of each same-location burst per code.
     pub fn apply(&self, events: &[Event]) -> Vec<Event> {
-        debug_assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
         // Shared rolling-window core, keyed by (code, exact location) packed
         // into one integer: the window only asks whether two keys are equal.
         let key = |e: &Event| u64::from(e.errcode.0) << 32 | u64::from(e.location.packed());

@@ -405,6 +405,10 @@ mod tests {
         use crate::stage::{StageId, StageObserver};
         use std::sync::Mutex;
         struct Recorder(Mutex<Vec<(StageId, bool)>>);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test observer that never blocks"
+        )]
         impl StageObserver for Recorder {
             fn stage_started(&self, id: StageId) {
                 self.0.lock().unwrap().push((id, false));

@@ -38,76 +38,36 @@ use bgp_model::bytes::map_chunks_parallel;
 use raslog::ErrCode;
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Identity of one pipeline pass; `run_stage` holds each pass's body.
+/// Identity of one pipeline pass; `run_stage` holds each pass's body and
+/// [`StageId::contract`] what it guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum StageId {
     /// Temporal + spatial dedup, sharded per error code.
-    ///
-    /// Contract: dedups each error-code shard temporally then spatially
-    /// (shards are independent by construction) and merges time-sorted.
     TemporalSpatial = 0,
     /// Causal (cross-code) filtering.
-    ///
-    /// Contract: learns cross-code rules over the whole post-spatial stream
-    /// (global by design — rules connect different codes).
     Causal = 1,
     /// Event ↔ job matching.
-    ///
-    /// Contract: matches the causally filtered stream against the job
-    /// index; produces per-event cases and the job → event attribution.
     Matching = 2,
     /// Job-related redundancy filtering.
-    ///
-    /// Contract: flags job-related redundancy over the matched stream;
-    /// final events are a subsequence of the causal stage's output.
     JobRelated = 3,
     /// Impact classification (Section IV-A).
-    ///
-    /// Contract: classifies per-code interruption impact from the matching
-    /// cases alone.
     Impact = 4,
     /// Root-cause classification (Section IV-B).
-    ///
-    /// Contract: classifies per-code root cause using the matching and the
-    /// job index (executable-following vs. location-sticky evidence).
     RootCause = 5,
     /// Table IV interarrival fits.
-    ///
-    /// Contract: fits interarrival models before/after job-related
-    /// filtering; `None` when a stream is too small to fit.
     TableIv = 6,
     /// Figure 4 midplane profile.
-    ///
-    /// Contract: builds the per-midplane fatal/workload/wide-workload
-    /// series from the fully filtered events (a chain at one broken
-    /// midplane is one fault there, not ten).
     Midplane = 7,
     /// Figure 5 / Observation 6 burst analysis.
-    ///
-    /// Contract: analyzes interruption burstiness over the matched victims
-    /// and the RAS time span.
     Burst = 8,
     /// Table V / Figure 6 interruption statistics.
-    ///
-    /// Contract: splits interruption interarrivals by root cause and fits
-    /// each stream.
     Interruption = 9,
     /// Observation 8 propagation analysis.
-    ///
-    /// Contract: measures spatial propagation from multi-victim events and
-    /// temporal propagation from the job-related redundancy flags.
     Propagation = 10,
     /// Section VI-D vulnerability analysis.
-    ///
-    /// Contract: runs the Section VI-D vulnerability study over the matched
-    /// stream, the root-cause labels, and the midplane fatal counts.
     Vulnerability = 11,
     /// Fast Dimensional Analysis: frequent-itemset root-cause mining.
-    ///
-    /// Contract: mines ranked over-represented dimension combinations from
-    /// the causally filtered events, the matching's job attribution, and
-    /// the interned job-dimension columns.
     Fda = 12,
 }
 
@@ -145,6 +105,62 @@ impl StageId {
             StageId::Propagation => "propagation",
             StageId::Vulnerability => "vulnerability",
             StageId::Fda => "fda",
+        }
+    }
+
+    /// What the stage guarantees its readers, stated once per stage. The
+    /// `match` is exhaustive and lists every variant, so a new stage does
+    /// not compile until its contract is written here.
+    pub fn contract(self) -> &'static str {
+        use StageId as S;
+        match self {
+            S::TemporalSpatial => {
+                "Dedups each error-code shard temporally then spatially (shards are independent by \
+                 construction) and merges time-sorted."
+            }
+            S::Causal => {
+                "Learns cross-code rules over the whole post-spatial stream (global by design — \
+                 rules connect different codes)."
+            }
+            S::Matching => {
+                "Matches the causally filtered stream against the job index; produces per-event \
+                 cases and the job → event attribution."
+            }
+            S::JobRelated => {
+                "Flags job-related redundancy over the matched stream; final events are a \
+                 subsequence of the causal stage's output."
+            }
+            S::Impact => "Classifies per-code interruption impact from the matching cases alone.",
+            S::RootCause => {
+                "Classifies per-code root cause using the matching and the job index \
+                 (executable-following vs. location-sticky evidence)."
+            }
+            S::TableIv => {
+                "Fits interarrival models before/after job-related filtering; `None` when a stream \
+                 is too small to fit."
+            }
+            S::Midplane => {
+                "Builds the per-midplane fatal/workload/wide-workload series from the fully \
+                 filtered events (a chain at one broken midplane is one fault there, not ten)."
+            }
+            S::Burst => {
+                "Analyzes interruption burstiness over the matched victims and the RAS time span."
+            }
+            S::Interruption => {
+                "Splits interruption interarrivals by root cause and fits each stream."
+            }
+            S::Propagation => {
+                "Measures spatial propagation from multi-victim events and temporal propagation \
+                 from the job-related redundancy flags."
+            }
+            S::Vulnerability => {
+                "Runs the Section VI-D vulnerability study over the matched stream, the root-cause \
+                 labels, and the midplane fatal counts."
+            }
+            S::Fda => {
+                "Mines ranked over-represented dimension combinations from the causally filtered \
+                 events, the matching's job attribution, and the interned job-dimension columns."
+            }
         }
     }
 
@@ -986,6 +1002,10 @@ struct Schedule<'c> {
 }
 
 impl<'c> Schedule<'c> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`Condvar::wait` in `next` needs the guard; nothing else blocks while it is held"
+    )]
     fn board(&self) -> MutexGuard<'_, Board<'c>> {
         self.board.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -1140,6 +1160,10 @@ mod tests {
     #[derive(Default)]
     struct Calls(Mutex<Vec<(StageId, bool)>>);
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test observer that never blocks"
+    )]
     impl StageObserver for Calls {
         fn stage_started(&self, id: StageId) {
             self.0.lock().unwrap().push((id, false));

@@ -134,23 +134,6 @@ pub fn parse_log_file(
     Ok((jobs, errors, hash))
 }
 
-/// Strict variant of [`parse_log_bytes`]: fail on the first malformed line
-/// (by global line number), like [`crate::JobReader::read_strict`].
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the strict variant is defined over the tolerant one beside it"
-)]
-pub fn parse_log_bytes_strict(
-    data: &[u8],
-    threads: usize,
-) -> Result<Vec<JobRecord>, JobParseError> {
-    let (jobs, errors) = parse_log_bytes(data, threads);
-    match errors.into_iter().next() {
-        None => Ok(jobs),
-        Some(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 #[expect(
     clippy::disallowed_methods,
@@ -209,16 +192,6 @@ mod tests {
         for threads in [0, 1, 2, 3, 7, 16] {
             assert_equivalent(text.as_bytes(), threads);
         }
-    }
-
-    #[test]
-    fn strict_matches_first_error() {
-        let good = format_record(&job(1));
-        let text = format!("{good}\njunk\n");
-        assert_eq!(
-            parse_log_bytes_strict(text.as_bytes(), 4).unwrap_err().line,
-            2
-        );
     }
 
     /// One line of input for the boundary proptest.

@@ -23,7 +23,7 @@ pub mod record;
 pub mod snapshot;
 pub mod write;
 
-pub use ingest::{parse_log_bytes, parse_log_bytes_strict};
+pub use ingest::parse_log_bytes;
 pub use log::JobLog;
 pub use parse::{parse_line, parse_line_bytes, JobParseError, JobParseErrorKind, JobReader};
 pub use record::{ExecId, ExitStatus, JobRecord, ProjectId, UserId};

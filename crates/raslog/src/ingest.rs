@@ -194,23 +194,6 @@ pub fn parse_log_bytes(data: &[u8], threads: usize) -> (Vec<RasRecord>, Vec<RasP
     (kept.records, errors)
 }
 
-/// Strict variant of [`parse_log_bytes`]: fail on the first malformed line
-/// (by global line number), like [`crate::RasReader::read_strict`].
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the strict variant is defined over the tolerant one beside it"
-)]
-pub fn parse_log_bytes_strict(
-    data: &[u8],
-    threads: usize,
-) -> Result<Vec<RasRecord>, RasParseError> {
-    let (records, errors) = parse_log_bytes(data, threads);
-    match errors.into_iter().next() {
-        None => Ok(records),
-        Some(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 #[expect(
     clippy::disallowed_methods,
@@ -276,20 +259,6 @@ mod tests {
                 assert_equivalent(text.as_bytes(), threads);
             }
         }
-    }
-
-    #[test]
-    fn strict_matches_first_error() {
-        let good = format_record(&record(1));
-        let text = format!("{good}\ngarbage\nmore garbage\n");
-        let e = parse_log_bytes_strict(text.as_bytes(), 4).unwrap_err();
-        assert_eq!(e.line, 2);
-        assert_eq!(
-            parse_log_bytes_strict(format!("{good}\n").as_bytes(), 4)
-                .unwrap()
-                .len(),
-            1
-        );
     }
 
     /// One line of input for the boundary proptest.

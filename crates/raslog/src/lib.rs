@@ -36,7 +36,7 @@ pub mod write;
 
 pub use catalog::{Catalog, CodeInfo, ErrCode};
 pub use component::Component;
-pub use ingest::{parse_log_bytes, parse_log_bytes_strict, parse_log_bytes_where};
+pub use ingest::{parse_log_bytes, parse_log_bytes_where};
 pub use log::{Projection, RasLog};
 pub use parse::{parse_line, parse_line_bytes, RasParseError, RasReader};
 pub use record::RasRecord;

@@ -9,13 +9,14 @@
 //! only the stages whose inputs changed — so the published report is
 //! bit-identical to a one-shot batch run over everything ingested so far
 //! (the delta-equivalence gate). [`FullAnalysis`] is the published side:
-//! the latest report behind a short-lived mutex.
+//! the latest report behind a [`Locked`].
 
 use crate::error::ServeError;
+use crate::locked::Locked;
 use coanalysis::{AppendBatch, CoAnalysisConfig, CoAnalysisResult, DeltaSession, LoadOptions};
 use raslog::{RasLog, RasRecord};
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// What `/analysis` serves: the latest complete report plus fold counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,17 +86,18 @@ pub fn render_summary(r: &CoAnalysisResult) -> String {
 /// The latest full report, as published by the analysis worker.
 #[derive(Debug)]
 pub struct FullAnalysis {
-    latest: Mutex<Arc<AnalysisSnapshot>>,
+    latest: Locked<Arc<AnalysisSnapshot>>,
 }
 
 impl FullAnalysis {
     /// The latest published snapshot (cheap: clones an `Arc`).
     pub fn snapshot(&self) -> Arc<AnalysisSnapshot> {
-        Arc::clone(&self.latest.lock().unwrap_or_else(PoisonError::into_inner))
+        self.latest.with(|latest| Arc::clone(latest))
     }
 
     fn publish(&self, snap: AnalysisSnapshot) {
-        *self.latest.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(snap);
+        let snap = Arc::new(snap);
+        self.latest.with(move |latest| *latest = snap);
     }
 }
 
@@ -118,7 +120,7 @@ impl Fold {
         let (session, base) =
             DeltaSession::new(config, &RasLog::from_records(Vec::new()), loaded.log);
         let published = Arc::new(FullAnalysis {
-            latest: Mutex::new(Arc::new(AnalysisSnapshot {
+            latest: Locked::new(Arc::new(AnalysisSnapshot {
                 batches: 0,
                 records: 0,
                 last_reran: coanalysis::StageId::ALL.len(),

@@ -20,6 +20,7 @@
 //! * [`ring`] — the recent-events ring served at `/events`;
 //! * [`metrics`] — counters/gauges/histograms + Prometheus rendering;
 //! * [`http`] — the minimal HTTP front-end;
+//! * [`locked`] — [`Locked`], the one way state is shared between threads;
 //! * [`full`] — `--full-analysis`: the complete co-analysis report served
 //!   at `/analysis`, folded incrementally per ingest batch through a
 //!   [`DeltaSession`](coanalysis::DeltaSession);
@@ -39,6 +40,7 @@ pub mod config;
 pub mod error;
 pub mod full;
 pub mod http;
+pub mod locked;
 pub mod metrics;
 pub mod protocol;
 pub(crate) mod recorder;
@@ -52,6 +54,7 @@ pub(crate) mod worker;
 pub use config::{parse_impact, read_impact_file, write_impact, ServeConfig, IMPACT_HEADER};
 pub use error::ServeError;
 pub use full::{render_report, render_summary, AnalysisSnapshot, FullAnalysis};
+pub use locked::Locked;
 pub use metrics::{Counter, Gauge, Histogram, Registry, ServeMetrics};
 pub use protocol::{classify_line, Frame, LineFramer};
 pub use ring::{EventEntry, EventRing};

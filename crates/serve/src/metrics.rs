@@ -8,8 +8,9 @@
 //! lint scope and the same registry instruments both the daemon and
 //! `coctl analyze --timings`.
 
+use crate::locked::Locked;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -136,7 +137,7 @@ struct Entry {
 /// don't export.
 #[derive(Debug, Default)]
 pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
+    entries: Locked<Vec<Entry>>,
 }
 
 impl Registry {
@@ -145,139 +146,112 @@ impl Registry {
         Registry::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The metric registered under `name`, or `None` after registering
+    /// `metric` there.
+    fn register(&self, name: &str, help: &str, metric: Metric) -> Option<Metric> {
+        let (name, help) = (name.to_owned(), help.to_owned());
+        self.entries.with(move |entries| {
+            if let Some(e) = entries.iter().find(|e| e.name == name) {
+                return Some(e.metric.clone());
+            }
+            entries.push(Entry { name, help, metric });
+            None
+        })
     }
 
     /// Register (or look up) a counter.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let mut entries = self.lock();
-        for e in entries.iter() {
-            if e.name == name {
-                if let Metric::Counter(c) = &e.metric {
-                    return Arc::clone(c);
-                }
-                return Arc::new(Counter::default());
-            }
-        }
         let c = Arc::new(Counter::default());
-        entries.push(Entry {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            metric: Metric::Counter(Arc::clone(&c)),
-        });
-        c
+        match self.register(name, help, Metric::Counter(Arc::clone(&c))) {
+            Some(Metric::Counter(existing)) => existing,
+            Some(Metric::Gauge(_) | Metric::Histogram(_)) | None => c,
+        }
     }
 
     /// Register (or look up) a gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut entries = self.lock();
-        for e in entries.iter() {
-            if e.name == name {
-                if let Metric::Gauge(g) = &e.metric {
-                    return Arc::clone(g);
-                }
-                return Arc::new(Gauge::default());
-            }
-        }
         let g = Arc::new(Gauge::default());
-        entries.push(Entry {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            metric: Metric::Gauge(Arc::clone(&g)),
-        });
-        g
+        match self.register(name, help, Metric::Gauge(Arc::clone(&g))) {
+            Some(Metric::Gauge(existing)) => existing,
+            Some(Metric::Counter(_) | Metric::Histogram(_)) | None => g,
+        }
     }
 
     /// Register (or look up) a histogram with the given bucket bounds.
     pub fn histogram(&self, name: &str, help: &str, bounds: &[u64]) -> Arc<Histogram> {
-        let mut entries = self.lock();
-        for e in entries.iter() {
-            if e.name == name {
-                if let Metric::Histogram(h) = &e.metric {
-                    return Arc::clone(h);
-                }
-                return Arc::new(Histogram::new(bounds));
-            }
-        }
         let h = Arc::new(Histogram::new(bounds));
-        entries.push(Entry {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            metric: Metric::Histogram(Arc::clone(&h)),
-        });
-        h
+        match self.register(name, help, Metric::Histogram(Arc::clone(&h))) {
+            Some(Metric::Histogram(existing)) => existing,
+            Some(Metric::Counter(_) | Metric::Gauge(_)) | None => h,
+        }
     }
 
     /// Current value of a registered counter or gauge, for tests and the
     /// `/summary` endpoint.
     pub fn value(&self, name: &str) -> Option<i64> {
-        let entries = self.lock();
-        entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| match &e.metric {
-                Metric::Counter(c) => i64::try_from(c.get()).unwrap_or(i64::MAX),
-                Metric::Gauge(g) => g.get(),
-                Metric::Histogram(h) => i64::try_from(h.count()).unwrap_or(i64::MAX),
-            })
+        let name = name.to_owned();
+        self.entries.with(move |entries| {
+            entries
+                .iter()
+                .find(|e| e.name == name)
+                .map(|e| match &e.metric {
+                    Metric::Counter(c) => i64::try_from(c.get()).unwrap_or(i64::MAX),
+                    Metric::Gauge(g) => g.get(),
+                    Metric::Histogram(h) => i64::try_from(h.count()).unwrap_or(i64::MAX),
+                })
+        })
     }
 
     /// Render every metric in the Prometheus text exposition format, sorted
     /// by name for stable scrapes.
     pub fn render_prometheus(&self) -> String {
-        let entries = self.lock();
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by(|&a, &b| {
-            entries
-                .get(a)
-                .map(|e| e.name.as_str())
-                .cmp(&entries.get(b).map(|e| e.name.as_str()))
-        });
-        let mut out = String::new();
-        for i in order {
-            let Some(e) = entries.get(i) else { continue };
-            match &e.metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!(
-                        "# HELP {n} {h}\n# TYPE {n} counter\n{n} {v}\n",
-                        n = e.name,
-                        h = e.help,
-                        v = c.get()
-                    ));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!(
-                        "# HELP {n} {h}\n# TYPE {n} gauge\n{n} {v}\n",
-                        n = e.name,
-                        h = e.help,
-                        v = g.get()
-                    ));
-                }
-                Metric::Histogram(hist) => {
-                    out.push_str(&format!(
-                        "# HELP {n} {h}\n# TYPE {n} histogram\n",
-                        n = e.name,
-                        h = e.help
-                    ));
-                    let mut cumulative = 0u64;
-                    for (bound, count) in hist.bounds.iter().zip(&hist.counts) {
-                        cumulative += count.load(Ordering::Relaxed);
+        self.entries.with(|entries| {
+            let mut sorted: Vec<&Entry> = entries.iter().collect();
+            sorted.sort_by(|a, b| a.name.cmp(&b.name));
+            let mut out = String::new();
+            for e in sorted {
+                match &e.metric {
+                    Metric::Counter(c) => {
                         out.push_str(&format!(
-                            "{n}_bucket{{le=\"{bound}\"}} {cumulative}\n",
-                            n = e.name
+                            "# HELP {n} {h}\n# TYPE {n} counter\n{n} {v}\n",
+                            n = e.name,
+                            h = e.help,
+                            v = c.get()
                         ));
                     }
-                    out.push_str(&format!(
-                        "{n}_bucket{{le=\"+Inf\"}} {t}\n{n}_sum {s}\n{n}_count {t}\n",
-                        n = e.name,
-                        t = hist.count(),
-                        s = hist.sum()
-                    ));
+                    Metric::Gauge(g) => {
+                        out.push_str(&format!(
+                            "# HELP {n} {h}\n# TYPE {n} gauge\n{n} {v}\n",
+                            n = e.name,
+                            h = e.help,
+                            v = g.get()
+                        ));
+                    }
+                    Metric::Histogram(hist) => {
+                        out.push_str(&format!(
+                            "# HELP {n} {h}\n# TYPE {n} histogram\n",
+                            n = e.name,
+                            h = e.help
+                        ));
+                        let mut cumulative = 0u64;
+                        for (bound, count) in hist.bounds.iter().zip(&hist.counts) {
+                            cumulative += count.load(Ordering::Relaxed);
+                            out.push_str(&format!(
+                                "{n}_bucket{{le=\"{bound}\"}} {cumulative}\n",
+                                n = e.name
+                            ));
+                        }
+                        out.push_str(&format!(
+                            "{n}_bucket{{le=\"+Inf\"}} {t}\n{n}_sum {s}\n{n}_count {t}\n",
+                            n = e.name,
+                            t = hist.count(),
+                            s = hist.sum()
+                        ));
+                    }
                 }
             }
-        }
-        out
+            out
+        })
     }
 }
 

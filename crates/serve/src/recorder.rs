@@ -13,16 +13,16 @@
 //! `delta_nanos` (its one `Instant::now` is an expected exception to the
 //! workspace's clippy clock ban).
 
+use crate::locked::Locked;
 use bgp_ports::cassette::{CassetteError, Recorder, StreamKind};
 use bgp_ports::LogFormat;
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// A thread-safe chunk recorder shared by every ingest source.
 #[derive(Debug)]
 pub(crate) struct ChunkRecorder {
-    state: Mutex<RecState>,
+    state: Locked<RecState>,
 }
 
 #[derive(Debug)]
@@ -35,7 +35,7 @@ impl ChunkRecorder {
     /// A recorder for a RAS stream in `format` (the daemon's line format).
     pub(crate) fn new(format: LogFormat) -> Result<ChunkRecorder, CassetteError> {
         Ok(ChunkRecorder {
-            state: Mutex::new(RecState {
+            state: Locked::new(RecState {
                 rec: Recorder::new(format, StreamKind::Ras)?,
                 last: None,
             }),
@@ -43,26 +43,28 @@ impl ChunkRecorder {
     }
 
     /// Append one delivered chunk, stamping the gap since the previous one.
+    /// The chunk is copied before the lock is taken.
     pub(crate) fn observe(&self, chunk: &[u8]) {
         #[expect(
             clippy::disallowed_methods,
             reason = "a cassette records the real gaps between delivered chunks"
         )]
         let now = Instant::now();
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let delta_nanos = state
-            .last
-            .map_or(0, |last| now.duration_since(last).as_nanos() as u64);
-        state.rec.push(delta_nanos, chunk);
-        state.last = Some(now);
+        let chunk = chunk.to_vec();
+        self.state.with(move |state| {
+            let delta_nanos = state
+                .last
+                .map_or(0, |last| now.duration_since(last).as_nanos() as u64);
+            state.rec.push(delta_nanos, &chunk);
+            state.last = Some(now);
+        });
     }
 
     /// Encode the cassette and write it to `path`; returns the frame count.
     pub(crate) fn write_to(&self, path: &Path) -> std::io::Result<usize> {
-        let (bytes, frames) = {
-            let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            (state.rec.cassette().encode(), state.rec.len())
-        };
+        let (bytes, frames) = self
+            .state
+            .with(|state| (state.rec.cassette().encode(), state.rec.len()));
         std::fs::write(path, bytes)?;
         Ok(frames)
     }

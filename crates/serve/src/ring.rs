@@ -2,13 +2,13 @@
 //!
 //! The analysis worker appends an entry for every `NewEvent` decision; the HTTP
 //! front-end snapshots the ring and renders it as JSON. The ring is a
-//! fixed-capacity deque behind a mutex — appends are O(1), a snapshot is a
+//! fixed-capacity deque behind a [`Locked`] — appends are O(1), a snapshot is a
 //! short lock plus a copy, and memory is bounded no matter how long the
 //! daemon runs.
 
+use crate::locked::Locked;
 use bgp_model::{json, Timestamp};
 use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
 
 /// One surfaced independent fatal event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub struct EventEntry {
 /// The bounded ring itself.
 #[derive(Debug)]
 pub struct EventRing {
-    inner: Mutex<VecDeque<EventEntry>>,
+    inner: Locked<VecDeque<EventEntry>>,
     capacity: usize,
     /// Total events ever pushed (survives eviction from the ring).
     total: std::sync::atomic::AtomicU64,
@@ -38,40 +38,38 @@ impl EventRing {
     /// A ring holding at most `capacity` recent events.
     pub fn new(capacity: usize) -> EventRing {
         EventRing {
-            inner: Mutex::new(VecDeque::with_capacity(capacity.min(4_096))),
+            inner: Locked::new(VecDeque::with_capacity(capacity.min(4_096))),
             capacity: capacity.max(1),
             total: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<EventEntry>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Append one event, evicting the oldest beyond capacity.
     pub fn push(&self, entry: EventEntry) {
-        let mut q = self.lock();
-        if q.len() == self.capacity {
-            q.pop_front();
-        }
-        q.push_back(entry);
+        let capacity = self.capacity;
+        self.inner.with(move |q| {
+            if q.len() == capacity {
+                q.pop_front();
+            }
+            q.push_back(entry);
+        });
         self.total
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Copy of the current contents, oldest first.
     pub fn snapshot(&self) -> Vec<EventEntry> {
-        self.lock().iter().cloned().collect()
+        self.inner.with(|q| q.iter().cloned().collect())
     }
 
     /// Events currently held (≤ capacity).
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.inner.with(|q| q.len())
     }
 
     /// Is the ring empty?
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.inner.with(|q| q.is_empty())
     }
 
     /// Total events ever pushed, including evicted ones.

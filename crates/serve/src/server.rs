@@ -23,7 +23,7 @@ use coanalysis::stream::{OnlineAnalyzer, StreamCounters};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Two-phase shutdown latch shared by every component.
@@ -133,7 +133,7 @@ pub struct Server {
     metrics: Arc<ServeMetrics>,
     registry: Arc<Registry>,
     ring: Arc<EventRing>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    threads: Vec<JoinHandle<()>>,
     record: Option<(PathBuf, Arc<ChunkRecorder>)>,
     full: Option<Arc<FullAnalysis>>,
 }
@@ -255,7 +255,7 @@ impl Server {
             metrics,
             registry,
             ring,
-            threads: Mutex::new(threads),
+            threads,
             record,
             full,
         })
@@ -309,16 +309,12 @@ impl Server {
         while !self.shutdown.requested() {
             std::thread::sleep(crate::source::POLL_SLEEP);
         }
-        let threads: Vec<JoinHandle<()>> = {
-            let mut guard = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.drain(..).collect()
-        };
         // The ingest listener and tailer observe phase one and join once
         // their connections drain; the worker then drains, folds and
         // publishes the queue; only after that does phase two stop the HTTP
         // thread.
         let mut http_threads = Vec::new();
-        for t in threads {
+        for t in self.threads {
             if t.thread().name() == Some("bgp-serve-http") {
                 http_threads.push(t);
                 continue;

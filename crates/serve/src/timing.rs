@@ -7,9 +7,9 @@
 //! kind the daemon serves at `/metrics`. `coctl analyze --timings` uses it
 //! through [`coanalysis::CoAnalysis::run_on_observed`].
 
+use crate::locked::Locked;
 use crate::metrics::{Registry, LATENCY_BUCKETS_NANOS};
 use coanalysis::{StageId, StageObserver};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of stages (fixed by [`StageId::ALL`]).
@@ -24,8 +24,8 @@ const STAGES: usize = StageId::ALL.len();
 #[derive(Debug)]
 pub struct StageTimer<'a> {
     registry: &'a Registry,
-    starts: Mutex<[Option<Instant>; STAGES]>,
-    elapsed: Mutex<[Option<u64>; STAGES]>,
+    starts: Locked<[Option<Instant>; STAGES]>,
+    elapsed: Locked<[Option<u64>; STAGES]>,
 }
 
 impl<'a> StageTimer<'a> {
@@ -33,8 +33,8 @@ impl<'a> StageTimer<'a> {
     pub fn new(registry: &'a Registry) -> StageTimer<'a> {
         StageTimer {
             registry,
-            starts: Mutex::new([None; STAGES]),
-            elapsed: Mutex::new([None; STAGES]),
+            starts: Locked::new([None; STAGES]),
+            elapsed: Locked::new([None; STAGES]),
         }
     }
 
@@ -46,16 +46,12 @@ impl<'a> StageTimer<'a> {
     /// Wall-clock nanoseconds for one stage, if it ran.
     pub fn elapsed_nanos(&self, id: StageId) -> Option<u64> {
         self.elapsed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(id as usize)
-            .copied()
-            .flatten()
+            .with(move |elapsed| elapsed.get(id as usize).copied().flatten())
     }
 
     /// Human-readable per-stage report in topological order.
     pub fn report(&self) -> String {
-        let elapsed = self.elapsed.lock().unwrap_or_else(PoisonError::into_inner);
+        let elapsed = self.elapsed.with(|elapsed| *elapsed);
         let mut out = String::from("stage timings:\n");
         for id in StageId::ALL {
             if let Some(Some(nanos)) = elapsed.get(id as usize).copied() {
@@ -72,32 +68,29 @@ impl<'a> StageTimer<'a> {
 
 impl StageObserver for StageTimer<'_> {
     fn stage_started(&self, id: StageId) {
-        let mut starts = self.starts.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(slot) = starts.get_mut(id as usize) {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "stage timings report wall time beside the report, never in it"
-            )]
-            let now = Instant::now();
-            *slot = Some(now);
-        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stage timings report wall time beside the report, never in it"
+        )]
+        let now = Instant::now();
+        self.starts.with(move |starts| {
+            if let Some(slot) = starts.get_mut(id as usize) {
+                *slot = Some(now);
+            }
+        });
     }
 
     fn stage_finished(&self, id: StageId) {
-        let start = {
-            let mut starts = self.starts.lock().unwrap_or_else(PoisonError::into_inner);
-            starts.get_mut(id as usize).and_then(Option::take)
-        };
+        let start = self
+            .starts
+            .with(move |starts| starts.get_mut(id as usize).and_then(Option::take));
         let Some(start) = start else { return };
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Some(slot) = self
-            .elapsed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get_mut(id as usize)
-        {
-            *slot = Some(nanos);
-        }
+        self.elapsed.with(move |elapsed| {
+            if let Some(slot) = elapsed.get_mut(id as usize) {
+                *slot = Some(nanos);
+            }
+        });
         self.registry
             .gauge(&StageTimer::series(id), "stage wall-clock (ns)")
             .set(i64::try_from(nanos).unwrap_or(i64::MAX));

@@ -24,22 +24,23 @@
 
 use crate::error::ServeError;
 use crate::full::Fold;
+use crate::locked::Locked;
 use crate::metrics::ServeMetrics;
 use crate::ring::{EventEntry, EventRing};
 use coanalysis::stream::{OnlineAnalyzer, StreamCounters, StreamDecision};
 use raslog::{Catalog, RasRecord};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// The queue and its worker. Shareable across ingest sources via `Arc`.
 #[derive(Debug)]
 pub(crate) struct Worker {
     /// `None` once closed; dropping the sender lets the worker drain.
-    sender: Mutex<Option<SyncSender<RasRecord>>>,
-    handle: Mutex<Option<JoinHandle<()>>>,
+    sender: Locked<Option<SyncSender<RasRecord>>>,
+    handle: Locked<Option<JoinHandle<()>>>,
     /// The analyzer's counters as of the last published batch.
-    counters: Arc<Mutex<StreamCounters>>,
+    counters: Arc<Locked<StreamCounters>>,
 }
 
 impl Worker {
@@ -52,7 +53,7 @@ impl Worker {
         ring: &Arc<EventRing>,
     ) -> Result<Worker, ServeError> {
         let (tx, rx) = sync_channel::<RasRecord>(queue_capacity.max(1));
-        let counters = Arc::new(Mutex::new(StreamCounters::default()));
+        let counters = Arc::new(Locked::new(StreamCounters::default()));
         let published = Arc::clone(&counters);
         let metrics = Arc::clone(metrics);
         let ring = Arc::clone(ring);
@@ -61,8 +62,8 @@ impl Worker {
             .spawn(move || run(&rx, analyzer, fold, &metrics, &ring, &published))
             .map_err(ServeError::Spawn)?;
         Ok(Worker {
-            sender: Mutex::new(Some(tx)),
-            handle: Mutex::new(Some(handle)),
+            sender: Locked::new(Some(tx)),
+            handle: Locked::new(Some(handle)),
             counters,
         })
     }
@@ -74,10 +75,10 @@ impl Worker {
     /// is never dropped. Returns [`ServeError::QueueClosed`] after
     /// [`Worker::close`], so a source stops.
     pub(crate) fn push(&self, rec: RasRecord, metrics: &ServeMetrics) -> Result<(), ServeError> {
-        let sender = {
-            let guard = self.sender.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.clone().ok_or(ServeError::QueueClosed)?
-        };
+        let sender = self
+            .sender
+            .with(|s| s.clone())
+            .ok_or(ServeError::QueueClosed)?;
         metrics.queue_depth.add(1);
         let sent = match sender.try_send(rec) {
             Ok(()) => Ok(()),
@@ -95,24 +96,19 @@ impl Worker {
 
     /// The stream counters as of the last published batch.
     pub(crate) fn counters(&self) -> StreamCounters {
-        *self.counters.lock().unwrap_or_else(PoisonError::into_inner)
+        self.counters.with(|c| *c)
     }
 
     /// Stop accepting records. Queued records are still drained.
     pub(crate) fn close(&self) {
-        let mut guard = self.sender.lock().unwrap_or_else(PoisonError::into_inner);
-        *guard = None;
+        self.sender.with(|s| *s = None);
     }
 
     /// Wait for the worker to drain, fold and publish everything queued.
     /// Call after [`Worker::close`]; afterwards [`Worker::counters`] covers
     /// every record [`Worker::push`] ever accepted.
     pub(crate) fn join(&self) {
-        let handle = {
-            let mut guard = self.handle.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.take()
-        };
-        if let Some(h) = handle {
+        if let Some(h) = self.handle.with(Option::take) {
             if let Err(payload) = h.join() {
                 // The loop has no panic paths; re-raise rather than swallow.
                 std::panic::resume_unwind(payload);
@@ -128,7 +124,7 @@ fn run(
     mut fold: Option<Fold>,
     metrics: &ServeMetrics,
     ring: &EventRing,
-    published: &Mutex<StreamCounters>,
+    published: &Locked<StreamCounters>,
 ) {
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
@@ -160,7 +156,7 @@ fn run(
             .add(after.merged_spatial - before.merged_spatial);
         metrics.events_out.add(after.events_out - before.events_out);
         metrics.warnings.add(after.warnings - before.warnings);
-        *published.lock().unwrap_or_else(PoisonError::into_inner) = after;
+        published.with(move |c| *c = after);
     }
 }
 

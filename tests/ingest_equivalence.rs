@@ -186,29 +186,6 @@ fn job_parallel_ingest_matches_serial_reader_at_scale() {
     }
 }
 
-#[test]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the adapter-equivalence oracle compares against the raw parser"
-)]
-fn strict_parse_reports_the_first_error_like_the_serial_reader() {
-    let (ras_text, job_text) = texts();
-    let serial = RasReader::new(ras_text.as_bytes())
-        .read_strict()
-        .unwrap_err();
-    for threads in chunk_counts() {
-        let err = raslog::parse_log_bytes_strict(ras_text.as_bytes(), threads).unwrap_err();
-        assert_eq!(err.line, serial.line);
-    }
-    let serial = JobReader::new(job_text.as_bytes())
-        .read_strict()
-        .unwrap_err();
-    for threads in chunk_counts() {
-        let err = joblog::parse_log_bytes_strict(job_text.as_bytes(), threads).unwrap_err();
-        assert_eq!(err.line, serial.line);
-    }
-}
-
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ingest-eq-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

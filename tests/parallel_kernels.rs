@@ -101,17 +101,12 @@ fn synth_fleet(n_events: usize, n_jobs: usize, seed: u64) -> (Vec<Event>, JobLog
     (events, JobLog::from_jobs(jobs))
 }
 
-/// Every stage's product for `events` over `jobs`, run by the stage
-/// executor on `threads` workers. The filters take a time-sorted stream,
-/// as a RAS log yields it, so the events are sorted first.
+/// Every stage's product for `events` (in any order) over `jobs`, run by
+/// the stage executor on `threads` workers.
 fn products(events: &[Event], jobs: &JobLog, threads: usize) -> AnalysisProducts {
-    let mut events = events.to_vec();
-    events.sort_by_key(|e| (e.time, e.first_recid));
-    let span = events
-        .first()
-        .zip(events.last())
-        .map(|(a, b)| (a.time, b.time));
-    let ctx = AnalysisContext::from_events(events, span, jobs);
+    let times = || events.iter().map(|e| e.time);
+    let span = times().min().zip(times().max());
+    let ctx = AnalysisContext::from_events(events.to_vec(), span, jobs);
     CoAnalysis::with_config(CoAnalysisConfig {
         threads,
         ..CoAnalysisConfig::default()

@@ -2,7 +2,9 @@
 
 use bgp_coanalysis::bgp_serve::render_report;
 use bgp_coanalysis::bgp_sim::{SimConfig, Simulation};
-use bgp_coanalysis::coanalysis::{load, CoAnalysis, CoAnalysisConfig, LoadOptions};
+use bgp_coanalysis::coanalysis::{
+    load, AnalysisContext, AnalysisSet, CoAnalysis, CoAnalysisConfig, Event, LoadOptions,
+};
 use bgp_coanalysis::joblog::{self, JobRecord};
 use bgp_coanalysis::raslog::{self, RasRecord, Severity};
 use rand::rngs::SmallRng;
@@ -151,6 +153,32 @@ fn report_is_invariant_to_line_order() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn event_stream_order_does_not_change_the_products() {
+    // A context built from a reversed or shuffled copy of the fatal event
+    // stream must hold the stream in `(time, first_recid)` order, and so
+    // yield the products of the sorted stream.
+    let out = Simulation::new(SimConfig::small_test(62))
+        .expect("valid config")
+        .run();
+    let sorted = Event::from_fatal_records(&out.ras);
+    let products = |events: Vec<Event>| {
+        let ctx = AnalysisContext::from_events(events, out.ras.time_span(), &out.jobs);
+        CoAnalysis::default().run_on(&ctx, AnalysisSet::all())
+    };
+    let expected = products(sorted.clone());
+    let mut reversed = sorted.clone();
+    reversed.reverse();
+    let mut shuffled = sorted;
+    shuffle(&mut shuffled, &mut SmallRng::seed_from_u64(63));
+    for (name, events) in [("reversed", reversed), ("shuffled", shuffled)] {
+        assert!(
+            products(events) == expected,
+            "a {name} event stream changed the products"
+        );
+    }
 }
 
 #[test]
