@@ -3,7 +3,8 @@
 //! Both log crates parse the same way: newline-aligned runs of whole lines
 //! are parsed concurrently, one accumulator per worker, and the workers'
 //! outputs fold in input order. The helpers here are the deterministic
-//! substrate for that: chunking that never splits a line and a fork-join map
+//! substrate for that: the one rule for what a line is ([`lines`]),
+//! chunking that never splits a line and a fork-join map
 //! over chunks (for text already in memory), a streaming line reader that
 //! feeds the same chunk parsers from a file through fixed per-worker windows
 //! ([`stream_lines`]), a field splitter, and a content hash used by the
@@ -143,6 +144,64 @@ pub fn line_chunks(data: &[u8], chunks: usize) -> Vec<&[u8]> {
         start = end;
     }
     out
+}
+
+/// What is left of one line (without its `\n`) once its trailing run of
+/// `\r` is trimmed, or `None` if nothing is: a blank line. This is the
+/// line rule of every ingest path, the batch parsers ([`lines`]) and the
+/// daemon's line decoders alike: a blank line is counted but skipped.
+pub fn line_content(line: &[u8]) -> Option<&[u8]> {
+    let mut line = line;
+    while let [head @ .., b'\r'] = line {
+        line = head;
+    }
+    (!line.is_empty()).then_some(line)
+}
+
+/// Walk the lines of `text`: split on `\n`, numbered from 1 (text after the
+/// last `\n` is a final line), each trimmed by [`line_content`], blank ones
+/// skipped. The walk yields `(number, content)`; [`Lines::number`] then
+/// tells how many lines it walked, blank ones included, so a parser fed
+/// several runs of one text can number on across them.
+pub fn lines(text: &[u8]) -> Lines<'_> {
+    Lines {
+        rest: text,
+        number: 0,
+    }
+}
+
+/// The walk [`lines`] returns.
+#[derive(Debug, Clone)]
+pub struct Lines<'a> {
+    rest: &'a [u8],
+    number: u64,
+}
+
+impl Lines<'_> {
+    /// The number of the last line walked (0 before the first): once the
+    /// walk is over, how many lines the text holds.
+    pub fn number(&self) -> u64 {
+        self.number
+    }
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (u64, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u64, &'a [u8])> {
+        while !self.rest.is_empty() {
+            let (line, rest) = match find_byte(b'\n', self.rest) {
+                Some(i) => (&self.rest[..i], &self.rest[i + 1..]),
+                None => (self.rest, &self.rest[self.rest.len()..]),
+            };
+            self.rest = rest;
+            self.number += 1;
+            if let Some(line) = line_content(line) {
+                return Some((self.number, line));
+            }
+        }
+        None
+    }
 }
 
 /// Apply `f` to every chunk on its own scoped thread and collect the results
@@ -303,7 +362,7 @@ pub fn content_hash_file(file: &File, threads: usize) -> io::Result<u64> {
 /// The line parser a worker of [`stream`] feeds: `new` makes its
 /// accumulator from the byte length of the worker's range, and `feed` hands
 /// it a run of whole lines.
-struct Lines<'a, A> {
+struct LineSink<'a, A> {
     new: &'a (dyn Fn(u64) -> A + Sync),
     feed: &'a (dyn Fn(&mut A, &[u8]) + Sync),
 }
@@ -342,7 +401,7 @@ pub fn stream_lines<A: Send>(
     new: impl Fn(u64) -> A + Sync,
     feed: impl Fn(&mut A, &[u8]) + Sync,
 ) -> io::Result<(Vec<A>, Option<u64>)> {
-    let lines = Lines {
+    let lines = LineSink {
         new: &new,
         feed: &feed,
     };
@@ -356,7 +415,7 @@ fn stream<A: Send>(
     block: u64,
     threads: usize,
     hash: bool,
-    lines: Option<&Lines<'_, A>>,
+    lines: Option<&LineSink<'_, A>>,
 ) -> io::Result<(Vec<A>, Option<u64>)> {
     let meta = file.metadata()?;
     let len = meta.is_file().then_some(meta.len());
@@ -371,7 +430,7 @@ fn stream_from<A: Send>(
     block: u64,
     threads: usize,
     hash: bool,
-    lines: Option<&Lines<'_, A>>,
+    lines: Option<&LineSink<'_, A>>,
 ) -> io::Result<(Vec<A>, Option<u64>)> {
     let ranges: Vec<Range<u64>> = match len {
         Some(len) => {
@@ -422,7 +481,7 @@ impl Worker<'_> {
     fn run<A>(
         &self,
         range: Range<u64>,
-        lines: Option<&Lines<'_, A>>,
+        lines: Option<&LineSink<'_, A>>,
     ) -> io::Result<(Option<A>, Vec<u64>, u64)> {
         let Range { start, end } = range;
         let mut hashes = Vec::new();
@@ -572,6 +631,21 @@ fn read_at(mut file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lines_number_every_line_and_skip_blank_ones() {
+        let text = b"a\r\n\n\r\r\nb\r\r\n\rc\r";
+        let mut walk = lines(text);
+        let got: Vec<(u64, &[u8])> = walk.by_ref().collect();
+        assert_eq!(got, [(1, &b"a"[..]), (4, b"b"), (5, b"\rc")]);
+        assert_eq!(walk.number(), 5);
+        let mut walk = lines(b"a\n\n");
+        assert_eq!(walk.by_ref().count(), 1);
+        assert_eq!(walk.number(), 2, "a final `\\n` opens no line");
+        assert_eq!(lines(b"").number(), 0);
+        assert_eq!(line_content(b"\r\r"), None);
+        assert_eq!(line_content(b"x\r\r"), Some(&b"x"[..]));
+    }
 
     #[test]
     fn find_byte_basic() {
@@ -944,7 +1018,7 @@ mod tests {
     /// takes: one worker, plain reads) must meet the same contract.
     fn assert_streams(data: &[u8], block: u64, threads: usize) {
         let (path, file) = temp_file(data);
-        let lines = Lines {
+        let lines = LineSink {
             new: &|_| Fed::new(),
             feed: &|fed: &mut Fed, run: &[u8]| fed.push(run.to_vec()),
         };

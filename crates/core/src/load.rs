@@ -17,8 +17,7 @@
 //!    snapshot directory nothing is hashed. A source that is not a regular
 //!    file (a pipe) is never hashed on its own, which would consume it: its
 //!    snapshots count as unusable, and it is hashed as it is parsed;
-//! 3. otherwise decode the source through the [`LogFormat`]'s source
-//!    adapter. A BG/P source is **streamed, never held whole**: each worker
+//! 3. otherwise decode the source as its [`LogFormat`] says. A BG/P source is **streamed, never held whole**: each worker
 //!    reads its share of the file through one fixed window with positioned
 //!    reads and parses the whole lines in it
 //!    ([`bgp_model::bytes::stream_lines`]), so a load that keeps 2 % of the
@@ -31,11 +30,12 @@
 //!    full-snapshot hit. The source's length is taken once, at the start:
 //!    a source that shrinks during the load is a [`LoadError`], and bytes
 //!    appended meanwhile are left for the next load. A pipe has no length
-//!    to take: one worker reads it to its end. BG/Q and syslog read
-//!    the file into a buffer and decode it line by line; cassettes replay
-//!    the recorded byte stream through their inner format.
+//!    to take: one worker reads it to its end. BG/Q, syslog and cassettes
+//!    read the file into a buffer and decode it through
+//!    [`bgp_ports::decode_ras`]; a cassette replays its recorded byte
+//!    stream through its inner format.
 //!
-//! [`LoadOptions::format`] selects the **RAS** source adapter. Job
+//! [`LoadOptions::format`] selects the **RAS** log's format. Job
 //! accounting is format-specific only for `bgq`, whose directory layout
 //! bundles a `jobs.bgq`; every other format reads the BG/P accounting
 //! schema — syslog carries no job log at all, and cassettes captured from
@@ -529,8 +529,7 @@ fn replace_file(target: &Path, bytes: &[u8]) -> io::Result<()> {
     result
 }
 
-/// Load a RAS log in full through the format's source adapter
-/// ([`LoadOptions::format`]).
+/// Load a RAS log in full as [`LoadOptions::format`] says.
 ///
 /// The BG/P path keeps the parallel parse and the snapshot cache it always
 /// had (now reached through the `bgp-ports` adapter — same records, same
@@ -550,12 +549,10 @@ fn load_ras_as(path: &Path, opts: &LoadOptions, codec: RasCodec) -> Result<Loade
     } else {
         let resolved = bgp_ports::resolve_input(opts.format, path);
         let data = read_file(&resolved.ras)?;
-        let source = bgp_ports::ras_source(opts.format);
-        let batch = source
-            .decode_ras(data.bytes(), opts.effective_threads())
+        let batch = bgp_ports::decode_ras(opts.format, data.bytes(), opts.effective_threads())
             .map_err(|e| LoadError {
                 path: resolved.ras.clone(),
-                message: e.to_string(),
+                message: format!("cassette: {e}"),
             })?;
         let mut parse_errors = resolved.notes;
         parse_errors.extend(batch.diagnostics);

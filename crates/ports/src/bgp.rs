@@ -14,43 +14,11 @@
 //! re-export or a `use … as` alias is caught too), and each function below
 //! carries an `#[expect]` saying why it may call them.
 
-use crate::{LineOutcome, LogFormat, SourceBatch, SourceDiagnostic, SourceError};
+use crate::{SourceBatch, SourceDiagnostic};
 use joblog::JobRecord;
 use raslog::{Projection, RasRecord};
 use std::fs::File;
 use std::io;
-
-/// The BG/P pipe-format adapter (stateless).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BgpAdapter;
-
-impl crate::RasSource for BgpAdapter {
-    fn format(&self) -> LogFormat {
-        LogFormat::Bgp
-    }
-
-    fn decode_ras(
-        &self,
-        data: &[u8],
-        threads: usize,
-    ) -> Result<SourceBatch<RasRecord>, SourceError> {
-        Ok(decode_ras(data, threads))
-    }
-}
-
-impl crate::JobSource for BgpAdapter {
-    fn format(&self) -> LogFormat {
-        LogFormat::Bgp
-    }
-
-    fn decode_jobs(
-        &self,
-        data: &[u8],
-        threads: usize,
-    ) -> Result<SourceBatch<JobRecord>, SourceError> {
-        Ok(decode_jobs(data, threads))
-    }
-}
 
 /// Decode a whole BG/P RAS log (parallel, tolerant) — the exact records and
 /// per-line errors of `raslog::ingest::parse_log_bytes`, as a batch.
@@ -147,31 +115,21 @@ pub fn decode_jobs_file(
     ))
 }
 
-/// Classify one complete BG/P line (without its `\n`), exactly as the serve
-/// daemon's original protocol classifier did: one trailing `\r` is tolerated,
-/// blank lines and `#` comments are skipped, anything else must parse.
+/// Parse the content of one BG/P line (as [`crate::LineDecoder`] hands it
+/// over: trimmed, not blank, no comment), with the parser's description of
+/// a malformed one.
 #[expect(
     clippy::disallowed_methods,
     reason = "the BG/P adapter is the one sanctioned caller of the raw parser entry points"
 )]
-pub fn decode_ras_line(line: &[u8]) -> LineOutcome {
-    let line = match line.split_last() {
-        Some((b'\r', rest)) => rest,
-        _ => line,
-    };
-    if line.is_empty() || line.first() == Some(&b'#') {
-        return LineOutcome::Skip;
-    }
-    match raslog::parse_line_bytes(line) {
-        Ok(r) => LineOutcome::Record(Box::new(r)),
-        Err(e) => LineOutcome::Malformed(e.to_string()),
-    }
+pub fn parse_ras_line(line: &[u8]) -> Result<RasRecord, String> {
+    raslog::parse_line_bytes(line).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RasSource;
+    use crate::LineOutcome;
     use bgp_model::Timestamp;
     use raslog::Catalog;
 
@@ -234,31 +192,20 @@ mod tests {
 
     #[test]
     fn line_decode_matches_protocol_semantics() {
+        let d = crate::LineDecoder::Bgp;
         let good = line(7);
+        for text in [good.clone(), format!("{good}\r"), format!("{good}\r\r")] {
+            assert!(matches!(
+                d.decode_line(text.as_bytes()),
+                LineOutcome::Record(_)
+            ));
+        }
+        for skipped in [&b""[..], b"\r", b"\r\r", b"# comment"] {
+            assert_eq!(d.decode_line(skipped), LineOutcome::Skip);
+        }
         assert!(matches!(
-            decode_ras_line(good.as_bytes()),
-            LineOutcome::Record(_)
-        ));
-        assert!(matches!(
-            decode_ras_line(format!("{good}\r").as_bytes()),
-            LineOutcome::Record(_)
-        ));
-        assert_eq!(decode_ras_line(b""), LineOutcome::Skip);
-        assert_eq!(decode_ras_line(b"\r"), LineOutcome::Skip);
-        assert_eq!(decode_ras_line(b"# comment"), LineOutcome::Skip);
-        assert!(matches!(
-            decode_ras_line(b"not|a|record"),
+            d.decode_line(b"not|a|record"),
             LineOutcome::Malformed(_)
         ));
-    }
-
-    #[test]
-    fn trait_object_round_trip() {
-        let adapter = BgpAdapter;
-        assert_eq!(RasSource::format(&adapter), LogFormat::Bgp);
-        let text = format!("{}\n", line(3));
-        let batch = RasSource::decode_ras(&adapter, text.as_bytes(), 1).unwrap();
-        assert_eq!(batch.records.len(), 1);
-        assert!(batch.diagnostics.is_empty());
     }
 }

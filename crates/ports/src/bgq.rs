@@ -17,87 +17,13 @@
 //!   `app00003.exe` dress-up). `exit` follows the BG/P convention
 //!   (`0`, `cancelled`, or a failure code); times must be monotone.
 //!
-//! Blank lines and `#` comments are skipped in both files; line numbering
-//! matches the BG/P ingest conventions.
+//! Both files follow the workspace line rule
+//! ([`bgp_model::bytes::lines`]), and `#` comments are skipped.
 
-use crate::{LogFormat, SourceBatch, SourceDiagnostic, SourceError};
+use crate::SourceBatch;
 use bgp_model::{Partition, Timestamp};
 use joblog::{ExecId, ExitStatus, JobRecord, ProjectId, UserId};
 use raslog::{Catalog, RasRecord};
-
-/// The BG/Q multi-file adapter (stateless).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BgqAdapter;
-
-impl crate::RasSource for BgqAdapter {
-    fn format(&self) -> LogFormat {
-        LogFormat::Bgq
-    }
-
-    fn decode_ras(
-        &self,
-        data: &[u8],
-        _threads: usize,
-    ) -> Result<SourceBatch<RasRecord>, SourceError> {
-        Ok(decode_ras(data))
-    }
-}
-
-impl crate::JobSource for BgqAdapter {
-    fn format(&self) -> LogFormat {
-        LogFormat::Bgq
-    }
-
-    fn decode_jobs(
-        &self,
-        data: &[u8],
-        _threads: usize,
-    ) -> Result<SourceBatch<JobRecord>, SourceError> {
-        Ok(decode_jobs(data))
-    }
-}
-
-/// Walk `data` line by line with BG/P ingest conventions (count every line,
-/// trim trailing `\r` runs, skip blanks and `#` comments), calling `parse`
-/// on the rest.
-fn for_each_line<R>(
-    data: &[u8],
-    mut parse: impl FnMut(&[u8], u64) -> Result<R, String>,
-) -> SourceBatch<R> {
-    let mut out = SourceBatch::default();
-    let mut line_no = 0u64;
-    let mut rest = data;
-    while !rest.is_empty() {
-        let line = match bgp_model::bytes::find_byte(b'\n', rest) {
-            Some(i) => {
-                let line = &rest[..i];
-                rest = &rest[i + 1..];
-                line
-            }
-            None => {
-                let line = rest;
-                rest = &rest[rest.len()..];
-                line
-            }
-        };
-        line_no += 1;
-        let mut line = line;
-        while let [head @ .., b'\r'] = line {
-            line = head;
-        }
-        if line.is_empty() || line.first() == Some(&b'#') {
-            continue;
-        }
-        match parse(line, line_no) {
-            Ok(r) => out.records.push(r),
-            Err(message) => out.diagnostics.push(SourceDiagnostic {
-                line: line_no,
-                message,
-            }),
-        }
-    }
-    out
-}
 
 fn fields_of(line: &[u8], n: usize) -> Result<Vec<&str>, String> {
     let text = std::str::from_utf8(line).map_err(|_| "line is not valid UTF-8".to_owned())?;
@@ -186,12 +112,12 @@ pub fn parse_job_line(line: &[u8]) -> Result<JobRecord, String> {
 
 /// Decode a whole `ras.bgq` file.
 pub fn decode_ras(data: &[u8]) -> SourceBatch<RasRecord> {
-    for_each_line(data, |line, _| parse_ras_line(line))
+    crate::decode_lines(data, |line, _| parse_ras_line(line))
 }
 
 /// Decode a whole `jobs.bgq` file.
 pub fn decode_jobs(data: &[u8]) -> SourceBatch<JobRecord> {
-    for_each_line(data, |line, _| parse_job_line(line))
+    crate::decode_lines(data, |line, _| parse_job_line(line))
 }
 
 #[cfg(test)]

@@ -32,10 +32,8 @@
 //! decodes and re-encodes them and requires the same bytes, so layout drift
 //! cannot ship silently.
 
-use crate::{LogFormat, SourceBatch, SourceError};
+use crate::LogFormat;
 use bgp_model::bytes::word_fnv_64;
-use joblog::JobRecord;
-use raslog::RasRecord;
 use std::fmt;
 
 /// Magic bytes opening every cassette file.
@@ -397,60 +395,10 @@ impl Recorder {
     }
 }
 
-/// The cassette batch adapter: decode the container, then hand the replayed
-/// bytes to the *inner* format's adapter.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CassetteAdapter;
-
-impl crate::RasSource for CassetteAdapter {
-    fn format(&self) -> LogFormat {
-        LogFormat::Cassette
-    }
-
-    fn decode_ras(
-        &self,
-        data: &[u8],
-        threads: usize,
-    ) -> Result<SourceBatch<RasRecord>, SourceError> {
-        let cas = Cassette::decode_expecting(data, StreamKind::Ras)?;
-        let bytes = cas.replay_bytes();
-        match cas.format {
-            LogFormat::Bgp => Ok(crate::bgp::decode_ras(&bytes, threads)),
-            LogFormat::Bgq => Ok(crate::bgq::decode_ras(&bytes)),
-            LogFormat::Syslog => Ok(crate::syslog::decode(
-                &bytes,
-                &crate::syslog::SyslogConfig::default(),
-            )),
-            LogFormat::Cassette => Err(CassetteError::NestedCassette.into()),
-        }
-    }
-}
-
-impl crate::JobSource for CassetteAdapter {
-    fn format(&self) -> LogFormat {
-        LogFormat::Cassette
-    }
-
-    fn decode_jobs(
-        &self,
-        data: &[u8],
-        threads: usize,
-    ) -> Result<SourceBatch<JobRecord>, SourceError> {
-        let cas = Cassette::decode_expecting(data, StreamKind::Job)?;
-        let bytes = cas.replay_bytes();
-        match cas.format {
-            LogFormat::Bgp => Ok(crate::bgp::decode_jobs(&bytes, threads)),
-            LogFormat::Bgq => Ok(crate::bgq::decode_jobs(&bytes)),
-            LogFormat::Syslog => Err(SourceError::NoJobSchema(LogFormat::Syslog)),
-            LogFormat::Cassette => Err(CassetteError::NestedCassette.into()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RasSource;
+    use raslog::RasRecord;
 
     fn sample() -> Cassette {
         let mut rec = Recorder::new(LogFormat::Bgp, StreamKind::Ras).unwrap();
@@ -580,11 +528,18 @@ mod tests {
         rec.push(0, a);
         rec.push(1000, b);
         let bytes = rec.finish().encode();
-        let batch = CassetteAdapter.decode_ras(&bytes, 1).unwrap();
+        let batch = crate::decode_ras(LogFormat::Cassette, &bytes, 1).unwrap();
         assert_eq!(batch.records.len(), 1);
         assert_eq!(batch.records[0].recid, 1);
         assert_eq!(batch.diagnostics.len(), 1);
         // And the whole batch equals a direct BG/P parse of the same text.
         assert_eq!(batch, crate::bgp::decode_ras(text.as_bytes(), 1));
+        // A job cassette is no RAS input.
+        let mut rec = Recorder::new(LogFormat::Bgp, StreamKind::Job).unwrap();
+        rec.push(0, text.as_bytes());
+        assert!(matches!(
+            crate::decode_ras(LogFormat::Cassette, &rec.finish().encode(), 1),
+            Err(CassetteError::WrongKind { .. })
+        ));
     }
 }

@@ -1,10 +1,11 @@
 //! # `bgp-ports` — ports & adapters for log ingestion
 //!
 //! The analysis engine (`coanalysis`, `bgp-serve`) consumes typed
-//! [`RasRecord`]/[`JobRecord`] streams; *where those records come from* is a
-//! port. This crate defines the ports — [`RasSource`] / [`JobSource`] for
-//! whole-buffer batch decoding, [`LineDecoder`] for the daemon's line-at-a-
-//! time ingest — and four adapters behind them:
+//! [`RasRecord`]/[`JobRecord`](joblog::JobRecord) streams; *where those
+//! records come from* is a port. This crate has two: [`decode_ras`], one
+//! `match` on [`LogFormat`] that decodes a whole byte buffer, and
+//! [`LineDecoder`] for the daemon's line-at-a-time ingest. Behind them sit
+//! four adapter modules:
 //!
 //! | format      | adapter module | shape |
 //! |-------------|----------------|-------|
@@ -13,13 +14,20 @@
 //! | `syslog`    | [`syslog`]     | RFC 3164 lines mapped into the severity/errcode catalogue (`syslog_*` namespace) |
 //! | `cassette`  | [`cassette`]   | `.bgpcas` recording of another source's byte stream + timing, replayed deterministically |
 //!
+//! Every adapter reads lines by one rule,
+//! [`bgp_model::bytes::lines`]: numbered from 1, trailing `\r` runs
+//! trimmed, blank lines counted but skipped. Only the `#` rule differs by
+//! path: `bgq`, `syslog` and the [`LineDecoder`] skip `#` lines, while the
+//! BG/P batch parser reports them as malformed, like the `raslog`/`joblog`
+//! readers it is pinned to.
+//!
 //! The BG/P adapter is the **only** module allowed to call the
 //! `raslog`/`joblog` parsers directly. Clippy enforces that boundary: the
 //! root `clippy.toml` lists the raw parser entry points under
 //! `disallowed-methods`, and each sanctioned call site carries an
 //! `#[expect(clippy::disallowed_methods, reason = …)]`. Every other consumer
-//! in the workspace goes through a port, so new formats slot in without
-//! touching the engine.
+//! in the workspace goes through the `LogFormat` dispatch, so a new format
+//! is one more `match` arm, not a change to the engine.
 //!
 //! Decoding is deliberately split from I/O: adapters consume byte slices and
 //! return [`SourceBatch`] values (records plus per-line diagnostics), which
@@ -32,7 +40,7 @@ pub mod bgq;
 pub mod cassette;
 pub mod syslog;
 
-use joblog::JobRecord;
+use cassette::{Cassette, CassetteError, StreamKind};
 use raslog::RasRecord;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -171,83 +179,49 @@ impl<R> Default for SourceBatch<R> {
     }
 }
 
-/// A source-level failure: the input as a whole is unusable (as opposed to a
-/// [`SourceDiagnostic`], which skips one line and carries on).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SourceError {
-    /// A cassette container failed to decode.
-    Cassette(cassette::CassetteError),
-    /// The format has no job-log schema (e.g. syslog carries no accounting).
-    NoJobSchema(LogFormat),
-}
-
-impl fmt::Display for SourceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SourceError::Cassette(e) => write!(f, "cassette: {e}"),
-            SourceError::NoJobSchema(fmt_) => {
-                write!(f, "format {fmt_} has no job-log schema")
+/// Decode a whole in-memory RAS log of `format`: the one place a batch
+/// decoder is chosen. `threads` is the parallelism budget (`0`/`1` mean
+/// inline); only the BG/P parser uses it. A cassette is decoded through its
+/// inner format; a cassette that does not decode, holds a job stream or
+/// nests another cassette is a [`CassetteError`].
+pub fn decode_ras(
+    format: LogFormat,
+    data: &[u8],
+    threads: usize,
+) -> Result<SourceBatch<RasRecord>, CassetteError> {
+    match format {
+        LogFormat::Bgp => Ok(bgp::decode_ras(data, threads)),
+        LogFormat::Bgq => Ok(bgq::decode_ras(data)),
+        LogFormat::Syslog => Ok(syslog::decode(data)),
+        LogFormat::Cassette => {
+            let cas = Cassette::decode_expecting(data, StreamKind::Ras)?;
+            match cas.format {
+                LogFormat::Cassette => Err(CassetteError::NestedCassette),
+                inner @ (LogFormat::Bgp | LogFormat::Bgq | LogFormat::Syslog) => {
+                    decode_ras(inner, &cas.replay_bytes(), threads)
+                }
             }
         }
     }
 }
 
-impl std::error::Error for SourceError {}
-
-impl From<cassette::CassetteError> for SourceError {
-    fn from(e: cassette::CassetteError) -> SourceError {
-        SourceError::Cassette(e)
+/// Decode the lines of `data` ([`bgp_model::bytes::lines`]) with `parse`,
+/// skipping `#` comments: the batch loop of the formats that have one.
+fn decode_lines<R>(
+    data: &[u8],
+    mut parse: impl FnMut(&[u8], u64) -> Result<R, String>,
+) -> SourceBatch<R> {
+    let mut out = SourceBatch::default();
+    for (line, text) in bgp_model::bytes::lines(data) {
+        if text.first() == Some(&b'#') {
+            continue;
+        }
+        match parse(text, line) {
+            Ok(r) => out.records.push(r),
+            Err(message) => out.diagnostics.push(SourceDiagnostic { line, message }),
+        }
     }
-}
-
-/// Port: anything that decodes an in-memory byte stream into RAS records.
-///
-/// `threads` is the parallelism budget (`0`/`1` mean inline); adapters whose
-/// decode is not parallelized may ignore it.
-pub trait RasSource {
-    /// Which format this source decodes.
-    fn format(&self) -> LogFormat;
-
-    /// Decode a whole in-memory byte stream.
-    fn decode_ras(
-        &self,
-        data: &[u8],
-        threads: usize,
-    ) -> Result<SourceBatch<RasRecord>, SourceError>;
-}
-
-/// Port: anything that decodes an in-memory byte stream into job records.
-pub trait JobSource {
-    /// Which format this source decodes.
-    fn format(&self) -> LogFormat;
-
-    /// Decode a whole in-memory byte stream.
-    fn decode_jobs(
-        &self,
-        data: &[u8],
-        threads: usize,
-    ) -> Result<SourceBatch<JobRecord>, SourceError>;
-}
-
-/// The RAS source adapter for `format`.
-pub fn ras_source(format: LogFormat) -> Box<dyn RasSource + Send + Sync> {
-    match format {
-        LogFormat::Bgp => Box::new(bgp::BgpAdapter),
-        LogFormat::Bgq => Box::new(bgq::BgqAdapter),
-        LogFormat::Syslog => Box::new(syslog::SyslogAdapter::default()),
-        LogFormat::Cassette => Box::new(cassette::CassetteAdapter),
-    }
-}
-
-/// The job source adapter for `format`, or [`SourceError::NoJobSchema`] for
-/// formats that carry no accounting data.
-pub fn job_source(format: LogFormat) -> Result<Box<dyn JobSource + Send + Sync>, SourceError> {
-    match format {
-        LogFormat::Bgp => Ok(Box::new(bgp::BgpAdapter)),
-        LogFormat::Bgq => Ok(Box::new(bgq::BgqAdapter)),
-        LogFormat::Syslog => Err(SourceError::NoJobSchema(LogFormat::Syslog)),
-        LogFormat::Cassette => Ok(Box::new(cassette::CassetteAdapter)),
-    }
+    out
 }
 
 /// The concrete file(s) a format reads for a user-supplied input path.
@@ -313,8 +287,7 @@ pub enum LineOutcome {
 /// one of these decoders upstream), so neither appears here.
 #[derive(Debug)]
 pub enum LineDecoder {
-    /// Nine-field BG/P pipe lines (byte-identical to `serve`'s original
-    /// classifier).
+    /// Nine-field BG/P pipe lines.
     Bgp,
     /// RFC 3164 syslog lines; assigns record ids from an internal counter.
     Syslog(syslog::SyslogLineDecoder),
@@ -331,12 +304,22 @@ impl LineDecoder {
         }
     }
 
-    /// Classify one complete line (without its `\n` terminator; a trailing
-    /// `\r` is tolerated).
+    /// Classify one complete line (without its `\n` terminator) by the
+    /// batch line rule ([`bgp_model::bytes::line_content`]): a line that is
+    /// blank once its trailing `\r` run is trimmed, or a `#` comment, is
+    /// skipped; anything else must parse.
     pub fn decode_line(&self, line: &[u8]) -> LineOutcome {
-        match self {
-            LineDecoder::Bgp => bgp::decode_ras_line(line),
-            LineDecoder::Syslog(d) => d.decode_line(line),
+        let Some(line) = bgp_model::bytes::line_content(line).filter(|l| l.first() != Some(&b'#'))
+        else {
+            return LineOutcome::Skip;
+        };
+        let parsed = match self {
+            LineDecoder::Bgp => bgp::parse_ras_line(line),
+            LineDecoder::Syslog(d) => d.parse_line(line),
+        };
+        match parsed {
+            Ok(r) => LineOutcome::Record(Box::new(r)),
+            Err(message) => LineOutcome::Malformed(message),
         }
     }
 }
@@ -355,17 +338,6 @@ mod tests {
         let e = "xml".parse::<LogFormat>().unwrap_err();
         assert!(e.to_string().contains("bgp, bgq, syslog, cassette"));
         assert_eq!(LogFormat::default(), LogFormat::Bgp);
-    }
-
-    #[test]
-    fn job_source_matrix() {
-        assert!(job_source(LogFormat::Bgp).is_ok());
-        assert!(job_source(LogFormat::Bgq).is_ok());
-        assert!(job_source(LogFormat::Cassette).is_ok());
-        assert!(matches!(
-            job_source(LogFormat::Syslog),
-            Err(SourceError::NoJobSchema(LogFormat::Syslog))
-        ));
     }
 
     #[test]

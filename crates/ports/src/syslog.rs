@@ -15,9 +15,8 @@
 //!   error → ERROR, warning → WARNING, notice/info → INFO, debug → DEBUG);
 //!   a line without `<PRI>` defaults to priority 13 (`user.notice`), as the
 //!   RFC prescribes;
-//! * the timestamp (`Mmm dd hh:mm:ss`, no year) is completed with a
-//!   configurable [`SyslogConfig::assume_year`] (default 2009, the paper's
-//!   observation window);
+//! * the timestamp (`Mmm dd hh:mm:ss`, no year) is completed with
+//!   [`ASSUMED_YEAR`] (2009, the paper's observation window);
 //! * the hostname is hashed (FNV-1a 64) onto one of the 80 Intrepid
 //!   midplanes, so spatial analyses see a stable, deterministic location per
 //!   host;
@@ -27,23 +26,14 @@
 //! The tag and message text are not retained, mirroring how the BG/P model
 //! drops the free-text MESSAGE column.
 
-use crate::{LineOutcome, LogFormat, SourceBatch, SourceDiagnostic, SourceError};
+use crate::SourceBatch;
 use bgp_model::{Location, MidplaneId, Timestamp};
 use raslog::{Catalog, ErrCode, RasRecord, Severity};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How to interpret fields syslog leaves ambiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyslogConfig {
-    /// The year to complete RFC 3164 timestamps with (the format has none).
-    pub assume_year: i32,
-}
-
-impl Default for SyslogConfig {
-    fn default() -> SyslogConfig {
-        SyslogConfig { assume_year: 2009 }
-    }
-}
+/// The year RFC 3164 timestamps are completed with (the format has none):
+/// 2009, the paper's observation window.
+pub const ASSUMED_YEAR: i32 = 2009;
 
 /// The facility names of RFC 3164, in priority-code order (0–23); facility
 /// `n` maps to errcode `syslog_<FACILITY_NAMES[n]>`.
@@ -93,7 +83,7 @@ fn month_number(token: &str) -> Option<u32> {
 }
 
 /// Parse one RFC 3164 line into a RAS record with the given record id.
-pub fn parse_syslog_line(line: &[u8], recid: u64, cfg: &SyslogConfig) -> Result<RasRecord, String> {
+pub fn parse_syslog_line(line: &[u8], recid: u64) -> Result<RasRecord, String> {
     let text = std::str::from_utf8(line).map_err(|_| "line is not valid UTF-8".to_owned())?;
     // <PRI>: optional, at most 3 digits, 0..=191.
     let (priority, rest) = match text.strip_prefix('<') {
@@ -137,100 +127,35 @@ pub fn parse_syslog_line(line: &[u8], recid: u64, cfg: &SyslogConfig) -> Result<
         facility_errcode(facility).ok_or_else(|| "catalogue lacks syslog namespace".to_owned())?;
     Ok(RasRecord {
         recid,
-        event_time: Timestamp::from_civil(cfg.assume_year, month, day, hh, mm, ss),
+        event_time: Timestamp::from_civil(ASSUMED_YEAR, month, day, hh, mm, ss),
         location: host_location(host),
         errcode,
         severity,
     })
 }
 
-/// The syslog batch adapter.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SyslogAdapter {
-    /// Ambiguity settings shared by every line.
-    pub config: SyslogConfig,
-}
-
-impl crate::RasSource for SyslogAdapter {
-    fn format(&self) -> LogFormat {
-        LogFormat::Syslog
-    }
-
-    fn decode_ras(
-        &self,
-        data: &[u8],
-        _threads: usize,
-    ) -> Result<SourceBatch<RasRecord>, SourceError> {
-        Ok(decode(data, &self.config))
-    }
-}
-
 /// Decode a whole syslog file: one record per parseable line, one diagnostic
-/// per malformed line. Line numbering matches the BG/P ingest conventions
-/// (every line counts, blank lines and `#` comments are skipped, trailing
-/// `\r` runs are trimmed).
-pub fn decode(data: &[u8], cfg: &SyslogConfig) -> SourceBatch<RasRecord> {
-    let mut out = SourceBatch::default();
-    let mut line_no = 0u64;
-    let mut rest = data;
-    while !rest.is_empty() {
-        let line = match bgp_model::bytes::find_byte(b'\n', rest) {
-            Some(i) => {
-                let line = &rest[..i];
-                rest = &rest[i + 1..];
-                line
-            }
-            None => {
-                let line = rest;
-                rest = &rest[rest.len()..];
-                line
-            }
-        };
-        line_no += 1;
-        let mut line = line;
-        while let [head @ .., b'\r'] = line {
-            line = head;
-        }
-        if line.is_empty() || line.first() == Some(&b'#') {
-            continue;
-        }
-        match parse_syslog_line(line, line_no, cfg) {
-            Ok(r) => out.records.push(r),
-            Err(message) => out.diagnostics.push(SourceDiagnostic {
-                line: line_no,
-                message,
-            }),
-        }
-    }
-    out
+/// per malformed line. Lines follow the workspace line rule
+/// ([`bgp_model::bytes::lines`]), `#` comments are skipped, and each
+/// record's id is its line number.
+pub fn decode(data: &[u8]) -> SourceBatch<RasRecord> {
+    crate::decode_lines(data, parse_syslog_line)
 }
 
-/// Streaming (line-at-a-time) syslog decoder for the serve daemon; record
-/// ids come from an internal counter, so decoding the same lines in the same
-/// order always yields the same records.
+/// The syslog state of a streaming [`crate::LineDecoder`]: record ids come
+/// from an internal counter, so decoding the same lines in the same order
+/// always yields the same records.
 #[derive(Debug, Default)]
 pub struct SyslogLineDecoder {
-    /// Ambiguity settings shared by every line.
-    pub config: SyslogConfig,
     next_recid: AtomicU64,
 }
 
 impl SyslogLineDecoder {
-    /// Classify one complete line (without its `\n`; trailing `\r` tolerated,
-    /// blank lines and `#` comments skipped, mirroring the BG/P classifier).
-    pub fn decode_line(&self, line: &[u8]) -> LineOutcome {
-        let line = match line.split_last() {
-            Some((b'\r', rest)) => rest,
-            _ => line,
-        };
-        if line.is_empty() || line.first() == Some(&b'#') {
-            return LineOutcome::Skip;
-        }
+    /// Parse the content of one line (trimmed, not blank, no comment) as
+    /// the next record.
+    pub fn parse_line(&self, line: &[u8]) -> Result<RasRecord, String> {
         let recid = self.next_recid.fetch_add(1, Ordering::Relaxed) + 1;
-        match parse_syslog_line(line, recid, &self.config) {
-            Ok(r) => LineOutcome::Record(Box::new(r)),
-            Err(message) => LineOutcome::Malformed(message),
-        }
+        parse_syslog_line(line, recid)
     }
 }
 
@@ -240,9 +165,7 @@ mod tests {
 
     #[test]
     fn parses_a_classic_line() {
-        let cfg = SyslogConfig::default();
-        let r =
-            parse_syslog_line(b"<13>Mar  1 12:30:00 ionode7 sshd[812]: hello", 5, &cfg).unwrap();
+        let r = parse_syslog_line(b"<13>Mar  1 12:30:00 ionode7 sshd[812]: hello", 5).unwrap();
         assert_eq!(r.recid, 5);
         assert_eq!(r.severity, Severity::Info);
         assert_eq!(r.errcode, facility_errcode(1).unwrap()); // user
@@ -252,8 +175,7 @@ mod tests {
 
     #[test]
     fn missing_pri_defaults_to_user_notice() {
-        let cfg = SyslogConfig::default();
-        let r = parse_syslog_line(b"Mar  1 12:30:00 host msg", 1, &cfg).unwrap();
+        let r = parse_syslog_line(b"Mar  1 12:30:00 host msg", 1).unwrap();
         assert_eq!(r.errcode, facility_errcode(1).unwrap());
         assert_eq!(r.severity, Severity::Info);
     }
@@ -271,9 +193,8 @@ mod tests {
 
     #[test]
     fn kernel_critical_maps_to_fatal_kern_facility() {
-        let cfg = SyslogConfig::default();
         // <2> = facility 0 (kern), severity 2 (critical).
-        let r = parse_syslog_line(b"<2>Oct 11 22:14:15 node5 kernel: oops", 1, &cfg).unwrap();
+        let r = parse_syslog_line(b"<2>Oct 11 22:14:15 node5 kernel: oops", 1).unwrap();
         assert_eq!(r.severity, Severity::Fatal);
         let info = Catalog::standard().info(r.errcode);
         assert_eq!(info.name, "syslog_kern");
@@ -292,7 +213,6 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_rejected_with_reasons() {
-        let cfg = SyslogConfig::default();
         for (line, needle) in [
             (&b"<999>Mar  1 12:30:00 h m"[..], "priority"),
             (b"<13 Mar  1 12:30:00 h m", "unterminated"),
@@ -304,7 +224,7 @@ mod tests {
             (b"<13>Mar  1 12:30:00", "hostname"),
             (b"\xff\xfe", "UTF-8"),
         ] {
-            let e = parse_syslog_line(line, 1, &cfg).unwrap_err();
+            let e = parse_syslog_line(line, 1).unwrap_err();
             assert!(e.contains(needle), "{line:?} gave {e:?}");
         }
     }
@@ -312,7 +232,7 @@ mod tests {
     #[test]
     fn batch_decode_numbers_lines_like_bgp_ingest() {
         let text = b"<13>Mar  1 12:30:00 h a\n\n# comment\ngarbage here\n<13>Mar  1 12:30:01 h b\n";
-        let batch = decode(text, &SyslogConfig::default());
+        let batch = decode(text);
         assert_eq!(batch.records.len(), 2);
         assert_eq!(batch.records[0].recid, 1);
         assert_eq!(batch.records[1].recid, 5);
@@ -323,14 +243,14 @@ mod tests {
     #[test]
     fn streaming_decoder_is_deterministic() {
         let run = || {
-            let d = SyslogLineDecoder::default();
+            let d = crate::LineDecoder::for_format(crate::LogFormat::Syslog).unwrap();
             let mut ids = Vec::new();
             for line in [
                 &b"<13>Mar  1 12:30:00 h a"[..],
                 b"# skip",
                 b"<13>Mar  1 12:30:01 h b",
             ] {
-                if let LineOutcome::Record(r) = d.decode_line(line) {
+                if let crate::LineOutcome::Record(r) = d.decode_line(line) {
                     ids.push(r.recid);
                 }
             }
@@ -338,13 +258,6 @@ mod tests {
         };
         assert_eq!(run(), run());
         assert_eq!(run(), vec![1, 2]);
-    }
-
-    #[test]
-    fn assumed_year_is_configurable() {
-        let cfg = SyslogConfig { assume_year: 1999 };
-        let r = parse_syslog_line(b"<13>Jan  2 03:04:05 h m", 1, &cfg).unwrap();
-        assert_eq!(r.event_time, Timestamp::from_civil(1999, 1, 2, 3, 4, 5));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Adversarial bytes through every adapter: NUL, `0xff`, lone `\r`, field
 //! separators, i64-edge numbers, valid BG/P lines and 1 MiB lines, spliced
 //! at random. Every batch decoder (at 1 and 3 threads), the cassette
-//! adapter wrapping each inner format, and both streaming `LineDecoder`s
-//! must return instead of panicking. The line formats must also account
-//! for their input: each line yields at most one record or one diagnostic.
+//! replay of each inner format, and both streaming `LineDecoder`s must
+//! return instead of panicking. Each must also account for every line of
+//! its input: records + diagnostics + skipped lines = lines, where the test
+//! counts the skipped lines itself, and the daemon's line decoders must
+//! agree with the batch decoders on the same bytes.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, missing_docs)]
 
 use bgp_ports::cassette::{Recorder, StreamKind};
-use bgp_ports::{job_source, ras_source, LineDecoder, LogFormat, SourceBatch};
+use bgp_ports::{decode_ras, LineDecoder, LineOutcome, LogFormat, SourceBatch};
 use proptest::prelude::*;
 
 /// The small pieces inputs are spliced from.
@@ -63,20 +65,76 @@ fn arb_input() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
-/// Upper bound on the lines a decoder may report on: every `\n`-separated
-/// segment, counting an unterminated tail.
-fn lines(data: &[u8]) -> usize {
-    data.split(|&b| b == b'\n').count()
+/// The lines of `data` as the test reads them, independently of the
+/// decoders: split at `\n`, an unterminated tail counting as a last line,
+/// each with its trailing `\r` run trimmed.
+fn lines(data: &[u8]) -> Vec<&[u8]> {
+    let mut lines: Vec<&[u8]> = data.split(|&b| b == b'\n').collect();
+    if data.last().is_none_or(|&b| b == b'\n') {
+        lines.pop();
+    }
+    for line in &mut lines {
+        while let Some(rest) = line.strip_suffix(b"\r") {
+            *line = rest;
+        }
+    }
+    lines
 }
 
-fn assert_accounted<R>(batch: &SourceBatch<R>, data: &[u8], what: &str) {
-    let reported = batch.records.len() + batch.diagnostics.len();
-    assert!(
-        reported <= lines(data),
-        "{what}: {} records + {} diagnostics from {} lines",
+/// How many lines of `data` are blank, and how many are `#` comments.
+fn blank_and_comment_lines(data: &[u8]) -> (usize, usize) {
+    let lines = lines(data);
+    let blank = lines.iter().filter(|l| l.is_empty()).count();
+    let comment = lines.iter().filter(|l| l.starts_with(b"#")).count();
+    (blank, comment)
+}
+
+/// Records + diagnostics + skipped lines = lines: blank lines are skipped
+/// by every format, `#` comments only where `skips_comments`.
+fn assert_accounted<R>(batch: &SourceBatch<R>, data: &[u8], skips_comments: bool, what: &str) {
+    let (blank, comment) = blank_and_comment_lines(data);
+    let skipped = blank + if skips_comments { comment } else { 0 };
+    assert_eq!(
+        batch.records.len() + batch.diagnostics.len() + skipped,
+        lines(data).len(),
+        "{what}: {} records + {} diagnostics + {skipped} skipped",
         batch.records.len(),
         batch.diagnostics.len(),
-        lines(data)
+    );
+}
+
+/// The daemon's line decoder for `format`, fed `data` split at `\n`, gives
+/// the batch decoder's records (for syslog up to `recid`: the batch takes
+/// it from the line number, the daemon from a counter) and one malformed
+/// line per batch diagnostic, less the `#` lines the BG/P batch reports.
+fn assert_line_decoder_agrees(
+    format: LogFormat,
+    data: &[u8],
+    batch: &SourceBatch<raslog::RasRecord>,
+) {
+    let decoder = LineDecoder::for_format(format).unwrap();
+    let mut records = Vec::new();
+    let mut malformed = 0;
+    for line in data.split(|&b| b == b'\n') {
+        match decoder.decode_line(line) {
+            LineOutcome::Record(r) => records.push(*r),
+            LineOutcome::Skip => {}
+            LineOutcome::Malformed(_) => malformed += 1,
+        }
+    }
+    let mut want = batch.records.clone();
+    if format == LogFormat::Syslog {
+        for r in records.iter_mut().chain(&mut want) {
+            r.recid = 0;
+        }
+    }
+    assert_eq!(records, want, "{format} line decoder records");
+    let (_, comment) = blank_and_comment_lines(data);
+    let reported_comments = if format == LogFormat::Bgp { comment } else { 0 };
+    assert_eq!(
+        malformed + reported_comments,
+        batch.diagnostics.len(),
+        "{format} line decoder malformed lines"
     );
 }
 
@@ -89,53 +147,56 @@ fn cassette(format: LogFormat, kind: StreamKind, data: &[u8]) -> Vec<u8> {
 
 const LINE_FORMATS: [LogFormat; 3] = [LogFormat::Bgp, LogFormat::Bgq, LogFormat::Syslog];
 
+/// CR-only lines (`\r\r\n`, and an unterminated `\r\r` at the end) are
+/// blank to the batch decoders and to the daemon's line decoders alike.
+#[test]
+fn cr_only_lines_are_blank_on_every_path() {
+    let ras = "93|KERN_0063|KERNEL|CNS|_bgp_err_kernel_panic|FATAL|\
+2009-01-05-00.19.08|R06-M0-N13-J04|kernel panic";
+    let syslog = "<11>Jan  5 00:19:08 ionode7 kernel: panic";
+    let data = format!("\r\r\n{ras}\r\r\n\r\r\r\n{syslog}\r\r\n# note\r\r\n\r\r");
+    for format in [LogFormat::Bgp, LogFormat::Syslog] {
+        let batch = decode_ras(format, data.as_bytes(), 1).unwrap();
+        assert_eq!(batch.records.len(), 1, "{format}");
+        assert_accounted(
+            &batch,
+            data.as_bytes(),
+            format != LogFormat::Bgp,
+            &format.to_string(),
+        );
+        assert_line_decoder_agrees(format, data.as_bytes(), &batch);
+    }
+}
+
 proptest! {
     #[test]
     fn ras_adapters_never_panic_and_account_for_every_line(data in arb_input()) {
         for threads in [1, 3] {
             for format in LINE_FORMATS {
                 let what = format!("{format} RAS at {threads} threads");
-                let batch = ras_source(format).decode_ras(&data, threads).unwrap();
-                assert_accounted(&batch, &data, &what);
+                let batch = decode_ras(format, &data, threads).unwrap();
+                assert_accounted(&batch, &data, format != LogFormat::Bgp, &what);
+                if format != LogFormat::Bgq {
+                    assert_line_decoder_agrees(format, &data, &batch);
+                }
                 // The same bytes replayed from a cassette decode the same.
                 let wrapped = cassette(format, StreamKind::Ras, &data);
-                let replayed = ras_source(LogFormat::Cassette)
-                    .decode_ras(&wrapped, threads)
-                    .unwrap();
+                let replayed = decode_ras(LogFormat::Cassette, &wrapped, threads).unwrap();
                 prop_assert_eq!(&replayed, &batch, "{} via cassette", what);
             }
             // Raw bytes are no cassette: a typed error, never a panic.
-            let _ = ras_source(LogFormat::Cassette).decode_ras(&data, threads);
+            let _ = decode_ras(LogFormat::Cassette, &data, threads);
         }
     }
 
     #[test]
     fn job_adapters_never_panic_and_account_for_every_line(data in arb_input()) {
         for threads in [1, 3] {
-            for format in [LogFormat::Bgp, LogFormat::Bgq] {
-                let what = format!("{format} jobs at {threads} threads");
-                let batch = job_source(format).unwrap().decode_jobs(&data, threads).unwrap();
-                assert_accounted(&batch, &data, &what);
-                let wrapped = cassette(format, StreamKind::Job, &data);
-                let replayed = job_source(LogFormat::Cassette)
-                    .unwrap()
-                    .decode_jobs(&wrapped, threads)
-                    .unwrap();
-                prop_assert_eq!(&replayed, &batch, "{} via cassette", what);
-            }
-            let _ = job_source(LogFormat::Cassette)
-                .unwrap()
-                .decode_jobs(&data, threads);
+            let what = format!("bgp jobs at {threads} threads");
+            let batch = bgp_ports::bgp::decode_jobs(&data, threads);
+            assert_accounted(&batch, &data, false, &what);
         }
-    }
-
-    #[test]
-    fn line_decoders_never_panic(data in arb_input()) {
-        for format in [LogFormat::Bgp, LogFormat::Syslog] {
-            let decoder = LineDecoder::for_format(format).unwrap();
-            for line in data.split(|&b| b == b'\n') {
-                let _ = decoder.decode_line(line);
-            }
-        }
+        let batch = bgp_ports::bgq::decode_jobs(&data);
+        assert_accounted(&batch, &data, true, "bgq jobs");
     }
 }

@@ -38,7 +38,7 @@
 use crate::log::Projection;
 use crate::parse::{parse_line_bytes, RasParseError};
 use crate::record::RasRecord;
-use bgp_model::bytes::{find_byte, line_chunks, map_chunks_parallel, stream_lines};
+use bgp_model::bytes::{line_chunks, map_chunks_parallel, stream_lines};
 use std::fs::File;
 use std::io;
 
@@ -70,36 +70,17 @@ impl Chunk {
         reason = "the chunk parser is the parser crate's own parallel driver of its line parser"
     )]
     fn feed(&mut self, text: &[u8], keep: &impl Fn(&RasRecord) -> bool) {
-        let mut rest = text;
-        while !rest.is_empty() {
-            let line = match find_byte(b'\n', rest) {
-                Some(i) => {
-                    let line = &rest[..i];
-                    rest = &rest[i + 1..];
-                    line
-                }
-                None => {
-                    let line = rest;
-                    rest = &rest[rest.len()..];
-                    line
-                }
-            };
-            self.lines += 1;
-            let mut line = line;
-            while let [head @ .., b'\r'] = line {
-                line = head;
-            }
-            if line.is_empty() {
-                continue;
-            }
+        let mut lines = bgp_model::bytes::lines(text);
+        for (number, line) in &mut lines {
             match parse_line_bytes(line) {
                 Ok(r) => self.kept.push(r, keep),
                 Err(mut e) => {
-                    e.line = self.lines;
+                    e.line = self.lines + number;
                     self.errors.push(e);
                 }
             }
         }
+        self.lines += lines.number();
     }
 }
 

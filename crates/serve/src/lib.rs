@@ -13,7 +13,7 @@
 //!
 //! Module map:
 //!
-//! * [`protocol`] — newline framing with length limits, line classification;
+//! * [`protocol`] — newline framing with length limits;
 //! * [`source`] — the TCP ingest listener and the optional file tailer;
 //! * `worker` — the one bounded ingest queue and the analysis thread behind
 //!   it, which analyzes, folds and publishes once per batch;
@@ -56,7 +56,7 @@ pub use error::ServeError;
 pub use full::{render_report, render_summary, AnalysisSnapshot, FullAnalysis};
 pub use locked::Locked;
 pub use metrics::{Counter, Gauge, Histogram, Registry, ServeMetrics};
-pub use protocol::{classify_line, Frame, LineFramer};
+pub use protocol::LineFramer;
 pub use ring::{EventEntry, EventRing};
 pub use server::{run, FinalSummary, Server, Shutdown};
 pub use timing::StageTimer;

@@ -24,9 +24,9 @@ impl<T> Locked<T> {
     /// The `'static` bound means `f` borrows nothing, so it cannot reach
     /// `self`, a borrowed channel, a socket or a join handle while the lock
     /// is held: what it needs from outside it takes by value (`move`). Nor
-    /// can it return the `&mut T` it is given. A handle kept in `T` (a
-    /// sender, a join handle) is cloned or taken out and used after `with`
-    /// returns; the bound cannot see a call on it. A poisoned lock is entered
+    /// can it return the `&mut T` it is given. The bound cannot see a call
+    /// on a handle that `T` itself holds, so no blocking handle (a sender, a
+    /// join handle) is kept in a `Locked`. A poisoned lock is entered
     /// anyway, so one panicking thread does not take the state down with it.
     ///
     /// ```

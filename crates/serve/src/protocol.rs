@@ -2,9 +2,11 @@
 //!
 //! A client streams RAS records to the daemon as ordinary log lines — by
 //! default the same nine-field pipe format `raslog` reads from disk, or any
-//! other line-oriented source adapter selected with `--format` — one record
-//! per `\n`-terminated line, optionally with a trailing `\r`. Blank lines
-//! and `#` comments are ignored, so `cat ras.log | nc HOST PORT` is a valid
+//! other line-oriented format selected with `--format` — one record per
+//! `\n`-terminated line. [`LineFramer`] cuts the byte stream into lines and
+//! [`bgp_ports::LineDecoder`] classifies each one by the workspace line
+//! rule: a line left blank once its trailing `\r` run is trimmed is
+//! skipped, like a `#` comment, so `cat ras.log | nc HOST PORT` is a valid
 //! client. The protocol is one-way: the daemon never writes on the ingest
 //! socket; results are observed through the HTTP front-end.
 //!
@@ -16,39 +18,8 @@
 //! * an unparsable line is counted and skipped — one bad record must not
 //!   poison the stream.
 //!
-//! The framer is a pure byte-in/frame-out state machine (no sockets, no
+//! The framer is a pure byte-in/line-out state machine (no sockets, no
 //! clocks), which makes it deterministic and its edge cases unit-testable.
-
-use bgp_ports::{LineDecoder, LineOutcome};
-use raslog::RasRecord;
-
-/// What one complete ingest line turned out to be.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// A parsed record, ready for the ingest queue.
-    Record(Box<RasRecord>),
-    /// A blank line or `#` comment — ignored, not an error.
-    Skip,
-    /// An unparsable line, with the parser's description.
-    Malformed(String),
-}
-
-impl From<LineOutcome> for Frame {
-    fn from(o: LineOutcome) -> Frame {
-        match o {
-            LineOutcome::Record(r) => Frame::Record(r),
-            LineOutcome::Skip => Frame::Skip,
-            LineOutcome::Malformed(msg) => Frame::Malformed(msg),
-        }
-    }
-}
-
-/// Classify one complete line (without its newline terminator) as the
-/// default BG/P pipe format — the port-layer [`LineDecoder`] generalizes
-/// this to the other streamable formats.
-pub fn classify_line(line: &[u8]) -> Frame {
-    Frame::from(LineDecoder::Bgp.decode_line(line))
-}
 
 /// Incremental newline framer with a hard per-line length limit.
 ///
@@ -73,10 +44,12 @@ impl LineFramer {
         }
     }
 
-    /// The line length the limit applies to: the classifier strips one
-    /// trailing `\r`, so a CRLF terminator must not count against the limit
-    /// — a maximal line must frame identically whether it arrives as
-    /// `...\n` or `...\r\n`, and whether the `\r\n` is split across reads.
+    /// The line length the limit applies to: one trailing `\r` is granted
+    /// as part of a CRLF terminator and does not count against the limit —
+    /// a maximal line must frame identically whether it arrives as `...\n`
+    /// or `...\r\n`, and whether the `\r\n` is split across reads. (The
+    /// decoder trims the whole `\r` run; the framer's grace stays one byte,
+    /// which bounds the carry.)
     fn effective_len(&self, tail: &[u8]) -> usize {
         let total = self.carry.len() + tail.len();
         let ends_cr = tail.last().or(self.carry.last()) == Some(&b'\r');
@@ -139,6 +112,7 @@ impl LineFramer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_ports::{LineDecoder, LineOutcome};
     use raslog::Catalog;
 
     fn collect(framer: &mut LineFramer, chunks: &[&[u8]]) -> (Vec<Vec<u8>>, u64) {
@@ -183,7 +157,7 @@ mod tests {
     #[test]
     fn crlf_terminator_does_not_count_against_the_limit() {
         // A maximal 4-byte line must survive whether it ends \n or \r\n:
-        // the classifier strips the \r, so the framer must not charge it.
+        // the \r is part of the terminator, so the framer must not charge it.
         let mut f = LineFramer::new(4);
         let (lines, dropped) = collect(&mut f, &[b"abcd\nabcd\r\nabcde\r\n"]);
         assert_eq!(dropped, 1, "only the 5-byte line is oversized");
@@ -209,13 +183,14 @@ mod tests {
 
     #[test]
     fn only_one_trailing_cr_is_granted() {
-        // classify_line strips a single \r, so "abc\r\r" is the 4-byte
-        // content "abc\r" plus its terminator: delivered at a 4-byte limit.
+        // The framer grants one \r of a CRLF terminator, however many the
+        // decoder trims, so "abc\r\r" counts as 4 bytes ("abc\r" plus its
+        // terminator): delivered at a 4-byte limit.
         let mut f = LineFramer::new(4);
         let (lines, dropped) = collect(&mut f, &[b"abc\r\r\nok\n"]);
         assert_eq!(dropped, 0);
         assert_eq!(lines, vec![b"abc\r\r".to_vec(), b"ok".to_vec()]);
-        // "abcd\r\r" strips to 5 bytes of content: over the limit, dropped.
+        // "abcd\r\r" counts as 5 bytes: over the limit, dropped.
         let mut f = LineFramer::new(4);
         let (lines, dropped) = collect(&mut f, &[b"abcd\r\r\nok\n"]);
         assert_eq!(dropped, 1);
@@ -224,8 +199,8 @@ mod tests {
 
     #[test]
     fn crlf_at_limit_parses_identically_to_lf() {
-        // End to end through classify_line: the same maximal record line
-        // must produce the same Frame with either terminator framing.
+        // End to end through the BG/P line decoder: the same maximal record
+        // line must decode the same with either terminator framing.
         let code = Catalog::standard().lookup("_bgp_err_kernel_panic").unwrap();
         let rec = raslog::RasRecord::new(
             7,
@@ -246,44 +221,18 @@ mod tests {
             let mut frames = Vec::new();
             for c in &chunks {
                 let dropped = f.feed(c.as_bytes(), &mut |l: &[u8]| {
-                    frames.push(classify_line(l));
+                    frames.push(LineDecoder::Bgp.decode_line(l));
                 });
                 assert_eq!(dropped, 0, "chunks {chunks:?}");
             }
-            f.finish(&mut |l: &[u8]| frames.push(classify_line(l)));
+            f.finish(&mut |l: &[u8]| frames.push(LineDecoder::Bgp.decode_line(l)));
             assert_eq!(frames.len(), 1, "chunks {chunks:?}");
             match &frames[0] {
-                Frame::Record(r) => assert_eq!(**r, rec),
-                other @ (Frame::Skip | Frame::Malformed(_)) => {
+                LineOutcome::Record(r) => assert_eq!(**r, rec),
+                other @ (LineOutcome::Skip | LineOutcome::Malformed(_)) => {
                     panic!("expected record for {chunks:?}, got {other:?}")
                 }
             }
         }
-    }
-
-    #[test]
-    fn classifies_records_comments_and_garbage() {
-        let code = Catalog::standard().lookup("_bgp_err_kernel_panic").unwrap();
-        let rec = raslog::RasRecord::new(
-            7,
-            bgp_model::Timestamp::from_unix(1_000),
-            "R00-M0-N00-J00".parse().unwrap(),
-            code,
-        );
-        let line = raslog::format_record(&rec);
-        match classify_line(line.as_bytes()) {
-            Frame::Record(r) => assert_eq!(*r, rec),
-            other @ (Frame::Skip | Frame::Malformed(_)) => panic!("expected record, got {other:?}"),
-        }
-        // CRLF is tolerated.
-        let crlf = format!("{line}\r");
-        assert!(matches!(classify_line(crlf.as_bytes()), Frame::Record(_)));
-        assert_eq!(classify_line(b""), Frame::Skip);
-        assert_eq!(classify_line(b"\r"), Frame::Skip);
-        assert_eq!(classify_line(b"# comment"), Frame::Skip);
-        assert!(matches!(
-            classify_line(b"not|a|record"),
-            Frame::Malformed(_)
-        ));
     }
 }

@@ -130,6 +130,8 @@ pub struct Server {
     http_addr: SocketAddr,
     shutdown: Arc<Shutdown>,
     worker: Arc<Worker>,
+    /// The analysis worker's thread, joined once the worker is closed.
+    worker_thread: JoinHandle<()>,
     metrics: Arc<ServeMetrics>,
     registry: Arc<Registry>,
     ring: Arc<EventRing>,
@@ -197,13 +199,9 @@ impl Server {
         if let Some(impact) = &cfg.impact {
             analyzer = analyzer.with_impact(impact.clone());
         }
-        let worker = Arc::new(Worker::start(
-            analyzer,
-            fold,
-            cfg.queue_capacity,
-            &metrics,
-            &ring,
-        )?);
+        let (worker, worker_thread) =
+            Worker::start(analyzer, fold, cfg.queue_capacity, &metrics, &ring)?;
+        let worker = Arc::new(worker);
 
         let source_ctx = SourceCtx {
             worker: Arc::clone(&worker),
@@ -252,6 +250,7 @@ impl Server {
             http_addr,
             shutdown,
             worker,
+            worker_thread,
             metrics,
             registry,
             ring,
@@ -322,7 +321,10 @@ impl Server {
             let _ = t.join();
         }
         self.worker.close();
-        self.worker.join();
+        if let Err(payload) = self.worker_thread.join() {
+            // The loop has no panic paths; re-raise rather than swallow.
+            std::panic::resume_unwind(payload);
+        }
         self.shutdown.request_final();
         for t in http_threads {
             let _ = t.join();

@@ -231,27 +231,28 @@ mod tests {
     use coanalysis::stream::OnlineAnalyzer;
     use std::io::Write;
 
-    fn ctx() -> SourceCtx {
+    /// A source context, and its worker's thread.
+    fn ctx() -> (SourceCtx, JoinHandle<()>) {
         let registry = Registry::new();
         let metrics = Arc::new(ServeMetrics::register(&registry));
         let ring = Arc::new(EventRing::new(16));
-        let worker = Arc::new(
-            Worker::start(OnlineAnalyzer::new(), None, 64, &metrics, &ring).expect("worker starts"),
-        );
-        SourceCtx {
-            worker,
+        let (worker, thread) =
+            Worker::start(OnlineAnalyzer::new(), None, 64, &metrics, &ring).expect("worker starts");
+        let ctx = SourceCtx {
+            worker: Arc::new(worker),
             metrics,
             shutdown: Arc::new(Shutdown::new()),
             max_line_bytes: 1024,
             read_timeout: Duration::from_millis(50),
             decoder: Arc::new(LineDecoder::Bgp),
             recorder: None,
-        }
+        };
+        (ctx, thread)
     }
 
     #[test]
     fn tcp_ingest_parses_counts_and_drains() {
-        let ctx = ctx();
+        let (ctx, worker_thread) = ctx();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
         let handle = spawn_ingest_listener(listener, ctx.clone()).expect("spawn listener");
@@ -288,7 +289,7 @@ mod tests {
         ctx.shutdown.request();
         handle.join().expect("listener joins");
         ctx.worker.close();
-        ctx.worker.join();
+        worker_thread.join().expect("worker joins");
         assert_eq!(ctx.worker.counters().records_in, 51);
         assert_eq!(ctx.metrics.rejected_malformed.get(), 1);
         assert_eq!(ctx.metrics.ingest_connections.get(), 1);
@@ -296,7 +297,7 @@ mod tests {
 
     #[test]
     fn tailer_follows_appends_and_finishes_on_shutdown() {
-        let ctx = ctx();
+        let (ctx, worker_thread) = ctx();
         let dir = std::env::temp_dir().join(format!("bgp-serve-tail-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("tail.log");
@@ -325,7 +326,7 @@ mod tests {
         ctx.shutdown.request();
         handle.join().expect("tailer joins");
         ctx.worker.close();
-        ctx.worker.join();
+        worker_thread.join().expect("worker joins");
         assert_eq!(ctx.worker.counters().records_in, 10);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);

@@ -18,9 +18,12 @@
 //! Backpressure is explicit: the queue is bounded, and a full queue first
 //! counts a stall and then blocks the ingest source (records are never
 //! silently dropped — drop accounting lives at the protocol layer, where
-//! malformed and oversized lines are rejected). Closing drops the sender;
-//! the worker drains every queued record before exiting, which is what
-//! makes graceful shutdown lossless.
+//! malformed and oversized lines are rejected). Closing refuses further
+//! records and queues a close message behind the ones already queued; the
+//! worker drains them all before it ends on that message, which is what
+//! makes graceful shutdown lossless. No lock guards the queue: the sender
+//! is shared as is, the closed state is an atomic flag, and the thread's
+//! handle goes to whoever joins it.
 
 use crate::error::ServeError;
 use crate::full::Fold;
@@ -29,30 +32,42 @@ use crate::metrics::ServeMetrics;
 use crate::ring::{EventEntry, EventRing};
 use coanalysis::stream::{OnlineAnalyzer, StreamCounters, StreamDecision};
 use raslog::{Catalog, RasRecord};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// What the queue carries.
+#[derive(Debug)]
+enum Msg {
+    Record(RasRecord),
+    /// Sent once, by [`Worker::close`]: the worker ends after it.
+    Close,
+}
+
 /// The queue and its worker. Shareable across ingest sources via `Arc`.
 #[derive(Debug)]
 pub(crate) struct Worker {
-    /// `None` once closed; dropping the sender lets the worker drain.
-    sender: Locked<Option<SyncSender<RasRecord>>>,
-    handle: Locked<Option<JoinHandle<()>>>,
+    sender: SyncSender<Msg>,
+    /// Set by [`Worker::close`]; [`Worker::push`] refuses records after it.
+    closed: AtomicBool,
     /// The analyzer's counters as of the last published batch.
     counters: Arc<Locked<StreamCounters>>,
 }
 
 impl Worker {
-    /// Spawn the worker thread and return the running queue.
+    /// Spawn the worker thread and return the running queue, with the
+    /// thread's handle: joining it after [`Worker::close`] waits for the
+    /// worker to drain, fold and publish everything queued, after which
+    /// [`Worker::counters`] covers every record [`Worker::push`] accepted.
     pub(crate) fn start(
         analyzer: OnlineAnalyzer,
         fold: Option<Fold>,
         queue_capacity: usize,
         metrics: &Arc<ServeMetrics>,
         ring: &Arc<EventRing>,
-    ) -> Result<Worker, ServeError> {
-        let (tx, rx) = sync_channel::<RasRecord>(queue_capacity.max(1));
+    ) -> Result<(Worker, JoinHandle<()>), ServeError> {
+        let (tx, rx) = sync_channel(queue_capacity.max(1));
         let counters = Arc::new(Locked::new(StreamCounters::default()));
         let published = Arc::clone(&counters);
         let metrics = Arc::clone(metrics);
@@ -61,11 +76,12 @@ impl Worker {
             .name("bgp-serve-worker".to_owned())
             .spawn(move || run(&rx, analyzer, fold, &metrics, &ring, &published))
             .map_err(ServeError::Spawn)?;
-        Ok(Worker {
-            sender: Locked::new(Some(tx)),
-            handle: Locked::new(Some(handle)),
+        let worker = Worker {
+            sender: tx,
+            closed: AtomicBool::new(false),
             counters,
-        })
+        };
+        Ok((worker, handle))
     }
 
     /// Queue one record.
@@ -75,16 +91,15 @@ impl Worker {
     /// is never dropped. Returns [`ServeError::QueueClosed`] after
     /// [`Worker::close`], so a source stops.
     pub(crate) fn push(&self, rec: RasRecord, metrics: &ServeMetrics) -> Result<(), ServeError> {
-        let sender = self
-            .sender
-            .with(|s| s.clone())
-            .ok_or(ServeError::QueueClosed)?;
+        if self.closed.load(Ordering::SeqCst) {
+            return Err(ServeError::QueueClosed);
+        }
         metrics.queue_depth.add(1);
-        let sent = match sender.try_send(rec) {
+        let sent = match self.sender.try_send(Msg::Record(rec)) {
             Ok(()) => Ok(()),
-            Err(TrySendError::Full(rec)) => {
+            Err(TrySendError::Full(msg)) => {
                 metrics.backpressure_stalls.inc();
-                sender.send(rec).map_err(|_| ServeError::QueueClosed)
+                self.sender.send(msg).map_err(|_| ServeError::QueueClosed)
             }
             Err(TrySendError::Disconnected(_)) => Err(ServeError::QueueClosed),
         };
@@ -99,36 +114,42 @@ impl Worker {
         self.counters.with(|c| *c)
     }
 
-    /// Stop accepting records. Queued records are still drained.
+    /// Stop accepting records. Queued records are still drained. Call it
+    /// once no source pushes any more (the server joins every source
+    /// first): a push racing it could queue a record behind the close
+    /// message, which the worker may never read.
     pub(crate) fn close(&self) {
-        self.sender.with(|s| *s = None);
-    }
-
-    /// Wait for the worker to drain, fold and publish everything queued.
-    /// Call after [`Worker::close`]; afterwards [`Worker::counters`] covers
-    /// every record [`Worker::push`] ever accepted.
-    pub(crate) fn join(&self) {
-        if let Some(h) = self.handle.with(Option::take) {
-            if let Err(payload) = h.join() {
-                // The loop has no panic paths; re-raise rather than swallow.
-                std::panic::resume_unwind(payload);
-            }
+        if !self.closed.swap(true, Ordering::SeqCst) {
+            // Blocks while the queue is full; the worker is draining it. An
+            // error means the worker is gone, which is what close asks.
+            let _ = self.sender.send(Msg::Close);
         }
     }
 }
 
 /// The worker loop: drain a batch, analyze it, fold it, publish it.
 fn run(
-    rx: &Receiver<RasRecord>,
+    rx: &Receiver<Msg>,
     mut analyzer: OnlineAnalyzer,
     mut fold: Option<Fold>,
     metrics: &ServeMetrics,
     ring: &EventRing,
     published: &Locked<StreamCounters>,
 ) {
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        batch.extend(rx.try_iter());
+    let mut open = true;
+    while open {
+        let Ok(first) = rx.recv() else { return };
+        let mut batch = Vec::new();
+        for msg in std::iter::once(first).chain(rx.try_iter()) {
+            match msg {
+                Msg::Record(rec) => batch.push(rec),
+                // This batch is the last one.
+                Msg::Close => open = false,
+            }
+        }
+        if batch.is_empty() {
+            continue;
+        }
         metrics.queue_depth.add(-(batch.len() as i64));
         let before = analyzer.counters();
         for rec in &batch {
@@ -169,13 +190,26 @@ mod tests {
     use coanalysis::{CoAnalysis, CoAnalysisConfig};
     use std::io::Write;
 
-    fn fixture(fold: Option<Fold>, cap: usize) -> (Worker, Arc<ServeMetrics>, Arc<EventRing>) {
+    /// A running worker, and a drain that closes it and joins its thread.
+    fn fixture(
+        fold: Option<Fold>,
+        cap: usize,
+    ) -> (
+        Worker,
+        impl FnOnce(&Worker),
+        Arc<ServeMetrics>,
+        Arc<EventRing>,
+    ) {
         let registry = Registry::new();
         let metrics = Arc::new(ServeMetrics::register(&registry));
         let ring = Arc::new(EventRing::new(64));
-        let worker =
+        let (worker, handle) =
             Worker::start(OnlineAnalyzer::new(), fold, cap, &metrics, &ring).expect("starts");
-        (worker, metrics, ring)
+        let drain = move |worker: &Worker| {
+            worker.close();
+            handle.join().expect("the worker loop does not panic");
+        };
+        (worker, drain, metrics, ring)
     }
 
     fn rec(recid: u64, t: i64, name: &str) -> RasRecord {
@@ -204,7 +238,7 @@ mod tests {
 
     #[test]
     fn worker_matches_a_direct_analyzer_and_drains_on_close() {
-        let (worker, metrics, ring) = fixture(None, 8);
+        let (worker, drain, metrics, ring) = fixture(None, 8);
         let mut direct = OnlineAnalyzer::new();
         let names = [
             "_bgp_err_kernel_panic",
@@ -219,8 +253,7 @@ mod tests {
             direct.push(r);
             worker.push(*r, &metrics).expect("worker accepts");
         }
-        worker.close();
-        worker.join();
+        drain(&worker);
         assert!(worker.push(records[0], &metrics).is_err());
         let want = direct.counters();
         assert_eq!(worker.counters(), want);
@@ -239,14 +272,13 @@ mod tests {
     fn full_queue_counts_backpressure_but_loses_nothing() {
         // Tiny queue, back-to-back pushes: the pusher must stall, the stall
         // must be counted, and every record must still arrive.
-        let (worker, metrics, _ring) = fixture(None, 2);
+        let (worker, drain, metrics, _ring) = fixture(None, 2);
         for i in 0..200 {
             worker
                 .push(rec(i, i as i64 * 7_000, "_bgp_err_kernel_panic"), &metrics)
                 .expect("push succeeds");
         }
-        worker.close();
-        worker.join();
+        drain(&worker);
         assert_eq!(worker.counters().records_in, 200);
         assert!(
             metrics.backpressure_stalls.get() > 0,
@@ -261,12 +293,11 @@ mod tests {
             .expect("valid config")
             .run();
         let (fold, full) = fold_on("fold", out.jobs.jobs());
-        let (worker, metrics, _ring) = fixture(Some(fold), 64);
+        let (worker, drain, metrics, _ring) = fixture(Some(fold), 64);
         for r in out.ras.records() {
             worker.push(*r, &metrics).expect("worker accepts");
         }
-        worker.close();
-        worker.join();
+        drain(&worker);
         let snap = full.snapshot();
         assert_eq!(snap.records, out.ras.records().len() as u64);
         assert_eq!(snap.records, worker.counters().records_in);
@@ -279,9 +310,8 @@ mod tests {
     #[test]
     fn nothing_is_folded_after_close() {
         let (fold, full) = fold_on("closed", &[]);
-        let (worker, metrics, _ring) = fixture(Some(fold), 4);
-        worker.close();
-        worker.join();
+        let (worker, drain, metrics, _ring) = fixture(Some(fold), 4);
+        drain(&worker);
         assert!(worker
             .push(rec(1, 100, "_bgp_err_kernel_panic"), &metrics)
             .is_err());
