@@ -17,6 +17,9 @@
 //!   BG/P-style `YYYY-MM-DD-HH.MM.SS` formatting.
 //! * [`torus`] — 3-D torus coordinates of midplanes and partition torus
 //!   dimensions.
+//! * [`text`] — the digit and line writers behind the log text.
+//!   [`Location`], [`Partition`] and [`Timestamp`] each write their text
+//!   through one byte encoder, which their `Display` calls too.
 //!
 //! ## Location grammar
 //!
@@ -33,6 +36,7 @@ pub mod location;
 pub mod mmap;
 pub mod partition;
 pub mod snapshot;
+pub mod text;
 pub mod time;
 pub mod topology;
 pub mod torus;

@@ -24,6 +24,7 @@
 //! [`MidplaneId::index`]).
 
 use crate::error::ModelError;
+use crate::text;
 use crate::topology;
 use std::fmt;
 use std::str::FromStr;
@@ -107,9 +108,18 @@ impl RackId {
     }
 }
 
+impl RackId {
+    /// Append the rack's text, `R<row><col>`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        out.push(b'R');
+        text::push_u64(out, u64::from(self.row), 0);
+        text::push_u64(out, u64::from(self.col), 0);
+    }
+}
+
 impl fmt::Display for RackId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "R{}{}", self.row, self.col)
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 
@@ -200,9 +210,18 @@ impl MidplaneId {
     }
 }
 
+impl MidplaneId {
+    /// Append the midplane's text, `<rack>-M<m>`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        self.rack.encode(out);
+        out.extend_from_slice(b"-M");
+        text::push_u64(out, u64::from(self.m), 0);
+    }
+}
+
 impl fmt::Display for MidplaneId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-M{}", self.rack, self.m)
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 
@@ -247,9 +266,18 @@ impl NodeCardId {
     }
 }
 
+impl NodeCardId {
+    /// Append the node card's text, `<midplane>-N<cc>`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        self.midplane.encode(out);
+        out.extend_from_slice(b"-N");
+        text::push_two_digits(out, u64::from(self.card));
+    }
+}
+
 impl fmt::Display for NodeCardId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-N{:02}", self.midplane, self.card)
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 
@@ -294,9 +322,18 @@ impl ComputeNodeId {
     }
 }
 
+impl ComputeNodeId {
+    /// Append the node's text, `<node card>-J<jj>`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        self.node_card.encode(out);
+        out.extend_from_slice(b"-J");
+        text::push_two_digits(out, u64::from(self.j));
+    }
+}
+
 impl fmt::Display for ComputeNodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-J{:02}", self.node_card, self.j)
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 
@@ -522,19 +559,44 @@ impl Location {
     }
 }
 
+impl Location {
+    /// Append the location's text, in the grammar of the module table: the
+    /// one definition of it, which `Display` and the RAS log writer share.
+    pub fn encode(self, out: &mut Vec<u8>) {
+        match self {
+            Location::Rack(r) => r.encode(out),
+            Location::Midplane(m) => m.encode(out),
+            Location::NodeCard(nc) => nc.encode(out),
+            Location::ComputeNode(cn) => cn.encode(out),
+            Location::IoNode { midplane, index } => {
+                midplane.encode(out);
+                out.extend_from_slice(b"-I");
+                text::push_u64(out, u64::from(index), 0);
+            }
+            Location::LinkCard { midplane, index } => {
+                midplane.encode(out);
+                out.extend_from_slice(b"-L");
+                text::push_u64(out, u64::from(index), 0);
+            }
+            Location::ServiceCard(m) => {
+                m.encode(out);
+                out.extend_from_slice(b"-S");
+            }
+            Location::BulkPower(r) => {
+                r.encode(out);
+                out.extend_from_slice(b"-B");
+            }
+            Location::ClockCard(r) => {
+                r.encode(out);
+                out.extend_from_slice(b"-K");
+            }
+        }
+    }
+}
+
 impl fmt::Display for Location {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Location::Rack(r) => write!(f, "{r}"),
-            Location::Midplane(m) => write!(f, "{m}"),
-            Location::NodeCard(nc) => write!(f, "{nc}"),
-            Location::ComputeNode(cn) => write!(f, "{cn}"),
-            Location::IoNode { midplane, index } => write!(f, "{midplane}-I{index}"),
-            Location::LinkCard { midplane, index } => write!(f, "{midplane}-L{index}"),
-            Location::ServiceCard(m) => write!(f, "{m}-S"),
-            Location::BulkPower(r) => write!(f, "{r}-B"),
-            Location::ClockCard(r) => write!(f, "{r}-K"),
-        }
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 

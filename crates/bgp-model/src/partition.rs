@@ -12,6 +12,7 @@
 
 use crate::error::ModelError;
 use crate::location::{Location, MidplaneId, RackId};
+use crate::text;
 use crate::topology::NUM_MIDPLANES;
 use std::fmt;
 use std::str::FromStr;
@@ -224,21 +225,23 @@ impl Partition {
     }
 }
 
-impl fmt::Display for Partition {
-    /// Cobalt-style location strings:
+impl Partition {
+    /// Append the Cobalt-style location string, the one definition of the
+    /// job log's location text:
     ///
-    /// * a single midplane prints as `R23-M1`;
-    /// * a contiguous whole-rack range prints as `R10-R13` (the job-log form
-    ///   the paper's Table III shows: `R10-R11`);
-    /// * anything else prints as a comma-separated midplane list.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// * a single midplane is written as `R23-M1`;
+    /// * a contiguous whole-rack range is written as `R10-R13` (the job-log
+    ///   form the paper's Table III shows: `R10-R11`);
+    /// * anything else is a comma-separated midplane list, and the empty
+    ///   partition is `<empty>`.
+    pub fn encode(self, out: &mut Vec<u8>) {
         if self.is_empty() {
-            return write!(f, "<empty>");
+            return out.extend_from_slice(b"<empty>");
         }
         let n = self.len();
         if n == 1 {
             if let Some(only) = self.first() {
-                return write!(f, "{only}");
+                return only.encode(out);
             }
         }
         if self.is_contiguous() && n.is_multiple_of(2) {
@@ -248,16 +251,25 @@ impl fmt::Display for Partition {
                 if let (Ok(first), Ok(last)) =
                     (MidplaneId::from_index(lo), MidplaneId::from_index(hi))
                 {
-                    return write!(f, "{}-{}", first.rack(), last.rack());
+                    first.rack().encode(out);
+                    out.push(b'-');
+                    return last.rack().encode(out);
                 }
             }
         }
-        let mut sep = "";
-        for m in self.midplanes() {
-            write!(f, "{sep}{m}")?;
-            sep = ",";
+        for (i, m) in self.midplanes().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            m.encode(out);
         }
-        Ok(())
+    }
+}
+
+impl fmt::Display for Partition {
+    /// The text [`Partition::encode`] writes.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 

@@ -10,6 +10,7 @@
 //! fractional-second field is accepted on input and ignored).
 
 use crate::error::ModelError;
+use crate::text;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -182,10 +183,59 @@ impl Timestamp {
     }
 }
 
+/// The byte encoder of the CMCS form `YYYY-MM-DD-HH.MM.SS`, the one
+/// definition of that text: [`Timestamp`]'s `Display` and the RAS log
+/// writer both call it. The year is zero-padded to four characters, its
+/// sign counted among them (`-005`, `12345`).
+///
+/// It remembers the last day's `YYYY-MM-DD-`: log records are time-sorted,
+/// so most lines repeat the day before and only the clock is written.
+///
+/// ```
+/// use bgp_model::time::TimestampEncoder;
+/// use bgp_model::Timestamp;
+///
+/// let mut enc = TimestampEncoder::default();
+/// let mut out = Vec::new();
+/// enc.encode(Timestamp::from_civil(2008, 4, 14, 15, 8, 12), &mut out);
+/// assert_eq!(out, b"2008-04-14-15.08.12");
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct TimestampEncoder {
+    /// The day `date` spells, in days since the epoch.
+    day: Option<i64>,
+    /// `YYYY-MM-DD-` of `day`.
+    date: Vec<u8>,
+}
+
+impl TimestampEncoder {
+    /// Append `t` to `out`.
+    pub fn encode(&mut self, t: Timestamp, out: &mut Vec<u8>) {
+        let day = t.0.div_euclid(86_400);
+        if self.day != Some(day) {
+            let (y, mo, d) = civil_from_days(day);
+            self.date.clear();
+            text::push_i64(&mut self.date, i64::from(y), 4);
+            self.date.push(b'-');
+            text::push_two_digits(&mut self.date, u64::from(mo));
+            self.date.push(b'-');
+            text::push_two_digits(&mut self.date, u64::from(d));
+            self.date.push(b'-');
+            self.day = Some(day);
+        }
+        let secs = t.0.rem_euclid(86_400).unsigned_abs();
+        out.extend_from_slice(&self.date);
+        text::push_two_digits(out, secs / 3600);
+        out.push(b'.');
+        text::push_two_digits(out, secs % 3600 / 60);
+        out.push(b'.');
+        text::push_two_digits(out, secs % 60);
+    }
+}
+
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (y, mo, d, hh, mm, ss) = self.to_civil();
-        write!(f, "{y:04}-{mo:02}-{d:02}-{hh:02}.{mm:02}.{ss:02}")
+        text::fmt_with(f, |out| TimestampEncoder::default().encode(*self, out))
     }
 }
 

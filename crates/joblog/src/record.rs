@@ -1,6 +1,6 @@
 //! The job record value type and its small id types.
 
-use bgp_model::{Duration, Partition, Timestamp};
+use bgp_model::{text, Duration, Partition, Timestamp};
 use std::fmt;
 
 /// A distinct executable ("execution file"). The paper treats jobs with the
@@ -17,21 +17,46 @@ pub struct UserId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProjectId(pub u32);
 
+impl ExecId {
+    /// Append the executable's text, `app<nnnnn>.exe`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"app");
+        text::push_u64(out, u64::from(self.0), 5);
+        out.extend_from_slice(b".exe");
+    }
+}
+
+impl UserId {
+    /// Append the user's text, `user<nnn>`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"user");
+        text::push_u64(out, u64::from(self.0), 3);
+    }
+}
+
+impl ProjectId {
+    /// Append the project's text, `proj<nnn>`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"proj");
+        text::push_u64(out, u64::from(self.0), 3);
+    }
+}
+
 impl fmt::Display for ExecId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "app{:05}.exe", self.0)
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 
 impl fmt::Display for UserId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "user{:03}", self.0)
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 
 impl fmt::Display for ProjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "proj{:03}", self.0)
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 
@@ -59,15 +84,20 @@ impl ExitStatus {
     pub fn is_success(self) -> bool {
         matches!(self, ExitStatus::Completed)
     }
+
+    /// Append the job log's EXIT text: `0`, the exit code, or `cancelled`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        match self {
+            ExitStatus::Completed => out.push(b'0'),
+            ExitStatus::Failed(code) => text::push_u64(out, u64::from(code), 0),
+            ExitStatus::Cancelled => out.extend_from_slice(b"cancelled"),
+        }
+    }
 }
 
 impl fmt::Display for ExitStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExitStatus::Completed => write!(f, "0"),
-            ExitStatus::Failed(code) => write!(f, "{code}"),
-            ExitStatus::Cancelled => write!(f, "cancelled"),
-        }
+        text::fmt_with(f, |out| self.encode(out))
     }
 }
 

@@ -8,33 +8,41 @@
 //! paper shows `1209618043.1`; we keep whole seconds).
 
 use crate::record::JobRecord;
+use bgp_model::text;
 use std::io::{self, Write};
 
-/// Format a single record as a log line (no trailing newline).
-pub fn format_record(j: &JobRecord) -> String {
-    format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}",
-        j.job_id,
-        j.exec,
-        j.user,
-        j.project,
-        j.queue_time.as_unix(),
-        j.start_time.as_unix(),
-        j.end_time.as_unix(),
-        j.partition,
-        j.exit,
-    )
+/// Append `j`'s line (no newline) to `out`: the one definition of the job
+/// line's text.
+fn encode(j: &JobRecord, out: &mut Vec<u8>) {
+    text::push_u64(out, j.job_id, 0);
+    out.push(b'|');
+    j.exec.encode(out);
+    out.push(b'|');
+    j.user.encode(out);
+    out.push(b'|');
+    j.project.encode(out);
+    for t in [j.queue_time, j.start_time, j.end_time] {
+        out.push(b'|');
+        text::push_i64(out, t.as_unix(), 0);
+    }
+    out.push(b'|');
+    j.partition.encode(out);
+    out.push(b'|');
+    j.exit.encode(out);
 }
 
-/// Write records to `w`, one line each.
+/// Format a single record as a log line (no trailing newline): the text
+/// [`write_log`] writes for it.
+pub fn format_record(j: &JobRecord) -> String {
+    text::to_string_with(|out| encode(j, out))
+}
+
+/// Write records to `w`, one line each, and flush `w`.
 pub fn write_log<'a, W: Write, I: IntoIterator<Item = &'a JobRecord>>(
     w: &mut W,
     jobs: I,
 ) -> io::Result<()> {
-    for j in jobs {
-        writeln!(w, "{}", format_record(j))?;
-    }
-    Ok(())
+    text::write_lines(w, jobs, encode)
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Adversarial bytes through every adapter: NUL, `0xff`, lone `\r`, field
-//! separators, i64-edge numbers, valid BG/P lines and 1 MiB lines, spliced
-//! at random. Every batch decoder (at 1 and 3 threads), the cassette
-//! replay of each inner format, and both streaming `LineDecoder`s must
-//! return instead of panicking. Each must also account for every line of
+//! separators, i64-edge numbers, valid BG/P lines, whole CR-only, comment,
+//! separator-only and over-limit lines, and 1 MiB lines, spliced at random.
+//! Every batch decoder (at 1 and 3 threads), the cassette replay of each
+//! inner format, and both streaming `LineDecoder`s must return instead of
+//! panicking. Each must also account for every line of
 //! its input: records + diagnostics + skipped lines = lines, where the test
 //! counts the skipped lines itself, and the daemon's line decoders must
 //! agree with the batch decoders on the same bytes.
@@ -46,6 +47,17 @@ fn pieces() -> Vec<Vec<u8>> {
 2009-01-05-00.19.08|R06-M0-N13-J04|kernel panic\n";
     out.push(ras.to_vec());
     out.push(ras[..40].to_vec());
+    // Whole adversarial lines: each opens with `\n`, so it is a line of its
+    // own wherever it lands. CR-only lines, a comment, separators only, and
+    // a valid record longer than the daemon's default 64 KiB line limit.
+    for line in [&b"\r\r\n"[..], b"\r\n", b"# note\r\n", b"||||\n"] {
+        out.push([&b"\n"[..], line].concat());
+    }
+    let mut long = b"\n".to_vec();
+    long.extend_from_slice(&ras[..ras.len() - 1]);
+    long.extend(std::iter::repeat_n(b'x', 64 * 1024));
+    long.push(b'\n');
+    out.push(long);
     out
 }
 

@@ -9,34 +9,80 @@
 
 use crate::catalog::Catalog;
 use crate::record::RasRecord;
+use bgp_model::text;
+use bgp_model::time::TimestampEncoder;
 use std::io::{self, Write};
+use std::sync::OnceLock;
 
-/// Format a single record as a log line (no trailing newline).
-pub fn format_record(r: &RasRecord) -> String {
-    let info = Catalog::standard().info(r.errcode);
-    format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}",
-        r.recid,
-        info.msg_id,
-        info.component,
-        info.subcomponent,
-        info.name,
-        r.severity,
-        r.event_time,
-        r.location,
-        info.template,
-    )
+/// The text of a line that its ERRCODE fixes, written once per code.
+#[derive(Debug)]
+struct CodeText {
+    /// `|MSG_ID|COMPONENT|SUBCOMPONENT|ERRCODE|`, between RECID and SEVERITY.
+    head: Box<[u8]>,
+    /// `|MESSAGE`, after LOCATION.
+    tail: Box<[u8]>,
 }
 
-/// Write records to `w`, one line each.
+/// Every catalogue code's [`CodeText`], indexed by `ErrCode::index`.
+fn code_texts() -> &'static [CodeText] {
+    static TEXTS: OnceLock<Vec<CodeText>> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let catalog = Catalog::standard();
+        catalog
+            .codes()
+            .map(|code| {
+                let info = catalog.info(code);
+                let mut head = Vec::new();
+                for field in [
+                    info.msg_id.as_str(),
+                    info.component.as_str(),
+                    info.subcomponent,
+                    info.name,
+                ] {
+                    head.push(b'|');
+                    head.extend_from_slice(field.as_bytes());
+                }
+                head.push(b'|');
+                let mut tail = vec![b'|'];
+                tail.extend_from_slice(info.template.as_bytes());
+                CodeText {
+                    head: head.into(),
+                    tail: tail.into(),
+                }
+            })
+            .collect()
+    })
+}
+
+/// Append `r`'s line (no newline) to `out`, the one definition of its
+/// text: the RECID, the code's fixed head, the severity, the time, the
+/// location and the code's message. `time` keeps the day of the line
+/// before.
+fn encode(r: &RasRecord, time: &mut TimestampEncoder, out: &mut Vec<u8>) {
+    let code = &code_texts()[r.errcode.index()];
+    text::push_u64(out, r.recid, 0);
+    out.extend_from_slice(&code.head);
+    out.extend_from_slice(r.severity.as_str().as_bytes());
+    out.push(b'|');
+    time.encode(r.event_time, out);
+    out.push(b'|');
+    r.location.encode(out);
+    out.extend_from_slice(&code.tail);
+}
+
+/// Format a single record as a log line (no trailing newline): the text
+/// [`write_log`] writes for it.
+pub fn format_record(r: &RasRecord) -> String {
+    text::to_string_with(|out| encode(r, &mut TimestampEncoder::default(), out))
+}
+
+/// Write records to `w`, one line each, and flush `w`.
 pub fn write_log<'a, W: Write, I: IntoIterator<Item = &'a RasRecord>>(
     w: &mut W,
     records: I,
 ) -> io::Result<()> {
-    for r in records {
-        writeln!(w, "{}", format_record(r))?;
-    }
-    Ok(())
+    let mut time = TimestampEncoder::default();
+    text::write_lines(w, records, |r, out| encode(r, &mut time, out))
 }
 
 #[cfg(test)]

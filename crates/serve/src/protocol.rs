@@ -12,9 +12,9 @@
 //!
 //! Robustness rules, enforced here and accounted in the metrics registry:
 //!
-//! * a line longer than the configured limit is dropped whole and the
-//!   framer resynchronizes at the next newline (a malicious or corrupt
-//!   client cannot balloon daemon memory);
+//! * a line longer than the configured limit, its trailing `\r` run not
+//!   counted, is dropped whole and the framer resynchronizes at the next
+//!   newline (a malicious or corrupt client cannot balloon daemon memory);
 //! * an unparsable line is counted and skipped — one bad record must not
 //!   poison the stream.
 //!
@@ -25,10 +25,19 @@
 ///
 /// Feed it arbitrary byte chunks as they arrive from a socket or file tail;
 /// it invokes the sink once per complete line and reports how many lines it
-/// had to drop for exceeding the limit.
+/// had to drop for exceeding the limit. The limit is charged on a line's
+/// content by the workspace line rule ([`bgp_model::bytes::line_content`]):
+/// a trailing `\r` run is part of the terminator, however long, and is
+/// trimmed before the line reaches the sink. So a line frames the same
+/// whether it ends `\n`, `\r\n` or `\r\r\n`, and however the reads split it.
 #[derive(Debug)]
 pub struct LineFramer {
+    /// The open line's content so far, less its trailing `\r` run.
     carry: Vec<u8>,
+    /// The length of the `\r` run that follows `carry`: trimmed if the line
+    /// ends here, content if another byte follows. Held as a count, so a
+    /// flood of `\r` cannot grow the carry past the limit.
+    pending_cr: usize,
     max_line_bytes: usize,
     /// Inside an over-limit line, discarding until the next newline.
     skipping: bool,
@@ -39,74 +48,100 @@ impl LineFramer {
     pub fn new(max_line_bytes: usize) -> LineFramer {
         LineFramer {
             carry: Vec::new(),
+            pending_cr: 0,
             max_line_bytes,
             skipping: false,
         }
     }
 
-    /// The line length the limit applies to: one trailing `\r` is granted
-    /// as part of a CRLF terminator and does not count against the limit —
-    /// a maximal line must frame identically whether it arrives as `...\n`
-    /// or `...\r\n`, and whether the `\r\n` is split across reads. (The
-    /// decoder trims the whole `\r` run; the framer's grace stays one byte,
-    /// which bounds the carry.)
-    fn effective_len(&self, tail: &[u8]) -> usize {
-        let total = self.carry.len() + tail.len();
-        let ends_cr = tail.last().or(self.carry.last()) == Some(&b'\r');
-        total - usize::from(ends_cr && total > 0)
+    /// The open line's content length once `content` (a piece with its
+    /// trailing `\r` run trimmed) follows it: the pending `\r` run counts
+    /// only if the piece has content to put after it.
+    fn open_len(&self, content: &[u8]) -> usize {
+        if content.is_empty() {
+            self.carry.len()
+        } else {
+            self.carry
+                .len()
+                .saturating_add(self.pending_cr)
+                .saturating_add(content.len())
+        }
     }
 
-    /// Feed one chunk; complete lines go to `sink`. Returns the number of
-    /// oversized lines dropped within this chunk.
+    /// Append a piece's content to the open line, after the pending run.
+    fn append(&mut self, content: &[u8]) {
+        if !content.is_empty() {
+            self.carry.extend(std::iter::repeat_n(
+                b'\r',
+                std::mem::take(&mut self.pending_cr),
+            ));
+            self.carry.extend_from_slice(content);
+        }
+    }
+
+    /// Forget the open line.
+    fn reset(&mut self) {
+        self.carry.clear();
+        self.pending_cr = 0;
+    }
+
+    /// Feed one chunk; complete lines go to `sink`, their trailing `\r` run
+    /// trimmed. Returns the number of oversized lines dropped within this
+    /// chunk.
     pub fn feed(&mut self, chunk: &[u8], sink: &mut impl FnMut(&[u8])) -> u64 {
         let mut dropped = 0u64;
         let mut rest = chunk;
         while let Some(nl) = bgp_model::bytes::find_byte(b'\n', rest) {
             let (head, tail) = rest.split_at(nl);
             rest = &tail[1..];
-            if self.skipping {
+            if std::mem::take(&mut self.skipping) {
                 // The tail end of an over-limit line: swallow it.
-                self.skipping = false;
-                self.carry.clear();
                 continue;
             }
-            if self.effective_len(head) > self.max_line_bytes {
+            let content = content(head);
+            if self.open_len(content) > self.max_line_bytes {
                 dropped += 1;
-                self.carry.clear();
-                continue;
-            }
-            if self.carry.is_empty() {
-                sink(head);
+            } else if self.carry.is_empty() && self.pending_cr == 0 {
+                // The whole line arrived in this chunk.
+                sink(content);
             } else {
-                self.carry.extend_from_slice(head);
-                sink(&std::mem::take(&mut self.carry));
+                self.append(content);
+                sink(&self.carry);
             }
+            self.reset();
         }
         if self.skipping {
             return dropped;
         }
-        if self.effective_len(rest) > self.max_line_bytes {
+        let content = content(rest);
+        if self.open_len(content) > self.max_line_bytes {
             // The line is already over the limit without a newline in
-            // sight: drop it now and discard until the next newline. (A
-            // partial line ending in `\r` gets one byte of grace — the
-            // carry is bounded by the limit plus that single byte.)
+            // sight: drop it now and discard until the next newline.
             dropped += 1;
-            self.carry.clear();
+            self.reset();
             self.skipping = true;
+        } else if content.is_empty() {
+            self.pending_cr = self.pending_cr.saturating_add(rest.len());
         } else {
-            self.carry.extend_from_slice(rest);
+            self.append(content);
+            self.pending_cr = rest.len() - content.len();
         }
         dropped
     }
 
     /// Flush a trailing unterminated line at end of stream (EOF).
     pub fn finish(&mut self, sink: &mut impl FnMut(&[u8])) {
-        if !self.skipping && !self.carry.is_empty() {
-            sink(&std::mem::take(&mut self.carry));
+        if !self.skipping && (!self.carry.is_empty() || self.pending_cr > 0) {
+            sink(&self.carry);
         }
         self.skipping = false;
-        self.carry.clear();
+        self.reset();
     }
+}
+
+/// `bytes` less its trailing `\r` run: what the line rule keeps of it.
+fn content(bytes: &[u8]) -> &[u8] {
+    bgp_model::bytes::line_content(bytes).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -161,20 +196,18 @@ mod tests {
         let mut f = LineFramer::new(4);
         let (lines, dropped) = collect(&mut f, &[b"abcd\nabcd\r\nabcde\r\n"]);
         assert_eq!(dropped, 1, "only the 5-byte line is oversized");
-        assert_eq!(lines, vec![b"abcd".to_vec(), b"abcd\r".to_vec()]);
+        assert_eq!(lines, vec![b"abcd".to_vec(), b"abcd".to_vec()]);
     }
 
     #[test]
     fn crlf_split_across_chunks_at_the_limit_is_not_dropped() {
         // Regression: with the \r buffered at the end of one read and the
-        // \n opening the next, the carry briefly holds limit+1 bytes. The
-        // old framer dropped the line at that point; it must be delivered.
+        // \n opening the next, the line must still be delivered.
         let mut f = LineFramer::new(4);
         let (lines, dropped) = collect(&mut f, &[b"abcd\r", b"\nef\n"]);
         assert_eq!(dropped, 0);
-        assert_eq!(lines, vec![b"abcd\r".to_vec(), b"ef".to_vec()]);
-        // The grace byte is exactly one: anything after the \r that is not
-        // an immediate newline pushes the line over the limit again.
+        assert_eq!(lines, vec![b"abcd".to_vec(), b"ef".to_vec()]);
+        // A byte after the \r makes the \r content: over the limit again.
         let mut f = LineFramer::new(4);
         let (lines, dropped) = collect(&mut f, &[b"abcd\r", b"x\nok\n"]);
         assert_eq!(dropped, 1);
@@ -182,19 +215,45 @@ mod tests {
     }
 
     #[test]
-    fn only_one_trailing_cr_is_granted() {
-        // The framer grants one \r of a CRLF terminator, however many the
-        // decoder trims, so "abc\r\r" counts as 4 bytes ("abc\r" plus its
-        // terminator): delivered at a 4-byte limit.
+    fn a_trailing_cr_run_is_trimmed_and_not_charged_at_any_split() {
+        // The limit is charged on what the line rule leaves, so at a 4-byte
+        // limit "abcd\r\r" is the 4-byte line "abcd", while "abcd\r\rx"
+        // is a 7-byte line: delivered and dropped, however the bytes are
+        // split across reads.
+        for (input, want, want_dropped) in [
+            (&b"abcd\r\r\nok\n"[..], vec![&b"abcd"[..], b"ok"], 0),
+            (b"abcd\r\rx\nok\n", vec![b"ok"], 1),
+            (b"a\r\rx\r\r\n\r\r\nok", vec![b"a\r\rx", b"", b"ok"], 0),
+        ] {
+            for cut in 0..=input.len() {
+                for cut2 in cut..=input.len() {
+                    let chunks = [&input[..cut], &input[cut..cut2], &input[cut2..]];
+                    let mut f = LineFramer::new(4);
+                    let (lines, dropped) = collect(&mut f, &chunks);
+                    assert_eq!(dropped, want_dropped, "{chunks:?}");
+                    assert_eq!(lines, want, "{chunks:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pending_cr_run_does_not_grow_the_carry() {
         let mut f = LineFramer::new(4);
-        let (lines, dropped) = collect(&mut f, &[b"abc\r\r\nok\n"]);
-        assert_eq!(dropped, 0);
-        assert_eq!(lines, vec![b"abc\r\r".to_vec(), b"ok".to_vec()]);
-        // "abcd\r\r" counts as 5 bytes: over the limit, dropped.
-        let mut f = LineFramer::new(4);
-        let (lines, dropped) = collect(&mut f, &[b"abcd\r\r\nok\n"]);
-        assert_eq!(dropped, 1);
-        assert_eq!(lines, vec![b"ok".to_vec()]);
+        let mut lines = Vec::new();
+        let mut sink = |l: &[u8]| lines.push(l.to_vec());
+        f.feed(b"abcd", &mut sink);
+        for _ in 0..1000 {
+            assert_eq!(f.feed(b"\r\r\r", &mut sink), 0);
+        }
+        assert_eq!(f.carry.len(), 4);
+        assert_eq!(f.feed(b"\n", &mut sink), 0);
+        // A run that content follows is charged whole.
+        f.feed(b"ab", &mut sink);
+        f.feed(b"\r\r\r", &mut sink);
+        assert_eq!(f.feed(b"x\nok\n", &mut sink), 1);
+        f.finish(&mut sink);
+        assert_eq!(lines, vec![b"abcd".to_vec(), b"ok".to_vec()]);
     }
 
     #[test]
