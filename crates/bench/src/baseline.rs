@@ -41,14 +41,16 @@ pub fn match_events(matcher: &Matcher, events: &[Event], ctx: &AnalysisContext<'
         let mut running = 0usize;
         let mut seen: Vec<u64> = Vec::new();
         for m in e.footprint.midplanes() {
-            for j in ctx.running_at(m, e.time) {
+            for j in ctx.jobs().running_at(m, e.time) {
                 if !seen.contains(&j.job_id) {
                     seen.push(j.job_id);
                     running += 1;
                 }
             }
         }
-        let ended = ctx.ended_in_window(e.time - matcher.window, e.time + matcher.window);
+        let ended = ctx
+            .jobs()
+            .ended_in_window(e.time - matcher.window, e.time + matcher.window);
         let victims: Vec<u64> = ended
             .iter()
             .filter(|j| j.partition.overlaps(e.footprint))
@@ -56,7 +58,7 @@ pub fn match_events(matcher: &Matcher, events: &[Event], ctx: &AnalysisContext<'
             .map(|j| j.job_id)
             .collect();
         for &job_id in &victims {
-            let Some(end) = ctx.job(job_id).map(|j| j.end_time) else {
+            let Some(end) = ctx.jobs().job(job_id).map(|j| j.end_time) else {
                 continue; // victim ids come from this log; nothing to rank otherwise
             };
             let dist = (end - e.time).abs().as_secs();
@@ -121,7 +123,7 @@ pub fn classify_root_cause(
     for (e, m) in events.iter().zip(&matching.per_event) {
         let ev = evidence.entry(e.errcode).or_default();
         for &job_id in &m.victims {
-            if let Some(job) = ctx.job(job_id) {
+            if let Some(job) = ctx.jobs().job(job_id) {
                 ev.interrupts = true;
                 ev.hits.push((
                     job.partition.first().map_or(0, |m| m.index()) as u8,
@@ -158,7 +160,7 @@ pub fn classify_root_cause(
                 if exec_a == exec_b {
                     continue;
                 }
-                let clean_between = ctx.overlapping(mp, t_a, t_b).iter().any(|j| {
+                let clean_between = ctx.jobs().overlapping(mp, t_a, t_b).iter().any(|j| {
                     j.start_time > t_a
                         && j.end_time < t_b
                         && !matching.job_to_event.contains_key(&j.job_id)
@@ -299,7 +301,7 @@ pub fn vulnerability(
     let app_jobs: Vec<&JobRecord> = causes
         .iter()
         .filter(|&(_, &c)| c == RootCause::ApplicationError)
-        .filter_map(|(&id, _)| ctx.job(id))
+        .filter_map(|(&id, _)| ctx.jobs().job(id))
         .collect();
     let app_interruptions_first_hour = if app_jobs.is_empty() {
         0.0
@@ -355,7 +357,7 @@ fn time_col(runtime_secs: i64) -> usize {
 fn build_table(ctx: &AnalysisContext<'_>, causes: &HashMap<u64, RootCause>) -> SizeLengthTable {
     let mut interrupted = [[0u32; 4]; 9];
     let mut total = [[0u32; 4]; 9];
-    for j in ctx.job_records() {
+    for j in ctx.jobs().jobs() {
         match causes.get(&j.job_id) {
             Some(RootCause::ApplicationError) => continue,
             Some(RootCause::SystemFailure) => {
@@ -382,7 +384,7 @@ fn build_resubmission(
 ) -> ResubmissionStats {
     let mut system = [(0u32, 0u32); 3];
     let mut application = [(0u32, 0u32); 3];
-    for group in ctx.exec_groups().iter() {
+    for group in ctx.jobs().exec_groups().iter() {
         for (cat, counts) in [
             (RootCause::SystemFailure, &mut system),
             (RootCause::ApplicationError, &mut application),
@@ -414,7 +416,7 @@ fn suspicious_sets(
     let mut by_project: HashMap<ProjectId, u32> = HashMap::new();
     let total = causes.len() as f64;
     for (&job_id, _) in causes.iter() {
-        if let Some(j) = ctx.job(job_id) {
+        if let Some(j) = ctx.jobs().job(job_id) {
             *by_user.entry(j.user).or_insert(0) += 1;
             *by_project.entry(j.project).or_insert(0) += 1;
         }
@@ -470,7 +472,7 @@ fn rank(
     let mut time_f = Vec::new();
     let mut loc_f = Vec::new();
     let mut labels = Vec::new();
-    for j in ctx.job_records() {
+    for j in ctx.jobs().jobs() {
         match causes.get(&j.job_id) {
             Some(&c) if c != category => continue,
             other => labels.push(usize::from(other == Some(&category))),
@@ -535,7 +537,7 @@ pub fn fda(
     for (i, em) in matching.per_event.iter().enumerate() {
         let code = events.get(i).map_or(0, |e| e.errcode.0);
         for &job_id in &em.victims {
-            if let Some(row) = ctx.job_row(job_id) {
+            if let Some(row) = ctx.jobs().job_row(job_id) {
                 attributed.push((row, code));
             }
         }
@@ -714,7 +716,7 @@ fn fda_candidates(frequent: &[Vec<(u8, u32)>]) -> Vec<Vec<(u8, u32)>> {
 fn history_uncovered(ctx: &AnalysisContext<'_>, causes: &HashMap<u64, RootCause>, k: usize) -> f64 {
     let mut covered = 0usize;
     let mut total = 0usize;
-    for group in ctx.exec_groups().iter() {
+    for group in ctx.jobs().exec_groups().iter() {
         let mut run = 0usize;
         for j in group_records(ctx, group) {
             let interrupted = causes.contains_key(&j.job_id);
@@ -741,7 +743,7 @@ fn group_records<'a>(
     ctx: &AnalysisContext<'a>,
     group: &'a [u32],
 ) -> impl Iterator<Item = &'a JobRecord> + 'a {
-    let records = ctx.job_records();
+    let records = ctx.jobs().jobs();
     group
         .iter()
         .filter_map(move |&row| records.get(row as usize))
@@ -779,7 +781,7 @@ pub fn burst(
 
     let interrupted_ids: BTreeSet<u64> = victims.iter().map(|j| j.job_id).collect();
     let mut max_run = 0usize;
-    for group in ctx.exec_groups().iter() {
+    for group in ctx.jobs().exec_groups().iter() {
         let mut run = 0usize;
         for j in group_records(ctx, group) {
             if interrupted_ids.contains(&j.job_id) {
@@ -794,15 +796,15 @@ pub fn burst(
     let interrupted_execs = per_exec.len();
     BurstAnalysis {
         per_day,
-        interrupted_job_fraction: if ctx.job_count() == 0 {
+        interrupted_job_fraction: if ctx.jobs().is_empty() {
             0.0
         } else {
-            victims.len() as f64 / ctx.job_count() as f64
+            victims.len() as f64 / ctx.jobs().len() as f64
         },
-        interrupted_exec_fraction: if ctx.distinct_execs() == 0 {
+        interrupted_exec_fraction: if ctx.jobs().distinct_execs() == 0 {
             0.0
         } else {
-            interrupted_execs as f64 / ctx.distinct_execs() as f64
+            interrupted_execs as f64 / ctx.jobs().distinct_execs() as f64
         },
         quick_reinterruptions: quick,
         quick_window_secs: quick_window.as_secs(),

@@ -431,7 +431,7 @@ impl Experiments {
                 .truth
                 .job_cause
                 .keys()
-                .filter_map(|&id| out.jobs.by_job_id(id).map(|j| j.exec))
+                .filter_map(|&id| out.jobs.job(id).map(|j| j.exec))
                 .collect();
             rows.push(vec![
                 format!("{prob:.3}"),

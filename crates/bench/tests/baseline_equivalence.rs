@@ -143,8 +143,10 @@ fn burst_matches_baseline_on_duplicated_ids_and_interleaved_queue_times() {
     let window = (Timestamp::from_unix(0), Timestamp::from_unix(3 * 86_400));
     let quick = Duration::seconds(5_000);
     for victim_ids in [vec![], vec![3], vec![0, 3, 4, 16], (0..17).collect()] {
-        let mut victims: Vec<&JobRecord> =
-            victim_ids.iter().filter_map(|&id| ctx.job(id)).collect();
+        let mut victims: Vec<&JobRecord> = victim_ids
+            .iter()
+            .filter_map(|&id| ctx.jobs().job(id))
+            .collect();
         victims.sort_by_key(|j| (j.end_time, j.job_id));
         assert_eq!(
             BurstAnalysis::new(&victims, &ctx, window, quick),

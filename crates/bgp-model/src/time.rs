@@ -107,30 +107,43 @@ impl Timestamp {
 
     /// Parse the CMCS format `YYYY-MM-DD-HH.MM.SS` with an optional
     /// `.ffffff` fractional-second suffix (ignored).
+    ///
+    /// The year is every character before the first `-` past a leading
+    /// sign, at least four of them: it reads back each year
+    /// [`TimestampEncoder`] writes, `-1000` and `10000` included.
     pub fn parse(s: &str) -> Result<Timestamp, ModelError> {
         let err = || ModelError::InvalidTimestamp(s.to_owned());
-        let b = s.as_bytes();
-        if b.len() < 19 {
+        let year_len = s
+            .get(1..)
+            .and_then(|rest| rest.find('-'))
+            .map_or(0, |i| i + 1);
+        if year_len < 4 {
             return Err(err());
         }
-        let sep_ok = b[4] == b'-'
-            && b[7] == b'-'
-            && b[10] == b'-'
-            && b[13] == b'.'
-            && b[16] == b'.'
-            && (b.len() == 19 || b[19] == b'.');
+        let (year, rest) = s.split_at(year_len);
+        // `rest` is `-MM-DD-HH.MM.SS`, then nothing or a `.` suffix.
+        let b = rest.as_bytes();
+        let sep_ok = b.len() >= 15
+            && b[0] == b'-'
+            && b[3] == b'-'
+            && b[6] == b'-'
+            && b[9] == b'.'
+            && b[12] == b'.'
+            && (b.len() == 15 || b[15] == b'.');
         if !sep_ok {
             return Err(err());
         }
         let num = |range: std::ops::Range<usize>| -> Result<u32, ModelError> {
-            s[range].parse::<u32>().map_err(|_| err())
+            rest.get(range)
+                .and_then(|t| t.parse::<u32>().ok())
+                .ok_or_else(err)
         };
-        let year = s[0..4].parse::<i32>().map_err(|_| err())?;
-        let month = num(5..7)?;
-        let day = num(8..10)?;
-        let hh = num(11..13)?;
-        let mm = num(14..16)?;
-        let ss = num(17..19)?;
+        let year = year.parse::<i32>().map_err(|_| err())?;
+        let month = num(1..3)?;
+        let day = num(4..6)?;
+        let hh = num(7..9)?;
+        let mm = num(10..12)?;
+        let ss = num(13..15)?;
         if !(1..=12).contains(&month) || !(1..=31).contains(&day) || hh > 23 || mm > 59 || ss > 60 {
             return Err(err());
         }
@@ -458,6 +471,44 @@ mod tests {
             "2d00h01m01s"
         );
         assert_eq!(Duration::seconds(-62).to_string(), "-1m02s");
+    }
+
+    #[test]
+    fn parse_reads_back_every_year_the_encoder_writes() {
+        for (year, text) in [
+            (-1000, "-1000-03-01-00.00.00"),
+            (-999, "-999-03-01-00.00.00"),
+            (-5, "-005-03-01-00.00.00"),
+            (9999, "9999-03-01-00.00.00"),
+            (10000, "10000-03-01-00.00.00"),
+        ] {
+            let t = Timestamp::from_civil(year, 3, 1, 0, 0, 0);
+            assert_eq!(t.to_string(), text);
+            assert_eq!(Timestamp::parse(text), Ok(t), "{text:?}");
+        }
+        // Fewer than four year characters is not the encoder's form.
+        for bad in [
+            "208-04-14-15.08.12",
+            "-08-04-14-15.08.12",
+            "-04-14-15.08.12",
+        ] {
+            assert!(Timestamp::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Every instant from year −1,000,000 to 1,000,000 parses back from
+        /// the text its encoder writes.
+        #[test]
+        fn encoded_text_parses_back(
+            year in -1_000_000i32..=1_000_000,
+            day_of_year in 0i64..366,
+            secs in 0i64..86_400,
+        ) {
+            let jan1 = Timestamp::from_civil(year, 1, 1, 0, 0, 0);
+            let t = jan1 + Duration::days(day_of_year) + Duration::seconds(secs);
+            proptest::prop_assert_eq!(Timestamp::parse(&t.to_string()), Ok(t));
+        }
     }
 
     #[test]

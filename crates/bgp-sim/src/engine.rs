@@ -882,7 +882,7 @@ mod tests {
             "no interruptions in a 12-day window"
         );
         for (&job_id, &fault_id) in &out.truth.job_cause {
-            let job = out.jobs.by_job_id(job_id).expect("interrupted job logged");
+            let job = out.jobs.job(job_id).expect("interrupted job logged");
             assert!(
                 matches!(job.exit, ExitStatus::Failed(_)),
                 "job {job_id} should have failed exit"
@@ -956,7 +956,7 @@ mod tests {
             let out = run_small(seed);
             for f in out.truth.of_nature(FaultNature::ApplicationError) {
                 for &job_id in &f.interrupted_jobs {
-                    if let Some(j) = out.jobs.by_job_id(job_id) {
+                    if let Some(j) = out.jobs.job(job_id) {
                         total += 1;
                         if j.runtime().as_secs() < 3_600 {
                             early += 1;

@@ -63,9 +63,10 @@ impl BurstAnalysis {
         // submissions of the executable that all got interrupted. Every row
         // carrying a victim's id counts as interrupted.
         let interrupted_ids: BTreeMap<u64, ()> = victims.iter().map(|j| (j.job_id, ())).collect();
-        let interrupted = ctx.row_marks(&interrupted_ids);
+        let jobs = ctx.jobs();
+        let interrupted = jobs.row_marks(&interrupted_ids);
         let mut max_run = 0usize;
-        for group in ctx.exec_groups().iter() {
+        for group in jobs.exec_groups().iter() {
             let mut run = 0usize;
             for &row in group {
                 if interrupted.get(row as usize).is_some_and(Option::is_some) {
@@ -80,15 +81,15 @@ impl BurstAnalysis {
         let interrupted_execs = per_exec.len();
         BurstAnalysis {
             per_day,
-            interrupted_job_fraction: if ctx.job_count() == 0 {
+            interrupted_job_fraction: if jobs.is_empty() {
                 0.0
             } else {
-                victims.len() as f64 / ctx.job_count() as f64
+                victims.len() as f64 / jobs.len() as f64
             },
-            interrupted_exec_fraction: if ctx.distinct_execs() == 0 {
+            interrupted_exec_fraction: if jobs.distinct_execs() == 0 {
                 0.0
             } else {
-                interrupted_execs as f64 / ctx.distinct_execs() as f64
+                interrupted_execs as f64 / jobs.distinct_execs() as f64
             },
             quick_reinterruptions: quick,
             quick_window_secs: quick_window.as_secs(),

@@ -97,18 +97,19 @@ impl CheckpointStudy<'_> {
         // Executables with any application-error interruption in the log —
         // the "history" the informed policy reacts to. (Offline stand-in
         // for the online history a scheduler would track.)
+        let jobs = self.ctx.jobs();
         let app_history: BTreeSet<ExecId> = self
             .causes
             .iter()
             .filter(|&(_, &c)| c == RootCause::ApplicationError)
-            .filter_map(|(&id, _)| self.ctx.job(id).map(|j| j.exec))
+            .filter_map(|(&id, _)| jobs.job(id).map(|j| j.exec))
             .collect();
-        let interrupted_rows = self.ctx.row_marks(self.causes);
+        let interrupted_rows = jobs.row_marks(self.causes);
 
         let mut lost = 0.0f64;
         let mut overhead = 0.0f64;
         let mut jobs_checkpointing = 0usize;
-        for (job, mark) in self.ctx.job_records().iter().zip(&interrupted_rows) {
+        for (job, mark) in jobs.jobs().iter().zip(&interrupted_rows) {
             let elapsed = job.runtime().as_secs() as f64;
             let nodes = f64::from(job.size_midplanes()) * 512.0;
             let interrupted = mark.is_some();

@@ -139,7 +139,8 @@ impl FdaParams {
 /// dimension and the sorted dictionaries behind the ids (a display name is
 /// formatted from the dictionary only when asked for). Built once per [`AnalysisContext`] (lazily, on first use) beside the
 /// existing sorted shards; rows are the context's job-table rows, so a job
-/// id resolves to its row through [`AnalysisContext::job_row`].
+/// id resolves to its row through
+/// [`JobLog::job_row`](joblog::JobLog::job_row).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobDims {
     /// Column per job dimension, `cols[d][row]` = interned id. Order:
@@ -331,8 +332,8 @@ impl FdaAnalysis {
     /// Mine the lattice. `events` and `matching` supply the errcode
     /// column and the fatal-row set (a job is fatal iff the matching
     /// attributed it to an event, and its row is the one
-    /// [`AnalysisContext::job_row`] resolves); the job columns are the
-    /// context's [`AnalysisContext::fda_columns`].
+    /// [`JobLog::job_row`](joblog::JobLog::job_row) resolves); the job
+    /// columns are the context's [`AnalysisContext::fda_columns`].
     pub fn compute(
         events: &[Event],
         matching: &Matching,
@@ -348,7 +349,7 @@ impl FdaAnalysis {
         for (i, em) in matching.per_event.iter().enumerate() {
             let code = events.get(i).map_or(0, |e| e.errcode.0);
             for &job_id in &em.victims {
-                if let Some(row) = ctx.job_row(job_id) {
+                if let Some(row) = ctx.jobs().job_row(job_id) {
                     attributed.push((row, code));
                 }
             }

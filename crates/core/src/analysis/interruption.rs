@@ -76,7 +76,7 @@ impl InterruptionStats {
         let mut sys_times = Vec::new();
         let mut app_times = Vec::new();
         for (&job_id, &event_idx) in &matching.job_to_event {
-            let Some(job) = ctx.job(job_id) else {
+            let Some(job) = ctx.jobs().job(job_id) else {
                 continue;
             };
             let code = events[event_idx].errcode;

@@ -40,8 +40,8 @@ impl MidplaneProfile {
         }
         MidplaneProfile {
             fatal_counts,
-            workload_secs: ctx.midplane_busy_series(0),
-            wide_workload_secs: ctx.midplane_busy_series(wide_threshold),
+            workload_secs: ctx.jobs().midplane_busy_series(0),
+            wide_workload_secs: ctx.jobs().midplane_busy_series(wide_threshold),
             wide_threshold,
         }
     }

@@ -47,7 +47,7 @@ mod tests {
 
     /// Job 5 is logged twice — first on exec 1, then (the last row) on
     /// exec 2 — and one event interrupts it. Every stage must resolve the
-    /// id to the last row, as `AnalysisContext::job` does.
+    /// id to the last row, as `JobLog::job` does.
     #[test]
     fn a_duplicated_id_resolves_to_its_last_row_in_every_stage() {
         let jobs = JobLog::from_jobs(vec![
@@ -57,7 +57,7 @@ mod tests {
             job(8, 1, 500_000, 30_000, 1),
         ]);
         let ctx = AnalysisContext::for_jobs(&jobs);
-        let last = ctx.job(5).unwrap();
+        let last = ctx.jobs().job(5).unwrap();
         assert_eq!(last.exec, ExecId(2));
 
         let code = raslog::Catalog::standard()

@@ -51,7 +51,7 @@ impl PropagationAnalysis {
                 let partitions: Vec<_> = m
                     .victims
                     .iter()
-                    .filter_map(|&id| ctx.job(id))
+                    .filter_map(|&id| ctx.jobs().job(id))
                     .map(|j| j.partition)
                     .collect();
                 let mut disjoint = false;

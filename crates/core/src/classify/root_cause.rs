@@ -108,7 +108,7 @@ pub fn classify_root_cause(
     let mut hits: Vec<(ErrCode, Hit)> = Vec::new();
     for (e, m) in events.iter().zip(&matching.per_event) {
         for &job_id in &m.victims {
-            if let Some(job) = ctx.job(job_id) {
+            if let Some(job) = ctx.jobs().job(job_id) {
                 hits.push((
                     e.errcode,
                     (
@@ -238,7 +238,7 @@ fn classify_one(
                 continue; // same executable: could be its own bug
             }
             let mut clean_between = false;
-            ctx.for_each_overlapping(mp, t_a, t_b, |j| {
+            ctx.jobs().for_each_overlapping(mp, t_a, t_b, |j| {
                 clean_between = clean_between
                     || (j.start_time > t_a
                         && j.end_time < t_b

@@ -83,14 +83,15 @@ impl JobRelatedFilter {
 
             // --- Rule 1 ---
             if let Some(&j) = last_at.get(&key) {
-                let clean_run_between =
-                    ctx.overlapping(mp, events[j].time, e.time)
-                        .iter()
-                        .any(|job| {
-                            job.start_time > events[j].time
-                                && job.end_time < e.time
-                                && !matching.job_to_event.contains_key(&job.job_id)
-                        });
+                let clean_run_between = ctx
+                    .jobs()
+                    .overlapping(mp, events[j].time, e.time)
+                    .iter()
+                    .any(|job| {
+                        job.start_time > events[j].time
+                            && job.end_time < e.time
+                            && !matching.job_to_event.contains_key(&job.job_id)
+                    });
                 if !clean_run_between {
                     redundant[i] = true;
                     root[i] = root[j]; // transitive
@@ -100,7 +101,7 @@ impl JobRelatedFilter {
             // --- Rule 2 (application resubmissions) ---
             if !redundant[i] {
                 for &job_id in victims {
-                    let Some(job) = ctx.job(job_id) else {
+                    let Some(job) = ctx.jobs().job(job_id) else {
                         continue;
                     };
                     if let Some(&j) = seen_exec.get(&(e.errcode, job.exec)) {
@@ -118,7 +119,7 @@ impl JobRelatedFilter {
             // its first event via `root`).
             last_at.insert(key, i);
             for &job_id in victims {
-                if let Some(job) = ctx.job(job_id) {
+                if let Some(job) = ctx.jobs().job(job_id) {
                     seen_exec.entry((e.errcode, job.exec)).or_insert(i);
                 }
             }

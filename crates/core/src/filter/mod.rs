@@ -7,15 +7,12 @@
 //! record counts preserved so compression ratios can be reported exactly
 //! (the paper: 33,370 → 549 → 477).
 
-pub mod adaptive;
 pub mod causal;
 pub mod dedup;
 pub mod job_related;
 mod proptests;
 pub mod spatial;
 pub mod temporal;
-
-pub use adaptive::AdaptiveTemporalFilter;
 
 pub use causal::{CausalFilter, CausalRule};
 pub use dedup::{DedupDecision, DedupWindow};

@@ -24,7 +24,7 @@
 use crate::context::AnalysisContext;
 use crate::event::Event;
 use bgp_model::{Duration, Timestamp};
-use joblog::JobRecord;
+use joblog::{JobLog, JobRecord};
 use std::collections::BTreeMap;
 
 /// The paper's three event-vs-jobs cases.
@@ -154,20 +154,20 @@ impl SweepState {
 }
 
 /// End time of the job at machine-wide termination rank `rank`.
-fn rank_end(ctx: &AnalysisContext<'_>, rank: usize) -> Option<Timestamp> {
+fn rank_end(jobs: &JobLog, rank: usize) -> Option<Timestamp> {
     u32::try_from(rank)
         .ok()
-        .and_then(|r| ctx.job_by_end_rank(r))
+        .and_then(|r| jobs.job_by_end_rank(r))
         .map(|j| j.end_time)
 }
 
 /// First termination rank whose end time is ≥ `t` (binary search over the
 /// machine-wide `(end_time, job_id)` rank order).
-fn rank_lower_bound(ctx: &AnalysisContext<'_>, t: Timestamp) -> usize {
-    let (mut lo, mut hi) = (0usize, ctx.job_count());
+fn rank_lower_bound(jobs: &JobLog, t: Timestamp) -> usize {
+    let (mut lo, mut hi) = (0usize, jobs.len());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if rank_end(ctx, mid).is_some_and(|end| end < t) {
+        if rank_end(jobs, mid).is_some_and(|end| end < t) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -179,11 +179,11 @@ fn rank_lower_bound(ctx: &AnalysisContext<'_>, t: Timestamp) -> usize {
 /// Advance one termination bound to the first rank with end time ≥ `t`:
 /// incrementally when the jump is small, by binary search when it is not
 /// (both land on the same partition point of the end-sorted rank order).
-fn advance_term_bound(ctx: &AnalysisContext<'_>, bound: &mut usize, t: Timestamp) {
-    if rank_end(ctx, bound.saturating_add(TERM_REANCHOR_GAP)).is_some_and(|end| end < t) {
-        *bound = rank_lower_bound(ctx, t);
+fn advance_term_bound(jobs: &JobLog, bound: &mut usize, t: Timestamp) {
+    if rank_end(jobs, bound.saturating_add(TERM_REANCHOR_GAP)).is_some_and(|end| end < t) {
+        *bound = rank_lower_bound(jobs, t);
     } else {
-        while rank_end(ctx, *bound).is_some_and(|end| end < t) {
+        while rank_end(jobs, *bound).is_some_and(|end| end < t) {
             *bound += 1;
         }
     }
@@ -196,7 +196,8 @@ impl Matcher {
     /// Contract: returns `per_event` exactly parallel to `events` (same
     /// length, same order); every match points at a job in `ctx`.
     pub fn run(&self, events: &[Event], ctx: &AnalysisContext<'_>) -> Matching {
-        let mut per_event = self.sweep(events, ctx);
+        let jobs = ctx.jobs();
+        let mut per_event = self.sweep(events, jobs);
 
         // Job id → (event index, |end − event time|), best so far.
         // Iterating in event order with a strict `<` on the distance makes
@@ -204,7 +205,7 @@ impl Matcher {
         let mut best: BTreeMap<u64, (usize, i64)> = BTreeMap::new();
         for (i, (e, m)) in events.iter().zip(&per_event).enumerate() {
             for &job_id in &m.victims {
-                let Some(end) = ctx.job(job_id).map(|j| j.end_time) else {
+                let Some(end) = jobs.job(job_id).map(|j| j.end_time) else {
                     continue; // victim ids come from this log; nothing to rank otherwise
                 };
                 let dist = (end - e.time).abs().as_secs();
@@ -240,10 +241,10 @@ impl Matcher {
     /// The per-event sweep over the time-sorted event stream. Victims here
     /// are *pre-reduction*: every job ending in the window on the footprint
     /// (exit-filtered), before best-attribution pruning.
-    fn sweep(&self, events: &[Event], ctx: &AnalysisContext<'_>) -> Vec<EventMatch> {
+    fn sweep(&self, events: &[Event], jobs: &JobLog) -> Vec<EventMatch> {
         let mut state = SweepState::new();
-        let records = ctx.job_records();
-        let max_duration = ctx.max_job_duration();
+        let records = jobs.jobs();
+        let max_duration = jobs.max_duration();
         let mut per_event = Vec::with_capacity(events.len());
         for e in events {
             // Cursors only ever advance; if the stream is not time-sorted
@@ -315,15 +316,15 @@ impl Matcher {
             // rank order, as the old per-midplane rank-list union.
             let (t0, t1) = (e.time - self.window, e.time + self.window);
             if !state.term_anchored {
-                state.term_lo = rank_lower_bound(ctx, t0);
-                state.term_hi = rank_lower_bound(ctx, t1);
+                state.term_lo = rank_lower_bound(jobs, t0);
+                state.term_hi = rank_lower_bound(jobs, t1);
                 state.term_anchored = true;
             } else {
-                advance_term_bound(ctx, &mut state.term_lo, t0);
-                advance_term_bound(ctx, &mut state.term_hi, t1);
+                advance_term_bound(jobs, &mut state.term_lo, t0);
+                advance_term_bound(jobs, &mut state.term_hi, t1);
             }
             let victims: Vec<u64> = (state.term_lo..state.term_hi)
-                .filter_map(|r| u32::try_from(r).ok().and_then(|r| ctx.job_by_end_rank(r)))
+                .filter_map(|r| u32::try_from(r).ok().and_then(|r| jobs.job_by_end_rank(r)))
                 .filter(|j| j.partition.mask() & footprint != 0)
                 .filter(|j| !self.require_failed_exit || !j.exit.is_success())
                 .map(|j| j.job_id)
@@ -365,13 +366,13 @@ impl Matching {
         c
     }
 
-    /// The interrupted [`JobRecord`]s, resolved through the context's job-id
-    /// index ([`AnalysisContext::job`]), in `(end_time, job_id)` order.
+    /// The interrupted [`JobRecord`]s, resolved through the job log's job-id
+    /// index ([`JobLog::job`]), in `(end_time, job_id)` order.
     pub fn interrupted_records<'a>(&self, ctx: &AnalysisContext<'a>) -> Vec<&'a JobRecord> {
         let mut out: Vec<&JobRecord> = self
             .job_to_event
             .keys()
-            .filter_map(|&id| ctx.job(id))
+            .filter_map(|&id| ctx.jobs().job(id))
             .collect();
         out.sort_by_key(|j| (j.end_time, j.job_id));
         out

@@ -258,7 +258,7 @@ impl DeltaSession {
     /// Records ingested so far (events on the RAS side, rows on the job
     /// side).
     pub fn ingested(&self) -> (usize, usize) {
-        let events = self.store.as_ref().map_or(0, |s| s.raw_events().len());
+        let events = self.store.as_ref().map_or(0, |s| s.len());
         (events, self.jobs.len())
     }
 
@@ -272,10 +272,9 @@ impl DeltaSession {
         delta: &ContextDelta,
         observer: Option<&dyn StageObserver>,
     ) -> (CoAnalysisResult, DeltaReport) {
-        // Move the event buffers into a context (no copy), run, and move
-        // them back out — the context's job-side indexes are the only part
-        // rebuilt per pass, and the job log at paper scale is ~30× smaller
-        // than the event stream.
+        // Move the event store into a context (no copy), run, and move it
+        // back out. The job log keeps its own indexes current across
+        // appends; only the FDA columns are built per pass, on first read.
         let store = self.store.take().unwrap_or_default();
         let ctx = AnalysisContext::from_store(store, &self.jobs);
         let (state, report) = stage::execute(

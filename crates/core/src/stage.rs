@@ -876,7 +876,7 @@ pub(crate) fn execute(
     let keep_outputs = cache.is_some();
     let dirty_ctx = delta.map_or_else(Vec::new, ContextDelta::dirty);
     let dirty_codes = delta.map_or(&[][..], |d| d.dirty_codes.as_slice());
-    let state = PipelineState::new(ctx.raw_events().len());
+    let state = PipelineState::new(ctx.event_count());
     let schedule = Schedule {
         board: Mutex::new(Board {
             todo: set,
@@ -1307,7 +1307,7 @@ mod tests {
             let ctx = AnalysisContext::new(&out.ras, &out.jobs);
             let cfg = CoAnalysisConfig::default();
             let set = AnalysisSet(mask).closure();
-            let state = PipelineState::new(ctx.raw_events().len());
+            let state = PipelineState::new(ctx.event_count());
             state.take_observed_reads();
             ctx.take_observed_reads();
             for id in set.stages() {

@@ -11,9 +11,11 @@
 //!   Table VI runtime bucket).
 //! * [`JobLog`] — a container indexed for the two queries co-analysis runs
 //!   millions of times: *which jobs were running at time t on midplane m* and
-//!   *which jobs ended near time t*. Plus distinct-job grouping by
-//!   executable, which underpins the paper's resubmission analysis
-//!   (Figure 7) and job-related filtering.
+//!   *which jobs ended near time t*. It owns every other index over the job
+//!   table too: job-id lookup (a duplicated id means its last row) and
+//!   distinct-job grouping by executable ([`ExecGroups`]), which underpins
+//!   the paper's resubmission analysis (Figure 7) and job-related
+//!   filtering.
 
 pub mod ingest;
 pub mod log;
@@ -24,7 +26,7 @@ pub mod snapshot;
 pub mod write;
 
 pub use ingest::parse_log_bytes;
-pub use log::JobLog;
+pub use log::{ExecGroups, JobLog};
 pub use parse::{parse_line, parse_line_bytes, JobParseError, JobParseErrorKind, JobReader};
 pub use record::{ExecId, ExitStatus, JobRecord, ProjectId, UserId};
 pub use write::{format_record, write_log};

@@ -1,17 +1,24 @@
 //! The indexed in-memory job log container.
 
-use crate::record::{ExecId, JobRecord};
+use crate::record::JobRecord;
+use bgp_model::intern::Interner;
 use bgp_model::{topology, Duration, MidplaneId, Timestamp};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// An immutable job log indexed for co-analysis queries.
 ///
-/// Jobs are stored sorted by `start_time`. Two indices are maintained:
+/// Jobs are stored sorted by `start_time`. The log owns every index over
+/// that table:
 ///
 /// * per-midplane posting lists (job indices sorted by start time), for
 ///   *occupancy* queries — which jobs ran at time t / window w on midplane m;
 /// * an end-time-sorted permutation, for *termination* queries — which jobs
-///   ended inside a window (the interruption-matching probe).
+///   ended inside a window (the interruption-matching probe);
+/// * a job-id index, for id lookups, where a duplicated id resolves to its
+///   *last* row;
+/// * the executable groups (the paper's "distinct job"), built on first
+///   read ([`ExecGroups`]).
 ///
 /// Occupancy lookups bound their scan with the maximum job duration, so a
 /// query is `O(log n + jobs-in-(t − max_dur, t])` rather than `O(n)`.
@@ -20,7 +27,11 @@ pub struct JobLog {
     jobs: Vec<JobRecord>,
     by_midplane: Vec<Vec<u32>>,
     by_end_time: Vec<u32>,
+    /// `(job_id, row)` for every row, sorted, so a duplicated id's rows
+    /// stay in table order.
+    by_job_id: Vec<(u64, u32)>,
     max_duration: Duration,
+    exec_groups: OnceLock<ExecGroups>,
 }
 
 impl Default for JobLog {
@@ -44,11 +55,17 @@ impl JobLog {
         }
         let mut by_end_time: Vec<u32> = (0..jobs.len() as u32).collect();
         by_end_time.sort_by_key(|&i| (jobs[i as usize].end_time, jobs[i as usize].job_id));
+        // Rows are distinct, so the unstable sort of `(id, row)` pairs is
+        // the stable sort by id.
+        let mut by_job_id: Vec<(u64, u32)> = id_pairs(&jobs, 0);
+        by_job_id.sort_unstable();
         JobLog {
             jobs,
             by_midplane,
             by_end_time,
+            by_job_id,
             max_duration,
+            exec_groups: OnceLock::new(),
         }
     }
 
@@ -57,10 +74,11 @@ impl JobLog {
     ///
     /// Contract: the log afterwards equals [`JobLog::from_jobs`] over the
     /// concatenation of everything ever inserted — same record order, same
-    /// posting lists, same termination permutation. Day-over-day appends
-    /// (every new row starts at or after the current tail) extend the
-    /// indexes in place; anything else falls back to a full rebuild. The
-    /// return value reports which path ran (`true` = in-place).
+    /// posting lists, termination permutation, job-id index and executable
+    /// groups. Day-over-day appends (every new row starts at or after the
+    /// current tail) extend the indexes in place; anything else falls back
+    /// to a full rebuild. The return value reports which path ran (`true` =
+    /// in-place).
     pub fn append(&mut self, mut batch: Vec<JobRecord>) -> bool {
         if batch.is_empty() {
             return true;
@@ -80,8 +98,9 @@ impl JobLog {
         }
         // In-place tail extension. New indices are all larger than old
         // ones, so pushing them at the end of each posting list and
-        // merging the termination permutation base-first reproduces what
-        // the stable sorts in `from_jobs` would have built.
+        // merging the termination permutation and the job-id index
+        // base-first reproduces what the sorts in `from_jobs` would have
+        // built.
         let base = self.jobs.len() as u32;
         let mut new_end: Vec<u32> = (0..batch.len() as u32).map(|k| base + k).collect();
         new_end.sort_by_key(|&i| {
@@ -89,6 +108,8 @@ impl JobLog {
                 .get((i - base) as usize)
                 .map(|j| (j.end_time, j.job_id))
         });
+        let mut new_ids = id_pairs(&batch, base);
+        new_ids.sort_unstable();
         for (k, j) in batch.iter().enumerate() {
             for m in j.partition.midplanes() {
                 if let Some(p) = self.by_midplane.get_mut(m.index()) {
@@ -98,25 +119,11 @@ impl JobLog {
             self.max_duration = self.max_duration.max(j.runtime());
         }
         self.jobs.extend(batch);
-        let old_end = std::mem::take(&mut self.by_end_time);
-        let mut merged = Vec::with_capacity(old_end.len() + new_end.len());
-        let key = |i: u32| self.jobs.get(i as usize).map(|j| (j.end_time, j.job_id));
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < old_end.len() && b < new_end.len() {
-            let (Some(&oi), Some(&ni)) = (old_end.get(a), new_end.get(b)) else {
-                break;
-            };
-            if key(ni) < key(oi) {
-                merged.push(ni);
-                b += 1;
-            } else {
-                merged.push(oi);
-                a += 1;
-            }
-        }
-        merged.extend_from_slice(old_end.get(a..).unwrap_or(&[]));
-        merged.extend_from_slice(new_end.get(b..).unwrap_or(&[]));
-        self.by_end_time = merged;
+        let jobs = &self.jobs;
+        let end_key = |i: &u32| jobs.get(*i as usize).map(|j| (j.end_time, j.job_id));
+        self.by_end_time = merge_by_key(&self.by_end_time, &new_end, end_key);
+        self.by_job_id = merge_by_key(&self.by_job_id, &new_ids, |&pair| pair);
+        self.exec_groups = OnceLock::new();
         true
     }
 
@@ -130,6 +137,15 @@ impl JobLog {
     /// job's termination *rank*; [`JobLog::append`] keeps it current.
     pub fn by_end_time(&self) -> &[u32] {
         &self.by_end_time
+    }
+
+    /// The job at machine-wide termination rank `rank` (a position in
+    /// [`JobLog::by_end_time`]). Rank order is end-time order, so a
+    /// time-sorted event sweep can walk it with monotone cursors.
+    pub fn job_by_end_rank(&self, rank: u32) -> Option<&JobRecord> {
+        self.by_end_time
+            .get(rank as usize)
+            .and_then(|&i| self.jobs.get(i as usize))
     }
 
     /// Number of jobs.
@@ -216,30 +232,17 @@ impl JobLog {
             .collect()
     }
 
-    /// Group job indices by executable, each group in submission
-    /// (queue-time) order. This is the paper's "distinct job" notion.
-    pub fn by_exec(&self) -> HashMap<ExecId, Vec<&JobRecord>> {
-        let mut out: HashMap<ExecId, Vec<&JobRecord>> = HashMap::new();
-        for j in &self.jobs {
-            out.entry(j.exec).or_default().push(j);
-        }
-        for group in out.values_mut() {
-            group.sort_by_key(|j| (j.queue_time, j.job_id));
-        }
-        out
+    /// Job rows grouped by executable, groups sorted by
+    /// [`ExecId`](crate::ExecId) and each group in submission (queue-time)
+    /// order. Built on first call; [`JobLog::append`] drops it.
+    pub fn exec_groups(&self) -> &ExecGroups {
+        self.exec_groups
+            .get_or_init(|| ExecGroups::from_jobs(&self.jobs))
     }
 
     /// Number of distinct executables.
     pub fn distinct_execs(&self) -> usize {
-        let mut execs: Vec<ExecId> = self.jobs.iter().map(|j| j.exec).collect();
-        execs.sort_unstable();
-        execs.dedup();
-        execs.len()
-    }
-
-    /// Number of executables submitted more than once.
-    pub fn resubmitted_execs(&self) -> usize {
-        self.by_exec().values().filter(|g| g.len() > 1).count()
+        self.exec_groups().len()
     }
 
     /// Busy seconds per midplane (indexed by [`MidplaneId::index`]) from the
@@ -265,11 +268,135 @@ impl JobLog {
         JobLog::from_jobs(self.jobs.iter().filter(|j| pred(j)).copied().collect())
     }
 
-    /// Look up a job by id: the first row carrying it (linear scan; not on
-    /// any hot path). The co-analysis resolves ids through its context's
-    /// job-id index instead, where a duplicated id means its *last* row.
-    pub fn by_job_id(&self, job_id: u64) -> Option<&JobRecord> {
-        self.jobs.iter().find(|j| j.job_id == job_id)
+    /// Look up a job by id — a binary search of the job-id index. A
+    /// duplicated id resolves to its *last* row in [`JobLog::jobs`]; every
+    /// id lookup in the workspace goes through this one rule.
+    pub fn job(&self, job_id: u64) -> Option<&JobRecord> {
+        self.jobs.get(self.job_row(job_id)? as usize)
+    }
+
+    /// The row (in [`JobLog::jobs`]) of `job_id` — the row [`JobLog::job`]
+    /// returns.
+    pub fn job_row(&self, job_id: u64) -> Option<u32> {
+        let end = self.by_job_id.partition_point(|&(id, _)| id <= job_id);
+        let &(_, row) = self
+            .by_job_id
+            .get(end.checked_sub(1)?)
+            .filter(|&&(id, _)| id == job_id)?;
+        Some(row)
+    }
+
+    /// Per row of [`JobLog::jobs`], the value `by_id` holds for the row's
+    /// job id, or `None`.
+    ///
+    /// One merge of the map's ids (ascending by construction) against the
+    /// job-id index marks *every* row that carries a listed id, duplicated
+    /// ids included — what a per-row probe of the map would answer.
+    pub fn row_marks<T: Copy>(&self, by_id: &BTreeMap<u64, T>) -> Vec<Option<T>> {
+        let mut marks = vec![None; self.jobs.len()];
+        let mut rest = self.by_job_id.as_slice();
+        for (&job_id, &value) in by_id {
+            rest = rest
+                .get(rest.partition_point(|&(id, _)| id < job_id)..)
+                .unwrap_or(&[]);
+            let n = rest.partition_point(|&(id, _)| id == job_id);
+            for &(_, row) in rest.get(..n).unwrap_or(&[]) {
+                if let Some(mark) = marks.get_mut(row as usize) {
+                    *mark = Some(value);
+                }
+            }
+        }
+        marks
+    }
+}
+
+/// `(job_id, row)` for each of `jobs`, rows numbered from `base`.
+fn id_pairs(jobs: &[JobRecord], base: u32) -> Vec<(u64, u32)> {
+    jobs.iter()
+        .zip(base..)
+        .map(|(j, row)| (j.job_id, row))
+        .collect()
+}
+
+/// Merge two lists each sorted by `key`, `old` first on ties — what a
+/// stable sort of `old` followed by `new` gives.
+fn merge_by_key<T: Copy, K: Ord>(old: &[T], new: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
+    let mut merged = Vec::with_capacity(old.len() + new.len());
+    let (mut a, mut b) = (0usize, 0usize);
+    while let (Some(o), Some(n)) = (old.get(a), new.get(b)) {
+        if key(n) < key(o) {
+            merged.push(*n);
+            b += 1;
+        } else {
+            merged.push(*o);
+            a += 1;
+        }
+    }
+    merged.extend_from_slice(old.get(a..).unwrap_or(&[]));
+    merged.extend_from_slice(new.get(b..).unwrap_or(&[]));
+    merged
+}
+
+/// Job-table rows grouped by executable (the paper's "distinct job"):
+/// every row once, sorted by `(exec, queue_time, job_id)` with ties in table
+/// order, and one offset per group into that vector.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ExecGroups {
+    rows: Vec<u32>,
+    /// `starts[g]..starts[g + 1]` are group `g`'s rows.
+    starts: Vec<u32>,
+}
+
+impl ExecGroups {
+    /// Group the rows of `jobs`.
+    fn from_jobs(jobs: &[JobRecord]) -> ExecGroups {
+        // Rows by executable: a counting sort on the executables' dense
+        // ids, stable, so each group starts out in table order. (About 4x
+        // faster at paper scale than one sort of all rows by the full key.)
+        let execs: Vec<u64> = jobs.iter().map(|j| u64::from(j.exec.0)).collect();
+        let (dict, ids) = Interner::from_column(&execs);
+        let mut starts = vec![0u32; dict.len() + 1];
+        for &id in &ids {
+            starts[id as usize + 1] += 1;
+        }
+        for g in 1..starts.len() {
+            starts[g] += starts[g - 1];
+        }
+        let mut cursor = starts.clone();
+        let mut rows = vec![0u32; jobs.len()];
+        for (row, &id) in ids.iter().enumerate() {
+            let at = &mut cursor[id as usize];
+            rows[*at as usize] = row as u32;
+            *at += 1;
+        }
+        // Then each group into submission order. Table (start-time) order
+        // is nearly that already, and the sort is stable, so rows that tie
+        // on queue time and job id keep table order.
+        let submitted = |&row: &u32| jobs.get(row as usize).map(|j| (j.queue_time, j.job_id));
+        for w in starts.windows(2) {
+            if let Some(group) = rows.get_mut(w[0] as usize..w[1] as usize) {
+                group.sort_by_key(submitted);
+            }
+        }
+        ExecGroups { rows, starts }
+    }
+
+    /// Number of groups (distinct executables).
+    pub fn len(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// True when there are no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The groups in executable order, each a slice of job-table rows in
+    /// submission order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.starts
+            .windows(2)
+            .map(|w| self.rows.get(w[0] as usize..w[1] as usize).unwrap_or(&[]))
     }
 }
 
@@ -339,12 +466,52 @@ mod tests {
     #[test]
     fn exec_grouping() {
         let log = sample();
-        let groups = log.by_exec();
-        assert_eq!(groups[&ExecId(10)].len(), 2);
-        // Submission order within the group.
-        assert_eq!(groups[&ExecId(10)][0].job_id, 1);
+        let groups: Vec<Vec<(ExecId, u64)>> = log
+            .exec_groups()
+            .iter()
+            .map(|g| {
+                g.iter()
+                    .map(|&row| (log.jobs[row as usize].exec, log.jobs[row as usize].job_id))
+                    .collect()
+            })
+            .collect();
+        // Groups in executable order, each in submission order.
+        assert_eq!(
+            groups,
+            vec![
+                vec![(ExecId(10), 1), (ExecId(10), 2)],
+                vec![(ExecId(11), 3)],
+                vec![(ExecId(12), 4)],
+            ]
+        );
         assert_eq!(log.distinct_execs(), 3);
-        assert_eq!(log.resubmitted_execs(), 1);
+        assert!(JobLog::default().exec_groups().is_empty());
+    }
+
+    #[test]
+    fn exec_groups_equal_a_stable_sort_of_the_records() {
+        // Negative and tied queue times, duplicated ids, `u32::MAX` execs.
+        let mut rows = Vec::new();
+        for i in 0..60u64 {
+            let mut j = job(
+                i % 7,
+                [0, 3, u32::MAX][i as usize % 3],
+                10 * i as i64,
+                900,
+                "R00-M0",
+            );
+            j.queue_time = Timestamp::from_unix([-5, 0, 40][i as usize % 3] - (i % 2) as i64);
+            rows.push(j);
+        }
+        let log = JobLog::from_jobs(rows);
+        let mut want: Vec<u32> = (0..log.len() as u32).collect();
+        want.sort_by_key(|&r| {
+            let j = &log.jobs[r as usize];
+            (j.exec, j.queue_time, j.job_id)
+        });
+        let groups = log.exec_groups();
+        assert_eq!(groups.iter().flatten().copied().collect::<Vec<_>>(), want);
+        assert_eq!(groups.len(), 3);
     }
 
     #[test]
@@ -392,8 +559,22 @@ mod tests {
     fn filtering_and_lookup() {
         let log = sample();
         assert_eq!(log.filtered(|j| j.exec == ExecId(10)).len(), 2);
-        assert_eq!(log.by_job_id(3).unwrap().exec, ExecId(11));
-        assert!(log.by_job_id(99).is_none());
+        assert_eq!(log.job(3).unwrap().exec, ExecId(11));
+        assert!(log.job(99).is_none());
+        assert!(log.job_row(0).is_none());
+        // A duplicated id resolves to its last row, in lookup and row alike.
+        let dup = JobLog::from_jobs(vec![
+            job(5, 1, 100, 500, "R00-M0"),
+            job(5, 2, 300, 900, "R00-M1"),
+            job(6, 3, 200, 800, "R01-M0"),
+        ]);
+        assert_eq!(dup.job(5).map(|j| j.exec), Some(ExecId(2)));
+        assert_eq!(dup.job_row(5), Some(2));
+        assert_eq!(dup.job_row(6), Some(1));
+        assert_eq!(
+            dup.row_marks(&BTreeMap::from([(5u64, 'a')])),
+            vec![Some('a'), None, Some('a')]
+        );
         assert_eq!(log.max_duration(), Duration::seconds(4950));
         assert!(!log.is_empty());
         assert!(JobLog::default().is_empty());
@@ -404,7 +585,9 @@ mod tests {
         assert_eq!(a.jobs, b.jobs);
         assert_eq!(a.by_midplane, b.by_midplane);
         assert_eq!(a.by_end_time, b.by_end_time);
+        assert_eq!(a.by_job_id, b.by_job_id);
         assert_eq!(a.max_duration, b.max_duration);
+        assert_eq!(a.exec_groups(), b.exec_groups());
     }
 
     #[test]
@@ -418,6 +601,8 @@ mod tests {
             job(3, 11, 800, 5000, "R00-M1"),
         ];
         let mut log = JobLog::from_jobs(head.clone());
+        // Groups read before the append must not survive it.
+        assert_eq!(log.distinct_execs(), 1);
         assert!(log.append(tail.clone()));
         let mut all = head;
         all.extend(tail);
@@ -462,10 +647,9 @@ mod tests {
         ) {
             let all: Vec<JobRecord> = jobs_spec
                 .iter()
-                .enumerate()
-                .map(|(i, &(mp, start, run, id))| JobRecord {
+                .map(|&(mp, start, run, id)| JobRecord {
                     job_id: id,
-                    exec: crate::record::ExecId(i as u32),
+                    exec: crate::record::ExecId(id as u32 % 5),
                     user: crate::record::UserId(0),
                     project: crate::record::ProjectId(0),
                     queue_time: Timestamp::from_unix(start - 1),
@@ -479,12 +663,15 @@ mod tests {
             let head = all.get(..split).unwrap_or(&[]).to_vec();
             let tail = all.get(split..).unwrap_or(&[]).to_vec();
             let mut log = JobLog::from_jobs(head);
+            log.exec_groups();
             log.append(tail);
             let rebuilt = JobLog::from_jobs(all);
             proptest::prop_assert_eq!(&log.jobs, &rebuilt.jobs);
             proptest::prop_assert_eq!(&log.by_midplane, &rebuilt.by_midplane);
             proptest::prop_assert_eq!(&log.by_end_time, &rebuilt.by_end_time);
+            proptest::prop_assert_eq!(&log.by_job_id, &rebuilt.by_job_id);
             proptest::prop_assert_eq!(log.max_duration, rebuilt.max_duration);
+            proptest::prop_assert_eq!(log.exec_groups(), rebuilt.exec_groups());
         }
 
         /// The interval index must agree exactly with a brute-force scan.

@@ -4,7 +4,6 @@ use crate::catalog::ErrCode;
 use crate::record::RasRecord;
 use crate::severity::Severity;
 use bgp_model::Timestamp;
-use std::collections::HashMap;
 
 /// An immutable, time-sorted RAS log.
 ///
@@ -83,22 +82,6 @@ impl RasLog {
         RasLog::from_records(self.fatal().copied().collect())
     }
 
-    /// Records with `t0 <= event_time < t1`, as a slice (global time order).
-    pub fn in_window(&self, t0: Timestamp, t1: Timestamp) -> &[RasRecord] {
-        let lo = self.records.partition_point(|r| r.event_time < t0);
-        let hi = self.records.partition_point(|r| r.event_time < t1);
-        &self.records[lo..hi]
-    }
-
-    /// Count of records per error code.
-    pub fn count_by_errcode(&self) -> HashMap<ErrCode, usize> {
-        let mut out = HashMap::new();
-        for r in &self.records {
-            *out.entry(r.errcode).or_insert(0) += 1;
-        }
-        out
-    }
-
     /// Number of distinct FATAL error codes present.
     pub fn distinct_fatal_codes(&self) -> usize {
         let mut codes: Vec<ErrCode> = self.fatal().map(|r| r.errcode).collect();
@@ -110,19 +93,6 @@ impl RasLog {
     /// A new log with only the records satisfying `pred`.
     pub fn filtered<F: FnMut(&RasRecord) -> bool>(&self, mut pred: F) -> RasLog {
         RasLog::from_records(self.records.iter().filter(|r| pred(r)).copied().collect())
-    }
-
-    /// Interarrival times (seconds, as f64) of successive records, skipping
-    /// non-positive gaps (simultaneous records).
-    ///
-    /// This is the sample the paper fits Weibull/exponential models to
-    /// (Section V-A).
-    pub fn interarrival_secs(&self) -> Vec<f64> {
-        self.records
-            .windows(2)
-            .map(|w| (w[1].event_time - w[0].event_time).as_secs() as f64)
-            .filter(|&dt| dt > 0.0)
-            .collect()
     }
 }
 
@@ -342,27 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn window_queries() {
-        let log = sample_log();
-        assert_eq!(
-            log.in_window(Timestamp::from_unix(150), Timestamp::from_unix(400))
-                .len(),
-            2
-        );
-        // Half-open: excludes t1.
-        assert_eq!(
-            log.in_window(Timestamp::from_unix(100), Timestamp::from_unix(100))
-                .len(),
-            0
-        );
-        assert_eq!(
-            log.in_window(Timestamp::from_unix(0), Timestamp::from_unix(1000))
-                .len(),
-            5
-        );
-    }
-
-    #[test]
     fn severity_filters() {
         let log = sample_log();
         assert_eq!(log.fatal().count(), 4);
@@ -373,26 +322,10 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_filters() {
+    fn filtered_keeps_the_matching_records() {
         let log = sample_log();
-        let counts = log.count_by_errcode();
-        assert_eq!(counts[&code("_bgp_err_kernel_panic")], 2);
-        assert_eq!(counts[&code("BULK_POWER_FATAL")], 1);
         let only_panics = log.filtered(|r| r.errcode == code("_bgp_err_kernel_panic"));
         assert_eq!(only_panics.len(), 2);
-    }
-
-    #[test]
-    fn interarrivals() {
-        let log = sample_log();
-        assert_eq!(log.interarrival_secs(), vec![100.0; 4]);
-        // Simultaneous records produce no zero gaps.
-        let log = RasLog::from_records(vec![
-            rec(1, 100, "R00-M0", "_bgp_err_kernel_panic"),
-            rec(2, 100, "R00-M0", "_bgp_err_kernel_panic"),
-            rec(3, 200, "R00-M0", "_bgp_err_kernel_panic"),
-        ]);
-        assert_eq!(log.interarrival_secs(), vec![100.0]);
     }
 
     /// `records()` must be exactly the stable `(event_time, recid)` sort of

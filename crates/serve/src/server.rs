@@ -186,7 +186,11 @@ impl Server {
         // Likewise the job log: a bad --jobs file is a startup error.
         let fold = match (&cfg.full_analysis, &cfg.jobs) {
             (true, Some(jobs)) => {
+                // The fold dedups with the online analyzer's windows, so
+                // `/analysis` and `/summary` agree on what one event is.
                 let mut analysis_cfg = coanalysis::CoAnalysisConfig::default();
+                analysis_cfg.temporal.threshold = cfg.temporal;
+                analysis_cfg.spatial.threshold = cfg.spatial;
                 if let Some(n) = cfg.analysis_threads {
                     analysis_cfg.threads = n;
                 }

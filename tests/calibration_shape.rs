@@ -118,7 +118,7 @@ fn application_errors_surface_early() {
         .of_nature(bgp_coanalysis::bgp_sim::FaultNature::ApplicationError)
     {
         for &job_id in &f.interrupted_jobs {
-            if let Some(j) = out.jobs.by_job_id(job_id) {
+            if let Some(j) = out.jobs.job(job_id) {
                 total += 1;
                 if j.runtime().as_secs() < 3_600 {
                     early += 1;

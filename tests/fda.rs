@@ -103,7 +103,7 @@ fn brute_force(
     for (i, em) in matching.per_event.iter().enumerate() {
         let code = events[i].errcode.0;
         for &job_id in &em.victims {
-            if let Some(row) = ctx.job_row(job_id) {
+            if let Some(row) = ctx.jobs().job_row(job_id) {
                 attributed.push((row, code));
             }
         }

@@ -295,10 +295,24 @@ fn full_analysis_route_serves_the_incremental_report() {
     // Stream a simulated site into a --full-analysis daemon and check that
     // /analysis serves the report an offline `coctl analyze` would print on
     // the same logs — the delta-equivalence gate, end to end over sockets.
+    // The second run moves the dedup windows off their defaults: the fold
+    // must filter with the daemon's own --temporal-secs/--spatial-secs.
     let out = Simulation::new(SimConfig::small_test(21))
         .expect("valid config")
         .run();
-    let dir = std::env::temp_dir().join(format!("bgp-serve-analysis-{}", std::process::id()));
+    for (temporal, spatial) in [(300, 300), (60, 120)] {
+        serve_full_analysis(&out, temporal, spatial);
+    }
+}
+
+/// One `--full-analysis` daemon run over `out` with the given dedup windows
+/// (seconds), checked against the offline pipeline run with the same ones.
+fn serve_full_analysis(out: &bgp_coanalysis::bgp_sim::SimOutput, temporal: i64, spatial: i64) {
+    use bgp_coanalysis::bgp_model::Duration as Secs;
+    let dir = std::env::temp_dir().join(format!(
+        "bgp-serve-analysis-{}-{temporal}-{spatial}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let jobs_path = dir.join("jobs.log");
     let mut w = std::io::BufWriter::new(std::fs::File::create(&jobs_path).expect("create jobs"));
@@ -309,6 +323,8 @@ fn full_analysis_route_serves_the_incremental_report() {
     let mut cfg = loopback_cfg();
     cfg.full_analysis = true;
     cfg.jobs = Some(jobs_path.clone());
+    cfg.temporal = Secs::seconds(temporal);
+    cfg.spatial = Secs::seconds(spatial);
     let server = Server::start(&cfg).expect("daemon starts");
 
     let mut ingest = TcpStream::connect(server.ingest_addr()).expect("connect ingest");
@@ -326,19 +342,33 @@ fn full_analysis_route_serves_the_incremental_report() {
     let (status, body) = http_get(server.http_addr(), "/analysis");
     assert!(status.contains("200"), "{status}");
     assert!(body.starts_with("# full analysis:"), "{body}");
-    let oracle = bgp_coanalysis::coanalysis::CoAnalysis::default().run(&out.ras, &out.jobs);
+    let mut oracle_cfg = bgp_coanalysis::coanalysis::CoAnalysisConfig::default();
+    oracle_cfg.temporal.threshold = Secs::seconds(temporal);
+    oracle_cfg.spatial.threshold = Secs::seconds(spatial);
+    let oracle =
+        bgp_coanalysis::coanalysis::CoAnalysis::with_config(oracle_cfg).run(&out.ras, &out.jobs);
     let expected = bgp_coanalysis::bgp_serve::render_report(&oracle);
     let report = body
         .splitn(3, '\n')
         .nth(2)
         .expect("two fold-state header lines");
-    assert_eq!(report, expected, "served report must match the offline run");
+    assert_eq!(
+        report, expected,
+        "served report must match the offline run ({temporal} s, {spatial} s)"
+    );
 
     let (status, _) = http_get(server.http_addr(), "/shutdown");
     assert!(status.contains("200"), "{status}");
     let summary = server.wait();
     // Conservation: every analyzed record was folded, and only those.
     assert_eq!(full.snapshot().records, summary.counters.records_in);
+    // The online counters dedup with the same windows as the fold.
+    let stats = oracle.filter_stats;
+    assert_eq!(
+        summary.counters.merged_temporal as usize,
+        stats.raw_fatal - stats.after_temporal
+    );
+    assert_eq!(summary.counters.events_out as usize, stats.after_spatial);
     let analysis = summary.analysis.expect("--full-analysis reports its folds");
     assert!(
         analysis.contains(&format!("({want} records)")),

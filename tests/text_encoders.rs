@@ -291,7 +291,7 @@ proptest! {
     #[test]
     fn written_ras_lines_parse_back(
         recid in arb_recid(),
-        secs in -30_610_224_000i64..253_402_300_800,
+        secs in -31_619_119_219_200i64..31_494_816_403_200,
         kind in 0u8..9,
         a in 0..=u8::MAX,
         b in 0..=u8::MAX,
@@ -299,8 +299,8 @@ proptest! {
         code_index in 0..Catalog::standard().len(),
         sev in 0..Severity::ALL.len(),
     ) {
-        // Years 1000-9999, and I/O node and link card indices the grammar
-        // accepts (below 8 and 4).
+        // Years -1,000,000 to 1,000,000, and I/O node and link card
+        // indices the grammar accepts (below 8 and 4).
         let mut r = RasRecord::new(
             recid,
             Timestamp::from_unix(secs),
