@@ -42,7 +42,7 @@ pub mod topology;
 pub mod torus;
 
 pub use error::ModelError;
-pub use location::{ComputeNodeId, Location, MidplaneId, NodeCardId, RackId};
+pub use location::{ComputeNodeId, IoNodeId, LinkCardId, Location, MidplaneId, NodeCardId, RackId};
 pub use partition::{Partition, PartitionSize};
 pub use time::{Duration, Timestamp};
 pub use topology::Machine;

@@ -337,6 +337,84 @@ impl fmt::Display for ComputeNodeId {
     }
 }
 
+/// Defines a card numbered within its midplane, below a per-midplane
+/// count, with the same checked constructors as [`NodeCardId`].
+macro_rules! midplane_card_id {
+    ($(#[$doc:meta])* $ty:ident, $what:literal, $per_midplane:expr, $tag:literal) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub struct $ty {
+            midplane: MidplaneId,
+            index: u8,
+        }
+
+        impl $ty {
+            #[doc = concat!("Create from a midplane and ", $what, " index, rejecting an index")]
+            #[doc = "at or past the per-midplane count."]
+            pub fn new(midplane: MidplaneId, index: u8) -> Result<$ty, ModelError> {
+                if index >= $per_midplane {
+                    return Err(ModelError::OutOfRange {
+                        what: $what,
+                        value: u32::from(index),
+                        bound: u32::from($per_midplane),
+                    });
+                }
+                Ok($ty { midplane, index })
+            }
+
+            #[doc = concat!("Total variant of [`", stringify!($ty), "::new`]: reduces `index`")]
+            #[doc = "modulo the per-midplane count first. For callers whose index is"]
+            #[doc = "already bounded by construction."]
+            pub fn new_wrapping(midplane: MidplaneId, index: u8) -> $ty {
+                $ty {
+                    midplane,
+                    index: index % $per_midplane,
+                }
+            }
+
+            #[doc = concat!("The midplane housing this ", $what, ".")]
+            pub fn midplane(self) -> MidplaneId {
+                self.midplane
+            }
+
+            #[doc = concat!("The ", $what, "'s index within its midplane.")]
+            pub fn index(self) -> u8 {
+                self.index
+            }
+
+            #[doc = concat!("Append the ", $what, "'s text, `<midplane>-", $tag, "<i>`.")]
+            pub(crate) fn encode(self, out: &mut Vec<u8>) {
+                self.midplane.encode(out);
+                out.extend_from_slice(concat!("-", $tag).as_bytes());
+                text::push_u64(out, u64::from(self.index), 0);
+            }
+        }
+
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                text::fmt_with(f, |out| self.encode(out))
+            }
+        }
+    };
+}
+
+midplane_card_id!(
+    /// An I/O node. Intrepid runs 64 compute nodes per I/O node, i.e. 8 I/O
+    /// nodes per midplane (indices 0–7).
+    IoNodeId,
+    "I/O node",
+    topology::IO_NODES_PER_MIDPLANE,
+    "I"
+);
+midplane_card_id!(
+    /// A link card (inter-midplane torus cabling); 4 per midplane (indices
+    /// 0–3).
+    LinkCardId,
+    "link card",
+    topology::LINK_CARDS_PER_MIDPLANE,
+    "L"
+);
+
 /// Any location a RAS record can refer to.
 ///
 /// Ordered so that coarser locations sort before finer ones within the same
@@ -352,21 +430,10 @@ pub enum Location {
     NodeCard(NodeCardId),
     /// A single compute node.
     ComputeNode(ComputeNodeId),
-    /// An I/O node. Intrepid runs 64 compute nodes per I/O node, i.e. 8 I/O
-    /// nodes per midplane.
-    IoNode {
-        /// Midplane housing the I/O node.
-        midplane: MidplaneId,
-        /// I/O node index within the midplane (0–7).
-        index: u8,
-    },
-    /// A link card (inter-midplane torus cabling); 4 per midplane.
-    LinkCard {
-        /// Midplane housing the link card.
-        midplane: MidplaneId,
-        /// Link card index (0–3).
-        index: u8,
-    },
+    /// An I/O node.
+    IoNode(IoNodeId),
+    /// A link card.
+    LinkCard(LinkCardId),
     /// The midplane's service card.
     ServiceCard(
         /// Midplane housing the service card.
@@ -390,9 +457,8 @@ impl Location {
         match self {
             Location::Rack(r) | Location::BulkPower(r) | Location::ClockCard(r) => r,
             Location::Midplane(m) | Location::ServiceCard(m) => m.rack(),
-            Location::IoNode { midplane, .. } | Location::LinkCard { midplane, .. } => {
-                midplane.rack()
-            }
+            Location::IoNode(io) => io.midplane().rack(),
+            Location::LinkCard(lc) => lc.midplane().rack(),
             Location::NodeCard(nc) => nc.midplane().rack(),
             Location::ComputeNode(cn) => cn.node_card().midplane().rack(),
         }
@@ -405,9 +471,8 @@ impl Location {
         match self {
             Location::Rack(_) | Location::BulkPower(_) | Location::ClockCard(_) => None,
             Location::Midplane(m) | Location::ServiceCard(m) => Some(m),
-            Location::IoNode { midplane, .. } | Location::LinkCard { midplane, .. } => {
-                Some(midplane)
-            }
+            Location::IoNode(io) => Some(io.midplane()),
+            Location::LinkCard(lc) => Some(lc.midplane()),
             Location::NodeCard(nc) => Some(nc.midplane()),
             Location::ComputeNode(cn) => Some(cn.node_card().midplane()),
         }
@@ -452,16 +517,8 @@ impl Location {
         let loc = match *tail {
             [] => Location::Midplane(midplane),
             [b'-', b'S'] => Location::ServiceCard(midplane),
-            [b'-', b'I', i] => {
-                let index = digit(i)?;
-                (index < topology::IO_NODES_PER_MIDPLANE)
-                    .then_some(Location::IoNode { midplane, index })?
-            }
-            [b'-', b'L', l] => {
-                let index = digit(l)?;
-                (index < topology::LINK_CARDS_PER_MIDPLANE)
-                    .then_some(Location::LinkCard { midplane, index })?
-            }
+            [b'-', b'I', i] => Location::IoNode(IoNodeId::new(midplane, digit(i)?).ok()?),
+            [b'-', b'L', l] => Location::LinkCard(LinkCardId::new(midplane, digit(l)?).ok()?),
             [b'-', b'N', c1, c0, ref node @ ..] => {
                 let nc = NodeCardId::new(midplane, digit(c1)? * 10 + digit(c0)?).ok()?;
                 match *node {
@@ -495,15 +552,15 @@ impl Location {
                 Location::Rack(_)
                 | Location::Midplane(_)
                 | Location::NodeCard(_)
-                | Location::IoNode { .. }
-                | Location::LinkCard { .. }
+                | Location::IoNode(_)
+                | Location::LinkCard(_)
                 | Location::ServiceCard(_)
                 | Location::BulkPower(_)
                 | Location::ClockCard(_) => false,
             },
             Location::ComputeNode(_)
-            | Location::IoNode { .. }
-            | Location::LinkCard { .. }
+            | Location::IoNode(_)
+            | Location::LinkCard(_)
             | Location::ServiceCard(_)
             | Location::BulkPower(_)
             | Location::ClockCard(_) => false,
@@ -520,8 +577,8 @@ impl Location {
                 1
             }
             Location::ServiceCard(_)
-            | Location::LinkCard { .. }
-            | Location::IoNode { .. }
+            | Location::LinkCard(_)
+            | Location::IoNode(_)
             | Location::NodeCard(_) => 2,
             Location::ComputeNode(_) => 3,
         }
@@ -549,8 +606,8 @@ impl Location {
                 3,
                 card(cn.node_card()) * u32::from(topology::NODES_PER_NODE_CARD) + u32::from(cn.j()),
             ),
-            Location::IoNode { midplane, index } => (4, port(midplane, index)),
-            Location::LinkCard { midplane, index } => (5, port(midplane, index)),
+            Location::IoNode(io) => (4, port(io.midplane(), io.index())),
+            Location::LinkCard(lc) => (5, port(lc.midplane(), lc.index())),
             Location::ServiceCard(m) => (6, m.index() as u32),
             Location::BulkPower(r) => (7, r.index() as u32),
             Location::ClockCard(r) => (8, r.index() as u32),
@@ -568,16 +625,8 @@ impl Location {
             Location::Midplane(m) => m.encode(out),
             Location::NodeCard(nc) => nc.encode(out),
             Location::ComputeNode(cn) => cn.encode(out),
-            Location::IoNode { midplane, index } => {
-                midplane.encode(out);
-                out.extend_from_slice(b"-I");
-                text::push_u64(out, u64::from(index), 0);
-            }
-            Location::LinkCard { midplane, index } => {
-                midplane.encode(out);
-                out.extend_from_slice(b"-L");
-                text::push_u64(out, u64::from(index), 0);
-            }
+            Location::IoNode(io) => io.encode(out),
+            Location::LinkCard(lc) => lc.encode(out),
             Location::ServiceCard(m) => {
                 m.encode(out);
                 out.extend_from_slice(b"-S");
@@ -685,27 +734,13 @@ impl FromStr for Location {
                 let index: u8 = third[1..]
                     .parse()
                     .map_err(|_| err("I/O node must be a number"))?;
-                if index >= topology::IO_NODES_PER_MIDPLANE {
-                    return Err(ModelError::OutOfRange {
-                        what: "I/O node",
-                        value: u32::from(index),
-                        bound: u32::from(topology::IO_NODES_PER_MIDPLANE),
-                    });
-                }
-                Location::IoNode { midplane, index }
+                Location::IoNode(IoNodeId::new(midplane, index)?)
             }
             Some(b'L') => {
                 let index: u8 = third[1..]
                     .parse()
                     .map_err(|_| err("link card must be a number"))?;
-                if index >= topology::LINK_CARDS_PER_MIDPLANE {
-                    return Err(ModelError::OutOfRange {
-                        what: "link card",
-                        value: u32::from(index),
-                        bound: u32::from(topology::LINK_CARDS_PER_MIDPLANE),
-                    });
-                }
-                Location::LinkCard { midplane, index }
+                Location::LinkCard(LinkCardId::new(midplane, index)?)
             }
             _ => return Err(err("unrecognized component after midplane")),
         };
@@ -720,6 +755,8 @@ impl_fromstr_via_location!(RackId, Rack, "rack");
 impl_fromstr_via_location!(MidplaneId, Midplane, "midplane");
 impl_fromstr_via_location!(NodeCardId, NodeCard, "node card");
 impl_fromstr_via_location!(ComputeNodeId, ComputeNode, "compute node");
+impl_fromstr_via_location!(IoNodeId, IoNode, "I/O node");
+impl_fromstr_via_location!(LinkCardId, LinkCard, "link card");
 
 #[cfg(test)]
 mod tests {
@@ -768,10 +805,10 @@ mod tests {
         for m in MidplaneId::all() {
             all.extend([Location::Midplane(m), Location::ServiceCard(m)]);
             for index in 0..topology::IO_NODES_PER_MIDPLANE {
-                all.push(Location::IoNode { midplane: m, index });
+                all.push(Location::IoNode(IoNodeId::new(m, index).unwrap()));
             }
             for index in 0..topology::LINK_CARDS_PER_MIDPLANE {
-                all.push(Location::LinkCard { midplane: m, index });
+                all.push(Location::LinkCard(LinkCardId::new(m, index).unwrap()));
             }
             for c in 0..topology::NODE_CARDS_PER_MIDPLANE {
                 let nc = NodeCardId::new(m, c).unwrap();
@@ -925,6 +962,39 @@ mod tests {
         assert_eq!(m.to_string(), "R23-M1");
         let n: ComputeNodeId = "R23-M1-N04-J12".parse().unwrap();
         assert_eq!(n.to_string(), "R23-M1-N04-J12");
+        let io: IoNodeId = "R23-M1-I3".parse().unwrap();
+        assert_eq!(io.to_string(), "R23-M1-I3");
+        let lc: LinkCardId = "R23-M1-L2".parse().unwrap();
+        assert_eq!(lc.to_string(), "R23-M1-L2");
+        assert!("R23-M1-I3".parse::<LinkCardId>().is_err());
+    }
+
+    #[test]
+    fn io_node_and_link_card_ids_check_their_index() {
+        let m = mp("R23-M1");
+        assert_eq!(IoNodeId::new(m, 7).unwrap().index(), 7);
+        assert!(IoNodeId::new(m, topology::IO_NODES_PER_MIDPLANE).is_err());
+        assert_eq!(IoNodeId::new_wrapping(m, 9), IoNodeId::new(m, 1).unwrap());
+        assert_eq!(LinkCardId::new(m, 3).unwrap().midplane(), m);
+        assert!(LinkCardId::new(m, topology::LINK_CARDS_PER_MIDPLANE).is_err());
+        assert_eq!(
+            LinkCardId::new_wrapping(m, 6),
+            LinkCardId::new(m, 2).unwrap()
+        );
+        // Whatever index a caller passes, the location writes text its own
+        // parser reads back.
+        for i in 0..=u8::MAX {
+            for loc in [
+                Location::IoNode(IoNodeId::new_wrapping(m, i)),
+                Location::LinkCard(LinkCardId::new_wrapping(m, i)),
+            ] {
+                assert_eq!(loc.to_string().parse::<Location>().unwrap(), loc);
+                assert_eq!(
+                    Location::parse_canonical(loc.to_string().as_bytes()),
+                    Some(loc)
+                );
+            }
+        }
     }
 
     /// Strategy generating arbitrary valid locations.
@@ -940,9 +1010,9 @@ mod tests {
             midplane.clone().prop_map(Location::Midplane),
             midplane.clone().prop_map(Location::ServiceCard),
             (midplane.clone(), 0u8..topology::IO_NODES_PER_MIDPLANE)
-                .prop_map(|(midplane, index)| Location::IoNode { midplane, index }),
+                .prop_map(|(m, i)| Location::IoNode(IoNodeId::new(m, i).unwrap())),
             (midplane.clone(), 0u8..topology::LINK_CARDS_PER_MIDPLANE)
-                .prop_map(|(midplane, index)| Location::LinkCard { midplane, index }),
+                .prop_map(|(m, i)| Location::LinkCard(LinkCardId::new(m, i).unwrap())),
             (midplane.clone(), 0u8..topology::NODE_CARDS_PER_MIDPLANE)
                 .prop_map(|(m, c)| Location::NodeCard(NodeCardId::new(m, c).unwrap())),
             (

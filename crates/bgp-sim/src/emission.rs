@@ -15,7 +15,9 @@
 //!   merge them — the paper needs causality-related filtering \[7\]).
 
 use crate::faults::FaultModel;
-use bgp_model::{ComputeNodeId, Location, MidplaneId, NodeCardId, Partition, Timestamp};
+use bgp_model::{
+    ComputeNodeId, IoNodeId, LinkCardId, Location, MidplaneId, NodeCardId, Partition, Timestamp,
+};
 use bgp_stats::sample::{exponential, poisson};
 use rand::{Rng, RngExt};
 use raslog::{Catalog, Component, ErrCode, RasRecord};
@@ -64,20 +66,16 @@ pub fn detail_location<R: Rng>(rng: &mut R, m: MidplaneId, code: ErrCode) -> Loc
     match info.component {
         Component::Card => match info.subcomponent {
             "PALOMINO_B" => Location::BulkPower(m.rack()),
-            "PALOMINO_L" => Location::LinkCard {
-                midplane: m,
-                index: rng.random_range(0..4),
-            },
+            "PALOMINO_L" => Location::LinkCard(LinkCardId::new_wrapping(m, rng.random_range(0..4))),
             "PALOMINO_N" => {
                 let card = NodeCardId::new_wrapping(m, rng.random_range(0..16));
                 Location::NodeCard(card)
             }
             _ => Location::ServiceCard(m),
         },
-        Component::Kernel if info.subcomponent == "CIOD" => Location::IoNode {
-            midplane: m,
-            index: rng.random_range(0..8),
-        },
+        Component::Kernel if info.subcomponent == "CIOD" => {
+            Location::IoNode(IoNodeId::new_wrapping(m, rng.random_range(0..8)))
+        }
         Component::Kernel | Component::Diags => {
             let card = NodeCardId::new_wrapping(m, rng.random_range(0..16));
             let node = ComputeNodeId::new_wrapping(card, rng.random_range(0..32));
@@ -265,7 +263,6 @@ pub fn emit_background<R: Rng>(
         return;
     }
     // Full scale ≈ 1.6 M ambient records over the paper's 237-day window.
-    let secs = (window.1 - window.0).as_secs().max(1);
     let rate = 0.08 * noise_scale;
     let mut t = window.0;
     loop {
@@ -277,7 +274,6 @@ pub fn emit_background<R: Rng>(
         let m = MidplaneId::from_index_wrapping(rng.random_range(0..80));
         out.push(RasRecord::new(0, t, detail_location(rng, m, code), code));
     }
-    let _ = secs;
 }
 
 #[cfg(test)]
@@ -441,13 +437,13 @@ mod tests {
         let link = cat.lookup("_bgp_err_linkcard_failure").unwrap();
         assert!(matches!(
             detail_location(&mut rng, m, link),
-            Location::LinkCard { .. }
+            Location::LinkCard(_)
         ));
         // CIOD codes land on I/O nodes.
         let ciod = cat.lookup("CiodHungProxy").unwrap();
         assert!(matches!(
             detail_location(&mut rng, m, ciod),
-            Location::IoNode { .. }
+            Location::IoNode(_)
         ));
         // Kernel codes land on compute nodes.
         let panic = cat.lookup("_bgp_err_kernel_panic").unwrap();

@@ -13,7 +13,7 @@
 use crate::config::SimConfig;
 use crate::emission::{emit_background, emit_storm, StormShape};
 use crate::faults::FaultModel;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{PassMemo, Scheduler};
 use crate::truth::{FaultId, FaultNature, GroundTruth, TrueFault};
 use crate::workload::Workload;
 use bgp_model::{Duration, Location, MidplaneId, Partition, Timestamp};
@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use raslog::{ErrCode, RasLog, RasRecord};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// The paired logs plus ground truth produced by one run.
 #[derive(Debug)]
@@ -106,10 +106,12 @@ pub struct Simulation {
     heap: BinaryHeap<Reverse<(Timestamp, u64, EventBox)>>,
     seq: u64,
     now: Timestamp,
-    queue: VecDeque<u32>,                      // exec indices waiting
-    queue_times: HashMap<u32, Vec<Timestamp>>, // FIFO of queue times per exec
-    running: HashMap<u64, RunningJob>,
-    broken: HashMap<usize, BrokenState>,
+    queue: VecDeque<u32>, // exec indices waiting
+    /// FIFO of queue times per exec, indexed by exec index.
+    queue_times: Vec<VecDeque<Timestamp>>,
+    running: BTreeMap<u64, RunningJob>,
+    /// The unrepaired persistent fault on each midplane, by midplane index.
+    broken: [Option<BrokenState>; 80],
     buggy_now: Vec<bool>,
     next_job_id: u64,
     records: Vec<RasRecord>,
@@ -122,7 +124,7 @@ pub struct Simulation {
     /// Chain kills per persistent root fault — administrators notice after
     /// the second victim and expedite the repair, which is what caps the
     /// Figure-7 category-1 curve at k = 2.
-    chain_kills: HashMap<FaultId, u32>,
+    chain_kills: BTreeMap<FaultId, u32>,
 }
 
 /// Wrapper giving events a total order inside the heap (order value is the
@@ -153,7 +155,7 @@ impl Simulation {
         let buggy_now = workload.execs.iter().map(|e| e.buggy).collect();
         #[expect(
             clippy::disallowed_methods,
-            reason = "the simulated batch queue holds submitted executions of a workload generated up front, so the job count bounds it"
+            reason = "the simulated batch queue and the per-exec queue times hold submitted executions of a workload generated up front, so the job count bounds them"
         )]
         let mut sim = Simulation {
             now: cfg.start,
@@ -161,9 +163,9 @@ impl Simulation {
             heap: BinaryHeap::new(),
             seq: 0,
             queue: VecDeque::new(),
-            queue_times: HashMap::new(),
-            running: HashMap::new(),
-            broken: HashMap::new(),
+            queue_times: vec![VecDeque::new(); workload.execs.len()],
+            running: BTreeMap::new(),
+            broken: [None; 80],
             buggy_now,
             next_job_id: 1,
             records: Vec::new(),
@@ -171,7 +173,7 @@ impl Simulation {
             boots: Vec::new(),
             truth: GroundTruth::default(),
             wide_busy_secs: [0; 80],
-            chain_kills: HashMap::new(),
+            chain_kills: BTreeMap::new(),
             rng,
             faults,
             workload,
@@ -250,7 +252,7 @@ impl Simulation {
         match event {
             Event::Arrival { exec_idx } => {
                 self.queue.push_back(exec_idx);
-                self.queue_times.entry(exec_idx).or_default().push(self.now);
+                self.queue_times[exec_idx as usize].push_back(self.now);
                 self.try_schedule();
             }
             Event::JobEnd { job_id } => self.on_job_end(job_id),
@@ -281,24 +283,25 @@ impl Simulation {
         // currently broken and routes around them.
         let avoid = if self.cfg.fault_aware_scheduler {
             Partition::from_midplanes(
-                self.broken
-                    .iter()
-                    .filter(|(_, b)| b.until > self.now)
-                    .map(|(&i, _)| MidplaneId::from_index_wrapping(i as u8)),
+                MidplaneId::all()
+                    .filter(|m| self.broken[m.index()].is_some_and(|b| b.until > self.now)),
             )
         } else {
             Partition::empty()
         };
+        // The size classes this pass has found no room for.
+        let mut memo = PassMemo::default();
         while i < self.queue.len() && scanned < 512 {
             let exec_idx = self.queue[i];
             scanned += 1;
-            let profile = self.workload.profile(exec_idx).clone();
-            let placed = self.scheduler.find_partition_avoiding(
+            let profile = self.workload.profile(exec_idx);
+            let placed = self.scheduler.find_in_pass(
                 profile.size(),
                 profile.exec,
                 self.cfg.same_partition_prob,
                 &mut self.rng,
                 avoid,
+                &mut memo,
             );
             match placed {
                 Some(partition) => {
@@ -312,17 +315,8 @@ impl Simulation {
     }
 
     fn start_job(&mut self, exec_idx: u32, partition: Partition) {
-        let profile = self.workload.profile(exec_idx).clone();
-        let queue_time = self
-            .queue_times
-            .get_mut(&exec_idx)
-            .and_then(|v| {
-                if v.is_empty() {
-                    None
-                } else {
-                    Some(v.remove(0))
-                }
-            })
+        let queue_time = self.queue_times[exec_idx as usize]
+            .pop_front()
             .unwrap_or(self.now);
         let job_id = self.next_job_id;
         self.next_job_id += 1;
@@ -334,7 +328,7 @@ impl Simulation {
         // executable's own bug.
         let mut kill: Option<(Timestamp, KillCause)> = None;
         for m in partition.midplanes() {
-            if let Some(b) = self.broken.get(&m.index()) {
+            if let Some(b) = self.broken[m.index()] {
                 if b.until > self.now {
                     let exposure =
                         30.0 + exponential(&mut self.rng, 1.0 / self.cfg.broken_exposure_mean_secs);
@@ -356,6 +350,7 @@ impl Simulation {
         // Hard bugs fire more often per run than easy ones; combined with
         // fix-probability selection this steepens the Figure-7 category-2
         // curve.
+        let profile = self.workload.profile(exec_idx);
         let fail_prob = self.cfg.buggy_run_fail_prob * (0.58 + 0.7 * profile.difficulty);
         if kill.is_none()
             && self.buggy_now[exec_idx as usize]
@@ -477,7 +472,7 @@ impl Simulation {
                         + Duration::seconds(
                             (120.0 + exponential(&mut self.rng, 1.0 / 600.0)) as i64,
                         );
-                    if let Some(b) = self.broken.get_mut(&midplane.index()) {
+                    if let Some(b) = &mut self.broken[midplane.index()] {
                         if b.root == root {
                             b.until = b.until.min(expedited);
                         }
@@ -508,9 +503,8 @@ impl Simulation {
 
                 // Shared-file-system propagation to co-running jobs.
                 if self.faults.is_fs_propagating(code) {
-                    let mut victims: Vec<RunningJob> = self.running.values().cloned().collect();
-                    victims.sort_by_key(|v| v.job_id); // deterministic order
-                    victims.truncate(8);
+                    // The eight lowest job ids, in id order.
+                    let victims: Vec<RunningJob> = self.running.values().take(8).cloned().collect();
                     let mut propagated = 0;
                     for v in victims {
                         if propagated >= 2 {
@@ -735,14 +729,11 @@ impl Simulation {
             self.cfg.repair_sigma,
         )
         .min(72.0 * 3600.0);
-        self.broken.insert(
-            m.index(),
-            BrokenState {
-                root,
-                code,
-                until: self.now + Duration::seconds(repair as i64),
-            },
-        );
+        self.broken[m.index()] = Some(BrokenState {
+            root,
+            code,
+            until: self.now + Duration::seconds(repair as i64),
+        });
     }
 
     /// Append a fault to the truth record, assigning its id (and root, if it

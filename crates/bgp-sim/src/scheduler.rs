@@ -11,10 +11,10 @@
 //! broken by an unrepaired persistent fault is still allocatable. That is
 //! the mechanism behind job-related redundancy (Observation 3).
 
+use crate::workload::JOB_SIZES;
 use bgp_model::{topology::NUM_MIDPLANES, MidplaneId, Partition};
 use joblog::ExecId;
 use rand::{Rng, RngExt};
-use std::collections::HashMap;
 
 /// Occupancy state of one midplane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,25 +31,38 @@ pub enum SlotState {
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     slots: [SlotState; NUM_MIDPLANES as usize],
+    /// The midplanes that are not [`SlotState::Free`] (bit *i* = midplane
+    /// index *i*), kept in step with `slots` so a placement test is one AND.
+    taken: u128,
     /// Last partition each executable ran on (for the same-partition
-    /// resubmission preference).
-    last_partition: HashMap<ExecId, Partition>,
-    /// Precomputed anchor preference regions per size class (outer order =
-    /// preference, inner = interchangeable anchors within one region).
-    anchors: HashMap<u32, Vec<Vec<u8>>>,
+    /// resubmission preference), indexed by the executable's dense id.
+    last_partition: Vec<Option<Partition>>,
+    /// The anchor preference regions of each size class, indexed like
+    /// [`JOB_SIZES`] (outer order = preference, inner = interchangeable
+    /// partitions within one region).
+    anchors: [Vec<Vec<Partition>>; JOB_SIZES.len()],
+}
+
+/// What one scheduling pass has learned: the size classes that found no
+/// usable anchor once the blocked set (taken midplanes plus the avoided
+/// ones) had grown to `blocked`. Blocking more midplanes cannot make a
+/// class placeable, so the memo holds while the set only grows — as it
+/// does over a pass, whose placements take midplanes and release none —
+/// and is dropped the moment a midplane of `blocked` is free again.
+#[derive(Debug, Default)]
+pub(crate) struct PassMemo {
+    blocked: u128,
+    unplaceable: u16,
 }
 
 impl Scheduler {
     /// A scheduler for an empty Intrepid.
     pub fn new() -> Scheduler {
-        let mut anchors = HashMap::new();
-        for &size in &crate::workload::JOB_SIZES {
-            anchors.insert(size, anchor_preference(size));
-        }
         Scheduler {
             slots: [SlotState::Free; NUM_MIDPLANES as usize],
-            last_partition: HashMap::new(),
-            anchors,
+            taken: 0,
+            last_partition: Vec::new(),
+            anchors: JOB_SIZES.map(anchor_regions),
         }
     }
 
@@ -84,44 +97,73 @@ impl Scheduler {
         rng: &mut R,
         avoid: Partition,
     ) -> Option<Partition> {
-        let usable = |p: Partition| self.all_free(p) && !p.overlaps(avoid);
-        if let Some(&prev) = self.last_partition.get(&exec) {
-            if prev.len() == size && rng.random::<f64>() < same_partition_prob && usable(prev) {
-                return Some(prev);
+        let mut memo = PassMemo::default();
+        self.find_in_pass(size, exec, same_partition_prob, rng, avoid, &mut memo)
+    }
+
+    /// [`Scheduler::find_partition_avoiding`] for one candidate of a pass
+    /// over the queue. A size class `memo` already knows to be unplaceable
+    /// skips the anchor walk but makes every draw the walk would make — the
+    /// same-partition draw and one rotation per region of two or more
+    /// anchors — so the seed's random stream, and with it the simulated
+    /// site, is the same with or without the memo.
+    pub(crate) fn find_in_pass<R: Rng>(
+        &self,
+        size: u32,
+        exec: ExecId,
+        same_partition_prob: f64,
+        rng: &mut R,
+        avoid: Partition,
+        memo: &mut PassMemo,
+    ) -> Option<Partition> {
+        let blocked = self.taken | avoid.mask();
+        if blocked & memo.blocked != memo.blocked {
+            *memo = PassMemo {
+                blocked,
+                unplaceable: 0,
+            };
+        }
+        let usable = |p: Partition| p.mask() & blocked == 0;
+        if let Some(Some(prev)) = self.last_partition.get(exec.0 as usize) {
+            if prev.len() == size && rng.random::<f64>() < same_partition_prob && usable(*prev) {
+                return Some(*prev);
             }
         }
+        // An unknown size has no anchors.
+        let class = JOB_SIZES.iter().position(|&s| s == size)?;
+        let known_unplaceable = memo.unplaceable & (1 << class) != 0;
         // Regions are scanned in preference order; anchors *within* a
         // region are interchangeable, so scanning starts at a random
         // rotation — placements spread across the preferred region instead
         // of hammering its first anchor (Cobalt balances similarly).
-        for region in &self.anchors[&size] {
+        for region in &self.anchors[class] {
             let n = region.len();
             let rot = if n > 1 { rng.random_range(0..n) } else { 0 };
-            for k in 0..n {
-                let anchor = region[(k + rot) % n];
-                let Ok(p) = Partition::contiguous(anchor, size) else {
-                    continue; // anchor table entries are in range; skip rather than die
-                };
-                if usable(p) {
-                    return Some(p);
-                }
+            if known_unplaceable {
+                continue;
+            }
+            let (head, tail) = region.split_at(rot);
+            if let Some(&p) = tail.iter().chain(head).find(|&&p| usable(p)) {
+                return Some(p);
             }
         }
+        memo.blocked = blocked;
+        memo.unplaceable |= 1 << class;
         None
-    }
-
-    fn all_free(&self, p: Partition) -> bool {
-        p.midplanes()
-            .all(|m| self.slots[m.index()] == SlotState::Free)
     }
 
     /// Mark a partition as running `job_id` and remember it for `exec`.
     pub fn place(&mut self, p: Partition, job_id: u64, exec: ExecId) {
+        debug_assert_eq!(self.taken & p.mask(), 0, "placing on taken midplanes");
         for m in p.midplanes() {
-            debug_assert_eq!(self.slots[m.index()], SlotState::Free);
             self.slots[m.index()] = SlotState::Busy(job_id);
         }
-        self.last_partition.insert(exec, p);
+        self.taken |= p.mask();
+        let e = exec.0 as usize;
+        if e >= self.last_partition.len() {
+            self.last_partition.resize(e + 1, None);
+        }
+        self.last_partition[e] = Some(p);
     }
 
     /// Release a partition (job ended).
@@ -129,6 +171,7 @@ impl Scheduler {
         for m in p.midplanes() {
             self.slots[m.index()] = SlotState::Free;
         }
+        self.taken &= !p.mask();
     }
 
     /// Drain a set of midplanes for maintenance. Busy midplanes are left
@@ -137,15 +180,17 @@ impl Scheduler {
         for m in midplanes {
             if self.slots[m.index()] == SlotState::Free {
                 self.slots[m.index()] = SlotState::Maintenance;
+                self.taken |= 1u128 << m.index();
             }
         }
     }
 
     /// Return all maintenance midplanes to service.
     pub fn end_maintenance(&mut self) {
-        for s in &mut self.slots {
+        for (i, s) in self.slots.iter_mut().enumerate() {
             if *s == SlotState::Maintenance {
                 *s = SlotState::Free;
+                self.taken &= !(1u128 << i);
             }
         }
     }
@@ -187,7 +232,7 @@ impl Default for Scheduler {
 }
 
 /// The placement-policy anchor regions for a given size, in preference
-/// order.
+/// order, as anchor midplane indices.
 ///
 /// * narrow (1–2): tail edge (64–79), head edge (0–3), then inward;
 /// * small/medium (4–16): tail edge, head block (0–31), then the middle;
@@ -224,11 +269,336 @@ fn anchor_preference(size: u32) -> Vec<Vec<u8>> {
     regions.into_iter().filter(|r| !r.is_empty()).collect()
 }
 
+/// [`anchor_preference`] as the partitions the anchors start. Every anchor
+/// fits the machine (`anchor_tables_are_valid`), so none is dropped and each
+/// region keeps its length — the range of its rotation draw.
+fn anchor_regions(size: u32) -> Vec<Vec<Partition>> {
+    anchor_preference(size)
+        .into_iter()
+        .map(|region| {
+            region
+                .into_iter()
+                .filter_map(|a| Partition::contiguous(a, size).ok())
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The scheduler before the occupancy mask, frozen as the oracle: a
+    /// walk over `slots` and a `Partition::contiguous` per anchor, with
+    /// hashed lookups of the previous partition and the anchor table.
+    mod reference {
+        use super::super::{anchor_preference, SlotState};
+        use crate::workload::JOB_SIZES;
+        use bgp_model::{topology::NUM_MIDPLANES, MidplaneId, Partition};
+        use joblog::ExecId;
+        use rand::{Rng, RngExt};
+        use std::collections::HashMap;
+
+        pub struct Scheduler {
+            slots: [SlotState; NUM_MIDPLANES as usize],
+            last_partition: HashMap<ExecId, Partition>,
+            anchors: HashMap<u32, Vec<Vec<u8>>>,
+        }
+
+        impl Scheduler {
+            pub fn new() -> Scheduler {
+                let mut anchors = HashMap::new();
+                for &size in &JOB_SIZES {
+                    anchors.insert(size, anchor_preference(size));
+                }
+                Scheduler {
+                    slots: [SlotState::Free; NUM_MIDPLANES as usize],
+                    last_partition: HashMap::new(),
+                    anchors,
+                }
+            }
+
+            pub fn slots(&self) -> &[SlotState] {
+                &self.slots
+            }
+
+            pub fn find_partition_avoiding<R: Rng>(
+                &self,
+                size: u32,
+                exec: ExecId,
+                same_partition_prob: f64,
+                rng: &mut R,
+                avoid: Partition,
+            ) -> Option<Partition> {
+                let usable = |p: Partition| self.all_free(p) && !p.overlaps(avoid);
+                if let Some(&prev) = self.last_partition.get(&exec) {
+                    if prev.len() == size
+                        && rng.random::<f64>() < same_partition_prob
+                        && usable(prev)
+                    {
+                        return Some(prev);
+                    }
+                }
+                for region in &self.anchors[&size] {
+                    let n = region.len();
+                    let rot = if n > 1 { rng.random_range(0..n) } else { 0 };
+                    for k in 0..n {
+                        let anchor = region[(k + rot) % n];
+                        let Ok(p) = Partition::contiguous(anchor, size) else {
+                            continue;
+                        };
+                        if usable(p) {
+                            return Some(p);
+                        }
+                    }
+                }
+                None
+            }
+
+            fn all_free(&self, p: Partition) -> bool {
+                p.midplanes()
+                    .all(|m| self.slots[m.index()] == SlotState::Free)
+            }
+
+            pub fn place(&mut self, p: Partition, job_id: u64, exec: ExecId) {
+                for m in p.midplanes() {
+                    self.slots[m.index()] = SlotState::Busy(job_id);
+                }
+                self.last_partition.insert(exec, p);
+            }
+
+            pub fn release(&mut self, p: Partition) {
+                for m in p.midplanes() {
+                    self.slots[m.index()] = SlotState::Free;
+                }
+            }
+
+            pub fn begin_maintenance(&mut self, midplanes: impl Iterator<Item = MidplaneId>) {
+                for m in midplanes {
+                    if self.slots[m.index()] == SlotState::Free {
+                        self.slots[m.index()] = SlotState::Maintenance;
+                    }
+                }
+            }
+
+            pub fn end_maintenance(&mut self) {
+                for s in &mut self.slots {
+                    if *s == SlotState::Maintenance {
+                        *s = SlotState::Free;
+                    }
+                }
+            }
+        }
+    }
+
+    const SAME_PARTITION_PROBS: [f64; 3] = [0.0, 0.574, 1.0];
+
+    /// A machine to place on, built the same way in both schedulers.
+    #[derive(Debug, Clone)]
+    struct Machine {
+        /// Per midplane: 0 free, 1 busy, 2 drained.
+        states: Vec<u8>,
+        /// Midplanes the fault-aware variant avoids.
+        avoid: Partition,
+        /// A previous partition per executable `0..prevs.len()`.
+        prevs: Vec<Option<Partition>>,
+    }
+
+    prop_compose! {
+        /// Mostly-free to mostly-taken machines, a few avoided midplanes,
+        /// and previous partitions of every size (anchored or not).
+        fn machine()(
+            taken_pct in 0u32..90,
+            rolls in collection::vec((0u32..100, 0u8..2), 80..81),
+            avoid in collection::vec(0u8..80, 0..4),
+            prevs in collection::vec((0u8..3, 0usize..JOB_SIZES.len(), 0u8..80), 6..7),
+        ) -> Machine {
+            Machine {
+                states: rolls
+                    .iter()
+                    .map(|&(r, kind)| if r < taken_pct { 1 + kind } else { 0 })
+                    .collect(),
+                avoid: Partition::from_midplanes(
+                    avoid.into_iter().map(MidplaneId::from_index_wrapping),
+                ),
+                prevs: prevs
+                    .into_iter()
+                    .map(|(has, class, start)| {
+                        let size = JOB_SIZES[class];
+                        let start = start.min((80 - size) as u8);
+                        (has > 0).then(|| Partition::contiguous(start, size).unwrap())
+                    })
+                    .collect(),
+            }
+        }
+    }
+
+    impl Machine {
+        fn build(&self) -> (Scheduler, reference::Scheduler) {
+            let (mut new, mut old) = (Scheduler::new(), reference::Scheduler::new());
+            for (e, prev) in self.prevs.iter().enumerate() {
+                if let Some(p) = *prev {
+                    new.place(p, 0, ExecId(e as u32));
+                    new.release(p);
+                    old.place(p, 0, ExecId(e as u32));
+                    old.release(p);
+                }
+            }
+            let busy = |i: usize| self.states[i] == 1;
+            for i in (0..80).filter(|&i| busy(i)) {
+                let m = Partition::single(MidplaneId::from_index_wrapping(i as u8));
+                new.place(m, 100 + i as u64, ExecId(100 + i as u32));
+                old.place(m, 100 + i as u64, ExecId(100 + i as u32));
+            }
+            let drained = (0..80u8)
+                .filter(|&i| self.states[usize::from(i)] == 2)
+                .map(MidplaneId::from_index_wrapping);
+            new.begin_maintenance(drained.clone());
+            old.begin_maintenance(drained);
+            (new, old)
+        }
+    }
+
+    /// The mask says "taken" exactly where the slots say "not free".
+    fn assert_mask_matches_slots(s: &Scheduler) {
+        for m in MidplaneId::all() {
+            let taken = s.taken & (1u128 << m.index()) != 0;
+            assert_eq!(taken, s.slot(m) != SlotState::Free, "midplane {m}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn placement_matches_the_slot_walk(machine in machine(), seed in 0u64..u64::MAX) {
+            let (new, old) = machine.build();
+            assert_mask_matches_slots(&new);
+            prop_assert_eq!(&new.slots[..], old.slots());
+            for (k, &prob) in SAME_PARTITION_PROBS.iter().enumerate() {
+                for &size in &JOB_SIZES {
+                    for e in 0..machine.prevs.len() as u32 {
+                        for avoid in [Partition::empty(), machine.avoid] {
+                            let mut r_new = SmallRng::seed_from_u64(seed ^ k as u64);
+                            let mut r_old = r_new.clone();
+                            let got = new.find_partition_avoiding(size, ExecId(e), prob, &mut r_new, avoid);
+                            let want = old.find_partition_avoiding(size, ExecId(e), prob, &mut r_old, avoid);
+                            prop_assert_eq!(got, want, "size {} exec {} prob {}", size, e, prob);
+                            prop_assert_eq!(r_new.random::<u64>(), r_old.random::<u64>());
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn passes_with_the_memo_match_the_slot_walk(
+            machine in machine(),
+            queue in collection::vec((0u32..6, 0usize..JOB_SIZES.len()), 1..80),
+            k in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (new, mut old) = machine.build();
+            let mut new = (new, PassMemo::default());
+            let prob = SAME_PARTITION_PROBS[k];
+            let mut r_new = SmallRng::seed_from_u64(seed);
+            let mut r_old = r_new.clone();
+            let got = run_pass(&mut new, &queue, prob, machine.avoid, &mut r_new);
+            let want = run_pass(&mut old, &queue, prob, machine.avoid, &mut r_old);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(&new.0.slots[..], old.slots());
+            assert_mask_matches_slots(&new.0);
+            // Jobs end and the drain lifts; a second pass keeps the first
+            // pass's memo, which must not answer for the freed machine.
+            for &(_, p) in got.iter().step_by(2) {
+                new.0.release(p);
+                old.release(p);
+            }
+            new.0.end_maintenance();
+            old.end_maintenance();
+            let got = run_pass(&mut new, &queue, prob, machine.avoid, &mut r_new);
+            let want = run_pass(&mut old, &queue, prob, machine.avoid, &mut r_old);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&new.0.slots[..], old.slots());
+            assert_mask_matches_slots(&new.0);
+            prop_assert_eq!(r_new.random::<u64>(), r_old.random::<u64>());
+        }
+    }
+
+    /// A scheduler as one pass over the queue drives it.
+    trait Pass {
+        fn find(
+            &mut self,
+            size: u32,
+            exec: ExecId,
+            prob: f64,
+            rng: &mut SmallRng,
+            avoid: Partition,
+        ) -> Option<Partition>;
+        fn place(&mut self, p: Partition, job_id: u64, exec: ExecId);
+    }
+
+    impl Pass for (Scheduler, PassMemo) {
+        fn find(
+            &mut self,
+            size: u32,
+            exec: ExecId,
+            prob: f64,
+            rng: &mut SmallRng,
+            avoid: Partition,
+        ) -> Option<Partition> {
+            self.0
+                .find_in_pass(size, exec, prob, rng, avoid, &mut self.1)
+        }
+        fn place(&mut self, p: Partition, job_id: u64, exec: ExecId) {
+            self.0.place(p, job_id, exec);
+        }
+    }
+
+    impl Pass for reference::Scheduler {
+        fn find(
+            &mut self,
+            size: u32,
+            exec: ExecId,
+            prob: f64,
+            rng: &mut SmallRng,
+            avoid: Partition,
+        ) -> Option<Partition> {
+            self.find_partition_avoiding(size, exec, prob, rng, avoid)
+        }
+        fn place(&mut self, p: Partition, job_id: u64, exec: ExecId) {
+            reference::Scheduler::place(self, p, job_id, exec);
+        }
+    }
+
+    /// One scheduling pass as the engine runs it: a placed candidate leaves
+    /// the queue and its job start draws from the stream. Returns each
+    /// placement with the queue position it was made at.
+    fn run_pass(
+        s: &mut impl Pass,
+        queue: &[(u32, usize)],
+        prob: f64,
+        avoid: Partition,
+        rng: &mut SmallRng,
+    ) -> Vec<(usize, Partition)> {
+        let mut queue = queue.to_vec();
+        let mut placed = Vec::new();
+        let mut i = 0;
+        while i < queue.len() {
+            let (e, class) = queue[i];
+            match s.find(JOB_SIZES[class], ExecId(e), prob, rng, avoid) {
+                Some(p) => {
+                    queue.remove(i);
+                    placed.push((i, p));
+                    s.place(p, placed.len() as u64, ExecId(e));
+                    let _: u64 = rng.random();
+                }
+                None => i += 1,
+            }
+        }
+        placed
+    }
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(3)

@@ -270,8 +270,8 @@ mod tests {
                 other @ (Location::Rack(_)
                 | Location::NodeCard(_)
                 | Location::ComputeNode(_)
-                | Location::IoNode { .. }
-                | Location::LinkCard { .. }
+                | Location::IoNode(_)
+                | Location::LinkCard(_)
                 | Location::ServiceCard(_)
                 | Location::BulkPower(_)
                 | Location::ClockCard(_)) => panic!("expected midplane, got {other:?}"),

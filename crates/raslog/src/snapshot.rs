@@ -28,7 +28,9 @@ use crate::log::Projection;
 use crate::record::RasRecord;
 use crate::severity::Severity;
 use bgp_model::snapshot::{Cursor, SnapshotError, SnapshotHeader, SnapshotKind, HEADER_LEN};
-use bgp_model::{topology, ComputeNodeId, Location, MidplaneId, NodeCardId, RackId, Timestamp};
+use bgp_model::{
+    ComputeNodeId, IoNodeId, LinkCardId, Location, MidplaneId, NodeCardId, RackId, Timestamp,
+};
 
 /// On-disk format version. Bump whenever the record columns change shape —
 /// the golden-bytes test (`tests/snapshot_golden.rs`) fails until you do.
@@ -59,8 +61,8 @@ fn encode_location(loc: Location) -> [u8; 4] {
             cn.node_card().card(),
             cn.j(),
         ],
-        Location::IoNode { midplane, index } => [4, mp(midplane), index, 0],
-        Location::LinkCard { midplane, index } => [5, mp(midplane), index, 0],
+        Location::IoNode(io) => [4, mp(io.midplane()), io.index(), 0],
+        Location::LinkCard(lc) => [5, mp(lc.midplane()), lc.index(), 0],
         Location::ServiceCard(m) => [6, mp(m), 0, 0],
         Location::BulkPower(r) => [7, rk(r), 0, 0],
         Location::ClockCard(r) => [8, rk(r), 0, 0],
@@ -81,24 +83,8 @@ fn decode_location(b: [u8; 4], index: u64) -> Result<Location, SnapshotError> {
             let nc = NodeCardId::new(mp()?, c).map_err(|_| model("node card"))?;
             Location::ComputeNode(ComputeNodeId::new(nc, j).map_err(|_| model("node slot"))?)
         }
-        4 => {
-            if c >= topology::IO_NODES_PER_MIDPLANE {
-                return Err(model("I/O node index"));
-            }
-            Location::IoNode {
-                midplane: mp()?,
-                index: c,
-            }
-        }
-        5 => {
-            if c >= topology::LINK_CARDS_PER_MIDPLANE {
-                return Err(model("link card index"));
-            }
-            Location::LinkCard {
-                midplane: mp()?,
-                index: c,
-            }
-        }
+        4 => Location::IoNode(IoNodeId::new(mp()?, c).map_err(|_| model("I/O node index"))?),
+        5 => Location::LinkCard(LinkCardId::new(mp()?, c).map_err(|_| model("link card index"))?),
         6 => Location::ServiceCard(mp()?),
         7 => Location::BulkPower(rk()?),
         8 => Location::ClockCard(rk()?),
@@ -391,6 +377,19 @@ mod tests {
             decode_snapshot(&n, Some(7)),
             Err(SnapshotError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn io_node_and_link_card_indices_are_checked() {
+        use bgp_model::topology::{IO_NODES_PER_MIDPLANE, LINK_CARDS_PER_MIDPLANE};
+        for (tag, per_midplane) in [(4, IO_NODES_PER_MIDPLANE), (5, LINK_CARDS_PER_MIDPLANE)] {
+            let last = decode_location([tag, 3, per_midplane - 1, 0], 0).unwrap();
+            assert_eq!(encode_location(last), [tag, 3, per_midplane - 1, 0]);
+            assert!(matches!(
+                decode_location([tag, 3, per_midplane, 0], 0),
+                Err(SnapshotError::BadRecord { index: 0, .. })
+            ));
+        }
     }
 
     /// [`records`] with every other one made FATAL, so the FATAL records

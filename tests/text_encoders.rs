@@ -9,7 +9,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, missing_docs)]
 
 use bgp_coanalysis::bgp_model::{
-    ComputeNodeId, Duration, Location, MidplaneId, NodeCardId, Partition, RackId, Timestamp,
+    ComputeNodeId, Duration, IoNodeId, LinkCardId, Location, MidplaneId, NodeCardId, Partition,
+    RackId, Timestamp,
 };
 use bgp_coanalysis::joblog::{self, ExecId, ExitStatus, JobRecord, ProjectId, UserId};
 use bgp_coanalysis::raslog::{self, Catalog, ErrCode, RasRecord, Severity};
@@ -43,8 +44,8 @@ mod oracle {
             Location::Midplane(m) => midplane(m),
             Location::NodeCard(nc) => node_card(nc),
             Location::ComputeNode(cn) => format!("{}-J{:02}", node_card(cn.node_card()), cn.j()),
-            Location::IoNode { midplane: m, index } => format!("{}-I{index}", midplane(m)),
-            Location::LinkCard { midplane: m, index } => format!("{}-L{index}", midplane(m)),
+            Location::IoNode(io) => format!("{}-I{}", midplane(io.midplane()), io.index()),
+            Location::LinkCard(lc) => format!("{}-L{}", midplane(lc.midplane()), lc.index()),
             Location::ServiceCard(m) => format!("{}-S", midplane(m)),
             Location::BulkPower(r) => format!("{}-B", rack(r)),
             Location::ClockCard(r) => format!("{}-K", rack(r)),
@@ -130,8 +131,8 @@ fn location(kind: u8, a: u8, b: u8, c: u8) -> Location {
         1 => Location::Midplane(midplane),
         2 => Location::NodeCard(node_card),
         3 => Location::ComputeNode(ComputeNodeId::new_wrapping(node_card, c)),
-        4 => Location::IoNode { midplane, index: c },
-        5 => Location::LinkCard { midplane, index: c },
+        4 => Location::IoNode(IoNodeId::new_wrapping(midplane, c)),
+        5 => Location::LinkCard(LinkCardId::new_wrapping(midplane, c)),
         6 => Location::ServiceCard(midplane),
         7 => Location::BulkPower(rack),
         _ => Location::ClockCard(rack),
@@ -295,12 +296,11 @@ proptest! {
         kind in 0u8..9,
         a in 0..=u8::MAX,
         b in 0..=u8::MAX,
-        c in 0u8..4,
+        c in 0..=u8::MAX,
         code_index in 0..Catalog::standard().len(),
         sev in 0..Severity::ALL.len(),
     ) {
-        // Years -1,000,000 to 1,000,000, and I/O node and link card
-        // indices the grammar accepts (below 8 and 4).
+        // Years -1,000,000 to 1,000,000.
         let mut r = RasRecord::new(
             recid,
             Timestamp::from_unix(secs),
