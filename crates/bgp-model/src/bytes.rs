@@ -30,19 +30,37 @@ const SWAR_HI: u64 = 0x8080_8080_8080_8080;
 /// SWAR scan: the needle is broadcast into all eight lanes of a `u64`,
 /// XORed against each little-endian word of the haystack, and the classic
 /// zero-byte trick (`(x - 0x01…01) & !x & 0x80…80`) flags any lane that
-/// went to zero — eight bytes per step, no platform intrinsics, stable
-/// Rust. The tail shorter than a word falls back to the serial scan.
+/// went to zero — no platform intrinsics, stable Rust. A borrow can flag a
+/// lane only above a true hit, so a word's lowest flag is exact. The scan
+/// tests four words (32 bytes) per step with one branch, then single words,
+/// and the tail shorter than a word falls back to the serial scan.
 /// [`find_byte_scalar`] is the byte-at-a-time twin kept as the equivalence
 /// oracle; the two must agree on every input.
 pub fn find_byte(needle: u8, hay: &[u8]) -> Option<usize> {
     let spread = broadcast(needle);
-    let mut words = hay.chunks_exact(8);
-    let mut offset = 0usize;
-    for word in &mut words {
+    let hits = |word: &[u8]| {
         let lanes = u64::from_le_bytes(word.try_into().unwrap_or([0; 8])) ^ spread;
-        let hit = lanes.wrapping_sub(SWAR_LO) & !lanes & SWAR_HI;
+        lanes.wrapping_sub(SWAR_LO) & !lanes & SWAR_HI
+    };
+    let at = |offset: usize, hit: u64| offset + (hit.trailing_zeros() / 8) as usize;
+    let mut blocks = hay.chunks_exact(32);
+    let mut offset = 0usize;
+    for block in &mut blocks {
+        let h: [u64; 4] = std::array::from_fn(|i| hits(&block[8 * i..8 * i + 8]));
+        if h[0] | h[1] | h[2] | h[3] != 0 {
+            return h
+                .iter()
+                .zip((offset..).step_by(8))
+                .find(|(&hit, _)| hit != 0)
+                .map(|(&hit, word)| at(word, hit));
+        }
+        offset += 32;
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        let hit = hits(word);
         if hit != 0 {
-            return Some(offset + (hit.trailing_zeros() / 8) as usize);
+            return Some(at(offset, hit));
         }
         offset += 8;
     }
@@ -52,8 +70,7 @@ pub fn find_byte(needle: u8, hay: &[u8]) -> Option<usize> {
 /// Serial-scalar reference for [`find_byte`]: one byte per step.
 ///
 /// Kept (not merely for the tail) as the equivalence oracle the SWAR scan
-/// is property-tested against, and as the baseline the `ingest-simd`
-/// benchmark kernel times the word-parallel scan over.
+/// is property-tested against.
 pub fn find_byte_scalar(needle: u8, hay: &[u8]) -> Option<usize> {
     hay.iter().position(|&b| b == needle)
 }
@@ -656,10 +673,11 @@ mod tests {
 
     #[test]
     fn find_byte_agrees_with_scalar_at_word_boundaries() {
-        // Hits at every offset around the 8-byte SWAR word edges, including
-        // the first byte of a word, the last, and deep in the tail.
-        for hit in 0..40 {
-            let mut hay = vec![b'x'; 41];
+        // Hits at every offset around the 8-byte SWAR word edges and the
+        // 32-byte step edges, including the first byte of a word, the last,
+        // each word of a step, and deep in the tail.
+        for hit in 0..100 {
+            let mut hay = vec![b'x'; 101];
             if let Some(slot) = hay.get_mut(hit) {
                 *slot = b'\n';
             }
@@ -670,8 +688,9 @@ mod tests {
                 "hit={hit}"
             );
         }
-        // Needle absent entirely, across lengths covering word + tail splits.
-        for len in 0..24 {
+        // Needle absent entirely, across lengths covering step, word and
+        // tail splits.
+        for len in 0..72 {
             let hay = vec![b'x'; len];
             assert_eq!(find_byte(b'\n', &hay), None, "len={len}");
         }
@@ -709,7 +728,7 @@ mod tests {
         /// alignment (the prefix shifts hits across word boundaries).
         #[test]
         fn prop_swar_matches_scalar(
-            hay in collection::vec(0u8..=255, 0..64),
+            hay in collection::vec(0u8..=255, 0..160),
             prefix in 0usize..16,
             needle in 0u8..=255,
         ) {
@@ -725,7 +744,7 @@ mod tests {
         /// embedded multi-byte UTF-8, scanned for each delimiter byte.
         #[test]
         fn prop_swar_matches_scalar_on_log_text(
-            data in collection::vec((0usize..9).prop_map(log_byte), 0..96),
+            data in collection::vec((0usize..9).prop_map(log_byte), 0..160),
             needle in (0usize..4).prop_map(|i| *[b'|', b'\n', b'\r', 0xc3u8].get(i).unwrap_or(&b'|')),
         ) {
             prop_assert_eq!(

@@ -159,40 +159,104 @@ impl Timestamp {
     /// means "ask `parse`", never "invalid": padding, signs, any other
     /// suffix and out-of-range fields all decline here.
     pub fn parse_canonical(b: &[u8]) -> Option<Timestamp> {
-        let (head, suffix) = b.split_at_checked(19)?;
-        if let [dot, frac @ ..] = suffix {
-            if *dot != b'.' || !frac.iter().all(u8::is_ascii_digit) {
-                return None;
-            }
-        }
-        let sep_ok = head[4] == b'-'
-            && head[7] == b'-'
-            && head[10] == b'-'
-            && head[13] == b'.'
-            && head[16] == b'.';
-        if !sep_ok {
-            return None;
-        }
-        let num = |range: std::ops::Range<usize>| {
-            head[range].iter().try_fold(0u32, |acc, &c| {
-                c.is_ascii_digit().then(|| acc * 10 + u32::from(c - b'0'))
-            })
-        };
-        let year = num(0..4)?;
-        let month = num(5..7)?;
-        let day = num(8..10)?;
-        let hh = num(11..13)?;
-        let mm = num(14..16)?;
-        let ss = num(17..19)?;
-        if !(1..=12).contains(&month) || !(1..=31).contains(&day) || hh > 23 || mm > 59 || ss > 60 {
-            return None;
-        }
-        Some(Timestamp::from_civil(year as i32, month, day, hh, mm, ss))
+        let (date, clock) = b.split_at_checked(11)?;
+        Some(Timestamp(
+            canonical_midnight(date)? + canonical_clock(clock)?,
+        ))
     }
 
     /// Number of whole days between `self` and `origin` (can be negative).
     pub fn days_since(self, origin: Timestamp) -> i64 {
         (self.0 - origin.0).div_euclid(86_400)
+    }
+}
+
+/// The value of ASCII digits, or `None` if any byte is not one.
+fn digits(b: &[u8]) -> Option<u32> {
+    b.iter().try_fold(0u32, |acc, &c| {
+        c.is_ascii_digit().then(|| acc * 10 + u32::from(c - b'0'))
+    })
+}
+
+/// The midnight of the day a canonical `YYYY-MM-DD-` spells, in seconds
+/// since the epoch: the date half of [`Timestamp::parse_canonical`], with
+/// its range checks.
+fn canonical_midnight(date: &[u8]) -> Option<i64> {
+    let [y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1, b'-'] = *date else {
+        return None;
+    };
+    let year = digits(&[y0, y1, y2, y3])?;
+    let month = digits(&[m0, m1])?;
+    let day = digits(&[d0, d1])?;
+    if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+        return None;
+    }
+    Some(days_from_civil(year as i32, month, day) * 86_400)
+}
+
+/// The seconds into its day that a canonical `HH.MM.SS`, optionally
+/// followed by `.` and ASCII digits, spells: the clock half of
+/// [`Timestamp::parse_canonical`], with its range checks.
+fn canonical_clock(clock: &[u8]) -> Option<i64> {
+    let (hms, suffix) = clock.split_at_checked(8)?;
+    if let [dot, frac @ ..] = suffix {
+        if *dot != b'.' || !frac.iter().all(u8::is_ascii_digit) {
+            return None;
+        }
+    }
+    let [h0, h1, b'.', m0, m1, b'.', s0, s1] = *hms else {
+        return None;
+    };
+    let hh = digits(&[h0, h1])?;
+    let mm = digits(&[m0, m1])?;
+    let ss = digits(&[s0, s1])?;
+    if hh > 23 || mm > 59 || ss > 60 {
+        return None;
+    }
+    Some(i64::from(hh) * 3600 + i64::from(mm) * 60 + i64::from(ss))
+}
+
+/// The byte decoder of the canonical CMCS form: [`Timestamp::parse_canonical`]
+/// with a memo of the last day it read, the reading twin of
+/// [`TimestampEncoder`].
+///
+/// Log records are time-sorted, so most lines repeat the day before. The
+/// decoder remembers the last canonical `YYYY-MM-DD-` and that day's
+/// midnight; a time that starts with the same eleven bytes costs only the
+/// read of its `HH.MM.SS` (with the same range checks). Any other time is
+/// read in full, and remembered if its date is canonical.
+///
+/// ```
+/// use bgp_model::time::TimestampDecoder;
+/// use bgp_model::Timestamp;
+///
+/// let mut dec = TimestampDecoder::default();
+/// let t = dec.parse_canonical(b"2008-04-14-15.08.12");
+/// assert_eq!(t, Some(Timestamp::from_civil(2008, 4, 14, 15, 8, 12)));
+/// assert_eq!(dec.parse_canonical(b"2008-04-14-24.00.00"), None);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct TimestampDecoder {
+    /// `YYYY-MM-DD-` of the remembered day and its midnight, once one is
+    /// read.
+    day: Option<([u8; 11], i64)>,
+}
+
+impl TimestampDecoder {
+    /// Exactly [`Timestamp::parse_canonical`]`(b)`: `Some` only where
+    /// [`Timestamp::parse`] gives the same timestamp, `None` meaning "ask
+    /// `parse`".
+    pub fn parse_canonical(&mut self, b: &[u8]) -> Option<Timestamp> {
+        let (date, clock) = b.split_at_checked(11)?;
+        let midnight = match self.day {
+            Some((ref day, midnight)) if day == date => midnight,
+            _ => {
+                let midnight = canonical_midnight(date)?;
+                self.day = Some((date.try_into().ok()?, midnight));
+                midnight
+            }
+        };
+        Some(Timestamp(midnight + canonical_clock(clock)?))
     }
 }
 
@@ -508,6 +572,83 @@ mod tests {
             let jan1 = Timestamp::from_civil(year, 1, 1, 0, 0, 0);
             let t = jan1 + Duration::days(day_of_year) + Duration::seconds(secs);
             proptest::prop_assert_eq!(Timestamp::parse(&t.to_string()), Ok(t));
+        }
+    }
+
+    /// One reading of a clock text: what the decoder gives must be what
+    /// `parse_canonical` gives, and any `Some` must be what `parse` gives.
+    fn assert_decodes_like_parse(dec: &mut TimestampDecoder, text: &str) {
+        let want = Timestamp::parse_canonical(text.as_bytes());
+        assert_eq!(dec.parse_canonical(text.as_bytes()), want, "{text:?}");
+        if want.is_some() {
+            assert_eq!(want, Timestamp::parse(text).ok(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn decoder_rereads_the_clock_after_a_memo_hit() {
+        let mut dec = TimestampDecoder::default();
+        for text in [
+            "2008-12-31-23.59.59",
+            "2008-12-31-23.59.60", // leap second, same day
+            "2008-12-31-24.00.00", // memo hit, bad clocks
+            "2008-12-31-12.60.00",
+            "2008-12-31-1a.00.00",
+            "2008-12-31-12.00.61",
+            "2008-12-31-12.00.00x",
+            "2008-12-31-12.00.0",
+            "2008-12-31-12.00.00.123456",
+            "2009-01-01-00.00.00", // a new year
+            "2008-12-31-00.00.01", // an older day again
+            "+008-12-31-00.00.01", // signed year: `parse` only
+            " 2008-12-31-00.00.01",
+            "2008-12-31-00:00:01",
+            "2008-12-31",
+            "",
+        ] {
+            assert_decodes_like_parse(&mut dec, text);
+        }
+    }
+
+    proptest::proptest! {
+        /// The decoder is `parse_canonical` over time-sorted runs that roll
+        /// over a day, a month and a year and hit `ss = 60`, with older days
+        /// revisited and non-canonical or bad clocks mixed in.
+        #[test]
+        fn decoder_matches_parse_canonical_over_sorted_runs(
+            start in 0usize..5,
+            steps in proptest::collection::vec((0i64..40_000, 0usize..12), 1..80),
+        ) {
+            // Just before the end of a day, a month, a year, a leap day and
+            // the epoch.
+            let starts = [
+                Timestamp::from_civil(2009, 3, 14, 23, 0, 0),
+                Timestamp::from_civil(2009, 4, 30, 22, 0, 0),
+                Timestamp::from_civil(2008, 12, 31, 21, 0, 0),
+                Timestamp::from_civil(2008, 2, 28, 20, 0, 0),
+                Timestamp::from_civil(1969, 12, 31, 23, 0, 0),
+            ];
+            let mut t = starts[start];
+            let mut seen = Vec::new();
+            let mut dec = TimestampDecoder::default();
+            for (step, form) in steps {
+                t += Duration::seconds(step);
+                seen.push(t);
+                let text = t.to_string();
+                let (date, clock) = text.split_at(11);
+                let text = match form {
+                    0 => format!("{text}.285324"),
+                    1 => format!(" {text}"),
+                    2 => format!("+{}", &text[1..]),
+                    3 => format!("{date}{}60", &clock[..6]),
+                    4 => format!("{date}24.00.00"),
+                    5 => format!("{date}12.60.00"),
+                    6 => format!("{date}1a.00.00"),
+                    7 => seen[step as usize % seen.len()].to_string(),
+                    _ => text,
+                };
+                assert_decodes_like_parse(&mut dec, &text);
+            }
         }
     }
 

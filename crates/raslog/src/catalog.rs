@@ -76,9 +76,13 @@ const SLOT_BITS: u32 = 9;
 /// (`_bgp_err_`, `syslog_`), so the hash mixes the length with the last
 /// eight bytes instead of reading the whole token.
 fn name_slot(name: &[u8]) -> usize {
-    let tail = &name[name.len().saturating_sub(8)..];
-    let mut word = [0u8; 8];
-    word[..tail.len()].copy_from_slice(tail);
+    // A token of eight bytes or more (every catalogue name) is one
+    // fixed-size load; a shorter one is zero-padded.
+    let word = name.last_chunk::<8>().copied().unwrap_or_else(|| {
+        let mut word = [0u8; 8];
+        word[..name.len()].copy_from_slice(name);
+        word
+    });
     let key = u64::from_le_bytes(word) ^ (name.len() as u64).rotate_right(8);
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOT_BITS)) as usize
 }

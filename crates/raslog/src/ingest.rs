@@ -4,10 +4,13 @@
 //! validation and a `String` copy) per record. At paper scale — two million
 //! records — that serial front door dominates end-to-end latency now that the
 //! analysis stages run concurrently. This module parses newline-aligned runs
-//! of whole lines on scoped threads with the allocation-free byte parser
-//! ([`crate::parse::parse_line_bytes`]), one accumulator per worker, and
-//! folds the workers' outputs in input order. The runs come either from a
-//! byte buffer already in memory, split by
+//! of whole lines on scoped threads, one accumulator per worker, and folds
+//! the workers' outputs in input order. Each worker walks its lines with
+//! [`bgp_model::bytes::lines`] and parses them with its own allocation-free
+//! [`RasLineParser`], whose day memo reads a time on the day of the line
+//! before from its `HH.MM.SS` alone; [`crate::parse::parse_line_bytes`] is
+//! a fresh parser's parse, so both read every line alike. The runs come
+//! either from a byte buffer already in memory, split by
 //! [`bgp_model::bytes::line_chunks`] ([`parse_log_bytes_where`]), or from a
 //! file streamed through fixed per-worker windows by
 //! [`bgp_model::bytes::stream_lines`] ([`parse_log_file_where`]), which can
@@ -36,7 +39,7 @@
 //! are parsed: the errors are the same either way.
 
 use crate::log::Projection;
-use crate::parse::{parse_line_bytes, RasParseError};
+use crate::parse::{RasLineParser, RasParseError};
 use crate::record::RasRecord;
 use bgp_model::bytes::{line_chunks, map_chunks_parallel, stream_lines};
 use std::fs::File;
@@ -47,6 +50,7 @@ struct Chunk {
     kept: Projection,
     errors: Vec<RasParseError>,
     lines: u64,
+    parser: RasLineParser,
 }
 
 impl Chunk {
@@ -60,6 +64,7 @@ impl Chunk {
             kept: Projection::with_capacity(usize::try_from(bytes / 90).unwrap_or(0) + 1),
             errors: Vec::new(),
             lines: 0,
+            parser: RasLineParser::default(),
         }
     }
 
@@ -72,7 +77,7 @@ impl Chunk {
     fn feed(&mut self, text: &[u8], keep: &impl Fn(&RasRecord) -> bool) {
         let mut lines = bgp_model::bytes::lines(text);
         for (number, line) in &mut lines {
-            match parse_line_bytes(line) {
+            match self.parser.parse(line) {
                 Ok(r) => self.kept.push(r, keep),
                 Err(mut e) => {
                     e.line = self.lines + number;

@@ -17,7 +17,8 @@
 //!   window is a binary search; it sorts only input that is out of order.
 //! * [`parse_line_bytes`] decodes each parsed field through a byte-level
 //!   fast path for its canonical form and falls back to the general parser
-//!   for anything else, with identical results.
+//!   for anything else, with identical results; an ingest worker's
+//!   [`parse::RasLineParser`] adds a memo of the last day it read.
 //! * [`ingest`] parses a whole in-memory log on newline-aligned byte chunks
 //!   across scoped threads, bit-identical to [`RasReader`]; [`snapshot`]
 //!   caches the parsed columns on disk (`.bgpsnap`) so re-runs skip parsing

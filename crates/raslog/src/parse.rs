@@ -8,6 +8,7 @@
 use crate::catalog::{Catalog, ErrCode};
 use crate::record::RasRecord;
 use crate::severity::Severity;
+use bgp_model::time::TimestampDecoder;
 use bgp_model::{Location, Timestamp};
 use std::fmt;
 use std::io::BufRead;
@@ -77,8 +78,9 @@ pub fn parse_line(line: &str) -> Result<RasRecord, RasParseError> {
     parse_line_bytes(line.as_bytes())
 }
 
-/// Parse one log line given as raw bytes — the allocation-free hot path used
-/// by the parallel ingestion layer (`crate::ingest`).
+/// Parse one log line given as raw bytes: a fresh [`RasLineParser`]'s
+/// [`parse`](RasLineParser::parse), so the parallel ingestion layer
+/// (`crate::ingest`) and every single-line caller share one field parser.
 ///
 /// For any valid-UTF-8 line this behaves *identically* to [`parse_line`]
 /// (same record or same error kind and payload). The line as a whole is never
@@ -86,59 +88,117 @@ pub fn parse_line(line: &str) -> Result<RasRecord, RasParseError> {
 /// transcoded, so a multi-gigabyte MESSAGE column costs nothing. A parsed
 /// field containing invalid UTF-8 reports the same error kind as an
 /// unparseable value, with a lossy payload.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one-line entry point is a fresh parser's parse"
+)]
 pub fn parse_line_bytes(line: &[u8]) -> Result<RasRecord, RasParseError> {
-    let err = |kind| RasParseError { line: 0, kind };
-    // MESSAGE may itself contain '|'; limit the split to 9 parts
-    // (`splitn(9, '|')` semantics, without materializing a Vec).
-    let (fields, count) = bgp_model::bytes::splitn_byte::<9>(b'|', line);
-    if count != 9 {
-        return Err(err(RasParseErrorKind::WrongFieldCount(count)));
-    }
-    // Each field first tries a byte-level fast path for its canonical form;
-    // when that declines, the general parser (trim, UTF-8, `FromStr`)
-    // decides. A fast path answers only where the general parser gives the
-    // same value, so the general parser alone defines what a line means and
-    // supplies every error payload: the raw (untrimmed) field, like the
-    // &str parser.
-    let lossy = |f: &[u8]| String::from_utf8_lossy(f).into_owned();
-    fn text(f: &[u8]) -> Option<&str> {
-        std::str::from_utf8(f).ok().map(str::trim)
-    }
-    let catalog = Catalog::standard();
-    let recid = recid_digits(fields[0])
-        .or_else(|| text(fields[0])?.parse().ok())
-        .ok_or_else(|| err(RasParseErrorKind::BadRecId(lossy(fields[0]))))?;
-    let errcode: ErrCode = catalog
-        .lookup_bytes(fields[4])
-        .or_else(|| catalog.lookup(text(fields[4])?))
-        .ok_or_else(|| err(RasParseErrorKind::UnknownErrCode(lossy(fields[4]))))?;
-    let severity = Severity::from_token(fields[5])
-        .or_else(|| text(fields[5])?.parse().ok())
-        .ok_or_else(|| err(RasParseErrorKind::BadSeverity(lossy(fields[5]))))?;
-    let event_time = Timestamp::parse_canonical(fields[6])
-        .or_else(|| Timestamp::parse(text(fields[6])?).ok())
-        .ok_or_else(|| err(RasParseErrorKind::BadTimestamp(lossy(fields[6]))))?;
-    let location = Location::parse_canonical(fields[7])
-        .or_else(|| text(fields[7])?.parse().ok())
-        .ok_or_else(|| err(RasParseErrorKind::BadLocation(lossy(fields[7]))))?;
-    Ok(RasRecord {
-        recid,
-        event_time,
-        location,
-        errcode,
-        severity,
-    })
+    RasLineParser::default().parse(line)
 }
 
-/// RECID fast path: 1–19 ASCII digits, which always fit a `u64`. Anything
-/// else (a sign, padding, 20 digits) is left to `str::parse`.
+/// The line parser of one ingest worker: [`parse_line_bytes`] with a memo
+/// of the last day it read ([`TimestampDecoder`]), so a line whose
+/// EVENT_TIME repeats the day of the line before reads only its clock.
+///
+/// The memo changes no result: every line parses to what
+/// [`parse_line_bytes`] gives it, in any order.
+#[derive(Debug, Clone, Default)]
+pub struct RasLineParser {
+    clock: TimestampDecoder,
+}
+
+impl RasLineParser {
+    /// Parse one line's content (trimmed, not blank) into a record.
+    pub fn parse(&mut self, line: &[u8]) -> Result<RasRecord, RasParseError> {
+        let err = |kind| RasParseError { line: 0, kind };
+        // MESSAGE may itself contain '|'; limit the split to 9 parts
+        // (`splitn(9, '|')` semantics, without materializing a Vec).
+        let (fields, count) = bgp_model::bytes::splitn_byte::<9>(b'|', line);
+        if count != 9 {
+            return Err(err(RasParseErrorKind::WrongFieldCount(count)));
+        }
+        // Each field first tries a byte-level fast path for its canonical
+        // form; when that declines, the general parser (trim, UTF-8,
+        // `FromStr`) decides. A fast path answers only where the general
+        // parser gives the same value, so the general parser alone defines
+        // what a line means and supplies every error payload: the raw
+        // (untrimmed) field, like the &str parser.
+        let lossy = |f: &[u8]| String::from_utf8_lossy(f).into_owned();
+        fn text(f: &[u8]) -> Option<&str> {
+            std::str::from_utf8(f).ok().map(str::trim)
+        }
+        let catalog = Catalog::standard();
+        let recid = recid_digits(fields[0])
+            .or_else(|| text(fields[0])?.parse().ok())
+            .ok_or_else(|| err(RasParseErrorKind::BadRecId(lossy(fields[0]))))?;
+        let errcode: ErrCode = catalog
+            .lookup_bytes(fields[4])
+            .or_else(|| catalog.lookup(text(fields[4])?))
+            .ok_or_else(|| err(RasParseErrorKind::UnknownErrCode(lossy(fields[4]))))?;
+        let severity = Severity::from_token(fields[5])
+            .or_else(|| text(fields[5])?.parse().ok())
+            .ok_or_else(|| err(RasParseErrorKind::BadSeverity(lossy(fields[5]))))?;
+        let event_time = self
+            .clock
+            .parse_canonical(fields[6])
+            .or_else(|| Timestamp::parse(text(fields[6])?).ok())
+            .ok_or_else(|| err(RasParseErrorKind::BadTimestamp(lossy(fields[6]))))?;
+        let location = Location::parse_canonical(fields[7])
+            .or_else(|| text(fields[7])?.parse().ok())
+            .ok_or_else(|| err(RasParseErrorKind::BadLocation(lossy(fields[7]))))?;
+        Ok(RasRecord {
+            recid,
+            event_time,
+            location,
+            errcode,
+            severity,
+        })
+    }
+}
+
+/// RECID fast path: 1–19 ASCII digits, which always fit a `u64`; four to
+/// eight of them (every RECID of a paper-scale log past the first thousand)
+/// are read as one word. Anything else (a sign, padding, 20 digits) is
+/// left to `str::parse`.
 fn recid_digits(f: &[u8]) -> Option<u64> {
-    if f.is_empty() || f.len() > 19 {
+    match f.len() {
+        4..=8 => digit_word(f),
+        1..=19 => f.iter().try_fold(0u64, |acc, &c| {
+            c.is_ascii_digit().then(|| acc * 10 + u64::from(c - b'0'))
+        }),
+        _ => None,
+    }
+}
+
+/// The value of four to eight ASCII digits, read as one little-endian word
+/// (SWAR). The word is built from the field's first and last four bytes,
+/// two fixed-size loads that overlap when it is shorter than eight, with
+/// its digits in the top lanes and `0`s below them: the lowest lane is the
+/// most significant digit, so the `0`s read as leading zeros. Every lane is
+/// checked to be a digit, then the lanes are folded into pairs, quads and
+/// the whole.
+fn digit_word(f: &[u8]) -> Option<u64> {
+    const NIBBLE_HI: u64 = 0xf0f0_f0f0_f0f0_f0f0;
+    const ZEROS: u64 = 0x3030_3030_3030_3030;
+    let n = f.len();
+    if !(4..=8).contains(&n) {
         return None;
     }
-    f.iter().try_fold(0u64, |acc, &c| {
-        c.is_ascii_digit().then(|| acc * 10 + u64::from(c - b'0'))
-    })
+    let head = u64::from(u32::from_le_bytes(f[..4].try_into().ok()?));
+    let tail = u64::from(u32::from_le_bytes(f[n - 4..].try_into().ok()?));
+    // Bits of `0` lanes below the digits (none for eight digits).
+    let pad = 8 * (8 - n) as u32;
+    let w = (tail << 32) | (head << pad) | ZEROS.checked_shr(64 - pad).unwrap_or(0);
+    // A digit lane is 0x30..=0x39: its high nibble is 3, and adding 6
+    // leaves it 3 (no lane can carry into the next once the first test
+    // holds).
+    if w & NIBBLE_HI != ZEROS || (w + 0x0606_0606_0606_0606) & NIBBLE_HI != ZEROS {
+        return None;
+    }
+    let d = w - ZEROS;
+    let d = (d * 10 + (d >> 8)) & 0x00ff_00ff_00ff_00ff;
+    let d = (d * 100 + (d >> 16)) & 0x0000_ffff_0000_ffff;
+    Some((d * 10_000 + (d >> 32)) & 0xffff_ffff)
 }
 
 /// Streaming reader: yields one `Result` per non-empty line.
@@ -548,6 +608,69 @@ mod tests {
         let mut bad_utf8 = with_field(loc, "R23-M1");
         bad_utf8.splice(0..0, [0xff]);
         assert_matches_reference(&bad_utf8);
+    }
+
+    #[test]
+    fn recid_word_matches_the_digit_loop() {
+        let reference = |f: &[u8]| -> Option<u64> { std::str::from_utf8(f).ok()?.parse().ok() };
+        let mut fields: Vec<Vec<u8>> = Vec::new();
+        for len in 1..=19 {
+            for first in b'0'..=b'9' {
+                let digits: Vec<u8> = (0..len)
+                    .map(|i| {
+                        if i == 0 {
+                            first
+                        } else {
+                            b'0' + (i * 7 % 10) as u8
+                        }
+                    })
+                    .collect();
+                // Each lane's neighbours of the digit range, and a sign.
+                for at in 0..len {
+                    for bad in [b'/', b':', b' ', b'+', 0xb0, 0x39 + 0x80] {
+                        let mut f = digits.clone();
+                        f[at] = bad;
+                        fields.push(f);
+                    }
+                }
+                fields.push(digits);
+            }
+        }
+        fields.extend([b"".to_vec(), b"99999999".to_vec(), b"00000000".to_vec()]);
+        for f in fields {
+            let want = reference(&f).filter(|_| f.iter().all(u8::is_ascii_digit));
+            assert_eq!(recid_digits(&f), want, "{:?}", String::from_utf8_lossy(&f));
+        }
+    }
+
+    #[test]
+    fn a_parser_reads_every_line_as_a_fresh_one_does() {
+        // The day memo must not leak from one line into the next: a run of
+        // lines over a day, month and year change, with bad clocks behind
+        // a memo hit, parses as each line does alone.
+        let mut parser = RasLineParser::default();
+        let good = format_record(&sample_record());
+        for time in [
+            "2009-03-01-12.30.00",
+            "2009-03-01-23.59.60",
+            "2009-03-01-24.00.00",
+            "2009-03-01-12.60.00",
+            "2009-03-01-1a.00.00",
+            "2009-03-02-00.00.00",
+            "2009-04-01-00.00.00",
+            "2010-04-01-00.00.00",
+            "2009-03-01-12.30.00.285324",
+            " 2009-03-01-12.30.00",
+            "+009-03-01-12.30.00",
+            "2009-03-01-12.30.00",
+        ] {
+            let line = good.replace("2009-03-01-12.30.00", time);
+            assert_eq!(
+                parser.parse(line.as_bytes()),
+                reference(line.as_bytes()),
+                "{time:?}"
+            );
+        }
     }
 
     /// Byte strings the proptests splice into lines: each class of byte the

@@ -186,6 +186,124 @@ fn job_parallel_ingest_matches_serial_reader_at_scale() {
     }
 }
 
+/// A small deterministic generator for [`rollover_logs`].
+struct Mix(u64);
+
+impl Mix {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+}
+
+/// A RAS log and a job log of `lines` lines each from `seed`, over several
+/// weeks from the last days of 2008: the RAS times roll over a day, a month
+/// and a year, and among the records are `ss = 60` clocks, older days
+/// revisited, fractional, padded and signed-year clocks, bad clocks behind
+/// a day the parser has just read, malformed, blank and CR-only lines, and
+/// CRLF endings.
+fn rollover_logs(seed: u64, lines: usize) -> (String, String) {
+    let mut mix = Mix(seed);
+    let codes: Vec<_> = raslog::Catalog::standard().codes().collect();
+    let locs = ["R00-M0", "R01-M1-N04-J12", "R02-B", "R03-M0-S", "R47-M1-L3"];
+    let mut t = Timestamp::from_civil(2008, 12, 30, 22, 0, 0);
+    let mut seen = Vec::new();
+    let (mut ras, mut jobs) = (String::new(), String::new());
+    for i in 0..lines {
+        t = Timestamp::from_unix(t.as_unix() + mix.below(6 * 3600) as i64);
+        seen.push(t);
+        let mut r = raslog::RasRecord::new(
+            i as u64,
+            t,
+            locs[mix.below(locs.len())].parse().unwrap(),
+            codes[mix.below(codes.len())],
+        );
+        r.severity = Severity::ALL[mix.below(Severity::ALL.len())];
+        let text = t.to_string();
+        let (date, clock) = text.split_at(11);
+        let clock = match mix.below(16) {
+            0 => format!("{text}.285324"),
+            1 => format!(" {text}\t"),
+            2 => format!("+{}", &text[1..]),
+            3 => format!("{date}{}60", &clock[..6]),
+            4 => format!("{date}24.00.00"),
+            5 => format!("{date}12.60.00"),
+            6 => format!("{date}1a.00.00"),
+            7 => seen[mix.below(seen.len())].to_string(),
+            _ => text.clone(),
+        };
+        let line = match mix.below(20) {
+            0 => "garbage|with|pipes".to_owned(),
+            1 => String::new(),
+            2 => "\r".to_owned(),
+            _ => raslog::format_record(&r).replacen(&text, &clock, 1),
+        };
+        ras.push_str(&line);
+        ras.push_str(if mix.below(4) == 0 { "\r\n" } else { "\n" });
+
+        let start = t.as_unix() + mix.below(3600) as i64;
+        let job = joblog::JobRecord {
+            job_id: i as u64,
+            exec: joblog::ExecId(mix.below(50) as u32),
+            user: joblog::UserId(mix.below(20) as u32),
+            project: joblog::ProjectId(mix.below(5) as u32),
+            queue_time: t,
+            start_time: Timestamp::from_unix(start),
+            end_time: Timestamp::from_unix(start + mix.below(3 * 86_400) as i64),
+            partition: bgp_model::Partition::contiguous(
+                mix.below(8) as u8 * 8,
+                [1, 2, 4, 8][mix.below(4)],
+            )
+            .unwrap(),
+            exit: match mix.below(3) {
+                0 => joblog::ExitStatus::Completed,
+                1 => joblog::ExitStatus::Failed(mix.below(300) as u16),
+                _ => joblog::ExitStatus::Cancelled,
+            },
+        };
+        let line = match mix.below(20) {
+            0 => "1|2|3|not|a|job".to_owned(),
+            1 => String::new(),
+            2 => format!("{}|extra", joblog::format_record(&job)),
+            _ => joblog::format_record(&job),
+        };
+        jobs.push_str(&line);
+        jobs.push_str(if mix.below(4) == 0 { "\r\n" } else { "\n" });
+    }
+    (ras, jobs)
+}
+
+proptest! {
+    /// The parallel ingest at 1, 2, 3 and 7 workers reads a multi-day log
+    /// as the serial readers do, record for record and error for error:
+    /// each worker's day memo sees the days roll over, revisit and go bad
+    /// at any point of its run of lines.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the adapter-equivalence oracle compares against the raw parser"
+    )]
+    fn multi_day_logs_parse_as_the_serial_readers_read_them(
+        seed in 0u64..u64::MAX,
+        lines in 1usize..300,
+    ) {
+        let (ras, jobs) = rollover_logs(seed, lines);
+        let (want_records, want_errors) = RasReader::new(ras.as_bytes()).read_tolerant();
+        let (want_jobs, want_job_errors) = JobReader::new(jobs.as_bytes()).read_tolerant();
+        for threads in [1, 2, 3, 7] {
+            let (records, errors) = raslog::parse_log_bytes(ras.as_bytes(), threads);
+            prop_assert_eq!(&records, &want_records, "threads {}", threads);
+            prop_assert_eq!(&errors, &want_errors, "threads {}", threads);
+            let (jobs, job_errors) = joblog::parse_log_bytes(jobs.as_bytes(), threads);
+            prop_assert_eq!(&jobs, &want_jobs, "threads {}", threads);
+            prop_assert_eq!(&job_errors, &want_job_errors, "threads {}", threads);
+        }
+    }
+}
+
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ingest-eq-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
