@@ -10,20 +10,20 @@
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0  | 8 | magic `b"BGPSNAP\0"` |
-//! | 8  | 1 | kind (1 = RAS, 2 = job, 3 = the FATAL projection of a RAS log) |
+//! | 8  | 1 | kind (1 = RAS, 2 = job) |
 //! | 9  | 3 | reserved, zero |
 //! | 12 | 4 | format version (`u32`) |
 //! | 16 | 8 | record count (`u64`) |
 //! | 24 | 8 | content hash of the *source text* ([`crate::bytes::content_hash_64`]) |
 //!
 //! The hash covers every byte of the source text the records were parsed
-//! from — for a FATAL projection too, which stores only some of them — so
-//! any edit to the source, anywhere, makes the snapshot stale. A reader may
+//! from, so any edit to the source, anywhere, makes the snapshot stale. A reader may
 //! compute it by mapping the source or by streaming it
 //! ([`crate::bytes::content_hash_file`]); both give the same value.
 //!
-//! The columnar record payload follows immediately; a snapshot never contains
-//! trailing bytes beyond its declared columns. Any mismatch — magic, kind,
+//! The kind's payload follows immediately (for RAS, a tally and two column
+//! sections; see `raslog::snapshot`); a snapshot never contains trailing
+//! bytes beyond it. Any mismatch — magic, kind,
 //! version, hash, truncation, trailing garbage, or an undecodable record —
 //! yields a typed [`SnapshotError`], and callers fall back to re-parsing the
 //! source (then rewrite the snapshot).
@@ -43,9 +43,6 @@ pub enum SnapshotKind {
     Ras,
     /// A parsed job accounting log.
     Job,
-    /// The FATAL records of a parsed RAS log, plus the whole log's record
-    /// count and span.
-    RasFatal,
 }
 
 impl SnapshotKind {
@@ -53,7 +50,6 @@ impl SnapshotKind {
         match self {
             SnapshotKind::Ras => 1,
             SnapshotKind::Job => 2,
-            SnapshotKind::RasFatal => 3,
         }
     }
 
@@ -61,7 +57,6 @@ impl SnapshotKind {
         match tag {
             1 => Some(SnapshotKind::Ras),
             2 => Some(SnapshotKind::Job),
-            3 => Some(SnapshotKind::RasFatal),
             _ => None,
         }
     }
@@ -72,7 +67,6 @@ impl fmt::Display for SnapshotKind {
         match self {
             SnapshotKind::Ras => write!(f, "RAS"),
             SnapshotKind::Job => write!(f, "job"),
-            SnapshotKind::RasFatal => write!(f, "RAS FATAL"),
         }
     }
 }
@@ -335,10 +329,6 @@ mod tests {
             SnapshotHeader::parse(&buf, SnapshotKind::Job),
             Err(SnapshotError::WrongKind { found: 1, .. })
         ));
-        assert!(matches!(
-            SnapshotHeader::parse(&buf, SnapshotKind::RasFatal),
-            Err(SnapshotError::WrongKind { found: 1, .. })
-        ));
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(matches!(
@@ -373,12 +363,11 @@ mod tests {
 
     #[test]
     fn kind_tags_round_trip() {
-        for kind in [SnapshotKind::Ras, SnapshotKind::Job, SnapshotKind::RasFatal] {
+        for kind in [SnapshotKind::Ras, SnapshotKind::Job] {
             assert_eq!(SnapshotKind::from_tag(kind.tag()), Some(kind));
         }
-        assert_eq!(SnapshotKind::RasFatal.tag(), 3);
-        assert_eq!(SnapshotKind::RasFatal.to_string(), "RAS FATAL");
-        assert_eq!(SnapshotKind::from_tag(4), None);
+        // Tag 3 was the separate FATAL snapshot of older builds.
+        assert_eq!(SnapshotKind::from_tag(3), None);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //!    format version first, then the source text's content hash — streamed
 //!    from the file with positioned reads on every core
 //!    ([`bgp_model::bytes::content_hash_file`]) while the snapshot body
-//!    decodes, and computed at most once per load — then the body. The
-//!    lookup order is: for [`load_pair`], the FATAL snapshot
-//!    ([`fatal_snapshot_file`]); then the full snapshot ([`snapshot_file`]).
-//!    A hit skips parsing; the source is read once, to hash it. Without a
+//!    decodes — then the section of the body the load keeps. There is one
+//!    snapshot file per source ([`snapshot_file`]). A hit skips parsing
+//!    and writes nothing; the source is read once, to hash it. Without a
 //!    snapshot directory nothing is hashed. A source that is not a regular
 //!    file (a pipe) is never hashed on its own, which would consume it: its
 //!    snapshots count as unusable, and it is hashed as it is parsed;
@@ -25,9 +24,8 @@
 //!    same windows in the same pass and writes the snapshot for next time,
 //!    stamped with the content hash of the very bytes parsed (to a temp
 //!    file renamed over the old one, so concurrent readers and live
-//!    mappings never see a torn snapshot). [`load_pair`] then also writes
-//!    the FATAL snapshot from what it keeps; it does the same after a
-//!    full-snapshot hit. The source's length is taken once, at the start:
+//!    mappings never see a torn snapshot). The source's length is taken
+//!    once, at the start:
 //!    a source that shrinks during the load is a [`LoadError`], and bytes
 //!    appended meanwhile are left for the next load. A pipe has no length
 //!    to take: one worker reads it to its end. BG/Q, syslog and cassettes
@@ -45,22 +43,24 @@
 //! Every snapshot failure — stale hash, old format version, truncation,
 //! corruption, a source that cannot be hashed — is recoverable: the loader
 //! falls back to re-parsing and rewrites the snapshot, reporting what
-//! happened in [`SnapshotStatus`]. A FATAL snapshot that fails falls back to
-//! the full snapshot silently, so the status is then exactly
-//! [`load_ras`]'s for the same cache.
+//! happened in [`SnapshotStatus`].
 //!
 //! **What a load keeps.** The entry point decides, with no option to set:
 //! [`load_ras`] and [`load_jobs`] keep every record, and [`load_pair`], the
 //! co-analysis load, keeps only the RAS log's FATAL records — the stage
 //! graph reads nothing else — plus the whole log's span and parsed count.
-//! For BG/P the projection happens inside the chunk parser and the snapshot
-//! decoder, which still parse and validate every line and every record, so
-//! the other ~98 % of records are never built; the other adapters decode
-//! in full, then filter. Diagnostics and the full snapshot file are the same
-//! whichever entry point loads: a cache miss parses in full and writes the
-//! full snapshot, so `coctl summary` and `coctl analyze` share one cache.
-//! Only [`load_pair`] reads or writes the FATAL snapshot beside it (about
-//! 2 % of its size), which serves its warm hits.
+//! For BG/P the projection happens inside the chunk parser, which still
+//! parses and validates every line, so the other ~98 % of records are never
+//! built; the other adapters decode in full, then filter. Diagnostics and
+//! the snapshot file are the same whichever entry point loads: a cache miss
+//! parses in full and writes the whole snapshot, so `coctl summary` and
+//! `coctl analyze` share one cache file. Its front holds the FATAL records
+//! and the whole log's tally (`raslog::snapshot`), about 1 MB of a 237-day
+//! site's 12.8 MB: a [`load_pair`] hit reads only that, a [`load_ras`] hit
+//! skips it. Each checks the header, the tally, the file's length and
+//! every record of the section it reads, so a corrupt record in the other
+//! section is not its miss. `.bgpsnap.fatal` files that older builds wrote
+//! beside the snapshot are never read, and may be deleted.
 
 use bgp_model::bytes::content_hash_file;
 use bgp_model::mmap::MappedFile;
@@ -190,16 +190,6 @@ pub fn snapshot_file(dir: &Path, source: &Path) -> PathBuf {
     dir.join(format!("{name}.bgpsnap"))
 }
 
-/// The FATAL snapshot file for `source` inside `dir`, which only
-/// [`load_pair`] reads and writes: `<file-name>.bgpsnap.fatal`. Every
-/// [`snapshot_file`] name ends in `.bgpsnap`, so no source's full snapshot
-/// can share it.
-pub fn fatal_snapshot_file(dir: &Path, source: &Path) -> PathBuf {
-    let mut name = snapshot_file(dir, source).into_os_string();
-    name.push(".fatal");
-    name.into()
-}
-
 fn cannot_read(path: &Path, e: io::Error) -> LoadError {
     LoadError {
         path: path.to_owned(),
@@ -212,8 +202,8 @@ fn read_file(path: &Path) -> Result<MappedFile, LoadError> {
     MappedFile::read(path).map_err(|e| cannot_read(path, e))
 }
 
-/// The record-type specifics of one BG/P log: which snapshots it reads and
-/// writes, how its text parses, and what a load keeps of its records.
+/// The record-type specifics of one BG/P log: its snapshot codec, how its
+/// text parses, and what a load keeps of its records.
 trait BgpCodec {
     /// One parsed record.
     type Record;
@@ -241,31 +231,15 @@ trait BgpCodec {
     ) -> io::Result<(SourceBatch<Self::Record>, Option<u64>)>;
     /// Keep what the load keeps of a full parse.
     fn project(&self, all: Vec<Self::Record>) -> Self::Kept;
-    /// Decode and validate a whole snapshot (its source hash is checked
-    /// separately).
-    fn decode(snap: &[u8]) -> Result<Vec<Self::Record>, SnapshotError>;
+    /// Decode and validate what the load keeps of a snapshot (its source
+    /// hash is checked separately).
+    fn decode(&self, snap: &[u8]) -> Result<Self::Kept, SnapshotError>;
     /// Serialize a full parse, stamped with the source text's hash.
     fn encode(all: &[Self::Record], source_hash: u64) -> Vec<u8>;
-    /// The snapshot of just what this load keeps, if it has one: looked up
-    /// before the full snapshot, and written from what the load keeps after
-    /// a full-snapshot hit or a parse.
-    fn kept_snapshot(&self) -> Option<KeptSnapshot<Self::Kept>> {
-        None
-    }
-}
-
-/// A snapshot of just what a load keeps: where it lives and its codec
-/// (stamped, like the full snapshot, with the whole source's hash).
-struct KeptSnapshot<K> {
-    file: fn(&Path, &Path) -> PathBuf,
-    kind: SnapshotKind,
-    decode: fn(&[u8]) -> Result<K, SnapshotError>,
-    encode: fn(&K, u64) -> Vec<u8>,
 }
 
 /// The RAS log: every record ([`load_ras`]), or only the FATAL ones plus
-/// the whole log's tally ([`load_pair`]), which have a snapshot of their
-/// own.
+/// the whole log's tally ([`load_pair`]), which the snapshot's front holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RasCodec {
     All,
@@ -307,21 +281,15 @@ impl BgpCodec for RasCodec {
         Projection::of(all, self.keep())
     }
 
-    fn decode(snap: &[u8]) -> Result<Vec<RasRecord>, SnapshotError> {
-        raslog::snapshot::decode_snapshot(snap, None)
+    fn decode(&self, snap: &[u8]) -> Result<Projection, SnapshotError> {
+        match self {
+            RasCodec::All => raslog::snapshot::decode_snapshot(snap, None).map(|r| self.project(r)),
+            RasCodec::Fatal => raslog::snapshot::decode_fatal(snap, None),
+        }
     }
 
     fn encode(all: &[RasRecord], source_hash: u64) -> Vec<u8> {
         raslog::snapshot::encode_snapshot(all, source_hash)
-    }
-
-    fn kept_snapshot(&self) -> Option<KeptSnapshot<Projection>> {
-        (*self == RasCodec::Fatal).then_some(KeptSnapshot {
-            file: fatal_snapshot_file,
-            kind: SnapshotKind::RasFatal,
-            decode: |snap| raslog::snapshot::decode_fatal_snapshot(snap, None),
-            encode: raslog::snapshot::encode_fatal_snapshot,
-        })
     }
 }
 
@@ -346,7 +314,7 @@ impl BgpCodec for JobCodec {
         all
     }
 
-    fn decode(snap: &[u8]) -> Result<Vec<JobRecord>, SnapshotError> {
+    fn decode(&self, snap: &[u8]) -> Result<Vec<JobRecord>, SnapshotError> {
         joblog::snapshot::decode_snapshot(snap, None)
     }
 
@@ -357,12 +325,10 @@ impl BgpCodec for JobCodec {
 
 /// The shared BG/P load skeleton. The source is opened once and only ever
 /// streamed. Without a snapshot directory it parses projected. With one,
-/// the kept snapshot (if the load has one) and then the full snapshot are
-/// checked against the source, which is hashed at most once; a full hit is
-/// projected. A miss parses the source in full, hashing the same windows,
-/// and writes the full snapshot, stamped with the hash of the bytes parsed,
-/// then projects. After a full hit or a parse the kept snapshot is written
-/// too.
+/// the snapshot is checked against the source: a hit decodes what the load
+/// keeps and writes nothing. A miss parses the source in full, hashing the
+/// same windows in the same pass, writes the snapshot, stamped with the
+/// hash of the very bytes parsed, and projects.
 fn load_bgp<C: BgpCodec>(
     path: &Path,
     opts: &LoadOptions,
@@ -378,55 +344,16 @@ fn load_bgp<C: BgpCodec>(
             .map_err(|e| cannot_read(path, e))?;
         return Ok((kept, diagnostics, SnapshotStatus::Disabled));
     };
-    let mut source = Source {
-        file,
-        threads,
-        hash: None,
-    };
-    let kept_snapshot = codec.kept_snapshot().map(|k| ((k.file)(dir, path), k));
-    if let Some((kept_path, k)) = &kept_snapshot {
-        if let Ok((kept, _)) = source.check(kept_path, k.kind, C::VERSION, k.decode) {
-            return Ok((kept, Vec::new(), SnapshotStatus::Loaded));
-        }
-    }
     let snap_path = snapshot_file(dir, path);
-    let (kept, diagnostics, hash, mut status) =
-        match source.check(&snap_path, C::KIND, C::VERSION, C::decode) {
-            Ok((all, hash)) => (codec.project(all), Vec::new(), hash, SnapshotStatus::Loaded),
-            Err(stale_reason) => {
-                parse_and_snapshot(path, &source, codec, &snap_path, stale_reason)?
-            }
-        };
-    if let Some((kept_path, k)) = kept_snapshot {
-        if let Err(e) = write_snapshot(&kept_path, &(k.encode)(&kept, hash)) {
-            if !matches!(status, SnapshotStatus::WriteFailed { .. }) {
-                status = SnapshotStatus::WriteFailed {
-                    reason: e.to_string(),
-                };
-            }
-        }
-    }
-    Ok((kept, diagnostics, status))
-}
-
-/// The miss path of [`load_bgp`]: parse the source in full, hashing the
-/// same windows in the same pass, and write the full snapshot at
-/// `snap_path`, stamped with the hash of the very bytes parsed — returned
-/// with what the load keeps. `stale_reason` says why an existing snapshot
-/// was unusable.
-fn parse_and_snapshot<C: BgpCodec>(
-    path: &Path,
-    source: &Source,
-    codec: &C,
-    snap_path: &Path,
-    stale_reason: Option<String>,
-) -> Result<(C::Kept, Vec<SourceDiagnostic>, u64, SnapshotStatus), LoadError> {
-    let (batch, hash) =
-        C::parse_all(&source.file, source.threads, true).map_err(|e| cannot_read(path, e))?;
+    let stale_reason = match check_snapshot(&snap_path, &file, threads, codec) {
+        Ok(kept) => return Ok((kept, Vec::new(), SnapshotStatus::Loaded)),
+        Err(reason) => reason,
+    };
+    let (batch, hash) = C::parse_all(&file, threads, true).map_err(|e| cannot_read(path, e))?;
     // `parse_all` returns a hash whenever it is asked for one.
     let hash = hash.unwrap_or_default();
     let status = match (
-        write_snapshot(snap_path, &C::encode(&batch.records, hash)),
+        write_snapshot(&snap_path, &C::encode(&batch.records, hash)),
         stale_reason,
     ) {
         (Ok(()), None) => SnapshotStatus::Written,
@@ -435,69 +362,45 @@ fn parse_and_snapshot<C: BgpCodec>(
             reason: e.to_string(),
         },
     };
-    let kept = codec.project(batch.records);
-    Ok((kept, batch.diagnostics, hash, status))
+    Ok((codec.project(batch.records), batch.diagnostics, status))
 }
 
-/// The source log of a cached load, open for hashing and, on a miss,
-/// parsing. The snapshot checks stream its content hash from the file
-/// ([`content_hash_file`]) at most once per load; a miss hashes again in
-/// its parse pass, so the stamp is of the very bytes parsed.
-struct Source {
-    file: File,
+/// Validate the snapshot at `snap_path` against the source `file`,
+/// returning what `codec` keeps of it. `Err(None)` means there is no
+/// snapshot file; `Err(Some(reason))` that it is unusable, including when
+/// the source cannot be hashed.
+///
+/// The checks keep one fixed order — header (magic, kind, length), format
+/// version, source hash, body — whichever thread finishes first: the body
+/// decodes on this thread while the source's content hash streams from
+/// the file on others ([`content_hash_file`]), and a hash mismatch
+/// outranks any body error.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "overlaps the source hash with the snapshot decode; the checks keep one fixed order"
+)]
+fn check_snapshot<C: BgpCodec>(
+    snap_path: &Path,
+    file: &File,
     threads: usize,
-    /// The content hash, once computed, or why it could not be.
-    hash: Option<Result<u64, String>>,
-}
-
-impl Source {
-    /// Validate the snapshot at `snap_path` against the source, returning
-    /// what `decode` makes of its body and the source hash it matched.
-    /// `Err(None)` means there is no snapshot file; `Err(Some(reason))`
-    /// that it is unusable, including when the source cannot be hashed.
-    ///
-    /// The checks keep one fixed order — header (magic, kind, length),
-    /// format version, source hash, body — whichever thread finishes first:
-    /// the body decodes on this thread while the hash streams on others, and
-    /// a hash mismatch outranks any body error. A hash already computed is
-    /// compared before the body decodes.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "overlaps the source hash with the snapshot decode; the checks keep one fixed order"
-    )]
-    fn check<T>(
-        &mut self,
-        snap_path: &Path,
-        kind: SnapshotKind,
-        version: u32,
-        decode: fn(&[u8]) -> Result<T, SnapshotError>,
-    ) -> Result<(T, u64), Option<String>> {
-        let snap = MappedFile::open(snap_path).map_err(|_| None)?;
-        let snap = snap.bytes();
-        let reject = |e: SnapshotError| Some(e.to_string());
-        let header = SnapshotHeader::parse(snap, kind).map_err(reject)?;
-        header.validate(version, None).map_err(reject)?;
-        let (hash, body) = match self.hash.clone() {
-            Some(hash) => (hash, None),
-            None => {
-                let (hash, body) = std::thread::scope(|scope| {
-                    let hasher = scope.spawn(|| content_hash_file(&self.file, self.threads));
-                    let body = decode(snap);
-                    match hasher.join() {
-                        Ok(hash) => (hash, body),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                });
-                let hash = hash.map_err(|e| format!("cannot hash the source: {e}"));
-                self.hash = Some(hash.clone());
-                (hash, Some(body))
-            }
-        };
-        let hash = hash.map_err(Some)?;
-        header.validate(version, Some(hash)).map_err(reject)?;
-        let body = body.unwrap_or_else(|| decode(snap)).map_err(reject)?;
-        Ok((body, hash))
-    }
+    codec: &C,
+) -> Result<C::Kept, Option<String>> {
+    let snap = MappedFile::open(snap_path).map_err(|_| None)?;
+    let snap = snap.bytes();
+    let reject = |e: SnapshotError| Some(e.to_string());
+    let header = SnapshotHeader::parse(snap, C::KIND).map_err(reject)?;
+    header.validate(C::VERSION, None).map_err(reject)?;
+    let (hash, body) = std::thread::scope(|scope| {
+        let hasher = scope.spawn(|| content_hash_file(file, threads));
+        let body = codec.decode(snap);
+        match hasher.join() {
+            Ok(hash) => (hash, body),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    });
+    let hash = hash.map_err(|e| Some(format!("cannot hash the source: {e}")))?;
+    header.validate(C::VERSION, Some(hash)).map_err(reject)?;
+    body.map_err(reject)
 }
 
 /// Write `bytes` as the snapshot at `target`, creating its directory.
@@ -602,13 +505,10 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
 /// [`load_ras`]'s, and so is the co-analysis report; only the non-FATAL
 /// records are never built.
 ///
-/// With a snapshot directory, the RAS side looks up the FATAL snapshot
-/// ([`fatal_snapshot_file`]) first: a hit validates and decodes only the
-/// stored projection, beside the streamed source hash. Otherwise it falls
-/// back to the full snapshot it shares with [`load_ras`] (a hit is
-/// projected) and then to a full parse that writes the full snapshot, with
-/// exactly [`load_ras`]'s [`SnapshotStatus`]; either way it then writes the
-/// FATAL snapshot (a failed write reports [`SnapshotStatus::WriteFailed`]).
+/// With a snapshot directory, the RAS side shares [`load_ras`]'s snapshot
+/// file, but a hit validates and decodes only its front — the tally and
+/// the FATAL records — beside the streamed source hash. A miss parses in
+/// full and writes the whole snapshot, as [`load_ras`] does.
 #[expect(
     clippy::disallowed_methods,
     reason = "loads the two independent logs side by side and joins both"
@@ -751,99 +651,17 @@ mod tests {
     const STALE_REASON: &str =
         "source hash 0x0123456789abcdef does not match current source 0xc1d5317a068c12ec";
 
-    /// Every way a snapshot can be unusable, with the exact reason the
-    /// reload reports. The checks run in a fixed order — header (magic,
-    /// kind, length), version, source hash, body — so a snapshot that is
-    /// both stale and truncated reports the hash, not the truncation.
+    /// Every way a snapshot can be unusable, with the exact status each
+    /// entry point reports: `None` is a hit, `Some(reason)` a rewrite. The
+    /// checks run in a fixed order — header (magic, kind, length), version,
+    /// source hash, then the file's length and the section the load reads —
+    /// so a snapshot that is both stale and truncated reports the hash, not
+    /// the truncation, and damage in the section a load skips is no miss.
+    /// A hit leaves the file as it was; a rewrite restores the good bytes.
     #[test]
     fn snapshot_rejection_reasons_are_pinned() {
         for threads in [1, 0] {
             let dir = tmpdir(&format!("reasons-{threads}"));
-            let (ras_path, jobs_path) = write_fixture(&dir);
-            let opts = LoadOptions {
-                threads,
-                snapshot_dir: Some(dir.join("snaps")),
-                ..LoadOptions::default()
-            };
-            let fresh = load_ras(&ras_path, &opts).unwrap();
-            assert_eq!(fresh.snapshot, SnapshotStatus::Written);
-            load_jobs(&jobs_path, &opts).unwrap();
-            let snap = dir.join("snaps").join("ras.log.bgpsnap");
-            let good = fs::read(&snap).unwrap();
-            let job_snap = fs::read(dir.join("snaps").join("jobs.log.bgpsnap")).unwrap();
-            let stale = patched(&good, 24, &STALE);
-            let cases: [(&str, Vec<u8>, &str); 9] = [
-                (
-                    "bad magic",
-                    patched(&good, 0, b"X"),
-                    "not a .bgpsnap file (bad magic)",
-                ),
-                (
-                    "wrong kind",
-                    job_snap,
-                    "wrong log kind tag 2 (expected RAS)",
-                ),
-                (
-                    "short header",
-                    good[..10].to_vec(),
-                    "truncated: need 32 bytes, have 10",
-                ),
-                (
-                    "old version",
-                    patched(&good, 12, &0u32.to_le_bytes()),
-                    "format version 0 (this build reads 2)",
-                ),
-                (
-                    "old hash scheme",
-                    patched(&good, 12, &1u32.to_le_bytes()),
-                    "format version 1 (this build reads 2)",
-                ),
-                ("stale hash", stale.clone(), STALE_REASON),
-                (
-                    "stale hash, truncated body",
-                    stale[..stale.len() - 1].to_vec(),
-                    STALE_REASON,
-                ),
-                (
-                    "truncated body, good hash",
-                    good[..good.len() - 1].to_vec(),
-                    "truncated: need 23 bytes, have 22",
-                ),
-                (
-                    "corrupt body",
-                    patched(&good, 52, &u16::MAX.to_le_bytes()),
-                    "record 0 corrupt: errcode 65535 outside catalogue",
-                ),
-            ];
-            for (case, bytes, reason) in cases {
-                fs::write(&snap, bytes).unwrap();
-                let got = load_ras(&ras_path, &opts).unwrap();
-                assert_eq!(
-                    got.snapshot,
-                    SnapshotStatus::Rewritten {
-                        reason: reason.to_owned()
-                    },
-                    "{case} at threads {threads}"
-                );
-                assert_eq!(got.log.records(), fresh.log.records(), "{case}");
-                assert_eq!(got.parse_errors, fresh.parse_errors, "{case}");
-                assert_eq!(fs::read(&snap).unwrap(), good, "{case}: rewritten");
-            }
-            assert!(
-                !fatal_snapshot_file(&dir.join("snaps"), &ras_path).exists(),
-                "load_ras never writes the FATAL snapshot"
-            );
-            let _ = fs::remove_dir_all(&dir);
-        }
-    }
-
-    /// The same rejections of the FATAL snapshot: each reason is pinned at
-    /// the decoder, and the load falls back to the (good) full snapshot —
-    /// whose status wins — and rewrites the FATAL snapshot.
-    #[test]
-    fn fatal_snapshot_rejections_fall_back_to_the_full_snapshot() {
-        for threads in [1, 0] {
-            let dir = tmpdir(&format!("fatal-reasons-{threads}"));
             let (ras_path, jobs_path) = write_fixture(&dir);
             let snaps = dir.join("snaps");
             let opts = LoadOptions {
@@ -851,84 +669,102 @@ mod tests {
                 snapshot_dir: Some(snaps.clone()),
                 ..LoadOptions::default()
             };
-            let (fresh, _) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
+            let fresh = load_ras(&ras_path, &opts).unwrap();
             assert_eq!(fresh.snapshot, SnapshotStatus::Written);
-            let fatal = fatal_snapshot_file(&snaps, &ras_path);
-            let good = fs::read(&fatal).unwrap();
-            let full = fs::read(snapshot_file(&snaps, &ras_path)).unwrap();
-            let (hit, _) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
-            assert_eq!(hit.snapshot, SnapshotStatus::Loaded);
-            assert_eq!(hit.log.records(), fresh.log.records());
-            let source_hash = bgp_model::bytes::content_hash_64(&fs::read(&ras_path).unwrap());
+            load_jobs(&jobs_path, &opts).unwrap();
+            let snap = snaps.join("ras.log.bgpsnap");
+            let good = fs::read(&snap).unwrap();
+            // One record, FATAL: the header and tally, then the FATAL
+            // section (56..79) and the section of every record (79..102).
+            assert_eq!(good.len(), 102);
+            let job_snap = fs::read(snaps.join("jobs.log.bgpsnap")).unwrap();
             let stale = patched(&good, 24, &STALE);
-            let cases: [(&str, Vec<u8>, &str); 9] = [
+            let errcode = "record 0 corrupt: errcode 65535 outside catalogue";
+            let both = |reason| (Some(reason), Some(reason));
+            // The rewrite reason of `load_ras`, then of `load_pair`.
+            type Reasons<'a> = (Option<&'a str>, Option<&'a str>);
+            let cases: [(&str, Vec<u8>, Reasons); 11] = [
                 (
                     "bad magic",
                     patched(&good, 0, b"X"),
-                    "not a .bgpsnap file (bad magic)",
+                    both("not a .bgpsnap file (bad magic)"),
                 ),
                 (
                     "wrong kind",
-                    full.clone(),
-                    "wrong log kind tag 1 (expected RAS FATAL)",
+                    job_snap,
+                    both("wrong log kind tag 2 (expected RAS)"),
                 ),
                 (
                     "short header",
                     good[..10].to_vec(),
-                    "truncated: need 32 bytes, have 10",
-                ),
-                (
-                    "old version",
-                    patched(&good, 12, &0u32.to_le_bytes()),
-                    "format version 0 (this build reads 2)",
+                    both("truncated: need 32 bytes, have 10"),
                 ),
                 (
                     "old hash scheme",
                     patched(&good, 12, &1u32.to_le_bytes()),
-                    "format version 1 (this build reads 2)",
+                    both("format version 1 (this build reads 3)"),
                 ),
-                ("stale hash", stale.clone(), STALE_REASON),
+                (
+                    "two-file layout",
+                    patched(&good, 12, &2u32.to_le_bytes()),
+                    both("format version 2 (this build reads 3)"),
+                ),
+                ("stale hash", stale.clone(), both(STALE_REASON)),
                 (
                     "stale hash, truncated body",
                     stale[..stale.len() - 1].to_vec(),
-                    STALE_REASON,
+                    both(STALE_REASON),
                 ),
                 (
                     "truncated body, good hash",
                     good[..good.len() - 1].to_vec(),
-                    "truncated: need 47 bytes, have 46",
+                    both("truncated: need 102 bytes, have 101"),
                 ),
                 (
-                    "corrupt body",
+                    "count too large for the file",
+                    patched(&good, 16, &1000u64.to_le_bytes()),
+                    both("truncated: need 23079 bytes, have 102"),
+                ),
+                (
+                    "corrupt FATAL section",
                     patched(&good, 76, &u16::MAX.to_le_bytes()),
-                    "record 0 corrupt: errcode 65535 outside catalogue",
+                    (None, Some(errcode)),
+                ),
+                (
+                    "corrupt section of every record",
+                    patched(&good, 99, &u16::MAX.to_le_bytes()),
+                    (Some(errcode), None),
                 ),
             ];
-            for (case, bytes, reason) in cases {
-                assert_eq!(
-                    raslog::snapshot::decode_fatal_snapshot(&bytes, Some(source_hash))
-                        .unwrap_err()
-                        .to_string(),
-                    reason,
-                    "{case}"
-                );
-                fs::write(&fatal, bytes).unwrap();
+            for (case, bytes, (ras_reason, pair_reason)) in cases {
+                let status = |reason: Option<&str>| {
+                    reason.map_or(SnapshotStatus::Loaded, |r| SnapshotStatus::Rewritten {
+                        reason: r.to_owned(),
+                    })
+                };
+                let ctx = format!("{case} at threads {threads}");
+                fs::write(&snap, &bytes).unwrap();
+                let got = load_ras(&ras_path, &opts).unwrap();
+                assert_eq!(got.snapshot, status(ras_reason), "load_ras: {ctx}");
+                assert_eq!(got.log.records(), fresh.log.records(), "{ctx}");
+                let left = if ras_reason.is_some() { &good } else { &bytes };
+                assert_eq!(&fs::read(&snap).unwrap(), left, "load_ras: {ctx}");
+
+                fs::write(&snap, &bytes).unwrap();
                 let (got, _) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
-                assert_eq!(
-                    got.snapshot,
-                    SnapshotStatus::Loaded,
-                    "{case} at threads {threads}"
-                );
-                assert_eq!(got.log.records(), fresh.log.records(), "{case}");
-                assert_eq!(got.log.time_span(), fresh.log.time_span(), "{case}");
-                assert_eq!(got.parsed, fresh.parsed, "{case}");
-                assert_eq!(fs::read(&fatal).unwrap(), good, "{case}: rewritten");
-                assert_eq!(
-                    fs::read(snapshot_file(&snaps, &ras_path)).unwrap(),
-                    full,
-                    "{case}: full snapshot untouched"
-                );
+                assert_eq!(got.snapshot, status(pair_reason), "load_pair: {ctx}");
+                assert_eq!(got.log.records(), fresh.log.records(), "{ctx}");
+                assert_eq!(got.log.time_span(), fresh.log.time_span(), "{ctx}");
+                assert_eq!(got.parsed, fresh.parsed, "{ctx}");
+                let left = if pair_reason.is_some() { &good } else { &bytes };
+                assert_eq!(&fs::read(&snap).unwrap(), left, "load_pair: {ctx}");
             }
+            let mut files: Vec<_> = fs::read_dir(&snaps)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            files.sort();
+            assert_eq!(files, ["jobs.log.bgpsnap", "ras.log.bgpsnap"]);
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -1070,35 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_fatal_snapshot_write_reports_and_keeps_the_full_snapshot() {
-        let dir = tmpdir("fatal-writefail");
-        let (ras_path, jobs_path) = write_fixture(&dir);
-        let snaps = dir.join("snaps");
-        fs::create_dir_all(fatal_snapshot_file(&snaps, &ras_path).join("occupied")).unwrap();
-        let opts = LoadOptions {
-            snapshot_dir: Some(snaps.clone()),
-            ..LoadOptions::default()
-        };
-        // A miss writes the full snapshot, then fails on the FATAL one; a
-        // full-snapshot hit then fails the same way.
-        for _ in 0..2 {
-            let (ras, jobs) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
-            assert_eq!(ras.log.len(), 1);
-            assert!(
-                matches!(ras.snapshot, SnapshotStatus::WriteFailed { .. }),
-                "got {:?}",
-                ras.snapshot
-            );
-            assert_ne!(jobs.snapshot, SnapshotStatus::Disabled);
-        }
-        assert_eq!(
-            load_ras(&ras_path, &opts).unwrap().snapshot,
-            SnapshotStatus::Loaded
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn a_source_that_cannot_be_hashed_is_a_miss() {
         let dir = tmpdir("unhashable");
         let (ras_path, _) = write_fixture(&dir);
@@ -1109,24 +916,13 @@ mod tests {
         };
         load_ras(&ras_path, &opts).unwrap();
         // A directory opens but cannot be read.
-        let mut source = Source {
-            file: File::open(&dir).unwrap(),
-            threads: 2,
-            hash: None,
-        };
+        let not_a_file = File::open(&dir).unwrap();
         let snap = snapshot_file(&snaps, &ras_path);
-        let got = source.check(
-            &snap,
-            SnapshotKind::Ras,
-            RasCodec::VERSION,
-            RasCodec::decode,
-        );
+        let got = check_snapshot(&snap, &not_a_file, 2, &RasCodec::Fatal);
         assert!(
             matches!(&got, Err(Some(reason)) if reason.starts_with("cannot hash the source")),
             "got {got:?}"
         );
-        // The failure is remembered: the source is hashed at most once.
-        assert!(matches!(source.hash, Some(Err(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -102,8 +102,9 @@ impl RasLog {
 /// cannot give back.
 ///
 /// The chunk parser ([`crate::ingest::parse_log_bytes_where`]) fills one
-/// (keeping every record is its full-load case), and a FATAL snapshot
-/// ([`crate::snapshot::encode_fatal_snapshot`]) stores one.
+/// (keeping every record is its full-load case), and the front of a
+/// snapshot — its tally and FATAL section — stores the FATAL one
+/// ([`crate::snapshot::decode_fatal`]).
 ///
 /// The fields only change together — `parsed` counts at least the kept
 /// records, and the span covers them — so other crates read them through

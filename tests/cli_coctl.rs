@@ -550,44 +550,59 @@ fn snapshot_flag_writes_then_reuses_the_cache() {
     assert_eq!(first.stdout, second.stdout);
 }
 
+/// `summary` and `analyze` share one snapshot file: an `analyze` hit on the
+/// file `summary` wrote writes nothing, and a corrupt FATAL section — the
+/// part `analyze` reads — makes it re-parse the source and rewrite the file.
 #[test]
 fn corrupt_snapshot_falls_back_to_reparsing() {
     let dir = site_logs();
     let cache = workdir("snap-corrupt");
-    let run = |sub: &str| {
-        coctl()
-            .arg(sub)
-            .arg(dir.join("ras.log"))
-            .arg(dir.join("jobs.log"))
+    let ras = dir.join("ras.log");
+    let run = |args: &[&std::path::Path]| {
+        let out = coctl()
+            .args(args)
             .arg("--snapshot")
             .arg(&cache)
             .output()
-            .unwrap()
+            .unwrap();
+        let notes = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{notes}");
+        (out.stdout, notes)
     };
-    let first = run("analyze");
+    let analyze = || run(&["analyze".as_ref(), &ras, &dir.join("jobs.log")]);
+    let ras_note = |notes: &str, status: &str| {
+        notes.contains(&format!("{}: snapshot {status}", ras.display()))
+    };
+    let (_, notes) = run(&["summary".as_ref(), &ras]);
+    assert!(ras_note(&notes, "written"), "stderr: {notes}");
+    let snap = cache.join("ras.log.bgpsnap");
+    let written = std::fs::read(&snap).unwrap();
+    let (first, notes) = analyze();
+    assert!(ras_note(&notes, "loaded"), "stderr: {notes}");
     assert!(
-        first.status.success(),
-        "{}",
-        String::from_utf8_lossy(&first.stderr)
+        std::fs::read(&snap).unwrap() == written,
+        "a hit rewrote the snapshot"
     );
-    // Flip a payload byte in both RAS snapshots — `analyze` reads the FATAL
-    // one first, then falls back to the full one: the next run must detect
-    // the damage, re-parse the source, rewrite the cache, and still succeed.
-    for name in ["ras.log.bgpsnap.fatal", "ras.log.bgpsnap"] {
-        let snap = cache.join(name);
-        let mut bytes = std::fs::read(&snap).unwrap();
-        *bytes.last_mut().unwrap() ^= 0xff;
-        std::fs::write(&snap, &bytes).unwrap();
-    }
-    let second = run("analyze");
+    let mut files: Vec<_> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["jobs.log.bgpsnap", "ras.log.bgpsnap"]);
+    // Flip the last byte of the FATAL section (its FATAL count is the
+    // tally's first field, at byte 32; the section starts at byte 56).
+    let fatal = u64::from_le_bytes(written[32..40].try_into().unwrap()) as usize;
+    assert!(fatal > 0);
+    let mut bytes = written.clone();
+    bytes[56 + 23 * fatal - 1] ^= 0xff;
+    std::fs::write(&snap, &bytes).unwrap();
+    let (second, notes) = analyze();
+    assert!(ras_note(&notes, "rewritten"), "stderr: {notes}");
     assert!(
-        second.status.success(),
-        "{}",
-        String::from_utf8_lossy(&second.stderr)
+        std::fs::read(&snap).unwrap() == written,
+        "rewritten from the source"
     );
-    let notes = String::from_utf8_lossy(&second.stderr);
-    assert!(notes.contains("rewritten"), "stderr: {notes}");
-    assert_eq!(first.stdout, second.stdout);
+    assert_eq!(first, second);
 }
 
 #[test]

@@ -10,6 +10,7 @@
 // fixture should fail the test loudly, not thread Results around.
 #![allow(clippy::unwrap_used, clippy::expect_used, missing_docs)]
 
+use bgp_coanalysis::bgp_ports::{self, LogFormat};
 use bgp_coanalysis::bgp_sim::{SimConfig, Simulation};
 use bgp_coanalysis::coanalysis::{load, LoadOptions, SnapshotStatus};
 use bgp_coanalysis::joblog::{self, JobReader};
@@ -366,11 +367,12 @@ fn snapshot_cycle_preserves_the_parsed_log_exactly() {
 // The co-analysis load is a projection of the full load.
 //
 // `load_pair` keeps only the FATAL records of the RAS log, yet every line is
-// still parsed and every snapshot record validated: its records must be the
-// full load's FATAL records in order, and its span, diagnostics, snapshot
-// status and parsed count must be the full load's, in every cache state.
-// The FATAL snapshot `load_pair` writes beside the full one must give the
-// same records, span and parsed count when it serves a load.
+// still parsed: its records must be the full load's FATAL records in order,
+// and its span, diagnostics and parsed count must be the full load's, in
+// every cache state. Both entry points share one snapshot file: a miss by
+// either writes the same bytes, a hit by either leaves them as they were,
+// and each rejects only damage to the section it reads — `load_pair` the
+// FATAL section, `load_ras` the section of every record.
 // ---------------------------------------------------------------------------
 
 /// Thread counts the projection oracle runs at.
@@ -383,57 +385,39 @@ enum CacheState {
     Disabled,
     /// A directory without a snapshot.
     Miss,
-    /// A valid snapshot, written by a full load.
+    /// A valid snapshot.
     Hit,
     /// A snapshot stamped with another source's hash.
     StaleHash,
-    /// A snapshot whose first non-FATAL record has an errcode outside the
-    /// catalogue.
-    CorruptNonFatal,
-    /// Both snapshots, written by a `load_pair` miss.
-    FatalHit,
-    /// Only the FATAL snapshot: the full one deleted.
-    FatalOnly,
-    /// Both snapshots, the first FATAL record's errcode in the FATAL one
-    /// flipped outside the catalogue (a log without FATAL records has none
-    /// to corrupt: a hit).
-    FatalCorrupt,
-    /// Both snapshots, written before the source was edited.
-    FatalStale,
+    /// A snapshot whose section of every record is all `0xff` bytes (an
+    /// empty log has no such section to damage: a hit).
+    CorruptAll,
+    /// A snapshot whose FATAL section is all `0xff` bytes (a log without
+    /// FATAL records has no such section to damage: a hit).
+    CorruptFatal,
 }
 
-const CACHE_STATES: [CacheState; 5] = [
+/// States of the whole snapshot file.
+const FILE_STATES: [CacheState; 4] = [
     CacheState::Disabled,
     CacheState::Miss,
     CacheState::Hit,
     CacheState::StaleHash,
-    CacheState::CorruptNonFatal,
 ];
 
-/// The states of [`assert_fatal_snapshot`]: what `load_pair` does with the
-/// FATAL snapshot it writes.
-const FATAL_STATES: [CacheState; 4] = [
-    CacheState::FatalHit,
-    CacheState::FatalOnly,
-    CacheState::FatalCorrupt,
-    CacheState::FatalStale,
-];
+/// States of one section of the snapshot file.
+const SECTION_STATES: [CacheState; 2] = [CacheState::CorruptAll, CacheState::CorruptFatal];
 
-/// Byte offset of the errcode column in a RAS snapshot of `n` records
-/// (32-byte header, then the recid, time and location columns).
-fn errcode_column(n: usize) -> usize {
-    32 + n * (8 + 8 + 4)
-}
-
-/// Put a fresh cache directory under `dir` into `state` for `ras_path`,
-/// returning the load options and, for a corrupt snapshot, the reason the
-/// full decoder gives.
+/// Put a fresh cache directory `dir` into `state` for `ras_path`, primed by
+/// a `load_pair` miss if `pair`, else by a `load_ras` miss. Returns the load
+/// options and the snapshot bytes left in place, if any.
 fn prepare_cache(
     dir: &std::path::Path,
-    ras_path: &std::path::Path,
+    (ras_path, job_path): (&std::path::Path, &std::path::Path),
     state: CacheState,
     threads: usize,
-) -> (LoadOptions, Option<String>) {
+    pair: bool,
+) -> (LoadOptions, Option<Vec<u8>>) {
     let _ = std::fs::remove_dir_all(dir);
     let opts = LoadOptions {
         threads,
@@ -443,43 +427,30 @@ fn prepare_cache(
     if matches!(state, CacheState::Disabled | CacheState::Miss) {
         return (opts, None);
     }
-    assert_eq!(
-        load::load_ras(ras_path, &opts).unwrap().snapshot,
-        SnapshotStatus::Written
-    );
+    let primed = if pair {
+        load::load_pair(ras_path, job_path, &opts)
+            .unwrap()
+            .0
+            .snapshot
+    } else {
+        load::load_ras(ras_path, &opts).unwrap().snapshot
+    };
+    assert_eq!(primed, SnapshotStatus::Written);
     let snap = load::snapshot_file(dir, ras_path);
     let mut bytes = std::fs::read(&snap).unwrap();
-    let reason = match state {
+    // The FATAL count is the tally's first field; the FATAL section starts
+    // after the 32-byte header and the 24-byte tally.
+    let fatal_end = 56 + 23 * u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
+    match state {
         CacheState::StaleHash => {
             bytes[24..32].copy_from_slice(&0x0123_4567_89ab_cdef_u64.to_le_bytes());
-            None
         }
-        CacheState::CorruptNonFatal => {
-            // Snapshot order is parse order, not the log's time order.
-            let stored = raslog::snapshot::decode_snapshot(&bytes, None).unwrap();
-            stored.iter().position(|r| !r.is_fatal()).map(|i| {
-                let at = errcode_column(stored.len()) + i * 2;
-                bytes[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
-                let reason = raslog::snapshot::decode_snapshot(&bytes, None)
-                    .unwrap_err()
-                    .to_string();
-                assert_eq!(
-                    reason,
-                    format!("record {i} corrupt: errcode 65535 outside catalogue")
-                );
-                reason
-            })
-        }
-        CacheState::Disabled
-        | CacheState::Miss
-        | CacheState::Hit
-        | CacheState::FatalHit
-        | CacheState::FatalOnly
-        | CacheState::FatalCorrupt
-        | CacheState::FatalStale => None,
-    };
-    std::fs::write(&snap, bytes).unwrap();
-    (opts, reason)
+        CacheState::CorruptAll => bytes[fatal_end..].fill(0xff),
+        CacheState::CorruptFatal => bytes[56..fatal_end].fill(0xff),
+        CacheState::Disabled | CacheState::Miss | CacheState::Hit => {}
+    }
+    std::fs::write(&snap, &bytes).unwrap();
+    (opts, Some(bytes))
 }
 
 /// Non-blank lines of `text`, counted the way the chunk parser frames them.
@@ -490,7 +461,7 @@ fn nonblank_lines(text: &[u8]) -> usize {
 }
 
 /// Load `text` in full and projected, each from its own cache directory in
-/// the same `state`, and check the projection law.
+/// the same `state`, and check the projection law and the files left.
 fn assert_projection(
     name: &str,
     text: &[u8],
@@ -503,12 +474,21 @@ fn assert_projection(
     std::fs::write(&ras_path, text).unwrap();
     std::fs::write(&job_path, texts().1).unwrap();
     let ctx = format!("{name}: {state:?} at {threads} threads");
+    let paths = (ras_path.as_path(), job_path.as_path());
 
-    let (full_opts, reason) = prepare_cache(&dir.join("full"), &ras_path, state, threads);
-    let (proj_opts, _) = prepare_cache(&dir.join("projected"), &ras_path, state, threads);
+    let (full_opts, full_left) = prepare_cache(&dir.join("full"), paths, state, threads, false);
+    let (proj_opts, proj_left) = prepare_cache(&dir.join("projected"), paths, state, threads, true);
+    assert_eq!(
+        full_left, proj_left,
+        "either miss writes the same bytes: {ctx}"
+    );
     let full = load::load_ras(&ras_path, &full_opts).unwrap();
     let (projected, _) = load::load_pair(&ras_path, &job_path, &proj_opts).unwrap();
 
+    // What a parse gives, and the snapshot a miss writes of it.
+    let parsed = bgp_ports::decode_ras(LogFormat::Bgp, text, 1).unwrap();
+    let hash = bgp_model::bytes::content_hash_64(text);
+    let fresh = raslog::snapshot::encode_snapshot(&parsed.records, hash);
     let fatal: Vec<raslog::RasRecord> = full.log.fatal().copied().collect();
     assert_eq!(projected.log.records(), fatal.as_slice(), "records: {ctx}");
     assert_eq!(
@@ -516,31 +496,51 @@ fn assert_projection(
         full.log.time_span(),
         "span: {ctx}"
     );
-    assert_eq!(
-        projected.parse_errors, full.parse_errors,
-        "diagnostics: {ctx}"
-    );
-    assert_eq!(projected.snapshot, full.snapshot, "snapshot status: {ctx}");
-    let expected_status = match (state, reason) {
-        (CacheState::Disabled, _) => SnapshotStatus::Disabled,
-        (CacheState::Miss, _) => SnapshotStatus::Written,
-        (CacheState::Hit, _) => SnapshotStatus::Loaded,
-        (_, Some(reason)) => SnapshotStatus::Rewritten { reason },
-        (CacheState::StaleHash, None) => SnapshotStatus::Rewritten {
-            reason: format!(
-                "source hash 0x0123456789abcdef does not match current source {:#018x}",
-                bgp_model::bytes::content_hash_64(text)
-            ),
-        },
-        // A log without non-FATAL records has none to corrupt: a hit.
-        (CacheState::CorruptNonFatal, None) => SnapshotStatus::Loaded,
-        (_, None) => unreachable!("{state:?} is not a full-snapshot state"),
+
+    let stale = SnapshotStatus::Rewritten {
+        reason: format!(
+            "source hash 0x0123456789abcdef does not match current source {hash:#018x}"
+        ),
     };
-    assert_eq!(full.snapshot, expected_status, "{ctx}");
-    assert!(
-        !load::fatal_snapshot_file(&dir.join("full"), &ras_path).exists(),
-        "load_ras never writes the FATAL snapshot: {ctx}"
+    let corrupt = |rows: usize| match rows {
+        0 => SnapshotStatus::Loaded,
+        _ => SnapshotStatus::Rewritten {
+            reason: "record 0 corrupt: location: unknown tag 255".to_owned(),
+        },
+    };
+    let expected = match state {
+        CacheState::Disabled => (SnapshotStatus::Disabled, SnapshotStatus::Disabled),
+        CacheState::Miss => (SnapshotStatus::Written, SnapshotStatus::Written),
+        CacheState::Hit => (SnapshotStatus::Loaded, SnapshotStatus::Loaded),
+        CacheState::StaleHash => (stale.clone(), stale),
+        CacheState::CorruptAll => (corrupt(full.parsed), SnapshotStatus::Loaded),
+        CacheState::CorruptFatal => (SnapshotStatus::Loaded, corrupt(fatal.len())),
+    };
+    assert_eq!(
+        (&full.snapshot, &projected.snapshot),
+        (&expected.0, &expected.1),
+        "{ctx}"
     );
+    for (d, status, diagnostics, left) in [
+        ("full", &full.snapshot, &full.parse_errors, &full_left),
+        (
+            "projected",
+            &projected.snapshot,
+            &projected.parse_errors,
+            &proj_left,
+        ),
+    ] {
+        // A hit reports no diagnostics and writes nothing; a miss parses
+        // and writes the fresh snapshot.
+        let hit = *status == SnapshotStatus::Loaded;
+        let want: &[_] = if hit { &[] } else { &parsed.diagnostics };
+        assert_eq!(diagnostics.as_slice(), want, "{d} diagnostics: {ctx}");
+        if state != CacheState::Disabled {
+            let snap = std::fs::read(load::snapshot_file(&dir.join(d), &ras_path)).unwrap();
+            let want = if hit { left.as_ref().unwrap() } else { &fresh };
+            assert!(&snap == want, "{d} snapshot bytes: {ctx}");
+        }
+    }
 
     // Conservation: `parsed` counts every record before projection, so it
     // is the full load's length, and the records projected away are
@@ -554,130 +554,11 @@ fn assert_projection(
     );
     // With the text parsed, every non-blank line is a record or a
     // diagnostic: kept + projected away + diagnostics = lines.
-    if projected.snapshot != SnapshotStatus::Loaded {
-        assert_eq!(
-            projected.parsed + projected.parse_errors.len(),
-            nonblank_lines(text),
-            "{ctx}"
-        );
-    }
-    // The cache is shared: the projected load leaves the same full
-    // snapshot behind as the full load, so `coctl summary` can hit it.
-    if state != CacheState::Disabled {
-        let snap = |d: &str| std::fs::read(load::snapshot_file(&dir.join(d), &ras_path)).unwrap();
-        assert_eq!(snap("projected"), snap("full"), "snapshot bytes: {ctx}");
-    }
-}
-
-/// Put both snapshots of `text` into `state` with a `load_pair` miss, load
-/// again, and check the result against the full load's FATAL projection
-/// and the files against what the state must leave behind.
-fn assert_fatal_snapshot(
-    name: &str,
-    text: &[u8],
-    dir: &std::path::Path,
-    state: CacheState,
-    threads: usize,
-) {
-    let ras_path = dir.join("ras.log");
-    let job_path = dir.join("jobs.log");
-    std::fs::write(&ras_path, text).unwrap();
-    std::fs::write(&job_path, texts().1).unwrap();
-    let ctx = format!("{name}: {state:?} at {threads} threads");
-    let parsed_opts = LoadOptions {
-        threads,
-        ..LoadOptions::default()
-    };
-    let full = load::load_ras(&ras_path, &parsed_opts).unwrap();
-    let fatal_records: Vec<raslog::RasRecord> = full.log.fatal().copied().collect();
-
-    let cache = dir.join("cache");
-    let _ = std::fs::remove_dir_all(&cache);
-    let opts = LoadOptions {
-        snapshot_dir: Some(cache.clone()),
-        ..parsed_opts
-    };
-    let earlier = [b"edited\n".as_slice(), text].concat();
-    if state == CacheState::FatalStale {
-        std::fs::write(&ras_path, &earlier).unwrap();
-    }
-    let (miss, _) = load::load_pair(&ras_path, &job_path, &opts).unwrap();
-    assert_eq!(miss.snapshot, SnapshotStatus::Written, "{ctx}");
-    std::fs::write(&ras_path, text).unwrap();
-    let fatal = load::fatal_snapshot_file(&cache, &ras_path);
-    let snap = load::snapshot_file(&cache, &ras_path);
-    let fatal_before = std::fs::read(&fatal).unwrap();
-    let snap_before = std::fs::read(&snap).unwrap();
-    match state {
-        CacheState::FatalOnly => std::fs::remove_file(&snap).unwrap(),
-        CacheState::FatalCorrupt if !fatal_records.is_empty() => {
-            // Header, tally, then the recid, time and location columns.
-            let at = 32 + 24 + fatal_records.len() * (8 + 8 + 4);
-            let mut bytes = fatal_before.clone();
-            bytes[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
-            std::fs::write(&fatal, bytes).unwrap();
-        }
-        CacheState::Disabled
-        | CacheState::Miss
-        | CacheState::Hit
-        | CacheState::StaleHash
-        | CacheState::CorruptNonFatal
-        | CacheState::FatalHit
-        | CacheState::FatalCorrupt
-        | CacheState::FatalStale => {}
-    }
-
-    let (projected, _) = load::load_pair(&ras_path, &job_path, &opts).unwrap();
     assert_eq!(
-        projected.log.records(),
-        fatal_records.as_slice(),
-        "records: {ctx}"
+        projected.parsed + parsed.diagnostics.len(),
+        nonblank_lines(text),
+        "{ctx}"
     );
-    assert_eq!(
-        projected.log.time_span(),
-        full.log.time_span(),
-        "span: {ctx}"
-    );
-    assert_eq!(projected.parsed, full.parsed, "parsed: {ctx}");
-    let hash = bgp_model::bytes::content_hash_64(text);
-    if state == CacheState::FatalStale {
-        assert_eq!(
-            projected.snapshot,
-            SnapshotStatus::Rewritten {
-                reason: format!(
-                    "source hash {:#018x} does not match current source {hash:#018x}",
-                    bgp_model::bytes::content_hash_64(&earlier)
-                ),
-            },
-            "{ctx}"
-        );
-        assert_eq!(projected.parse_errors, full.parse_errors, "{ctx}");
-        // Both files rewritten, stamped with the current text's hash.
-        let rewritten = std::fs::read(&fatal).unwrap();
-        assert_ne!(rewritten, fatal_before, "{ctx}");
-        assert_ne!(std::fs::read(&snap).unwrap(), snap_before, "{ctx}");
-        let decoded = raslog::snapshot::decode_fatal_snapshot(&rewritten, Some(hash)).unwrap();
-        assert_eq!(decoded.parsed(), full.parsed, "{ctx}");
-        assert_eq!(
-            decoded.into_log().records(),
-            fatal_records.as_slice(),
-            "{ctx}"
-        );
-        let stored = std::fs::read(&snap).unwrap();
-        let stored = raslog::snapshot::decode_snapshot(&stored, Some(hash)).unwrap();
-        assert_eq!(stored.len(), full.parsed, "{ctx}");
-    } else {
-        assert_eq!(projected.snapshot, SnapshotStatus::Loaded, "{ctx}");
-        assert!(projected.parse_errors.is_empty(), "{ctx}");
-        // A corrupt FATAL snapshot is rewritten from the full one; every
-        // other file is left as it was.
-        assert_eq!(std::fs::read(&fatal).unwrap(), fatal_before, "{ctx}");
-        if state == CacheState::FatalOnly {
-            assert!(!snap.exists(), "{ctx}");
-        } else {
-            assert_eq!(std::fs::read(&snap).unwrap(), snap_before, "{ctx}");
-        }
-    }
 }
 
 /// One RAS line: record `recid` at second `t` of the window, with the
@@ -748,7 +629,7 @@ fn load_pair_is_the_fatal_projection_of_the_full_load() {
     let dir = workdir("projection");
     for (name, text) in projection_inputs() {
         for threads in PROJECTION_THREADS {
-            for state in CACHE_STATES {
+            for state in FILE_STATES {
                 assert_projection(name, text.as_bytes(), &dir, state, threads);
             }
         }
@@ -760,7 +641,7 @@ fn load_pair_projects_the_damaged_site_log() {
     let dir = workdir("projection-site");
     let text = texts().0.as_bytes();
     for threads in PROJECTION_THREADS {
-        for state in CACHE_STATES {
+        for state in FILE_STATES {
             assert_projection("site", text, &dir, state, threads);
         }
     }
@@ -772,8 +653,8 @@ fn load_pair_serves_the_fatal_snapshot() {
     let site = ("site", texts().0.clone());
     for (name, text) in projection_inputs().into_iter().chain([site]) {
         for threads in PROJECTION_THREADS {
-            for state in FATAL_STATES {
-                assert_fatal_snapshot(name, text.as_bytes(), &dir, state, threads);
+            for state in SECTION_STATES {
+                assert_projection(name, text.as_bytes(), &dir, state, threads);
             }
         }
     }
@@ -798,7 +679,7 @@ proptest! {
         crlf in 0u8..2,
         final_newline in 0u8..2,
         threads in 0usize..3,
-        state in 0usize..5,
+        state in 0usize..6,
     ) {
         let sep = if crlf == 1 { "\r\n" } else { "\n" };
         let mut text = lines.join(sep);
@@ -810,7 +691,7 @@ proptest! {
             "random",
             text.as_bytes(),
             &dir,
-            CACHE_STATES[state],
+            [FILE_STATES.as_slice(), &SECTION_STATES].concat()[state],
             PROJECTION_THREADS[threads],
         );
     }

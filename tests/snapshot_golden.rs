@@ -1,9 +1,10 @@
-//! Golden bytes for the on-disk formats: the three `.bgpsnap` snapshot
-//! kinds (full RAS, FATAL-only RAS, jobs) and the `.bgpcas` cassette.
+//! Golden bytes for the on-disk formats: the two `.bgpsnap` snapshot kinds
+//! (RAS, whose one file holds the FATAL section and every record, and
+//! jobs) and the `.bgpcas` cassette.
 //!
 //! Each snapshot encoder runs over a small fixed record set and must write,
 //! byte for byte, the committed golden whose file name carries the codec's
-//! live `FORMAT_VERSION` (`tests/fixtures/ras-v2.bgpsnap`, …). A change of
+//! live `FORMAT_VERSION` (`tests/fixtures/ras-v3.bgpsnap`, …). A change of
 //! column order, width or encoding fails here even when no record field
 //! was renamed. After such a change, bump that codec's `FORMAT_VERSION`
 //! (stale snapshots on disk are then re-parsed, never misread), write the
@@ -47,7 +48,7 @@ fn ras_records() -> Vec<RasRecord> {
     ];
     (0..12usize)
         .map(|i| {
-            // Every third record is non-FATAL, so the FATAL snapshot drops some.
+            // Every third record is non-FATAL, so the FATAL section drops some.
             let code = if i % 3 == 2 {
                 other[i * 5 % other.len()]
             } else {
@@ -97,17 +98,11 @@ fn jobs() -> Vec<JobRecord> {
 }
 
 /// `(golden file name, bytes today's encoder writes)` per snapshot kind.
-fn encoded() -> [(String, Vec<u8>); 3] {
-    let ras = ras_records();
-    let fatal = Projection::of(ras.clone(), RasRecord::is_fatal);
+fn encoded() -> [(String, Vec<u8>); 2] {
     [
         (
             format!("ras-v{}.bgpsnap", raslog::snapshot::FORMAT_VERSION),
-            raslog::snapshot::encode_snapshot(&ras, SOURCE_HASH),
-        ),
-        (
-            format!("ras-fatal-v{}.bgpsnap", raslog::snapshot::FORMAT_VERSION),
-            raslog::snapshot::encode_fatal_snapshot(&fatal, SOURCE_HASH),
+            raslog::snapshot::encode_snapshot(&ras_records(), SOURCE_HASH),
         ),
         (
             format!("jobs-v{}.bgpsnap", joblog::snapshot::FORMAT_VERSION),
@@ -150,14 +145,13 @@ fn snapshot_encoders_write_their_goldens() {
 
 #[test]
 fn snapshot_goldens_decode_to_their_records() {
-    let [(ras, _), (fatal, _), (jobs_name, _)] = encoded();
+    let [(ras, _), (jobs_name, _)] = encoded();
     let read = |name: &str| std::fs::read(fixture(name)).unwrap();
     assert_eq!(
         raslog::snapshot::decode_snapshot(&read(&ras), Some(SOURCE_HASH)).unwrap(),
         ras_records()
     );
-    let projection =
-        raslog::snapshot::decode_fatal_snapshot(&read(&fatal), Some(SOURCE_HASH)).unwrap();
+    let projection = raslog::snapshot::decode_fatal(&read(&ras), Some(SOURCE_HASH)).unwrap();
     assert_eq!(
         projection,
         Projection::of(ras_records(), RasRecord::is_fatal)
