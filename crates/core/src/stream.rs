@@ -22,7 +22,7 @@
 //! temporal+spatial — the stages that kill 95+ % of the volume.
 
 use crate::classify::ImpactSummary;
-use crate::filter::{DedupDecision, DedupWindow};
+use crate::filter::{DedupDecision, DedupWindow, SpatialFilter, TemporalFilter};
 use bgp_model::{Duration, Location, Timestamp};
 use raslog::{ErrCode, RasRecord, Severity};
 
@@ -114,10 +114,13 @@ pub struct OnlineAnalyzer {
 }
 
 impl OnlineAnalyzer {
-    /// An analyzer with the default batch thresholds and no impact map
-    /// (every new event warns).
+    /// An analyzer with the batch filters' default thresholds and no
+    /// impact map (every new event warns).
     pub fn new() -> OnlineAnalyzer {
-        OnlineAnalyzer::with_thresholds(Duration::minutes(5), Duration::minutes(5))
+        OnlineAnalyzer::with_thresholds(
+            TemporalFilter::default().threshold,
+            SpatialFilter::default().threshold,
+        )
     }
 
     /// Custom thresholds.
@@ -215,7 +218,6 @@ impl Default for OnlineAnalyzer {
 mod tests {
     use super::*;
     use crate::event::Event;
-    use crate::filter::{SpatialFilter, TemporalFilter};
     use bgp_sim::{SimConfig, Simulation};
     use raslog::Catalog;
 

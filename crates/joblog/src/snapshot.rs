@@ -113,11 +113,15 @@ pub fn decode_snapshot(
 ) -> Result<Vec<JobRecord>, SnapshotError> {
     let header = SnapshotHeader::parse(bytes, SnapshotKind::Job)?;
     header.validate(FORMAT_VERSION, expected_hash)?;
-    if header.count > bytes.len() as u64 {
-        // Each record needs BYTES_PER_RECORD > 1 bytes, so this is already
-        // truncated — and it makes the usize arithmetic below safe.
+    // The length the header implies, saturated: a count too large for the
+    // file reports it, and it bounds the column offsets below.
+    let needed = header
+        .count
+        .saturating_mul(BYTES_PER_RECORD as u64)
+        .saturating_add(HEADER_LEN as u64);
+    if needed > bytes.len() as u64 {
         return Err(SnapshotError::Truncated {
-            needed: usize::MAX,
+            needed: usize::try_from(needed).unwrap_or(usize::MAX),
             have: bytes.len(),
         });
     }
@@ -235,11 +239,22 @@ mod tests {
             decode_snapshot(&v, Some(11)),
             Err(SnapshotError::VersionMismatch { .. })
         ));
-        // Truncation and hash mismatch.
-        assert!(matches!(
-            decode_snapshot(&bytes[..bytes.len() - 1], Some(11)),
-            Err(SnapshotError::Truncated { .. })
-        ));
+        // Lengths, counted from the file's start: 32 + 9 * 64 = 608 bytes.
+        let count = |c: u64| [&bytes[..16], &c.to_le_bytes(), &bytes[24..]].concat();
+        let rejects = |damaged: &[u8], want: &str| {
+            let got = decode_snapshot(damaged, Some(11)).map_err(|e| e.to_string());
+            assert_eq!(got, Err(want.to_owned()));
+        };
+        rejects(&bytes[..607], "truncated: need 608 bytes, have 607");
+        rejects(&bytes[..20], "truncated: need 32 bytes, have 20");
+        rejects(&count(1000), "truncated: need 64032 bytes, have 608");
+        let absurd = format!("truncated: need {} bytes, have 608", usize::MAX);
+        rejects(&count(u64::MAX), &absurd);
+        rejects(&count(8), "64 trailing bytes after records");
+        rejects(
+            &[bytes.as_slice(), &[0]].concat(),
+            "1 trailing bytes after records",
+        );
         assert!(matches!(
             decode_snapshot(&bytes, Some(12)),
             Err(SnapshotError::HashMismatch { .. })

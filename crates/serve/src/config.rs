@@ -1,18 +1,41 @@
 //! Daemon configuration: flag parsing shared by `coserved` and
-//! `coctl serve`, plus the on-disk impact-verdict format.
+//! `coctl serve`, the analysis flags shared with `coctl`'s analyzing
+//! subcommands, plus the on-disk impact-verdict format.
 //!
 //! The impact file is how an offline co-analysis run informs the online
 //! daemon (Observation 1 in production): `coctl analyze --impact-out FILE`
 //! writes the per-code verdicts, `coserved --impact FILE` loads them, and
-//! new events of codes classified non-fatal stop warning.
+//! new events of codes classified non-fatal stop warning. Both runs must
+//! dedup with the same windows for the verdicts to mean the same events.
 
 use crate::error::ServeError;
 use bgp_model::Duration;
 use bgp_ports::{LineDecoder, LogFormat};
 use coanalysis::classify::{CodeImpact, ImpactSummary};
+use coanalysis::CoAnalysisConfig;
 use raslog::Catalog;
 use std::io::{Read, Write};
 use std::path::PathBuf;
+
+/// The daemon's flags and their defaults, as `coserved --help` prints them.
+pub const FLAGS_HELP: &str =
+    "  --ingest ADDR      TCP ingest listen address   (default 127.0.0.1:7070)
+  --http ADDR        HTTP listen address         (default 127.0.0.1:7071)
+  --queue-cap N      ingest queue capacity       (default 4096)
+  --ring N           /events ring capacity       (default 256)
+  --max-line BYTES   ingest line length limit    (default 65536)
+  --impact FILE      offline impact verdicts (coctl analyze --impact-out)
+  --tail FILE        also tail FILE for records
+  --format NAME      ingest line format          (default bgp; or syslog)
+  --replay FILE      replay a .bgpcas cassette, then drain and exit
+  --record FILE      record ingested chunks to a .bgpcas cassette
+  --temporal-secs S  temporal dedup threshold    (default 300)
+  --spatial-secs S   spatial dedup threshold     (default 300)
+  --full-analysis    serve the complete co-analysis at /analysis,
+                   folded incrementally per ingest batch
+  --jobs FILE        job log for --full-analysis
+  --threads N        worker threads for the --full-analysis folds
+";
 
 /// Everything the daemon needs to start.
 #[derive(Debug, Clone)]
@@ -36,10 +59,10 @@ pub struct ServeConfig {
     pub tail: Option<PathBuf>,
     /// Poll interval for the tailer.
     pub tail_poll: std::time::Duration,
-    /// Temporal dedup threshold (same code + location).
-    pub temporal: Duration,
-    /// Spatial dedup threshold (same code, any location).
-    pub spatial: Duration,
+    /// The analysis both engines run: the online analyzer dedups with its
+    /// temporal and spatial windows, and `--full-analysis` folds with all
+    /// of it (its `threads` size the fold pipeline).
+    pub analysis: CoAnalysisConfig,
     /// Per-code impact verdicts from an offline run, if any.
     pub impact: Option<ImpactSummary>,
     /// Line format for the ingest sources. Only line-streamable formats are
@@ -58,11 +81,6 @@ pub struct ServeConfig {
     pub full_analysis: bool,
     /// Job log for the co-analysis side of `--full-analysis`.
     pub jobs: Option<PathBuf>,
-    /// Worker threads for the `--full-analysis` fold pipeline (the
-    /// `DeltaSession` behind `/analysis`); `None` keeps the pipeline's
-    /// own default. Every stage is bit-identical at any thread count, so
-    /// this is purely a latency knob.
-    pub analysis_threads: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -77,44 +95,32 @@ impl Default for ServeConfig {
             write_timeout: std::time::Duration::from_secs(5),
             tail: None,
             tail_poll: std::time::Duration::from_millis(100),
-            temporal: Duration::minutes(5),
-            spatial: Duration::minutes(5),
+            analysis: CoAnalysisConfig::default(),
             impact: None,
             format: LogFormat::Bgp,
             replay: None,
             record: None,
             full_analysis: false,
             jobs: None,
-            analysis_threads: None,
         }
     }
 }
 
 impl ServeConfig {
-    /// Parse daemon flags (everything after the program name / subcommand).
-    ///
-    /// ```text
-    /// --ingest ADDR      TCP ingest listen address   (default 127.0.0.1:7070)
-    /// --http ADDR        HTTP listen address         (default 127.0.0.1:7071)
-    /// --queue-cap N      ingest queue capacity       (default 4096)
-    /// --ring N           /events ring capacity       (default 256)
-    /// --max-line BYTES   ingest line length limit    (default 65536)
-    /// --impact FILE      offline impact verdicts
-    /// --tail FILE        also tail FILE for records
-    /// --format NAME      line format for ingest      (default bgp; or syslog)
-    /// --replay FILE      replay a .bgpcas cassette, then shut down
-    /// --record FILE      record ingested chunks to a .bgpcas cassette
-    /// --temporal-secs S  temporal dedup threshold    (default 300)
-    /// --spatial-secs S   spatial dedup threshold     (default 300)
-    /// --full-analysis    serve the complete co-analysis report at /analysis,
-    ///                    folded incrementally per ingest batch (needs --jobs)
-    /// --jobs FILE        job log for the co-analysis side of --full-analysis
-    /// --threads N        worker threads for the --full-analysis fold pipeline
-    /// ```
+    /// Parse daemon flags (everything after the program name / subcommand),
+    /// listed with their defaults in [`FLAGS_HELP`]. The analysis flags go
+    /// through [`analysis_flag`], as in `coctl`.
     pub fn from_args(args: &[String]) -> Result<ServeConfig, ServeError> {
         let mut cfg = ServeConfig::default();
+        // A `threads` equal to the default cannot show whether the flag,
+        // which sizes only the fold pipeline, was given.
+        let mut threads_given = false;
         let mut it = args.iter();
         while let Some(a) = it.next() {
+            if analysis_flag(a, &mut it, Some(&mut cfg.analysis), &mut cfg.format)? {
+                threads_given |= a == "--threads";
+                continue;
+            }
             match a.as_str() {
                 "--ingest" => cfg.ingest_addr = take(&mut it, "--ingest")?,
                 "--http" => cfg.http_addr = take(&mut it, "--http")?,
@@ -126,73 +132,96 @@ impl ServeConfig {
                     cfg.impact = Some(read_impact_file(&path)?);
                 }
                 "--tail" => cfg.tail = Some(PathBuf::from(take(&mut it, "--tail")?)),
-                "--format" => {
-                    let name = take(&mut it, "--format")?;
-                    cfg.format = name
-                        .parse()
-                        .map_err(|e: bgp_ports::UnknownFormat| ServeError::Config(e.to_string()))?;
-                }
                 "--replay" => cfg.replay = Some(PathBuf::from(take(&mut it, "--replay")?)),
                 "--record" => cfg.record = Some(PathBuf::from(take(&mut it, "--record")?)),
                 "--full-analysis" => cfg.full_analysis = true,
                 "--jobs" => cfg.jobs = Some(PathBuf::from(take(&mut it, "--jobs")?)),
-                "--threads" => cfg.analysis_threads = Some(take_parsed(&mut it, "--threads")?),
-                "--temporal-secs" => {
-                    cfg.temporal = Duration::seconds(take_parsed(&mut it, "--temporal-secs")?);
-                }
-                "--spatial-secs" => {
-                    cfg.spatial = Duration::seconds(take_parsed(&mut it, "--spatial-secs")?);
-                }
                 other => {
                     return Err(ServeError::Config(format!("unknown flag {other:?}")));
                 }
             }
         }
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
-    /// Reject inconsistent settings before any socket is bound.
-    pub fn validate(&self) -> Result<(), ServeError> {
-        if self.queue_capacity == 0 {
+        // Cross-flag checks, before any socket is bound.
+        if cfg.queue_capacity == 0 {
             return Err(ServeError::Config("--queue-cap must be at least 1".into()));
         }
-        if self.ring_capacity == 0 {
+        if cfg.ring_capacity == 0 {
             return Err(ServeError::Config("--ring must be at least 1".into()));
         }
-        if self.max_line_bytes < 64 {
+        if cfg.max_line_bytes < 64 {
             return Err(ServeError::Config(
                 "--max-line must be at least 64 bytes (a minimal record line)".into(),
             ));
         }
-        if self.full_analysis && self.jobs.is_none() {
+        if cfg.full_analysis && cfg.jobs.is_none() {
             return Err(ServeError::Config(
                 "--full-analysis needs --jobs FILE (the job-log side of the co-analysis)".into(),
             ));
         }
-        if self.jobs.is_some() && !self.full_analysis {
+        if cfg.jobs.is_some() && !cfg.full_analysis {
             return Err(ServeError::Config(
                 "--jobs only makes sense with --full-analysis".into(),
             ));
         }
-        if self.analysis_threads == Some(0) {
-            return Err(ServeError::Config("--threads must be at least 1".into()));
-        }
-        if self.analysis_threads.is_some() && !self.full_analysis {
+        if threads_given && !cfg.full_analysis {
             return Err(ServeError::Config(
                 "--threads only makes sense with --full-analysis (it sizes the fold pipeline)"
                     .into(),
             ));
         }
-        if LineDecoder::for_format(self.format).is_none() {
+        if LineDecoder::for_format(cfg.format).is_none() {
             return Err(ServeError::Config(format!(
                 "--format {}: not a line-streamable format (streaming supports bgp and \
                  syslog; cassettes name their own inner format — use --replay FILE)",
-                self.format
+                cfg.format
             )));
         }
-        Ok(())
+        Ok(cfg)
     }
+}
+
+/// Parse `flag` if it is one of the analysis flags `coctl` and `coserved`
+/// share, taking its value from `it`:
+///
+/// ```text
+/// --temporal-secs S  temporal dedup threshold    (default 300)
+/// --spatial-secs S   spatial dedup threshold     (default 300)
+/// --threads N        stage-executor workers      (default: CPUs, at most 8)
+/// --format NAME      log format                  (default bgp)
+/// ```
+///
+/// The first three are written into `analysis` and are not taken when it
+/// is `None`; defaults are [`CoAnalysisConfig::default`]'s. Returns
+/// `Ok(false)`, having taken nothing, for any other flag. An unknown
+/// format name is a [`ServeError::Format`].
+pub fn analysis_flag<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+    analysis: Option<&mut CoAnalysisConfig>,
+    format: &mut LogFormat,
+) -> Result<bool, ServeError> {
+    match (flag, analysis) {
+        ("--format", _) => {
+            let name = it
+                .next()
+                .ok_or_else(|| ServeError::Config("--format needs a format name".into()))?;
+            *format = name.parse().map_err(ServeError::Format)?;
+        }
+        ("--temporal-secs", Some(a)) => {
+            a.temporal.threshold = Duration::seconds(take_parsed(it, flag)?);
+        }
+        ("--spatial-secs", Some(a)) => {
+            a.spatial.threshold = Duration::seconds(take_parsed(it, flag)?);
+        }
+        ("--threads", Some(a)) => {
+            a.threads = take_parsed(it, flag)?;
+            if a.threads == 0 {
+                return Err(ServeError::Config("--threads must be at least 1".into()));
+            }
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 fn take<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<String, ServeError> {
@@ -323,81 +352,51 @@ pub fn read_impact_file(path: &str) -> Result<ImpactSummary, ServeError> {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(|s| (*s).to_owned()).collect()
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_owned).collect()
     }
 
     #[test]
     fn flags_parse_and_validate() {
-        let cfg = ServeConfig::from_args(&args(&[
-            "--ingest",
-            "127.0.0.1:0",
-            "--queue-cap",
-            "16",
-            "--temporal-secs",
-            "60",
-        ]))
+        let cfg = ServeConfig::from_args(&args(
+            "--ingest 127.0.0.1:0 --queue-cap 16 --temporal-secs 60 --format syslog \
+             --replay in.bgpcas --record out.bgpcas --full-analysis --jobs j --threads 4",
+        ))
         .unwrap();
         assert_eq!(cfg.ingest_addr, "127.0.0.1:0");
         assert_eq!(cfg.queue_capacity, 16);
-        assert_eq!(cfg.temporal, Duration::seconds(60));
-        assert!(ServeConfig::from_args(&args(&["--queue-cap", "0"])).is_err());
-        assert!(ServeConfig::from_args(&args(&["--bogus"])).is_err());
-        assert!(ServeConfig::from_args(&args(&["--queue-cap"])).is_err());
-    }
-
-    #[test]
-    fn analysis_threads_flag_parses_and_validates() {
-        let cfg = ServeConfig::from_args(&args(&[
-            "--full-analysis",
-            "--jobs",
-            "jobs.log",
-            "--threads",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(cfg.analysis_threads, Some(4));
-        // Zero threads, threads without --full-analysis, and a bad count
-        // are all config errors.
-        let e =
-            ServeConfig::from_args(&args(&["--full-analysis", "--jobs", "j", "--threads", "0"]))
-                .unwrap_err();
-        assert!(e.to_string().contains("--threads"), "{e}");
-        let e = ServeConfig::from_args(&args(&["--threads", "4"])).unwrap_err();
-        assert!(e.to_string().contains("--full-analysis"), "{e}");
-        assert!(ServeConfig::from_args(&args(&["--threads", "x"])).is_err());
-    }
-
-    #[test]
-    fn format_replay_and_record_flags_parse() {
-        let cfg = ServeConfig::from_args(&args(&[
-            "--format",
-            "syslog",
-            "--replay",
-            "in.bgpcas",
-            "--record",
-            "out.bgpcas",
-        ]))
-        .unwrap();
+        assert_eq!(cfg.analysis.temporal.threshold, Duration::seconds(60));
+        assert_eq!(cfg.analysis.spatial, CoAnalysisConfig::default().spatial);
+        assert_eq!(cfg.analysis.threads, 4);
         assert_eq!(cfg.format, LogFormat::Syslog);
-        assert_eq!(
-            cfg.replay.as_deref(),
-            Some(std::path::Path::new("in.bgpcas"))
-        );
-        assert_eq!(
-            cfg.record.as_deref(),
-            Some(std::path::Path::new("out.bgpcas"))
-        );
-        // Unknown formats and non-streamable formats are config errors.
-        let e = ServeConfig::from_args(&args(&["--format", "bgl"])).unwrap_err();
-        assert!(e.to_string().contains("unknown log format"), "{e}");
-        let e = ServeConfig::from_args(&args(&["--format", "bgq"])).unwrap_err();
-        assert!(
-            e.to_string().contains("not a line-streamable format"),
-            "{e}"
-        );
-        let e = ServeConfig::from_args(&args(&["--format", "cassette"])).unwrap_err();
-        assert!(e.to_string().contains("--replay"), "{e}");
+        assert_eq!(cfg.replay, Some(PathBuf::from("in.bgpcas")));
+        assert_eq!(cfg.record, Some(PathBuf::from("out.bgpcas")));
+    }
+
+    #[test]
+    fn bad_flags_are_config_errors() {
+        // `--threads` needs `--full-analysis` even at the default count.
+        let default_threads = format!("--threads {}", CoAnalysisConfig::default().threads);
+        for (flags, message) in [
+            ("--queue-cap 0", "--queue-cap must be at least 1"),
+            ("--bogus", r#"unknown flag "--bogus""#),
+            ("--queue-cap", "--queue-cap needs a value"),
+            (
+                "--full-analysis --jobs j --threads 0",
+                "--threads must be at least 1",
+            ),
+            (
+                &default_threads,
+                "--threads only makes sense with --full-analysis",
+            ),
+            ("--threads x", r#"--threads: invalid value "x""#),
+            ("--format bgl", "unknown log format"),
+            ("--format bgq", "not a line-streamable format"),
+            ("--format cassette", "--replay"),
+        ] {
+            let e = ServeConfig::from_args(&args(flags)).unwrap_err();
+            assert!(e.to_string().contains(message), "{flags}: {e}");
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@ use std::io;
 pub enum ServeError {
     /// Invalid configuration (bad flag, bad value, inconsistent settings).
     Config(String),
+    /// An unknown `--format` name: a configuration error, which `coctl`
+    /// tells apart (exit 3).
+    Format(bgp_ports::UnknownFormat),
     /// Binding a listener failed.
     Bind {
         /// Which listener ("ingest" or "http").
@@ -41,6 +44,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Config(msg) => write!(f, "configuration error: {msg}"),
+            ServeError::Format(e) => write!(f, "configuration error: {e}"),
             ServeError::Bind { what, addr, source } => {
                 write!(f, "cannot bind {what} listener on {addr}: {source}")
             }
@@ -63,6 +67,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Bind { source, .. } => Some(source),
             ServeError::Io(e) | ServeError::Spawn(e) => Some(e),
+            ServeError::Format(e) => Some(e),
             ServeError::Config(_) | ServeError::Impact { .. } | ServeError::QueueClosed => None,
         }
     }

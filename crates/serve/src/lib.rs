@@ -30,7 +30,8 @@
 //! * [`server`] — assembly, two-phase graceful shutdown, final summary;
 //! * [`timing`] — [`StageTimer`], wiring the same metrics registry into the
 //!   batch pipeline via [`CoAnalysis::run_on_observed`](coanalysis::CoAnalysis::run_on_observed);
-//! * [`config`] — flag parsing and the on-disk impact-verdict format;
+//! * [`config`] — flag parsing, the analysis flags `coctl` shares, and the
+//!   on-disk impact-verdict format;
 //! * [`error`] — the typed error for everything above.
 //!
 //! Everything here is dependency-free by design: `std::net`, `std::sync`,

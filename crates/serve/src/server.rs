@@ -184,22 +184,17 @@ impl Server {
             .map(crate::replay::load_cassette)
             .transpose()?;
         // Likewise the job log: a bad --jobs file is a startup error.
+        // The fold and the online analyzer dedup with the same windows, so
+        // `/analysis` and `/summary` agree on what one event is.
         let fold = match (&cfg.full_analysis, &cfg.jobs) {
-            (true, Some(jobs)) => {
-                // The fold dedups with the online analyzer's windows, so
-                // `/analysis` and `/summary` agree on what one event is.
-                let mut analysis_cfg = coanalysis::CoAnalysisConfig::default();
-                analysis_cfg.temporal.threshold = cfg.temporal;
-                analysis_cfg.spatial.threshold = cfg.spatial;
-                if let Some(n) = cfg.analysis_threads {
-                    analysis_cfg.threads = n;
-                }
-                Some(Fold::start(analysis_cfg, jobs)?)
-            }
+            (true, Some(jobs)) => Some(Fold::start(cfg.analysis, jobs)?),
             _ => None,
         };
         let full = fold.as_ref().map(|f| Arc::clone(f.published()));
-        let mut analyzer = OnlineAnalyzer::with_thresholds(cfg.temporal, cfg.spatial);
+        let mut analyzer = OnlineAnalyzer::with_thresholds(
+            cfg.analysis.temporal.threshold,
+            cfg.analysis.spatial.threshold,
+        );
         if let Some(impact) = &cfg.impact {
             analyzer = analyzer.with_impact(impact.clone());
         }

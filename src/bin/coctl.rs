@@ -13,6 +13,12 @@
 //! there as `.bgpsnap` files and transparently reused on re-runs (stale or
 //! corrupt snapshots fall back to re-parsing and are rewritten).
 //!
+//! `analyze`, `filter` and `outages` also accept `--temporal-secs S`,
+//! `--spatial-secs S` and `--threads N`, parsed by the function `coserved`
+//! uses ([`bgp_serve::config::analysis_flag`]), so both binaries take the same
+//! names, defaults and messages. A flag a subcommand does not take is a
+//! usage error, never a path.
+//!
 //! Log-reading subcommands also accept `--format {bgp,bgq,syslog,cassette}`
 //! to select the source adapter (default `bgp`); only the BG/P format is
 //! snapshot-cached. BG/P inputs are streamed: each worker reads its share
@@ -28,13 +34,14 @@
 //! Exit codes: 0 success, 1 usage error, 2 I/O or parse failure,
 //! 3 unknown subcommand or unknown `--format` value.
 
+use bgp_coanalysis::bgp_serve::config::analysis_flag;
 use bgp_coanalysis::bgp_serve::{self, ServeConfig, ServeError, StageTimer};
 use bgp_coanalysis::bgp_sim::{SimConfig, Simulation};
 use bgp_coanalysis::coanalysis::analysis::repair::{reconstruct_outages, summarize};
 use bgp_coanalysis::coanalysis::{load, AnalysisSet, CoAnalysis, Event, StageId, StageObserver};
 use bgp_coanalysis::coanalysis::{AnalysisContext, AppendBatch, CoAnalysisConfig};
 use bgp_coanalysis::coanalysis::{CoAnalysisResult, DeltaSession};
-use bgp_coanalysis::coanalysis::{LoadOptions, LogFormat, SnapshotStatus};
+use bgp_coanalysis::coanalysis::{LoadOptions, SnapshotStatus};
 use bgp_coanalysis::joblog::{self, JobLog};
 use bgp_coanalysis::raslog::{self, LogSummary, RasLog};
 use std::fs::File;
@@ -85,6 +92,21 @@ enum CliError {
     UnknownFormat(String),
 }
 
+/// Errors of the analysis flags: an unknown `--format` exits 3.
+impl From<ServeError> for CliError {
+    fn from(e: ServeError) -> CliError {
+        match e {
+            ServeError::Config(msg) => CliError::Usage(msg),
+            ServeError::Format(f) => CliError::UnknownFormat(f.to_string()),
+            other @ (ServeError::Bind { .. }
+            | ServeError::Impact { .. }
+            | ServeError::Io(_)
+            | ServeError::Spawn(_)
+            | ServeError::QueueClosed) => CliError::Io(other.to_string()),
+        }
+    }
+}
+
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> CliError {
         CliError::Io(e.to_string())
@@ -101,11 +123,13 @@ fn usage(err: &str) -> ExitCode {
          usage:\n\
          \x20 coctl simulate [--days N] [--seed S] [--out DIR]\n\
          \x20 coctl summary RAS.log [--snapshot DIR] [--format F]\n\
-         \x20 coctl analyze RAS.log JOBS.log [--snapshot DIR] [--format F] [--timings]\n\
-         \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--threads N] [--impact-out FILE] [--fda]\n\
+         \x20 coctl analyze RAS.log JOBS.log [--snapshot DIR] [--format F] [WINDOWS]\n\
+         \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--threads N] [--timings] [--impact-out FILE] [--fda]\n\
          \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--append RAS2.log]... [--append-jobs JOBS2.log]...\n\
          \x20 coctl filter RAS.log JOBS.log -o CLEAN.log [--snapshot DIR] [--format F]\n\
-         \x20 coctl outages RAS.log JOBS.log [--snapshot DIR] [--format F]\n\
+         \x20 \x20 \x20 \x20 \x20 \x20 \x20 [WINDOWS] [--threads N]\n\
+         \x20 coctl outages RAS.log JOBS.log [--snapshot DIR] [--format F] [WINDOWS]\n\
+         \x20 \x20 \x20 \x20 \x20 \x20 \x20 [--threads N]\n\
          \x20 coctl serve [--ingest ADDR] [--http ADDR] [--impact FILE] ...\n\
          \n\
          --format F selects the log source adapter: bgp (default), bgq,\n\
@@ -119,7 +143,11 @@ fn usage(err: &str) -> ExitCode {
          incrementally; the report matches a one-shot run over the\n\
          concatenation bit for bit. With --timings, per-stage wall clock\n\
          goes to stderr for each fold (only dirty stages appear).\n\
-         --threads N sizes the stage executor; loading uses every CPU.\n\
+         WINDOWS is [--temporal-secs S] [--spatial-secs S], the temporal and\n\
+         spatial dedup windows (default 300 each). coserved takes them and\n\
+         --threads N (which sizes the stage executor; loading uses every CPU)\n\
+         under the same names and defaults. Verdicts from --impact-out mean\n\
+         the same events to coserved --impact only if both use the same windows.\n\
          analyze --fda appends the dimensional root-cause table: frequent\n\
          (errcode, midplane, user, project, executable, size) combinations\n\
          ranked by lift over the interruption base rate.\n\
@@ -132,10 +160,17 @@ fn usage(err: &str) -> ExitCode {
     }
 }
 
-/// Split the `--snapshot DIR` and `--format NAME` flags out of `args`,
-/// leaving the rest in order.
-fn snapshot_opts(args: &[String]) -> Result<(Vec<String>, LoadOptions), CliError> {
-    let mut rest = Vec::new();
+/// Parse a log-reading subcommand's arguments: `--snapshot DIR`, the
+/// analysis flags `coserved` shares ([`bgp_serve::config::analysis_flag`]: only
+/// `--format` when `analysis` is `None`), then the flags `own` takes (it
+/// returns `Ok(false)` for one it does not know). Any other `--` token is
+/// an unknown flag; the rest are positional, in order.
+fn parse_args<'a>(
+    args: &'a [String],
+    mut analysis: Option<&mut CoAnalysisConfig>,
+    mut own: impl FnMut(&str, &mut std::slice::Iter<'a, String>) -> Result<bool, CliError>,
+) -> Result<(Vec<&'a String>, LoadOptions), CliError> {
+    let mut positional = Vec::new();
     let mut opts = LoadOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -144,18 +179,16 @@ fn snapshot_opts(args: &[String]) -> Result<(Vec<String>, LoadOptions), CliError
                 .next()
                 .ok_or_else(|| CliError::Usage("--snapshot needs a directory".into()))?;
             opts.snapshot_dir = Some(PathBuf::from(dir));
-        } else if a == "--format" {
-            let name = it
-                .next()
-                .ok_or_else(|| CliError::Usage("--format needs a format name".into()))?;
-            opts.format = name
-                .parse::<LogFormat>()
-                .map_err(|e| CliError::UnknownFormat(e.to_string()))?;
-        } else {
-            rest.push(a.clone());
+        } else if !analysis_flag(a, &mut it, analysis.as_deref_mut(), &mut opts.format)?
+            && !own(a, &mut it)?
+        {
+            if a.starts_with("--") {
+                return Err(CliError::Usage(format!("unknown flag {a:?}")));
+            }
+            positional.push(a);
         }
     }
-    Ok((rest, opts))
+    Ok((positional, opts))
 }
 
 fn report_load(path: &str, what: &str, n_errors: usize, status: &SnapshotStatus) {
@@ -258,8 +291,8 @@ fn next_parsed<'a, T: std::str::FromStr>(
 }
 
 fn cmd_summary(args: &[String]) -> Result<(), CliError> {
-    let (rest, opts) = snapshot_opts(args)?;
-    let [path] = &rest[..] else {
+    let (positional, opts) = parse_args(args, None, |_, _| Ok(false))?;
+    let [path] = positional[..] else {
         return Err(CliError::Usage("summary needs exactly one RAS log".into()));
     };
     let ras = load_ras(path, &opts)?;
@@ -285,55 +318,26 @@ enum AppendSpec {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
-    let (rest, opts) = snapshot_opts(args)?;
-    let mut timings = false;
-    let mut fda = false;
+    let mut config = CoAnalysisConfig::default();
+    let (mut timings, mut fda) = (false, false);
     let mut impact_out: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
     let mut appends: Vec<AppendSpec> = Vec::new();
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let (positional, opts) = parse_args(args, Some(&mut config), |a, it| {
+        let mut path = |what: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| CliError::Usage(format!("{a} needs {what}")))
+        };
+        match a {
             "--timings" => timings = true,
             "--fda" => fda = true,
-            "--append" => {
-                appends.push(AppendSpec::Ras(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--append needs a RAS log path".into()))?
-                        .clone(),
-                ));
-            }
-            "--append-jobs" => {
-                appends.push(AppendSpec::Jobs(
-                    it.next()
-                        .ok_or_else(|| {
-                            CliError::Usage("--append-jobs needs a job log path".into())
-                        })?
-                        .clone(),
-                ));
-            }
-            "--impact-out" => {
-                impact_out =
-                    Some(PathBuf::from(it.next().ok_or_else(|| {
-                        CliError::Usage("--impact-out needs a path".into())
-                    })?));
-            }
-            "--threads" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--threads needs a count".into()))?;
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--threads: bad count {n:?}")))?;
-                if n == 0 {
-                    return Err(CliError::Usage("--threads must be >= 1".into()));
-                }
-                threads = Some(n);
-            }
-            _ => positional.push(a),
+            "--append" => appends.push(AppendSpec::Ras(path("a RAS log path")?)),
+            "--append-jobs" => appends.push(AppendSpec::Jobs(path("a job log path")?)),
+            "--impact-out" => impact_out = Some(PathBuf::from(path("a path")?)),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let [ras_path, jobs_path] = positional[..] else {
         return Err(CliError::Usage(
             "analyze needs RAS.log and JOBS.log (+ optional --timings, --threads N, \
@@ -342,10 +346,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         ));
     };
     let (ras, jobs) = load_both(ras_path, jobs_path, &opts)?;
-    let mut pipeline = CoAnalysis::default();
-    if let Some(n) = threads {
-        pipeline.config.threads = n;
-    }
+    let pipeline = CoAnalysis::with_config(config);
     let registry = bgp_serve::Registry::new();
     let r = if !appends.is_empty() {
         analyze_with_appends(pipeline.config, &ras, jobs, &appends, &opts, timings)?
@@ -449,7 +450,7 @@ fn analyze_with_appends(
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let cfg = ServeConfig::from_args(args).map_err(|e| CliError::Usage(e.to_string()))?;
     bgp_serve::run(&cfg, &mut std::io::stdout()).map_err(|e| match e {
-        ServeError::Config(_) => CliError::Usage(e.to_string()),
+        ServeError::Config(_) | ServeError::Format(_) => CliError::Usage(e.to_string()),
         other @ (ServeError::Bind { .. }
         | ServeError::Impact { .. }
         | ServeError::Io(_)
@@ -460,21 +461,18 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_filter(args: &[String]) -> Result<(), CliError> {
-    // Positional: RAS JOBS; flags: -o OUT, --snapshot DIR.
-    let (rest, opts) = snapshot_opts(args)?;
-    let mut positional: Vec<&String> = Vec::new();
+    let mut config = CoAnalysisConfig::default();
     let mut out: Option<PathBuf> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "-o" || a == "--out" {
-            out = Some(PathBuf::from(
-                it.next()
-                    .ok_or_else(|| CliError::Usage("-o needs a path".into()))?,
-            ));
-        } else {
-            positional.push(a);
+    let (positional, opts) = parse_args(args, Some(&mut config), |a, it| {
+        if a != "-o" && a != "--out" {
+            return Ok(false);
         }
-    }
+        let path = it
+            .next()
+            .ok_or_else(|| CliError::Usage("-o needs a path".into()))?;
+        out = Some(PathBuf::from(path));
+        Ok(true)
+    })?;
     let [ras_path, jobs_path] = positional[..] else {
         return Err(CliError::Usage(
             "filter needs RAS.log and JOBS.log (+ -o OUT)".into(),
@@ -484,8 +482,11 @@ fn cmd_filter(args: &[String]) -> Result<(), CliError> {
     let (ras, jobs) = load_both(ras_path, jobs_path, &opts)?;
     // Only the filter stack is needed here — skip classification and
     // characterization entirely.
-    let r =
-        CoAnalysis::default().run_selected(&ras, &jobs, AnalysisSet::of(&[StageId::JobRelated]));
+    let r = CoAnalysis::with_config(config).run_selected(
+        &ras,
+        &jobs,
+        AnalysisSet::of(&[StageId::JobRelated]),
+    );
     let events_final = r.events_final.unwrap_or_default();
     let raw_fatal = r.filter_stats.map_or(0, |s| s.raw_fatal);
     write_clean_log(&out, &ras, &events_final)?;
@@ -515,13 +516,18 @@ fn write_clean_log(path: &Path, ras: &RasLog, events_final: &[Event]) -> Result<
 }
 
 fn cmd_outages(args: &[String]) -> Result<(), CliError> {
-    let (rest, opts) = snapshot_opts(args)?;
-    let [ras_path, jobs_path] = &rest[..] else {
+    let mut config = CoAnalysisConfig::default();
+    let (positional, opts) = parse_args(args, Some(&mut config), |_, _| Ok(false))?;
+    let [ras_path, jobs_path] = positional[..] else {
         return Err(CliError::Usage("outages needs RAS.log and JOBS.log".into()));
     };
     let (ras, jobs) = load_both(ras_path, jobs_path, &opts)?;
     // Outage reconstruction only needs filtering + matching.
-    let r = CoAnalysis::default().run_selected(&ras, &jobs, AnalysisSet::of(&[StageId::Matching]));
+    let r = CoAnalysis::with_config(config).run_selected(
+        &ras,
+        &jobs,
+        AnalysisSet::of(&[StageId::Matching]),
+    );
     let events = r.events.unwrap_or_default();
     let matching = r.matching.unwrap_or_default();
     let episodes = reconstruct_outages(&events, &matching, &jobs);

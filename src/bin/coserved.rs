@@ -18,27 +18,10 @@ use std::process::ExitCode;
 
 fn usage() {
     eprintln!(
-        "coserved — streaming RAS co-analysis daemon\n\
-         \n\
-         usage: coserved [flags]\n\
-         \x20 --ingest ADDR      TCP ingest listen address   (default 127.0.0.1:7070)\n\
-         \x20 --http ADDR        HTTP listen address         (default 127.0.0.1:7071)\n\
-         \x20 --queue-cap N      ingest queue capacity       (default 4096)\n\
-         \x20 --ring N           /events ring capacity       (default 256)\n\
-         \x20 --max-line BYTES   ingest line length limit    (default 65536)\n\
-         \x20 --impact FILE      offline impact verdicts (coctl analyze --impact-out)\n\
-         \x20 --tail FILE        also tail FILE for records\n\
-         \x20 --format NAME      ingest line format          (default bgp; or syslog)\n\
-         \x20 --replay FILE      replay a .bgpcas cassette, then drain and exit\n\
-         \x20 --record FILE      record ingested chunks to a .bgpcas cassette\n\
-         \x20 --temporal-secs S  temporal dedup threshold    (default 300)\n\
-         \x20 --spatial-secs S   spatial dedup threshold     (default 300)\n\
-         \x20 --full-analysis    serve the complete co-analysis at /analysis,\n\
-         \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20  folded incrementally per ingest batch\n\
-         \x20 --jobs FILE        job log for --full-analysis\n\
-         \x20 --threads N        worker threads for the --full-analysis folds\n\
-         \n\
-         endpoints: GET /healthz /metrics /events /summary /analysis /shutdown"
+        "coserved — streaming RAS co-analysis daemon\n\n\
+         usage: coserved [flags]\n{}\n\
+         endpoints: GET /healthz /metrics /events /summary /analysis /shutdown",
+        bgp_serve::config::FLAGS_HELP
     );
 }
 

@@ -39,6 +39,18 @@ fn site_logs() -> &'static PathBuf {
     })
 }
 
+/// `coctl SUB RAS.log [JOBS.log] FLAGS...` on the shared site (only
+/// `summary` takes no job log).
+fn on_site(sub: &str, flags: &[&str]) -> std::process::Output {
+    let dir = site_logs();
+    let mut cmd = coctl();
+    cmd.arg(sub).arg(dir.join("ras.log"));
+    if sub != "summary" {
+        cmd.arg(dir.join("jobs.log"));
+    }
+    cmd.args(flags).output().unwrap()
+}
+
 #[test]
 fn no_args_prints_usage_and_fails() {
     let out = coctl().output().unwrap();
@@ -243,13 +255,7 @@ fn analyze_on_a_log_without_fatal_records_prints_the_empty_funnel() {
 
 #[test]
 fn analyze_prints_the_observations() {
-    let dir = site_logs();
-    let out = coctl()
-        .arg("analyze")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .output()
-        .unwrap();
+    let out = on_site("analyze", &[]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("Obs 12"));
@@ -260,15 +266,10 @@ fn analyze_prints_the_observations() {
 fn analyze_timings_and_impact_out() {
     let dir = site_logs();
     let impact = dir.join("impact.txt");
-    let out = coctl()
-        .arg("analyze")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .arg("--timings")
-        .arg("--impact-out")
-        .arg(&impact)
-        .output()
-        .unwrap();
+    let out = on_site(
+        "analyze",
+        &["--timings", "--impact-out", impact.to_str().unwrap()],
+    );
     assert!(
         out.status.success(),
         "{}",
@@ -290,12 +291,7 @@ fn analyze_timings_and_impact_out() {
     // what an untimed run prints.
     let (wrote, report) = rest.split_once('\n').unwrap();
     assert!(wrote.contains("impact verdicts to"), "{wrote}");
-    let plain = coctl()
-        .arg("analyze")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .output()
-        .unwrap();
+    let plain = on_site("analyze", &[]);
     assert!(plain.status.success());
     assert_eq!(report, String::from_utf8_lossy(&plain.stdout));
     // The impact file round-trips through the serve-side parser.
@@ -432,21 +428,9 @@ fn analyze_append_with_a_late_non_fatal_record_matches_one_shot() {
 
 #[test]
 fn analyze_fda_appends_the_dimensional_table() {
-    let dir = site_logs();
-    let plain = coctl()
-        .arg("analyze")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .output()
-        .unwrap();
+    let plain = on_site("analyze", &[]);
     assert!(plain.status.success());
-    let fda = coctl()
-        .arg("analyze")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .arg("--fda")
-        .output()
-        .unwrap();
+    let fda = on_site("analyze", &["--fda"]);
     assert!(
         fda.status.success(),
         "{}",
@@ -466,13 +450,7 @@ fn analyze_fda_prints_the_served_report() {
     // formatter: stdout is exactly `render_report` of a library run on the
     // same logs.
     let dir = site_logs();
-    let out = coctl()
-        .arg("analyze")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .arg("--fda")
-        .output()
-        .unwrap();
+    let out = on_site("analyze", &["--fda"]);
     assert!(out.status.success());
     let (ras, jobs) = load::load_pair(
         &dir.join("ras.log"),
@@ -486,36 +464,62 @@ fn analyze_fda_prints_the_served_report() {
 
 #[test]
 fn filter_writes_a_clean_log() {
-    let dir = site_logs();
-    let clean = dir.join("clean.log");
-    let out = coctl()
-        .arg("filter")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .arg("-o")
-        .arg(&clean)
-        .output()
-        .unwrap();
+    // With the windows and thread count `analyze` takes, `filter` writes
+    // the events `analyze` counts: a header line, then one per event.
+    let clean = workdir("filter").join("clean.log");
+    let windows = [
+        "--temporal-secs",
+        "60",
+        "--spatial-secs",
+        "120",
+        "--threads",
+        "2",
+    ];
+    let out = on_site(
+        "filter",
+        &[&windows[..], &["-o", clean.to_str().unwrap()]].concat(),
+    );
     assert!(out.status.success());
+    let written = String::from_utf8_lossy(&out.stdout);
+    let events: usize = written.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let analyze = String::from_utf8_lossy(&on_site("analyze", &windows).stdout).into_owned();
+    let funnel = format!("job-related -> {events} (");
+    assert!(analyze.contains(&funnel), "{written} vs {analyze}");
     let text = std::fs::read_to_string(&clean).unwrap();
     assert!(text.starts_with("# independent fatal events"));
+    assert_eq!(text.lines().count(), events + 1);
     // The clean log is radically smaller than the input.
-    let raw_lines = std::fs::read_to_string(dir.join("ras.log"))
-        .unwrap()
-        .lines()
-        .count();
-    assert!(text.lines().count() * 10 < raw_lines);
+    let raw = std::fs::read_to_string(site_logs().join("ras.log")).unwrap();
+    assert!(text.lines().count() * 10 < raw.lines().count());
+}
+
+/// A flag a subcommand does not take is an error, never a path; the
+/// analysis flags `coserved` shares fail with its messages, and an unknown
+/// `--format` exits 3, like an unknown subcommand.
+#[test]
+fn flag_errors_are_reported_not_taken_as_paths() {
+    let formats = r#"unknown log format "bgl" (supported formats: bgp, bgq, syslog, cassette)"#;
+    for (sub, flags, code, message) in [
+        ("analyze", "--thread 2", 1, r#"unknown flag "--thread""#),
+        ("filter", "-o x --bogus", 1, r#"unknown flag "--bogus""#),
+        ("outages", "--fda", 1, r#"unknown flag "--fda""#),
+        ("summary", "--threads 2", 1, r#"unknown flag "--threads""#),
+        ("analyze", "--threads", 1, "--threads needs a value"),
+        ("analyze", "--threads x", 1, "--threads: invalid value"),
+        ("filter", "--threads 0", 1, "--threads must be at least 1"),
+        ("outages", "--spatial-secs y", 1, "--spatial-secs: invalid"),
+        ("filter", "--format bgl", 3, formats),
+    ] {
+        let out = on_site(sub, &flags.split(' ').collect::<Vec<_>>());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{sub} {flags}: {err}");
+        assert!(err.contains(message), "{sub} {flags}: {err}");
+    }
 }
 
 #[test]
 fn outages_reports_episodes_or_none() {
-    let dir = site_logs();
-    let out = coctl()
-        .arg("outages")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .output()
-        .unwrap();
+    let out = on_site("outages", &[]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("episodes"));

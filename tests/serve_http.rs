@@ -138,9 +138,9 @@ fn smoke_100k_records_reconcile_exactly() {
 
     wait_records_in(&server, records.len() as u64);
 
-    // Reference: one analyzer, same ordered stream, same thresholds.
-    let cfg = ServeConfig::default();
-    let mut reference = OnlineAnalyzer::with_thresholds(cfg.temporal, cfg.spatial);
+    // Reference: one analyzer, same ordered stream, the default thresholds
+    // (the daemon's).
+    let mut reference = OnlineAnalyzer::new();
     for r in &records {
         reference.push(r);
     }
@@ -293,10 +293,11 @@ fn http_front_end_rejects_junk_and_unknown_routes() {
 #[test]
 fn full_analysis_route_serves_the_incremental_report() {
     // Stream a simulated site into a --full-analysis daemon and check that
-    // /analysis serves the report an offline `coctl analyze` would print on
-    // the same logs — the delta-equivalence gate, end to end over sockets.
+    // /analysis serves the report `coctl analyze` prints on the same logs —
+    // the delta-equivalence gate, end to end over sockets, binary to binary.
     // The second run moves the dedup windows off their defaults: the fold
-    // must filter with the daemon's own --temporal-secs/--spatial-secs.
+    // must filter with the daemon's own --temporal-secs/--spatial-secs, and
+    // coctl with its own.
     let out = Simulation::new(SimConfig::small_test(21))
         .expect("valid config")
         .run();
@@ -306,25 +307,31 @@ fn full_analysis_route_serves_the_incremental_report() {
 }
 
 /// One `--full-analysis` daemon run over `out` with the given dedup windows
-/// (seconds), checked against the offline pipeline run with the same ones.
+/// (seconds), checked against the `coctl analyze` binary run with the same
+/// flags on the same files.
 fn serve_full_analysis(out: &bgp_coanalysis::bgp_sim::SimOutput, temporal: i64, spatial: i64) {
-    use bgp_coanalysis::bgp_model::Duration as Secs;
     let dir = std::env::temp_dir().join(format!(
         "bgp-serve-analysis-{}-{temporal}-{spatial}",
         std::process::id()
     ));
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let jobs_path = dir.join("jobs.log");
-    let mut w = std::io::BufWriter::new(std::fs::File::create(&jobs_path).expect("create jobs"));
-    bgp_coanalysis::joblog::write_log(&mut w, out.jobs.jobs()).expect("write jobs");
-    w.flush().expect("flush jobs");
-    drop(w);
+    let (ras_path, jobs_path) = (dir.join("ras.log"), dir.join("jobs.log"));
+    let (mut ras, mut jobs) = (Vec::new(), Vec::new());
+    bgp_coanalysis::raslog::write_log(&mut ras, out.ras.records()).expect("write ras");
+    bgp_coanalysis::joblog::write_log(&mut jobs, out.jobs.jobs()).expect("write jobs");
+    std::fs::write(&ras_path, ras).expect("save ras");
+    std::fs::write(&jobs_path, jobs).expect("save jobs");
 
-    let mut cfg = loopback_cfg();
-    cfg.full_analysis = true;
-    cfg.jobs = Some(jobs_path.clone());
-    cfg.temporal = Secs::seconds(temporal);
-    cfg.spatial = Secs::seconds(spatial);
+    let flags = format!(
+        "--full-analysis --jobs {} --temporal-secs {temporal} --spatial-secs {spatial}",
+        jobs_path.display()
+    );
+    let flags: Vec<String> = flags.split(' ').map(str::to_owned).collect();
+    let cfg = ServeConfig {
+        ingest_addr: "127.0.0.1:0".to_owned(),
+        http_addr: "127.0.0.1:0".to_owned(),
+        ..ServeConfig::from_args(&flags).expect("valid flags")
+    };
     let server = Server::start(&cfg).expect("daemon starts");
 
     let mut ingest = TcpStream::connect(server.ingest_addr()).expect("connect ingest");
@@ -342,19 +349,26 @@ fn serve_full_analysis(out: &bgp_coanalysis::bgp_sim::SimOutput, temporal: i64, 
     let (status, body) = http_get(server.http_addr(), "/analysis");
     assert!(status.contains("200"), "{status}");
     assert!(body.starts_with("# full analysis:"), "{body}");
-    let mut oracle_cfg = bgp_coanalysis::coanalysis::CoAnalysisConfig::default();
-    oracle_cfg.temporal.threshold = Secs::seconds(temporal);
-    oracle_cfg.spatial.threshold = Secs::seconds(spatial);
-    let oracle =
-        bgp_coanalysis::coanalysis::CoAnalysis::with_config(oracle_cfg).run(&out.ras, &out.jobs);
-    let expected = bgp_coanalysis::bgp_serve::render_report(&oracle);
+    let coctl = std::process::Command::new(env!("CARGO_BIN_EXE_coctl"))
+        .arg("analyze")
+        .args([&ras_path, &jobs_path])
+        .arg("--fda")
+        .args(&flags[3..])
+        .output()
+        .expect("coctl runs");
+    assert!(
+        coctl.status.success(),
+        "{}",
+        String::from_utf8_lossy(&coctl.stderr)
+    );
     let report = body
         .splitn(3, '\n')
         .nth(2)
         .expect("two fold-state header lines");
     assert_eq!(
-        report, expected,
-        "served report must match the offline run ({temporal} s, {spatial} s)"
+        report,
+        String::from_utf8_lossy(&coctl.stdout),
+        "served report must match coctl analyze ({temporal} s, {spatial} s)"
     );
 
     let (status, _) = http_get(server.http_addr(), "/shutdown");
@@ -363,7 +377,9 @@ fn serve_full_analysis(out: &bgp_coanalysis::bgp_sim::SimOutput, temporal: i64, 
     // Conservation: every analyzed record was folded, and only those.
     assert_eq!(full.snapshot().records, summary.counters.records_in);
     // The online counters dedup with the same windows as the fold.
-    let stats = oracle.filter_stats;
+    let stats = bgp_coanalysis::coanalysis::CoAnalysis::with_config(cfg.analysis)
+        .run(&out.ras, &out.jobs)
+        .filter_stats;
     assert_eq!(
         summary.counters.merged_temporal as usize,
         stats.raw_fatal - stats.after_temporal
@@ -374,8 +390,7 @@ fn serve_full_analysis(out: &bgp_coanalysis::bgp_sim::SimOutput, temporal: i64, 
         analysis.contains(&format!("({want} records)")),
         "{analysis}"
     );
-    let _ = std::fs::remove_file(&jobs_path);
-    let _ = std::fs::remove_dir(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

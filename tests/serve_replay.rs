@@ -187,7 +187,7 @@ fn smoke_replayed_from_committed_cassette_reconciles_exactly() {
     assert_eq!(cas.format, LogFormat::Bgp);
     assert_eq!(cas.kind, StreamKind::Ras);
     let decoder = LineDecoder::for_format(cas.format).expect("bgp is line-streamable");
-    let mut reference = OnlineAnalyzer::with_thresholds(cfg.temporal, cfg.spatial);
+    let mut reference = OnlineAnalyzer::new();
     let mut malformed = 0u64;
     for line in cas.replay_bytes().split(|&b| b == b'\n') {
         if line.is_empty() {
