@@ -55,11 +55,6 @@ impl Duration {
         self.0
     }
 
-    /// This duration in (possibly fractional) hours.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3600.0
-    }
-
     /// Absolute value.
     pub const fn abs(self) -> Duration {
         Duration(self.0.abs())

@@ -129,7 +129,13 @@ impl OnlineAnalyzer {
             temporal: DedupWindow::new(temporal),
             spatial: DedupWindow::new(spatial),
             impact: None,
-            horizon: Duration::seconds(temporal.as_secs().max(spatial.as_secs()) * 4 + 1),
+            horizon: Duration::seconds(
+                temporal
+                    .as_secs()
+                    .max(spatial.as_secs())
+                    .saturating_mul(4)
+                    .saturating_add(1),
+            ),
             counters: StreamCounters::default(),
         }
     }
@@ -202,7 +208,7 @@ impl OnlineAnalyzer {
 
     /// Drop rolling state older than the horizon before `now`.
     fn evict_before(&mut self, now: Timestamp) {
-        let cutoff = now - self.horizon;
+        let cutoff = Timestamp::from_unix(now.as_unix().saturating_sub(self.horizon.as_secs()));
         self.temporal.evict_before(cutoff);
         self.spatial.evict_before(cutoff);
     }
@@ -395,5 +401,28 @@ mod tests {
             StreamDecision::NewEvent { .. }
         ));
         assert!(a.counters().is_consistent());
+    }
+
+    #[test]
+    fn the_widest_windows_saturate_the_horizon_and_evict_nothing() {
+        // `--temporal-secs 9223372036854775807`: a horizon of four windows
+        // would overflow, and a wrapped one would evict every tick.
+        let widest = Duration::seconds(i64::MAX);
+        let mut a = OnlineAnalyzer::with_thresholds(widest, widest);
+        assert_eq!(a.horizon, widest);
+        for i in 0..2 * EVICT_EVERY {
+            a.push(&rec(
+                i,
+                i as i64 * 10_000,
+                "R00-M0-N00-J00",
+                "_bgp_err_kernel_panic",
+            ));
+        }
+        assert_eq!(
+            a.events_out(),
+            1,
+            "one key, never evicted, merges every record"
+        );
+        assert_eq!(a.temporal.len(), 1);
     }
 }

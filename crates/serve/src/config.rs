@@ -207,12 +207,8 @@ pub fn analysis_flag<'a>(
                 .ok_or_else(|| ServeError::Config("--format needs a format name".into()))?;
             *format = name.parse().map_err(ServeError::Format)?;
         }
-        ("--temporal-secs", Some(a)) => {
-            a.temporal.threshold = Duration::seconds(take_parsed(it, flag)?);
-        }
-        ("--spatial-secs", Some(a)) => {
-            a.spatial.threshold = Duration::seconds(take_parsed(it, flag)?);
-        }
+        ("--temporal-secs", Some(a)) => a.temporal.threshold = take_window(it, flag)?,
+        ("--spatial-secs", Some(a)) => a.spatial.threshold = take_window(it, flag)?,
         ("--threads", Some(a)) => {
             a.threads = take_parsed(it, flag)?;
             if a.threads == 0 {
@@ -237,6 +233,18 @@ fn take_parsed<'a, T: std::str::FromStr>(
     let v = take(it, flag)?;
     v.parse()
         .map_err(|_| ServeError::Config(format!("{flag}: invalid value {v:?}")))
+}
+
+/// A dedup window in whole seconds: 0 or more.
+fn take_window<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<Duration, ServeError> {
+    let secs: i64 = take_parsed(it, flag)?;
+    if secs < 0 {
+        return Err(ServeError::Config(format!("{flag} must be at least 0")));
+    }
+    Ok(Duration::seconds(secs))
 }
 
 /// Header line of the impact-verdict format.
@@ -390,6 +398,8 @@ mod tests {
                 "--threads only makes sense with --full-analysis",
             ),
             ("--threads x", r#"--threads: invalid value "x""#),
+            ("--temporal-secs -5", "--temporal-secs must be at least 0"),
+            ("--spatial-secs -1", "--spatial-secs must be at least 0"),
             ("--format bgl", "unknown log format"),
             ("--format bgq", "not a line-streamable format"),
             ("--format cassette", "--replay"),

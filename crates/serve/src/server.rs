@@ -295,11 +295,6 @@ impl Server {
         self.shutdown.request();
     }
 
-    /// Has a shutdown been requested (by either API or HTTP)?
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.requested()
-    }
-
     /// Block until shutdown is requested, drain everything, and return the
     /// final tallies. Every record accepted before the ingest sources closed
     /// is analyzed before this returns.

@@ -50,11 +50,6 @@ impl Summary {
             max,
         })
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
 }
 
 /// The `q`-th quantile (0 ≤ q ≤ 1) by linear interpolation between order

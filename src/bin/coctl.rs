@@ -339,11 +339,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         Ok(true)
     })?;
     let [ras_path, jobs_path] = positional[..] else {
-        return Err(CliError::Usage(
-            "analyze needs RAS.log and JOBS.log (+ optional --timings, --threads N, \
-             --impact-out FILE, --fda)"
-                .into(),
-        ));
+        return Err(CliError::Usage("analyze needs RAS.log and JOBS.log".into()));
     };
     let (ras, jobs) = load_both(ras_path, jobs_path, &opts)?;
     let pipeline = CoAnalysis::with_config(config);

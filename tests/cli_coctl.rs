@@ -5,10 +5,10 @@
 // fixture should fail the test loudly, not thread Results around.
 #![allow(clippy::unwrap_used, clippy::expect_used, missing_docs)]
 
-use bgp_coanalysis::bgp_serve::render_report;
-use bgp_coanalysis::coanalysis::{load, CoAnalysis, LoadOptions, StageId};
+use bgp_coanalysis::coanalysis::StageId;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::OnceLock;
 
 fn coctl() -> Command {
     Command::new(env!("CARGO_BIN_EXE_coctl"))
@@ -23,7 +23,6 @@ fn workdir(name: &str) -> PathBuf {
 
 /// Simulate once per test binary run; several tests share the files.
 fn site_logs() -> &'static PathBuf {
-    use std::sync::OnceLock;
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
         let dir = workdir("shared");
@@ -49,6 +48,17 @@ fn on_site(sub: &str, flags: &[&str]) -> std::process::Output {
         cmd.arg(dir.join("jobs.log"));
     }
     cmd.args(flags).output().unwrap()
+}
+
+/// Plain `coctl analyze` on the shared site, run once for the tests that
+/// compare with it.
+fn plain_report() -> &'static str {
+    static OUT: OnceLock<String> = OnceLock::new();
+    OUT.get_or_init(|| {
+        let out = on_site("analyze", &[]);
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    })
 }
 
 #[test]
@@ -108,40 +118,19 @@ const SITE_PROFILE: &str = "32139 records over 15 days\n\
 
 #[test]
 fn summary_profiles_the_ras_log() {
-    let dir = site_logs();
-    let summary = |snapshot: Option<&PathBuf>| {
-        let mut cmd = coctl();
-        cmd.arg("summary").arg(dir.join("ras.log"));
-        if let Some(cache) = snapshot {
-            cmd.arg("--snapshot").arg(cache);
-        }
-        let out = cmd.output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out
-    };
-    let out = summary(None);
+    let out = on_site("summary", &[]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.starts_with(SITE_PROFILE), "{text}");
     assert!(text.contains("top FATAL codes:"));
 
     // A projected co-analysis load writes the snapshot cache; a full load
-    // reading it back still sees every record.
+    // reading it back still sees every record, and each run says what the
+    // cache did.
     let cache = workdir("summary-after-analyze");
-    let analyze = coctl()
-        .arg("analyze")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .arg("--snapshot")
-        .arg(&cache)
-        .output()
-        .unwrap();
-    assert!(analyze.status.success());
+    let cache = ["--snapshot", cache.to_str().unwrap()];
+    let analyze = on_site("analyze", &cache);
     assert!(String::from_utf8_lossy(&analyze.stderr).contains("ras.log: snapshot written"));
-    let cached = summary(Some(&cache));
+    let cached = on_site("summary", &cache);
     assert!(String::from_utf8_lossy(&cached.stderr).contains("snapshot loaded"));
     assert_eq!(cached.stdout, out.stdout);
 }
@@ -159,11 +148,7 @@ fn coctl_on_a_pipe(log: &std::path::Path, args: &[&std::ffi::OsStr]) -> std::pro
         .stdin(cat.stdout.take().unwrap())
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "{out:?}");
     assert!(cat.wait().unwrap().success());
     out
 }
@@ -215,24 +200,15 @@ fn analyze_on_a_log_without_fatal_records_prints_the_empty_funnel() {
         .filter(|l| !l.contains("|FATAL|"))
         .flat_map(|l| [l, "\n"])
         .collect();
-    assert!(
-        quiet.lines().count() > 1000,
-        "the log keeps its other records"
-    );
+    assert!(quiet.lines().count() > 1000, "the other records stay");
     let ras = work.join("ras.log");
     std::fs::write(&ras, quiet).unwrap();
-    let out = coctl()
-        .arg("analyze")
-        .arg(&ras)
-        .arg(dir.join("jobs.log"))
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let analyze = || {
+        let jobs = dir.join("jobs.log");
+        coctl().arg("analyze").args([&ras, &jobs]).output().unwrap()
+    };
+    let out = analyze();
+    assert!(out.status.success(), "{out:?}");
     let report = String::from_utf8_lossy(&out.stdout);
     assert!(
         report.starts_with(
@@ -243,21 +219,14 @@ fn analyze_on_a_log_without_fatal_records_prints_the_empty_funnel() {
     );
     // A log with no parsable record at all is still refused.
     std::fs::write(&ras, "garbage\n\nmore garbage\n").unwrap();
-    let out = coctl()
-        .arg("analyze")
-        .arg(&ras)
-        .arg(dir.join("jobs.log"))
-        .output()
-        .unwrap();
+    let out = analyze();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no parsable RAS records"));
 }
 
 #[test]
 fn analyze_prints_the_observations() {
-    let out = on_site("analyze", &[]);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = plain_report();
     assert!(text.contains("Obs 12"));
     assert!(text.contains("filtering:"));
 }
@@ -270,11 +239,7 @@ fn analyze_timings_and_impact_out() {
         "analyze",
         &["--timings", "--impact-out", impact.to_str().unwrap()],
     );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     // A per-stage wall-time block naming every stage comes first...
     let (block, rest) = text
@@ -291,85 +256,12 @@ fn analyze_timings_and_impact_out() {
     // what an untimed run prints.
     let (wrote, report) = rest.split_once('\n').unwrap();
     assert!(wrote.contains("impact verdicts to"), "{wrote}");
-    let plain = on_site("analyze", &[]);
-    assert!(plain.status.success());
-    assert_eq!(report, String::from_utf8_lossy(&plain.stdout));
+    assert_eq!(report, plain_report());
     // The impact file round-trips through the serve-side parser.
     let written = std::fs::read_to_string(&impact).unwrap();
     assert!(written.starts_with("# bgp-impact v1"));
     let parsed = bgp_coanalysis::bgp_serve::parse_impact(&written, "impact.txt").unwrap();
     assert!(!parsed.per_code.is_empty());
-}
-
-#[test]
-fn analyze_append_is_byte_identical_to_one_shot() {
-    // Split the shared site at a line boundary into "day 1" and "day 2",
-    // then check `analyze BASE --append DAY2` prints byte-for-byte what a
-    // one-shot run over the whole logs prints.
-    let dir = site_logs();
-    let split_dir = workdir("append-split");
-    let split = |name: &str, frac_num: usize, frac_den: usize| -> (PathBuf, PathBuf) {
-        let text = std::fs::read_to_string(dir.join(name)).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let cut = lines.len() * frac_num / frac_den;
-        let head = split_dir.join(format!("day1-{name}"));
-        let tail = split_dir.join(format!("day2-{name}"));
-        std::fs::write(&head, lines[..cut].join("\n") + "\n").unwrap();
-        std::fs::write(&tail, lines[cut..].join("\n") + "\n").unwrap();
-        (head, tail)
-    };
-    let (ras1, ras2) = split("ras.log", 7, 10);
-    let (jobs1, jobs2) = split("jobs.log", 7, 10);
-
-    let full = coctl()
-        .arg("analyze")
-        .arg(dir.join("ras.log"))
-        .arg(dir.join("jobs.log"))
-        .output()
-        .unwrap();
-    assert!(full.status.success());
-
-    let delta = coctl()
-        .arg("analyze")
-        .args([&ras1, &jobs1])
-        .arg("--append")
-        .arg(&ras2)
-        .arg("--append-jobs")
-        .arg(&jobs2)
-        .output()
-        .unwrap();
-    assert!(
-        delta.status.success(),
-        "{}",
-        String::from_utf8_lossy(&delta.stderr)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&delta.stdout),
-        String::from_utf8_lossy(&full.stdout),
-        "incremental report must match the one-shot run byte for byte"
-    );
-    // The per-batch fold notes go to stderr, keeping stdout comparable.
-    let err = String::from_utf8_lossy(&delta.stderr);
-    assert!(err.contains("re-ran"), "{err}");
-
-    // --timings composes with --append: each fold reports the wall clock
-    // of the stages it actually re-ran, on stderr, and stdout stays
-    // byte-identical to the one-shot run.
-    let timed = coctl()
-        .arg("analyze")
-        .args([&ras1, &jobs1])
-        .arg("--append")
-        .arg(&ras2)
-        .arg("--timings")
-        .output()
-        .unwrap();
-    assert!(
-        timed.status.success(),
-        "{}",
-        String::from_utf8_lossy(&timed.stderr)
-    );
-    let err = String::from_utf8_lossy(&timed.stderr);
-    assert!(err.contains("fold 1 stage timings:"), "{err}");
 }
 
 #[test]
@@ -415,11 +307,7 @@ fn analyze_append_with_a_late_non_fatal_record_matches_one_shot() {
         .arg(&day2)
         .output()
         .unwrap();
-    assert!(
-        folded.status.success(),
-        "{}",
-        String::from_utf8_lossy(&folded.stderr)
-    );
+    assert!(folded.status.success(), "{folded:?}");
     assert_eq!(
         String::from_utf8_lossy(&folded.stdout),
         String::from_utf8_lossy(&one_shot.stdout)
@@ -428,38 +316,16 @@ fn analyze_append_with_a_late_non_fatal_record_matches_one_shot() {
 
 #[test]
 fn analyze_fda_appends_the_dimensional_table() {
-    let plain = on_site("analyze", &[]);
-    assert!(plain.status.success());
     let fda = on_site("analyze", &["--fda"]);
-    assert!(
-        fda.status.success(),
-        "{}",
-        String::from_utf8_lossy(&fda.stderr)
-    );
-    let plain_text = String::from_utf8_lossy(&plain.stdout);
+    assert!(fda.status.success(), "{fda:?}");
+    let plain_text = plain_report();
     let text = String::from_utf8_lossy(&fda.stdout);
-    // The flag strictly appends: the observation report is unchanged.
-    assert!(text.starts_with(plain_text.as_ref()), "--fda must append");
+    // The flag strictly appends: the observation report is unchanged. The
+    // whole report is the golden every row of `tests/report_paths.rs`
+    // prints on this site.
+    assert!(text.starts_with(plain_text), "--fda must append");
     assert!(!plain_text.contains("Dimensional root cause"));
-    assert!(text.contains("Dimensional root cause (FDA)"), "{text}");
-}
-
-#[test]
-fn analyze_fda_prints_the_served_report() {
-    // `coctl analyze --fda` and the daemon's `/analysis` body share one
-    // formatter: stdout is exactly `render_report` of a library run on the
-    // same logs.
-    let dir = site_logs();
-    let out = on_site("analyze", &["--fda"]);
-    assert!(out.status.success());
-    let (ras, jobs) = load::load_pair(
-        &dir.join("ras.log"),
-        &dir.join("jobs.log"),
-        &LoadOptions::default(),
-    )
-    .unwrap();
-    let expected = render_report(&CoAnalysis::default().run(&ras.log, &jobs.log));
-    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+    assert_eq!(text, include_str!("fixtures/analyze-fda-15d-seed5.txt"));
 }
 
 #[test]
@@ -467,14 +333,8 @@ fn filter_writes_a_clean_log() {
     // With the windows and thread count `analyze` takes, `filter` writes
     // the events `analyze` counts: a header line, then one per event.
     let clean = workdir("filter").join("clean.log");
-    let windows = [
-        "--temporal-secs",
-        "60",
-        "--spatial-secs",
-        "120",
-        "--threads",
-        "2",
-    ];
+    let windows = "--temporal-secs 60 --spatial-secs 120 --threads 2";
+    let windows: Vec<&str> = windows.split(' ').collect();
     let out = on_site(
         "filter",
         &[&windows[..], &["-o", clean.to_str().unwrap()]].concat(),
@@ -508,6 +368,13 @@ fn flag_errors_are_reported_not_taken_as_paths() {
         ("analyze", "--threads x", 1, "--threads: invalid value"),
         ("filter", "--threads 0", 1, "--threads must be at least 1"),
         ("outages", "--spatial-secs y", 1, "--spatial-secs: invalid"),
+        (
+            "analyze",
+            "--temporal-secs -5",
+            1,
+            "-secs must be at least 0",
+        ),
+        ("analyze", "extra.log", 1, "needs RAS.log and JOBS.log\n"),
         ("filter", "--format bgl", 3, formats),
     ] {
         let out = on_site(sub, &flags.split(' ').collect::<Vec<_>>());
@@ -523,90 +390,6 @@ fn outages_reports_episodes_or_none() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("episodes"));
-}
-
-#[test]
-fn snapshot_flag_writes_then_reuses_the_cache() {
-    let dir = site_logs();
-    let cache = workdir("snap-reuse");
-    let run = || {
-        coctl()
-            .arg("summary")
-            .arg(dir.join("ras.log"))
-            .arg("--snapshot")
-            .arg(&cache)
-            .output()
-            .unwrap()
-    };
-    let first = run();
-    assert!(
-        first.status.success(),
-        "{}",
-        String::from_utf8_lossy(&first.stderr)
-    );
-    assert!(String::from_utf8_lossy(&first.stderr).contains("snapshot written"));
-    assert!(cache.join("ras.log.bgpsnap").exists());
-    // Second run loads the snapshot instead of re-parsing, and the report
-    // is byte-for-byte the same either way.
-    let second = run();
-    assert!(second.status.success());
-    assert!(String::from_utf8_lossy(&second.stderr).contains("snapshot loaded"));
-    assert_eq!(first.stdout, second.stdout);
-}
-
-/// `summary` and `analyze` share one snapshot file: an `analyze` hit on the
-/// file `summary` wrote writes nothing, and a corrupt FATAL section — the
-/// part `analyze` reads — makes it re-parse the source and rewrite the file.
-#[test]
-fn corrupt_snapshot_falls_back_to_reparsing() {
-    let dir = site_logs();
-    let cache = workdir("snap-corrupt");
-    let ras = dir.join("ras.log");
-    let run = |args: &[&std::path::Path]| {
-        let out = coctl()
-            .args(args)
-            .arg("--snapshot")
-            .arg(&cache)
-            .output()
-            .unwrap();
-        let notes = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert!(out.status.success(), "{notes}");
-        (out.stdout, notes)
-    };
-    let analyze = || run(&["analyze".as_ref(), &ras, &dir.join("jobs.log")]);
-    let ras_note = |notes: &str, status: &str| {
-        notes.contains(&format!("{}: snapshot {status}", ras.display()))
-    };
-    let (_, notes) = run(&["summary".as_ref(), &ras]);
-    assert!(ras_note(&notes, "written"), "stderr: {notes}");
-    let snap = cache.join("ras.log.bgpsnap");
-    let written = std::fs::read(&snap).unwrap();
-    let (first, notes) = analyze();
-    assert!(ras_note(&notes, "loaded"), "stderr: {notes}");
-    assert!(
-        std::fs::read(&snap).unwrap() == written,
-        "a hit rewrote the snapshot"
-    );
-    let mut files: Vec<_> = std::fs::read_dir(&cache)
-        .unwrap()
-        .map(|e| e.unwrap().file_name())
-        .collect();
-    files.sort();
-    assert_eq!(files, ["jobs.log.bgpsnap", "ras.log.bgpsnap"]);
-    // Flip the last byte of the FATAL section (its FATAL count is the
-    // tally's first field, at byte 32; the section starts at byte 56).
-    let fatal = u64::from_le_bytes(written[32..40].try_into().unwrap()) as usize;
-    assert!(fatal > 0);
-    let mut bytes = written.clone();
-    bytes[56 + 23 * fatal - 1] ^= 0xff;
-    std::fs::write(&snap, &bytes).unwrap();
-    let (second, notes) = analyze();
-    assert!(ras_note(&notes, "rewritten"), "stderr: {notes}");
-    assert!(
-        std::fs::read(&snap).unwrap() == written,
-        "rewritten from the source"
-    );
-    assert_eq!(first, second);
 }
 
 #[test]
@@ -662,53 +445,27 @@ fn syslog_format_summarizes_a_messages_file() {
         .args(["--format", "syslog"])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("records over"), "stdout: {text}");
 }
 
+/// A truncated cassette is an I/O-class failure, not a silent empty log.
 #[test]
-fn cassette_replay_analyzes_identically_to_the_source_log() {
-    use bgp_coanalysis::bgp_ports::cassette::{Recorder, StreamKind};
-    use bgp_coanalysis::bgp_ports::LogFormat;
-    let dir = site_logs();
-    let cas_path = dir.join("ras.bgpcas");
-    // Record the simulated RAS log into a cassette in awkward 4 KiB chunks.
-    let bytes = std::fs::read(dir.join("ras.log")).unwrap();
-    let mut rec = Recorder::new(LogFormat::Bgp, StreamKind::Ras).unwrap();
-    for chunk in bytes.chunks(4096) {
-        rec.push(1_000_000, chunk);
-    }
-    std::fs::write(&cas_path, rec.finish().encode()).unwrap();
-    let analyze = |ras: &PathBuf, format: &str| {
-        coctl()
-            .arg("analyze")
-            .arg(ras)
-            .arg(dir.join("jobs.log"))
-            .args(["--format", format])
-            .output()
-            .unwrap()
-    };
-    let direct = analyze(&dir.join("ras.log"), "bgp");
-    assert!(direct.status.success());
-    let replayed = analyze(&cas_path, "cassette");
-    assert!(
-        replayed.status.success(),
-        "{}",
-        String::from_utf8_lossy(&replayed.stderr)
-    );
-    // The replay is byte-identical analysis input, so the full observation
-    // report matches byte for byte.
-    assert_eq!(direct.stdout, replayed.stdout);
-    // A truncated cassette is an I/O-class failure, not a silent empty log.
-    let cas = std::fs::read(&cas_path).unwrap();
-    std::fs::write(&cas_path, &cas[..cas.len() / 2]).unwrap();
-    let bad = analyze(&cas_path, "cassette");
-    assert_eq!(bad.status.code(), Some(2));
+fn truncated_cassette_exits_with_io_error_code() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let cas = std::fs::read(fixtures.join("serve_smoke.bgpcas")).unwrap();
+    let truncated = workdir("truncated-cassette").join("ras.bgpcas");
+    std::fs::write(&truncated, &cas[..cas.len() / 2]).unwrap();
+    let out = coctl()
+        .arg("analyze")
+        .arg(&truncated)
+        .arg(fixtures.join("append_split/day1-jobs.log"))
+        .args(["--format", "cassette"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cassette"));
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! The delta-ingestion gate: folding batches through `DeltaSession::append`
 //! must be **bit-identical** to a cold full run over the concatenated
-//! input — golden two-day splits of a simulated site plus proptests over
-//! random (empty / duplicate / out-of-order) splits of a record stream.
+//! input — every tick of a time split, the loader's projected base, empty
+//! and job-only batches, plus proptests over random (empty / duplicate /
+//! out-of-order) splits of a record stream. Folds of a simulated site's
+//! files are in `tests/report_paths.rs`.
 
 // Integration-test helpers follow the test-code panic policy: a broken
 // fixture should fail the test loudly, not thread Results around.
@@ -67,39 +69,6 @@ fn split_sim(
     ((head, jhead), (tail, jtail))
 }
 
-#[test]
-fn two_day_split_is_bit_identical_to_one_shot() {
-    let cfg = CoAnalysisConfig::default();
-    let ((ras1, jobs1), (ras2, jobs2)) = split_sim(41, 0.7);
-    assert!(
-        !ras2.is_empty() && !jobs2.is_empty(),
-        "tail day must be non-trivial"
-    );
-
-    let mut all_ras = ras1.clone();
-    all_ras.extend(ras2.iter().cloned());
-    let mut all_jobs = jobs1.clone();
-    all_jobs.extend(jobs2.iter().cloned());
-    let full = oracle(cfg, all_ras, all_jobs);
-
-    let (mut session, day1) = DeltaSession::new(
-        cfg,
-        &RasLog::from_records(ras1.clone()),
-        JobLog::from_jobs(jobs1.clone()),
-    );
-    // Day 1 alone must equal a cold run on day 1 alone.
-    assert_results_identical(&day1, &oracle(cfg, ras1, jobs1));
-
-    let (day2, report) = session.append(AppendBatch {
-        ras: ras2,
-        jobs: jobs2,
-    });
-    assert_results_identical(&day2, &full);
-    // A batch with both RAS and job rows dirties the whole graph's inputs.
-    assert!(report.reran.contains(StageId::TemporalSpatial));
-    assert!(report.reran.contains(StageId::Matching));
-}
-
 /// The loader path of `coctl analyze --append`: the base pair comes from
 /// `load_pair`, which keeps only the FATAL records, and each appended day
 /// from the full `load_ras`. Day 2 here ends on a non-FATAL record days
@@ -159,52 +128,6 @@ fn loaded_fold_keeps_the_span_of_projected_away_records() {
     let fatal_window = CoAnalysis::with_config(cfg).run(&all.log.fatal_only(), &all_job_log.log);
     assert!(fatal_window.burst.per_day.len() < one_shot.burst.per_day.len());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn many_small_batches_match_one_shot() {
-    let cfg = CoAnalysisConfig::default();
-    let out = Simulation::new(SimConfig::small_test(42))
-        .expect("valid config")
-        .run();
-    let records: Vec<RasRecord> = out.ras.records().to_vec();
-    let jobs: Vec<JobRecord> = out.jobs.jobs().to_vec();
-    let full = oracle(cfg, records.clone(), jobs.clone());
-
-    // Fold in five uneven slices (by index, so batches are *not* clean time
-    // splits of each other's tails).
-    let cuts = [
-        records.len() / 7,
-        records.len() / 3,
-        records.len() / 2,
-        5 * records.len() / 6,
-    ];
-    let jcuts = [
-        jobs.len() / 7,
-        jobs.len() / 3,
-        jobs.len() / 2,
-        5 * jobs.len() / 6,
-    ];
-    let (mut session, _) = DeltaSession::new(
-        cfg,
-        &RasLog::from_records(records[..cuts[0]].to_vec()),
-        JobLog::from_jobs(jobs[..jcuts[0]].to_vec()),
-    );
-    let mut last = None;
-    for i in 0..cuts.len() {
-        let rhi = cuts.get(i + 1).copied().unwrap_or(records.len());
-        let jhi = jcuts.get(i + 1).copied().unwrap_or(jobs.len());
-        let (result, _) = session.append(AppendBatch {
-            ras: records[cuts[i]..rhi].to_vec(),
-            jobs: jobs[jcuts[i]..jhi].to_vec(),
-        });
-        last = Some(result);
-    }
-    let last = last.expect("at least one batch");
-    assert_results_identical(&last, &full);
-    let (events, job_rows) = session.ingested();
-    assert_eq!(job_rows, jobs.len());
-    assert!(events > 0);
 }
 
 #[test]

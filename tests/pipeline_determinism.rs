@@ -6,7 +6,7 @@ use bgp_coanalysis::coanalysis::{
     load, AnalysisContext, AnalysisSet, CoAnalysis, CoAnalysisConfig, Event, LoadOptions,
 };
 use bgp_coanalysis::joblog::{self, JobRecord};
-use bgp_coanalysis::raslog::{self, RasRecord, Severity};
+use bgp_coanalysis::raslog::{self, RasRecord};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::path::Path;
@@ -78,13 +78,6 @@ fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
     }
 }
 
-/// Shuffle `items` (sorted by `key`) only within runs of equal keys.
-fn shuffle_ties<T, K: PartialEq>(items: &mut [T], key: impl Fn(&T) -> K, rng: &mut SmallRng) {
-    for run in items.chunk_by_mut(|a, b| key(a) == key(b)) {
-        shuffle(run, rng);
-    }
-}
-
 /// The two logs as text lines, in the given record order.
 fn log_lines(ras: &[RasRecord], jobs: &[JobRecord]) -> (Vec<String>, Vec<String>) {
     (
@@ -113,44 +106,26 @@ fn report_of(dir: &Path, (ras, jobs): &(Vec<String>, Vec<String>), threads: usiz
 
 #[test]
 fn report_is_invariant_to_line_order() {
-    // Records that share a timestamp may arrive in any order; the loader's
-    // `(time, recid)` and `(start, job_id)` sorts must make the report a
-    // function of the record set, not of the line order.
+    // Records may arrive in any order; the loader's `(time, recid)` and
+    // `(start, job_id)` sorts must make the report a function of the
+    // record set, not of the line order. (Reorders within one second are a
+    // dirty copy in `tests/report_paths.rs`.)
     let out = Simulation::new(SimConfig::small_test(60))
         .expect("valid config")
         .run();
     let (mut ras, mut jobs) = (out.ras.records().to_vec(), out.jobs.jobs().to_vec());
-    let fatal_times: Vec<_> = ras
-        .iter()
-        .filter(|r| r.severity == Severity::Fatal)
-        .map(|r| r.event_time)
-        .collect();
-    assert!(
-        fatal_times.windows(2).any(|w| w[0] == w[1]),
-        "no two FATAL records share a timestamp: the tie shuffle would be vacuous"
-    );
-
-    let dir = std::env::temp_dir().join(format!("bgp-tie-order-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("bgp-line-order-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let sorted = log_lines(&ras, &jobs);
-    let expected = report_of(&dir, &sorted, 1);
-
+    let expected = report_of(&dir, &log_lines(&ras, &jobs), 1);
     let mut rng = SmallRng::seed_from_u64(61);
-    shuffle_ties(&mut ras, |r| r.event_time, &mut rng);
-    shuffle_ties(&mut jobs, |j| j.start_time, &mut rng);
-    let tied = log_lines(&ras, &jobs);
-    assert_ne!(tied.0, sorted.0, "the tie shuffle moved no RAS line");
     shuffle(&mut ras, &mut rng);
     shuffle(&mut jobs, &mut rng);
-    let full = log_lines(&ras, &jobs);
-
-    for (name, logs) in [("tie-shuffled", &tied), ("fully shuffled", &full)] {
-        for threads in [1, 4] {
-            assert!(
-                report_of(&dir, logs, threads) == expected,
-                "{name} logs at {threads} threads changed the report"
-            );
-        }
+    let shuffled = log_lines(&ras, &jobs);
+    for threads in [1, 4] {
+        assert!(
+            report_of(&dir, &shuffled, threads) == expected,
+            "shuffled logs at {threads} threads changed the report"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
