@@ -12,20 +12,33 @@
 //!    ([`bgp_model::bytes::content_hash_file`]) while the snapshot body
 //!    decodes — then the section of the body the load keeps. There is one
 //!    snapshot file per source ([`snapshot_file`]). A hit skips parsing
-//!    and writes nothing; the source is read once, to hash it. Without a
-//!    snapshot directory nothing is hashed. A source that is not a regular
-//!    file (a pipe) is never hashed on its own, which would consume it: its
-//!    snapshots count as unusable, and it is hashed as it is parsed;
-//! 3. otherwise decode the source as its [`LogFormat`] says. A BG/P source is **streamed, never held whole**: each worker
-//!    reads its share of the file through one fixed window with positioned
-//!    reads and parses the whole lines in it
-//!    ([`bgp_model::bytes::stream_lines`]), so a load that keeps 2 % of the
-//!    records does not hold 100 % of the bytes. A cache miss hashes the
-//!    same windows in the same pass and writes the snapshot for next time,
-//!    stamped with the content hash of the very bytes parsed (to a temp
-//!    file renamed over the old one, so concurrent readers and live
-//!    mappings never see a torn snapshot). The source's length is taken
-//!    once, at the start:
+//!    and writes nothing; the source is read once, to hash it. [`load_pair`]
+//!    reads only the RAS snapshot's front — its FATAL count first, then the
+//!    header, tally and FATAL section, about 1 MB of a 237-day site's
+//!    12.8 MB — and checks the file's length against it, so a truncation
+//!    in the section it skips still fails; [`load_ras`] maps the whole
+//!    file. Without a snapshot directory nothing is hashed. A source that
+//!    is not a regular file (a pipe) is never hashed on its own, which
+//!    would consume it: its snapshots count as unusable, and it is hashed
+//!    as it is parsed;
+//! 3. otherwise decode the source as its [`LogFormat`] says. A BG/P source
+//!    is **streamed, never held whole**: each worker reads its share of the
+//!    file through one fixed window with positioned reads and parses the
+//!    whole lines in it ([`bgp_model::bytes::stream_lines`]), so a load that
+//!    keeps 2 % of the records does not hold 100 % of the bytes. On a cache
+//!    miss the reader hashes the same windows in the same pass, and each RAS
+//!    worker appends the snapshot columns of every record it parses beside
+//!    the records the load keeps, so a [`load_pair`] miss builds no vector
+//!    of every record. The file is written from the workers' columns, in
+//!    worker order, stamped with the content hash of the very bytes parsed
+//!    (to a temp file renamed over the old one, so concurrent readers and
+//!    live mappings never see a torn snapshot). At perfbench's paper scale
+//!    (288 MB of RAS text, 2 vCPUs) a `coctl analyze --snapshot` miss takes
+//!    ~0.31 s and peaks at ~62 MB, against ~0.51 s and ~122 MB when the
+//!    miss parsed every record into a vector and then encoded it; an
+//!    uncached run takes ~0.24 s and ~21 MB. The job log, 5 MB, is
+//!    parsed in full and encoded. The source's length is taken once, at
+//!    the start:
 //!    a source that shrinks during the load is a [`LoadError`], and bytes
 //!    appended meanwhile are left for the next load. A pipe has no length
 //!    to take: one worker reads it to its end. BG/Q, syslog and cassettes
@@ -53,11 +66,10 @@
 //! parses and validates every line, so the other ~98 % of records are never
 //! built; the other adapters decode in full, then filter. Diagnostics and
 //! the snapshot file are the same whichever entry point loads: a cache miss
-//! parses in full and writes the whole snapshot, so `coctl summary` and
-//! `coctl analyze` share one cache file. Its front holds the FATAL records
-//! and the whole log's tally (`raslog::snapshot`), about 1 MB of a 237-day
-//! site's 12.8 MB: a [`load_pair`] hit reads only that, a [`load_ras`] hit
-//! skips it. Each checks the header, the tally, the file's length and
+//! writes the snapshot of every record parsed, whatever the load keeps, so
+//! `coctl summary` and `coctl analyze` share one cache file. Its front
+//! holds the FATAL records and the whole log's tally (`raslog::snapshot`):
+//! a [`load_pair`] hit reads only that, a [`load_ras`] hit skips it. Each checks the header, the tally, the file's length and
 //! every record of the section it reads, so a corrupt record in the other
 //! section is not its miss. `.bgpsnap.fatal` files that older builds wrote
 //! beside the snapshot are never read, and may be deleted.
@@ -65,13 +77,12 @@
 use bgp_model::bytes::content_hash_file;
 use bgp_model::mmap::MappedFile;
 use bgp_model::snapshot::{SnapshotError, SnapshotHeader, SnapshotKind};
-use bgp_ports::SourceBatch;
 pub use bgp_ports::{LogFormat, SourceDiagnostic};
 use joblog::{JobLog, JobRecord};
 use raslog::{Projection, RasLog, RasRecord};
 use std::fmt;
 use std::fs::{self, File};
-use std::io;
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -205,37 +216,61 @@ fn read_file(path: &Path) -> Result<MappedFile, LoadError> {
 /// The record-type specifics of one BG/P log: its snapshot codec, how its
 /// text parses, and what a load keeps of its records.
 trait BgpCodec {
-    /// One parsed record.
-    type Record;
     /// What a load hands back: the kept records, plus any tally of the rest.
     type Kept;
+    /// A snapshot of every record parsed, ready to be written.
+    type Snapshot;
     /// The snapshot kind tag.
     const KIND: SnapshotKind;
     /// The snapshot format version this build reads and writes.
     const VERSION: u32;
     /// Parse the source file, keeping what the load keeps.
-    fn parse(
+    fn parse(&self, file: &File, threads: usize)
+        -> io::Result<(Self::Kept, Vec<SourceDiagnostic>)>;
+    /// Parse the source file on a cache miss: what the load keeps, the
+    /// diagnostics, and the snapshot of every record parsed, stamped with
+    /// the content hash of the bytes parsed, hashed in the same pass.
+    fn parse_missed(
         &self,
         file: &File,
         threads: usize,
-    ) -> io::Result<(Self::Kept, Vec<SourceDiagnostic>)> {
-        let (batch, _) = Self::parse_all(file, threads, false)?;
-        Ok((self.project(batch.records), batch.diagnostics))
+    ) -> io::Result<(Self::Kept, Vec<SourceDiagnostic>, Self::Snapshot)>;
+    /// Write a snapshot out.
+    fn write(snapshot: &Self::Snapshot, out: &mut impl Write) -> io::Result<()>;
+    /// Read what [`BgpCodec::decode`] reads of the snapshot file at
+    /// `path`: by default all of it, mapped.
+    fn read(&self, path: &Path) -> io::Result<SnapshotBytes> {
+        MappedFile::open(path).map(SnapshotBytes::Whole)
     }
-    /// Parse the source file in full, for a snapshot write, with the
-    /// content hash of the bytes parsed if `hash` is set.
-    fn parse_all(
-        file: &File,
-        threads: usize,
-        hash: bool,
-    ) -> io::Result<(SourceBatch<Self::Record>, Option<u64>)>;
-    /// Keep what the load keeps of a full parse.
-    fn project(&self, all: Vec<Self::Record>) -> Self::Kept;
     /// Decode and validate what the load keeps of a snapshot (its source
     /// hash is checked separately).
-    fn decode(&self, snap: &[u8]) -> Result<Self::Kept, SnapshotError>;
-    /// Serialize a full parse, stamped with the source text's hash.
-    fn encode(all: &[Self::Record], source_hash: u64) -> Vec<u8>;
+    fn decode(&self, snap: &SnapshotBytes) -> Result<Self::Kept, SnapshotError>;
+}
+
+/// What a load reads of a snapshot file: all of it, or the first bytes of
+/// it with the file's length.
+#[derive(Debug)]
+enum SnapshotBytes {
+    Whole(MappedFile),
+    Front { bytes: Vec<u8>, file_len: u64 },
+}
+
+impl SnapshotBytes {
+    /// The bytes read.
+    fn bytes(&self) -> &[u8] {
+        match self {
+            SnapshotBytes::Whole(file) => file.bytes(),
+            SnapshotBytes::Front { bytes, .. } => bytes,
+        }
+    }
+
+    /// The length of the whole file.
+    fn file_len(&self) -> u64 {
+        match self {
+            SnapshotBytes::Whole(file) => file.bytes().len() as u64,
+            SnapshotBytes::Front { file_len, .. } => *file_len,
+        }
+    }
 }
 
 /// The RAS log: every record ([`load_ras`]), or only the FATAL ones plus
@@ -256,8 +291,8 @@ impl RasCodec {
 }
 
 impl BgpCodec for RasCodec {
-    type Record = RasRecord;
     type Kept = Projection;
+    type Snapshot = raslog::snapshot::Snapshot;
     const KIND: SnapshotKind = SnapshotKind::Ras;
     const VERSION: u32 = raslog::snapshot::FORMAT_VERSION;
 
@@ -266,30 +301,50 @@ impl BgpCodec for RasCodec {
         file: &File,
         threads: usize,
     ) -> io::Result<(Projection, Vec<SourceDiagnostic>)> {
-        bgp_ports::bgp::decode_ras_file_where(file, threads, self.keep())
+        let (kept, diagnostics, _) =
+            bgp_ports::bgp::decode_ras_file_where(file, threads, false, self.keep())?;
+        Ok((kept, diagnostics))
     }
 
-    fn parse_all(
+    fn parse_missed(
+        &self,
         file: &File,
         threads: usize,
-        hash: bool,
-    ) -> io::Result<(SourceBatch<RasRecord>, Option<u64>)> {
-        bgp_ports::bgp::decode_ras_file(file, threads, hash)
+    ) -> io::Result<(Projection, Vec<SourceDiagnostic>, Self::Snapshot)> {
+        let (kept, diagnostics, snapshot) =
+            bgp_ports::bgp::decode_ras_file_where(file, threads, true, self.keep())?;
+        // The parser builds a snapshot whenever it is asked for one.
+        let snapshot = snapshot.ok_or_else(|| io::Error::other("the parse built no snapshot"))?;
+        Ok((kept, diagnostics, snapshot))
     }
 
-    fn project(&self, all: Vec<RasRecord>) -> Projection {
-        Projection::of(all, self.keep())
+    fn write(snapshot: &Self::Snapshot, out: &mut impl Write) -> io::Result<()> {
+        snapshot.write_to(out)
     }
 
-    fn decode(&self, snap: &[u8]) -> Result<Projection, SnapshotError> {
-        match self {
-            RasCodec::All => raslog::snapshot::decode_snapshot(snap, None).map(|r| self.project(r)),
-            RasCodec::Fatal => raslog::snapshot::decode_fatal(snap, None),
+    /// [`load_pair`] reads only the front — the header, the tally and the
+    /// FATAL section — and the file's length; [`load_ras`] maps it all.
+    fn read(&self, path: &Path) -> io::Result<SnapshotBytes> {
+        if *self == RasCodec::All {
+            return MappedFile::open(path).map(SnapshotBytes::Whole);
         }
+        let mut file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut bytes = vec![0; raslog::snapshot::FRONT_HEAD_LEN.min(file_len as usize)];
+        file.read_exact(&mut bytes)?;
+        let front = raslog::snapshot::front_len(&bytes).min(file_len) as usize;
+        let head = bytes.len();
+        bytes.resize(front, 0);
+        file.read_exact(&mut bytes[head..])?;
+        Ok(SnapshotBytes::Front { bytes, file_len })
     }
 
-    fn encode(all: &[RasRecord], source_hash: u64) -> Vec<u8> {
-        raslog::snapshot::encode_snapshot(all, source_hash)
+    fn decode(&self, snap: &SnapshotBytes) -> Result<Projection, SnapshotError> {
+        match self {
+            RasCodec::All => raslog::snapshot::decode_snapshot(snap.bytes(), None)
+                .map(|r| Projection::of(r, self.keep())),
+            RasCodec::Fatal => raslog::snapshot::decode_front(snap.bytes(), snap.file_len(), None),
+        }
     }
 }
 
@@ -297,38 +352,47 @@ impl BgpCodec for RasCodec {
 struct JobCodec;
 
 impl BgpCodec for JobCodec {
-    type Record = JobRecord;
     type Kept = Vec<JobRecord>;
+    type Snapshot = Vec<u8>;
     const KIND: SnapshotKind = SnapshotKind::Job;
     const VERSION: u32 = joblog::snapshot::FORMAT_VERSION;
 
-    fn parse_all(
+    fn parse(
+        &self,
         file: &File,
         threads: usize,
-        hash: bool,
-    ) -> io::Result<(SourceBatch<JobRecord>, Option<u64>)> {
-        bgp_ports::bgp::decode_jobs_file(file, threads, hash)
+    ) -> io::Result<(Vec<JobRecord>, Vec<SourceDiagnostic>)> {
+        let (batch, _) = bgp_ports::bgp::decode_jobs_file(file, threads, false)?;
+        Ok((batch.records, batch.diagnostics))
     }
 
-    fn project(&self, all: Vec<JobRecord>) -> Vec<JobRecord> {
-        all
+    fn parse_missed(
+        &self,
+        file: &File,
+        threads: usize,
+    ) -> io::Result<(Vec<JobRecord>, Vec<SourceDiagnostic>, Vec<u8>)> {
+        let (batch, hash) = bgp_ports::bgp::decode_jobs_file(file, threads, true)?;
+        // The reader returns a hash whenever it is asked for one.
+        let snapshot = joblog::snapshot::encode_snapshot(&batch.records, hash.unwrap_or_default());
+        Ok((batch.records, batch.diagnostics, snapshot))
     }
 
-    fn decode(&self, snap: &[u8]) -> Result<Vec<JobRecord>, SnapshotError> {
-        joblog::snapshot::decode_snapshot(snap, None)
+    fn write(snapshot: &Vec<u8>, out: &mut impl Write) -> io::Result<()> {
+        out.write_all(snapshot)
     }
 
-    fn encode(all: &[JobRecord], source_hash: u64) -> Vec<u8> {
-        joblog::snapshot::encode_snapshot(all, source_hash)
+    fn decode(&self, snap: &SnapshotBytes) -> Result<Vec<JobRecord>, SnapshotError> {
+        joblog::snapshot::decode_snapshot(snap.bytes(), None)
     }
 }
 
 /// The shared BG/P load skeleton. The source is opened once and only ever
 /// streamed. Without a snapshot directory it parses projected. With one,
 /// the snapshot is checked against the source: a hit decodes what the load
-/// keeps and writes nothing. A miss parses the source in full, hashing the
-/// same windows in the same pass, writes the snapshot, stamped with the
-/// hash of the very bytes parsed, and projects.
+/// keeps and writes nothing. A miss parses the source once, keeping what
+/// the load keeps while it builds the snapshot of every record and hashes
+/// the same windows, then writes the snapshot, stamped with the hash of the
+/// very bytes parsed.
 fn load_bgp<C: BgpCodec>(
     path: &Path,
     opts: &LoadOptions,
@@ -349,11 +413,11 @@ fn load_bgp<C: BgpCodec>(
         Ok(kept) => return Ok((kept, Vec::new(), SnapshotStatus::Loaded)),
         Err(reason) => reason,
     };
-    let (batch, hash) = C::parse_all(&file, threads, true).map_err(|e| cannot_read(path, e))?;
-    // `parse_all` returns a hash whenever it is asked for one.
-    let hash = hash.unwrap_or_default();
+    let (kept, diagnostics, snapshot) = codec
+        .parse_missed(&file, threads)
+        .map_err(|e| cannot_read(path, e))?;
     let status = match (
-        write_snapshot(&snap_path, &C::encode(&batch.records, hash)),
+        write_snapshot(&snap_path, |out| C::write(&snapshot, out)),
         stale_reason,
     ) {
         (Ok(()), None) => SnapshotStatus::Written,
@@ -362,7 +426,7 @@ fn load_bgp<C: BgpCodec>(
             reason: e.to_string(),
         },
     };
-    Ok((codec.project(batch.records), batch.diagnostics, status))
+    Ok((kept, diagnostics, status))
 }
 
 /// Validate the snapshot at `snap_path` against the source `file`,
@@ -385,14 +449,13 @@ fn check_snapshot<C: BgpCodec>(
     threads: usize,
     codec: &C,
 ) -> Result<C::Kept, Option<String>> {
-    let snap = MappedFile::open(snap_path).map_err(|_| None)?;
-    let snap = snap.bytes();
+    let snap = codec.read(snap_path).map_err(|_| None)?;
     let reject = |e: SnapshotError| Some(e.to_string());
-    let header = SnapshotHeader::parse(snap, C::KIND).map_err(reject)?;
+    let header = SnapshotHeader::parse(snap.bytes(), C::KIND).map_err(reject)?;
     header.validate(C::VERSION, None).map_err(reject)?;
     let (hash, body) = std::thread::scope(|scope| {
         let hasher = scope.spawn(|| content_hash_file(file, threads));
-        let body = codec.decode(snap);
+        let body = codec.decode(&snap);
         match hasher.join() {
             Ok(hash) => (hash, body),
             Err(payload) => std::panic::resume_unwind(payload),
@@ -403,19 +466,26 @@ fn check_snapshot<C: BgpCodec>(
     body.map_err(reject)
 }
 
-/// Write `bytes` as the snapshot at `target`, creating its directory.
-fn write_snapshot(target: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Write the snapshot at `target` through `write`, creating its directory.
+fn write_snapshot(
+    target: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
     if let Some(dir) = target.parent() {
         fs::create_dir_all(dir)?;
     }
-    replace_file(target, bytes)
+    replace_file(target, write)
 }
 
-/// Replace `target` with `bytes` atomically: write a uniquely named temp
-/// file in the same directory, then `rename` it over the target. Readers —
-/// including live mappings of the old file — see the old snapshot or the
-/// new one, never a torn one. A failed write removes the temp file.
-fn replace_file(target: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Replace `target` with what `write` writes, atomically: write a uniquely
+/// named temp file in the same directory, then `rename` it over the
+/// target. Readers — including live mappings of the old file — see the old
+/// snapshot or the new one, never a torn one. A failed write removes the
+/// temp file.
+fn replace_file(
+    target: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let name = target
         .file_name()
@@ -425,7 +495,13 @@ fn replace_file(target: &Path, bytes: &[u8]) -> io::Result<()> {
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let result = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, target));
+    let result = File::create(&tmp)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write(&mut out)?;
+            out.flush()
+        })
+        .and_then(|()| fs::rename(&tmp, target));
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
     }
@@ -459,7 +535,7 @@ fn load_ras_as(path: &Path, opts: &LoadOptions, codec: RasCodec) -> Result<Loade
             })?;
         let mut parse_errors = resolved.notes;
         parse_errors.extend(batch.diagnostics);
-        let kept = codec.project(batch.records);
+        let kept = Projection::of(batch.records, codec.keep());
         (kept, parse_errors, SnapshotStatus::Disabled)
     };
     Ok(LoadedRas {
@@ -506,9 +582,10 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
 /// records are never built.
 ///
 /// With a snapshot directory, the RAS side shares [`load_ras`]'s snapshot
-/// file, but a hit validates and decodes only its front — the tally and
-/// the FATAL records — beside the streamed source hash. A miss parses in
-/// full and writes the whole snapshot, as [`load_ras`] does.
+/// file, but a hit reads, validates and decodes only its front — the tally
+/// and the FATAL records — beside the streamed source hash. A miss writes
+/// the whole snapshot, as [`load_ras`] does, from the columns its parse
+/// workers build, while it keeps only the FATAL records.
 #[expect(
     clippy::disallowed_methods,
     reason = "loads the two independent logs side by side and joins both"

@@ -16,6 +16,7 @@
 
 use crate::{SourceBatch, SourceDiagnostic};
 use joblog::JobRecord;
+use raslog::snapshot::Snapshot;
 use raslog::{Projection, RasRecord};
 use std::fs::File;
 use std::io;
@@ -49,9 +50,11 @@ pub fn decode_jobs(data: &[u8], threads: usize) -> SourceBatch<JobRecord> {
 
 /// Decode a BG/P RAS log file (parallel, tolerant), streamed through fixed
 /// per-worker windows, keeping only the records `keep` accepts — the
-/// projection and per-line errors of `raslog::ingest::parse_log_file_where`.
-/// The diagnostics are exactly [`decode_ras_file`]'s: every line is parsed
-/// whether or not it is kept.
+/// projection and per-line errors of `raslog::ingest::parse_log_file_where`,
+/// whose diagnostics are exactly what [`decode_ras`] gives the file's
+/// bytes: every line is parsed whether or not it is kept. If `snapshot` is
+/// set, the file's `.bgpsnap` of every record, built in the same pass and
+/// stamped with the content hash of the bytes parsed, comes with them.
 #[expect(
     clippy::disallowed_methods,
     reason = "the BG/P adapter is the one sanctioned caller of the raw parser entry points"
@@ -59,36 +62,15 @@ pub fn decode_jobs(data: &[u8], threads: usize) -> SourceBatch<JobRecord> {
 pub fn decode_ras_file_where(
     file: &File,
     threads: usize,
+    snapshot: bool,
     keep: impl Fn(&RasRecord) -> bool + Sync,
-) -> io::Result<(Projection, Vec<SourceDiagnostic>)> {
-    let (kept, errors, _) = raslog::ingest::parse_log_file_where(file, threads, false, keep)?;
+) -> io::Result<(Projection, Vec<SourceDiagnostic>, Option<Snapshot>)> {
+    let (kept, errors, snapshot) =
+        raslog::ingest::parse_log_file_where(file, threads, snapshot, keep)?;
     Ok((
         kept,
         errors.into_iter().map(SourceDiagnostic::from).collect(),
-    ))
-}
-
-/// Decode a whole BG/P RAS log file (parallel, tolerant), streamed through
-/// fixed per-worker windows: exactly what [`decode_ras`] gives the file's
-/// bytes, with their content hash if `hash` is set (computed in the same
-/// pass).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the BG/P adapter is the one sanctioned caller of the raw parser entry points"
-)]
-pub fn decode_ras_file(
-    file: &File,
-    threads: usize,
-    hash: bool,
-) -> io::Result<(SourceBatch<RasRecord>, Option<u64>)> {
-    let (records, errors, hash) = raslog::ingest::parse_log_file(file, threads, hash)?;
-    let diagnostics = errors.into_iter().map(SourceDiagnostic::from).collect();
-    Ok((
-        SourceBatch {
-            records,
-            diagnostics,
-        },
-        hash,
+        snapshot,
     ))
 }
 
@@ -179,8 +161,8 @@ mod tests {
         let file = File::open(&path).unwrap();
         for threads in [1, 4] {
             let full = decode_ras(text.as_bytes(), threads);
-            let (kept, diagnostics) =
-                decode_ras_file_where(&file, threads, RasRecord::is_fatal).unwrap();
+            let (kept, diagnostics, _) =
+                decode_ras_file_where(&file, threads, false, RasRecord::is_fatal).unwrap();
             assert_eq!(diagnostics, full.diagnostics);
             assert_eq!(kept, Projection::of(full.records, RasRecord::is_fatal));
             assert_eq!(kept.parsed(), 3);

@@ -14,7 +14,11 @@
 //! [`bgp_model::bytes::line_chunks`] ([`parse_log_bytes_where`]), or from a
 //! file streamed through fixed per-worker windows by
 //! [`bgp_model::bytes::stream_lines`] ([`parse_log_file_where`]), which can
-//! hash the same bytes on the way. Either way one chunk parser parses them.
+//! build the file's `.bgpsnap` on the way: each worker appends the snapshot
+//! columns of every record it parses ([`crate::snapshot::Snapshot`]) while
+//! the reader hashes the same bytes. Either way one chunk parser parses
+//! them, generic over what it builds beside the projection, so a parse that
+//! builds no snapshot pays nothing for the option.
 //!
 //! ## Equivalence contract
 //!
@@ -41,30 +45,59 @@
 use crate::log::Projection;
 use crate::parse::{RasLineParser, RasParseError};
 use crate::record::RasRecord;
+use crate::snapshot::{Rows, Snapshot};
 use bgp_model::bytes::{line_chunks, map_chunks_parallel, stream_lines};
 use std::fs::File;
 use std::io;
 
+/// What a chunk parser builds of every record it parses, beside its
+/// projection: nothing (`()`), or the record's snapshot rows ([`Rows`]).
+/// A type parameter, so a parse that builds nothing compiles to none of it.
+trait Sink: Send {
+    /// An empty sink with room for `rows` records.
+    fn with_capacity(rows: usize) -> Self;
+    /// Take one parsed record, in input order.
+    fn push(&mut self, record: &RasRecord);
+}
+
+impl Sink for () {
+    fn with_capacity(_: usize) {}
+    #[inline]
+    fn push(&mut self, _: &RasRecord) {}
+}
+
+impl Sink for Rows {
+    fn with_capacity(rows: usize) -> Rows {
+        Rows::with_capacity(rows)
+    }
+    #[inline]
+    fn push(&mut self, record: &RasRecord) {
+        Rows::push(self, record);
+    }
+}
+
 /// One worker's parse output, with line numbers local to the worker.
-struct Chunk {
+struct Chunk<S> {
     kept: Projection,
     errors: Vec<RasParseError>,
     lines: u64,
     parser: RasLineParser,
+    sink: S,
 }
 
-impl Chunk {
+impl<S: Sink> Chunk<S> {
     /// An empty accumulator for a run of `bytes` bytes of text.
-    fn new(bytes: u64) -> Chunk {
+    fn new(bytes: u64) -> Chunk<S> {
+        // Records vastly outnumber errors in real logs; size for ~90 bytes
+        // per line to keep reallocation off the hot path. A projection that
+        // keeps few records only touches the pages it fills.
+        let rows = usize::try_from(bytes / 90).unwrap_or(0) + 1;
         Chunk {
-            // Records vastly outnumber errors in real logs; size for ~90
-            // bytes per line to keep reallocation off the hot path. A
-            // projection that keeps few records only touches the pages it
-            // fills.
-            kept: Projection::with_capacity(usize::try_from(bytes / 90).unwrap_or(0) + 1),
+            kept: Projection::with_capacity(rows),
             errors: Vec::new(),
             lines: 0,
             parser: RasLineParser::default(),
+            sink: S::with_capacity(rows),
         }
     }
 
@@ -78,7 +111,10 @@ impl Chunk {
         let mut lines = bgp_model::bytes::lines(text);
         for (number, line) in &mut lines {
             match self.parser.parse(line) {
-                Ok(r) => self.kept.push(r, keep),
+                Ok(r) => {
+                    self.sink.push(&r);
+                    self.kept.push(r, keep);
+                }
                 Err(mut e) => {
                     e.line = self.lines + number;
                     self.errors.push(e);
@@ -89,21 +125,59 @@ impl Chunk {
     }
 }
 
+/// What the workers parsed, folded in input order: the projection, the
+/// errors with their global line numbers, and each worker's sink.
+type Folded<S> = (Projection, Vec<RasParseError>, Vec<S>);
+
 /// Fold the workers' outputs, in input order, into global line numbers.
-fn fold(parts: Vec<Chunk>) -> (Projection, Vec<RasParseError>) {
-    let total: usize = parts.iter().map(|p| p.kept.records.len()).sum();
-    let mut kept = Projection::with_capacity(total);
+/// The later workers' kept records are appended to the first worker's
+/// buffer, never all copied into a fresh one.
+fn fold<S>(parts: Vec<Chunk<S>>) -> Folded<S> {
+    let mut kept: Option<Projection> = None;
     let mut errors = Vec::new();
+    let mut sinks = Vec::with_capacity(parts.len());
     let mut line_offset = 0u64;
     for part in parts {
         for mut e in part.errors {
             e.line += line_offset;
             errors.push(e);
         }
-        kept.append(part.kept);
+        match &mut kept {
+            Some(kept) => kept.append(part.kept),
+            None => kept = Some(part.kept),
+        }
+        sinks.push(part.sink);
         line_offset += part.lines;
     }
-    (kept, errors)
+    (kept.unwrap_or_default(), errors, sinks)
+}
+
+/// Parse `data` on up to `threads` workers, one run of whole lines each.
+fn parse_chunks<S: Sink>(
+    data: &[u8],
+    threads: usize,
+    keep: impl Fn(&RasRecord) -> bool + Sync,
+) -> Folded<S> {
+    let chunks = line_chunks(data, threads);
+    fold(map_chunks_parallel(&chunks, |text| {
+        let mut chunk = Chunk::<S>::new(text.len() as u64);
+        chunk.feed(text, &keep);
+        chunk
+    }))
+}
+
+/// Stream `file` to up to `threads` workers ([`stream_lines`]), hashing
+/// its bytes on the way if `hash` is set.
+fn parse_stream<S: Sink>(
+    file: &File,
+    threads: usize,
+    hash: bool,
+    keep: impl Fn(&RasRecord) -> bool + Sync,
+) -> io::Result<(Folded<S>, Option<u64>)> {
+    let (parts, hash) = stream_lines(file, threads, hash, Chunk::<S>::new, |chunk, text| {
+        chunk.feed(text, &keep);
+    })?;
+    Ok((fold(parts), hash))
 }
 
 /// Parse a whole RAS log held in memory, tolerantly, on up to `threads`
@@ -120,34 +194,37 @@ pub fn parse_log_bytes_where(
     threads: usize,
     keep: impl Fn(&RasRecord) -> bool + Sync,
 ) -> (Projection, Vec<RasParseError>) {
-    let chunks = line_chunks(data, threads);
-    fold(map_chunks_parallel(&chunks, |text| {
-        let mut chunk = Chunk::new(text.len() as u64);
-        chunk.feed(text, &keep);
-        chunk
-    }))
+    let (kept, errors, _) = parse_chunks::<()>(data, threads, keep);
+    (kept, errors)
 }
 
 /// [`parse_log_bytes_where`] over a file's bytes, streamed through fixed
 /// per-worker windows ([`stream_lines`]) instead of held in memory, and
-/// with their content hash if `hash` is set
-/// ([`bgp_model::bytes::content_hash_64`] of the bytes parsed, computed in
-/// the same pass).
+/// with the file's `.bgpsnap` if `snapshot` is set.
 ///
 /// The records, errors and tally are exactly what the file's bytes give
-/// [`parse_log_bytes_where`]. A read failure — including a file that
-/// shrinks during the parse — is an error, never a short parse.
+/// [`parse_log_bytes_where`]. The snapshot holds every record parsed,
+/// whatever `keep` keeps, and is stamped with the content hash of the
+/// bytes parsed ([`bgp_model::bytes::content_hash_64`]): each worker
+/// builds the snapshot rows of its records as it parses them, the reader
+/// hashes the same bytes in the same pass, and the rows are written out in
+/// worker order, so its bytes are exactly [`crate::snapshot::encode_snapshot`]
+/// of the records [`parse_log_file`] returns. A read failure — including a
+/// file that shrinks during the parse — is an error, never a short parse.
 pub fn parse_log_file_where(
     file: &File,
     threads: usize,
-    hash: bool,
+    snapshot: bool,
     keep: impl Fn(&RasRecord) -> bool + Sync,
-) -> io::Result<(Projection, Vec<RasParseError>, Option<u64>)> {
-    let (parts, hash) = stream_lines(file, threads, hash, Chunk::new, |chunk, text| {
-        chunk.feed(text, &keep);
-    })?;
-    let (kept, errors) = fold(parts);
-    Ok((kept, errors, hash))
+) -> io::Result<(Projection, Vec<RasParseError>, Option<Snapshot>)> {
+    if !snapshot {
+        let ((kept, errors, _), _) = parse_stream::<()>(file, threads, false, keep)?;
+        return Ok((kept, errors, None));
+    }
+    let ((kept, errors, runs), hash) = parse_stream::<Rows>(file, threads, true, keep)?;
+    // The reader returns a hash whenever it is asked for one.
+    let snapshot = Snapshot::new(runs, hash.unwrap_or_default());
+    Ok((kept, errors, Some(snapshot)))
 }
 
 /// [`parse_log_file_where`] keeping every record, like [`parse_log_bytes`].
@@ -158,10 +235,10 @@ pub fn parse_log_file_where(
 pub fn parse_log_file(
     file: &File,
     threads: usize,
-    hash: bool,
-) -> io::Result<(Vec<RasRecord>, Vec<RasParseError>, Option<u64>)> {
-    let (kept, errors, hash) = parse_log_file_where(file, threads, hash, |_| true)?;
-    Ok((kept.records, errors, hash))
+    snapshot: bool,
+) -> io::Result<(Vec<RasRecord>, Vec<RasParseError>, Option<Snapshot>)> {
+    let (kept, errors, snapshot) = parse_log_file_where(file, threads, snapshot, |_| true)?;
+    Ok((kept.records, errors, snapshot))
 }
 
 /// Parse a whole RAS log held in memory, tolerantly, on up to `threads`
@@ -309,24 +386,38 @@ mod tests {
         (lines.len(), blank)
     }
 
+    /// The `.bgpsnap` of the records `text` parses, stamped with its hash:
+    /// what every parse that builds a snapshot must write.
+    fn encoded(text: &[u8]) -> Vec<u8> {
+        let hash = bgp_model::bytes::content_hash_64(text);
+        crate::snapshot::encode_snapshot(&parse_log_bytes(text, 1).0, hash)
+    }
+
+    /// What `snapshot` writes through [`Snapshot::write_to`].
+    fn written(snapshot: &Snapshot) -> Vec<u8> {
+        let mut out = Vec::new();
+        snapshot.write_to(&mut out).unwrap();
+        out
+    }
+
     /// The file parse of `text` equals the in-memory parse (records, errors
-    /// with their global line numbers, tally), hashes its bytes, and
-    /// accounts for every line: lines = records + diagnostics + blank lines.
+    /// with their global line numbers, tally), writes the snapshot of every
+    /// record when asked, whatever it keeps, and accounts for every line:
+    /// lines = records + diagnostics + blank lines.
     fn assert_file_parse_equivalent(text: &[u8], threads: usize) {
         let (path, file) = temp_file(text);
         let fatal = RasRecord::is_fatal;
         let (want, want_errs) = parse_log_bytes_where(text, threads, fatal);
-        for hash in [false, true] {
-            let (kept, errs, got_hash) = parse_log_file_where(&file, threads, hash, fatal).unwrap();
+        let snapshot = encoded(text);
+        for build in [false, true] {
+            let (kept, errs, got) = parse_log_file_where(&file, threads, build, fatal).unwrap();
             assert_eq!(kept, want, "threads={threads}");
             assert_eq!(errs, want_errs, "threads={threads}");
-            assert_eq!(
-                got_hash,
-                hash.then(|| bgp_model::bytes::content_hash_64(text))
-            );
+            assert_eq!(got.as_ref().map(written), build.then(|| snapshot.clone()));
         }
-        let (all, errs, _) = parse_log_file(&file, threads, false).unwrap();
+        let (all, errs, got) = parse_log_file(&file, threads, true).unwrap();
         assert_eq!(all, parse_log_bytes(text, threads).0);
+        assert_eq!(got.as_ref().map(written), Some(snapshot));
         let (lines, blank) = line_counts(text);
         assert_eq!(want.parsed() + errs.len() + blank, lines, "line accounting");
         assert_eq!(want.parsed(), all.len());
@@ -368,7 +459,7 @@ mod tests {
             cuts in collection::vec(0usize..30, 0..8),
         ) {
             let text = lines.join("\n");
-            let mut whole = Chunk::new(0);
+            let mut whole = Chunk::<()>::new(0);
             whole.feed(text.as_bytes(), &RasRecord::is_fatal);
             let mut starts: Vec<usize> = std::iter::once(0)
                 .chain(text.match_indices('\n').map(|(i, _)| i + 1))
@@ -377,7 +468,7 @@ mod tests {
             let mut at: Vec<usize> = cuts.iter().filter_map(|&c| starts.get(c).copied()).collect();
             at.sort_unstable();
             at.dedup();
-            let mut split = Chunk::new(0);
+            let mut split = Chunk::<()>::new(0);
             let mut from = 0;
             for cut in at.into_iter().chain([text.len()]) {
                 split.feed(&text.as_bytes()[from..cut], &RasRecord::is_fatal);
@@ -386,6 +477,61 @@ mod tests {
             prop_assert_eq!(split.kept, whole.kept);
             prop_assert_eq!(split.errors, whole.errors);
             prop_assert_eq!(split.lines, whole.lines);
+        }
+    }
+
+    /// `lines` with their records' severity set by `mode`: as written
+    /// (FATAL) in mode 1, INFO in mode 2, and alternately in mode 0.
+    fn with_severities(lines: Vec<String>, mode: u8) -> Vec<String> {
+        lines
+            .into_iter()
+            .enumerate()
+            .map(|(i, line)| match (mode, i % 2) {
+                (1, _) | (0, 0) => line,
+                _ => line.replace("|FATAL|", "|INFO|"),
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The snapshot the workers build as they parse is, byte for byte,
+        /// the encoder's snapshot of the whole parse: from runs of lines in
+        /// memory (so small inputs still split between 1 to 8 workers) and
+        /// from a file, keeping the FATAL records or every record.
+        #[test]
+        fn worker_snapshot_is_the_encoded_parse(
+            lines in collection::vec(arb_line(), 0..40),
+            mode in 0u8..3,
+            crlf in 0u8..2,
+            final_newline in 0u8..2,
+            binary in 0u8..2,
+        ) {
+            let sep: &[u8] = if crlf == 1 { b"\r\n" } else { b"\n" };
+            let mut lines: Vec<Vec<u8>> = with_severities(lines, mode)
+                .into_iter()
+                .map(String::into_bytes)
+                .collect();
+            if binary == 1 {
+                lines.push(b"garbage \xff\xfe | \xc3".to_vec());
+            }
+            let mut text = lines.join(sep);
+            if final_newline == 1 && !text.is_empty() {
+                text.extend_from_slice(sep);
+            }
+            let want = encoded(&text);
+            let hash = bgp_model::bytes::content_hash_64(&text);
+            let (path, file) = temp_file(&text);
+            let keeps: [fn(&RasRecord) -> bool; 2] = [RasRecord::is_fatal, |_| true];
+            for threads in 1..=8 {
+                for keep in keeps {
+                    let (_, _, runs) = parse_chunks::<Rows>(&text, threads, keep);
+                    prop_assert_eq!(written(&Snapshot::new(runs, hash)), want.clone());
+                    let (_, _, got) = parse_log_file_where(&file, threads, true, keep).unwrap();
+                    prop_assert_eq!(got.as_ref().map(written), Some(want.clone()));
+                }
+            }
+            drop(file);
+            let _ = std::fs::remove_file(&path);
         }
     }
 

@@ -17,14 +17,27 @@
 //! | `severity` | 1 | [`Severity`] discriminant |
 //!
 //! The FATAL rows are stored twice, so each section is read without the
-//! other: [`decode_fatal`] reads the front (the co-analysis load; about
-//! 1 MB of a 237-day site's 12.8 MB) and [`decode_snapshot`] skips to
-//! every record. Both check the header, the tally and the file's exact
-//! length — so any truncation, even inside the section a decoder skips,
-//! is rejected by length arithmetic alone — and then re-validate every
-//! record of their section against the machine model and the catalogue,
-//! so a corrupt payload yields a typed [`SnapshotError`] instead of an
-//! impossible record entering analysis.
+//! other: [`decode_front`] reads the front (the co-analysis load; about
+//! 1 MB of a 237-day site's 12.8 MB), given only those bytes and the
+//! file's length, and [`decode_snapshot`] skips to every record. Both
+//! check the header, the tally and the file's exact length — so any
+//! truncation, even inside the section a decoder skips, is rejected by
+//! length arithmetic alone — and then re-validate every record of their
+//! section against the machine model and the catalogue, so a corrupt
+//! payload yields a typed [`SnapshotError`] instead of an impossible
+//! record entering analysis.
+//!
+//! One builder defines the layout: `Rows` appends a record's cells to
+//! the columns of both sections, and [`Snapshot`] writes its front and
+//! then, column by column, the rows of each run it holds, in order. A
+//! cache miss builds one run per parse worker, in the pass that parses
+//! the records (`crate::ingest::parse_log_file_where`), so no vector of
+//! every record is built to be encoded, and the file is written straight
+//! from the workers' buffers, never gathered into one image;
+//! [`encode_snapshot`] is the same builder over one run.
+//! At paper scale (288 MB of RAS text, 2 vCPUs) that took a
+//! `coctl analyze --snapshot` miss from ~0.51 s and a ~122 MB peak RSS,
+//! when the miss encoded a vector of every record, to ~0.31 s and ~62 MB.
 
 use crate::catalog::{Catalog, ErrCode};
 use crate::log::Projection;
@@ -35,6 +48,7 @@ use bgp_model::{
     ComputeNodeId, IoNodeId, LinkCardId, Location, MidplaneId, NodeCardId, RackId, Timestamp,
 };
 use std::cmp::Ordering;
+use std::io;
 
 /// On-disk format version. Bump whenever the record columns change shape —
 /// the golden-bytes test (`tests/snapshot_golden.rs`) fails until you do.
@@ -103,29 +117,184 @@ const TALLY_LEN: usize = 8 + 8 + 8;
 /// Bytes before the first section: the header and the tally.
 const FRONT_LEN: usize = HEADER_LEN + TALLY_LEN;
 
-/// Serialize parsed records, in parse order (plus the hash of the source
-/// text they came from), into a complete `.bgpsnap` byte buffer.
-pub fn encode_snapshot(records: &[RasRecord], source_hash: u64) -> Vec<u8> {
-    let fatal = || records.iter().filter(|r| r.is_fatal());
-    let n_fatal = fatal().count();
-    let (earliest, latest) = records.iter().fold((i64::MAX, i64::MIN), |(lo, hi), r| {
-        let t = r.event_time.as_unix();
-        (lo.min(t), hi.max(t))
-    });
-    let mut out = Vec::with_capacity(FRONT_LEN + (n_fatal + records.len()) * BYTES_PER_RECORD);
-    SnapshotHeader {
-        kind: SnapshotKind::Ras,
-        version: FORMAT_VERSION,
-        count: records.len() as u64,
-        source_hash,
+/// Each column's cell width, in file order (the table above).
+const WIDTHS: [usize; 5] = [8, 8, 4, 2, 1];
+
+/// The five columns of a run of records, each cell little-endian as the
+/// table above says, appended one record at a time. They share one buffer:
+/// room for `cap` rows, each column a region of `cap` cells, in file order.
+/// One allocation, not five, so at paper scale it is larger than any
+/// allocator's small-block threshold (glibc's is at most 32 MiB) and gets a
+/// mapping of its own, which a free hands back to the OS; five column
+/// vectors would come from the parse workers' heaps, which keep freed
+/// memory resident.
+#[derive(Debug)]
+struct Columns {
+    buf: Vec<u8>,
+    rows: usize,
+    cap: usize,
+}
+
+impl Columns {
+    /// Empty columns with room for `cap` records.
+    fn with_capacity(cap: usize) -> Columns {
+        Columns {
+            buf: vec![0; cap * BYTES_PER_RECORD],
+            rows: 0,
+            cap,
+        }
     }
-    .write_to(&mut out);
-    out.extend_from_slice(&(n_fatal as u64).to_le_bytes());
-    out.extend_from_slice(&earliest.to_le_bytes());
-    out.extend_from_slice(&latest.to_le_bytes());
-    encode_columns(fatal, &mut out);
-    encode_columns(|| records.iter(), &mut out);
-    out
+
+    /// Append one record's cells.
+    #[inline]
+    fn push(&mut self, r: &RasRecord) {
+        if self.rows == self.cap {
+            self.grow();
+        }
+        // Column k's region starts at `cap` times the widths before it.
+        let (cap, i) = (self.cap, self.rows);
+        self.buf[i * 8..][..8].copy_from_slice(&r.recid.to_le_bytes());
+        self.buf[cap * 8 + i * 8..][..8].copy_from_slice(&r.event_time.as_unix().to_le_bytes());
+        self.buf[cap * 16 + i * 4..][..4].copy_from_slice(&encode_location(r.location));
+        self.buf[cap * 20 + i * 2..][..2].copy_from_slice(&r.errcode.0.to_le_bytes());
+        self.buf[cap * 22 + i] = r.severity as u8;
+        self.rows += 1;
+    }
+
+    /// Double the room, moving each column to its new region.
+    #[cold]
+    fn grow(&mut self) {
+        let mut next = Columns::with_capacity((self.cap * 2).max(64));
+        let mut at = 0;
+        for (column, width) in self.columns().into_iter().zip(WIDTHS) {
+            next.buf[at..][..column.len()].copy_from_slice(column);
+            at += next.cap * width;
+        }
+        next.rows = self.rows;
+        *self = next;
+    }
+
+    /// Records held.
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The filled part of each column, in file order.
+    fn columns(&self) -> [&[u8]; 5] {
+        let mut at = 0;
+        WIDTHS.map(|width| {
+            let column = &self.buf[at..][..self.rows * width];
+            at += self.cap * width;
+            column
+        })
+    }
+}
+
+/// What a snapshot holds of a run of records in parse order: the columns
+/// of its FATAL records and of every record, and the span of their event
+/// times. A parse worker builds one of the records it parses.
+#[derive(Debug)]
+pub(crate) struct Rows {
+    fatal: Columns,
+    every: Columns,
+    /// Earliest event time pushed (`i64::MAX` before any).
+    earliest: i64,
+    /// Latest event time pushed (`i64::MIN` before any).
+    latest: i64,
+}
+
+impl Rows {
+    /// Empty rows with room for `rows` records; the FATAL section grows
+    /// as it needs.
+    pub(crate) fn with_capacity(rows: usize) -> Rows {
+        Rows {
+            fatal: Columns::with_capacity(0),
+            every: Columns::with_capacity(rows),
+            earliest: i64::MAX,
+            latest: i64::MIN,
+        }
+    }
+
+    /// Append one record, to both sections if it is FATAL.
+    #[inline]
+    pub(crate) fn push(&mut self, r: &RasRecord) {
+        let t = r.event_time.as_unix();
+        self.earliest = self.earliest.min(t);
+        self.latest = self.latest.max(t);
+        if r.is_fatal() {
+            self.fatal.push(r);
+        }
+        self.every.push(r);
+    }
+}
+
+/// A complete `.bgpsnap` file, ready to be written: its front — the
+/// header and the tally — and the rows of both sections, held in the runs
+/// they were built in and written out column by column, never gathered
+/// into one image.
+#[derive(Debug)]
+pub struct Snapshot {
+    front: Vec<u8>,
+    runs: Vec<Rows>,
+}
+
+impl Snapshot {
+    /// The snapshot of the records in `runs` — consecutive runs of the
+    /// source's records, in order — stamped with the content hash of the
+    /// source text.
+    pub(crate) fn new(runs: Vec<Rows>, source_hash: u64) -> Snapshot {
+        let rows = |section: fn(&Rows) -> &Columns| -> u64 {
+            runs.iter().map(|run| section(run).rows() as u64).sum()
+        };
+        let (earliest, latest) = runs.iter().fold((i64::MAX, i64::MIN), |(lo, hi), run| {
+            (lo.min(run.earliest), hi.max(run.latest))
+        });
+        let mut front = Vec::with_capacity(FRONT_LEN);
+        SnapshotHeader {
+            kind: SnapshotKind::Ras,
+            version: FORMAT_VERSION,
+            count: rows(|run| &run.every),
+            source_hash,
+        }
+        .write_to(&mut front);
+        front.extend_from_slice(&rows(|run| &run.fatal).to_le_bytes());
+        front.extend_from_slice(&earliest.to_le_bytes());
+        front.extend_from_slice(&latest.to_le_bytes());
+        Snapshot { front, runs }
+    }
+
+    /// The file's bytes, in order: the front, then each section's columns
+    /// in column order, each column the runs' cells in run order.
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        let section = move |of: fn(&Rows) -> &Columns| {
+            (0..5)
+                .flat_map(move |column| self.runs.iter().map(move |run| of(run).columns()[column]))
+        };
+        std::iter::once(self.front.as_slice())
+            .chain(section(|run| &run.fatal))
+            .chain(section(|run| &run.every))
+    }
+
+    /// Write the file to `out`.
+    pub fn write_to(&self, out: &mut impl io::Write) -> io::Result<()> {
+        self.pieces().try_for_each(|piece| out.write_all(piece))
+    }
+
+    /// The file's bytes in one buffer.
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
+        self.pieces().collect::<Vec<_>>().concat()
+    }
+}
+
+/// Serialize parsed records, in parse order (plus the hash of the source
+/// text they came from), into a complete `.bgpsnap` byte buffer: the
+/// [`Snapshot`] of one run of rows.
+pub fn encode_snapshot(records: &[RasRecord], source_hash: u64) -> Vec<u8> {
+    let mut rows = Rows::with_capacity(records.len());
+    for r in records {
+        rows.push(r);
+    }
+    Snapshot::new(vec![rows], source_hash).to_bytes()
 }
 
 /// Decode every record of a `.bgpsnap` buffer, in parse order, skipping
@@ -140,7 +309,7 @@ pub fn decode_snapshot(
     bytes: &[u8],
     expected_hash: Option<u64>,
 ) -> Result<Vec<RasRecord>, SnapshotError> {
-    let front = open(bytes, expected_hash)?;
+    let front = open(bytes, bytes.len() as u64, expected_hash)?;
     let records = decode_columns(
         &bytes[FRONT_LEN + front.fatal * BYTES_PER_RECORD..],
         front.parsed,
@@ -162,17 +331,51 @@ pub fn decode_snapshot(
 }
 
 /// Decode the FATAL section of a `.bgpsnap` buffer into the projection the
-/// co-analysis load keeps: the FATAL records, in parse order, under the
-/// tally of every record parsed. The section of every record is never
-/// read, only counted into the file's length.
+/// co-analysis load keeps: [`decode_front`] of the whole file.
+pub fn decode_fatal(bytes: &[u8], expected_hash: Option<u64>) -> Result<Projection, SnapshotError> {
+    decode_front(bytes, bytes.len() as u64, expected_hash)
+}
+
+/// Bytes read before the rest of the front: the header and the FATAL
+/// count, which [`front_len`] reads.
+pub const FRONT_HEAD_LEN: usize = HEADER_LEN + 8;
+
+/// The length of the front that [`decode_front`] reads — the header, the
+/// tally and the FATAL section — of a snapshot that begins with `head`,
+/// its first [`FRONT_HEAD_LEN`] bytes (all of it, if shorter). The FATAL
+/// count is taken as stored, and the length saturates: that a file is too
+/// short for its counts is for [`decode_front`] to report.
+pub fn front_len(head: &[u8]) -> u64 {
+    let mut cur = Cursor::new(head);
+    let fatal = cur.take(HEADER_LEN).and_then(|_| cur.u64()).unwrap_or(0);
+    fatal
+        .saturating_mul(BYTES_PER_RECORD as u64)
+        .saturating_add(FRONT_LEN as u64)
+}
+
+/// Decode the FATAL section of a `.bgpsnap` file of `file_len` bytes,
+/// given its first bytes `front` — at least its [`front_len`], or the
+/// whole file — into the projection the co-analysis load keeps: the
+/// FATAL records, in parse order, under the tally of every record parsed.
+/// The section of every record is never read, only counted into the
+/// file's length, which must be exactly what the header and the tally
+/// imply.
 ///
 /// Each record is validated as [`decode_snapshot`] does, and the
 /// projection's own laws too: every record is FATAL and inside the stored
 /// span. `expected_hash` works as for [`decode_snapshot`].
-pub fn decode_fatal(bytes: &[u8], expected_hash: Option<u64>) -> Result<Projection, SnapshotError> {
-    let front = open(bytes, expected_hash)?;
-    let end = FRONT_LEN + front.fatal * BYTES_PER_RECORD;
-    let records = decode_columns(&bytes[FRONT_LEN..end], front.fatal)?;
+pub fn decode_front(
+    front: &[u8],
+    file_len: u64,
+    expected_hash: Option<u64>,
+) -> Result<Projection, SnapshotError> {
+    let tally = open(front, file_len, expected_hash)?;
+    let end = FRONT_LEN + tally.fatal * BYTES_PER_RECORD;
+    let section = front.get(FRONT_LEN..end).ok_or(SnapshotError::Truncated {
+        needed: end,
+        have: front.len(),
+    })?;
+    let records = decode_columns(section, tally.fatal)?;
     for (i, r) in records.iter().enumerate() {
         let bad = |what: String| SnapshotError::BadRecord {
             index: i as u64,
@@ -181,7 +384,7 @@ pub fn decode_fatal(bytes: &[u8], expected_hash: Option<u64>) -> Result<Projecti
         if !r.is_fatal() {
             return Err(bad(format!("severity {} in the FATAL section", r.severity)));
         }
-        if !front
+        if !tally
             .span
             .is_some_and(|(lo, hi)| (lo..=hi).contains(&r.event_time))
         {
@@ -191,7 +394,7 @@ pub fn decode_fatal(bytes: &[u8], expected_hash: Option<u64>) -> Result<Projecti
             )));
         }
     }
-    Ok(Projection::from_parts(records, front.parsed, front.span))
+    Ok(Projection::from_parts(records, tally.parsed, tally.span))
 }
 
 /// What the header and the tally of a snapshot say, checked against each
@@ -207,8 +410,10 @@ struct Front {
 }
 
 /// Check a snapshot's header against this build's version and (optionally)
-/// the current source hash, then the tally and the file's exact length.
-fn open(bytes: &[u8], expected_hash: Option<u64>) -> Result<Front, SnapshotError> {
+/// the current source hash, then the tally and the file's exact length,
+/// `file_len`, given its first bytes `bytes` (its front at least, or the
+/// whole file).
+fn open(bytes: &[u8], file_len: u64, expected_hash: Option<u64>) -> Result<Front, SnapshotError> {
     let header = SnapshotHeader::parse(bytes, SnapshotKind::Ras)?;
     header.validate(FORMAT_VERSION, expected_hash)?;
     let mut cur = Cursor::new(bytes);
@@ -222,15 +427,15 @@ fn open(bytes: &[u8], expected_hash: Option<u64>) -> Result<Front, SnapshotError
         .saturating_add(header.count)
         .saturating_mul(BYTES_PER_RECORD as u64)
         .saturating_add(FRONT_LEN as u64);
-    let have = bytes.len();
-    match needed.cmp(&(have as u64)) {
+    let size = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+    match needed.cmp(&file_len) {
         Ordering::Greater => {
             return Err(SnapshotError::Truncated {
-                needed: usize::try_from(needed).unwrap_or(usize::MAX),
-                have,
+                needed: size(needed),
+                have: size(file_len),
             })
         }
-        Ordering::Less => return Err(SnapshotError::TrailingBytes(have - needed as usize)),
+        Ordering::Less => return Err(SnapshotError::TrailingBytes(size(file_len - needed))),
         Ordering::Equal => {}
     }
     let parsed = header.count;
@@ -251,29 +456,6 @@ fn open(bytes: &[u8], expected_hash: Option<u64>) -> Result<Front, SnapshotError
         fatal: fatal as usize,
         span,
     })
-}
-
-/// Append the five record columns of the records `records()` yields to
-/// `out`.
-fn encode_columns<'a, I: Iterator<Item = &'a RasRecord>>(
-    records: impl Fn() -> I,
-    out: &mut Vec<u8>,
-) {
-    for r in records() {
-        out.extend_from_slice(&r.recid.to_le_bytes());
-    }
-    for r in records() {
-        out.extend_from_slice(&r.event_time.as_unix().to_le_bytes());
-    }
-    for r in records() {
-        out.extend_from_slice(&encode_location(r.location));
-    }
-    for r in records() {
-        out.extend_from_slice(&r.errcode.0.to_le_bytes());
-    }
-    for r in records() {
-        out.push(r.severity as u8);
-    }
 }
 
 /// Decode and validate the `n` records whose columns begin `cols`, which
@@ -546,13 +728,15 @@ mod tests {
         assert_eq!(decode_fatal(&empty, Some(7)).unwrap_err(), want);
     }
 
-    /// A record set of up to 24 records, of any location kind, code and
-    /// severity — made all FATAL or none FATAL by `mode` 1 and 2.
+    /// A record set of up to 150 records (more than the 64 rows a FATAL
+    /// section first has room for, so its columns move), of any location
+    /// kind, code and severity — made all FATAL or none FATAL by `mode` 1
+    /// and 2.
     fn arb_records() -> impl Strategy<Value = Vec<RasRecord>> {
         let all = records();
         let rows = collection::vec(
             (0u64..4, -3i64..3, 0..all.len(), 0usize..64, 0usize..6),
-            0..24,
+            0..150,
         );
         (rows, 0u8..3).prop_map(move |(rows, mode)| {
             rows.into_iter()
