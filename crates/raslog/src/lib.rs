@@ -15,10 +15,15 @@
 //!   catalogue template only when writing.
 //! * [`RasLog`] keeps records sorted by `(event_time, recid)`, so a time
 //!   window is a binary search; it sorts only input that is out of order.
-//! * [`parse_line_bytes`] decodes each parsed field through a byte-level
-//!   fast path for its canonical form and falls back to the general parser
-//!   for anything else, with identical results; an ingest worker's
-//!   [`parse::RasLineParser`] adds a memo of the last day it read.
+//! * [`parse::RasLineParser`] (behind [`parse_line_bytes`]) first probes a
+//!   line's head: RECID, then the catalogue's whole
+//!   `|MSG_ID|COMPONENT|SUBCOMPONENT|ERRCODE|SEVERITY|` text for one code,
+//!   found by one table probe and compared a word at a time, then a
+//!   canonical time and location; the line is never split and MESSAGE
+//!   never read. Any other line is split, and each parsed field goes
+//!   through a byte-level fast path for its canonical form or else the
+//!   general parser, with identical results. A worker's parser keeps a
+//!   memo of the last day it read.
 //! * [`ingest`] parses a whole in-memory log on newline-aligned byte chunks
 //!   across scoped threads, bit-identical to [`RasReader`]; [`snapshot`]
 //!   caches the parsed columns on disk (`.bgpsnap`) so re-runs skip parsing

@@ -110,6 +110,53 @@ pub struct RasLineParser {
 impl RasLineParser {
     /// Parse one line's content (trimmed, not blank) into a record.
     pub fn parse(&mut self, line: &[u8]) -> Result<RasRecord, RasParseError> {
+        match self.probe(line) {
+            Some(record) => Ok(record),
+            None => self.parse_fields(line),
+        }
+    }
+
+    /// The head probe: the record of a line whose head is a catalogue
+    /// code's, read without splitting it. RECID, its `|` among the line's
+    /// first 16 bytes, is read by its fast path; the text from that `|`
+    /// must be a code's whole [`CodeText`] head
+    /// (MSG_ID, COMPONENT, SUBCOMPONENT, ERRCODE and the code's catalogue
+    /// severity, byte for byte), followed by a canonical 19-byte EVENT_TIME
+    /// and its `|` and a canonical LOCATION and its `|`; MESSAGE is not
+    /// read. Each of those reads is the fast path [`Self::parse_fields`]
+    /// gives the field, so wherever the probe answers, that path builds the
+    /// same record; anywhere else it declines, and that path decides.
+    ///
+    /// [`CodeText`]: crate::catalog::CodeText
+    pub(crate) fn probe(&mut self, line: &[u8]) -> Option<RasRecord> {
+        let catalog = Catalog::standard();
+        let bar = first_bar(line)?;
+        let (errcode, head) = catalog.head_code(&line[bar..])?;
+        let recid = recid_digits(&line[..bar])?;
+        let time_at = bar + head;
+        // The 19 bytes of a canonical EVENT_TIME, then its `|`.
+        let location_at = time_at + 20;
+        if line.get(location_at - 1) != Some(&b'|') {
+            return None;
+        }
+        let event_time = self
+            .clock
+            .parse_canonical(&line[time_at..location_at - 1])?;
+        let rest = &line[location_at..];
+        let location = Location::parse_canonical(&rest[..first_bar(rest)?])?;
+        Some(RasRecord {
+            recid,
+            event_time,
+            location,
+            errcode,
+            severity: catalog.info(errcode).severity,
+        })
+    }
+
+    /// The split-and-field path: the nine fields, each read by its fast
+    /// path or else by the general parser, which alone defines what a line
+    /// means and supplies every diagnostic.
+    fn parse_fields(&mut self, line: &[u8]) -> Result<RasRecord, RasParseError> {
         let err = |kind| RasParseError { line: 0, kind };
         // MESSAGE may itself contain '|'; limit the split to 9 parts
         // (`splitn(9, '|')` semantics, without materializing a Vec).
@@ -154,6 +201,20 @@ impl RasLineParser {
             severity,
         })
     }
+}
+
+/// Where the first `|` among `b`'s first 16 bytes is: one SWAR test of a
+/// fixed 16-byte load, with the exact zero-byte mask of
+/// `bytes::splitn_byte`, or a byte scan when `b` is shorter.
+fn first_bar(b: &[u8]) -> Option<usize> {
+    const LOW7: u128 = u128::MAX / 0xff * 0x7f;
+    const BARS: u128 = u128::MAX / 0xff * b'|' as u128;
+    let Some(word) = b.first_chunk::<16>() else {
+        return b.iter().position(|&c| c == b'|');
+    };
+    let x = u128::from_le_bytes(*word) ^ BARS;
+    let hits = !(((x & LOW7) + LOW7) | x | LOW7);
+    (hits != 0).then(|| (hits.trailing_zeros() / 8) as usize)
 }
 
 /// RECID fast path: 1–19 ASCII digits, which always fit a `u64`; four to
@@ -505,9 +566,40 @@ mod tests {
 
     #[test]
     fn fast_paths_match_the_reference_on_named_edge_cases() {
-        let (recid, errcode, severity, time, loc) = (0, 4, 5, 6, 7);
+        let (recid, msg_id, component, errcode, severity, time, loc, message) =
+            (0, 1, 2, 4, 5, 6, 7, 8);
+        let catalog = Catalog::standard();
+        let panic = sample_record().errcode;
+        // A code whose head is as long as the sample's: behind its MSG_ID,
+        // the sample's ERRCODE lines up with the time and location.
+        let head_len = |c| catalog.text(c).head.len();
+        let decoy = catalog
+            .codes()
+            .find(|&c| c != panic && head_len(c) == head_len(panic));
+        let decoy = &catalog.info(decoy.unwrap()).msg_id;
+        let good = format_record(&sample_record());
+        let unbarred = |from: &str, to: &str| good.replacen(from, to, 1).into_bytes();
         let cases: Vec<(&str, Vec<u8>, bool)> = vec![
             ("canonical", with_field(recid, "42"), true),
+            ("another code's MSG_ID", with_field(msg_id, decoy), true),
+            ("MSG_ID of code 0", with_field(msg_id, "KERN_0000"), true),
+            ("empty MSG_ID", with_field(msg_id, ""), true),
+            ("lowercase COMPONENT", with_field(component, "kernel"), true),
+            ("empty SUBCOMPONENT", with_field(3, ""), true),
+            ("non-default severity", with_field(severity, "ERROR"), true),
+            (
+                "20-byte EVENT_TIME",
+                with_field(time, "2009-03-01-12.30.00 "),
+                true,
+            ),
+            (
+                "no `|` after EVENT_TIME",
+                unbarred("12.30.00|", "12.30.00 "),
+                false,
+            ),
+            ("no `|` after LOCATION", unbarred("J03|", "J03 "), false),
+            ("empty MESSAGE", with_field(message, ""), true),
+            ("MESSAGE with `|`", with_field(message, "a|b||c|"), true),
             ("leading +", with_field(recid, "+42"), true),
             ("space-padded RECID", with_field(recid, " 42 "), true),
             ("tab-padded RECID", with_field(recid, "\t42\t"), true),
@@ -605,9 +697,46 @@ mod tests {
             assert_matches_reference(&line);
             assert_eq!(parse_line_bytes(&line).is_ok(), ok, "{name}");
         }
+        // A LOCATION that ends the line is eight fields, as before the probe.
+        let cut = good.rsplit_once('|').unwrap().0;
+        assert_matches_reference(cut.as_bytes());
+        assert_eq!(
+            parse_line(cut).unwrap_err().kind,
+            RasParseErrorKind::WrongFieldCount(8)
+        );
+        assert!(RasLineParser::default().probe(good.as_bytes()).is_some());
         let mut bad_utf8 = with_field(loc, "R23-M1");
         bad_utf8.splice(0..0, [0xff]);
         assert_matches_reference(&bad_utf8);
+    }
+
+    #[test]
+    fn fast_paths_match_the_reference_on_swapped_heads() {
+        // Every code's line with another code's MSG_ID, COMPONENT or
+        // SUBCOMPONENT, and with every severity token: the head of each is
+        // the catalogue's text in all but one field.
+        let catalog = Catalog::standard();
+        let tokens = [
+            "DEBUG", "TRACE", "INFO", "WARNING", "WARN", "ERROR", "FATAL",
+        ];
+        for code in 0..catalog.len() {
+            let line = canonical_line(42, 1_236_000_000, code, 8, false);
+            let fields: Vec<&[u8]> = line.splitn(9, |&b| b == b'|').collect();
+            let swap = |i: usize, value: &[u8]| {
+                let mut mutant = fields.clone();
+                mutant[i] = value;
+                assert_matches_reference(&mutant.join(&b'|'));
+            };
+            for other in catalog.codes() {
+                let info = catalog.info(other);
+                swap(1, info.msg_id.as_bytes());
+                swap(2, info.component.as_str().as_bytes());
+                swap(3, info.subcomponent.as_bytes());
+            }
+            for token in tokens {
+                swap(5, token.as_bytes());
+            }
+        }
     }
 
     #[test]
@@ -644,6 +773,28 @@ mod tests {
     }
 
     #[test]
+    fn first_bar_matches_the_byte_scan() {
+        // A `|` at each place of fields of every length around 16 bytes,
+        // among bytes one bit away from it and from the other lanes' tests.
+        let reference = |b: &[u8]| b.iter().take(16).position(|&c| c == b'|');
+        for len in 0..=34 {
+            for filler in [b'0', b'}', b'{', b'\\', 0x7c ^ 0x80, 0xff, 0x00] {
+                let base = vec![filler; len];
+                assert_eq!(first_bar(&base), reference(&base));
+                for at in 0..len {
+                    let mut b = base.clone();
+                    b[at] = b'|';
+                    assert_eq!(first_bar(&b), reference(&b), "{len} {at} {filler}");
+                    if let Some(later) = b.get_mut(at + 3) {
+                        *later = b'|';
+                        assert_eq!(first_bar(&b), reference(&b), "{len} {at} {filler}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_parser_reads_every_line_as_a_fresh_one_does() {
         // The day memo must not leak from one line into the next: a run of
         // lines over a day, month and year change, with bad clocks behind
@@ -675,10 +826,13 @@ mod tests {
 
     /// Byte strings the proptests splice into lines: each class of byte the
     /// fast paths treat specially (digits, separators, signs, ASCII and
-    /// Unicode whitespace, non-ASCII text, invalid UTF-8, location letters).
+    /// Unicode whitespace, non-ASCII text, invalid UTF-8, location letters)
+    /// and every severity token. [`Mix::splice`] adds a random catalogue
+    /// code's MSG_ID or ERRCODE, so a head can carry another code's.
     const SPLICE: &[&str] = &[
         " ", "\t", "+", "-", ".", "|", "0", "1", "6", "9", "42", "R", "M", "N", "J", "I", "L", "S",
-        "B", "K", "é", "\u{a0}", "\u{3000}", "WARN", "FATAL", ".285324", "R-", "_",
+        "B", "K", "é", "\u{a0}", "\u{3000}", "DEBUG", "TRACE", "INFO", "WARNING", "WARN", "ERROR",
+        "FATAL", ".285324", "R-", "_",
     ];
 
     /// A small deterministic generator for the many mutants of one case.
@@ -694,9 +848,14 @@ mod tests {
         }
 
         fn splice(&mut self) -> &'static [u8] {
-            match self.below(SPLICE.len() + 1) {
+            let catalog = Catalog::standard();
+            let i = self.below(SPLICE.len() + 3);
+            let code = catalog.info(ErrCode(self.below(catalog.len()) as u16));
+            match i {
                 i if i < SPLICE.len() => SPLICE[i].as_bytes(),
-                _ => b"\xff",
+                i if i == SPLICE.len() => b"\xff",
+                i if i == SPLICE.len() + 1 => code.msg_id.as_bytes(),
+                _ => code.name.as_bytes(),
             }
         }
     }
@@ -745,10 +904,11 @@ mod tests {
             for _ in 0..1000 {
                 let mut mutant: Vec<Vec<u8>> = fields.iter().map(|f| f.to_vec()).collect();
                 for _ in 0..=mix.below(3) {
-                    // Mostly the five parsed fields, where the fast paths are.
-                    let f = &mut mutant[[0, 4, 5, 6, 7, mix.below(9)][mix.below(6)]];
+                    // Mostly the eight fields the head probe reads, five of
+                    // which the split path parses; MESSAGE now and then.
+                    let f = &mut mutant[[0, 1, 2, 3, 4, 5, 6, 7, mix.below(9)][mix.below(9)]];
                     let at = mix.below(f.len() + 1);
-                    match mix.below(4) {
+                    match mix.below(5) {
                         0 => {
                             let s = mix.splice();
                             f.splice(at..at, s.iter().copied());
@@ -760,6 +920,7 @@ mod tests {
                             let s = mix.splice();
                             f.splice(at..at + 1, s.iter().copied());
                         }
+                        3 => *f = mix.splice().to_vec(),
                         _ if at < f.len() => f[at] = b'0' + mix.below(10) as u8,
                         _ => {}
                     }

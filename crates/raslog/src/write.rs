@@ -12,56 +12,15 @@ use crate::record::RasRecord;
 use bgp_model::text;
 use bgp_model::time::TimestampEncoder;
 use std::io::{self, Write};
-use std::sync::OnceLock;
-
-/// The text of a line that its ERRCODE fixes, written once per code.
-#[derive(Debug)]
-struct CodeText {
-    /// `|MSG_ID|COMPONENT|SUBCOMPONENT|ERRCODE|`, between RECID and SEVERITY.
-    head: Box<[u8]>,
-    /// `|MESSAGE`, after LOCATION.
-    tail: Box<[u8]>,
-}
-
-/// Every catalogue code's [`CodeText`], indexed by `ErrCode::index`.
-fn code_texts() -> &'static [CodeText] {
-    static TEXTS: OnceLock<Vec<CodeText>> = OnceLock::new();
-    TEXTS.get_or_init(|| {
-        let catalog = Catalog::standard();
-        catalog
-            .codes()
-            .map(|code| {
-                let info = catalog.info(code);
-                let mut head = Vec::new();
-                for field in [
-                    info.msg_id.as_str(),
-                    info.component.as_str(),
-                    info.subcomponent,
-                    info.name,
-                ] {
-                    head.push(b'|');
-                    head.extend_from_slice(field.as_bytes());
-                }
-                head.push(b'|');
-                let mut tail = vec![b'|'];
-                tail.extend_from_slice(info.template.as_bytes());
-                CodeText {
-                    head: head.into(),
-                    tail: tail.into(),
-                }
-            })
-            .collect()
-    })
-}
 
 /// Append `r`'s line (no newline) to `out`, the one definition of its
 /// text: the RECID, the code's fixed head, the severity, the time, the
 /// location and the code's message. `time` keeps the day of the line
 /// before.
 fn encode(r: &RasRecord, time: &mut TimestampEncoder, out: &mut Vec<u8>) {
-    let code = &code_texts()[r.errcode.index()];
+    let code = Catalog::standard().text(r.errcode);
     text::push_u64(out, r.recid, 0);
-    out.extend_from_slice(&code.head);
+    out.extend_from_slice(&code.head[..code.severity_at]);
     out.extend_from_slice(r.severity.as_str().as_bytes());
     out.push(b'|');
     time.encode(r.event_time, out);
@@ -89,6 +48,8 @@ pub fn write_log<'a, W: Write, I: IntoIterator<Item = &'a RasRecord>>(
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::parse::RasLineParser;
+    use crate::severity::Severity;
     use bgp_model::Timestamp;
 
     #[test]
@@ -103,9 +64,10 @@ mod tests {
             code,
         );
         let line = format_record(&r);
-        // Walk the line with the shared `find_byte` scanner — the same
-        // splitter `parse_line_bytes` uses — instead of materializing a
-        // `Vec<&str>` via `split('|').collect()`.
+        // Walk the line with the shared `find_byte` scanner, which the
+        // parser does not use to split a line (it reads a catalogue head
+        // through its probe, and any other line with `splitn_byte`), so
+        // the layout is checked by a reader of its own.
         let mut fields: [&str; 9] = [""; 9];
         let mut count = 0usize;
         let mut rest = line.as_str();
@@ -132,6 +94,36 @@ mod tests {
         assert_eq!(fields[6], "2008-04-14-15.08.12");
         assert_eq!(fields[7], "R04-M0-S");
         assert!(fields[8].contains("Clock card"));
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads each written line back through the parser crate's entry point"
+    )]
+    fn every_code_line_takes_the_head_probe() {
+        // The writer and the probe read one head per code: each code's
+        // line is read by the probe alone, back to the record written.
+        // A severity other than the catalogue's is not that head, so the
+        // probe declines and the split path reads the line.
+        let catalog = Catalog::standard();
+        for code in catalog.codes() {
+            let r = RasRecord::new(
+                13_718_190,
+                Timestamp::from_civil(2008, 4, 14, 15, 8, 12),
+                "R12-M1-N07-J03".parse().unwrap(),
+                code,
+            );
+            let line = format_record(&r);
+            let probe = RasLineParser::default().probe(line.as_bytes());
+            assert_eq!(probe, Some(r), "{line}");
+            for severity in Severity::ALL.into_iter().filter(|&s| s != r.severity) {
+                let r = RasRecord { severity, ..r };
+                let line = format_record(&r);
+                assert_eq!(RasLineParser::default().probe(line.as_bytes()), None);
+                assert_eq!(crate::parse_line(&line), Ok(r), "{line}");
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@ use bgp_coanalysis::bgp_serve::{render_report, ServeConfig, Server};
 use bgp_coanalysis::coanalysis::load::{self, LoadedJobs, LoadedRas};
 use bgp_coanalysis::coanalysis::{AppendBatch, CoAnalysis, CoAnalysisConfig, DeltaSession};
 use bgp_coanalysis::coanalysis::{LoadOptions, SnapshotStatus, StageId};
-use bgp_coanalysis::raslog::{LogSummary, RasLog};
+use bgp_coanalysis::raslog::{Catalog, ErrCode, LogSummary, RasLog};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
@@ -37,7 +38,8 @@ enum Dirt {
     CrlfNoFinalNewline,
     /// `\r\r\n` line ends, with a CR-only line after every 100th line.
     CrCrLf,
-    /// Blank, CR-only, `#` and garbage lines inserted at seeded places.
+    /// Blank, CR-only, `#` and garbage lines inserted at seeded places, and
+    /// the heads of seeded RAS lines rewritten ([`rewrite_heads`]).
     Junk,
     /// The lines of each second in a seeded order, recids kept.
     SameSecondReorder,
@@ -85,6 +87,51 @@ fn dirty(dirt: Dirt, log: &[u8], time_field: usize, rng: &mut SmallRng) -> Vec<u
         }
     };
     [lines.join(end), end.to_vec()].concat()
+}
+
+/// `log` (RAS) with the head of about one line in 50 rewritten, at seeded
+/// lines, into a form only the parser's split path reads: another code's
+/// MSG_ID, `WARN` for `WARNING`, a space-padded ERRCODE or a lowercase
+/// COMPONENT. Each line still parses to its record. The other MSG_ID is
+/// one whose head is as long as the line's own where there is one, so a
+/// probe that trusted MSG_ID would read a well-formed wrong record.
+fn rewrite_heads(log: &[u8], rng: &mut SmallRng) -> Vec<u8> {
+    let catalog = Catalog::standard();
+    let head_len = |c: ErrCode| {
+        let info = catalog.info(c);
+        let (msg_id, component) = (info.msg_id.as_str(), info.component.as_str());
+        let fields = [
+            msg_id,
+            component,
+            info.subcomponent,
+            info.name,
+            info.severity.as_str(),
+        ];
+        fields.map(str::len).iter().sum::<usize>()
+    };
+    let decoy = |c: ErrCode| {
+        let others: Vec<ErrCode> = catalog.codes().filter(|&o| o != c).collect();
+        let same = others.iter().find(|&&o| head_len(o) == head_len(c));
+        &catalog.info(*same.unwrap_or(&others[0])).msg_id
+    };
+    let mut out = Vec::with_capacity(log.len() + log.len() / 20);
+    for line in log.split_inclusive(|&b| b == b'\n') {
+        if rng.random_range(0..50) != 0 {
+            out.extend_from_slice(line);
+            continue;
+        }
+        let text = std::str::from_utf8(line).unwrap();
+        let mut fields: Vec<String> = text.splitn(9, '|').map(str::to_owned).collect();
+        let code = catalog.lookup(&fields[4]).unwrap();
+        match rng.random_range(0..4) {
+            0 => fields[1] = decoy(code).clone(),
+            1 if fields[5] == "WARNING" => fields[5] = "WARN".to_owned(),
+            2 => fields[4] = format!(" {} ", fields[4]),
+            _ => fields[2] = fields[2].to_lowercase(),
+        }
+        out.extend_from_slice(fields.join("|").as_bytes());
+    }
+    out
 }
 
 /// Field `i` of a `|`-separated line.
@@ -172,6 +219,11 @@ fn site() -> &'static Site {
         let jobs = std::fs::read(root.join("site/jobs.log")).unwrap();
         let copies = map_chunks_parallel(&DIRTS, |&dirt| {
             let mut rng = SmallRng::seed_from_u64(dirt as u64);
+            let ras = if dirt == Dirt::Junk {
+                Cow::Owned(rewrite_heads(&ras, &mut rng))
+            } else {
+                Cow::Borrowed(&ras[..])
+            };
             let ras_text = dirty(dirt, &ras, 6, &mut rng);
             let jobs_text = dirty(dirt, &jobs, 5, &mut rng);
             if dirt == Dirt::SameSecondReorder {
