@@ -15,23 +15,22 @@ use bgp_stats::hist::{bucket_index, TABLE_VI_TIME_EDGES};
 use bgp_stats::infogain::{rank_features, FeatureColumn, FeatureScore};
 use bgp_stats::pearson::pearson;
 use coanalysis::analysis::fda::{
-    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, NUM_DIMS, NUM_JOB_DIMS,
+    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, JobDims, NUM_DIMS, NUM_JOB_DIMS,
 };
 use coanalysis::analysis::vulnerability::{
     ResubmissionStats, SizeLengthTable, VulnerabilityAnalysis, SIZE_ROWS,
 };
 use coanalysis::analysis::BurstAnalysis;
 use coanalysis::classify::root_cause::{RootCause, RootCauseRule, RootCauseSummary};
-use coanalysis::context::AnalysisContext;
 use coanalysis::event::Event;
 use coanalysis::matching::{EventCase, EventMatch, Matcher, Matching};
-use joblog::{JobRecord, ProjectId, UserId};
+use joblog::{JobLog, JobRecord, ProjectId, UserId};
 use raslog::ErrCode;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// The pre-sweep matcher: per event, a machine-wide `ended_in_window`
 /// scan filtered by footprint overlap, and an `O(n²)` running-job dedup.
-pub fn match_events(matcher: &Matcher, events: &[Event], ctx: &AnalysisContext<'_>) -> Matching {
+pub fn match_events(matcher: &Matcher, events: &[Event], jobs: &JobLog) -> Matching {
     let mut per_event = Vec::with_capacity(events.len());
     // job id → (event index, |end − event time|), best so far.
     let mut best: HashMap<u64, (usize, i64)> = HashMap::new();
@@ -41,16 +40,14 @@ pub fn match_events(matcher: &Matcher, events: &[Event], ctx: &AnalysisContext<'
         let mut running = 0usize;
         let mut seen: Vec<u64> = Vec::new();
         for m in e.footprint.midplanes() {
-            for j in ctx.jobs().running_at(m, e.time) {
+            for j in jobs.running_at(m, e.time) {
                 if !seen.contains(&j.job_id) {
                     seen.push(j.job_id);
                     running += 1;
                 }
             }
         }
-        let ended = ctx
-            .jobs()
-            .ended_in_window(e.time - matcher.window, e.time + matcher.window);
+        let ended = jobs.ended_in_window(e.time - matcher.window, e.time + matcher.window);
         let victims: Vec<u64> = ended
             .iter()
             .filter(|j| j.partition.overlaps(e.footprint))
@@ -58,7 +55,7 @@ pub fn match_events(matcher: &Matcher, events: &[Event], ctx: &AnalysisContext<'
             .map(|j| j.job_id)
             .collect();
         for &job_id in &victims {
-            let Some(end) = ctx.jobs().job(job_id).map(|j| j.end_time) else {
+            let Some(end) = jobs.job(job_id).map(|j| j.end_time) else {
                 continue; // victim ids come from this log; nothing to rank otherwise
             };
             let dist = (end - e.time).abs().as_secs();
@@ -108,7 +105,7 @@ pub fn match_events(matcher: &Matcher, events: &[Event], ctx: &AnalysisContext<'
 pub fn classify_root_cause(
     events: &[Event],
     matching: &Matching,
-    ctx: &AnalysisContext<'_>,
+    jobs: &JobLog,
 ) -> RootCauseSummary {
     assert_eq!(events.len(), matching.per_event.len());
     let mut summary = RootCauseSummary::default();
@@ -123,7 +120,7 @@ pub fn classify_root_cause(
     for (e, m) in events.iter().zip(&matching.per_event) {
         let ev = evidence.entry(e.errcode).or_default();
         for &job_id in &m.victims {
-            if let Some(job) = ctx.jobs().job(job_id) {
+            if let Some(job) = jobs.job(job_id) {
                 ev.interrupts = true;
                 ev.hits.push((
                     job.partition.first().map_or(0, |m| m.index()) as u8,
@@ -160,7 +157,7 @@ pub fn classify_root_cause(
                 if exec_a == exec_b {
                     continue;
                 }
-                let clean_between = ctx.jobs().overlapping(mp, t_a, t_b).iter().any(|j| {
+                let clean_between = jobs.overlapping(mp, t_a, t_b).iter().any(|j| {
                     j.start_time > t_a
                         && j.end_time < t_b
                         && !matching.job_to_event.contains_key(&j.job_id)
@@ -272,17 +269,17 @@ pub fn vulnerability(
     events: &[Event],
     matching: &Matching,
     root_cause: &RootCauseSummary,
-    ctx: &AnalysisContext<'_>,
+    jobs: &JobLog,
     fatal_counts_per_midplane: &[u32],
 ) -> VulnerabilityAnalysis {
     let causes = job_causes(events, matching, root_cause);
-    let table = build_table(ctx, &causes);
-    let resubmission = build_resubmission(ctx, &causes);
-    let (suspicious_users, suspicious_projects) = suspicious_sets(ctx, &causes);
+    let table = build_table(jobs, &causes);
+    let resubmission = build_resubmission(jobs, &causes);
+    let (suspicious_users, suspicious_projects) = suspicious_sets(jobs, &causes);
     let unreliable_midplanes = top_failing(fatal_counts_per_midplane, 12);
 
     let ranking_system = rank(
-        ctx,
+        jobs,
         &causes,
         RootCause::SystemFailure,
         &suspicious_users.0,
@@ -290,7 +287,7 @@ pub fn vulnerability(
         &unreliable_midplanes,
     );
     let ranking_application = rank(
-        ctx,
+        jobs,
         &causes,
         RootCause::ApplicationError,
         &suspicious_users.0,
@@ -301,7 +298,7 @@ pub fn vulnerability(
     let app_jobs: Vec<&JobRecord> = causes
         .iter()
         .filter(|&(_, &c)| c == RootCause::ApplicationError)
-        .filter_map(|(&id, _)| ctx.jobs().job(id))
+        .filter_map(|(&id, _)| jobs.job(id))
         .collect();
     let app_interruptions_first_hour = if app_jobs.is_empty() {
         0.0
@@ -313,7 +310,7 @@ pub fn vulnerability(
             / app_jobs.len() as f64
     };
 
-    let uncovered_by_history_k2 = history_uncovered(ctx, &causes, 2);
+    let uncovered_by_history_k2 = history_uncovered(jobs, &causes, 2);
 
     VulnerabilityAnalysis {
         table,
@@ -354,10 +351,10 @@ fn time_col(runtime_secs: i64) -> usize {
     bucket_index(&TABLE_VI_TIME_EDGES, runtime_secs as f64).unwrap_or(0)
 }
 
-fn build_table(ctx: &AnalysisContext<'_>, causes: &HashMap<u64, RootCause>) -> SizeLengthTable {
+fn build_table(jobs: &JobLog, causes: &HashMap<u64, RootCause>) -> SizeLengthTable {
     let mut interrupted = [[0u32; 4]; 9];
     let mut total = [[0u32; 4]; 9];
-    for j in ctx.jobs().jobs() {
+    for j in jobs.jobs() {
         match causes.get(&j.job_id) {
             Some(RootCause::ApplicationError) => continue,
             Some(RootCause::SystemFailure) => {
@@ -378,19 +375,16 @@ fn build_table(ctx: &AnalysisContext<'_>, causes: &HashMap<u64, RootCause>) -> S
     SizeLengthTable { interrupted, total }
 }
 
-fn build_resubmission(
-    ctx: &AnalysisContext<'_>,
-    causes: &HashMap<u64, RootCause>,
-) -> ResubmissionStats {
+fn build_resubmission(jobs: &JobLog, causes: &HashMap<u64, RootCause>) -> ResubmissionStats {
     let mut system = [(0u32, 0u32); 3];
     let mut application = [(0u32, 0u32); 3];
-    for group in ctx.jobs().exec_groups().iter() {
+    for group in jobs.exec_groups().iter() {
         for (cat, counts) in [
             (RootCause::SystemFailure, &mut system),
             (RootCause::ApplicationError, &mut application),
         ] {
             let mut run = 0usize;
-            for j in group_records(ctx, group) {
+            for j in group_records(jobs, group) {
                 let interrupted = causes.get(&j.job_id) == Some(&cat);
                 if (1..=3).contains(&run) {
                     counts[run - 1].0 += 1;
@@ -409,14 +403,14 @@ fn build_resubmission(
 }
 
 fn suspicious_sets(
-    ctx: &AnalysisContext<'_>,
+    jobs: &JobLog,
     causes: &HashMap<u64, RootCause>,
 ) -> ((Vec<UserId>, f64), (Vec<ProjectId>, f64)) {
     let mut by_user: HashMap<UserId, u32> = HashMap::new();
     let mut by_project: HashMap<ProjectId, u32> = HashMap::new();
     let total = causes.len() as f64;
     for (&job_id, _) in causes.iter() {
-        if let Some(j) = ctx.jobs().job(job_id) {
+        if let Some(j) = jobs.job(job_id) {
             *by_user.entry(j.user).or_insert(0) += 1;
             *by_project.entry(j.project).or_insert(0) += 1;
         }
@@ -455,7 +449,7 @@ fn top_failing(fatal_counts: &[u32], k: usize) -> Vec<MidplaneId> {
 }
 
 fn rank(
-    ctx: &AnalysisContext<'_>,
+    jobs: &JobLog,
     causes: &HashMap<u64, RootCause>,
     category: RootCause,
     suspicious_users: &[UserId],
@@ -472,7 +466,7 @@ fn rank(
     let mut time_f = Vec::new();
     let mut loc_f = Vec::new();
     let mut labels = Vec::new();
-    for j in ctx.jobs().jobs() {
+    for j in jobs.jobs() {
         match causes.get(&j.job_id) {
             Some(&c) if c != category => continue,
             other => labels.push(usize::from(other == Some(&category))),
@@ -524,11 +518,11 @@ fn rank(
 pub fn fda(
     events: &[Event],
     matching: &Matching,
-    ctx: &AnalysisContext<'_>,
+    dims: &JobDims,
+    jobs: &JobLog,
     params: &FdaParams,
 ) -> FdaAnalysis {
     type Item = (u8, u32);
-    let dims = ctx.fda_columns();
     let n = dims.rows();
 
     // Errcode column: same join as the optimized kernel (victims are
@@ -537,7 +531,7 @@ pub fn fda(
     for (i, em) in matching.per_event.iter().enumerate() {
         let code = events.get(i).map_or(0, |e| e.errcode.0);
         for &job_id in &em.victims {
-            if let Some(row) = ctx.jobs().job_row(job_id) {
+            if let Some(row) = jobs.job_row(job_id) {
                 attributed.push((row, code));
             }
         }
@@ -713,12 +707,12 @@ fn fda_candidates(frequent: &[Vec<(u8, u32)>]) -> Vec<Vec<(u8, u32)>> {
     out
 }
 
-fn history_uncovered(ctx: &AnalysisContext<'_>, causes: &HashMap<u64, RootCause>, k: usize) -> f64 {
+fn history_uncovered(jobs: &JobLog, causes: &HashMap<u64, RootCause>, k: usize) -> f64 {
     let mut covered = 0usize;
     let mut total = 0usize;
-    for group in ctx.jobs().exec_groups().iter() {
+    for group in jobs.exec_groups().iter() {
         let mut run = 0usize;
-        for j in group_records(ctx, group) {
+        for j in group_records(jobs, group) {
             let interrupted = causes.contains_key(&j.job_id);
             if interrupted {
                 total += 1;
@@ -740,10 +734,10 @@ fn history_uncovered(ctx: &AnalysisContext<'_>, causes: &HashMap<u64, RootCause>
 
 /// The records of one executable group, in group (submission) order.
 fn group_records<'a>(
-    ctx: &AnalysisContext<'a>,
+    jobs: &'a JobLog,
     group: &'a [u32],
 ) -> impl Iterator<Item = &'a JobRecord> + 'a {
-    let records = ctx.jobs().jobs();
+    let records = jobs.jobs();
     group
         .iter()
         .filter_map(move |&row| records.get(row as usize))
@@ -753,7 +747,7 @@ fn group_records<'a>(
 /// once per job row on the executable walk.
 pub fn burst(
     victims: &[&JobRecord],
-    ctx: &AnalysisContext<'_>,
+    jobs: &JobLog,
     window: (Timestamp, Timestamp),
     quick_window: Duration,
 ) -> BurstAnalysis {
@@ -781,9 +775,9 @@ pub fn burst(
 
     let interrupted_ids: BTreeSet<u64> = victims.iter().map(|j| j.job_id).collect();
     let mut max_run = 0usize;
-    for group in ctx.jobs().exec_groups().iter() {
+    for group in jobs.exec_groups().iter() {
         let mut run = 0usize;
-        for j in group_records(ctx, group) {
+        for j in group_records(jobs, group) {
             if interrupted_ids.contains(&j.job_id) {
                 run += 1;
                 max_run = max_run.max(run);
@@ -796,15 +790,15 @@ pub fn burst(
     let interrupted_execs = per_exec.len();
     BurstAnalysis {
         per_day,
-        interrupted_job_fraction: if ctx.jobs().is_empty() {
+        interrupted_job_fraction: if jobs.is_empty() {
             0.0
         } else {
-            victims.len() as f64 / ctx.jobs().len() as f64
+            victims.len() as f64 / jobs.len() as f64
         },
-        interrupted_exec_fraction: if ctx.jobs().distinct_execs() == 0 {
+        interrupted_exec_fraction: if jobs.distinct_execs() == 0 {
             0.0
         } else {
-            interrupted_execs as f64 / ctx.jobs().distinct_execs() as f64
+            interrupted_execs as f64 / jobs.distinct_execs() as f64
         },
         quick_reinterruptions: quick,
         quick_window_secs: quick_window.as_secs(),

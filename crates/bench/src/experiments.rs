@@ -820,8 +820,7 @@ impl Experiments {
             })
             .collect();
         let mtti = self.result.interruption.system.mtti().unwrap_or(100_000.0);
-        let ctx = coanalysis::AnalysisContext::for_jobs(&self.out.jobs);
-        let outcomes = standard_study(&ctx, &causes, mtti, 300.0, 32);
+        let outcomes = standard_study(&self.out.jobs, &causes, mtti, 300.0, 32);
         let mut rows = vec![vec![
             "policy".into(),
             "lost node-hours".into(),

@@ -46,10 +46,10 @@ fn check_kernels(out: &SimOutput, threads: usize, label: &str) {
     assert!(!events.is_empty(), "{label}: no filtered events");
 
     let matcher = pipeline.config.matcher;
-    let matching = matcher.run(events, &ctx);
+    let matching = matcher.run(events, &out.jobs);
     assert_eq!(
         matching,
-        baseline::match_events(&matcher, events, &ctx),
+        baseline::match_events(&matcher, events, &out.jobs),
         "{label}: matching diverged from its baseline"
     );
     assert!(
@@ -66,16 +66,16 @@ fn check_kernels(out: &SimOutput, threads: usize, label: &str) {
             ..matcher
         };
         assert_eq!(
-            m.run(events, &ctx),
-            baseline::match_events(&m, events, &ctx),
+            m.run(events, &out.jobs),
+            baseline::match_events(&m, events, &out.jobs),
             "{label}: matching with a {secs} s window diverged from its baseline"
         );
     }
 
-    let root_cause = classify_root_cause(events, &matching, &ctx);
+    let root_cause = classify_root_cause(events, &matching, &out.jobs);
     assert_eq!(
         root_cause,
-        baseline::classify_root_cause(events, &matching, &ctx),
+        baseline::classify_root_cause(events, &matching, &out.jobs),
         "{label}: root-cause classification diverged from its baseline"
     );
     assert_eq!(
@@ -85,27 +85,28 @@ fn check_kernels(out: &SimOutput, threads: usize, label: &str) {
 
     let fatal_counts = r.midplane.fatal_counts.as_slice();
     assert_eq!(
-        VulnerabilityAnalysis::new(events, &matching, &root_cause, &ctx, fatal_counts),
-        baseline::vulnerability(events, &matching, &root_cause, &ctx, fatal_counts),
+        VulnerabilityAnalysis::new(events, &matching, &root_cause, &out.jobs, fatal_counts),
+        baseline::vulnerability(events, &matching, &root_cause, &out.jobs, fatal_counts),
         "{label}: vulnerability ranking diverged from its baseline"
     );
 
     let params = pipeline.config.fda;
-    let fda = FdaAnalysis::compute(events, &matching, &ctx, &params);
+    let dims = ctx.fda_columns();
+    let fda = FdaAnalysis::compute(events, &matching, dims, &out.jobs, &params);
     assert_eq!(
         fda,
-        baseline::fda(events, &matching, &ctx, &params),
+        baseline::fda(events, &matching, dims, &out.jobs, &params),
         "{label}: FDA diverged from its baseline"
     );
     assert_eq!(r.fda, fda, "{label}: the Fda stage diverged");
 
-    let victims = matching.interrupted_records(&ctx);
+    let victims = matching.interrupted_records(&out.jobs);
     let window = ctx.span().expect("a simulated log has a span");
     let quick = pipeline.config.quick_window;
-    let burst = BurstAnalysis::new(&victims, &ctx, window, quick);
+    let burst = BurstAnalysis::new(&victims, &out.jobs, window, quick);
     assert_eq!(
         burst,
-        baseline::burst(&victims, &ctx, window, quick),
+        baseline::burst(&victims, &out.jobs, window, quick),
         "{label}: burst analysis diverged from its baseline"
     );
     assert_eq!(r.burst, burst, "{label}: the Burst stage diverged");
@@ -139,18 +140,15 @@ fn burst_matches_baseline_on_duplicated_ids_and_interleaved_queue_times() {
         ));
     }
     let jobs = JobLog::from_jobs(rows);
-    let ctx = AnalysisContext::for_jobs(&jobs);
     let window = (Timestamp::from_unix(0), Timestamp::from_unix(3 * 86_400));
     let quick = Duration::seconds(5_000);
     for victim_ids in [vec![], vec![3], vec![0, 3, 4, 16], (0..17).collect()] {
-        let mut victims: Vec<&JobRecord> = victim_ids
-            .iter()
-            .filter_map(|&id| ctx.jobs().job(id))
-            .collect();
+        let mut victims: Vec<&JobRecord> =
+            victim_ids.iter().filter_map(|&id| jobs.job(id)).collect();
         victims.sort_by_key(|j| (j.end_time, j.job_id));
         assert_eq!(
-            BurstAnalysis::new(&victims, &ctx, window, quick),
-            baseline::burst(&victims, &ctx, window, quick),
+            BurstAnalysis::new(&victims, &jobs, window, quick),
+            baseline::burst(&victims, &jobs, window, quick),
             "victims {victim_ids:?}"
         );
     }

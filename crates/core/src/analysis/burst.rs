@@ -1,8 +1,8 @@
 //! Burstiness of job interruptions (Section VI-A: Figure 5,
 //! Observation 6).
 
-use crate::context::AnalysisContext;
 use bgp_model::{Duration, Timestamp};
+use joblog::JobLog;
 use joblog::JobRecord;
 use std::collections::BTreeMap;
 
@@ -32,7 +32,7 @@ impl BurstAnalysis {
     /// against the indexed job log and window (the `Burst` stage).
     pub fn new(
         victims: &[&JobRecord],
-        ctx: &AnalysisContext<'_>,
+        jobs: &JobLog,
         window: (Timestamp, Timestamp),
         quick_window: Duration,
     ) -> BurstAnalysis {
@@ -63,7 +63,6 @@ impl BurstAnalysis {
         // submissions of the executable that all got interrupted. Every row
         // carrying a victim's id counts as interrupted.
         let interrupted_ids: BTreeMap<u64, ()> = victims.iter().map(|j| (j.job_id, ())).collect();
-        let jobs = ctx.jobs();
         let interrupted = jobs.row_marks(&interrupted_ids);
         let mut max_run = 0usize;
         for group in jobs.exec_groups().iter() {
@@ -134,11 +133,10 @@ mod tests {
             .map(|i| job(i, i as u32, 1_000 + i as i64))
             .collect();
         let log = JobLog::from_jobs(all);
-        let ctx = AnalysisContext::for_jobs(&log);
         let victims: Vec<&JobRecord> = log.jobs().iter().take(2).collect();
         let b = BurstAnalysis::new(
             &victims,
-            &ctx,
+            &log,
             (Timestamp::from_unix(0), Timestamp::from_unix(3 * 86_400)),
             Duration::seconds(1_000),
         );
@@ -160,7 +158,6 @@ mod tests {
         ];
         all[3].exit = ExitStatus::Completed;
         let log = JobLog::from_jobs(all);
-        let ctx = AnalysisContext::for_jobs(&log);
         let victims: Vec<&JobRecord> = log
             .jobs()
             .iter()
@@ -168,7 +165,7 @@ mod tests {
             .collect();
         let b = BurstAnalysis::new(
             &victims,
-            &ctx,
+            &log,
             (Timestamp::from_unix(0), Timestamp::from_unix(2 * 86_400)),
             Duration::seconds(1_000),
         );

@@ -24,7 +24,7 @@
 //!   worthless); wide jobs checkpoint periodically at the Young interval.
 
 use crate::classify::root_cause::RootCause;
-use crate::context::AnalysisContext;
+use joblog::JobLog;
 use joblog::{ExecId, JobRecord};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -84,7 +84,7 @@ impl CheckpointOutcome {
 pub struct CheckpointStudy<'a> {
     /// The indexed job log; interrupted job ids resolve through its
     /// job-id index.
-    pub ctx: &'a AnalysisContext<'a>,
+    pub jobs: &'a JobLog,
     /// job id → cause for interrupted jobs.
     pub causes: &'a BTreeMap<u64, RootCause>,
     /// Seconds one checkpoint takes (its cost in wall time × nodes).
@@ -97,7 +97,7 @@ impl CheckpointStudy<'_> {
         // Executables with any application-error interruption in the log —
         // the "history" the informed policy reacts to. (Offline stand-in
         // for the online history a scheduler would track.)
-        let jobs = self.ctx.jobs();
+        let jobs = self.jobs;
         let app_history: BTreeSet<ExecId> = self
             .causes
             .iter()
@@ -199,7 +199,7 @@ enum Plan {
 /// Evaluate the three canonical policies with a Young-style interval
 /// derived from the measured system MTTI.
 pub fn standard_study(
-    ctx: &AnalysisContext<'_>,
+    jobs: &JobLog,
     causes: &BTreeMap<u64, RootCause>,
     mtti_secs: f64,
     checkpoint_cost_secs: f64,
@@ -208,7 +208,7 @@ pub fn standard_study(
     // Young's first-order optimal interval: sqrt(2 · cost · MTTI).
     let young = (2.0 * checkpoint_cost_secs * mtti_secs).sqrt().max(60.0) as i64;
     let study = CheckpointStudy {
-        ctx,
+        jobs,
         causes,
         checkpoint_cost_secs,
     };
@@ -251,9 +251,8 @@ mod tests {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 10_000, 1), job(2, 2, 10_000, 1)]);
         let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
-        let ctx = AnalysisContext::for_jobs(&jobs);
         let study = CheckpointStudy {
-            ctx: &ctx,
+            jobs: &jobs,
             causes: &causes,
             checkpoint_cost_secs: 300.0,
         };
@@ -268,9 +267,8 @@ mod tests {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 10_000, 1), job(2, 2, 10_000, 1)]);
         let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
-        let ctx = AnalysisContext::for_jobs(&jobs);
         let study = CheckpointStudy {
-            ctx: &ctx,
+            jobs: &jobs,
             causes: &causes,
             checkpoint_cost_secs: 300.0,
         };
@@ -294,9 +292,8 @@ mod tests {
         let jobs: Vec<JobRecord> = (0..1000).map(|i| job(i, i as u32, 1_800, 1)).collect();
         let jobs = JobLog::from_jobs(jobs);
         let causes = BTreeMap::new();
-        let ctx = AnalysisContext::for_jobs(&jobs);
         let study = CheckpointStudy {
-            ctx: &ctx,
+            jobs: &jobs,
             causes: &causes,
             checkpoint_cost_secs: 300.0,
         };
@@ -318,9 +315,8 @@ mod tests {
         let jobs = JobLog::from_jobs(vec![job(1, 7, 600, 1), job(2, 7, 20_000, 1)]);
         let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::ApplicationError);
-        let ctx = AnalysisContext::for_jobs(&jobs);
         let study = CheckpointStudy {
-            ctx: &ctx,
+            jobs: &jobs,
             causes: &causes,
             checkpoint_cost_secs: 100.0,
         };
@@ -340,8 +336,7 @@ mod tests {
         let jobs = JobLog::from_jobs(vec![job(1, 1, 50_000, 64), job(2, 2, 400, 1)]);
         let mut causes = BTreeMap::new();
         causes.insert(1u64, RootCause::SystemFailure);
-        let ctx = AnalysisContext::for_jobs(&jobs);
-        let outcomes = standard_study(&ctx, &causes, 100_000.0, 300.0, 32);
+        let outcomes = standard_study(&jobs, &causes, 100_000.0, 300.0, 32);
         assert_eq!(outcomes.len(), 3);
         // The interrupted job is wide: both checkpointing policies should
         // beat running naked.

@@ -27,12 +27,11 @@
 //! filters leave, and the stage executor already runs it beside the other
 //! stages on its workers.
 
-use crate::context::AnalysisContext;
 use crate::event::Event;
 use crate::matching::Matching;
 use bgp_model::intern::Interner;
 use bgp_model::MidplaneId;
-use joblog::{ExecId, JobRecord, ProjectId, UserId};
+use joblog::{ExecId, JobLog, JobRecord, ProjectId, UserId};
 use raslog::ErrCode;
 use std::fmt;
 
@@ -137,10 +136,10 @@ impl FdaParams {
 
 /// The interned job-side columns: one dense-`u32` column per job
 /// dimension and the sorted dictionaries behind the ids (a display name is
-/// formatted from the dictionary only when asked for). Built once per [`AnalysisContext`] (lazily, on first use) beside the
-/// existing sorted shards; rows are the context's job-table rows, so a job
-/// id resolves to its row through
-/// [`JobLog::job_row`](joblog::JobLog::job_row).
+/// formatted from the dictionary only when asked for). Built once per
+/// [`AnalysisContext`](crate::AnalysisContext) (lazily, on first use) beside
+/// the existing sorted shards; rows are the job log's rows, so a job id
+/// resolves to its row through [`JobLog::job_row`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobDims {
     /// Column per job dimension, `cols[d][row]` = interned id. Order:
@@ -332,15 +331,15 @@ impl FdaAnalysis {
     /// Mine the lattice. `events` and `matching` supply the errcode
     /// column and the fatal-row set (a job is fatal iff the matching
     /// attributed it to an event, and its row is the one
-    /// [`JobLog::job_row`](joblog::JobLog::job_row) resolves); the job
-    /// columns are the context's [`AnalysisContext::fda_columns`].
+    /// [`JobLog::job_row`] resolves); `dims` are the interned columns of
+    /// `jobs` ([`JobDims::from_jobs`] of its rows).
     pub fn compute(
         events: &[Event],
         matching: &Matching,
-        ctx: &AnalysisContext<'_>,
+        dims: &JobDims,
+        jobs: &JobLog,
         params: &FdaParams,
     ) -> FdaAnalysis {
-        let dims = ctx.fda_columns();
         let n = dims.rows();
         // Errcode column: id 0 = "no interruption", ids 1.. = rank in the
         // sorted dictionary of attributed codes (+1). Victim lists are
@@ -349,7 +348,7 @@ impl FdaAnalysis {
         for (i, em) in matching.per_event.iter().enumerate() {
             let code = events.get(i).map_or(0, |e| e.errcode.0);
             for &job_id in &em.victims {
-                if let Some(row) = ctx.jobs().job_row(job_id) {
+                if let Some(row) = jobs.job_row(job_id) {
                     attributed.push((row, code));
                 }
             }

@@ -2,10 +2,10 @@
 //! Observation 7).
 
 use crate::classify::root_cause::{RootCause, RootCauseSummary};
-use crate::context::AnalysisContext;
 use crate::event::Event;
 use crate::matching::Matching;
 use bgp_stats::{compare_models, Ecdf, FitComparison, StatsError};
+use joblog::JobLog;
 
 /// Interarrival fits of job interruptions, split by root cause.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,12 +71,12 @@ impl InterruptionStats {
         events: &[Event],
         matching: &Matching,
         root_cause: &RootCauseSummary,
-        ctx: &AnalysisContext<'_>,
+        jobs: &JobLog,
     ) -> InterruptionStats {
         let mut sys_times = Vec::new();
         let mut app_times = Vec::new();
         for (&job_id, &event_idx) in &matching.job_to_event {
-            let Some(job) = ctx.jobs().job(job_id) else {
+            let Some(job) = jobs.job(job_id) else {
                 continue;
             };
             let code = events[event_idx].errcode;
@@ -168,8 +168,7 @@ mod tests {
                 RootCauseRule::FollowsExecutable,
             ),
         );
-        let ctx = AnalysisContext::for_jobs(&jobs);
-        let stats = InterruptionStats::new(&events, &matching, &rc, &ctx);
+        let stats = InterruptionStats::new(&events, &matching, &rc, &jobs);
         assert_eq!(stats.system.count, 15);
         assert_eq!(stats.application.count, 15);
         assert_eq!(stats.total(), 30);
@@ -193,8 +192,7 @@ mod tests {
         let mut matching = Matching::default();
         matching.job_to_event.insert(1, 0);
         matching.job_to_event.insert(2, 1);
-        let ctx = AnalysisContext::for_jobs(&jobs);
-        let stats = InterruptionStats::new(&events, &matching, &RootCauseSummary::default(), &ctx);
+        let stats = InterruptionStats::new(&events, &matching, &RootCauseSummary::default(), &jobs);
         assert_eq!(stats.system.count, 2);
         assert_eq!(stats.application.count, 0);
         assert!(stats.application.fits.is_none());

@@ -6,10 +6,10 @@
 //! Observation 5 quantitative: failure counts track *wide-job* workload,
 //! not total workload.
 
-use crate::context::AnalysisContext;
 use crate::event::Event;
 use bgp_model::{topology::NUM_MIDPLANES, MidplaneId};
 use bgp_stats::pearson::pearson;
+use joblog::JobLog;
 
 /// Per-midplane profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,11 +28,7 @@ pub struct MidplaneProfile {
 impl MidplaneProfile {
     /// Build the three series (the `Midplane` stage; `events` is the fully
     /// filtered stream).
-    pub fn new(
-        events: &[Event],
-        ctx: &AnalysisContext<'_>,
-        wide_threshold: u32,
-    ) -> MidplaneProfile {
+    pub fn new(events: &[Event], jobs: &JobLog, wide_threshold: u32) -> MidplaneProfile {
         let n = usize::from(NUM_MIDPLANES);
         let mut fatal_counts = vec![0u32; n];
         for e in events {
@@ -40,8 +36,8 @@ impl MidplaneProfile {
         }
         MidplaneProfile {
             fatal_counts,
-            workload_secs: ctx.jobs().midplane_busy_series(0),
-            wide_workload_secs: ctx.jobs().midplane_busy_series(wide_threshold),
+            workload_secs: jobs.midplane_busy_series(0),
+            wide_workload_secs: jobs.midplane_busy_series(wide_threshold),
             wide_threshold,
         }
     }
@@ -171,8 +167,7 @@ mod tests {
             // Narrow job with huge runtime at the head.
             job(2, 0, 500_000, "R00-M0"),
         ]);
-        let ctx = AnalysisContext::for_jobs(&jobs);
-        let p = MidplaneProfile::new(&events, &ctx, 32);
+        let p = MidplaneProfile::new(&events, &jobs, 32);
         assert_eq!(p.fatal_counts.iter().sum::<u32>(), 20);
         assert_eq!(p.fatal_counts[32], 5); // R20-M0 is index 32
         assert_eq!(p.workload_secs[0], 500_000);
@@ -192,8 +187,7 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let empty = JobLog::default();
-        let ctx = AnalysisContext::for_jobs(&empty);
-        let p = MidplaneProfile::new(&[], &ctx, 32);
+        let p = MidplaneProfile::new(&[], &empty, 32);
         assert_eq!(p.middle_band_share(), 0.0);
         // Zero-variance series make correlation undefined.
         assert!(p.corr_with_workload().is_none());

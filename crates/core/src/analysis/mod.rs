@@ -24,7 +24,6 @@ mod tests {
     use super::checkpoint::{CheckpointPolicy, CheckpointStudy};
     use super::*;
     use crate::classify::root_cause::{RootCause, RootCauseRule, RootCauseSummary};
-    use crate::context::AnalysisContext;
     use crate::event::Event;
     use crate::matching::{EventCase, EventMatch, Matching};
     use bgp_model::{Duration, Partition, Timestamp};
@@ -56,8 +55,7 @@ mod tests {
             job(7, 2, 400_000, 30_000, 1),
             job(8, 1, 500_000, 30_000, 1),
         ]);
-        let ctx = AnalysisContext::for_jobs(&jobs);
-        let last = ctx.jobs().job(5).unwrap();
+        let last = jobs.job(5).unwrap();
         assert_eq!(last.exec, ExecId(2));
 
         let code = raslog::Catalog::standard()
@@ -88,16 +86,16 @@ mod tests {
         );
 
         // Burst: the victim is the last row (its end day, its exec).
-        let victims = matching.interrupted_records(&ctx);
+        let victims = matching.interrupted_records(&jobs);
         assert_eq!(victims, vec![last]);
         let window = (Timestamp::from_unix(0), Timestamp::from_unix(10 * 86_400));
-        let burst = BurstAnalysis::new(&victims, &ctx, window, Duration::seconds(1_000));
+        let burst = BurstAnalysis::new(&victims, &jobs, window, Duration::seconds(1_000));
         assert_eq!(burst.per_day[2], 1);
         assert_eq!(burst.per_day.iter().sum::<u32>(), 1);
 
         // Vulnerability: the suspicious user and the first-hour share come
         // from the last row (exec 2's user, a two-hour run).
-        let v = VulnerabilityAnalysis::new(&events, &matching, &root_cause, &ctx, &[0; 80]);
+        let v = VulnerabilityAnalysis::new(&events, &matching, &root_cause, &jobs, &[0; 80]);
         assert_eq!(v.suspicious_users.0, vec![UserId(2)]);
         assert_eq!(v.app_interruptions_first_hour, 0.0);
 
@@ -108,7 +106,8 @@ mod tests {
             min_lift: 0.0,
             max_level: 1,
         };
-        let fda = FdaAnalysis::compute(&events, &matching, &ctx, &params);
+        let dims = fda::JobDims::from_jobs(jobs.jobs());
+        let fda = FdaAnalysis::compute(&events, &matching, &dims, &jobs, &params);
         assert_eq!(fda.n_fatal, 1);
         let execs: Vec<&str> = fda
             .ranked
@@ -123,7 +122,7 @@ mod tests {
         // job 8 on exec 1 does not; exec 1's history would give just job 8.
         let causes = BTreeMap::from([(5, RootCause::ApplicationError)]);
         let study = CheckpointStudy {
-            ctx: &ctx,
+            jobs: &jobs,
             causes: &causes,
             checkpoint_cost_secs: 100.0,
         };

@@ -6,9 +6,9 @@
 //! jobs running at different locations at the same time — on Intrepid only
 //! the shared-file-system codes do this (7.22 % of fatal events).
 
-use crate::context::AnalysisContext;
 use crate::event::Event;
 use crate::matching::Matching;
+use joblog::JobLog;
 use raslog::ErrCode;
 use std::collections::BTreeMap;
 
@@ -32,7 +32,7 @@ impl PropagationAnalysis {
     pub fn new(
         events: &[Event],
         matching: &Matching,
-        ctx: &AnalysisContext<'_>,
+        jobs: &JobLog,
         chain_flags: &[bool],
     ) -> PropagationAnalysis {
         assert_eq!(events.len(), matching.per_event.len());
@@ -51,7 +51,7 @@ impl PropagationAnalysis {
                 let partitions: Vec<_> = m
                     .victims
                     .iter()
-                    .filter_map(|&id| ctx.jobs().job(id))
+                    .filter_map(|&id| jobs.job(id))
                     .map(|j| j.partition)
                     .collect();
                 let mut disjoint = false;
@@ -140,8 +140,7 @@ mod tests {
             ],
             job_to_event: [(1, 0), (2, 0), (3, 1)].into_iter().collect(),
         };
-        let ctx = AnalysisContext::for_jobs(&jobs);
-        let p = PropagationAnalysis::new(&events, &matching, &ctx, &[false, false]);
+        let p = PropagationAnalysis::new(&events, &matching, &jobs, &[false, false]);
         assert_eq!(p.spatial_events, 1);
         assert_eq!(p.interrupting_events, 2);
         assert!((p.spatial_fraction() - 0.5).abs() < 1e-12);
@@ -163,8 +162,7 @@ mod tests {
             }],
             job_to_event: [(1, 0), (2, 0)].into_iter().collect(),
         };
-        let ctx = AnalysisContext::for_jobs(&jobs);
-        let p = PropagationAnalysis::new(&events, &matching, &ctx, &[true]);
+        let p = PropagationAnalysis::new(&events, &matching, &jobs, &[true]);
         assert_eq!(p.spatial_events, 0);
         assert_eq!(p.temporal_chain_events, 1);
     }
@@ -172,8 +170,7 @@ mod tests {
     #[test]
     fn empty() {
         let empty = JobLog::default();
-        let ctx = AnalysisContext::for_jobs(&empty);
-        let p = PropagationAnalysis::new(&[], &Matching::default(), &ctx, &[]);
+        let p = PropagationAnalysis::new(&[], &Matching::default(), &empty, &[]);
         assert_eq!(p.spatial_fraction(), 0.0);
     }
 }

@@ -199,8 +199,7 @@ mod tests {
             ev(2_200, "R00-M0", "_bgp_err_ddr_controller"),
             ev(3_400, "R00-M0", "_bgp_err_ddr_controller"),
         ];
-        let ctx = crate::context::AnalysisContext::for_jobs(&jobs);
-        let matching = Matcher::default().run(&events, &ctx);
+        let matching = Matcher::default().run(&events, &jobs);
         let episodes = reconstruct_outages(&events, &matching, &jobs);
         assert_eq!(episodes.len(), 1);
         let e = &episodes[0];
@@ -219,8 +218,7 @@ mod tests {
     fn single_interruption_is_not_an_episode() {
         let jobs = JobLog::from_jobs(vec![job(1, 0, 1_000, "R00-M0", true)]);
         let events = vec![ev(1_000, "R00-M0", "_bgp_err_ddr_controller")];
-        let ctx = crate::context::AnalysisContext::for_jobs(&jobs);
-        let matching = Matcher::default().run(&events, &ctx);
+        let matching = Matcher::default().run(&events, &jobs);
         assert!(reconstruct_outages(&events, &matching, &jobs).is_empty());
         let s = summarize(&[]);
         assert_eq!(s.episodes, 0);
@@ -240,8 +238,7 @@ mod tests {
             ev(2_200, "R00-M0", "_bgp_err_ddr_controller"),
             ev(6_000, "R00-M0", "_bgp_err_ddr_controller"),
         ];
-        let ctx = crate::context::AnalysisContext::for_jobs(&jobs);
-        let matching = Matcher::default().run(&events, &ctx);
+        let matching = Matcher::default().run(&events, &jobs);
         let episodes = reconstruct_outages(&events, &matching, &jobs);
         // One two-event episode; the trailing singleton does not qualify.
         assert_eq!(episodes.len(), 1);
@@ -258,8 +255,7 @@ mod tests {
             ev(1_000, "R00-M0", "_bgp_err_ddr_controller"),
             ev(2_200, "R00-M0", "_bgp_err_ddr_controller"),
         ];
-        let ctx = crate::context::AnalysisContext::for_jobs(&jobs);
-        let matching = Matcher::default().run(&events, &ctx);
+        let matching = Matcher::default().run(&events, &jobs);
         let episodes = reconstruct_outages(&events, &matching, &jobs);
         assert_eq!(episodes.len(), 1);
         assert_eq!(episodes[0].cleared_by, None);

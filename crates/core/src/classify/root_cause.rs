@@ -15,9 +15,9 @@
 //! 4. anything still unlabeled → assign the label of the labeled code whose
 //!    occurrence profile it best **Pearson-correlates** with.
 
-use crate::context::AnalysisContext;
 use crate::event::Event;
 use crate::matching::Matching;
+use joblog::JobLog;
 use raslog::ErrCode;
 use std::collections::BTreeMap;
 
@@ -94,7 +94,7 @@ type Hit = (u8, joblog::ExecId, bgp_model::Timestamp);
 pub fn classify_root_cause(
     events: &[Event],
     matching: &Matching,
-    ctx: &AnalysisContext<'_>,
+    jobs: &JobLog,
 ) -> RootCauseSummary {
     assert_eq!(events.len(), matching.per_event.len());
     let mut summary = RootCauseSummary::default();
@@ -108,7 +108,7 @@ pub fn classify_root_cause(
     let mut hits: Vec<(ErrCode, Hit)> = Vec::new();
     for (e, m) in events.iter().zip(&matching.per_event) {
         for &job_id in &m.victims {
-            if let Some(job) = ctx.jobs().job(job_id) {
+            if let Some(job) = jobs.job(job_id) {
                 hits.push((
                     e.errcode,
                     (
@@ -136,7 +136,7 @@ pub fn classify_root_cause(
                 .get(start..)
                 .map_or(0, |rest| rest.partition_point(|&(c, _)| c <= code));
         let code_hits = hits.get(start..end).unwrap_or(&[]);
-        if let Some(v) = classify_one(code_hits, matching, ctx, &mut scratch) {
+        if let Some(v) = classify_one(code_hits, matching, jobs, &mut scratch) {
             summary.per_code.insert(code, v);
         }
         lo = end;
@@ -206,7 +206,7 @@ struct RuleScratch {
 fn classify_one(
     code_hits: &[(ErrCode, Hit)],
     matching: &Matching,
-    ctx: &AnalysisContext<'_>,
+    jobs: &JobLog,
     scratch: &mut RuleScratch,
 ) -> Option<(RootCause, RootCauseRule)> {
     // Rule 1: never interrupted anything.
@@ -238,7 +238,7 @@ fn classify_one(
                 continue; // same executable: could be its own bug
             }
             let mut clean_between = false;
-            ctx.jobs().for_each_overlapping(mp, t_a, t_b, |j| {
+            jobs.for_each_overlapping(mp, t_a, t_b, |j| {
                 clean_between = clean_between
                     || (j.start_time > t_a
                         && j.end_time < t_b
@@ -399,9 +399,8 @@ mod tests {
 
     fn classify(events: Vec<Event>, jobs: Vec<JobRecord>) -> RootCauseSummary {
         let log = JobLog::from_jobs(jobs);
-        let ctx = AnalysisContext::for_jobs(&log);
-        let matching = Matcher::default().run(&events, &ctx);
-        classify_root_cause(&events, &matching, &ctx)
+        let matching = Matcher::default().run(&events, &log);
+        classify_root_cause(&events, &matching, &log)
     }
 
     #[test]
@@ -526,9 +525,8 @@ mod tests {
             job(2, 42, 2_000, 3_000, "R07-M1"),
         ];
         let log = JobLog::from_jobs(jobs);
-        let ctx = AnalysisContext::for_jobs(&log);
-        let matching = Matcher::default().run(&events, &ctx);
-        let s = classify_root_cause(&events, &matching, &ctx);
+        let matching = Matcher::default().run(&events, &log);
+        let s = classify_root_cause(&events, &matching, &log);
         assert!((s.app_event_fraction(&events) - 2.0 / 3.0).abs() < 1e-12);
     }
 }

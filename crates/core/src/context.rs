@@ -1,4 +1,5 @@
-//! The shared, immutable index layer every pipeline stage reads.
+//! The shared, immutable index layer the stage executor opens for each
+//! stage.
 //!
 //! An [`AnalysisContext`] pairs the two logs' indexes for one co-analysis
 //! run. Each index lives with the data it indexes:
@@ -11,9 +12,14 @@
 //! * the **job side** is the borrowed [`JobLog`], which owns every index
 //!   over the job table (occupancy postings, the termination order, the
 //!   job-id index, the executable groups) and keeps them current across
-//!   appends; stages reach it through [`AnalysisContext::jobs`];
+//!   appends;
 //! * the **FDA columns**, the one index the context builds itself: the
 //!   interned job dimensions of the FDA lattice, built on first read.
+//!
+//! Analyses never see the context: each takes the job log (and FDA the
+//! columns) as arguments. Only the stage executor opens it, through the
+//! typed inputs of each stage body, and those input types are also where a
+//! stage's [`CtxIndex`] reads are declared.
 
 use crate::analysis::fda::JobDims;
 use crate::event::Event;
@@ -45,7 +51,7 @@ impl AppendBatch {
 }
 
 /// The parts of an [`AnalysisContext`] an append can invalidate
-/// independently — the unit of a stage's declared context reads
+/// independently — the unit of a stage's context reads
 /// ([`StageId::ctx_reads`](crate::stage::StageId::ctx_reads)) and of a
 /// [`ContextDelta`]'s dirty set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +62,32 @@ pub enum CtxIndex {
     Span,
     /// The job table and every index over it.
     Jobs,
+}
+
+/// A set of [`CtxIndex`]es, as bits: what a stage reads of the context, or
+/// what an append disturbed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CtxSet(u8);
+
+impl CtxSet {
+    /// The empty set.
+    pub const NONE: CtxSet = CtxSet(0);
+
+    /// The set holding `index` alone.
+    pub const fn of(index: CtxIndex) -> CtxSet {
+        CtxSet(1 << index as u8)
+    }
+
+    /// The members of both sets.
+    #[must_use]
+    pub const fn union(self, other: CtxSet) -> CtxSet {
+        CtxSet(self.0 | other.0)
+    }
+
+    /// Do the two sets share a member?
+    pub fn meets(self, other: CtxSet) -> bool {
+        self.0 & other.0 != 0
+    }
 }
 
 /// What an [`AppendBatch`] actually touched. The executor re-runs a stage
@@ -80,18 +112,15 @@ pub struct ContextDelta {
 impl ContextDelta {
     /// The context indexes this delta invalidated. A job append shifts the
     /// job table itself, so every index over it is new.
-    pub fn dirty(&self) -> Vec<CtxIndex> {
-        let mut dirty = Vec::new();
-        if self.events_appended > 0 {
-            dirty.push(CtxIndex::Events);
-        }
-        if self.span_changed {
-            dirty.push(CtxIndex::Span);
-        }
-        if self.jobs_appended > 0 {
-            dirty.push(CtxIndex::Jobs);
-        }
-        dirty
+    pub fn dirty(&self) -> CtxSet {
+        [
+            (self.events_appended > 0, CtxIndex::Events),
+            (self.span_changed, CtxIndex::Span),
+            (self.jobs_appended > 0, CtxIndex::Jobs),
+        ]
+        .into_iter()
+        .filter(|&(hit, _)| hit)
+        .fold(CtxSet::NONE, |set, (_, index)| set.union(CtxSet::of(index)))
     }
 }
 
@@ -340,22 +369,6 @@ pub struct AnalysisContext<'a> {
     /// Interned job-dimension columns for the FDA lattice, built lazily on
     /// first use (only the `Fda` stage pays for them).
     fda_dims: OnceLock<JobDims>,
-    #[cfg(test)]
-    reads: ReadLog,
-}
-
-/// The [`CtxIndex`]es read through a context's accessors, as a bitmask —
-/// recorded in test builds only, so the stage-graph proptest can compare
-/// each stage's actual reads with its declared `ctx_reads`.
-#[cfg(test)]
-#[derive(Debug, Default)]
-struct ReadLog(std::sync::atomic::AtomicU8);
-
-#[cfg(test)]
-impl Clone for ReadLog {
-    fn clone(&self) -> ReadLog {
-        ReadLog::default()
-    }
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -385,34 +398,13 @@ impl<'a> AnalysisContext<'a> {
             jobs,
             events,
             fda_dims: OnceLock::new(),
-            #[cfg(test)]
-            reads: ReadLog::default(),
         }
     }
 
-    /// Record a read of `index` (test builds only; free otherwise).
-    #[inline]
-    fn note(&self, index: CtxIndex) {
-        #[cfg(test)]
-        self.reads
-            .0
-            .fetch_or(1 << index as u8, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(test))]
-        let _ = index;
-    }
-
-    /// Take (and clear) the indexes read since the last call.
-    #[cfg(test)]
-    pub(crate) fn take_observed_reads(&self) -> Vec<CtxIndex> {
-        let mask = self.reads.0.swap(0, std::sync::atomic::Ordering::Relaxed);
-        [CtxIndex::Events, CtxIndex::Span, CtxIndex::Jobs]
-            .into_iter()
-            .filter(|&i| mask & (1 << i as u8) != 0)
-            .collect()
-    }
-
-    /// A context with no RAS events — job-side indexes only. Convenient for
-    /// unit tests exercising a single stage against a hand-built job log.
+    /// A context with no RAS events, around a job log. Its callers are the
+    /// benchmark's probes (`perfbench`), which time the job side alone:
+    /// building a context and its FDA columns. Analyses take the job log
+    /// itself and need no context.
     pub fn for_jobs(jobs: &'a JobLog) -> AnalysisContext<'a> {
         AnalysisContext::from_store(EventStore::default(), jobs)
     }
@@ -425,27 +417,23 @@ impl<'a> AnalysisContext<'a> {
 
     /// Number of fatal events (the top of the filter funnel).
     pub fn event_count(&self) -> usize {
-        self.note(CtxIndex::Events);
         self.events.len()
     }
 
     /// Fatal events grouped by error code, shards sorted by code
     /// ([`EventStore::code_shards`]).
     pub fn code_shards(&self) -> Vec<(ErrCode, &[Event])> {
-        self.note(CtxIndex::Events);
         self.events.code_shards()
     }
 
     /// The observation window of the underlying RAS log, if known.
     pub fn span(&self) -> Option<(Timestamp, Timestamp)> {
-        self.note(CtxIndex::Span);
         self.events.span()
     }
 
     /// The job log and every index over it: occupancy, termination order,
     /// job ids (a duplicated id means its last row) and executable groups.
     pub fn jobs(&self) -> &'a JobLog {
-        self.note(CtxIndex::Jobs);
         self.jobs
     }
 
@@ -455,7 +443,6 @@ impl<'a> AnalysisContext<'a> {
     /// and memoized for the context's lifetime, so only the `Fda` stage
     /// pays the columnarization cost.
     pub fn fda_columns(&self) -> &JobDims {
-        self.note(CtxIndex::Jobs);
         self.fda_dims
             .get_or_init(|| JobDims::from_jobs(self.jobs.jobs()))
     }
@@ -511,9 +498,8 @@ mod tests {
     #[test]
     fn duplicate_job_ids_resolve_to_the_last_row() {
         // Job 5 appears twice, on different executables; job 8 twice with
-        // the same executable and queue time. Every lookup through the
-        // context's job log answers with the last row of the start-sorted
-        // table.
+        // the same executable and queue time. Every lookup through the job
+        // log answers with the last row of the start-sorted table.
         let jobs = JobLog::from_jobs(vec![
             job(5, 1, 100, 500, "R00-M0"),
             job(5, 2, 300, 900, "R00-M1"),
@@ -521,15 +507,14 @@ mod tests {
             job(8, 3, 400, 700, "R01-M1"),
             job(6, 3, 400, 800, "R02-M0"),
         ]);
-        let ctx = AnalysisContext::for_jobs(&jobs);
         let last = |id: u64| jobs.jobs().iter().rev().find(|j| j.job_id == id);
-        assert_eq!(ctx.jobs().job(5).map(|j| j.exec), Some(ExecId(2)));
-        assert_eq!(ctx.jobs().job(5), last(5));
-        assert_eq!(ctx.jobs().job(8).map(|j| j.end_time.as_unix()), Some(700));
-        assert_eq!(ctx.jobs().job(8), last(8));
+        assert_eq!(jobs.job(5).map(|j| j.exec), Some(ExecId(2)));
+        assert_eq!(jobs.job(5), last(5));
+        assert_eq!(jobs.job(8).map(|j| j.end_time.as_unix()), Some(700));
+        assert_eq!(jobs.job(8), last(8));
         // Within a group, queue-time ties order by job id, and rows that
         // tie on both keep their table order.
-        let groups: Vec<&[u32]> = ctx.jobs().exec_groups().iter().collect();
+        let groups: Vec<&[u32]> = jobs.exec_groups().iter().collect();
         assert_eq!(groups.len(), 3);
         let exec3: Vec<(u64, i64)> = groups[2]
             .iter()
@@ -541,9 +526,7 @@ mod tests {
         assert_eq!(exec3, vec![(6, 800), (8, 600), (8, 700)]);
         // A mark lands on every row of a duplicated id; `job_row` is the
         // last of them.
-        let marks = ctx
-            .jobs()
-            .row_marks(&std::collections::BTreeMap::from([(8, 'b'), (5u64, 'a')]));
+        let marks = jobs.row_marks(&std::collections::BTreeMap::from([(8, 'b'), (5u64, 'a')]));
         let marked: Vec<(u64, char)> = jobs
             .jobs()
             .iter()
@@ -552,8 +535,8 @@ mod tests {
             .collect();
         assert_eq!(marked, vec![(5, 'a'), (5, 'a'), (8, 'b'), (8, 'b')]);
         let row_of_6 = jobs.jobs().iter().position(|j| j.job_id == 6);
-        assert_eq!(ctx.jobs().job_row(5), Some(1));
-        assert_eq!(ctx.jobs().job_row(6).map(|r| r as usize), row_of_6);
+        assert_eq!(jobs.job_row(5), Some(1));
+        assert_eq!(jobs.job_row(6).map(|r| r as usize), row_of_6);
     }
 
     /// Build a store by appending `tail` onto `head` and assert every
@@ -636,7 +619,7 @@ mod tests {
         assert_eq!(ctx.event_count(), direct.event_count());
         assert_eq!(ctx.code_shards(), direct.code_shards());
         assert_eq!(ctx.span(), direct.span());
-        assert_eq!(ctx.jobs().job(7).map(|j| j.job_id), Some(7));
+        assert_eq!(jobs.job(7).map(|j| j.job_id), Some(7));
         let back = ctx.into_store();
         assert_eq!(back.code_events, store.code_events);
         assert_eq!(back.code_slices, store.code_slices);

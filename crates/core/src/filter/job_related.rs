@@ -18,10 +18,10 @@
 //!    redundant if a job with the same execution file was interrupted by the
 //!    same code before, regardless of location.
 
-use crate::context::AnalysisContext;
 use crate::event::Event;
 use crate::matching::Matching;
 use joblog::ExecId;
+use joblog::JobLog;
 use raslog::ErrCode;
 use std::collections::BTreeMap;
 
@@ -58,12 +58,7 @@ impl JobRelatedFilter {
     /// Contract: `events` is time-sorted and parallel to
     /// `matching.per_event`; the outcome's kept stream is a subsequence of
     /// the input.
-    pub fn apply(
-        &self,
-        events: &[Event],
-        matching: &Matching,
-        ctx: &AnalysisContext<'_>,
-    ) -> JobRelatedOutcome {
+    pub fn apply(&self, events: &[Event], matching: &Matching, jobs: &JobLog) -> JobRelatedOutcome {
         assert_eq!(events.len(), matching.per_event.len());
         let mut redundant = vec![false; events.len()];
         let mut root: Vec<usize> = (0..events.len()).collect();
@@ -83,15 +78,14 @@ impl JobRelatedFilter {
 
             // --- Rule 1 ---
             if let Some(&j) = last_at.get(&key) {
-                let clean_run_between = ctx
-                    .jobs()
-                    .overlapping(mp, events[j].time, e.time)
-                    .iter()
-                    .any(|job| {
-                        job.start_time > events[j].time
-                            && job.end_time < e.time
-                            && !matching.job_to_event.contains_key(&job.job_id)
-                    });
+                let clean_run_between =
+                    jobs.overlapping(mp, events[j].time, e.time)
+                        .iter()
+                        .any(|job| {
+                            job.start_time > events[j].time
+                                && job.end_time < e.time
+                                && !matching.job_to_event.contains_key(&job.job_id)
+                        });
                 if !clean_run_between {
                     redundant[i] = true;
                     root[i] = root[j]; // transitive
@@ -101,7 +95,7 @@ impl JobRelatedFilter {
             // --- Rule 2 (application resubmissions) ---
             if !redundant[i] {
                 for &job_id in victims {
-                    let Some(job) = ctx.jobs().job(job_id) else {
+                    let Some(job) = jobs.job(job_id) else {
                         continue;
                     };
                     if let Some(&j) = seen_exec.get(&(e.errcode, job.exec)) {
@@ -119,7 +113,7 @@ impl JobRelatedFilter {
             // its first event via `root`).
             last_at.insert(key, i);
             for &job_id in victims {
-                if let Some(job) = ctx.jobs().job(job_id) {
+                if let Some(job) = jobs.job(job_id) {
                     seen_exec.entry((e.errcode, job.exec)).or_insert(i);
                 }
             }
@@ -182,9 +176,8 @@ mod tests {
 
     fn run(events: Vec<Event>, jobs: Vec<JobRecord>) -> (JobRelatedOutcome, Vec<Event>) {
         let log = JobLog::from_jobs(jobs);
-        let ctx = AnalysisContext::for_jobs(&log);
-        let matching = Matcher::default().run(&events, &ctx);
-        let out = JobRelatedFilter.apply(&events, &matching, &ctx);
+        let matching = Matcher::default().run(&events, &log);
+        let out = JobRelatedFilter.apply(&events, &matching, &log);
         (out, events)
     }
 

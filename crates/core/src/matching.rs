@@ -10,7 +10,7 @@
 //! * **case 3** — jobs were running there, but none was interrupted.
 //!
 //! The kernel is a *sweep*: the event stream is time-sorted, so a
-//! machine-wide cursor into the [`AnalysisContext`]'s termination rank
+//! machine-wide cursor into the [`JobLog`]'s termination rank
 //! order advances monotonically instead of re-filtering an end-time window
 //! per event, and a machine-wide occupancy active set is maintained
 //! incrementally from the start-sorted job table instead of re-probing the
@@ -21,7 +21,6 @@
 //! it sees the few hundred events the filters leave, and the stage
 //! executor already runs it beside the other stages on its workers.
 
-use crate::context::AnalysisContext;
 use crate::event::Event;
 use bgp_model::{Duration, Timestamp};
 use joblog::{JobLog, JobRecord};
@@ -194,9 +193,8 @@ impl Matcher {
     /// `Matching` stage).
     ///
     /// Contract: returns `per_event` exactly parallel to `events` (same
-    /// length, same order); every match points at a job in `ctx`.
-    pub fn run(&self, events: &[Event], ctx: &AnalysisContext<'_>) -> Matching {
-        let jobs = ctx.jobs();
+    /// length, same order); every match points at a job in `jobs`.
+    pub fn run(&self, events: &[Event], jobs: &JobLog) -> Matching {
         let mut per_event = self.sweep(events, jobs);
 
         // Job id → (event index, |end − event time|), best so far.
@@ -368,11 +366,11 @@ impl Matching {
 
     /// The interrupted [`JobRecord`]s, resolved through the job log's job-id
     /// index ([`JobLog::job`]), in `(end_time, job_id)` order.
-    pub fn interrupted_records<'a>(&self, ctx: &AnalysisContext<'a>) -> Vec<&'a JobRecord> {
+    pub fn interrupted_records<'a>(&self, jobs: &'a JobLog) -> Vec<&'a JobRecord> {
         let mut out: Vec<&JobRecord> = self
             .job_to_event
             .keys()
-            .filter_map(|&id| ctx.jobs().job(id))
+            .filter_map(|&id| jobs.job(id))
             .collect();
         out.sort_by_key(|j| (j.end_time, j.job_id));
         out
@@ -397,8 +395,7 @@ mod tests {
     }
 
     fn matched(events: &[Event], jobs: &JobLog) -> Matching {
-        let ctx = AnalysisContext::for_jobs(jobs);
-        Matcher::default().run(events, &ctx)
+        Matcher::default().run(events, jobs)
     }
 
     fn job(job_id: u64, start: i64, end: i64, part: &str, failed: bool) -> joblog::JobRecord {
@@ -428,10 +425,7 @@ mod tests {
         assert_eq!(m.per_event[0].case, EventCase::Interrupted);
         assert_eq!(m.job_to_event[&1], 0);
         assert_eq!(m.interrupted_jobs(), 1);
-        assert_eq!(
-            m.interrupted_records(&AnalysisContext::for_jobs(&jobs))[0].job_id,
-            1
-        );
+        assert_eq!(m.interrupted_records(&jobs)[0].job_id, 1);
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! (the shared index layer) and hands the full [`AnalysisSet`] to the
 //! stage-graph executor in [`crate::stage`], which starts each stage as
 //! soon as its dependencies have finished and runs independent stages
-//! concurrently. Every stage body is serial except the temporal/spatial
-//! filters, which shard their error codes across the workers. Use
+//! concurrently. A stage's dependencies are the types of its body's inputs
+//! there, stated nowhere else; the goldens, `tests/stage_graph.rs` (the
+//! subset law and the hand-wired legacy run) and the delta ≡ one-shot
+//! tests of [`DeltaSession`] hold the graph. Every stage body is serial
+//! except the temporal/spatial filters, which shard their error codes
+//! across the workers. Use
 //! [`CoAnalysis::run_selected`] to run only the stages you need, and
 //! [`CoAnalysisConfig::sequential`] to force the single-threaded path
 //! (`perfbench` times each stage both ways: `stage.*_ms` inside the
@@ -400,28 +404,13 @@ mod tests {
 
     #[test]
     fn observed_run_matches_unobserved_and_brackets_every_stage() {
-        use crate::context::AnalysisContext;
-        use crate::stage::{StageId, StageObserver};
-        use std::sync::Mutex;
-        struct Recorder(Mutex<Vec<(StageId, bool)>>);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a test observer that never blocks"
-        )]
-        impl StageObserver for Recorder {
-            fn stage_started(&self, id: StageId) {
-                self.0.lock().unwrap().push((id, false));
-            }
-            fn stage_finished(&self, id: StageId) {
-                self.0.lock().unwrap().push((id, true));
-            }
-        }
+        use crate::stage::{tests::Calls, StageId};
         let out = Simulation::new(SimConfig::small_test(6))
             .expect("valid config")
             .run();
         let ctx = AnalysisContext::new(&out.ras, &out.jobs);
         let set = AnalysisSet::of(&[StageId::Midplane]);
-        let rec = Recorder(Mutex::new(Vec::new()));
+        let rec = Calls::default();
         let observed = CoAnalysis::default().run_on_observed(&ctx, set, &rec);
         let plain = CoAnalysis::default().run_on(&ctx, set);
         assert_eq!(observed.events_final, plain.events_final);

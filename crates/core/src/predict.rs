@@ -415,8 +415,7 @@ mod tests {
             ev(20_010, "R01-M0", "BULK_POWER_FATAL"),       // transient again
             ev(30_000, "R30-M0", "_bgp_err_diag_netbist"),  // idle
         ];
-        let ctx = crate::context::AnalysisContext::for_jobs(&jobs);
-        let matching = Matcher::default().run(&events, &ctx);
+        let matching = Matcher::default().run(&events, &jobs);
         let impact = classify_impact(&events, &matching);
         (events, matching, impact)
     }
@@ -508,8 +507,7 @@ mod tests {
             ev(2_000, "R00-M0", "_bgp_err_ddr_controller"),
             ev(3_000, "R00-M0", "_bgp_err_ddr_controller"),
         ];
-        let ctx = crate::context::AnalysisContext::for_jobs(&jobs);
-        let matching = Matcher::default().run(&events, &ctx);
+        let matching = Matcher::default().run(&events, &jobs);
         let (predictions, hits) = chain_guard(&events, &matching);
         assert_eq!(hits, 2);
         assert_eq!(predictions, 3); // 2 fulfilled + 1 outstanding

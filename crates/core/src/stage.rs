@@ -1,9 +1,15 @@
 //! Stage graph: named pipeline passes over a shared [`AnalysisContext`].
 //!
 //! Every pass of the paper's Figure-1 dataflow is a [`StageId`] variant
-//! with declared inputs: the products it reads ([`StageId::deps`]) and the
-//! context indexes it reads ([`StageId::ctx_reads`]). One `match` over the
-//! id (`run_stage`) runs any pass. The executor (`execute`) is ready-driven:
+//! with one body function (in `body`). A body takes the configuration and
+//! its inputs, and the types of those inputs are the only statement of what
+//! the stage reads: each input type names the stage whose product it views
+//! (`AfterSpatial`, `CausalEvents`, `&Matching`, …) or the context index it
+//! views (`Shards`, `Span`, `&JobLog`, `&JobDims`), in one row of
+//! `product_input!` or `context_input!` that also fetches it from there.
+//! [`StageId::deps`] and [`StageId::ctx_reads`] are read off those types, and
+//! a body can reach nothing else: it gets neither the context nor the other
+//! products. The executor (`execute`) is ready-driven:
 //! `cfg.threads` workers each take the next stage whose dependencies have
 //! all finished (longest remaining path first, ties by id), and every
 //! product lands in its stage's write-once slot, so a slow stage holds back
@@ -20,26 +26,31 @@
 //!
 //! The same executor serves one-shot runs and incremental folds: given the
 //! previous pass's [`StageCache`] and a [`ContextDelta`], it re-runs only
-//! the stages whose declared inputs changed and replays the rest.
+//! the stages whose inputs changed and replays the rest. The graph is held
+//! at run time by the goldens and by `tests/stage_graph.rs`, whose subset
+//! law runs random stage sets against the full run.
 
 use crate::analysis::failure_stats::TableIv;
+use crate::analysis::fda::JobDims;
 use crate::analysis::{
     BurstAnalysis, FdaAnalysis, InterruptionStats, MidplaneProfile, PropagationAnalysis,
     VulnerabilityAnalysis,
 };
 use crate::classify::{classify_impact, classify_root_cause, ImpactSummary, RootCauseSummary};
-use crate::context::{AnalysisContext, ContextDelta, CtxIndex};
+use crate::context::{AnalysisContext, ContextDelta, CtxIndex, CtxSet};
 use crate::event::Event;
 use crate::filter::job_related::JobRelatedOutcome;
 use crate::filter::{CausalRule, FilterStats, JobRelatedFilter};
 use crate::matching::Matching;
 use crate::pipeline::{CoAnalysisConfig, CoAnalysisResult};
 use bgp_model::bytes::map_chunks_parallel;
+use bgp_model::Timestamp;
+use joblog::JobLog;
 use raslog::ErrCode;
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Identity of one pipeline pass; `run_stage` holds each pass's body and
-/// [`StageId::contract`] what it guarantees.
+/// Identity of one pipeline pass; the function of the same name in `body`
+/// holds the pass and, in its doc, what the pass guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum StageId {
@@ -108,105 +119,42 @@ impl StageId {
         }
     }
 
-    /// What the stage guarantees its readers, stated once per stage. The
-    /// `match` is exhaustive and lists every variant, so a new stage does
-    /// not compile until its contract is written here.
-    pub fn contract(self) -> &'static str {
+    /// Direct dependencies: the stages whose products this stage's body
+    /// takes, read off the types of its inputs. Every direct read counts
+    /// (not just the transitive reduction), which is what lets the executor
+    /// re-run a stage whenever any of its inputs changed.
+    pub fn deps(self) -> AnalysisSet {
+        self.with_body(ReadsOf).stages
+    }
+
+    /// The [`AnalysisContext`] indexes this stage's body takes, read off the
+    /// same types. The executor re-runs a cached stage when one of them is
+    /// in the [`ContextDelta::dirty`] set.
+    pub fn ctx_reads(self) -> CtxSet {
+        self.with_body(ReadsOf).ctx
+    }
+
+    /// Hand this stage's body to `f`.
+    fn with_body<'s, F: BodyUse<'s>>(self, f: F) -> F::Out {
         use StageId as S;
         match self {
-            S::TemporalSpatial => {
-                "Dedups each error-code shard temporally then spatially (shards are independent by \
-                 construction) and merges time-sorted."
-            }
-            S::Causal => {
-                "Learns cross-code rules over the whole post-spatial stream (global by design — \
-                 rules connect different codes)."
-            }
-            S::Matching => {
-                "Matches the causally filtered stream against the job index; produces per-event \
-                 cases and the job → event attribution."
-            }
-            S::JobRelated => {
-                "Flags job-related redundancy over the matched stream; final events are a \
-                 subsequence of the causal stage's output."
-            }
-            S::Impact => "Classifies per-code interruption impact from the matching cases alone.",
-            S::RootCause => {
-                "Classifies per-code root cause using the matching and the job index \
-                 (executable-following vs. location-sticky evidence)."
-            }
-            S::TableIv => {
-                "Fits interarrival models before/after job-related filtering; `None` when a stream \
-                 is too small to fit."
-            }
-            S::Midplane => {
-                "Builds the per-midplane fatal/workload/wide-workload series from the fully \
-                 filtered events (a chain at one broken midplane is one fault there, not ten)."
-            }
-            S::Burst => {
-                "Analyzes interruption burstiness over the matched victims and the RAS time span."
-            }
-            S::Interruption => {
-                "Splits interruption interarrivals by root cause and fits each stream."
-            }
-            S::Propagation => {
-                "Measures spatial propagation from multi-victim events and temporal propagation \
-                 from the job-related redundancy flags."
-            }
-            S::Vulnerability => {
-                "Runs the Section VI-D vulnerability study over the matched stream, the root-cause \
-                 labels, and the midplane fatal counts."
-            }
-            S::Fda => {
-                "Mines ranked over-represented dimension combinations from the causally filtered \
-                 events, the matching's job attribution, and the interned job-dimension columns."
-            }
+            S::TemporalSpatial => f.apply(body::temporal_spatial),
+            S::Causal => f.apply(body::causal),
+            S::Matching => f.apply(body::matching),
+            S::JobRelated => f.apply(body::job_related),
+            S::Impact => f.apply(body::impact),
+            S::RootCause => f.apply(body::root_cause),
+            S::TableIv => f.apply(body::table_iv),
+            S::Midplane => f.apply(body::midplane),
+            S::Burst => f.apply(body::burst),
+            S::Interruption => f.apply(body::interruption),
+            S::Propagation => f.apply(body::propagation),
+            S::Vulnerability => f.apply(body::vulnerability),
+            S::Fda => f.apply(body::fda),
         }
     }
 
-    /// Direct dependencies: exactly the stages whose products this stage's
-    /// `run` reads. Listing every direct read (not just the transitive
-    /// reduction) is what lets the executor re-run a stage whenever any of
-    /// its inputs changed; the `stage.rs` proptest pins the list to the
-    /// reads the `PipelineState` accessors record.
-    pub fn deps(self) -> &'static [StageId] {
-        use StageId as S;
-        match self {
-            S::TemporalSpatial => &[],
-            S::Causal => &[S::TemporalSpatial],
-            S::Matching => &[S::Causal],
-            S::JobRelated | S::Impact | S::RootCause | S::Fda => &[S::Causal, S::Matching],
-            S::Burst => &[S::Matching],
-            S::TableIv => &[S::Causal, S::JobRelated],
-            S::Midplane => &[S::JobRelated],
-            S::Propagation => &[S::Causal, S::Matching, S::JobRelated],
-            S::Interruption => &[S::Causal, S::Matching, S::RootCause],
-            S::Vulnerability => &[S::Causal, S::Matching, S::RootCause, S::Midplane],
-        }
-    }
-
-    /// The [`AnalysisContext`] indexes this stage's `run` reads. The
-    /// executor re-runs a cached stage when one of them is in the
-    /// [`ContextDelta::dirty`] set; the same proptest pins the list to the
-    /// reads the context accessors record.
-    pub fn ctx_reads(self) -> &'static [CtxIndex] {
-        use StageId as S;
-        match self {
-            S::TemporalSpatial => &[CtxIndex::Events],
-            S::Causal | S::Impact | S::TableIv => &[],
-            S::Burst => &[CtxIndex::Span, CtxIndex::Jobs],
-            S::Matching
-            | S::JobRelated
-            | S::RootCause
-            | S::Midplane
-            | S::Interruption
-            | S::Propagation
-            | S::Vulnerability
-            | S::Fda => &[CtxIndex::Jobs],
-        }
-    }
-
-    fn bit(self) -> u16 {
+    const fn bit(self) -> u16 {
         1 << (self as u16)
     }
 }
@@ -261,9 +209,7 @@ impl AnalysisSet {
             let mut next = cur;
             for id in StageId::ALL {
                 if cur.contains(id) {
-                    for &d in id.deps() {
-                        next = next.with(d);
-                    }
+                    next.0 |= id.deps().0;
                 }
             }
             if next == cur {
@@ -350,19 +296,10 @@ pub(crate) enum StageOutput {
 /// running stage reads finished products while other stages install
 /// theirs.
 ///
-/// Stages read earlier products through the accessors; absent products
-/// (possible only if a stage is run without its dependencies, which the
-/// executor never does) degrade to empty defaults rather than panicking.
-/// In test builds every accessor records the producing stage in `reads`,
-/// and a proptest checks the recorded set equals [`StageId::deps`]. Direct
-/// slot access from a stage would bypass that check; keep reads going
-/// through the accessors.
+/// A stage body never sees this state: the executor fetches the body's
+/// inputs from it, each through the one slot its type names.
 #[derive(Debug, Default)]
 pub(crate) struct PipelineState {
-    /// Producers whose products have been read (as `StageId::bit` bits)
-    /// since the last `take_observed_reads`.
-    #[cfg(test)]
-    reads: std::sync::atomic::AtomicU16,
     raw_fatal: usize,
     slots: [OnceLock<StageOutput>; StageId::ALL.len()],
 }
@@ -373,89 +310,6 @@ impl PipelineState {
             raw_fatal,
             ..PipelineState::default()
         }
-    }
-
-    /// Record that `producer`'s product was read (test builds only; free
-    /// otherwise).
-    #[inline]
-    fn note_read(&self, producer: StageId) {
-        #[cfg(test)]
-        self.reads
-            .fetch_or(producer.bit(), std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(test))]
-        let _ = producer;
-    }
-
-    /// Take (and clear) the producers read since the last call.
-    #[cfg(test)]
-    fn take_observed_reads(&self) -> AnalysisSet {
-        AnalysisSet(self.reads.swap(0, std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// `producer`'s product, if it has been installed.
-    fn product(&self, producer: StageId) -> Option<&StageOutput> {
-        self.note_read(producer);
-        self.slots.get(producer as usize).and_then(OnceLock::get)
-    }
-
-    /// Events after temporal + spatial filtering (the causal input).
-    fn after_spatial(&self) -> &[Event] {
-        let Some(StageOutput::TemporalSpatial { after_spatial, .. }) =
-            self.product(StageId::TemporalSpatial)
-        else {
-            return &[];
-        };
-        after_spatial
-    }
-
-    /// Events after causal filtering (the matching/classification input).
-    fn events(&self) -> &[Event] {
-        let Some(StageOutput::Causal { events, .. }) = self.product(StageId::Causal) else {
-            return &[];
-        };
-        events
-    }
-
-    /// The event ↔ job matching.
-    fn matching(&self) -> Option<&Matching> {
-        let Some(StageOutput::Matching(m)) = self.product(StageId::Matching) else {
-            return None;
-        };
-        Some(m)
-    }
-
-    /// The job-related filter outcome (final events + redundancy flags).
-    fn job_related(&self) -> Option<&JobRelatedOutcome> {
-        let Some(StageOutput::JobRelated(o)) = self.product(StageId::JobRelated) else {
-            return None;
-        };
-        Some(o)
-    }
-
-    /// Events after job-related filtering (the characterization input).
-    fn final_events(&self) -> &[Event] {
-        self.job_related().map_or(&[], |o| o.events.as_slice())
-    }
-
-    /// Per-event redundancy flags from job-related filtering.
-    fn redundant_flags(&self) -> &[bool] {
-        self.job_related().map_or(&[], |o| o.redundant.as_slice())
-    }
-
-    /// The root-cause classification.
-    fn root_cause(&self) -> Option<&RootCauseSummary> {
-        let Some(StageOutput::RootCause(r)) = self.product(StageId::RootCause) else {
-            return None;
-        };
-        Some(r)
-    }
-
-    /// The per-midplane fatal/workload profile.
-    fn midplane(&self) -> Option<&MidplaneProfile> {
-        let Some(StageOutput::Midplane(m)) = self.product(StageId::Midplane) else {
-            return None;
-        };
-        Some(m)
     }
 
     /// Fill `id`'s slot. Each slot is written once per pass; the executor
@@ -576,84 +430,298 @@ impl AnalysisProducts {
     }
 }
 
-/// Run one pass: a pure function from the shared context, the
-/// configuration, and earlier products to this stage's product.
-///
-/// Each arm reads exactly the products of the stages named in
-/// [`StageId::deps`] and the context indexes named in
-/// [`StageId::ctx_reads`], returns the [`StageOutput`] variant named like
-/// `id`, and is deterministic for a given input. The temporal/spatial arm
-/// filters every shard; the executor calls `temporal_spatial` itself when
-/// it has a per-shard cache.
-fn run_stage(
-    id: StageId,
-    ctx: &AnalysisContext<'_>,
-    cfg: &CoAnalysisConfig,
-    state: &PipelineState,
-) -> StageOutput {
-    let (no_matching, no_root_cause) = (Matching::default(), RootCauseSummary::default());
-    let matching = || state.matching().unwrap_or(&no_matching);
-    let root_cause = || state.root_cause().unwrap_or(&no_root_cause);
-    match id {
-        StageId::TemporalSpatial => temporal_spatial(ctx, cfg, None),
-        StageId::Causal => {
-            let (events, rules) = cfg.causal.filter(state.after_spatial());
-            StageOutput::Causal { events, rules }
+/// What a stage body reads: the stages whose products it takes and the
+/// context indexes it takes.
+#[derive(Debug, Clone, Copy)]
+struct Reads {
+    stages: AnalysisSet,
+    ctx: CtxSet,
+}
+
+impl Reads {
+    const NONE: Reads = Reads {
+        stages: AnalysisSet(0),
+        ctx: CtxSet::NONE,
+    };
+
+    const fn and(self, other: Reads) -> Reads {
+        Reads {
+            stages: AnalysisSet(self.stages.0 | other.stages.0),
+            ctx: self.ctx.union(other.ctx),
         }
-        StageId::Matching => StageOutput::Matching(cfg.matcher.run(state.events(), ctx)),
-        StageId::JobRelated => {
-            StageOutput::JobRelated(JobRelatedFilter.apply(state.events(), matching(), ctx))
+    }
+}
+
+/// The inputs of a stage body, after its configuration: one input, or a
+/// tuple of them. `READS` is where they come from, and `fetch` takes them
+/// from there (`None` while a producer has not run, which the executor
+/// never lets happen).
+trait Input<'s>: Sized {
+    const READS: Reads;
+    fn fetch(ctx: &'s AnalysisContext<'_>, state: &'s PipelineState) -> Option<Self>;
+}
+
+/// Each row makes `$ty` a view of the product of stage `$stage`: it
+/// declares the read, and fetches from that stage's slot and
+/// [`StageOutput`] variant, so the three cannot disagree.
+macro_rules! product_input {
+    ($($ty:ty = $stage:ident $fields:tt => $view:expr;)*) => {$(
+        impl<'s> Input<'s> for $ty {
+            const READS: Reads = Reads {
+                stages: AnalysisSet(StageId::$stage.bit()),
+                ..Reads::NONE
+            };
+            fn fetch(_: &'s AnalysisContext<'_>, state: &'s PipelineState) -> Option<Self> {
+                let StageOutput::$stage $fields =
+                    state.slots.get(StageId::$stage as usize)?.get()?
+                else {
+                    return None;
+                };
+                Some($view)
+            }
         }
-        StageId::Impact => StageOutput::Impact(classify_impact(state.events(), matching())),
-        StageId::RootCause => {
-            StageOutput::RootCause(classify_root_cause(state.events(), matching(), ctx))
+    )*};
+}
+
+/// Each row makes `$ty` a view of context index `$index`: it declares the
+/// read and names the accessor that fetches it.
+macro_rules! context_input {
+    ($($ty:ty = $index:ident, |$ctx:ident| $view:expr;)*) => {$(
+        impl<'s> Input<'s> for $ty {
+            const READS: Reads = Reads {
+                ctx: CtxSet::of(CtxIndex::$index),
+                ..Reads::NONE
+            };
+            fn fetch($ctx: &'s AnalysisContext<'_>, _: &'s PipelineState) -> Option<Self> {
+                Some($view)
+            }
         }
-        StageId::TableIv => {
-            StageOutput::TableIv(TableIv::new(state.events(), state.final_events()).ok())
+    )*};
+}
+
+/// Events after temporal + spatial filtering: the causal input.
+struct AfterSpatial<'s>(&'s [Event]);
+/// Events after causal filtering: the matching and classification input.
+struct CausalEvents<'s>(&'s [Event]);
+/// Events after job-related filtering: the characterization input.
+struct FinalEvents<'s>(&'s [Event]);
+/// The fatal events grouped by error code ([`AnalysisContext::code_shards`]).
+struct Shards<'s>(Vec<(ErrCode, &'s [Event])>);
+/// The observation window of the RAS log ([`AnalysisContext::span`]).
+struct Span(Option<(Timestamp, Timestamp)>);
+
+product_input! {
+    AfterSpatial<'s> = TemporalSpatial { after_spatial, .. } => AfterSpatial(after_spatial);
+    CausalEvents<'s> = Causal { events, .. } => CausalEvents(events);
+    &'s Matching = Matching(m) => m;
+    &'s JobRelatedOutcome = JobRelated(o) => o;
+    FinalEvents<'s> = JobRelated(o) => FinalEvents(&o.events);
+    &'s RootCauseSummary = RootCause(r) => r;
+    &'s MidplaneProfile = Midplane(m) => m;
+}
+
+context_input! {
+    Shards<'s> = Events, |ctx| Shards(ctx.code_shards());
+    Span = Span, |ctx| Span(ctx.span());
+    &'s JobLog = Jobs, |ctx| ctx.jobs();
+    &'s JobDims = Jobs, |ctx| ctx.fda_columns();
+}
+
+/// A tuple of inputs reads what its members read.
+macro_rules! tuple_input {
+    ($($t:ident),+) => {
+        impl<'s, $($t: Input<'s>),+> Input<'s> for ($($t,)+) {
+            const READS: Reads = Reads::NONE $(.and($t::READS))+;
+            fn fetch(ctx: &'s AnalysisContext<'_>, state: &'s PipelineState) -> Option<Self> {
+                Some(($($t::fetch(ctx, state)?,)+))
+            }
         }
-        StageId::Midplane => StageOutput::Midplane(MidplaneProfile::new(
-            state.final_events(),
-            ctx,
-            cfg.wide_threshold,
-        )),
-        StageId::Burst => {
-            let victims = matching().interrupted_records(ctx);
-            let window = ctx
-                .span()
-                .unwrap_or((bgp_model::Timestamp::EPOCH, bgp_model::Timestamp::EPOCH));
-            StageOutput::Burst(BurstAnalysis::new(&victims, ctx, window, cfg.quick_window))
-        }
-        StageId::Interruption => StageOutput::Interruption(InterruptionStats::new(
-            state.events(),
-            matching(),
-            root_cause(),
-            ctx,
-        )),
-        StageId::Propagation => StageOutput::Propagation(PropagationAnalysis::new(
-            state.events(),
-            matching(),
-            ctx,
-            state.redundant_flags(),
-        )),
-        StageId::Vulnerability => {
-            let fatal_counts = state
-                .midplane()
-                .map(|m| m.fatal_counts.as_slice())
-                .unwrap_or(&[]);
-            StageOutput::Vulnerability(Box::new(VulnerabilityAnalysis::new(
-                state.events(),
-                matching(),
-                root_cause(),
-                ctx,
-                fatal_counts,
-            )))
-        }
-        StageId::Fda => StageOutput::Fda(FdaAnalysis::compute(
-            state.events(),
-            matching(),
-            ctx,
-            &cfg.fda,
-        )),
+    };
+}
+tuple_input!(A, B);
+tuple_input!(A, B, C);
+tuple_input!(A, B, C, D);
+tuple_input!(A, B, C, D, E);
+
+/// Something done with a stage body, for whatever its input type is.
+trait BodyUse<'s> {
+    type Out;
+    fn apply<I: Input<'s>>(self, body: fn(&CoAnalysisConfig, I) -> StageOutput) -> Self::Out;
+}
+
+/// A body's reads, from its input type alone.
+struct ReadsOf;
+
+impl<'s> BodyUse<'s> for ReadsOf {
+    type Out = Reads;
+    fn apply<I: Input<'s>>(self, _: fn(&CoAnalysisConfig, I) -> StageOutput) -> Reads {
+        I::READS
+    }
+}
+
+/// A body run on its inputs, fetched from the context and the products.
+struct Run<'s, 'a> {
+    ctx: &'s AnalysisContext<'a>,
+    cfg: &'s CoAnalysisConfig,
+    state: &'s PipelineState,
+}
+
+impl<'s> BodyUse<'s> for Run<'s, '_> {
+    type Out = Option<StageOutput>;
+    fn apply<I: Input<'s>>(self, body: fn(&CoAnalysisConfig, I) -> StageOutput) -> Self::Out {
+        I::fetch(self.ctx, self.state).map(|inputs| body(self.cfg, inputs))
+    }
+}
+
+/// The stage bodies, one per [`StageId`] and named like it. Each is a pure,
+/// deterministic function of the configuration and its inputs, and returns
+/// the [`StageOutput`] variant named like its stage. Its doc says what the
+/// stage guarantees its readers.
+mod body {
+    use super::*;
+
+    /// Dedups each error-code shard temporally then spatially (shards are
+    /// independent by construction) and merges time-sorted.
+    pub(super) fn temporal_spatial(cfg: &CoAnalysisConfig, shards: Shards<'_>) -> StageOutput {
+        filter_shards(cfg, &shards.0, None)
+    }
+
+    /// Learns cross-code rules over the whole post-spatial stream (global by
+    /// design: rules connect different codes).
+    pub(super) fn causal(cfg: &CoAnalysisConfig, events: AfterSpatial<'_>) -> StageOutput {
+        let (events, rules) = cfg.causal.filter(events.0);
+        StageOutput::Causal { events, rules }
+    }
+
+    /// Matches the causally filtered stream against the job log; produces
+    /// per-event cases and the job → event attribution.
+    pub(super) fn matching(
+        cfg: &CoAnalysisConfig,
+        (events, jobs): (CausalEvents<'_>, &JobLog),
+    ) -> StageOutput {
+        StageOutput::Matching(cfg.matcher.run(events.0, jobs))
+    }
+
+    /// Flags job-related redundancy over the matched stream; final events
+    /// are a subsequence of the causal stage's output.
+    pub(super) fn job_related(
+        _: &CoAnalysisConfig,
+        (events, matching, jobs): (CausalEvents<'_>, &Matching, &JobLog),
+    ) -> StageOutput {
+        StageOutput::JobRelated(JobRelatedFilter.apply(events.0, matching, jobs))
+    }
+
+    /// Classifies per-code interruption impact from the matching cases
+    /// alone.
+    pub(super) fn impact(
+        _: &CoAnalysisConfig,
+        (events, matching): (CausalEvents<'_>, &Matching),
+    ) -> StageOutput {
+        StageOutput::Impact(classify_impact(events.0, matching))
+    }
+
+    /// Classifies per-code root cause using the matching and the job log
+    /// (executable-following vs. location-sticky evidence).
+    pub(super) fn root_cause(
+        _: &CoAnalysisConfig,
+        (events, matching, jobs): (CausalEvents<'_>, &Matching, &JobLog),
+    ) -> StageOutput {
+        StageOutput::RootCause(classify_root_cause(events.0, matching, jobs))
+    }
+
+    /// Fits interarrival models before/after job-related filtering; `None`
+    /// when a stream is too small to fit.
+    pub(super) fn table_iv(
+        _: &CoAnalysisConfig,
+        (events, finals): (CausalEvents<'_>, FinalEvents<'_>),
+    ) -> StageOutput {
+        StageOutput::TableIv(TableIv::new(events.0, finals.0).ok())
+    }
+
+    /// Builds the per-midplane fatal/workload/wide-workload series from the
+    /// fully filtered events (a chain at one broken midplane is one fault
+    /// there, not ten).
+    pub(super) fn midplane(
+        cfg: &CoAnalysisConfig,
+        (finals, jobs): (FinalEvents<'_>, &JobLog),
+    ) -> StageOutput {
+        StageOutput::Midplane(MidplaneProfile::new(finals.0, jobs, cfg.wide_threshold))
+    }
+
+    /// Analyzes interruption burstiness over the matched victims and the RAS
+    /// time span.
+    pub(super) fn burst(
+        cfg: &CoAnalysisConfig,
+        (matching, span, jobs): (&Matching, Span, &JobLog),
+    ) -> StageOutput {
+        let window = span.0.unwrap_or((Timestamp::EPOCH, Timestamp::EPOCH));
+        let victims = matching.interrupted_records(jobs);
+        StageOutput::Burst(BurstAnalysis::new(&victims, jobs, window, cfg.quick_window))
+    }
+
+    /// Splits interruption interarrivals by root cause and fits each stream.
+    pub(super) fn interruption(
+        _: &CoAnalysisConfig,
+        (events, matching, root_cause, jobs): (
+            CausalEvents<'_>,
+            &Matching,
+            &RootCauseSummary,
+            &JobLog,
+        ),
+    ) -> StageOutput {
+        StageOutput::Interruption(InterruptionStats::new(events.0, matching, root_cause, jobs))
+    }
+
+    /// Measures spatial propagation from multi-victim events and temporal
+    /// propagation from the job-related redundancy flags.
+    pub(super) fn propagation(
+        _: &CoAnalysisConfig,
+        (events, matching, outcome, jobs): (
+            CausalEvents<'_>,
+            &Matching,
+            &JobRelatedOutcome,
+            &JobLog,
+        ),
+    ) -> StageOutput {
+        StageOutput::Propagation(PropagationAnalysis::new(
+            events.0,
+            matching,
+            jobs,
+            &outcome.redundant,
+        ))
+    }
+
+    /// Runs the Section VI-D vulnerability study over the matched stream,
+    /// the root-cause labels, and the midplane fatal counts.
+    pub(super) fn vulnerability(
+        _: &CoAnalysisConfig,
+        (events, matching, root_cause, midplane, jobs): (
+            CausalEvents<'_>,
+            &Matching,
+            &RootCauseSummary,
+            &MidplaneProfile,
+            &JobLog,
+        ),
+    ) -> StageOutput {
+        StageOutput::Vulnerability(Box::new(VulnerabilityAnalysis::new(
+            events.0,
+            matching,
+            root_cause,
+            jobs,
+            &midplane.fatal_counts,
+        )))
+    }
+
+    /// Mines ranked over-represented dimension combinations from the
+    /// causally filtered events, the matching's job attribution, and the
+    /// interned job-dimension columns.
+    pub(super) fn fda(
+        cfg: &CoAnalysisConfig,
+        (events, matching, dims, jobs): (CausalEvents<'_>, &Matching, &JobDims, &JobLog),
+    ) -> StageOutput {
+        StageOutput::Fda(FdaAnalysis::compute(
+            events.0, matching, dims, jobs, &cfg.fda,
+        ))
     }
 }
 
@@ -671,18 +739,17 @@ type ShardOutput = (ErrCode, Vec<Event>, usize);
 /// A clean shard's events are byte-identical after an append (the
 /// `EventStore` merge never reorders an untouched shard), so its cached
 /// output is exact, and the merge below is the same either way.
-fn temporal_spatial(
-    ctx: &AnalysisContext<'_>,
+fn filter_shards(
     cfg: &CoAnalysisConfig,
+    shards: &[(ErrCode, &[Event])],
     mut cache: Option<(&mut Vec<ShardOutput>, &[ErrCode])>,
 ) -> StageOutput {
-    let shards = ctx.code_shards();
     // Per shard, the cached output to reuse (`None` = filter it now).
     let mut reuse: Vec<Option<ShardOutput>> = Vec::with_capacity(shards.len());
     match cache.as_mut() {
         Some((cached, dirty_codes)) => {
             let mut old = std::mem::take(*cached).into_iter().peekable();
-            for &(code, _) in &shards {
+            for &(code, _) in shards {
                 while old.next_if(|o| o.0 < code).is_some() {}
                 let hit = old.next_if(|o| o.0 == code);
                 reuse.push(hit.filter(|_| dirty_codes.binary_search(&code).is_err()));
@@ -780,11 +847,7 @@ pub trait StageObserver: Sync {
 }
 
 /// Run one stage, bracketed by the observer's callbacks.
-fn observed(
-    observer: Option<&dyn StageObserver>,
-    id: StageId,
-    run: impl FnOnce() -> StageOutput,
-) -> StageOutput {
+fn observed<T>(observer: Option<&dyn StageObserver>, id: StageId, run: impl FnOnce() -> T) -> T {
     if let Some(o) = observer {
         o.stage_started(id);
     }
@@ -861,9 +924,8 @@ pub struct DeltaReport {
 /// Contract: an incremental pass is bit-identical to a one-shot pass of
 /// `set` over the same (post-append) context — guaranteed by
 /// `EventStore::append_ras` keeping the indexes identical to a rebuild,
-/// every stage being a pure function of context + config + the products it
-/// reads, and `deps`/`ctx_reads` naming every such read (pinned by the
-/// read-recording proptest below).
+/// every stage being a pure function of config + its inputs, and
+/// `deps`/`ctx_reads` being read off those inputs' types.
 pub(crate) fn execute(
     ctx: &AnalysisContext<'_>,
     cfg: &CoAnalysisConfig,
@@ -874,7 +936,7 @@ pub(crate) fn execute(
     let set = set.closure();
     let (cache, delta) = incremental.unzip();
     let keep_outputs = cache.is_some();
-    let dirty_ctx = delta.map_or_else(Vec::new, ContextDelta::dirty);
+    let dirty_ctx = delta.map_or(CtxSet::NONE, ContextDelta::dirty);
     let dirty_codes = delta.map_or(&[][..], |d| d.dirty_codes.as_slice());
     let state = PipelineState::new(ctx.event_count());
     let schedule = Schedule {
@@ -905,20 +967,28 @@ pub(crate) fn execute(
                     ts_shards,
                 } => {
                     let out = observed(observer, id, || match ts_shards {
-                        Some(mut shards) => {
-                            let out = temporal_spatial(ctx, cfg, Some((&mut shards, dirty_codes)));
-                            schedule.board().cache_shards(shards);
-                            out
+                        Some(mut cache) => {
+                            let shards = Shards::fetch(ctx, &state)?;
+                            let out =
+                                filter_shards(cfg, &shards.0, Some((&mut cache, dirty_codes)));
+                            schedule.board().cache_shards(cache);
+                            Some(out)
                         }
-                        None => run_stage(id, ctx, cfg, &state),
+                        None => id.with_body(Run {
+                            ctx,
+                            cfg,
+                            state: &state,
+                        }),
                     });
-                    let changed = cached.as_ref() != Some(&out);
+                    let changed = cached != out;
                     // An incremental pass leaves the newest product cached.
                     let keep = match cached {
                         Some(old) if !changed => Some(old),
-                        _ => keep_outputs.then(|| out.clone()),
+                        _ => keep_outputs.then(|| out.clone()).flatten(),
                     };
-                    state.install(id, out);
+                    if let Some(out) = out {
+                        state.install(id, out);
+                    }
                     schedule.finish(id, true, changed, keep);
                 }
             }
@@ -945,7 +1015,7 @@ fn ready_priority(set: AnalysisSet) -> [usize; StageId::ALL.len()] {
         if set.contains(id) {
             path[id as usize] = 1 + StageId::ALL
                 .into_iter()
-                .filter(|&s| set.contains(s) && s.deps().contains(&id))
+                .filter(|&s| set.contains(s) && s.deps().contains(id))
                 .map(|s| path[s as usize])
                 .max()
                 .unwrap_or(0);
@@ -998,7 +1068,7 @@ struct Schedule<'c> {
     board: Mutex<Board<'c>>,
     finished: Condvar,
     priority: [usize; StageId::ALL.len()],
-    dirty_ctx: Vec<CtxIndex>,
+    dirty_ctx: CtxSet,
 }
 
 impl<'c> Schedule<'c> {
@@ -1023,12 +1093,12 @@ impl<'c> Schedule<'c> {
                 .todo
                 .stages()
                 .into_iter()
-                .filter(|id| id.deps().iter().all(|&d| done.contains(d)))
+                .filter(|id| id.deps().0 & !done.0 == 0)
                 .max_by_key(|&id| (self.priority[id as usize], std::cmp::Reverse(id as u16)));
             if let Some(id) = ready {
                 board.todo = AnalysisSet(board.todo.0 & !id.bit());
-                let dirty = id.ctx_reads().iter().any(|r| self.dirty_ctx.contains(r))
-                    || id.deps().iter().any(|&d| board.changed.contains(d));
+                let dirty =
+                    id.ctx_reads().meets(self.dirty_ctx) || id.deps().0 & board.changed.0 != 0;
                 let Some(cache) = board.cache.as_deref_mut() else {
                     return Some(Task::Run {
                         id,
@@ -1087,16 +1157,33 @@ impl Drop for PanicGuard<'_, '_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::sync::Mutex;
+
+    /// A test observer that records every started/finished callback in
+    /// call order; the pipeline's tests use it too.
+    #[derive(Default)]
+    pub(crate) struct Calls(pub(crate) Mutex<Vec<(StageId, bool)>>);
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test observer that never blocks"
+    )]
+    impl StageObserver for Calls {
+        fn stage_started(&self, id: StageId) {
+            self.0.lock().unwrap().push((id, false));
+        }
+        fn stage_finished(&self, id: StageId) {
+            self.0.lock().unwrap().push((id, true));
+        }
+    }
 
     #[test]
     fn deps_are_topological() {
         // Every dependency appears earlier in ALL than its dependent.
         for (i, id) in StageId::ALL.iter().enumerate() {
-            for d in id.deps() {
-                let j = StageId::ALL.iter().position(|x| x == d).unwrap();
+            for d in id.deps().stages() {
+                let j = StageId::ALL.iter().position(|&x| x == d).unwrap();
                 assert!(j < i, "{:?} depends on later {:?}", id, d);
             }
         }
@@ -1154,23 +1241,6 @@ mod tests {
                 .expect("valid config")
                 .run()
         })
-    }
-
-    /// Records every started/finished callback in call order.
-    #[derive(Default)]
-    struct Calls(Mutex<Vec<(StageId, bool)>>);
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a test observer that never blocks"
-    )]
-    impl StageObserver for Calls {
-        fn stage_started(&self, id: StageId) {
-            self.0.lock().unwrap().push((id, false));
-        }
-        fn stage_finished(&self, id: StageId) {
-            self.0.lock().unwrap().push((id, true));
-        }
     }
 
     fn run_observed(threads: usize, set: AnalysisSet) -> Vec<(StageId, bool)> {
@@ -1242,7 +1312,7 @@ mod tests {
                         at((id, true)) > Some(start),
                         "{id:?} finishes after it starts"
                     );
-                    for &d in id.deps() {
+                    for d in id.deps().stages() {
                         assert!(
                             at((d, true)) < Some(start),
                             "{id:?} started before {d:?} finished"
@@ -1290,42 +1360,5 @@ mod tests {
             runs.into_iter().flatten().collect::<Vec<_>>(),
             (0..10).collect::<Vec<_>>()
         );
-    }
-
-    proptest::proptest! {
-        /// Run random stage subsets sequentially on real pipeline data and
-        /// assert each stage reads *exactly* what it declares: the products
-        /// recorded by the `PipelineState` accessors equal
-        /// [`StageId::deps`], and the indexes recorded by the
-        /// `AnalysisContext` accessors equal [`StageId::ctx_reads`]. A
-        /// missing entry would let the executor serve a stale cached output
-        /// (or schedule a stage before its input exists); an extra entry
-        /// costs parallelism and needless re-runs.
-        #[test]
-        fn observed_reads_equal_declared_reads(mask in 0u16..(1 << StageId::ALL.len())) {
-            let out = sim();
-            let ctx = AnalysisContext::new(&out.ras, &out.jobs);
-            let cfg = CoAnalysisConfig::default();
-            let set = AnalysisSet(mask).closure();
-            let state = PipelineState::new(ctx.event_count());
-            state.take_observed_reads();
-            ctx.take_observed_reads();
-            for id in set.stages() {
-                let output = run_stage(id, &ctx, &cfg, &state);
-                proptest::prop_assert_eq!(
-                    state.take_observed_reads().stages(),
-                    AnalysisSet::of(id.deps()).stages(),
-                    "{:?} product reads",
-                    id
-                );
-                proptest::prop_assert_eq!(
-                    ctx.take_observed_reads(),
-                    id.ctx_reads().to_vec(),
-                    "{:?} context reads",
-                    id
-                );
-                state.install(id, output);
-            }
-        }
     }
 }

@@ -281,6 +281,9 @@ pub struct ServeMetrics {
     pub queue_depth: Arc<Gauge>,
     /// Ingest connections accepted.
     pub ingest_connections: Arc<Counter>,
+    /// Accepted ingest connections dropped because their handler thread
+    /// could not be spawned.
+    pub ingest_connections_dropped: Arc<Counter>,
     /// HTTP requests served.
     pub http_requests: Arc<Counter>,
     /// HTTP clients disconnected for being too slow (write timeout).
@@ -319,6 +322,10 @@ impl ServeMetrics {
             ),
             ingest_connections: registry
                 .counter("ingest_connections_total", "ingest connections accepted"),
+            ingest_connections_dropped: registry.counter(
+                "ingest_connections_dropped_total",
+                "accepted ingest connections dropped (no handler thread)",
+            ),
             http_requests: registry.counter("http_requests_total", "HTTP requests served"),
             slow_disconnects: registry.counter(
                 "http_slow_disconnects_total",

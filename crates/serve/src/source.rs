@@ -120,6 +120,20 @@ fn handle_ingest_conn(stream: TcpStream, ctx: &SourceCtx) {
     }
 }
 
+/// Keep an accepted connection's handler thread, or count the connection
+/// as dropped when its thread could not be spawned (out of threads): the
+/// client sees a reset and may retry.
+fn admit(
+    metrics: &ServeMetrics,
+    conns: &mut Vec<JoinHandle<()>>,
+    spawned: std::io::Result<JoinHandle<()>>,
+) {
+    match spawned {
+        Ok(h) => conns.push(h),
+        Err(_) => metrics.ingest_connections_dropped.inc(),
+    }
+}
+
 /// Run the ingest accept loop on its own thread. The returned handle joins
 /// once shutdown is requested *and* every accepted connection has drained.
 pub(crate) fn spawn_ingest_listener(
@@ -141,11 +155,7 @@ pub(crate) fn spawn_ingest_listener(
                         let spawned = std::thread::Builder::new()
                             .name("bgp-serve-conn".to_owned())
                             .spawn(move || handle_ingest_conn(stream, &conn_ctx));
-                        if let Ok(h) = spawned {
-                            conns.push(h);
-                        }
-                        // On spawn failure (out of threads) the connection
-                        // is dropped; the client sees a reset and retries.
+                        admit(&ctx.metrics, &mut conns, spawned);
                     }
                     Err(e) if is_timeout(&e) => {
                         if ctx.shutdown.requested() {
@@ -251,6 +261,18 @@ mod tests {
     }
 
     #[test]
+    fn a_connection_without_a_thread_is_counted_as_dropped() {
+        let registry = Registry::new();
+        let metrics = ServeMetrics::register(&registry);
+        let mut conns = Vec::new();
+        let out_of_threads = std::io::Error::other("no thread for the connection");
+        admit(&metrics, &mut conns, Err(out_of_threads));
+        assert!(conns.is_empty());
+        assert_eq!(metrics.ingest_connections_dropped.get(), 1);
+        assert_eq!(registry.value("ingest_connections_dropped_total"), Some(1));
+    }
+
+    #[test]
     fn tcp_ingest_parses_counts_and_drains() {
         let (ctx, worker_thread) = ctx();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -293,6 +315,7 @@ mod tests {
         assert_eq!(ctx.worker.counters().records_in, 51);
         assert_eq!(ctx.metrics.rejected_malformed.get(), 1);
         assert_eq!(ctx.metrics.ingest_connections.get(), 1);
+        assert_eq!(ctx.metrics.ingest_connections_dropped.get(), 0);
     }
 
     #[test]

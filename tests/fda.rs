@@ -14,10 +14,10 @@
 
 use bgp_coanalysis::bgp_model::{Location, Partition, Timestamp};
 use bgp_coanalysis::coanalysis::analysis::fda::{
-    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, NUM_DIMS, NUM_JOB_DIMS,
+    FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, JobDims, NUM_DIMS, NUM_JOB_DIMS,
 };
 use bgp_coanalysis::coanalysis::matching::{EventCase, EventMatch, Matching};
-use bgp_coanalysis::coanalysis::{AnalysisContext, Event};
+use bgp_coanalysis::coanalysis::Event;
 use bgp_coanalysis::joblog::{ExecId, ExitStatus, JobLog, JobRecord, ProjectId, UserId};
 use bgp_coanalysis::raslog::{Catalog, ErrCode};
 use proptest::prelude::*;
@@ -94,16 +94,16 @@ type MinedRow = (Vec<RawItem>, u32, u32, f64);
 fn brute_force(
     events: &[Event],
     matching: &Matching,
-    ctx: &AnalysisContext<'_>,
+    dims: &JobDims,
+    jobs: &JobLog,
     params: &FdaParams,
 ) -> FdaAnalysis {
-    let dims = ctx.fda_columns();
     let n = dims.rows();
     let mut attributed: Vec<(u32, u16)> = Vec::new();
     for (i, em) in matching.per_event.iter().enumerate() {
         let code = events[i].errcode.0;
         for &job_id in &em.victims {
-            if let Some(row) = ctx.jobs().job_row(job_id) {
+            if let Some(row) = jobs.job_row(job_id) {
                 attributed.push((row, code));
             }
         }
@@ -228,20 +228,20 @@ fn large_fixture() -> (Vec<JobRecord>, Vec<Event>, Matching) {
 fn dense_lattice_matches_brute_force() {
     let (jobs, events, matching) = large_fixture();
     let log = JobLog::from_jobs(jobs.clone());
-    let ctx = AnalysisContext::for_jobs(&log);
+    let dims = JobDims::from_jobs(log.jobs());
     let params = FdaParams {
         min_support_frac: 0.0,
         min_support_floor: 1,
         min_lift: 0.0,
         max_level: 3,
     };
-    let mined = FdaAnalysis::compute(&events, &matching, &ctx, &params);
+    let mined = FdaAnalysis::compute(&events, &matching, &dims, &log, &params);
     assert!(
         mined.ranked.len() > 100,
         "expected a dense lattice, got {} itemsets",
         mined.ranked.len()
     );
-    assert_eq!(mined, brute_force(&events, &matching, &ctx, &params));
+    assert_eq!(mined, brute_force(&events, &matching, &dims, &log, &params));
 }
 
 #[test]
@@ -249,8 +249,8 @@ fn empty_table_and_no_fatal_rows_are_well_formed() {
     let params = FdaParams::default();
     // No jobs at all.
     let log = JobLog::default();
-    let ctx = AnalysisContext::for_jobs(&log);
-    let r = FdaAnalysis::compute(&[], &Matching::default(), &ctx, &params);
+    let dims = JobDims::from_jobs(log.jobs());
+    let r = FdaAnalysis::compute(&[], &Matching::default(), &dims, &log, &params);
     assert_eq!(r.n_jobs, 0);
     assert_eq!(r.n_fatal, 0);
     assert!(r.ranked.is_empty());
@@ -258,15 +258,15 @@ fn empty_table_and_no_fatal_rows_are_well_formed() {
     // Jobs but no interruptions: nothing is over-represented.
     let jobs: Vec<JobRecord> = (0..10).map(|i| job(i, 0, 0, 0, 0, 1)).collect();
     let log = JobLog::from_jobs(jobs.clone());
-    let ctx = AnalysisContext::for_jobs(&log);
+    let dims = JobDims::from_jobs(log.jobs());
     let (events, matching) = fixture(&jobs, &[(0, Vec::new())]);
-    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params);
+    let r = FdaAnalysis::compute(&events, &matching, &dims, &log, &params);
     assert_eq!(r.n_jobs, 10);
     assert_eq!(r.n_fatal, 0);
     assert!(r.ranked.is_empty());
     // Victims referencing unknown job ids are ignored, not miscounted.
     let (events, matching) = fixture(&jobs, &[(0, vec![999_999])]);
-    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params);
+    let r = FdaAnalysis::compute(&events, &matching, &dims, &log, &params);
     assert_eq!(r.n_fatal, 0);
 }
 
@@ -276,13 +276,9 @@ fn single_dimension_table_mines_only_singletons() {
     // error code, and max_level 1 caps the lattice at singletons anyway.
     let jobs: Vec<JobRecord> = (0..20).map(|i| job(i, 1, 1, 1, 0, 1)).collect();
     let log = JobLog::from_jobs(jobs.clone());
-    let ctx = AnalysisContext::for_jobs(&log);
+    let dims = JobDims::from_jobs(log.jobs());
     for d in 0..NUM_JOB_DIMS {
-        assert_eq!(
-            ctx.fda_columns().job_dict_len(d),
-            1,
-            "dim {d} should be constant"
-        );
+        assert_eq!(dims.job_dict_len(d), 1, "dim {d} should be constant");
     }
     let (events, matching) = fixture(&jobs, &[(0, vec![0, 1, 2]), (1, vec![3, 4])]);
     let params = FdaParams {
@@ -291,7 +287,7 @@ fn single_dimension_table_mines_only_singletons() {
         min_lift: 0.0,
         max_level: 1,
     };
-    let r = FdaAnalysis::compute(&events, &matching, &ctx, &params);
+    let r = FdaAnalysis::compute(&events, &matching, &dims, &log, &params);
     assert_eq!(r.n_fatal, 5);
     assert!(r.ranked.iter().all(|s| s.items.len() == 1));
     // The constant job dims have lift exactly 1 (5/5 over 20/20); the two
@@ -303,7 +299,7 @@ fn single_dimension_table_mines_only_singletons() {
         .collect();
     assert_eq!(code_sets.len(), 2);
     assert!(code_sets.iter().all(|s| s.total_support == s.fatal_support));
-    assert_eq!(r, brute_force(&events, &matching, &ctx, &params));
+    assert_eq!(r, brute_force(&events, &matching, &dims, &log, &params));
 }
 
 /// Strategy for one random small table plus miner params. The min-lift
@@ -343,7 +339,7 @@ proptest! {
             .map(|(i, &(u, p, e, m, w))| job(i as u64, u, p, e, m, w))
             .collect();
         let log = JobLog::from_jobs(jobs.clone());
-        let ctx = AnalysisContext::for_jobs(&log);
+        let dims = JobDims::from_jobs(log.jobs());
         let (events, matching) = fixture(&jobs, &victims);
         let params = FdaParams {
             min_support_frac: 0.0,
@@ -351,7 +347,7 @@ proptest! {
             min_lift,
             max_level,
         };
-        let mined = FdaAnalysis::compute(&events, &matching, &ctx, &params);
-        prop_assert_eq!(mined, brute_force(&events, &matching, &ctx, &params));
+        let mined = FdaAnalysis::compute(&events, &matching, &dims, &log, &params);
+        prop_assert_eq!(mined, brute_force(&events, &matching, &dims, &log, &params));
     }
 }

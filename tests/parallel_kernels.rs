@@ -263,9 +263,8 @@ proptest! {
         events in arb_events(),
     ) {
         let jobs = JobLog::from_jobs(jobs);
-        let ctx = AnalysisContext::from_events(events.clone(), None, &jobs);
         let matcher = Matcher::default();
-        let got = matcher.run(&events, &ctx);
+        let got = matcher.run(&events, &jobs);
         let want = oracle(&events, &jobs, &matcher);
         prop_assert_eq!(&got.per_event, &want.per_event);
         prop_assert_eq!(&got.job_to_event, &want.job_to_event);

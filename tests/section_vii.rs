@@ -73,8 +73,7 @@ fn informed_checkpointing_beats_naive_policies() {
         })
         .collect();
     let mtti = r.interruption.system.mtti().unwrap_or(100_000.0);
-    let ctx = bgp_coanalysis::coanalysis::AnalysisContext::for_jobs(&out.jobs);
-    let outcomes = standard_study(&ctx, &causes, mtti, 300.0, 32);
+    let outcomes = standard_study(&out.jobs, &causes, mtti, 300.0, 32);
     assert_eq!(outcomes.len(), 3);
     let naked = outcomes[0].total_cost();
     let informed = outcomes[2].total_cost();

@@ -2,7 +2,7 @@
 //! monolithic sequence, plus the `AnalysisSet` subset law.
 //!
 //! The refactor's promise is *structural*, not behavioral: running the
-//! stage graph over a shared [`AnalysisContext`] must reproduce exactly
+//! stage graph over a shared `AnalysisContext` must reproduce exactly
 //! what the old hand-wired `CoAnalysis::run` computed. This test re-wires
 //! the legacy sequence by hand from the public stage building blocks and
 //! compares every `CoAnalysisResult` field on five simulation seeds; a
@@ -13,6 +13,7 @@
 
 use bgp_coanalysis::bgp_sim::{SimConfig, SimOutput, Simulation};
 use bgp_coanalysis::coanalysis::analysis::failure_stats::TableIv;
+use bgp_coanalysis::coanalysis::analysis::fda::JobDims;
 use bgp_coanalysis::coanalysis::analysis::{
     BurstAnalysis, FdaAnalysis, InterruptionStats, MidplaneProfile, PropagationAnalysis,
     VulnerabilityAnalysis,
@@ -21,7 +22,7 @@ use bgp_coanalysis::coanalysis::classify::{classify_impact, classify_root_cause}
 use bgp_coanalysis::coanalysis::event::Event;
 use bgp_coanalysis::coanalysis::filter::{FilterStats, JobRelatedFilter};
 use bgp_coanalysis::coanalysis::{
-    AnalysisContext, AnalysisSet, CoAnalysis, CoAnalysisConfig, CoAnalysisResult, StageId,
+    AnalysisSet, CoAnalysis, CoAnalysisConfig, CoAnalysisResult, StageId,
 };
 use proptest::proptest;
 use std::collections::BTreeMap;
@@ -29,9 +30,10 @@ use std::sync::OnceLock;
 
 /// The legacy monolithic pipeline, re-wired by hand from the public stage
 /// building blocks, exactly as `CoAnalysis::run` was before the stage
-/// graph.
+/// graph. It hands each analysis the job log directly, so no part of it
+/// runs through the context layer it checks.
 fn legacy_run(out: &SimOutput, cfg: &CoAnalysisConfig) -> CoAnalysisResult {
-    let ctx = AnalysisContext::new(&out.ras, &out.jobs);
+    let jobs = &out.jobs;
     let raw: Vec<Event> = Event::from_fatal_records(&out.ras);
 
     // Temporal + spatial per error-code shard, sequentially, in sorted
@@ -50,8 +52,8 @@ fn legacy_run(out: &SimOutput, cfg: &CoAnalysisConfig) -> CoAnalysisResult {
     after_spatial.sort_by_key(|e| (e.time, e.first_recid));
 
     let (events, causal_rules) = cfg.causal.filter(&after_spatial);
-    let matching = cfg.matcher.run(&events, &ctx);
-    let outcome = JobRelatedFilter.apply(&events, &matching, &ctx);
+    let matching = cfg.matcher.run(&events, jobs);
+    let outcome = JobRelatedFilter.apply(&events, &matching, jobs);
 
     let filter_stats = FilterStats {
         raw_fatal: raw.len(),
@@ -62,26 +64,27 @@ fn legacy_run(out: &SimOutput, cfg: &CoAnalysisConfig) -> CoAnalysisResult {
     };
 
     let impact = classify_impact(&events, &matching);
-    let root_cause = classify_root_cause(&events, &matching, &ctx);
+    let root_cause = classify_root_cause(&events, &matching, jobs);
 
     let table_iv = TableIv::new(&events, &outcome.events).ok();
-    let midplane = MidplaneProfile::new(&outcome.events, &ctx, cfg.wide_threshold);
-    let victims = matching.interrupted_records(&ctx);
+    let midplane = MidplaneProfile::new(&outcome.events, jobs, cfg.wide_threshold);
+    let victims = matching.interrupted_records(jobs);
     let window = out.ras.time_span().unwrap_or((
         bgp_coanalysis::bgp_model::Timestamp::EPOCH,
         bgp_coanalysis::bgp_model::Timestamp::EPOCH,
     ));
-    let burst = BurstAnalysis::new(&victims, &ctx, window, cfg.quick_window);
-    let interruption = InterruptionStats::new(&events, &matching, &root_cause, &ctx);
-    let propagation = PropagationAnalysis::new(&events, &matching, &ctx, &outcome.redundant);
+    let burst = BurstAnalysis::new(&victims, jobs, window, cfg.quick_window);
+    let interruption = InterruptionStats::new(&events, &matching, &root_cause, jobs);
+    let propagation = PropagationAnalysis::new(&events, &matching, jobs, &outcome.redundant);
     let vulnerability = VulnerabilityAnalysis::new(
         &events,
         &matching,
         &root_cause,
-        &ctx,
+        jobs,
         &midplane.fatal_counts,
     );
-    let fda = FdaAnalysis::compute(&events, &matching, &ctx, &cfg.fda);
+    let dims = JobDims::from_jobs(jobs.jobs());
+    let fda = FdaAnalysis::compute(&events, &matching, &dims, jobs, &cfg.fda);
 
     CoAnalysisResult {
         events,
