@@ -28,6 +28,10 @@
 //! [`location`], that preserves the information content: rack row/column,
 //! midplane, node card, node slot, and the card type.
 
+// No `HashMap`/`HashSet` here: the workspace lint table allows them, and
+// this crate keeps the root `clippy.toml` ban.
+#![deny(clippy::disallowed_types)]
+
 pub mod bytes;
 pub mod error;
 pub mod intern;

@@ -17,8 +17,8 @@
 //! | 24 | 8 | content hash of the *source text* ([`crate::bytes::content_hash_64`]) |
 //!
 //! The hash covers every byte of the source text the records were parsed
-//! from, so any edit to the source, anywhere, makes the snapshot stale. A reader may
-//! compute it by mapping the source or by streaming it
+//! from, so any edit to the source, anywhere, makes the snapshot stale. A reader
+//! computes it over the source's bytes in a buffer or by streaming the file
 //! ([`crate::bytes::content_hash_file`]); both give the same value.
 //!
 //! The kind's payload follows immediately (for RAS, a tally and two column

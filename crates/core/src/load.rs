@@ -16,11 +16,12 @@
 //!    reads only the RAS snapshot's front — its FATAL count first, then the
 //!    header, tally and FATAL section, about 1 MB of a 237-day site's
 //!    12.8 MB — and checks the file's length against it, so a truncation
-//!    in the section it skips still fails; [`load_ras`] maps the whole
-//!    file. Without a snapshot directory nothing is hashed. A source that
-//!    is not a regular file (a pipe) is never hashed on its own, which
-//!    would consume it: its snapshots count as unusable, and it is hashed
-//!    as it is parsed;
+//!    in the section it skips still fails; [`load_ras`] and [`load_jobs`]
+//!    read the whole file. Snapshots are read into a buffer, never mapped,
+//!    so one that shrinks under the read is a miss. Without a snapshot
+//!    directory nothing is hashed. A source that is not a regular file (a
+//!    pipe) is never hashed on its own, which would consume it: its
+//!    snapshots count as unusable, and it is hashed as it is parsed;
 //! 3. otherwise decode the source as its [`LogFormat`] says. A BG/P source
 //!    is **streamed, never held whole**: each worker reads its share of the
 //!    file through one fixed window with positioned reads and parses the
@@ -31,8 +32,8 @@
 //!    the records the load keeps, so a [`load_pair`] miss builds no vector
 //!    of every record. The file is written from the workers' columns, in
 //!    worker order, stamped with the content hash of the very bytes parsed
-//!    (to a temp file renamed over the old one, so concurrent readers and
-//!    live mappings never see a torn snapshot). At perfbench's paper scale
+//!    (to a temp file renamed over the old one, so concurrent readers never
+//!    see a torn snapshot). At perfbench's paper scale
 //!    (288 MB of RAS text, 2 vCPUs) a `coctl analyze --snapshot` miss takes
 //!    ~0.31 s and peaks at ~62 MB, against ~0.51 s and ~122 MB when the
 //!    miss parsed every record into a vector and then encoded it; an
@@ -75,7 +76,6 @@
 //! beside the snapshot are never read, and may be deleted.
 
 use bgp_model::bytes::content_hash_file;
-use bgp_model::mmap::MappedFile;
 use bgp_model::snapshot::{SnapshotError, SnapshotHeader, SnapshotKind};
 pub use bgp_ports::{LogFormat, SourceDiagnostic};
 use joblog::{JobLog, JobRecord};
@@ -209,8 +209,8 @@ fn cannot_read(path: &Path, e: io::Error) -> LoadError {
 }
 
 /// Read a whole non-BG/P source into a buffer.
-fn read_file(path: &Path) -> Result<MappedFile, LoadError> {
-    MappedFile::read(path).map_err(|e| cannot_read(path, e))
+fn read_file(path: &Path) -> Result<Vec<u8>, LoadError> {
+    fs::read(path).map_err(|e| cannot_read(path, e))
 }
 
 /// The record-type specifics of one BG/P log: its snapshot codec, how its
@@ -224,53 +224,45 @@ trait BgpCodec {
     const KIND: SnapshotKind;
     /// The snapshot format version this build reads and writes.
     const VERSION: u32;
-    /// Parse the source file, keeping what the load keeps.
-    fn parse(&self, file: &File, threads: usize)
-        -> io::Result<(Self::Kept, Vec<SourceDiagnostic>)>;
-    /// Parse the source file on a cache miss: what the load keeps, the
-    /// diagnostics, and the snapshot of every record parsed, stamped with
-    /// the content hash of the bytes parsed, hashed in the same pass.
-    fn parse_missed(
-        &self,
-        file: &File,
-        threads: usize,
-    ) -> io::Result<(Self::Kept, Vec<SourceDiagnostic>, Self::Snapshot)>;
+    /// Parse the source file: what the load keeps, the diagnostics and, if
+    /// `snapshot` is set (a cache miss), the snapshot of every record
+    /// parsed, stamped with the content hash of the bytes parsed, hashed in
+    /// the same pass.
+    fn parse(&self, file: &File, threads: usize, snapshot: bool) -> io::Result<Parsed<Self>>;
     /// Write a snapshot out.
     fn write(snapshot: &Self::Snapshot, out: &mut impl Write) -> io::Result<()>;
-    /// Read what [`BgpCodec::decode`] reads of the snapshot file at
-    /// `path`: by default all of it, mapped.
-    fn read(&self, path: &Path) -> io::Result<SnapshotBytes> {
-        MappedFile::open(path).map(SnapshotBytes::Whole)
-    }
-    /// Decode and validate what the load keeps of a snapshot (its source
-    /// hash is checked separately).
-    fn decode(&self, snap: &SnapshotBytes) -> Result<Self::Kept, SnapshotError>;
+    /// How many bytes [`BgpCodec::decode`] reads of a snapshot that begins
+    /// with `head` (its first [`raslog::snapshot::FRONT_HEAD_LEN`] bytes, or
+    /// all of it); more than the file holds means all of it.
+    fn decode_len(&self, head: &[u8]) -> u64;
+    /// Decode and validate what the load keeps of a snapshot, given its
+    /// first [`BgpCodec::decode_len`] bytes and the length of the whole file
+    /// (its source hash is checked separately).
+    fn decode(&self, bytes: &[u8], file_len: u64) -> Result<Self::Kept, SnapshotError>;
 }
 
-/// What a load reads of a snapshot file: all of it, or the first bytes of
-/// it with the file's length.
-#[derive(Debug)]
-enum SnapshotBytes {
-    Whole(MappedFile),
-    Front { bytes: Vec<u8>, file_len: u64 },
-}
+/// What [`BgpCodec::parse`] hands back: the kept records, the diagnostics
+/// and the snapshot, if one was asked for.
+type Parsed<C> = (
+    <C as BgpCodec>::Kept,
+    Vec<SourceDiagnostic>,
+    Option<<C as BgpCodec>::Snapshot>,
+);
 
-impl SnapshotBytes {
-    /// The bytes read.
-    fn bytes(&self) -> &[u8] {
-        match self {
-            SnapshotBytes::Whole(file) => file.bytes(),
-            SnapshotBytes::Front { bytes, .. } => bytes,
-        }
-    }
-
-    /// The length of the whole file.
-    fn file_len(&self) -> u64 {
-        match self {
-            SnapshotBytes::Whole(file) => file.bytes().len() as u64,
-            SnapshotBytes::Front { file_len, .. } => *file_len,
-        }
-    }
+/// Read what `codec` decodes of the snapshot file at `path`, with the
+/// file's length: its head first, then as much of the rest as
+/// [`BgpCodec::decode_len`] asks for. A file that shrinks under the read is
+/// an error, so a cache miss.
+fn read_snapshot(path: &Path, codec: &impl BgpCodec) -> io::Result<(Vec<u8>, u64)> {
+    let mut file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut bytes = vec![0; raslog::snapshot::FRONT_HEAD_LEN.min(file_len as usize)];
+    file.read_exact(&mut bytes)?;
+    let len = codec.decode_len(&bytes).min(file_len) as usize;
+    let head = bytes.len();
+    bytes.resize(len, 0);
+    file.read_exact(&mut bytes[head..])?;
+    Ok((bytes, file_len))
 }
 
 /// The RAS log: every record ([`load_ras`]), or only the FATAL ones plus
@@ -296,26 +288,8 @@ impl BgpCodec for RasCodec {
     const KIND: SnapshotKind = SnapshotKind::Ras;
     const VERSION: u32 = raslog::snapshot::FORMAT_VERSION;
 
-    fn parse(
-        &self,
-        file: &File,
-        threads: usize,
-    ) -> io::Result<(Projection, Vec<SourceDiagnostic>)> {
-        let (kept, diagnostics, _) =
-            bgp_ports::bgp::decode_ras_file_where(file, threads, false, self.keep())?;
-        Ok((kept, diagnostics))
-    }
-
-    fn parse_missed(
-        &self,
-        file: &File,
-        threads: usize,
-    ) -> io::Result<(Projection, Vec<SourceDiagnostic>, Self::Snapshot)> {
-        let (kept, diagnostics, snapshot) =
-            bgp_ports::bgp::decode_ras_file_where(file, threads, true, self.keep())?;
-        // The parser builds a snapshot whenever it is asked for one.
-        let snapshot = snapshot.ok_or_else(|| io::Error::other("the parse built no snapshot"))?;
-        Ok((kept, diagnostics, snapshot))
+    fn parse(&self, file: &File, threads: usize, snapshot: bool) -> io::Result<Parsed<Self>> {
+        bgp_ports::bgp::decode_ras_file_where(file, threads, snapshot, self.keep())
     }
 
     fn write(snapshot: &Self::Snapshot, out: &mut impl Write) -> io::Result<()> {
@@ -323,27 +297,19 @@ impl BgpCodec for RasCodec {
     }
 
     /// [`load_pair`] reads only the front — the header, the tally and the
-    /// FATAL section — and the file's length; [`load_ras`] maps it all.
-    fn read(&self, path: &Path) -> io::Result<SnapshotBytes> {
-        if *self == RasCodec::All {
-            return MappedFile::open(path).map(SnapshotBytes::Whole);
+    /// FATAL section — and the file's length; [`load_ras`] reads it all.
+    fn decode_len(&self, head: &[u8]) -> u64 {
+        match self {
+            RasCodec::All => u64::MAX,
+            RasCodec::Fatal => raslog::snapshot::front_len(head),
         }
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut bytes = vec![0; raslog::snapshot::FRONT_HEAD_LEN.min(file_len as usize)];
-        file.read_exact(&mut bytes)?;
-        let front = raslog::snapshot::front_len(&bytes).min(file_len) as usize;
-        let head = bytes.len();
-        bytes.resize(front, 0);
-        file.read_exact(&mut bytes[head..])?;
-        Ok(SnapshotBytes::Front { bytes, file_len })
     }
 
-    fn decode(&self, snap: &SnapshotBytes) -> Result<Projection, SnapshotError> {
+    fn decode(&self, bytes: &[u8], file_len: u64) -> Result<Projection, SnapshotError> {
         match self {
-            RasCodec::All => raslog::snapshot::decode_snapshot(snap.bytes(), None)
+            RasCodec::All => raslog::snapshot::decode_snapshot(bytes, None)
                 .map(|r| Projection::of(r, self.keep())),
-            RasCodec::Fatal => raslog::snapshot::decode_front(snap.bytes(), snap.file_len(), None),
+            RasCodec::Fatal => raslog::snapshot::decode_front(bytes, file_len, None),
         }
     }
 }
@@ -357,23 +323,9 @@ impl BgpCodec for JobCodec {
     const KIND: SnapshotKind = SnapshotKind::Job;
     const VERSION: u32 = joblog::snapshot::FORMAT_VERSION;
 
-    fn parse(
-        &self,
-        file: &File,
-        threads: usize,
-    ) -> io::Result<(Vec<JobRecord>, Vec<SourceDiagnostic>)> {
-        let (batch, _) = bgp_ports::bgp::decode_jobs_file(file, threads, false)?;
-        Ok((batch.records, batch.diagnostics))
-    }
-
-    fn parse_missed(
-        &self,
-        file: &File,
-        threads: usize,
-    ) -> io::Result<(Vec<JobRecord>, Vec<SourceDiagnostic>, Vec<u8>)> {
-        let (batch, hash) = bgp_ports::bgp::decode_jobs_file(file, threads, true)?;
-        // The reader returns a hash whenever it is asked for one.
-        let snapshot = joblog::snapshot::encode_snapshot(&batch.records, hash.unwrap_or_default());
+    fn parse(&self, file: &File, threads: usize, snapshot: bool) -> io::Result<Parsed<Self>> {
+        let (batch, hash) = bgp_ports::bgp::decode_jobs_file(file, threads, snapshot)?;
+        let snapshot = hash.map(|hash| joblog::snapshot::encode_snapshot(&batch.records, hash));
         Ok((batch.records, batch.diagnostics, snapshot))
     }
 
@@ -381,8 +333,12 @@ impl BgpCodec for JobCodec {
         out.write_all(snapshot)
     }
 
-    fn decode(&self, snap: &SnapshotBytes) -> Result<Vec<JobRecord>, SnapshotError> {
-        joblog::snapshot::decode_snapshot(snap.bytes(), None)
+    fn decode_len(&self, _head: &[u8]) -> u64 {
+        u64::MAX
+    }
+
+    fn decode(&self, bytes: &[u8], _file_len: u64) -> Result<Vec<JobRecord>, SnapshotError> {
+        joblog::snapshot::decode_snapshot(bytes, None)
     }
 }
 
@@ -403,8 +359,8 @@ fn load_bgp<C: BgpCodec>(
     // The content hash exists only to validate and stamp the snapshot, so
     // an uncached load never pays for it.
     let Some(dir) = opts.snapshot_dir.as_deref() else {
-        let (kept, diagnostics) = codec
-            .parse(&file, threads)
+        let (kept, diagnostics, _) = codec
+            .parse(&file, threads, false)
             .map_err(|e| cannot_read(path, e))?;
         return Ok((kept, diagnostics, SnapshotStatus::Disabled));
     };
@@ -414,8 +370,11 @@ fn load_bgp<C: BgpCodec>(
         Err(reason) => reason,
     };
     let (kept, diagnostics, snapshot) = codec
-        .parse_missed(&file, threads)
+        .parse(&file, threads, true)
         .map_err(|e| cannot_read(path, e))?;
+    // The parser builds a snapshot whenever it is asked for one.
+    let snapshot = snapshot
+        .ok_or_else(|| cannot_read(path, io::Error::other("the parse built no snapshot")))?;
     let status = match (
         write_snapshot(&snap_path, |out| C::write(&snapshot, out)),
         stale_reason,
@@ -431,8 +390,8 @@ fn load_bgp<C: BgpCodec>(
 
 /// Validate the snapshot at `snap_path` against the source `file`,
 /// returning what `codec` keeps of it. `Err(None)` means there is no
-/// snapshot file; `Err(Some(reason))` that it is unusable, including when
-/// the source cannot be hashed.
+/// snapshot file to read; `Err(Some(reason))` that it is unusable,
+/// including when the source cannot be hashed.
 ///
 /// The checks keep one fixed order — header (magic, kind, length), format
 /// version, source hash, body — whichever thread finishes first: the body
@@ -449,13 +408,13 @@ fn check_snapshot<C: BgpCodec>(
     threads: usize,
     codec: &C,
 ) -> Result<C::Kept, Option<String>> {
-    let snap = codec.read(snap_path).map_err(|_| None)?;
+    let (bytes, file_len) = read_snapshot(snap_path, codec).map_err(|_| None)?;
     let reject = |e: SnapshotError| Some(e.to_string());
-    let header = SnapshotHeader::parse(snap.bytes(), C::KIND).map_err(reject)?;
+    let header = SnapshotHeader::parse(&bytes, C::KIND).map_err(reject)?;
     header.validate(C::VERSION, None).map_err(reject)?;
     let (hash, body) = std::thread::scope(|scope| {
         let hasher = scope.spawn(|| content_hash_file(file, threads));
-        let body = codec.decode(&snap);
+        let body = codec.decode(&bytes, file_len);
         match hasher.join() {
             Ok(hash) => (hash, body),
             Err(payload) => std::panic::resume_unwind(payload),
@@ -479,7 +438,7 @@ fn write_snapshot(
 
 /// Replace `target` with what `write` writes, atomically: write a uniquely
 /// named temp file in the same directory, then `rename` it over the
-/// target. Readers — including live mappings of the old file — see the old
+/// target. Readers — including one that opened the old file — see the old
 /// snapshot or the new one, never a torn one. A failed write removes the
 /// temp file.
 fn replace_file(
@@ -523,21 +482,22 @@ pub fn load_ras(path: &Path, opts: &LoadOptions) -> Result<LoadedRas, LoadError>
 /// every record. The BG/P adapter projects as it parses; the others decode
 /// in full, then filter.
 fn load_ras_as(path: &Path, opts: &LoadOptions, codec: RasCodec) -> Result<LoadedRas, LoadError> {
-    let (kept, parse_errors, snapshot) = if opts.format == LogFormat::Bgp {
-        load_bgp(path, opts, &codec)?
-    } else {
-        let resolved = bgp_ports::resolve_input(opts.format, path);
-        let data = read_file(&resolved.ras)?;
-        let batch = bgp_ports::decode_ras(opts.format, data.bytes(), opts.effective_threads())
-            .map_err(|e| LoadError {
-                path: resolved.ras.clone(),
-                message: format!("cassette: {e}"),
-            })?;
-        let mut parse_errors = resolved.notes;
-        parse_errors.extend(batch.diagnostics);
-        let kept = Projection::of(batch.records, codec.keep());
-        (kept, parse_errors, SnapshotStatus::Disabled)
-    };
+    let (kept, parse_errors, snapshot) =
+        if opts.format == LogFormat::Bgp {
+            load_bgp(path, opts, &codec)?
+        } else {
+            let resolved = bgp_ports::resolve_input(opts.format, path);
+            let data = read_file(&resolved.ras)?;
+            let batch = bgp_ports::decode_ras(opts.format, &data, opts.effective_threads())
+                .map_err(|e| LoadError {
+                    path: resolved.ras.clone(),
+                    message: format!("cassette: {e}"),
+                })?;
+            let mut parse_errors = resolved.notes;
+            parse_errors.extend(batch.diagnostics);
+            let kept = Projection::of(batch.records, codec.keep());
+            (kept, parse_errors, SnapshotStatus::Disabled)
+        };
     Ok(LoadedRas {
         parsed: kept.parsed(),
         log: kept.into_log(),
@@ -555,7 +515,7 @@ pub fn load_jobs(path: &Path, opts: &LoadOptions) -> Result<LoadedJobs, LoadErro
         let resolved = bgp_ports::resolve_input(LogFormat::Bgq, path);
         let jobs_path = resolved.jobs.as_deref().unwrap_or(path);
         let data = read_file(jobs_path)?;
-        let batch = bgp_ports::bgq::decode_jobs(data.bytes());
+        let batch = bgp_ports::bgq::decode_jobs(&data);
         return Ok(LoadedJobs {
             log: JobLog::from_jobs(batch.records),
             parse_errors: batch.diagnostics,
@@ -760,7 +720,7 @@ mod tests {
             let both = |reason| (Some(reason), Some(reason));
             // The rewrite reason of `load_ras`, then of `load_pair`.
             type Reasons<'a> = (Option<&'a str>, Option<&'a str>);
-            let cases: [(&str, Vec<u8>, Reasons); 11] = [
+            let cases: [(&str, Vec<u8>, Reasons); 12] = [
                 (
                     "bad magic",
                     patched(&good, 0, b"X"),
@@ -770,6 +730,11 @@ mod tests {
                     "wrong kind",
                     job_snap,
                     both("wrong log kind tag 2 (expected RAS)"),
+                ),
+                (
+                    "zero length",
+                    Vec::new(),
+                    both("truncated: need 32 bytes, have 0"),
                 ),
                 (
                     "short header",
@@ -842,6 +807,89 @@ mod tests {
                 .collect();
             files.sort();
             assert_eq!(files, ["jobs.log.bgpsnap", "ras.log.bgpsnap"]);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The job snapshot's rejections, as [`load_jobs`] and [`load_pair`]
+    /// report them: the whole file is read and decoded, so every case is a
+    /// rewrite that restores the good bytes.
+    #[test]
+    fn job_snapshot_rejection_reasons_are_pinned() {
+        for threads in [1, 0] {
+            let dir = tmpdir(&format!("job-reasons-{threads}"));
+            let (ras_path, jobs_path) = write_fixture(&dir);
+            let snaps = dir.join("snaps");
+            let opts = LoadOptions {
+                threads,
+                snapshot_dir: Some(snaps.clone()),
+                ..LoadOptions::default()
+            };
+            let fresh = load_jobs(&jobs_path, &opts).unwrap();
+            assert_eq!(fresh.snapshot, SnapshotStatus::Written);
+            load_ras(&ras_path, &opts).unwrap();
+            let snap = snaps.join("jobs.log.bgpsnap");
+            let good = fs::read(&snap).unwrap();
+            // One job: the header, then its columns; the partition mask is
+            // at 76..92 and the exit tag at 92.
+            assert_eq!(good.len(), 96);
+            let stale =
+                "source hash 0x0123456789abcdef does not match current source 0x12795dd1277fd59c";
+            let cases = [
+                (
+                    "bad magic",
+                    patched(&good, 0, b"X"),
+                    "not a .bgpsnap file (bad magic)",
+                ),
+                (
+                    "RAS snapshot",
+                    fs::read(snaps.join("ras.log.bgpsnap")).unwrap(),
+                    "wrong log kind tag 1 (expected job)",
+                ),
+                (
+                    "zero length",
+                    Vec::new(),
+                    "truncated: need 32 bytes, have 0",
+                ),
+                (
+                    "short header",
+                    good[..10].to_vec(),
+                    "truncated: need 32 bytes, have 10",
+                ),
+                (
+                    "truncated body",
+                    good[..95].to_vec(),
+                    "truncated: need 96 bytes, have 95",
+                ),
+                ("stale hash", patched(&good, 24, &STALE), stale),
+                (
+                    "corrupt partition mask",
+                    patched(&good, 76, &u128::MAX.to_le_bytes()),
+                    "record 0 corrupt: partition: partition mask bit 127 out of range (must be < 80)",
+                ),
+                (
+                    "bad exit tag",
+                    patched(&good, 92, &[7]),
+                    "record 0 corrupt: exit: tag 7 code 0",
+                ),
+            ];
+            for (case, bytes, reason) in cases {
+                let want = SnapshotStatus::Rewritten {
+                    reason: reason.to_owned(),
+                };
+                let ctx = format!("{case} at threads {threads}");
+                fs::write(&snap, &bytes).unwrap();
+                let got = load_jobs(&jobs_path, &opts).unwrap();
+                assert_eq!(got.snapshot, want, "load_jobs: {ctx}");
+                assert_eq!(got.log.jobs(), fresh.log.jobs(), "{ctx}");
+                assert_eq!(fs::read(&snap).unwrap(), good, "load_jobs: {ctx}");
+
+                fs::write(&snap, &bytes).unwrap();
+                let (_, got) = load_pair(&ras_path, &jobs_path, &opts).unwrap();
+                assert_eq!(got.snapshot, want, "load_pair: {ctx}");
+                assert_eq!(got.log.jobs(), fresh.log.jobs(), "{ctx}");
+                assert_eq!(fs::read(&snap).unwrap(), good, "load_pair: {ctx}");
+            }
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -930,9 +978,9 @@ mod tests {
         );
         let snap = snaps.join("ras.log.bgpsnap");
         let old = fs::read(&snap).unwrap();
-        let mapped = MappedFile::open(&snap).unwrap();
+        let mut reader = File::open(&snap).unwrap();
         // Change the source so the next load rewrites the snapshot while
-        // the old one is still mapped.
+        // the old one is still open.
         let mut text = fs::read_to_string(&ras_path).unwrap();
         text.push_str(&raslog::format_record(&ras_record()));
         text.push('\n');
@@ -944,9 +992,10 @@ mod tests {
             reloaded.snapshot
         );
         assert_ne!(fs::read(&snap).unwrap(), old, "snapshot was rewritten");
-        // The live mapping still reads the file it mapped, untorn.
-        assert_eq!(mapped.bytes(), old.as_slice());
-        drop(mapped);
+        // A reader that opened the old file still reads it, untorn.
+        let mut held = Vec::new();
+        reader.read_to_end(&mut held).unwrap();
+        assert_eq!(held, old);
         let left: Vec<String> = fs::read_dir(&snaps)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

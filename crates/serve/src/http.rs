@@ -85,7 +85,8 @@ pub(crate) fn summary_json(state: &HttpState) -> String {
         "{{\"records_in\":{},\"fatal_in\":{},\"merged_temporal\":{},\"merged_spatial\":{},\
          \"events_out\":{},\"warnings\":{},\"rejected_malformed\":{},\"rejected_oversized\":{},\
          \"backpressure_stalls\":{},\"queue_depth\":{},\"ring_events\":{},\
-         \"ingest_connections\":{},\"http_requests\":{},\"draining\":{}}}",
+         \"ingest_connections\":{},\"ingest_connections_dropped\":{},\"http_requests\":{},\
+         \"draining\":{}}}",
         c.records_in,
         c.fatal_in,
         c.merged_temporal,
@@ -98,6 +99,7 @@ pub(crate) fn summary_json(state: &HttpState) -> String {
         m.queue_depth.get(),
         state.ring.total_pushed(),
         m.ingest_connections.get(),
+        m.ingest_connections_dropped.get(),
         m.http_requests.get(),
         state.shutdown.requested(),
     )

@@ -1,9 +1,9 @@
 //! The delta-ingestion gate: folding batches through `DeltaSession::append`
 //! must be **bit-identical** to a cold full run over the concatenated
-//! input — every tick of a time split, the loader's projected base, empty
-//! and job-only batches, plus proptests over random (empty / duplicate /
-//! out-of-order) splits of a record stream. Folds of a simulated site's
-//! files are in `tests/report_paths.rs`.
+//! input — every tick of a time split, the loader's projected base, empty,
+//! job-only and span-only batches, plus proptests over random (empty /
+//! duplicate / out-of-order) splits of a record stream. Folds of a
+//! simulated site's files are in `tests/report_paths.rs`.
 
 // Integration-test helpers follow the test-code panic policy: a broken
 // fixture should fail the test loudly, not thread Results around.
@@ -167,6 +167,42 @@ fn job_only_batch_skips_the_filter_stack() {
     assert!(!report.reran.contains(StageId::TemporalSpatial));
     assert!(!report.reran.contains(StageId::Causal));
     assert!(report.reran.contains(StageId::Matching));
+}
+
+/// A batch of only non-FATAL records past the log's end moves the span and
+/// nothing else, so the only dirty context part is `Span`: Burst, whose
+/// window reads it, must re-run, and the fold must equal the one-shot run.
+#[test]
+fn span_only_batch_reruns_burst() {
+    let cfg = CoAnalysisConfig::default();
+    let out = Simulation::new(SimConfig::small_test(44))
+        .expect("valid config")
+        .run();
+    let (ras, jobs) = (out.ras.records().to_vec(), out.jobs.jobs().to_vec());
+    let (last, info) = (
+        ras[ras.len() - 1],
+        *ras.iter().find(|r| !r.is_fatal()).unwrap(),
+    );
+    let tail: Vec<RasRecord> = (1..=3)
+        .map(|day| RasRecord {
+            recid: last.recid + day,
+            event_time: last.event_time + bgp_model::Duration::seconds(day as i64 * 86_400),
+            ..info
+        })
+        .collect();
+    let mut all = ras.clone();
+    all.extend(tail.iter().copied());
+    let full = oracle(cfg, all, jobs.clone());
+
+    let (mut session, _) =
+        DeltaSession::new(cfg, &RasLog::from_records(ras), JobLog::from_jobs(jobs));
+    let (result, report) = session.append(AppendBatch {
+        ras: tail,
+        jobs: Vec::new(),
+    });
+    assert_results_identical(&result, &full);
+    assert!(report.reran.contains(StageId::Burst));
+    assert!(!report.reran.contains(StageId::TemporalSpatial));
 }
 
 /// The products of `delta` that differ from `full`, by field name.

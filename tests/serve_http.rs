@@ -163,6 +163,7 @@ fn smoke_100k_records_reconcile_exactly() {
     let (_, summary) = http_get(http, "/summary");
     assert!(summary.contains(&format!("\"records_in\":{}", records.len())));
     assert!(summary.contains(&format!("\"events_out\":{}", want.events_out)));
+    assert!(summary.contains("\"ingest_connections_dropped\":0"));
 
     let (_, events) = http_get(http, "/events");
     assert!(events.starts_with('[') && events.ends_with(']'));
